@@ -347,9 +347,7 @@ class BlockCollection:
         keys_y = self._blocks_of.get(pid_y)
         if not keys_x or not keys_y:
             return 0
-        if len(keys_x) > len(keys_y):
-            keys_x, keys_y = keys_y, keys_x
-        return sum(1 for key in keys_x if key in keys_y)
+        return len(keys_x & keys_y)
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
@@ -253,21 +253,29 @@ def sweep_weights(
 def partner_weights(
     collection: BlockingSubstrate,
     pid: int,
-    partners: Iterable[int],
+    partners: Collection[int],
     scheme: WeightingScheme | None = None,
     *,
     source: int | None = None,
 ) -> dict[int, float]:
-    """Weights of ``pid`` against a known partner list, via one sweep.
+    """Weights of ``pid`` against a known partner list.
 
-    The aggregate counterpart of calling ``scheme.weight(collection, pid,
-    y)`` for each ``y`` in ``partners`` (bit-identical results): used by the
-    block-draining paths (refill, I-PBS, PPS/PBS), which already know which
-    pairs they need and only want the weights.  Partners that share no live
-    block with ``pid`` get weight ``0.0``, as in the per-pair path.
+    Used by the block-draining paths (refill, I-PBS, PPS/PBS), which already
+    know which pairs they need and only want the weights.  Partners that
+    share no live block with ``pid`` get weight ``0.0``.
+
+    There are two bit-identical ways to the same weights and the cheaper is
+    picked per call.  The counting sweep touches every member of every
+    block of ``pid`` (``Σ|b|``) however few partners are asked for; one
+    ``scheme.weight`` call per partner intersects two block-key sets (at
+    most ``|B(pid)|`` steps each).  A refill after a block grew by one
+    member asks for a couple of partners of a profile that sits in many
+    large blocks; I-PBS opening a block asks for most of them at once.
     """
     scheme = scheme or CommonBlocksScheme()
-    finalize = _accumulate(
-        collection, pid, collection.iter_partner_blocks(pid), scheme, source
-    )
+    blocks = collection.iter_partner_blocks(pid)
+    if len(partners) * len(blocks) < sum(map(_block_size, blocks)):
+        weight = scheme.weight
+        return {partner: weight(collection, pid, partner) for partner in partners}
+    finalize = _accumulate(collection, pid, blocks, scheme, source)
     return {partner: finalize(partner) for partner in partners}

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
+from repro.blocking.blocks import Block
 from repro.blocking.cleaning import block_ghosting
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
 from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
@@ -115,6 +116,48 @@ class ComparisonGenerator:
         return result.kept, result.weighting_cost_units
 
 
+def _new_pairs(
+    block: Block, seen: tuple[int, ...], clean_clean: bool
+) -> Iterator[tuple[int, int]]:
+    """The pairs of ``block`` with at least one member past the cursor.
+
+    ``seen`` counts the members already enumerated per source, aligned with
+    the order of ``block.members_by_source`` (sources it does not reach are
+    all new).  Pairs come in the relative order of :meth:`Block.pairs`.
+    """
+    members = block.members_by_source
+    old_of = dict(zip(members, seen))
+    if clean_clean:
+        left, right = members.get(0, ()), members.get(1, ())
+        old_left = old_of.get(0, 0)
+        new_right = right[old_of.get(1, 0) :]
+        for pid_x in left[:old_left]:
+            for pid_y in new_right:
+                yield (pid_x, pid_y)
+        for pid_x in left[old_left:]:
+            for pid_y in right:
+                yield (pid_x, pid_y)
+        return
+    # Dirty ER pairs positions i < j of the per-source lists laid back to
+    # back: a new member with everything after it, an old member with the
+    # new members after it.
+    flat: list[int] = []
+    fresh: list[int] = []  # ascending positions in ``flat`` of the new members
+    for source, source_members in members.items():
+        first_new = len(flat) + old_of.get(source, 0)
+        flat.extend(source_members)
+        fresh.extend(range(first_new, len(flat)))
+    passed = 0  # new members at or before the current position
+    for position, pid_x in enumerate(flat):
+        if passed < len(fresh) and fresh[passed] == position:
+            passed += 1
+            partners = flat[position + 1 :]
+        else:
+            partners = [flat[later] for later in fresh[passed:]]
+        for pid_y in partners:
+            yield (pid_x, pid_y)
+
+
 class GetComparisons:
     """Smallest-block-first comparison refill (Alg. 2, l. 10-11).
 
@@ -123,22 +166,36 @@ class GetComparisons:
     is eligible if it has never been drained or has *grown* since its last
     drain — refills may fire in idle gaps mid-stream, so blocks that gain
     members afterwards must be revisited once the stream goes quiet.
-    Already-executed pairs are filtered out by the caller-supplied
-    predicate, so revisits only pay for the genuinely new comparisons.
 
-    Weights come from the sweep kernel, one aggregate sweep per distinct
-    left profile of the drained block (``per_pair=True`` restores the
-    legacy one-call-per-pair weighting; results are bit-identical).
+    A revisit costs what is new.  Per drained block the refill keeps a
+    *member cursor* — how many members of each source it has seen — and
+    enumerates only pairs with at least one member past it, in the order a
+    scan of the whole block would meet them.  This leans on the substrate's
+    add-only contract: a block's per-source member lists only ever append,
+    and a purge removes the whole block for good.  Pairs between two old
+    members were all enumerated by an earlier drain and are not offered
+    again (strategies refill only once their index has run dry, so every
+    pair offered then has been executed — or was evicted from a bounded
+    index, which is a loss the bound accepts).
+
+    Weights come from :func:`~repro.metablocking.sweep.partner_weights`, one
+    call per distinct left profile of the drained block (``per_pair=True``
+    restores the legacy one-call-per-pair weighting; results are
+    bit-identical).
     """
 
-    __slots__ = ("scheme", "per_pair", "_drained_size", "_heap")
+    __slots__ = ("scheme", "per_pair", "last_scanned", "_cursor", "_heap")
 
     def __init__(
         self, scheme: WeightingScheme | None = None, per_pair: bool = False
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
         self.per_pair = per_pair
-        self._drained_size: dict[str, int] = {}
+        #: Pairs the latest :meth:`next_batch` enumerated, before any filter.
+        self.last_scanned = 0
+        # Block key -> members seen per source, aligned with the order of
+        # the block's ``members_by_source`` (sources only ever append too).
+        self._cursor: dict[str, tuple[int, ...]] = {}
         # Cached min-heap of (size, key) over eligible blocks; rebuilt by a
         # full scan only when it runs dry, revalidated lazily on pop.
         self._heap: list[tuple[int, str]] = []
@@ -147,7 +204,7 @@ class GetComparisons:
         size = len(block)
         if size < 2:
             return False
-        return size > self._drained_size.get(block.key, 0)
+        return size > sum(self._cursor.get(block.key, ()))
 
     def _pop_smallest(self, collection: BlockingSubstrate):
         """Smallest eligible block, or ``None``; amortizes scans via a heap."""
@@ -162,6 +219,11 @@ class GetComparisons:
                     continue
                 return block
             if attempt == 0:
+                # Purged blocks never come back: forget their cursors here,
+                # or they ride along in every checkpoint of the run.
+                self._cursor = {
+                    key: seen for key, seen in self._cursor.items() if key in collection
+                }
                 self._heap = [
                     (len(block), block.key) for block in collection if self._eligible(block)
                 ]
@@ -177,21 +239,28 @@ class GetComparisons:
 
         Returns ``None`` when no eligible block remains (exhausted), or a
         ``(weighted comparisons, weighting ops)`` tuple otherwise — possibly
-        with an empty list when every pair of the block was executed before.
+        with an empty list when every new pair of the block was executed
+        before.  :attr:`last_scanned` then holds how many pairs were
+        enumerated to find them.
         """
         block = self._pop_smallest(collection)
         if block is None:
+            self.last_scanned = 0
             return None
-        self._drained_size[block.key] = len(block)
+        seen = self._cursor.get(block.key, ())
+        self._cursor[block.key] = tuple(map(len, block.members_by_source.values()))
         prune = collection.allows_pair if collection.prunes_candidates else None
+        scanned = 0
         pairs: list[tuple[int, int]] = []
-        for pid_x, pid_y in block.pairs(collection.clean_clean):
+        for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean):
+            scanned += 1
             pair = canonical_pair(pid_x, pid_y)
             if prune is not None and not prune(*pair):
                 continue
             if already_executed(*pair):
                 continue
             pairs.append(pair)
+        self.last_scanned = scanned
         if self.per_pair:
             weighted = [
                 WeightedComparison(left, right, self.scheme.weight(collection, left, right))
@@ -215,15 +284,15 @@ class GetComparisons:
         return not any(self._eligible(block) for block in collection)
 
     def reset(self) -> None:
-        self._drained_size.clear()
+        self._cursor.clear()
         self._heap.clear()
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        return {"drained": dict(self._drained_size), "heap": list(self._heap)}
+        return {"cursor": dict(self._cursor), "heap": list(self._heap)}
 
     def restore_state(self, state: dict[str, object]) -> None:
-        self._drained_size = dict(state["drained"])
+        self._cursor = dict(state["cursor"])
         self._heap = list(state["heap"])
 
 

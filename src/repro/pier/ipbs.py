@@ -151,6 +151,8 @@ class IPBS(IncrPrioritization):
         # Sorted iteration keeps generation order independent of set-table
         # history, so a checkpoint-restored run replays identically.
         prune = collection.allows_pair if collection.prunes_candidates else None
+        add_if_absent = self.comparison_filter.add_if_absent
+        bloom_filtered = skipped = 0
         survivors: list[tuple[int, int]] = []
         for pid_x in sorted(pending):
             profile_x = system.profile(pid_x)
@@ -164,14 +166,17 @@ class IPBS(IncrPrioritization):
                 pair = canonical_pair(pid_x, pid_y)
                 if prune is not None and not prune(*pair):
                     continue
-                if self.comparison_filter.contains(*pair):
-                    metrics.count("strategy.bloom_filtered")
+                if not add_if_absent(*pair):
+                    bloom_filtered += 1
                     continue
-                self.comparison_filter.add(*pair)
                 if system.was_executed(*pair):
-                    metrics.count("strategy.skipped_already_executed")
+                    skipped += 1
                     continue
                 survivors.append(pair)
+        if bloom_filtered:
+            metrics.count("strategy.bloom_filtered", bloom_filtered)
+        if skipped:
+            metrics.count("strategy.skipped_already_executed", skipped)
         if self.per_pair_weighting:
             weighted = [
                 (pair, self.scheme.weight(collection, *pair)) for pair in survivors
@@ -187,8 +192,9 @@ class IPBS(IncrPrioritization):
             weighted = [(pair, weights[pair[0]][pair[1]]) for pair in survivors]
         for pair, weight in weighted:
             self.index.enqueue(pair, (-block_size, weight))
-            metrics.count("strategy.comparisons_enqueued")
             cost += costs.per_weight + costs.per_enqueue
+        if weighted:
+            metrics.count("strategy.comparisons_enqueued", len(weighted))
         self._reset_block(key)
         return cost
 

@@ -54,6 +54,7 @@ class IPCS(IncrPrioritization):
         costs = system.costs
         metrics = system.metrics
         cost = 0.0
+        skipped = enqueued = 0
         for profile in profiles:
             kept, operations = self.generator.generate(
                 system.collection, profile, system.valid_partner(profile)
@@ -62,11 +63,15 @@ class IPCS(IncrPrioritization):
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
                 if system.was_executed(weighted.left, weighted.right):
-                    metrics.count("strategy.skipped_already_executed")
+                    skipped += 1
                     continue
                 self.index.enqueue(weighted.pair, weighted.weight)
-                metrics.count("strategy.comparisons_enqueued")
+                enqueued += 1
                 cost += costs.per_enqueue
+        if skipped:
+            metrics.count("strategy.skipped_already_executed", skipped)
+        if enqueued:
+            metrics.count("strategy.comparisons_enqueued", enqueued)
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
@@ -80,12 +85,14 @@ class IPCS(IncrPrioritization):
                 break
             batch, operations = result
             metrics.count("strategy.refill_batches")
+            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
             metrics.count("strategy.weighting_ops", operations)
             cost += operations * system.costs.per_weight
             for weighted in batch:
                 self.index.enqueue(weighted.pair, weighted.weight)
-                metrics.count("strategy.comparisons_enqueued")
                 cost += system.costs.per_enqueue
+            if batch:
+                metrics.count("strategy.comparisons_enqueued", len(batch))
         return cost
 
     def dequeue(self) -> tuple[int, int] | None:

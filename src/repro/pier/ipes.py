@@ -24,6 +24,7 @@ sensitive to a poorly suited weighting scheme than I-PCS.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from typing import Iterable
 
 from repro.core.comparison import WeightedComparison
@@ -81,6 +82,8 @@ class IPES(IncrPrioritization):
         costs = system.costs
         metrics = system.metrics
         cost = 0.0
+        skipped = 0
+        inserted: Counter[str] = Counter()
         for profile in profiles:
             kept, operations = self.generator.generate(
                 system.collection, profile, system.valid_partner(profile)
@@ -89,27 +92,39 @@ class IPES(IncrPrioritization):
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
                 if system.was_executed(weighted.left, weighted.right):
-                    metrics.count("strategy.skipped_already_executed")
+                    skipped += 1
                     continue
-                metrics.count(f"strategy.inserted_{self._insert_weighted(weighted)}")
+                inserted[self._insert_weighted(weighted)] += 1
                 cost += costs.per_enqueue
+        if skipped:
+            metrics.count("strategy.skipped_already_executed", skipped)
+        self._count_inserted(metrics, inserted)
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
         metrics = system.metrics
         cost = system.costs.per_round
+        inserted: Counter[str] = Counter()
         while not len(self):
             result = self.refill.next_batch(system.collection, system.was_executed)
             if result is None:
                 break
             batch, operations = result
             metrics.count("strategy.refill_batches")
+            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
             metrics.count("strategy.weighting_ops", operations)
             cost += operations * system.costs.per_weight
             for weighted in batch:
-                metrics.count(f"strategy.inserted_{self._insert_weighted(weighted)}")
+                inserted[self._insert_weighted(weighted)] += 1
                 cost += system.costs.per_enqueue
+        self._count_inserted(metrics, inserted)
         return cost
+
+    @staticmethod
+    def _count_inserted(metrics, inserted: Counter[str]) -> None:
+        """One ``strategy.inserted_<disposition>`` count per disposition seen."""
+        for disposition, amount in inserted.items():
+            metrics.count(f"strategy.inserted_{disposition}", amount)
 
     def _insert_weighted(self, weighted: WeightedComparison) -> str:
         """Lines 1-14 of Algorithm 4 for a single weighted comparison.

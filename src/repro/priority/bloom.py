@@ -52,21 +52,34 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.count = 0
 
-    def _indexes(self, left: int, right: int) -> list[int]:
-        h1, h2 = _pair_hashes(left, right)
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
+    def _has(self, h1: int, h2: int) -> bool:
+        """Whether every bit of the item hashed to ``(h1, h2)`` is set."""
+        bits = self._bits
+        num_bits = self.num_bits
+        index = h1 % num_bits
+        step = h2 % num_bits
+        for _ in range(self.num_hashes):
+            if not bits[index >> 3] & (1 << (index & 7)):
+                return False
+            index = (index + step) % num_bits
+        return True
 
-    def add(self, left: int, right: int) -> None:
-        for index in self._indexes(left, right):
-            self._bits[index >> 3] |= 1 << (index & 7)
+    def _set(self, h1: int, h2: int) -> None:
+        """Set the bits ``(h1 + i * h2) % num_bits`` for ``i < num_hashes``."""
+        bits = self._bits
+        num_bits = self.num_bits
+        index = h1 % num_bits
+        step = h2 % num_bits
+        for _ in range(self.num_hashes):
+            bits[index >> 3] |= 1 << (index & 7)
+            index = (index + step) % num_bits
         self.count += 1
 
+    def add(self, left: int, right: int) -> None:
+        self._set(*_pair_hashes(left, right))
+
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        left, right = pair
-        for index in self._indexes(left, right):
-            if not self._bits[index >> 3] & (1 << (index & 7)):
-                return False
-        return True
+        return self._has(*_pair_hashes(*pair))
 
     @property
     def is_full(self) -> bool:
@@ -122,7 +135,13 @@ class ScalableBloomFilter:
         first_error = error_rate * (1.0 - tightening)
         self._slices: list[BloomFilter] = [BloomFilter(initial_capacity, first_error)]
 
-    def add(self, left: int, right: int) -> None:
+    def _has(self, h1: int, h2: int) -> bool:
+        for slice_ in reversed(self._slices):
+            if slice_._has(h1, h2):
+                return True
+        return False
+
+    def _set(self, h1: int, h2: int) -> None:
         current = self._slices[-1]
         if current.is_full:
             current = BloomFilter(
@@ -130,10 +149,25 @@ class ScalableBloomFilter:
                 current.error_rate * self.tightening,
             )
             self._slices.append(current)
-        current.add(left, right)
+        current._set(h1, h2)
+
+    def add(self, left: int, right: int) -> None:
+        self._set(*_pair_hashes(left, right))
+
+    def add_if_absent(self, left: int, right: int) -> bool:
+        """``contains`` then, when absent, ``add`` — on one hashing.
+
+        Returns ``True`` when the pair was added.  Leaves the filter in
+        exactly the state the two separate calls would.
+        """
+        h1, h2 = _pair_hashes(left, right)
+        if self._has(h1, h2):
+            return False
+        self._set(h1, h2)
+        return True
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return any(pair in slice_ for slice_ in reversed(self._slices))
+        return self._has(*_pair_hashes(*pair))
 
     def contains(self, left: int, right: int) -> bool:
         return (left, right) in self
@@ -173,6 +207,11 @@ class ExactComparisonFilter:
 
     def add(self, left: int, right: int) -> None:
         self._seen.add((left, right))
+
+    def add_if_absent(self, left: int, right: int) -> bool:
+        before = len(self._seen)
+        self._seen.add((left, right))
+        return len(self._seen) > before
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self._seen

@@ -4,23 +4,32 @@ The global comparison index ``CmpIndex`` of the PIER framework is "a bounded
 priority queue returning as first element the comparison with highest
 weight".  This implementation supports:
 
-* ``enqueue(item, key)`` — insert with an arbitrary comparable priority key
-  (floats for I-PCS/I-PES, ``(-block_size, cbs)`` tuples for I-PBS);
-* ``dequeue()`` — remove and return the highest-priority item;
+* ``enqueue(item, key)`` — insert with a numeric priority key (floats for
+  I-PCS/I-PES) or an equal-length tuple of numbers (``(-block_size, cbs)``
+  for I-PBS);
+* ``dequeue()`` — remove and return the highest-priority item, FIFO among
+  equal keys;
 * bounded capacity — when full, a new item only enters by evicting the
-  current *minimum*, and only if it outranks that minimum;
+  current *minimum* (the newest among equal keys), and only if it outranks
+  that minimum;
 * ``peek_key()`` — the key of the current top (I-PES consults
   ``E_PQ(p).top.weight`` without removing it).
 
-Internally two heaps (max and min views of the same items) share entries;
-evicted/dequeued entries are tombstoned and skipped lazily, which keeps all
+Layout: one max-heap of plain ``(negated key, seq, key, item)`` tuples, so
+``heapq`` orders entries with C-level tuple comparison (``seq`` is unique,
+the comparison never reaches ``key`` or ``item``).  Eviction needs the
+minimum, which only a *bounded* queue that has filled up ever asks for: the
+first time that happens a min view of ``(key, -seq)`` pairs is built from
+the live entries and kept in step from then on.  Unbounded queues (I-PES
+holds one per entity) never pay for it.  Once both heaps exist, an entry
+removed through one of them is still physically in the other; its ``seq``
+waits in ``_dead`` until it surfaces there and is skipped, which keeps all
 operations ``O(log n)`` amortized.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Generic, Iterator, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
@@ -28,46 +37,11 @@ __all__ = ["BoundedPriorityQueue"]
 T = TypeVar("T")
 
 
-class _Entry(Generic[T]):
-    __slots__ = ("key", "seq", "item", "alive")
-
-    def __init__(self, key: Any, seq: int, item: T) -> None:
-        self.key = key
-        self.seq = seq
-        self.item = item
-        self.alive = True
-
-
-class _MaxView(Generic[T]):
-    """Heap wrapper ordering entries descending by key, FIFO on ties."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: _Entry[T]) -> None:
-        self.entry = entry
-
-    def __lt__(self, other: "_MaxView[T]") -> bool:
-        if self.entry.key != other.entry.key:
-            return self.entry.key > other.entry.key
-        return self.entry.seq < other.entry.seq
-
-
-class _MinView(Generic[T]):
-    """Heap wrapper ordering entries ascending by key, LIFO on ties.
-
-    On equal keys the *newest* item is considered the eviction victim, so
-    older equally weighted comparisons are not starved.
-    """
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: _Entry[T]) -> None:
-        self.entry = entry
-
-    def __lt__(self, other: "_MinView[T]") -> bool:
-        if self.entry.key != other.entry.key:
-            return self.entry.key < other.entry.key
-        return self.entry.seq > other.entry.seq
+def _negated(key: Any) -> Any:
+    """``key`` with its order reversed: ``-key``, component-wise for tuples."""
+    if type(key) is tuple:
+        return tuple([-part for part in key])
+    return -key
 
 
 class BoundedPriorityQueue(Generic[T]):
@@ -83,7 +57,7 @@ class BoundedPriorityQueue(Generic[T]):
     # the per-instance ``__dict__`` is a real memory win (measured by
     # ``python -m benchmarks.perf``, section "slots").
     __slots__ = (
-        "capacity", "_max_heap", "_min_heap", "_size", "_counter",
+        "capacity", "_heap", "_min_heap", "_dead", "_size", "_seq",
         "evictions", "rejections",
     )
 
@@ -91,10 +65,12 @@ class BoundedPriorityQueue(Generic[T]):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None)")
         self.capacity = capacity
-        self._max_heap: list[_MaxView[T]] = []
-        self._min_heap: list[_MinView[T]] = []
+        self._heap: list[tuple[Any, int, Any, T]] = []
+        # Both None until a bounded queue first fills up (see _live_min).
+        self._min_heap: list[tuple[Any, int]] | None = None
+        self._dead: set[int] | None = None
         self._size = 0
-        self._counter = itertools.count()
+        self._seq = 0
         self.evictions = 0
         self.rejections = 0
 
@@ -113,50 +89,38 @@ class BoundedPriorityQueue(Generic[T]):
         minimum, which is then evicted.
         """
         if self.capacity is not None and self._size >= self.capacity:
-            min_entry = self._peek_min_entry()
-            if min_entry is None or not key > min_entry.key:
+            min_key, negated_seq = self._live_min()
+            if not key > min_key:
                 self.rejections += 1
                 return False
-            min_entry.alive = False
+            heappop(self._min_heap)
+            self._dead.add(-negated_seq)
             self._size -= 1
             self.evictions += 1
-        entry = _Entry(key, next(self._counter), item)
-        heapq.heappush(self._max_heap, _MaxView(entry))
-        heapq.heappush(self._min_heap, _MinView(entry))
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (_negated(key), seq, key, item))
+        if self._min_heap is not None:
+            heappush(self._min_heap, (key, -seq))
         self._size += 1
         return True
 
     def dequeue(self) -> T:
         """Remove and return the highest-priority item."""
-        entry = self._pop_live_max()
-        if entry is None:
-            raise IndexError("dequeue from empty BoundedPriorityQueue")
-        entry.alive = False
-        self._size -= 1
-        return entry.item
+        return self._pop_live_top()[3]
 
     def dequeue_with_key(self) -> tuple[T, Any]:
         """Like :meth:`dequeue` but also return the item's priority key."""
-        entry = self._pop_live_max()
-        if entry is None:
-            raise IndexError("dequeue from empty BoundedPriorityQueue")
-        entry.alive = False
-        self._size -= 1
-        return entry.item, entry.key
+        entry = self._pop_live_top()
+        return entry[3], entry[2]
 
     def peek(self) -> T:
         """Return (without removing) the highest-priority item."""
-        entry = self._pop_live_max()
-        if entry is None:
-            raise IndexError("peek on empty BoundedPriorityQueue")
-        return entry.item
+        return self._live_top()[3]
 
     def peek_key(self) -> Any:
         """Priority key of the current top item."""
-        entry = self._pop_live_max()
-        if entry is None:
-            raise IndexError("peek_key on empty BoundedPriorityQueue")
-        return entry.key
+        return self._live_top()[2]
 
     def drain(self) -> Iterator[T]:
         """Yield all items in priority order, emptying the queue."""
@@ -164,27 +128,48 @@ class BoundedPriorityQueue(Generic[T]):
             yield self.dequeue()
 
     def clear(self) -> None:
-        self._max_heap.clear()
-        self._min_heap.clear()
+        self._heap.clear()
+        self._min_heap = None
+        self._dead = None
         self._size = 0
 
     # ------------------------------------------------------------------
-    def _pop_live_max(self) -> _Entry[T] | None:
-        """Top live entry of the max heap (dead entries discarded en route)."""
-        while self._max_heap:
-            view = self._max_heap[0]
-            if view.entry.alive:
-                return view.entry
-            heapq.heappop(self._max_heap)
-        return None
+    def _live_top(self) -> tuple[Any, int, Any, T]:
+        """Top live entry of the max heap (evicted entries discarded en route)."""
+        heap = self._heap
+        dead = self._dead
+        if dead:
+            while heap and heap[0][1] in dead:
+                dead.remove(heappop(heap)[1])
+        if not heap:
+            raise IndexError("empty BoundedPriorityQueue")
+        return heap[0]
 
-    def _peek_min_entry(self) -> _Entry[T] | None:
-        while self._min_heap:
-            view = self._min_heap[0]
-            if view.entry.alive:
-                return view.entry
-            heapq.heappop(self._min_heap)
-        return None
+    def _pop_live_top(self) -> tuple[Any, int, Any, T]:
+        entry = self._live_top()
+        heappop(self._heap)
+        if self._dead is not None:
+            self._dead.add(entry[1])  # still in the min view
+        self._size -= 1
+        return entry
+
+    def _live_min(self) -> tuple[Any, int]:
+        """Minimum live ``(key, -seq)`` of a full queue: the eviction victim.
+
+        On equal keys the *newest* item is the victim, so older equally
+        weighted comparisons are not starved.
+        """
+        heap = self._min_heap
+        if heap is None:
+            # Nothing has been evicted yet, so every heap entry is live.
+            heap = self._min_heap = [(key, -seq) for _, seq, key, _ in self._heap]
+            heapify(heap)
+            self._dead = set()
+        dead = self._dead
+        if dead:
+            while -heap[0][1] in dead:
+                dead.remove(-heappop(heap)[1])
+        return heap[0]
 
     def __repr__(self) -> str:
         bound = self.capacity if self.capacity is not None else "∞"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.priority.bloom import BloomFilter, ExactComparisonFilter, ScalableBloomFilter
+from repro.priority.bloom import (
+    BloomFilter,
+    ExactComparisonFilter,
+    ScalableBloomFilter,
+    _pair_hashes,
+)
 
 pairs = st.tuples(
     st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6)
@@ -92,6 +98,47 @@ class TestScalableBloomFilter:
             bloom.add(i, i + 1)
         false_positives = sum(1 for i in range(10_000, 15_000) if (i, i + 1) in bloom)
         assert false_positives / 5000 < 0.05
+
+
+def _pair_stream(n: int, seed: int) -> list[tuple[int, int]]:
+    """Seeded pairs from a small universe, so many recur."""
+    rng = random.Random(seed)
+    return [(rng.randrange(40), rng.randrange(40, 80)) for _ in range(n)]
+
+
+class TestAddIfAbsent:
+    def test_bits_follow_the_kirsch_mitzenmacher_formula(self):
+        """The stepping index arithmetic sets bits ``(h1 + i * h2) % m``."""
+        bloom = BloomFilter(capacity=50, error_rate=0.01)
+        expected = bytearray(len(bloom._bits))
+        for left, right in _pair_stream(50, seed=4):
+            bloom.add(left, right)
+            h1, h2 = _pair_hashes(left, right)
+            for i in range(bloom.num_hashes):
+                index = (h1 + i * h2) % bloom.num_bits
+                expected[index >> 3] |= 1 << (index & 7)
+        assert bloom._bits == expected
+
+    def test_same_state_as_contains_then_add(self):
+        """Bytes, slice growth points and false positives, step by step."""
+        two_calls = ScalableBloomFilter(initial_capacity=8, growth=2)
+        one_call = ScalableBloomFilter(initial_capacity=8, growth=2)
+        added = 0
+        for left, right in _pair_stream(600, seed=9):
+            absent = not two_calls.contains(left, right)
+            if absent:
+                two_calls.add(left, right)
+            assert one_call.add_if_absent(left, right) is absent
+            assert one_call.snapshot_state() == two_calls.snapshot_state()
+            added += absent
+        assert one_call.num_slices > 3  # the stream rolled slices over
+        assert added < 600  # ... and repeated itself
+
+    def test_exact_filter(self):
+        exact = ExactComparisonFilter()
+        assert exact.add_if_absent(1, 2)
+        assert not exact.add_if_absent(1, 2)
+        assert exact.contains(1, 2) and exact.count == 1
 
 
 class TestExactComparisonFilter:

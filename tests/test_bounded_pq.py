@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,31 @@ class TestBounding:
         queue.enqueue("a", 1.0)
         assert not queue.enqueue("b", 1.0)
 
+    def test_dequeued_entry_is_not_evicted_again(self):
+        """An entry that left through the top is dead to the min view too."""
+        queue = BoundedPriorityQueue(capacity=2)
+        queue.enqueue("a", 1.0)
+        queue.enqueue("b", 1.0)
+        assert not queue.enqueue("c", 1.0)  # full: the min view exists from here
+        assert queue.dequeue() == "a"
+        assert queue.enqueue("d", 2.0)
+        assert queue.enqueue("e", 2.0)  # evicts "b"
+        assert not queue.enqueue("f", 2.0)  # "a" is gone: the minimum is 2.0
+        assert (len(queue), queue.evictions, queue.rejections) == (2, 1, 2)
+        assert list(queue.drain()) == ["d", "e"]
+
+    def test_evicted_entry_is_not_dequeued(self):
+        """... and one that left through the bottom is dead to the top."""
+        queue = BoundedPriorityQueue(capacity=2)
+        queue.enqueue("low", 1.0)
+        queue.enqueue("mid", 2.0)
+        assert queue.enqueue("high", 3.0)  # evicts "low"
+        assert queue.dequeue() == "high"
+        assert queue.dequeue() == "mid"
+        assert not queue
+        with pytest.raises(IndexError):
+            queue.peek_key()
+
     def test_size_never_exceeds_capacity(self):
         queue = BoundedPriorityQueue(capacity=3)
         for i in range(100):
@@ -147,3 +174,80 @@ class TestHypothesisModel:
                 model.append(key)
                 counter += 1
         assert len(queue) == len(model)
+
+
+#: Few distinct values, so ties (FIFO out, newest evicted first) are common.
+_float_keys = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0])
+_tuple_keys = st.tuples(st.integers(-3, -1), st.sampled_from([1.0, 2.0]))
+_enqueue = st.tuples(st.just("enqueue"), st.integers(0, 2))  # index into the key pool
+_steps = st.one_of(
+    _enqueue,
+    _enqueue,
+    _enqueue,  # three times as likely as a dequeue, so queues fill up
+    st.tuples(st.just("dequeue"), st.booleans()),  # ... with its key?
+    st.tuples(st.just("deepcopy"), st.just(None)),
+)
+
+
+def _rank(entry):
+    """Model order: by key, the older of two equal keys ranking higher."""
+    key, seq, _item = entry
+    return (key, -seq)
+
+
+class TestSortedListModel:
+    """Every observable of the queue against a list kept sorted by hand.
+
+    The model holds ``(key, seq, item)`` triples; the top is the maximum of
+    :func:`_rank` and the eviction victim its minimum.  A capacity below the
+    stream length makes the queue build its min view mid-stream, after
+    entries were already dequeued, and evictions leave tombstones in the max
+    heap for ``peek_key`` and ``dequeue`` to step over.
+    """
+
+    @given(
+        st.one_of(st.lists(_float_keys, min_size=3, max_size=3),
+                  st.lists(_tuple_keys, min_size=3, max_size=3)),
+        st.one_of(st.none(), st.integers(1, 4)),
+        st.lists(_steps, max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_queue_matches_model(self, key_pool, capacity, steps):
+        queue = BoundedPriorityQueue(capacity)
+        model: list[tuple] = []
+        evictions = rejections = 0
+        for seq, (step, argument) in enumerate(steps):
+            if step == "enqueue":
+                key = key_pool[argument]
+                accepted = True
+                if capacity is not None and len(model) >= capacity:
+                    victim = min(model, key=_rank)
+                    if key > victim[0]:
+                        model.remove(victim)
+                        evictions += 1
+                    else:
+                        accepted = False
+                        rejections += 1
+                assert queue.enqueue(f"item{seq}", key) is accepted
+                if accepted:
+                    model.append((key, seq, f"item{seq}"))
+            elif step == "deepcopy":
+                queue = copy.deepcopy(queue)
+            elif model:
+                top = max(model, key=_rank)
+                model.remove(top)
+                if argument:
+                    assert queue.dequeue_with_key() == (top[2], top[0])
+                else:
+                    assert queue.dequeue() == top[2]
+            else:
+                with pytest.raises(IndexError):
+                    queue.dequeue()
+            assert len(queue) == len(model) and bool(queue) == bool(model)
+            assert (queue.evictions, queue.rejections) == (evictions, rejections)
+            if model:
+                top = max(model, key=_rank)
+                assert (queue.peek(), queue.peek_key()) == (top[2], top[0])
+        assert list(queue.drain()) == [
+            entry[2] for entry in sorted(model, key=_rank, reverse=True)
+        ]

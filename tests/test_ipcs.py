@@ -18,6 +18,14 @@ def _system(**kwargs) -> PierSystem:
     return PierSystem(IPCS(**kwargs))
 
 
+def _run_dry(system: PierSystem) -> None:
+    """Emit and refill until neither produces anything."""
+    while True:
+        result = system.emit(_stats())
+        if not result.batch and system.on_idle(_stats()) is None:
+            break
+
+
 class TestIPCS:
     def test_highest_weight_first(self):
         system = _system(beta=0.01)
@@ -58,13 +66,24 @@ class TestIPCS:
         system = _system()
         system.ingest(Increment(0, (make_profile(0, "a1 b1"), make_profile(1, "a1 b1"))))
         # execute everything through the system path so _executed is updated
-        while True:
-            result = system.emit(_stats())
-            if not result.batch and system.on_idle(_stats()) is None:
-                break
+        _run_dry(system)
         count_before = len(system._executed)
         assert system.on_idle(_stats()) is None
         assert len(system._executed) == count_before
+
+    def test_pair_evicted_from_bounded_index_is_not_reoffered(self):
+        """The refill offers each pair of a block once.  A bounded index that
+        drops an offered pair has lost it: the block growing later brings
+        back only the pairs of its new member."""
+        system = PierSystem(IPCS(capacity=1))
+        system.ingest(Increment(0, tuple(make_profile(pid, "shared") for pid in range(3))))
+        _run_dry(system)
+        lost = {(0, 1), (0, 2), (1, 2)} - system._executed
+        assert lost  # all weights tie, so the full index turned offers away
+        system.ingest(Increment(1, (make_profile(3, "shared"),)))
+        _run_dry(system)
+        assert any(3 in pair for pair in system._executed)  # the block was revisited
+        assert lost.isdisjoint(system._executed)
 
     def test_exhausted_semantics(self):
         system = _system()
