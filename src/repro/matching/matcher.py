@@ -12,6 +12,7 @@ independent of the host machine.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 
 from typing import NamedTuple, Sequence
@@ -19,9 +20,11 @@ from typing import NamedTuple, Sequence
 from repro.core.profile import EntityProfile
 from repro.matching.similarity import (
     ED_KERNELS,
-    dice_batch,
     jaccard,
     jaccard_batch,
+    levenshtein,
+    levenshtein_myers,
+    myers_table,
     normalized_edit_similarity,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -39,8 +42,11 @@ __all__ = [
 #: (plain ints on the matcher — the engine flushes them to the metrics
 #: registry as ``matcher.kernel.<name>`` at finalize).  The names double as
 #: the fixed key set of :attr:`Matcher.kernel_counts` so the counter schema
-#: never varies with the data.
-KERNEL_COUNTERS = ("short_texts", "prefilter_rejects", "length_cuts", "dp_calls")
+#: never varies with the data.  Listed in stage order: every comparison is
+#: counted by exactly one of them, the first stage that decides it.
+KERNEL_COUNTERS = (
+    "short_texts", "prefilter_rejects", "length_cuts", "qgram_cuts", "bag_cuts", "dp_calls",
+)
 
 
 class _NestedMatcherState(NamedTuple):
@@ -350,6 +356,22 @@ class JaccardMatcher(Matcher):
         return similarities, costs
 
 
+class _Signature(NamedTuple):
+    """What :class:`EditDistanceMatcher` derives once per profile.
+
+    The three ``*_bits`` integers are sets stored as bit masks; which bit
+    stands for which element is private to the matcher that built them, and
+    only popcounts of ANDs of two signatures of one matcher are ever read.
+    """
+
+    text: str  # truncated to ``max_text_length``
+    grams: int  # number of distinct bigrams
+    gram_bits: int  # the distinct bigrams
+    repeat_bits: int  # ``(bigram, k)`` for its occurrences ``k >= 1``
+    char_bits: int  # ``(char, k)`` for its occurrences ``k >= 0``
+    table: dict[str, int]  # :func:`myers_table` of ``text``
+
+
 class EditDistanceMatcher(Matcher):
     """The paper's expensive configuration: normalized edit distance.
 
@@ -361,17 +383,21 @@ class EditDistanceMatcher(Matcher):
     Implementation note: the *virtual* cost always reflects the full
     quadratic DP over the complete texts.  The actual similarity computation
     truncates texts to ``max_text_length`` characters and runs a staged
-    kernel ordered by cheapness — bigram-overlap prefilter, length
-    prefilter, then the bit-parallel DP (:data:`ED_KERNELS`) only for pairs
-    the cheap stages cannot decide — so host wall-clock time stays bounded
-    without altering classifications near the threshold.  Texts shorter
-    than one bigram bypass the prefilter entirely (their empty bigram set
-    carries no signal) and go straight to the — then O(1) — exact DP.
+    funnel over per-profile :class:`_Signature` records, each stage before
+    the DP costing one big-int ``AND`` + popcount: a heuristic bigram-Dice
+    prefilter, then three *exact* lower bounds on the distance (length
+    difference, q-gram lemma, bag distance) that answer "not within the
+    band" with the very float the bounded DP would return, and the
+    bit-parallel DP (:data:`ED_KERNELS`) only for the pairs none of them
+    decides — so host wall-clock time stays bounded without altering
+    classifications near the threshold.  Texts shorter than one bigram
+    bypass the funnel entirely (their empty bigram set carries no signal)
+    and go straight to the — then O(1) — exact DP.
     """
 
     name = "ED"
     supports_batch = True
-    _DERIVED_STATE = ("_text_cache",)
+    _DERIVED_STATE = ("_text_cache", "_gram_bit", "_repeat_bit", "_char_bit")
 
     def __init__(
         self,
@@ -393,73 +419,87 @@ class EditDistanceMatcher(Matcher):
         self._init_derived_state()
 
     def _init_derived_state(self) -> None:
-        self._text_cache: dict[int, tuple[str, frozenset[str]]] = {}
+        self._text_cache: dict[int, _Signature] = {}
+        # Bit position of each element, assigned as elements are first seen.
+        self._gram_bit: dict[str, int] = {}
+        self._repeat_bit: dict[tuple[str, int], int] = {}
+        self._char_bit: dict[tuple[str, int], int] = {}
 
-    def _prepared(self, profile: EntityProfile) -> tuple[str, frozenset[str]]:
+    def _prepared(self, profile: EntityProfile) -> _Signature:
         cached = self._text_cache.get(profile.pid)
         if cached is None:
             text = profile.text()[: self.max_text_length]
-            bigrams = frozenset(text[i : i + 2] for i in range(len(text) - 1))
-            cached = (text, bigrams)
-            self._text_cache[profile.pid] = cached
+            gram_bit, repeat_bit, char_bit = self._gram_bit, self._repeat_bit, self._char_bit
+            grams = Counter(map(str.__add__, text, text[1:]))
+            gram_bits = repeat_bits = char_bits = 0
+            for gram, occurrences in grams.items():
+                gram_bits |= 1 << gram_bit.setdefault(gram, len(gram_bit))
+                for k in range(1, occurrences):
+                    repeat_bits |= 1 << repeat_bit.setdefault((gram, k), len(repeat_bit))
+            for char, occurrences in Counter(text).items():
+                for k in range(occurrences):
+                    char_bits |= 1 << char_bit.setdefault((char, k), len(char_bit))
+            cached = self._text_cache[profile.pid] = _Signature(
+                text, len(grams), gram_bits, repeat_bits, char_bits, myers_table(text)
+            )
         return cached
 
-    def _classify(
-        self,
-        text_x: str,
-        bigrams_x: frozenset[str],
-        text_y: str,
-        bigrams_y: frozenset[str],
-        overlap: float,
-    ) -> float | None:
-        """Cheap-stage verdict for one pair; ``None`` when only the DP can
-        decide.
+    def _score(self, signature_x: _Signature, signature_y: _Signature) -> float:
+        """The staged funnel for one pair, shared by the scalar and batched
+        paths so both classify (and count) identically.  Stages run
+        cheapest-first; the first that decides the pair counts it:
 
-        The stages run cheapest-first and are shared verbatim by the scalar
-        and batched paths, so both classify (and count) identically:
-
-        1. *short texts* — a text shorter than one bigram yields an empty
-           bigram set, which reads as overlap 0.0 and used to reject even
-           *identical* texts.  The prefilter has no signal here; run the —
-           then O(1) — DP exactly.
-        2. *bigram prefilter* — overlap far below any plausible threshold;
-           the overlap itself is the (pessimistic) reject similarity.
-        3. *length prefilter* — the length difference alone exceeds the
-           banded-DP distance bound; emit exactly the float the bounded DP
-           would (it returns ``bound + 1`` clamped to ``longest``).
+        1. *short texts* — a text shorter than one bigram has no bigrams,
+           which reads as overlap 0.0 and used to reject even *identical*
+           texts.  The funnel has no signal here; run the — then O(1) — DP
+           exactly.
+        2. *bigram prefilter* (heuristic) — Dice overlap of the distinct
+           bigrams far below any plausible threshold; the overlap itself is
+           the (pessimistic) reject similarity.
+        3. *length*, 4. *q-gram lemma*, 5. *bag distance* — exact lower
+           bounds on the edit distance ``d`` (one edit changes the length by
+           at most 1, destroys at most 2 of the longer text's ``longest - 1``
+           bigrams, and repairs at most 1 unmatched character of the longer
+           text); a bound above the DP's band proves ``d > bound``, for
+           which the bounded DP returns ``bound + 1``.
+        6. *DP* — Myers, with the shorter text's cached table.
         """
+        text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = signature_x
+        text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = signature_y
         counts = self.kernel_counts
-        if not bigrams_x or not bigrams_y:
+        if not grams_x or not grams_y:
             counts["short_texts"] += 1
             return normalized_edit_similarity(
                 text_x, text_y, min_similarity=self.threshold, kernel=self.kernel
             )
+        common = (gram_bits_x & gram_bits_y).bit_count()
+        overlap = 2.0 * common / (grams_x + grams_y)
         if overlap < self.prefilter_floor:
             counts["prefilter_rejects"] += 1
             return overlap
-        length_x = len(text_x)
-        length_y = len(text_y)
-        longest = length_x if length_x >= length_y else length_y
+        shortest = len(text_x)
+        longest = len(text_y)
+        if shortest > longest:
+            shortest, longest = longest, shortest
+            text_x, text_y, table_x = text_y, text_x, table_y
         bound = int((1.0 - self.threshold) * longest) + 1
-        difference = longest - (length_y if length_x >= length_y else length_x)
-        if difference > bound:
+        distance = bound + 1
+        if longest - shortest > bound:
             counts["length_cuts"] += 1
-            distance = bound + 1 if bound + 1 < longest else longest
-            return 1.0 - distance / longest
-        return None
+        elif common + (repeat_bits_x & repeat_bits_y).bit_count() < longest - 1 - 2 * bound:
+            counts["qgram_cuts"] += 1
+        elif longest - (char_bits_x & char_bits_y).bit_count() > bound:
+            counts["bag_cuts"] += 1
+        else:
+            counts["dp_calls"] += 1
+            if self.kernel in ("auto", "myers"):
+                distance = levenshtein_myers(table_x, shortest, text_y, bound)
+            else:
+                distance = levenshtein(text_x, text_y, max_distance=bound, kernel=self.kernel)
+        return 1.0 - (distance if distance < longest else longest) / longest
 
     def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        text_x, bigrams_x = self._prepared(profile_x)
-        text_y, bigrams_y = self._prepared(profile_y)
-        verdict = self._classify(
-            text_x, bigrams_x, text_y, bigrams_y, _dice(bigrams_x, bigrams_y)
-        )
-        if verdict is not None:
-            return verdict
-        self.kernel_counts["dp_calls"] += 1
-        return normalized_edit_similarity(
-            text_x, text_y, min_similarity=self.threshold, kernel=self.kernel
-        )
+        return self._score(self._prepared(profile_x), self._prepared(profile_y))
 
     def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
         return float(profile_x.text_length()) * float(profile_y.text_length())
@@ -478,30 +518,10 @@ class EditDistanceMatcher(Matcher):
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> tuple[list[float], list[float]]:
         prepared = self._prepared
-        texts = [(prepared(profile_x), prepared(profile_y)) for profile_x, profile_y in pairs]
-        # Stage 0: one C-speed Dice sweep over all bigram sets.
-        overlaps = dice_batch(
-            [(bigrams_x, bigrams_y) for (_, bigrams_x), (_, bigrams_y) in texts]
-        )
-        # Stages 1–3: cheap classifications fill what they can; survivors
-        # (``None``) are the pairs only the DP can decide.
-        classify = self._classify
-        similarities: list[float | None] = [
-            classify(text_x, bigrams_x, text_y, bigrams_y, overlap)
-            for ((text_x, bigrams_x), (text_y, bigrams_y)), overlap in zip(texts, overlaps)
+        score = self._score
+        similarities = [
+            score(prepared(profile_x), prepared(profile_y)) for profile_x, profile_y in pairs
         ]
-        # Stage 4: the expensive DP calls run last, over survivors only —
-        # the batch is processed strictly cheapest-work-first.
-        threshold = self.threshold
-        kernel = self.kernel
-        counts = self.kernel_counts
-        for index, similarity in enumerate(similarities):
-            if similarity is None:
-                (text_x, _), (text_y, _) = texts[index]
-                counts["dp_calls"] += 1
-                similarities[index] = normalized_edit_similarity(
-                    text_x, text_y, min_similarity=threshold, kernel=kernel
-                )
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
         costs = [
@@ -509,12 +529,3 @@ class EditDistanceMatcher(Matcher):
             for profile_x, profile_y in pairs
         ]
         return similarities, costs
-
-
-def _dice(bigrams_x: frozenset[str], bigrams_y: frozenset[str]) -> float:
-    if not bigrams_x or not bigrams_y:
-        return 0.0
-    if len(bigrams_x) > len(bigrams_y):
-        bigrams_x, bigrams_y = bigrams_y, bigrams_x
-    intersection = sum(1 for bigram in bigrams_x if bigram in bigrams_y)
-    return 2.0 * intersection / (len(bigrams_x) + len(bigrams_y))

@@ -19,9 +19,10 @@ __all__ = [
     "jaccard",
     "jaccard_batch",
     "dice",
-    "dice_batch",
     "overlap_coefficient",
     "levenshtein",
+    "myers_table",
+    "levenshtein_myers",
     "normalized_edit_similarity",
     "ED_KERNELS",
 ]
@@ -79,25 +80,6 @@ def dice(tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str
     return 2.0 * intersection / (len(tokens_x) + len(tokens_y))
 
 
-def dice_batch(
-    set_pairs: Iterable[tuple[frozenset[str] | set[str], frozenset[str] | set[str]]],
-) -> list[float]:
-    """Sørensen-Dice coefficient for a batch of set pairs.
-
-    Bit-identical to mapping :func:`dice` (same integer intersection count,
-    same ``2.0 * i / (|x| + |y|)`` float operations); used by the batched
-    edit-distance prefilter over character-bigram sets.
-    """
-    coefficients: list[float] = []
-    append = coefficients.append
-    for set_x, set_y in set_pairs:
-        if not set_x or not set_y:
-            append(0.0)
-            continue
-        append(2.0 * len(set_x & set_y) / (len(set_x) + len(set_y)))
-    return coefficients
-
-
 def overlap_coefficient(
     tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str]
 ) -> float:
@@ -141,7 +123,7 @@ def levenshtein(
     if max_distance is not None and len(text_y) - len(text_x) > max_distance:
         return max_distance + 1
     if kernel == "auto" or kernel == "myers":
-        return _levenshtein_myers(text_x, text_y, max_distance)
+        return levenshtein_myers(myers_table(text_x), len(text_x), text_y, max_distance)
     if kernel == "banded":
         if max_distance is None:
             return _levenshtein_full(text_x, text_y)
@@ -202,8 +184,21 @@ def _levenshtein_banded(text_x: str, text_y: str, bound: int) -> int:
     return distance if distance <= bound else infinity
 
 
-def _levenshtein_myers(text_x: str, text_y: str, bound: int | None) -> int:
-    """Myers (1999) bit-parallel edit distance; ``text_x`` is the pattern.
+def myers_table(pattern: str) -> dict[str, int]:
+    """The Myers match table of ``pattern``: character → bitmask of the
+    positions it occupies.  It depends on the pattern alone, so a caller
+    that compares one text many times builds it once."""
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in pattern:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    return peq
+
+
+def levenshtein_myers(peq: dict[str, int], length: int, text: str, bound: int | None) -> int:
+    """Myers (1999) bit-parallel edit distance between a non-empty pattern,
+    given as its :func:`myers_table` ``peq`` and its ``length``, and ``text``.
 
     Encodes one DP column's vertical deltas in two bitmasks (``vp``/``vn``)
     and advances a whole column per text character in O(1) word operations.
@@ -218,13 +213,6 @@ def _levenshtein_myers(text_x: str, text_y: str, bound: int | None) -> int:
     remaining character), returning ``bound + 1`` exactly like the banded
     kernel.
     """
-    pattern, text = text_x, text_y
-    length = len(pattern)
-    peq: dict[str, int] = {}
-    bit = 1
-    for char in pattern:
-        peq[char] = peq.get(char, 0) | bit
-        bit <<= 1
     mask = (1 << length) - 1
     last = 1 << (length - 1)
     vp = mask

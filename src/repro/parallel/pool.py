@@ -553,11 +553,13 @@ class WorkerPool:
         return self._owner
 
     def begin_run(self, owner: object | None = None) -> None:
-        """Reset every worker's profile cache (start of an engine run).
+        """Reset every replica's pid-keyed caches (start of an engine run).
 
-        Profile ids are only unique *within* a dataset, so caches must not
-        survive across runs that may target different data.  The reset is a
-        one-way message; the pipe's FIFO ordering makes an ack unnecessary.
+        Profile ids are only unique *within* a dataset, so neither the
+        workers' profile caches nor any replica's derived matcher state —
+        the rescue replica's included — may survive across runs that may
+        target different data.  The reset is a one-way message; the pipe's
+        FIFO ordering makes an ack unnecessary.
         A slot whose pipe fails here is evicted alone (and respawned on
         schedule); the fleet is not condemned.
 
@@ -565,6 +567,8 @@ class WorkerPool:
         reset — the cross-run sharing epoch (see :attr:`owner`).
         """
         self._owner = owner
+        if self._rescue is not None:
+            self._rescue._init_derived_state()
         if not self.healthy:
             return
         self._maybe_respawn()

@@ -110,8 +110,9 @@ def worker_main(connection: "Connection") -> None:
         and may SIGKILL the process, stall ``spec.hang_s`` wall seconds, or
         truncate the reply payload.
     ``("reset",)``
-        Clear the profile cache (sent at the start of every run, so stale
-        pid-to-profile bindings can never leak across datasets).
+        Clear the profile cache and the matcher's pid-keyed derived caches
+        (sent at the start of every run, so stale pid bindings can never
+        leak across datasets).
     ``("ping",)``
         Reply ``("ok", "pong")`` — the pool's startup handshake proving the
         worker survived spawn and can round-trip messages.
@@ -228,6 +229,7 @@ def worker_main(connection: "Connection") -> None:
             request_ordinal = 0
         elif kind == "reset":
             profiles.clear()
+            matcher._init_derived_state()
         elif kind == "ping":
             try:
                 connection.send(("ok", "pong"))

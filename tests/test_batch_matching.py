@@ -13,9 +13,12 @@ from __future__ import annotations
 import random
 
 from repro.evaluation.experiments import make_matcher
-from repro.matching.similarity import dice_batch, jaccard, jaccard_batch
+from repro.matching.matcher import EditDistanceMatcher
+from repro.matching.similarity import dice, jaccard, jaccard_batch
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience import FaultyMatcher
+
+from tests.conftest import make_profile
 
 
 def _sample_pairs(dataset, n=200, seed=7):
@@ -86,10 +89,16 @@ def test_similarity_kernels_match_scalar_definitions():
         (set("abcdef"), set("defghi")),
     ]
     assert jaccard_batch(sets) == [jaccard(x, y) for x, y in sets]
-    expected_dice = [
-        0.0 if not x or not y else 2.0 * len(x & y) / (len(x) + len(y)) for x, y in sets
-    ]
-    assert dice_batch(sets) == expected_dice
+    # The ED prefilter reads its Dice off bit signatures.  With the floor
+    # above 1 it "rejects" every pair, with that Dice as the score.
+    texts = ["ab", "abab", "alpha beta", "alpha betas", "aaaa bbbb", "xxxx yyyy", "𝄞😀𝄞😀 é"]
+    profiles = [make_profile(pid, text) for pid, text in enumerate(texts)]
+    matcher = EditDistanceMatcher(0.8, prefilter_floor=2.0)
+    for profile_x, text_x in zip(profiles, texts):
+        bigrams_x = {text_x[i : i + 2] for i in range(len(text_x) - 1)}
+        for profile_y, text_y in zip(profiles, texts):
+            bigrams_y = {text_y[i : i + 2] for i in range(len(text_y) - 1)}
+            assert matcher.similarity(profile_x, profile_y) == dice(bigrams_x, bigrams_y)
 
 
 def test_faulty_matcher_opts_out_of_batching(small_dblp_acm):

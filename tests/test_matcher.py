@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import string
 
 import pytest
 
@@ -184,20 +185,30 @@ class TestEditDistanceKernelTelemetry:
 
     def test_staged_counts_cover_every_pair(self):
         matcher = EditDistanceMatcher(0.8)
+        forty = string.ascii_lowercase + string.digits + "ABCD"
+        scattered = ["#" if i % 4 == 2 else char for i, char in enumerate(forty)]
         pairs = [
             (make_profile(0, "x"), make_profile(1, "x")),  # short text
             (make_profile(2, "aaaa bbbb"), make_profile(3, "xxxx yyyy")),  # prefilter
             (make_profile(4, "ab"), make_profile(5, "ab" * 40)),  # length cut
             (make_profile(6, "alpha beta"), make_profile(7, "alpha betas")),  # DP
+            # 40 distinct characters, band of 8 edits: ten scattered
+            # substitutions break 20 of the 39 bigrams (q-gram cut); twelve
+            # adjacent ones break only 13, but leave 12 characters unmatched
+            # (bag cut).
+            (make_profile(8, forty), make_profile(9, "".join(scattered))),
+            (make_profile(10, forty), make_profile(11, forty[:28] + "#" * 12)),
         ]
-        matcher.evaluate_batch(pairs)
+        results = matcher.evaluate_batch(pairs)
+        assert results[4].similarity == results[5].similarity == 1.0 - 9 / 40
         counts = matcher.kernel_telemetry()
-        assert set(counts) == set(KERNEL_COUNTERS)
-        assert counts["short_texts"] == 1
-        assert counts["prefilter_rejects"] == 1
-        assert counts["length_cuts"] == 1
-        assert counts["dp_calls"] == 1
+        assert tuple(counts) == KERNEL_COUNTERS
+        assert all(value == 1 for value in counts.values())
+        restored = EditDistanceMatcher(0.5)
+        restored.restore_state(matcher.snapshot_state())
+        assert restored.kernel_telemetry() == counts
         matcher.reset_stats()
+        assert tuple(matcher.kernel_telemetry()) == KERNEL_COUNTERS
         assert all(value == 0 for value in matcher.kernel_telemetry().values())
 
 

@@ -20,6 +20,7 @@ executor choice, never a semantics choice.  Whatever the worker count,
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -29,9 +30,11 @@ from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import ExperimentConfig, _build_matcher, _build_system
 from repro.parallel import WorkerPool, strip_parallel_telemetry
 from repro.parallel.cells import run_cells
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig, SimulatedCrash, WorkerFaultSpec
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import make_profile
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -202,6 +205,52 @@ def test_pool_pickle_fallback_bit_identical(dataset):
         assert pool.batch_scores(pairs) == reference
         assert pool.shm_segments_published == 0
         assert pool.shm_bytes_published == 0
+    finally:
+        pool.close()
+
+
+def _colliding_rounds():
+    """Two 8-profile datasets under the same pids 0–7, each as a pair list
+    whose halves (= the two workers' chunks) both touch every pid."""
+    texts_a = [f"alice smith springfield illinois {i}" for i in range(8)]
+    texts_b = [f"alice smith springfeld ilinois {i * i}" for i in range(8)]
+    rounds = []
+    for texts in (texts_a, texts_b):
+        profiles = [make_profile(pid, text) for pid, text in enumerate(texts)]
+        half = list(itertools.combinations(profiles, 2))
+        rounds.append(half + half[::-1])
+    return rounds
+
+
+@pytest.mark.parametrize("transport", ["shm", "inline"])
+@pytest.mark.parametrize(
+    "worker_faults",
+    [None, WorkerFaultSpec(corrupt_on=((0, 1), (1, 2)))],
+    ids=["workers", "rescue"],
+)
+def test_second_run_with_colliding_pids_is_not_scored_from_the_first(transport, worker_faults):
+    """Regression: the matcher's derived cache is keyed by pid; worker
+    replicas (and the pool's in-process rescue replica, which the corrupt
+    replies bring in for one chunk of each run) kept it across
+    ``begin_run``, so a second dataset reusing the pids was scored from the
+    first one's texts."""
+    first, second = _colliding_rounds()
+    reference = _build_matcher("ED")._batch_scores(first)
+    assert _build_matcher("ED")._batch_scores(second) != reference
+    pool = WorkerPool.create(
+        2, _build_matcher("ED"), min_shard=1, worker_faults=worker_faults
+    )
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    try:
+        if transport == "inline":
+            pool._use_shm = False
+        elif not pool.shm_active:
+            pytest.skip("shared-memory transport unavailable on this host")
+        for pairs in (first, second):
+            pool.begin_run()
+            assert pool.batch_scores(pairs) == _build_matcher("ED")._batch_scores(pairs)
+        assert pool.reassigned_chunks == (0 if worker_faults is None else 2)
     finally:
         pool.close()
 

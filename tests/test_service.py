@@ -109,58 +109,87 @@ def _checkpoint_fingerprint(checkpoint):
     )
 
 
-def test_interleaved_push_sessions_share_one_pool(small_dblp_acm):
-    """Two tenants alternating on one WorkerPool == their solo runs."""
-    pool = WorkerPool.create(2, _build_matcher("JS"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
-    systems = ("I-PES", "I-PCS")
+def _assert_interleaved_equals_solo(pool, matcher, tenants):
+    """``tenants``: name → (dataset, system).  Each tenant's push run,
+    alternating drain-by-drain with the others on ``pool``, must equal its
+    solo in-process run (which no pool state can reach)."""
     horizons = (2.0, 4.0, 6.0, BUDGET)
 
-    def open_push(system):
+    def open_push(name, **fleet):
+        dataset, system = tenants[name]
         session = ERSession(
-            small_dblp_acm,
+            dataset,
             systems=(system,),
-            matcher="JS",
+            matcher=matcher,
             n_increments=8,
             rate=5.0,
             budget=BUDGET,
-            workers=2,
-            pool=pool,
+            **fleet,
         )
         push = session.push()
         push.feed_plan(session.plan_for(system))
         return session, push
 
-    try:
-        solo = {}
-        for system in systems:
-            session, push = open_push(system)
-            for horizon in horizons:
-                push.drain(horizon)
-            solo[system] = (
-                _checkpoint_fingerprint(push.checkpoint()),
-                _comparable(push.results()),
-            )
-            session.close()
-
-        sessions = {system: open_push(system) for system in systems}
-        # Interleave op-by-op: every drain of one tenant lands between two
-        # drains of the other, so each re-claims the fleet's cache epoch.
+    solo = {}
+    for name in tenants:
+        session, push = open_push(name)
         for horizon in horizons:
-            for system in systems:
-                sessions[system][1].drain(horizon)
-        for system in systems:
-            session, push = sessions[system]
-            interleaved = (
-                _checkpoint_fingerprint(push.checkpoint()),
-                _comparable(push.results()),
-            )
-            assert interleaved == solo[system], system
-            session.close()
+            push.drain(horizon)
+        solo[name] = (
+            _checkpoint_fingerprint(push.checkpoint()),
+            _comparable(push.results()),
+        )
+        session.close()
 
-        # Sessions never close a borrowed pool.
-        assert pool.healthy
+    sessions = {name: open_push(name, workers=2, pool=pool) for name in tenants}
+    # Interleave op-by-op: every drain of one tenant lands between two
+    # drains of the other, so each re-claims the fleet's cache epoch.
+    for horizon in horizons:
+        for name in tenants:
+            sessions[name][1].drain(horizon)
+    for name in tenants:
+        session, push = sessions[name]
+        interleaved = (
+            _checkpoint_fingerprint(push.checkpoint()),
+            _comparable(push.results()),
+        )
+        assert interleaved == solo[name], name
+        session.close()
+
+    # Sessions never close a borrowed pool.
+    assert pool.healthy
+
+
+def test_interleaved_push_sessions_share_one_pool(small_dblp_acm):
+    """Two tenants alternating on one WorkerPool == their solo runs."""
+    pool = WorkerPool.create(2, _build_matcher("JS"), min_shard=1)
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    try:
+        _assert_interleaved_equals_solo(
+            pool,
+            "JS",
+            {"I-PES": (small_dblp_acm, "I-PES"), "I-PCS": (small_dblp_acm, "I-PCS")},
+        )
+    finally:
+        pool.close()
+
+
+def test_interleaved_push_sessions_of_different_datasets(small_dblp_acm, small_movies):
+    """Tenants on *different* datasets reuse the same pids for different
+    texts.  Regression: the replicas' pid-keyed derived matcher state
+    survived the cache-epoch reset, so the second tenant was scored from
+    the first one's texts."""
+    assert {p.pid for p in small_dblp_acm.profiles} & {p.pid for p in small_movies.profiles}
+    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    try:
+        _assert_interleaved_equals_solo(
+            pool,
+            "ED",
+            {"dblp_acm": (small_dblp_acm, "I-PES"), "movies": (small_movies, "I-PES")},
+        )
     finally:
         pool.close()
 
