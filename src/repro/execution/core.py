@@ -661,9 +661,9 @@ class ExecutionCore:
             results = matcher.evaluate_batch(selected_profiles, precomputed=precomputed)
             recorder = state.recorder
             duplicates = state.duplicates
+            metrics.count("engine.comparisons_executed", len(results))
             for offset, result in enumerate(results):
                 pid_x, pid_y = batch[selected[offset]]
-                metrics.count("engine.comparisons_executed")
                 if recorder.record(pid_x, pid_y, post_clocks[offset]):
                     metrics.count("engine.matches_recorded")
                 if result.is_match:

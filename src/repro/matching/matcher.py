@@ -178,11 +178,12 @@ class Matcher:
         Matchers without :attr:`supports_batch` simply loop (preserving any
         side effects such as fault schedules).  Matchers with it route the
         similarity/cost computation through their vectorized
-        :meth:`_batch_scores` kernel, while this wrapper keeps the per-pair
-        stats and metrics accounting in one place — deliberately updated in
-        scalar order, because ``total_cost`` and ``matcher.virtual_cost_s``
-        are float accumulations whose order is observable (mean cost feeds
-        the adaptive K).
+        :meth:`_batch_scores` kernel, while this wrapper keeps the stats and
+        metrics accounting in one place, folded once per batch.  The costs
+        are added one by one from the previous total, as the scalar path adds
+        them (``sum`` compensates from Python 3.12 on): ``total_cost`` and
+        ``matcher.virtual_cost_s`` are float accumulations whose order is
+        observable (mean cost feeds the adaptive K).
 
         ``precomputed`` lets a caller supply the ``(similarities, costs)``
         lists for ``pairs`` directly — the hook the worker-pool layer uses
@@ -195,43 +196,24 @@ class Matcher:
         if not self.supports_batch:
             return [self.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
         threshold = self.threshold
-        metrics = self._metrics
         similarities, costs = (
             precomputed if precomputed is not None else self._batch_scores(pairs)
         )
-        if metrics is None:
-            # Unbound fast path: C-level construction, then stat folds.
-            # ``sum(costs, start)`` adds left-to-right from the previous
-            # total — the identical float operation sequence as the scalar
-            # per-pair ``self.total_cost += cost``, so accumulations stay
-            # bit-identical; the integer folds are exact regardless.
-            flags = [similarity >= threshold for similarity in similarities]
-            results = list(map(MatchResult._make, zip(flags, similarities, costs)))
-            self.comparisons_executed += len(results)
-            self.total_cost = sum(costs, self.total_cost)
-            self.matches_found += sum(flags)
-            return results
-        results = []
-        append = results.append
-        comparisons = self.comparisons_executed
+        flags = [similarity >= threshold for similarity in similarities]
+        results = list(map(MatchResult._make, zip(flags, similarities, costs)))
+        found = sum(flags)
         total_cost = self.total_cost
-        matches = self.matches_found
-        for similarity, cost in zip(similarities, costs):
-            is_match = similarity >= threshold
-            comparisons += 1
+        for cost in costs:
             total_cost += cost
-            if is_match:
-                matches += 1
-            # Per-pair counting (not one bulk add): the virtual-cost counter
-            # is a float accumulation whose order is observable.
-            metrics.count("matcher.evaluations")
-            metrics.count("matcher.virtual_cost_s", cost)
-            if is_match:
-                metrics.count("matcher.matches")
-            append(MatchResult(is_match, similarity, cost))
-        self.comparisons_executed = comparisons
+        self.comparisons_executed += len(results)
         self.total_cost = total_cost
-        self.matches_found = matches
+        self.matches_found += found
+        metrics = self._metrics
+        if metrics is not None and results:
+            metrics.count("matcher.evaluations", len(results))
+            metrics.count_each("matcher.virtual_cost_s", costs)
+            if found:  # the counter exists only once a match was seen
+                metrics.count("matcher.matches", found)
         return results
 
     def _batch_scores(

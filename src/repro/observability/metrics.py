@@ -118,6 +118,13 @@ class MetricsRegistry:
         """Add ``amount`` to the named monotone counter."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
+    def count_each(self, name: str, amounts: list[float]) -> None:
+        """:meth:`count` every amount in turn, float additions in that order."""
+        total = self._counters.get(name, 0)
+        for amount in amounts:
+            total += amount
+        self._counters[name] = total
+
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
 

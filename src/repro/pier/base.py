@@ -158,6 +158,35 @@ def _new_pairs(
             yield (pid_x, pid_y)
 
 
+def _member_counts(block: Block) -> tuple[int, ...]:
+    """The member cursor of ``block`` once all its members are seen."""
+    return tuple(map(len, block.members_by_source.values()))
+
+
+def _pair_weights(
+    collection: BlockingSubstrate,
+    pairs: list[tuple[int, int]],
+    scheme: WeightingScheme,
+    per_pair: bool,
+) -> list[float]:
+    """The weight of each canonical pair of a drained block, in order.
+
+    One :func:`~repro.metablocking.sweep.partner_weights` call per distinct
+    left profile (``per_pair=True`` restores the legacy one-call-per-pair
+    weighting; results are bit-identical).
+    """
+    if per_pair:
+        return [scheme.weight(collection, left, right) for left, right in pairs]
+    by_left: dict[int, list[int]] = {}
+    for left, right in pairs:
+        by_left.setdefault(left, []).append(right)
+    weights = {
+        left: partner_weights(collection, left, rights, scheme)
+        for left, rights in by_left.items()
+    }
+    return [weights[left][right] for left, right in pairs]
+
+
 class GetComparisons:
     """Smallest-block-first comparison refill (Alg. 2, l. 10-11).
 
@@ -178,10 +207,7 @@ class GetComparisons:
     pair offered then has been executed — or was evicted from a bounded
     index, which is a loss the bound accepts).
 
-    Weights come from :func:`~repro.metablocking.sweep.partner_weights`, one
-    call per distinct left profile of the drained block (``per_pair=True``
-    restores the legacy one-call-per-pair weighting; results are
-    bit-identical).
+    Weights come from :func:`_pair_weights`.
     """
 
     __slots__ = ("scheme", "per_pair", "last_scanned", "_cursor", "_heap")
@@ -248,7 +274,7 @@ class GetComparisons:
             self.last_scanned = 0
             return None
         seen = self._cursor.get(block.key, ())
-        self._cursor[block.key] = tuple(map(len, block.members_by_source.values()))
+        self._cursor[block.key] = _member_counts(block)
         prune = collection.allows_pair if collection.prunes_candidates else None
         scanned = 0
         pairs: list[tuple[int, int]] = []
@@ -261,23 +287,11 @@ class GetComparisons:
                 continue
             pairs.append(pair)
         self.last_scanned = scanned
-        if self.per_pair:
-            weighted = [
-                WeightedComparison(left, right, self.scheme.weight(collection, left, right))
-                for left, right in pairs
-            ]
-        else:
-            by_left: dict[int, list[int]] = {}
-            for left, right in pairs:
-                by_left.setdefault(left, []).append(right)
-            weights = {
-                left: partner_weights(collection, left, rights, self.scheme)
-                for left, rights in by_left.items()
-            }
-            weighted = [
-                WeightedComparison(left, right, weights[left][right])
-                for left, right in pairs
-            ]
+        weights = _pair_weights(collection, pairs, self.scheme, self.per_pair)
+        weighted = [
+            WeightedComparison(left, right, weight)
+            for (left, right), weight in zip(pairs, weights)
+        ]
         return weighted, len(pairs)
 
     def is_exhausted(self, collection: BlockingSubstrate) -> bool:

@@ -1,29 +1,16 @@
-"""I-PBS: Incremental Progressive Block Scheduling (paper §5, Alg. 3).
+"""I-PBS as it was before the member cursor: ``pending × all members``.
 
-Block-centric prioritization: blocks are processed smallest-first (small
-blocks are most likely to contain duplicates).  Two global indexes track the
-pending work per block:
+The profile index ``PI`` is a set of pending pids per block, filled at
+ingestion.  Opening a block walks every pending profile against every
+member, so two pending profiles meet twice — ``(x, y)`` and again as
+``(y, x)`` — and the second meeting is left to the Bloom filter to drop.
+Weights come from one ``scheme.weight`` call per surviving pair.
 
-* ``CI`` (cardinality index): block key → number of unexecuted comparisons
-  its pending profiles can generate (the paper initializes entries to +∞ to
-  mean "nothing pending"; we model that state by *absence* from the dict,
-  which is equivalent and avoids ∞ arithmetic);
-* ``PI`` (profile index): block key → pending (unexecuted) profiles.  Blocks
-  only append, so these are the members past a per-source *cursor* set when
-  the block is processed (as in :class:`~repro.pier.base.GetComparisons`).
-
-Comparisons enter the global queue with the composite priority
-``(-block_size, cbs_weight)``: comparisons from smaller generating blocks
-come first, CBS breaks ties within a block.  Each new pair of a block is
-generated once; a scalable Bloom filter drops those already generated from
-an earlier block.
-
-The queue is refilled from the current smallest pending block ``b_min``
-lazily: only when the queue is empty, or when ``b_min`` is *smaller* than
-the block that generated the current queue head (so newly discovered small
-blocks jump the line, while larger blocks wait until the queue drains —
-this keeps the queue from growing without bound while preferring
-comparisons from smaller blocks, the stated goals of the paper).
+The production :class:`~repro.pier.ipbs.IPBS` must enqueue the same pairs
+with the same keys in the same order and leave the same filter bits and
+cardinality index behind; it may only probe the filter less often.
+:attr:`PendingScanIPBS.probes` counts the pairs this scan built, mirrors
+included.
 """
 
 from __future__ import annotations
@@ -36,15 +23,13 @@ from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
-from repro.pier.base import IncrPrioritization, PierSystem, _member_counts, _pair_weights
+from repro.pier.base import IncrPrioritization, PierSystem
 from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
-__all__ = ["IPBS"]
 
-
-class IPBS(IncrPrioritization):
-    """Block-centric prioritization over smallest-pending-block refills."""
+class PendingScanIPBS(IncrPrioritization):
+    """Block-centric prioritization with a pending-set scan per block."""
 
     name = "I-PBS"
 
@@ -53,28 +38,19 @@ class IPBS(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
         filter_initial_capacity: int = 4096,
-        per_pair_weighting: bool = False,
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair_weighting = per_pair_weighting
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
         self.cardinality_index: dict[str, int] = {}
-        # Block key -> members per source when the block was last processed.
-        self._cursor: dict[str, tuple[int, ...]] = {}
+        self.profile_index: dict[str, set[int]] = {}
         self.filter_initial_capacity = filter_initial_capacity
-        # Standalone default so the strategy works unbound (unit tests);
-        # bind_store replaces it with the host system's shared filter.
         self.comparison_filter = ScalableBloomFilter(initial_capacity=filter_initial_capacity)
-        # Lazy min-heap over (pending_count, key); entries whose count is
-        # stale are discarded on pop, keeping b_min selection O(log n).
         self._pending_heap: list[tuple[int, str]] = []
+        self.probes = 0
 
     def bind_store(self, store: ComparisonStore) -> None:
-        # Share the store's Bloom filter: one dedup structure per system,
-        # serialized exactly once inside the store's snapshot.
         self.comparison_filter = store.bloom_filter(self.filter_initial_capacity)
 
-    # ------------------------------------------------------------------
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
         collection = system.collection
@@ -90,6 +66,7 @@ class IPBS(IncrPrioritization):
                     new_comparisons = len(block) - 1
                 count = self.cardinality_index.get(key, 0) + max(new_comparisons, 0)
                 self.cardinality_index[key] = count
+                self.profile_index.setdefault(key, set()).add(profile.pid)
                 if count > 0:
                     heapq.heappush(self._pending_heap, (count, key))
                 cost += costs.per_enqueue
@@ -99,9 +76,7 @@ class IPBS(IncrPrioritization):
     def on_empty_increment(self, system: PierSystem) -> float:
         return system.costs.per_round + self._consider_refill(system)
 
-    # ------------------------------------------------------------------
     def _consider_refill(self, system: PierSystem) -> float:
-        """Process ``b_min`` when the lazy-refill condition holds (Alg. 3)."""
         cost = 0.0
         while True:
             b_min_key, b_min_block = self._smallest_pending_block(system)
@@ -112,18 +87,10 @@ class IPBS(IncrPrioritization):
                 if len(b_min_block) >= top_block_size:
                     return cost
             cost += self._process_block(system, b_min_key, b_min_block)
-            # After processing one block, loop: an even smaller block may now
-            # satisfy the condition (or the queue may still be empty).
             if len(self.index):
                 return cost
 
     def _smallest_pending_block(self, system: PierSystem):
-        """The live block with the fewest pending comparisons (``b_min``).
-
-        Pops the lazy heap until an entry matches the current cardinality
-        index; stale entries (block processed, purged, or count changed) are
-        discarded, and changed counts are pushed back for a later pass.
-        """
         collection = system.collection
         heap = self._pending_heap
         while heap:
@@ -133,7 +100,7 @@ class IPBS(IncrPrioritization):
             if current is None or current <= 0 or block is None:
                 heapq.heappop(heap)
                 if block is None or (current is not None and current <= 0):
-                    self._reset_block(key, block)
+                    self._reset_block(key)
                 continue
             if current != count:
                 heapq.heapreplace(heap, (current, key))
@@ -142,76 +109,55 @@ class IPBS(IncrPrioritization):
         return None, None
 
     def _process_block(self, system: PierSystem, key: str, block) -> float:
-        """Generate the pending comparisons of a block into the queue."""
         costs = system.costs
         collection = system.collection
         metrics = system.metrics
+        pending = self.profile_index.get(key, set())
         block_size = len(block)
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
         prune = collection.allows_pair if collection.prunes_candidates else None
-        add_if_absent = self.comparison_filter.add_if_absent
-        scanned = bloom_filtered = skipped = 0
+        bloom_filtered = skipped = 0
         survivors: list[tuple[int, int]] = []
-        members = block.members_by_source
-        seen = dict(zip(members, self._cursor.get(key, ())))
-        # PI of Alg. 3: the members past the cursor, with their source.
-        pending = {
-            pid: source
-            for source, pids in members.items()
-            for pid in pids[seen.get(source, 0) :]
-        }
         for pid_x in sorted(pending):
-            partners = members.get(1 - pending[pid_x], ()) if collection.clean_clean else block
+            profile_x = system.profile(pid_x)
+            if collection.clean_clean:
+                partners = block.members(1 - profile_x.source)
+            else:
+                partners = [pid for pid in block if pid != pid_x]
             for pid_y in partners:
-                # Two pending profiles meet once, at the one that sorts first.
-                if pid_y <= pid_x and pid_y in pending:
-                    continue
-                scanned += 1
+                self.probes += 1
                 pair = canonical_pair(pid_x, pid_y)
                 if prune is not None and not prune(*pair):
                     continue
-                if not add_if_absent(*pair):
+                if not self.comparison_filter.add_if_absent(*pair):
                     bloom_filtered += 1
                     continue
                 if system.was_executed(*pair):
                     skipped += 1
                     continue
                 survivors.append(pair)
-        metrics.count("strategy.refill_pairs_scanned", scanned)
         if bloom_filtered:
             metrics.count("strategy.bloom_filtered", bloom_filtered)
         if skipped:
             metrics.count("strategy.skipped_already_executed", skipped)
-        weights = _pair_weights(collection, survivors, self.scheme, self.per_pair_weighting)
-        for pair, weight in zip(survivors, weights):
+        for pair in survivors:
+            weight = self.scheme.weight(collection, *pair)
             self.index.enqueue(pair, (-block_size, weight))
             cost += costs.per_weight + costs.per_enqueue
         if survivors:
             metrics.count("strategy.comparisons_enqueued", len(survivors))
-        self._reset_block(key, block)
+        self._reset_block(key)
         return cost
 
-    def _reset_block(self, key: str, block) -> None:
-        """Lines 15-16 of Alg. 3: mark the block as having nothing pending."""
+    def _reset_block(self, key: str) -> None:
         self.cardinality_index.pop(key, None)
-        if block is None:
-            self._cursor.pop(key, None)  # purged: never comes back
-        else:
-            self._cursor[key] = _member_counts(block)
+        self.profile_index.pop(key, None)
 
-    # ------------------------------------------------------------------
     def dequeue(self) -> tuple[int, int] | None:
         if not self.index:
             return None
         return self.index.dequeue()
-
-    def gauges(self) -> dict[str, float]:
-        return {
-            "bloom_slices": self.comparison_filter.num_slices,
-            "bloom_items": self.comparison_filter.count,
-            "pending_blocks": len(self.cardinality_index),
-        }
 
     def __len__(self) -> int:
         return len(self.index)
@@ -225,21 +171,18 @@ class IPBS(IncrPrioritization):
             for key, count in self.cardinality_index.items()
         )
 
-    # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        # The Bloom filter is serialized by the comparison store it is bound
-        # to (bit-exactly, so restored runs reproduce the identical
-        # false-positive pattern); restoring it here as well would break the
-        # filter's shared identity.
         return {
             "index": copy.deepcopy(self.index),
             "cardinality_index": dict(self.cardinality_index),
-            "cursor": dict(self._cursor),
+            "profile_index": {key: set(pids) for key, pids in self.profile_index.items()},
             "pending_heap": list(self._pending_heap),
+            "probes": self.probes,
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
         self.index = copy.deepcopy(state["index"])
         self.cardinality_index = dict(state["cardinality_index"])
-        self._cursor = dict(state["cursor"])
+        self.profile_index = {key: set(pids) for key, pids in state["profile_index"].items()}
         self._pending_heap = list(state["pending_heap"])
+        self.probes = state["probes"]

@@ -71,6 +71,31 @@ def test_edit_distance_batch_bit_identical(small_movies):
     _assert_identical("ED", _sample_pairs(small_movies))
 
 
+def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
+    """Accounting happens once per batch, continuing the running totals; a
+    batch without pairs (or without matches) must not create a counter."""
+    pairs = _sample_pairs(small_dblp_acm, n=90)
+    scalar_matcher = make_matcher("JS")
+    _, scalar_counters = _run_scalar(scalar_matcher, pairs)
+    batched_matcher = make_matcher("JS")
+    registry = MetricsRegistry()
+    batched_matcher.bind_metrics(registry)
+    assert batched_matcher.evaluate_batch([]) == []
+    assert registry.snapshot(include_wall=False)["counters"] == {}
+    for start in range(0, len(pairs), 30):
+        batched_matcher.evaluate_batch(pairs[start : start + 30])
+    assert registry.snapshot(include_wall=False)["counters"] == scalar_counters
+    assert batched_matcher.total_cost == scalar_matcher.total_cost
+    assert batched_matcher.matches_found == scalar_matcher.matches_found
+    unmatched, unmatched_registry = make_matcher("JS"), MetricsRegistry()
+    unmatched.bind_metrics(unmatched_registry)
+    unmatched.evaluate_batch([(make_profile(0, "north"), make_profile(1, "south"))])
+    assert set(unmatched_registry.snapshot(include_wall=False)["counters"]) == {
+        "matcher.evaluations",
+        "matcher.virtual_cost_s",
+    }
+
+
 def test_estimate_cost_batch_matches_scalar(small_dblp_acm):
     pairs = _sample_pairs(small_dblp_acm, n=100)
     for name in ("JS", "ED"):

@@ -24,6 +24,20 @@ class TestMetricsRegistry:
         assert metrics.counter("b") == 0.5
         assert metrics.counter("missing") == 0
 
+    def test_count_each_adds_in_the_order_given(self):
+        """One call, the float additions of that many ``count`` calls — not
+        a compensated sum, which would keep the two 1.0s."""
+        amounts = [1e16, 1.0, 1.0, -1e16]
+        one_by_one, folded = MetricsRegistry(), MetricsRegistry()
+        for registry in (one_by_one, folded):
+            registry.count("cost", 0.5)
+        for amount in amounts:
+            one_by_one.count("cost", amount)
+        folded.count_each("cost", amounts)
+        assert folded.counter("cost") == one_by_one.counter("cost") == 0.0
+        folded.count_each("fresh", [0.25, 0.5])
+        assert folded.counter("fresh") == 0.75
+
     def test_gauges_last_value_wins(self):
         metrics = MetricsRegistry()
         metrics.gauge("depth", 3)
