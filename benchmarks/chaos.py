@@ -76,7 +76,7 @@ CONFIG = {
 }
 
 #: Worker-fleet chaos scenarios: explicit ``(slot, request ordinal)``
-#: schedules (at most one fault per slot, so round arithmetic — and with
+#: schedules (at most one fault per slot, so hand-off arithmetic — and with
 #: it every supervision counter below — is fully deterministic).  The
 #: ``expect`` counters are the schedule spelled out: the gate fails if the
 #: run's supervision telemetry differs.
@@ -93,7 +93,11 @@ WORKER_FAULT_CONFIG = {
     "checkpoint_every": 2.0,
     "reply_timeout_s": 1.0,
     "min_shard": 1,
-    # Every fault fires at request ordinal 2 — before any eviction can
+    # A slot gets one request per *hand-off* (emission rounds are buffered;
+    # this run scores ~2k pairs, fewer than one full hand-off, so its
+    # hand-offs are the joins: one before each cadence checkpoint, one at
+    # the end of the drain — five here).  Every fault fires at ordinal 2,
+    # the join before the second checkpoint — before any eviction can
     # change the request distribution — so each scenario's supervision
     # counters are identical on every host.
     "scenarios": {

@@ -100,10 +100,10 @@ class EngineOptions:
     reply_timeout_s: float | None = None
     handshake_timeout_s: float | None = None
     max_respawns: int | None = None
-    #: Smallest emission batch worth sharding across the fleet (``None``:
-    #: the pool default).  A sharding *threshold* only — results are
+    #: Smallest hand-off worth sharding across the fleet (``None``: the
+    #: pool default).  A sharding *threshold* only — results are
     #: bit-identical either way; chaos tests/benchmarks drop it to 1 so
-    #: even tiny rounds exercise the workers.
+    #: even a tiny tail at a join exercises the workers.
     min_shard: int | None = None
     #: Blocking substrate: ``"token"`` (the paper's configuration, default),
     #: ``"lsh"`` (MinHash-LSH buckets as blocks) or ``"lsh-prefilter"``

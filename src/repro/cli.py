@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--reply-timeout", dest="reply_timeout_s", type=float,
             default=None, metavar="SECONDS",
-            help="fleet-wide wall-clock deadline for each worker scatter "
-                 "round; a worker silent past it is evicted, its chunk "
+            help="fleet-wide wall-clock deadline for each hand-off to the "
+                 "workers; a worker silent past it is evicted, its chunk "
                  "re-scored in-process, and the slot respawned (default: "
                  "$REPRO_REPLY_TIMEOUT_S or 60; 0 disables)",
         )
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--worker-faults", type=int, default=None, metavar="SEED",
             help="inject seeded process-level chaos into the worker fleet "
-                 "(SIGKILL mid-round, hangs past the reply deadline, "
+                 "(SIGKILL mid-request, hangs past the reply deadline, "
                  "corrupt replies); supervision absorbs them — results "
                  "stay bit-identical",
         )

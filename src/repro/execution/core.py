@@ -29,7 +29,9 @@ Comparison execution comes in two bit-identical flavors:
   ``supports_batch`` (evaluation is deterministic, never raises, and costs
   exactly its estimate) this produces bit-identical clocks, curves and
   counters while amortizing per-pair Python dispatch — the acceleration
-  lever of SPER-style batched similarity evaluation.
+  lever of SPER-style batched similarity evaluation.  With a worker fleet
+  the kernel charges the round when it runs and scores it off the round
+  (see :meth:`ExecutionCore._execute_batch_kernel`).
 
 Resilience semantics (see :mod:`repro.resilience`): increments are delivered
 exactly once (redeliveries deduplicated by id), transient matcher failures
@@ -54,6 +56,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import attrgetter
+from typing import Iterable
 
 from repro.core.dataset import GroundTruth
 from repro.core.increments import StreamPlan
@@ -107,6 +112,24 @@ PRESEEDED_COUNTERS = (
     "parallel.supervision.stale_segments_swept",
 ) + tuple(f"matcher.kernel.{name}" for name in sorted(KERNEL_COUNTERS))
 
+_IS_MATCH = attrgetter("is_match")
+
+#: Pairs per hand-off to the worker fleet.  Sized by measurement, not an
+#: option.  ``fleet_ed``'s run (I-PES/ED on dblp_acm x0.6, 55,927 pairs, two
+#: workers, 2-core build host, medians of 5 interleaved runs; the same run
+#: on ``workers=1`` takes 1.455 s):
+#:
+#:   pairs per hand-off    512   1024   2048   4096   8192  16384
+#:   hand-offs              78     45     25     13      7      4
+#:   wall s              1.066  1.001  0.998  0.970  0.964  0.981
+#:
+#: Flat from 1024 up (runs of one size spread by ~0.05 s): a hand-off costs
+#: the master a few ms of pickling and pipe traffic whatever its size, so it
+#: only has to be large against that.  2048 is the low end of the plateau —
+#: the smaller the hand-off, the sooner a drain has something for the fleet
+#: to overlap with and the less a join has to wait for.
+HAND_OFF_PAIRS = 2048
+
 #: Phase timers every run exports even when they never fire, for the same
 #: reason: ``sleep`` only accumulates on the serial engine (fast-forward),
 #: yet both engines export the full phase surface.
@@ -146,10 +169,15 @@ class RunState:
     __slots__ = (
         "system", "matcher", "metrics", "recorder", "estimator", "store",
         "plan", "arrival_times", "increments", "n_arrivals",
-        "plan_fingerprint", "next_arrival", "clock", "ingest_clock",
+        "next_arrival", "clock", "ingest_clock",
         "consumed_at", "work_exhausted", "rounds", "ingested", "shed",
         "duplicates_dropped", "duplicates", "seen_increments",
         "last_checkpoint_clock",
+        # Tier A's result-side backlog (see ``_execute_batch_kernel``):
+        # pairs charged but not yet sent anywhere, and the one hand-off the
+        # fleet is scoring, as ``(ticket, pairs)``.  Both are empty at
+        # every join point, so neither is ever part of a checkpoint.
+        "unscored", "in_flight",
         # Tier A telemetry, kept OUT of the metrics registry until finalize
         # so mid-run checkpoints (and their fingerprints) stay bit-identical
         # across worker counts.
@@ -178,13 +206,15 @@ class ExecutionCore:
         supports it (the default).  ``False`` forces the scalar path; both
         are bit-identical for matchers that declare ``supports_batch``.
     workers:
-        Shard the batched kernel's similarity scoring across this many
-        worker processes (Tier A of :mod:`repro.parallel`).  ``1`` — the
-        default — never touches multiprocessing; higher values create a
-        :class:`~repro.parallel.pool.WorkerPool` lazily on the first
-        shardable round, and degrade silently (``parallel.fallbacks``
-        counter) to in-process scoring when a pool cannot start or breaks
-        mid-run.  Results are bit-identical for every worker count.
+        Score the batched kernel's rounds on this many worker processes
+        (Tier A of :mod:`repro.parallel`), in hand-offs of
+        :data:`HAND_OFF_PAIRS` pairs that overlap with the master's own
+        work.  ``1`` — the default — never touches multiprocessing; higher
+        values create a :class:`~repro.parallel.pool.WorkerPool` lazily on
+        the first round with pairs to score, and degrade silently
+        (``parallel.fallbacks`` counter) to in-process scoring when a pool
+        cannot start or breaks mid-run.  Results are bit-identical for
+        every worker count.
     pool:
         An externally owned :class:`~repro.parallel.pool.WorkerPool` to use
         instead of creating one (e.g. shared across runs by
@@ -202,7 +232,7 @@ class ExecutionCore:
         this engine creates — kills, hangs, corrupt replies on the
         workers.  Supervision absorbs them; results stay bit-identical.
     min_shard:
-        Smallest emission batch worth sharding, applied to any pool this
+        Smallest hand-off worth sharding, applied to any pool this
         engine creates (``None``: the pool default).  A threshold only —
         results are bit-identical either way.
     """
@@ -340,7 +370,6 @@ class ExecutionCore:
         state.arrival_times = plan.arrival_times
         state.increments = plan.increments
         state.n_arrivals = len(plan)
-        state.plan_fingerprint = plan_token(plan)
         state.next_arrival = 0
         state.clock = state.arrival_times[0] if state.n_arrivals else 0.0
         state.ingest_clock = state.clock if self._TRACKS_INGEST_CLOCK else None
@@ -350,6 +379,8 @@ class ExecutionCore:
         state.ingested = 0
         state.shed = 0
         state.duplicates_dropped = 0
+        state.unscored = []
+        state.in_flight = None
         state.parallel_rounds = 0
         state.parallel_pairs = 0
         state.parallel_fallbacks = 0
@@ -365,7 +396,7 @@ class ExecutionCore:
         if resume_from is None:
             state.store.begin_run()
         else:
-            self._check_resumable(resume_from, state.plan_fingerprint)
+            self._check_resumable(resume_from, plan_token(plan))
             metrics.load_state(resume_from.metrics_state)
             system.restore(resume_from.system_state)
             matcher.restore_state(resume_from.matcher_state)
@@ -439,10 +470,11 @@ class ExecutionCore:
                     state.consumed_at = state.clock
 
     def _take_checkpoint(self, state: RunState) -> EngineCheckpoint:
+        self._join(state)
         return EngineCheckpoint(
             engine=self._KIND,
             budget=self.budget,
-            plan_fingerprint=state.plan_fingerprint,
+            plan_fingerprint=plan_token(state.plan),
             clock=state.clock,
             ingest_clock=state.ingest_clock,
             next_arrival=state.next_arrival,
@@ -616,8 +648,8 @@ class ExecutionCore:
         batch: tuple[tuple[int, int], ...],
         match_timer: PhaseTimer,
     ) -> tuple[float, bool]:
-        """Batched execution: plan the deadline cut from estimates, evaluate
-        the surviving prefix in one ``evaluate_batch`` call.
+        """Batched execution: plan the deadline cut from estimates, charge
+        the surviving prefix, score it in one batch.
 
         Bit-identical to :meth:`_execute_batch_scalar` for matchers with
         ``supports_batch``: their evaluation cost equals the estimate
@@ -625,6 +657,16 @@ class ExecutionCore:
         never raises, and the clock accumulates the same floats in the same
         order — so the scalar path's retry/overshoot branches are provably
         dead and the cut position is decidable up front.
+
+        The accounting of a round has two sides.  The **cost side** needs
+        only the estimates and everything later in the run depends on it
+        (the clock, ``mean_cost`` and with it the next ``K``, the progress
+        curve, which is read off the ground truth): it happens here, in
+        the round.  The **result side** — which pairs scored as matches —
+        is read by nothing inside a run, so with a worker fleet the scores
+        may arrive later: the round's pairs join ``state.unscored`` and are
+        settled at the next join point (:meth:`_join`).  Without a fleet
+        both sides run back to back, right here.
         """
         system = state.system
         matcher = state.matcher
@@ -656,80 +698,119 @@ class ExecutionCore:
             if clock >= budget:
                 break
         if selected:
-            selected_profiles = [profiles[position] for position in selected]
-            precomputed = self._pool_scores(state, selected_profiles)
-            results = matcher.evaluate_batch(selected_profiles, precomputed=precomputed)
+            pairs = [profiles[position] for position in selected]
             recorder = state.recorder
-            duplicates = state.duplicates
-            metrics.count("engine.comparisons_executed", len(results))
-            for offset, result in enumerate(results):
-                pid_x, pid_y = batch[selected[offset]]
-                if recorder.record(pid_x, pid_y, post_clocks[offset]):
+            metrics.count("engine.comparisons_executed", len(selected))
+            for position, finished_at in zip(selected, post_clocks):
+                pid_x, pid_y = batch[position]
+                if recorder.record(pid_x, pid_y, finished_at):
                     metrics.count("engine.matches_recorded")
-                if result.is_match:
-                    duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
+            fleet = self._pool  # inline: this is every round of every run
+            if fleet is None and self.workers > 1 and not self._pool_attempted:
+                fleet = self._start_fleet(state)
+            if fleet is None:
+                results = matcher.evaluate_batch(pairs)
+                self._record_matches(state, pairs, map(_IS_MATCH, results))
+            else:
+                matcher.account_costs([costs[position] for position in selected])
+                state.unscored.extend(pairs)
+                if len(state.unscored) >= HAND_OFF_PAIRS:
+                    self._hand_off(state)
         return clock, deadline_cut
 
-    # ------------------------------------------------------------------
-    # Tier A sharding (see repro.parallel): workers score, master accounts
-    # ------------------------------------------------------------------
-    def _pool_scores(
-        self,
-        state: RunState,
-        pairs: list,
-    ) -> tuple[list[float], list[float]] | None:
-        """Shard a round's ``_batch_scores`` across the worker pool.
+    @staticmethod
+    def _record_matches(state: RunState, pairs: list, flags: Iterable[bool]) -> None:
+        """Result side of the engine's accounting: the run's duplicates."""
+        duplicates = state.duplicates
+        for profile_x, profile_y in compress(pairs, flags):
+            pid_x, pid_y = profile_x.pid, profile_y.pid
+            duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
 
-        Returns the merged ``(similarities, costs)`` lists — bit-identical
-        to an in-process call, see :mod:`repro.parallel.pool` — or ``None``
-        whenever the round should score in-process instead: single-worker
-        configuration, batch below the sharding threshold, pool unavailable
-        or broken.  The distinction is pure telemetry; results never differ.
+    # ------------------------------------------------------------------
+    # Tier A (see repro.parallel): workers score hand-offs, master accounts
+    # ------------------------------------------------------------------
+    def _start_fleet(self, state: RunState) -> "object | None":
+        """Create the engine's own worker pool (``workers > 1``, none
+        supplied), the first time a round has pairs to score.
+
+        A host that cannot start one is counted in ``parallel.fallbacks``;
+        the run then scores in the round like any single-worker run.
+        """
+        from repro.parallel.pool import DEFAULT_MIN_SHARD, WorkerPool
+
+        self._pool_attempted = True
+        self._pool = WorkerPool.create(
+            self.workers,
+            self.matcher,
+            min_shard=self.min_shard if self.min_shard is not None else DEFAULT_MIN_SHARD,
+            supervision=self.supervision,
+            worker_faults=self.worker_faults,
+        )
+        if self._pool is None:
+            state.parallel_fallbacks += 1
+        else:
+            self._pool_owned = True
+        return self._pool
+
+    def _hand_off(self, state: RunState) -> None:
+        """Send the buffered pairs to the fleet and return to the round.
+
+        At most one hand-off is outstanding: the previous one is gathered
+        first.  A buffer the pool cannot or should not take — below its
+        ``min_shard``, fleet broken or without a live worker — is scored
+        here, in-process, bit-identically; a pool that is not broken is
+        consulted again at the next hand-off, respawn may have healed it.
 
         Telemetry accumulates on ``state`` and only reaches the metrics
         registry in :meth:`_finalize`: mid-run checkpoints must capture a
         ``metrics_state`` that is bit-identical across worker counts.
         """
-        pool = self._pool
-        if pool is None:
-            if self.workers <= 1 or self._pool_attempted:
-                return None
-            self._pool_attempted = True
-            from repro.parallel.pool import DEFAULT_MIN_SHARD, WorkerPool
-
-            pool = WorkerPool.create(
-                self.workers,
-                self.matcher,
-                min_shard=(
-                    self.min_shard if self.min_shard is not None else DEFAULT_MIN_SHARD
-                ),
-                supervision=self.supervision,
-                worker_faults=self.worker_faults,
-            )
-            if pool is None:
-                state.parallel_fallbacks += 1
-                return None
-            self._pool = pool
-            self._pool_owned = True
-        if not pool.healthy or len(pairs) < pool.min_shard:
-            return None
         from repro.parallel.pool import WorkerPoolError
 
-        if pool.owner is not self:
-            # Another engine scored through this pool since our last round
-            # (interleaved tenants sharing one fleet): worker caches hold
-            # that run's profiles under possibly colliding pids, so reset
-            # before scoring.  Single-run engines never hit this branch.
-            pool.begin_run(owner=self)
+        self._gather(state)
+        pool = self._pool
+        pairs, state.unscored = state.unscored, []
+        if pool.healthy and len(pairs) >= pool.min_shard:
+            if pool.owner is not self:
+                # Another engine scored through this pool since our last
+                # hand-off (interleaved tenants sharing one fleet): worker
+                # caches hold that run's profiles under possibly colliding
+                # pids, so reset before scoring.  Every drain ends joined,
+                # so the other engine has nothing in the pipes either.
+                pool.begin_run(owner=self)
+            try:
+                state.in_flight = (pool.scatter(pairs), pairs)
+                return
+            except WorkerPoolError:
+                state.parallel_fallbacks += 1
+        self._score_in_process(state, pairs)
+
+    def _score_in_process(self, state: RunState, pairs: list) -> None:
+        """Result side of pairs the fleet does not score: same kernel, same
+        outcome counts, straight into the master matcher."""
+        similarities, _costs = state.matcher._batch_scores(pairs)
+        self._record_matches(state, pairs, state.matcher.account_scores(similarities))
+
+    def _gather(self, state: RunState) -> None:
+        """Collect the outstanding hand-off, if any, and settle its pairs."""
+        if state.in_flight is None:
+            return
+        ticket, pairs = state.in_flight
+        pool = self._pool
         try:
-            scores = pool.batch_scores(pairs)
-        except WorkerPoolError:
-            # No worker was alive this round (or the pool is terminally
-            # broken): score in-process, bit-identically.  A non-broken
-            # pool is consulted again next round — respawn may have healed
-            # the fleet by then.
-            state.parallel_fallbacks += 1
-            return None
+            similarities, _costs = pool.gather(ticket)
+        except BaseException:
+            # An interrupt in a poll, a pool closed under the run: the pool
+            # has given the hand-off up (and cleared its pipes).  Its pairs
+            # and the buffered ones are already charged, so they are
+            # settled here before the exception goes on — whatever reads
+            # the run next (``matches``, a checkpoint, ``results``) must
+            # not come up short.
+            state.in_flight = None
+            pairs, state.unscored = pairs + state.unscored, []
+            self._score_in_process(state, pairs)
+            raise
+        state.in_flight = None
         state.parallel_rounds += 1
         state.parallel_pairs += len(pairs)
         # Fold the workers' staged-kernel outcome counts into the master
@@ -738,7 +819,21 @@ class ExecutionCore:
         kernel_counts = state.matcher.kernel_counts
         for name, value in pool.last_kernel_counts.items():
             kernel_counts[name] = kernel_counts.get(name, 0) + value
-        return scores
+        self._record_matches(state, pairs, state.matcher.account_scores(similarities))
+
+    def _join(self, state: RunState) -> None:
+        """Settle every pair charged so far: nothing buffered, nothing in
+        flight afterwards — also when it raises (see :meth:`_gather`).
+
+        Called wherever the result side becomes observable or the pool may
+        change hands — the end of every drain (however it ends) and before
+        every checkpoint — so no checkpoint, ``matches`` reply or
+        :class:`RunResult` can see a half-settled run, and a hand-off never
+        outlives the drain that made it.
+        """
+        if state.unscored:
+            self._hand_off(state)
+        self._gather(state)
 
     def close_pool(self) -> None:
         """Shut down an engine-owned worker pool (no-op otherwise).
@@ -805,7 +900,7 @@ class ExecutionCore:
         metrics.count("parallel.pairs_sharded", state.parallel_pairs)
         metrics.count("parallel.fallbacks", state.parallel_fallbacks)
         # Staged-kernel outcome counts accumulate as plain ints on the
-        # matcher (worker-side counts are merged back per round), so this
+        # matcher (worker-side counts are merged back per hand-off), so this
         # flush is also bit-identical across worker counts.
         for name, value in state.matcher.kernel_telemetry().items():
             metrics.count(f"matcher.kernel.{name}", value)

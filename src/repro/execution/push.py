@@ -34,10 +34,11 @@ exact ``_setup`` ordering of a resumed classic run.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.increments import Increment
-from repro.resilience.checkpoint import EngineCheckpoint, plan_token
+from repro.resilience.checkpoint import EngineCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GroundTruth
@@ -206,10 +207,11 @@ class PushRun:
         state = self._state
         if state is not None:
             # The state aliases the plan lists; only the derived fields —
-            # arrival count, plan fingerprint, exhaustion marker — must be
-            # refreshed for the next drain to see the new work.
+            # arrival count, exhaustion marker — must be refreshed for the
+            # next drain to see the new work.  (The plan fingerprint is
+            # computed where a checkpoint is taken or checked, not here:
+            # it is O(plan), and this runs once per increment.)
             state.n_arrivals = len(times)
-            state.plan_fingerprint = plan_token(self.plan)
             state.work_exhausted = False
             state.consumed_at = None
         return at
@@ -241,7 +243,18 @@ class PushRun:
         state = self._ensure_state()
         self._horizon = until
         self._engine.budget = until
-        self._engine._drive(state)
+        # However the drive ends — horizon, exhaustion, a crash, an
+        # interrupt — the scores it is still owed are collected before the
+        # drain returns: a hand-off to the worker fleet never outlives it.
+        try:
+            self._engine._drive(state)
+        except BaseException:
+            # The drive's exception is the one to report: a join that fails
+            # on top of it has still settled every charged pair.
+            with suppress(Exception):
+                self._engine._join(state)
+            raise
+        self._engine._join(state)
         return state.clock
 
     def start(self) -> None:

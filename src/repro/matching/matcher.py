@@ -169,52 +169,57 @@ class Matcher:
         return [self.estimate_cost(profile_x, profile_y) for profile_x, profile_y in pairs]
 
     def evaluate_batch(
-        self,
-        pairs: Sequence[tuple[EntityProfile, EntityProfile]],
-        precomputed: tuple[list[float], list[float]] | None = None,
+        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> list[MatchResult]:
         """Classify many pairs at once, bit-identical to scalar :meth:`evaluate`.
 
         Matchers without :attr:`supports_batch` simply loop (preserving any
         side effects such as fault schedules).  Matchers with it route the
         similarity/cost computation through their vectorized
-        :meth:`_batch_scores` kernel, while this wrapper keeps the stats and
-        metrics accounting in one place, folded once per batch.  The costs
-        are added one by one from the previous total, as the scalar path adds
-        them (``sum`` compensates from Python 3.12 on): ``total_cost`` and
-        ``matcher.virtual_cost_s`` are float accumulations whose order is
-        observable (mean cost feeds the adaptive K).
-
-        ``precomputed`` lets a caller supply the ``(similarities, costs)``
-        lists for ``pairs`` directly — the hook the worker-pool layer uses
-        to shard :meth:`_batch_scores` across processes while *all*
-        accounting (stats, metrics, float accumulation order) still happens
-        here, on the master, exactly as in-process.  It is ignored for
-        matchers without :attr:`supports_batch`, whose scalar loop must run
-        locally for its side effects.
+        :meth:`_batch_scores` kernel and account for the batch through the
+        two halves below, back to back.  A caller that scores a batch
+        somewhere else, or later, calls the halves itself:
+        :meth:`account_costs` when the batch is charged (its costs are the
+        :meth:`estimate_cost_batch` values, by the :attr:`supports_batch`
+        contract) and :meth:`account_scores` when its similarities arrive.
         """
         if not self.supports_batch:
             return [self.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
-        threshold = self.threshold
-        similarities, costs = (
-            precomputed if precomputed is not None else self._batch_scores(pairs)
-        )
-        flags = [similarity >= threshold for similarity in similarities]
-        results = list(map(MatchResult._make, zip(flags, similarities, costs)))
-        found = sum(flags)
+        similarities, costs = self._batch_scores(pairs)
+        self.account_costs(costs)
+        flags = self.account_scores(similarities)
+        return list(map(MatchResult._make, zip(flags, similarities, costs)))
+
+    def account_costs(self, costs: list[float]) -> None:
+        """Cost side of a batch: evaluation count and virtual cost.
+
+        The costs are added one by one from the previous total, as the
+        scalar path adds them (``sum`` compensates from Python 3.12 on):
+        ``total_cost`` and ``matcher.virtual_cost_s`` are float
+        accumulations whose order is observable (mean cost feeds the
+        adaptive K), which is also why this half cannot wait for the scores.
+        """
         total_cost = self.total_cost
         for cost in costs:
             total_cost += cost
-        self.comparisons_executed += len(results)
+        self.comparisons_executed += len(costs)
         self.total_cost = total_cost
-        self.matches_found += found
         metrics = self._metrics
-        if metrics is not None and results:
-            metrics.count("matcher.evaluations", len(results))
+        if metrics is not None and costs:
+            metrics.count("matcher.evaluations", len(costs))
             metrics.count_each("matcher.virtual_cost_s", costs)
-            if found:  # the counter exists only once a match was seen
-                metrics.count("matcher.matches", found)
-        return results
+
+    def account_scores(self, similarities: list[float]) -> list[bool]:
+        """Result side of a batch: threshold the similarities, count the
+        matches; returns the per-pair match flags."""
+        threshold = self.threshold
+        flags = [similarity >= threshold for similarity in similarities]
+        found = sum(flags)
+        self.matches_found += found
+        if found and self._metrics is not None:
+            # (the counter exists only once a match was seen)
+            self._metrics.count("matcher.matches", found)
+        return flags
 
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]

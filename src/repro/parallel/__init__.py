@@ -4,9 +4,11 @@ Two independent tiers, both configured through :class:`repro.api.ERSession`
 (or ``--workers N`` on the CLI):
 
 * **Tier A** (:mod:`repro.parallel.pool`): a persistent, *supervised*
-  :class:`WorkerPool` shards each ``evaluate_batch`` round's similarity
-  scoring across worker processes, bit-identical to the in-process kernel
-  (the master keeps the virtual clock, the store and all accounting).
+  :class:`WorkerPool` scores hand-offs of a few thousand pairs — the
+  emission rounds the master has already charged — across worker
+  processes while the master goes on prioritising, bit-identical to the
+  in-process kernel (the master keeps the virtual clock, the store and
+  all accounting).
   The supervision layer (:mod:`repro.parallel.supervision`) detects dead,
   hung and garbled workers, rescues their in-flight chunks in-process, and
   respawns them with capped jittered backoff — faults change *where* pairs

@@ -4,9 +4,12 @@ evaluation.
 Tier A of the parallel layer (see ``docs/api.md``): the master engine keeps
 sole ownership of the virtual clock, the
 :class:`~repro.execution.store.ComparisonStore` and the metrics registry,
-and only the *similarity/cost scoring* of an emission batch fans out —
-contiguous chunks of the batch go to the workers, results are merged back
-in submission order.  Because every matcher with
+and only the *similarity scoring* fans out.  The engine charges every
+emission round when it runs and collects the rounds' pairs into hand-offs
+of a few thousand; a hand-off is :meth:`~WorkerPool.scatter`-ed —
+contiguous chunks go to the workers — and scored while the master goes on
+prioritising, and :meth:`~WorkerPool.gather` merges the results back in
+submission order.  Because every matcher with
 :attr:`~repro.matching.matcher.Matcher.supports_batch` scores pairs
 independently (the vectorized kernels are elementwise), the merged
 ``(similarities, costs)`` lists are bit-identical to a single in-process
@@ -17,7 +20,7 @@ Design points:
 * **spawn-safe** — workers are started with the ``spawn`` method (the only
   method that is fork-safety-clean on every platform); the worker entry
   point lives at module level in :mod:`repro.parallel.worker`.
-* **profile payloads off the hot path** — each round's not-yet-shipped
+* **profile payloads off the hot path** — each hand-off's not-yet-shipped
   profiles are pickled *once* into a read-only
   :mod:`multiprocessing.shared_memory` segment that every worker attaches
   and reads, so a profile crosses the process boundary once per run total
@@ -28,7 +31,7 @@ Design points:
   state machine of :mod:`repro.parallel.supervision`.  A dead, hung
   (compute replies carry a fleet-wide wall-clock deadline, mirroring the
   handshake deadline) or garbled worker is *evicted alone*: its in-flight
-  chunk is re-scored in-process and the round completes bit-identically;
+  chunk is re-scored in-process and the hand-off completes bit-identically;
   the slot respawns with capped, jittered exponential backoff and
   shm-generation catch-up.  Only a fleet whose every slot has exhausted
   its respawn budget turns ``broken`` — the pool-level terminal state —
@@ -39,7 +42,7 @@ Design points:
   unlinks them), and pool startup reaps stale segments left behind by
   dead masters (a SIGKILLed master cannot run its own sweep).
 * **deterministic chaos** — :class:`~repro.resilience.faults.WorkerFaultSpec`
-  injects seeded process-level faults (SIGKILL mid-round, hang past the
+  injects seeded process-level faults (SIGKILL mid-request, hang past the
   reply deadline, corrupt/truncated reply) into the workers, making every
   supervision path testable with exact eviction/respawn counts.
 """
@@ -79,10 +82,24 @@ __all__ = [
     "sweep_stale_segments",
 ]
 
-#: Below this many pairs the per-message transport overhead outweighs any
-#: parallel win, so the engine keeps small batches in-process.  Sharding
-#: threshold only — results are bit-identical either way.
-DEFAULT_MIN_SHARD = 64
+#: Below this many pairs a hand-off is scored in-process: the round trip
+#: costs more than the work.  Only the tail a join finds in the buffer can
+#: be this small (full hand-offs are ``core.HAND_OFF_PAIRS``).  Threshold
+#: only — results are bit-identical either way.  Measured on the 2-core
+#: build host, two workers, warm caches, windows of the pairs I-PES emits
+#: on dblp_acm x0.6, in-process ms / synchronous round-trip ms:
+#:
+#:   pairs      32    64    128   256   512   2048
+#:   ED       0.67  0.93   1.02  1.26  1.22   1.56
+#:   JS       0.09  0.14   0.27  0.35  0.39   0.48
+#:
+#: ED breaks even at 128.  JS has no break-even at all — its ~0.7 µs per
+#: pair is less than pickling the pid pair — so a JS fleet can only ever
+#: pay through the overlap with the master, never through this threshold:
+#: the constant is set for ED, the gate does not look at the matcher, and
+#: Tier A is documented as an ED-class fleet (docs/architecture.md) until
+#: a JS fleet workload is measured end to end.
+DEFAULT_MIN_SHARD = 128
 
 #: Back-compat alias; the live value is resolved per pool through
 #: :class:`~repro.parallel.supervision.SupervisionConfig` (environment
@@ -192,7 +209,7 @@ def sweep_stale_segments() -> int:
 
 
 class WorkerPoolError(RuntimeError):
-    """The pool cannot score this round; callers must fall back in-process."""
+    """The pool cannot take this hand-off; callers must fall back in-process."""
 
 
 class _Slot:
@@ -216,6 +233,18 @@ class _Slot:
         self.next_respawn_at = 0.0
 
 
+class _HandOff:
+    """The ticket of one :meth:`WorkerPool.scatter`: which slot owes which
+    chunk, which chunks already need rescue, and when the replies are due."""
+
+    __slots__ = ("scattered", "rescued", "deadline")
+
+    def __init__(self) -> None:
+        self.scattered: list[tuple[int, _Slot, Sequence]] = []
+        self.rescued: list[tuple[int, Sequence]] = []
+        self.deadline: float | None = None
+
+
 class WorkerPool:
     """A supervised fleet of persistent worker processes scoring matcher
     batches.
@@ -229,7 +258,7 @@ class WorkerPool:
         Template for the workers' matcher replicas.  Only its class and
         configuration travel; statistics and metrics bindings stay home.
     min_shard:
-        Smallest batch worth sharding (exposed for the engine's gate).
+        Smallest hand-off worth sharding (exposed for the engine's gate).
     supervision:
         Deadlines, respawn budget and backoff
         (:class:`~repro.parallel.supervision.SupervisionConfig`); ``None``
@@ -255,7 +284,8 @@ class WorkerPool:
         self.supervision = supervision or DEFAULT_SUPERVISION
         self.worker_faults = worker_faults
         self.broken = False
-        #: Wall seconds spent in scatter/gather round-trips (telemetry only).
+        #: Wall seconds the master spent inside :meth:`scatter` and
+        #: :meth:`gather` — sending, and blocked on replies (telemetry only).
         self.scatter_wall_s = 0.0
         self.chunks_shipped = 0
         #: Shared-memory transfer telemetry (exported as ``parallel.shm_*``).
@@ -267,7 +297,7 @@ class WorkerPool:
         self.reassigned_chunks = 0
         self.reply_timeouts = 0
         self.stale_segments_swept = sweep_stale_segments()
-        #: Kernel outcome counts of the last fully merged round — the
+        #: Kernel outcome counts of the last gathered hand-off — the
         #: engine folds these into the master matcher so sharded runs
         #: report the same ``matcher.kernel.*`` counters as serial ones.
         self.last_kernel_counts: dict[str, int] = {}
@@ -283,6 +313,8 @@ class WorkerPool:
         #: The engine currently scoring through this pool (see
         #: :meth:`begin_run`).  ``None`` until a run claims the fleet.
         self._owner: object | None = None
+        #: The scattered hand-off whose replies are still in the pipes.
+        self._outstanding: _HandOff | None = None
         self._slots = [_Slot(index) for index in range(workers)]
         try:
             for slot in self._slots:
@@ -441,7 +473,7 @@ class WorkerPool:
     def _evict(self, slot: _Slot, reason: str) -> None:
         """Condemn one slot: kill its process, schedule its respawn.
 
-        Only this worker is condemned — the round it was serving completes
+        Only this worker is condemned — the hand-off it was serving completes
         through in-process rescue, and the pool only turns ``broken`` when
         every slot has exhausted its respawn budget.
         """
@@ -564,8 +596,12 @@ class WorkerPool:
         schedule); the fleet is not condemned.
 
         ``owner`` claims the fleet for the calling engine until the next
-        reset — the cross-run sharing epoch (see :attr:`owner`).
+        reset — the cross-run sharing epoch (see :attr:`owner`).  Refused
+        while a hand-off is outstanding: its replies would be read as the
+        next run's.
         """
+        if self._outstanding is not None:
+            raise RuntimeError("cannot begin a run: a hand-off has not been gathered")
         self._owner = owner
         if self._rescue is not None:
             self._rescue._init_derived_state()
@@ -586,8 +622,9 @@ class WorkerPool:
     def _release_segments(self) -> None:
         """Unlink every published segment and rewind the shm versioning.
 
-        Safe between rounds: scoring is synchronous, so no worker can be
-        mid-attach when this runs.
+        Between hand-offs only (``begin_run`` refuses while one is
+        outstanding, a failed publish precedes the sends), or at ``close``:
+        no worker that will be heard again can be mid-attach.
         """
         for _generation, segment, _size in self._segments:
             _release_segment(segment)
@@ -619,33 +656,41 @@ class WorkerPool:
     def batch_scores(
         self, pairs: Sequence[tuple["EntityProfile", "EntityProfile"]]
     ) -> tuple[list[float], list[float]]:
-        """Score ``pairs`` across the fleet; merge by submission index.
+        """Score ``pairs`` across the fleet and wait for the result:
+        :meth:`scatter` and :meth:`gather` back to back."""
+        return self.gather(self.scatter(pairs))
 
-        The batch is split into contiguous chunks across the *alive*
+    def scatter(
+        self, pairs: Sequence[tuple["EntityProfile", "EntityProfile"]]
+    ) -> _HandOff:
+        """Send ``pairs`` to the fleet; :meth:`gather` collects the scores.
+
+        The hand-off is split into contiguous chunks across the *alive*
         workers (first chunks get the remainder, mirroring
-        ``split_into_increments``), each worker scores one chunk
-        concurrently, and the per-chunk ``(similarities, costs)`` lists are
-        concatenated in chunk order — the exact element order of a single
-        in-process call.
+        ``split_into_increments``) and each worker scores one chunk while
+        the caller does something else.  At most one hand-off is
+        outstanding per pool — the caller gathers the previous one before
+        it scatters the next — so a pipe never carries traffic in both
+        directions at once and supervision judges one reply per slot.
 
-        Supervision happens around the scatter: a worker that dies, hangs
-        past the fleet-wide reply deadline, or replies garbage is evicted
-        and its chunk re-scored in-process, so the round's merged result is
-        bit-identical no matter which workers failed.  Raises
-        :class:`WorkerPoolError` only when no worker is currently alive
-        (respawn may still heal the fleet for later rounds) or the pool is
-        terminally broken; the caller falls back in-process either way.
+        A slot whose pipe fails here is evicted and its chunk is scored
+        in-process at the gather.  Raises :class:`WorkerPoolError` only
+        when no worker is currently alive (respawn may still heal the
+        fleet for later hand-offs) or the pool is terminally broken; the
+        caller falls back in-process either way.
         """
+        if self._outstanding is not None:
+            raise RuntimeError("the previous hand-off has not been gathered")
         if not self.healthy:
             raise WorkerPoolError("worker pool is not available")
         self._maybe_respawn()
         alive = [slot for slot in self._slots if slot.state == ALIVE]
         if not alive:
-            raise WorkerPoolError("no alive workers this round")
+            raise WorkerPoolError("no alive workers for this hand-off")
         started = time.perf_counter()
         if self._use_shm:
             # Publish each profile once for the whole fleet: one segment
-            # per round holding every not-yet-shipped profile.
+            # per hand-off holding every not-yet-shipped profile.
             published = self._published
             fresh = []
             for profile_x, profile_y in pairs:
@@ -666,55 +711,79 @@ class WorkerPool:
                     self._use_shm = False
                     self._release_segments()
 
-        # Scatter: one contiguous chunk per alive worker.
-        chunks = _split_chunks(len(pairs), len(alive))
-        scattered: list[tuple[int, _Slot, Sequence]] = []
-        rescued: list[tuple[int, Sequence]] = []
+        # One contiguous chunk per alive worker.
+        hand_off = _HandOff()
         cursor = 0
         position = 0
-        for slot, chunk_size in zip(alive, chunks):
+        for slot, chunk_size in zip(alive, _split_chunks(len(pairs), len(alive))):
             if chunk_size == 0:
                 continue
             chunk = pairs[cursor : cursor + chunk_size]
             cursor += chunk_size
             if self._send_chunk(slot, chunk):
-                scattered.append((position, slot, chunk))
+                hand_off.scattered.append((position, slot, chunk))
             else:
-                rescued.append((position, chunk))
+                hand_off.rescued.append((position, chunk))
             position += 1
-
-        # Gather under one fleet-wide reply deadline (mirroring the
-        # handshake deadline): a hung worker is detected, not waited on.
-        results: dict[int, tuple] = {}
+        # The fleet-wide reply deadline (mirroring the handshake deadline)
+        # runs from the moment the workers have their chunks: a hung worker
+        # is detected, not waited on, however late the caller gathers.
         reply_timeout = self.supervision.resolved_reply_timeout()
-        deadline = (
-            time.monotonic() + reply_timeout if reply_timeout is not None else None
-        )
-        for position_, slot, chunk in scattered:
-            payload = self._receive_chunk(slot, len(chunk), deadline)
-            if payload is None:
-                rescued.append((position_, chunk))
-            else:
-                results[position_] = payload
+        if reply_timeout is not None:
+            hand_off.deadline = time.monotonic() + reply_timeout
+        self.scatter_wall_s += time.perf_counter() - started
+        self._outstanding = hand_off
+        return hand_off
+
+    def gather(self, hand_off: _HandOff) -> tuple[list[float], list[float]]:
+        """Collect the scores of the outstanding hand-off, merged by
+        submission index: the per-chunk ``(similarities, costs)`` lists are
+        concatenated in chunk order — the exact element order of a single
+        in-process call.
+
+        A worker that died, hung past the reply deadline, or replied
+        garbage is evicted and its chunk re-scored in-process, so the
+        merged result is bit-identical no matter which workers failed.
+        """
+        if hand_off is not self._outstanding:
+            raise RuntimeError("not the outstanding hand-off of this pool")
+        self._outstanding = None
+        started = time.perf_counter()
+        results: dict[int, tuple] = {}
+        rescued = hand_off.rescued
+        received = 0
+        try:
+            for position, slot, chunk in hand_off.scattered:
+                payload = self._receive_chunk(slot, len(chunk), hand_off.deadline)
+                received += 1
+                if payload is None:
+                    rescued.append((position, chunk))
+                else:
+                    results[position] = payload
+        finally:
+            # Interrupted (KeyboardInterrupt in a poll): the remaining pipes
+            # still owe a reply that the next hand-off would read as its own.
+            for _position, slot, _chunk in hand_off.scattered[received:]:
+                self._evict(slot, "gather interrupted")
 
         # Rescue: a condemned worker's chunk is re-scored in-process by the
         # pool's own matcher replica — same kernel, same outcome counts,
         # bit-identical scores at the chunk's original merge position.
-        for position_, chunk in rescued:
-            results[position_] = self._score_in_process(chunk)
+        for position, chunk in rescued:
+            results[position] = self._score_in_process(chunk)
             self.reassigned_chunks += 1
 
         similarities: list[float] = []
         costs: list[float] = []
         kernel_counts: dict[str, int] = {}
-        for position_ in sorted(results):
-            chunk_similarities, chunk_costs, chunk_counts = results[position_]
+        for position in sorted(results):
+            chunk_similarities, chunk_costs, chunk_counts = results[position]
             similarities.extend(chunk_similarities)
             costs.extend(chunk_costs)
             for name, value in chunk_counts.items():
                 kernel_counts[name] = kernel_counts.get(name, 0) + value
         self.scatter_wall_s += time.perf_counter() - started
-        self.chunks_shipped += len(scattered)
+        self.chunks_shipped += len(hand_off.scattered)
         self.last_kernel_counts = kernel_counts
         return similarities, costs
 
@@ -759,14 +828,16 @@ class WorkerPool:
         """
         try:
             if deadline is not None:
+                # Poll even past the deadline: a reply that is already in
+                # the pipe is not late, the caller was.
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or not slot.connection.poll(remaining):
+                if not slot.connection.poll(max(0.0, remaining)):
                     self.reply_timeouts += 1
                     self._evict(slot, "reply deadline exceeded")
                     return None
             reply = slot.connection.recv()
         except (EOFError, OSError):
-            self._evict(slot, "worker died mid-round")
+            self._evict(slot, "worker died mid-request")
             return None
         payload = _validate_reply(reply, expected_pairs)
         if payload is None:
@@ -799,6 +870,7 @@ class WorkerPool:
     def close(self) -> None:
         """Stop and join every worker (idempotent, best-effort)."""
         self._closed = True
+        self._outstanding = None
         self._release_segments()
         for slot in self._slots:
             if slot.connection is None:
@@ -871,7 +943,7 @@ def _template_state(matcher: "Matcher") -> dict:
     """The matcher configuration that travels to the workers.
 
     Statistics travel as zeros (workers never account; kernel counts are
-    zeroed per scoring round and merged back by the master), derived
+    zeroed per scoring request and merged back by the master), derived
     caches are rebuilt worker-side, and the metrics binding never travels
     at all.
     """

@@ -16,8 +16,8 @@ Per-worker state machine (slot states, see ``docs/resilience.md``)::
 
 * **alive** — handshaken, scoring chunks.
 * **suspect** — a reply deadline or transport error fired; the slot is
-  condemned within the same round (its chunk is rescued in-process), so
-  ``suspect`` is transient and never observable between rounds.
+  condemned within the same gather (its chunk is rescued in-process), so
+  ``suspect`` is transient and never observable between hand-offs.
 * **evicted** — process killed; a respawn is scheduled with capped
   exponential backoff (jittered, seeded — :class:`RetryPolicy` semantics).
 * **respawning** — a replacement process is mid-handshake.
@@ -36,7 +36,7 @@ via environment (for slow CI hosts) and via
 
 * ``REPRO_HANDSHAKE_TIMEOUT_S`` — fleet-wide startup/respawn handshake.
 * ``REPRO_REPLY_TIMEOUT_S`` — fleet-wide compute-reply deadline per
-  scatter round (``0`` or ``inf`` disables it).
+  hand-off, running from its scatter (``0`` or ``inf`` disables it).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ which is what keeps a sharded run bit-identical to the serial path.
 
 For chaos testing, a worker can carry a
 :class:`~repro.resilience.faults.WorkerFaultSpec`: a seeded schedule under
-which scoring requests SIGKILL the process mid-round, stall past the
+which scoring requests SIGKILL the process mid-request, stall past the
 master's reply deadline, or return truncated payloads.  The master's
 supervision layer (:mod:`repro.parallel.pool`) must absorb all three
 without changing results.
@@ -121,7 +121,7 @@ def worker_main(connection: "Connection") -> None:
         through the matcher's ``_batch_scores`` kernel, and reply with
         ``("ok", (similarities, costs, kernel_counts))`` or
         ``("error", repr)``.  The kernel counts are this chunk's staged
-        scoring outcomes; the master merges them so sharded rounds report
+        scoring outcomes; the master merges them so sharded runs report
         the same ``matcher.kernel.*`` telemetry as serial ones.
     ``("shm_scores", segments, pid_pairs)``
         Like ``scores``, but the fresh profiles arrive as ``(name, size)``

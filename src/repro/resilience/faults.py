@@ -230,18 +230,20 @@ class WorkerFaultSpec:
 
     * **Explicit schedules** — ``kill_on`` / ``hang_on`` / ``corrupt_on``
       are ``(slot, request)`` pairs (both 0-based slot, 1-based request
-      ordinal): worker slot 2's 3rd scoring request, say.  Explicit
+      ordinal): worker slot 2's 3rd scoring request, say — a slot gets one
+      request per hand-off it has a chunk of, so the ordinals count
+      hand-offs, not emission rounds.  Explicit
       schedules apply only to a slot's *first incarnation*, so a respawned
       replacement is not condemned to replay its predecessor's death —
       which is what lets chaos tests assert exact eviction/respawn counts.
     * **Seeded rates** — per scoring request, the worker draws once from a
       stream seeded by ``(seed, slot, incarnation)`` and fails with the
-      given probabilities.  Deterministic for a fixed scatter sequence.
+      given probabilities.  Deterministic for a fixed hand-off sequence.
 
     Fault kinds (what the master must survive, see
     :mod:`repro.parallel.supervision`):
 
-    * ``kill`` — the worker SIGKILLs itself mid-round (hard process death;
+    * ``kill`` — the worker SIGKILLs itself mid-request (hard process death;
       the master sees EOF/broken pipe).
     * ``hang`` — the worker sleeps ``hang_s`` wall seconds before replying
       (the master's reply deadline must fire; the late reply lands on a

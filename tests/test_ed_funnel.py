@@ -148,8 +148,9 @@ def test_bit_assignment_is_unobservable(alphabet, data, threshold, seed):
 # ----------------------------------------------------------------------
 # Funnel invariant on engine runs: serial, sharded, fault-rescued
 # ----------------------------------------------------------------------
-def _funnel(dataset, *, workers=1, worker_faults=None):
-    """Kernel counters and comparison count of one I-PES + ED run."""
+def _funnel(dataset, *, workers=1, worker_faults=None, rescued=0):
+    """Kernel counters and comparison count of one I-PES + ED run, of which
+    exactly ``rescued`` chunks were re-scored in-process."""
     pool = None
     if workers > 1:
         pool = WorkerPool.create(
@@ -164,7 +165,7 @@ def _funnel(dataset, *, workers=1, worker_faults=None):
         counters = result.details["metrics"]["counters"]
         if pool is not None:
             assert counters["parallel.rounds_sharded"] > 0
-            assert (pool.reassigned_chunks > 0) == (worker_faults is not None)
+            assert pool.reassigned_chunks == rescued
         funnel = {name: counters[f"matcher.kernel.{name}"] for name in KERNEL_COUNTERS}
         assert sum(funnel.values()) == result.comparisons_executed == counters["matcher.evaluations"]
         return funnel
@@ -178,6 +179,7 @@ def test_every_comparison_is_counted_by_exactly_one_stage(small_dblp_acm):
     assert serial["qgram_cuts"] > 0 and serial["dp_calls"] > 0
     # Merged from the workers' replies ...
     assert _funnel(small_dblp_acm, workers=2) == serial
-    # ... and from chunks re-scored in-process after a kill and a corrupt reply.
-    faults = WorkerFaultSpec(kill_on=((0, 2),), corrupt_on=((1, 3),))
-    assert _funnel(small_dblp_acm, workers=2, worker_faults=faults) == serial
+    # ... and from chunks re-scored in-process after a kill and a corrupt
+    # reply (the run is one hand-off, at the drain's join: ordinal 1).
+    faults = WorkerFaultSpec(kill_on=((0, 1),), corrupt_on=((1, 1),))
+    assert _funnel(small_dblp_acm, workers=2, worker_faults=faults, rescued=2) == serial

@@ -185,6 +185,40 @@ def test_ingest_default_arrival_is_now(dataset):
         assert push.ingest(dataset.profiles[2:4]) == pytest.approx(push.clock)
 
 
+def test_feeding_a_started_run_does_not_slow_down(dataset, monkeypatch):
+    """``feed`` once refreshed the plan fingerprint — O(plan) — on every
+    call into a started run: O(n²) over a tenant's life.  5k feeds must not
+    compute it once; the checkpoint, where it is read, computes it exactly
+    once and still sees every one of them."""
+    import sys
+
+    from repro.core.increments import Increment
+    from repro.resilience.checkpoint import plan_token
+
+    computed = []
+
+    def counting_plan_token(plan):
+        computed.append(len(plan))
+        return plan_token(plan)
+
+    # Wherever the product imported the function to, not only where it is today.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "plan_token", None) is plan_token:
+            monkeypatch.setattr(module, "plan_token", counting_plan_token)
+
+    with _session(dataset) as session:
+        push = session.push()
+        push.ingest(dataset.profiles[:2], at=0.0)
+        push.drain(0.5)
+        assert push.started
+        for index in range(1, 5001):
+            push.feed(Increment(index=index, profiles=()), at=1.0)
+        assert computed == []
+        assert push.increments_fed == 5001
+        assert push.checkpoint().plan_fingerprint == plan_token(push._run.plan)
+        assert computed == [5001]
+
+
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -491,25 +492,45 @@ def test_live_segments_are_not_reaped():
 # ----------------------------------------------------------------------
 # Engine level: bit-identity under chaos, all strategies × both engines
 # ----------------------------------------------------------------------
-#: One kill, one corrupt, one hang early in the run: every supervision
-#: path exercised inside a real engine loop.
+#: One kill, one corrupt, one hang early in the run, each on its own slot
+#: of a three-worker fleet: explicit schedules bind a slot's *first*
+#: incarnation only and every fault ends in an eviction, so a slot can
+#: deliver at most one.  Ordinals count *hand-offs* (a slot gets one
+#: request per hand-off): the faults land on a run's first three.
 ENGINE_FAULTS = WorkerFaultSpec(
-    kill_on=((0, 2),), corrupt_on=((1, 3),), hang_on=((0, 4),), hang_s=30.0
+    kill_on=((0, 1),), corrupt_on=((1, 2),), hang_on=((2, 3),), hang_s=30.0
 )
+ENGINE_FLEET = 3
+
+
+@pytest.fixture
+def small_hand_offs(monkeypatch):
+    """Hand-offs of 200 pairs instead of 2048.  These runs score ~1.6k
+    pairs — at full size one hand-off, made by the drain's join — so this
+    is what gives them a hand-off *sequence*: eight or so, all but the last
+    scattered from an emission round while the master goes on emitting."""
+    monkeypatch.setattr("repro.execution.core.HAND_OFF_PAIRS", 200)
+
+
+def _assert_whole_schedule_fired(pool):
+    """Every entry of ``ENGINE_FAULTS``, and nothing else."""
+    assert pool.evictions == 3, "fault schedule did not fire as pinned"
+    assert pool.reassigned_chunks == 3
+    assert pool.reply_timeouts == 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_chaos_invariance_serial_engine(dataset, plan, strategy):
+def test_chaos_invariance_serial_engine(dataset, plan, strategy, small_hand_offs):
     serial, serial_ckpt = _run(
         StreamingEngine, dataset, plan, strategy, checkpoint_every=2.0
     )
-    pool = _faulted_pool(ENGINE_FAULTS)
+    pool = _faulted_pool(ENGINE_FAULTS, workers=ENGINE_FLEET)
     try:
         chaotic, chaotic_ckpt = _run(
             StreamingEngine, dataset, plan, strategy,
             workers=pool.size, pool=pool, checkpoint_every=2.0,
         )
-        assert pool.evictions > 0, "fault schedule never fired"
+        _assert_whole_schedule_fired(pool)
         assert _comparable(chaotic) == _comparable(serial)
         assert _checkpoint_fingerprint(chaotic_ckpt) == _checkpoint_fingerprint(serial_ckpt)
         counters = chaotic.details["metrics"]["counters"]
@@ -521,25 +542,144 @@ def test_chaos_invariance_serial_engine(dataset, plan, strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_chaos_invariance_pipelined_engine(dataset, plan, strategy):
+def test_chaos_invariance_pipelined_engine(dataset, plan, strategy, small_hand_offs):
     serial, _ = _run(PipelinedStreamingEngine, dataset, plan, strategy)
-    pool = _faulted_pool(ENGINE_FAULTS)
+    pool = _faulted_pool(ENGINE_FAULTS, workers=ENGINE_FLEET)
     try:
         chaotic, _ = _run(
             PipelinedStreamingEngine, dataset, plan, strategy,
             workers=pool.size, pool=pool,
         )
-        assert pool.evictions > 0, "fault schedule never fired"
+        _assert_whole_schedule_fired(pool)
         assert _comparable(chaotic) == _comparable(serial)
     finally:
         pool.close()
 
 
-def test_crash_resume_across_fault_schedule(dataset, plan):
+@pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
+@pytest.mark.parametrize("kind", ["kill", "hang", "corrupt"])
+def test_fault_on_a_hand_off_in_flight_while_the_master_emits(
+    dataset, plan, kind, engine_cls, small_hand_offs, monkeypatch
+):
+    """The faulted hand-off (slot 0's second request) is scattered from an
+    emission round, the master goes on prioritising, and the eviction and
+    rescue happen at the next hand-off's gather — before the drain's own
+    join ever runs."""
+    serial, _ = _run(engine_cls, dataset, plan, "I-PES")
+    pool = _faulted_pool(WorkerFaultSpec(**{f"{kind}_on": ((0, 2),)}, hang_s=30.0))
+    evictions_at_join = []
+    join = engine_cls._join
+
+    def spy(engine, state):
+        evictions_at_join.append(pool.evictions)
+        join(engine, state)
+
+    monkeypatch.setattr(engine_cls, "_join", spy)
+    try:
+        chaotic, _ = _run(
+            engine_cls, dataset, plan, "I-PES", workers=pool.size, pool=pool
+        )
+        assert evictions_at_join == [1]
+        assert pool.evictions == 1
+        assert pool.reassigned_chunks == 1
+        assert pool.reply_timeouts == (1 if kind == "hang" else 0)
+        assert _comparable(chaotic) == _comparable(serial)
+        counters = chaotic.details["metrics"]["counters"]
+        assert counters["parallel.rounds_sharded"] > 3
+        assert counters["parallel.pairs_sharded"] == chaotic.comparisons_executed
+        assert pool.heal() == pool.size
+    finally:
+        pool.close()
+
+
+def test_hand_off_does_not_outlive_a_crashed_drain(dataset, plan, monkeypatch):
+    """A crash leaves ``_drive`` with a hand-off in flight.  Its reply must
+    not stay in the pipe: the next run on the pool would read it as its
+    own, call it garbled and evict a healthy worker (results would still be
+    right, through the rescue — which is why only the counters can tell)."""
+    monkeypatch.setattr("repro.execution.core.HAND_OFF_PAIRS", 100)
+    uninterrupted, uninterrupted_ckpt = _run(
+        StreamingEngine, dataset, plan, "I-PES", checkpoint_every=3.0
+    )
+    pool = _faulted_pool(None)
+    try:
+        engine = StreamingEngine(
+            _build_matcher("ED"), budget=BUDGET, workers=pool.size, pool=pool,
+            resilience=ResilienceConfig(checkpoint_every=3.0, crash_at=4.0),
+        )
+        in_flight_at_join = []
+        join = StreamingEngine._join
+
+        def spy(engine, state):
+            in_flight_at_join.append(state.in_flight is not None)
+            join(engine, state)
+
+        monkeypatch.setattr(StreamingEngine, "_join", spy)
+        with pytest.raises(SimulatedCrash) as crash:
+            engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
+        monkeypatch.setattr(StreamingEngine, "_join", join)
+        # [the cadence checkpoint's join, the crashing drain's]: the crash
+        # did hit with a hand-off in flight.
+        assert in_flight_at_join == [True, True]
+        assert pool._outstanding is None
+        resumed_engine = StreamingEngine(
+            _build_matcher("ED"), budget=BUDGET, workers=pool.size, pool=pool,
+            checkpoint_every=3.0,
+        )
+        resumed = resumed_engine.run(
+            _build_system("I-PES", dataset), plan, dataset.ground_truth,
+            resume_from=crash.value.checkpoint,
+        )
+        assert pool.evictions == 0
+        assert pool.reassigned_chunks == 0
+        assert _comparable(resumed) == _comparable(uninterrupted)
+        assert _checkpoint_fingerprint(resumed_engine.last_checkpoint) == (
+            _checkpoint_fingerprint(uninterrupted_ckpt)
+        )
+    finally:
+        pool.close()
+
+
+def test_begin_run_is_refused_while_a_hand_off_is_outstanding(sample_pairs):
+    pool = _faulted_pool(None)
+    try:
+        pool.begin_run()
+        ticket = pool.scatter(sample_pairs)
+        with pytest.raises(RuntimeError, match="hand-off"):
+            pool.begin_run()
+        with pytest.raises(RuntimeError, match="hand-off"):
+            pool.scatter(sample_pairs)
+        assert pool.gather(ticket) == _reference_scores(sample_pairs)
+        pool.begin_run()
+        assert pool.evictions == 0
+    finally:
+        pool.close()
+
+
+def test_reply_already_in_the_pipe_is_not_a_timeout(sample_pairs):
+    """The reply deadline runs from the scatter; a master that comes back
+    after it must still take the reply that has been waiting for it."""
+    supervision = SupervisionConfig(
+        reply_timeout_s=0.2, respawn_backoff=FAST_SUPERVISION.respawn_backoff
+    )
+    pool = _faulted_pool(None, supervision=supervision)
+    try:
+        pool.begin_run()
+        pool.batch_scores(sample_pairs)  # warm: the next reply takes milliseconds
+        ticket = pool.scatter(sample_pairs)
+        time.sleep(0.6)
+        assert pool.gather(ticket) == _reference_scores(sample_pairs)
+        assert pool.reply_timeouts == 0
+        assert pool.evictions == 0
+    finally:
+        pool.close()
+
+
+def test_crash_resume_across_fault_schedule(dataset, plan, small_hand_offs):
     """A run that crashes mid-chaos resumes from its checkpoint on a fresh
     faulted fleet and still ends bit-identical to the uninterrupted serial
     run."""
-    pool = _faulted_pool(ENGINE_FAULTS)
+    pool = _faulted_pool(ENGINE_FAULTS, workers=ENGINE_FLEET)
     try:
         engine = StreamingEngine(
             _build_matcher("ED"),
@@ -552,6 +692,7 @@ def test_crash_resume_across_fault_schedule(dataset, plan):
             engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
         checkpoint = crash.value.checkpoint
         assert checkpoint is not None
+        _assert_whole_schedule_fired(pool)  # all of it before the crash
     finally:
         pool.close()
 
@@ -564,6 +705,7 @@ def test_crash_resume_across_fault_schedule(dataset, plan):
             _build_system("I-PES", dataset), plan, dataset.ground_truth,
             resume_from=checkpoint,
         )
+        assert resume_pool.evictions == 1
     finally:
         resume_pool.close()
     uninterrupted, _ = _run(StreamingEngine, dataset, plan, "I-PES")
@@ -592,7 +734,8 @@ def test_session_chaos_run_matches_clean_run(dataset):
 
     with session_for(1, None) as session:
         serial = session.run()
-    with session_for(2, WorkerFaultSpec(kill_on=((0, 3),))) as session:
+    # One drain, fewer pairs than a full hand-off: the join's is the only one.
+    with session_for(2, WorkerFaultSpec(kill_on=((0, 1),))) as session:
         chaotic = session.run()
         if session._pool is None:
             pytest.skip("process pool unavailable on this host")
