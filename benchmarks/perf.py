@@ -10,8 +10,10 @@ execution core and gates against regressions:
   benchmark re-verifies similarity/cost equality on every run);
 * **slots** — per-instance memory of the slotted
   :class:`~repro.priority.bounded_pq.BoundedPriorityQueue` versus a
-  ``__dict__``-backed replica, plus enqueue/dequeue throughput.  I-PES
-  allocates one queue per entity, so the footprint is a real lever;
+  ``__dict__``-backed replica, plus enqueue/dequeue throughput.  The
+  queue backs the I-PCS and I-PBS indexes and I-PES's overflow ``PQ``
+  (I-PES's per-entity queues are plain ``heapq`` lists and no longer
+  allocate one);
 * **single-sweep weighting** — profiles/second through candidate
   generation + I-WNP (``ComparisonGenerator.generate``) on the sweep
   kernel versus the legacy per-pair ``scheme.weight()`` path, for all four

@@ -656,6 +656,10 @@ class PushSession:
         return self._run.matches
 
     @property
+    def match_count(self) -> int:
+        return self._run.match_count
+
+    @property
     def comparisons_executed(self) -> int:
         return self._run.comparisons_executed
 

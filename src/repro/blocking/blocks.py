@@ -133,6 +133,7 @@ class BlockCollection:
         "_total_comparisons",
         "_key_ids",
         "_profile_blocks",
+        "_grown",
     )
 
     def __init__(self, clean_clean: bool = False, max_block_size: int | None = 200) -> None:
@@ -152,6 +153,8 @@ class BlockCollection:
         # iter_partner_blocks/blocks_of_as_blocks; invalidated when the
         # profile's key set changes (its own add, or a purge touching it).
         self._profile_blocks: dict[int, tuple[Block, ...]] = {}
+        # Keys whose block gained a member since drain_grown() last ran.
+        self._grown: set[str] = set()
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -165,9 +168,11 @@ class BlockCollection:
         if profile.pid in self._blocks_of:
             raise ValueError(f"profile {profile.pid} already indexed")
         keys: set[str] = set()
+        grown = self._grown
         for token in self.profile_keys(profile):
             if token in self._purged_keys:
                 continue
+            grown.add(token)
             block = self._blocks.get(token)
             if block is None:
                 block = Block(token, self._intern_key(token))
@@ -329,6 +334,26 @@ class BlockCollection:
         overrides this with a signature co-bucket test.
         """
         return True
+
+    def drain_grown(self) -> set[str]:
+        """Keys whose block gained a member since the last drain (then reset).
+
+        The growth feed of the idle refill
+        (:class:`~repro.pier.base.GetComparisons`): a block that can offer a
+        new pair has gained a member, so whoever drains this never has to
+        scan the collection for such blocks.  A key whose block was purged
+        by that very addition is reported once too, so the consumer can
+        forget it.  The feed has **one consumer per collection** — what one
+        drain hands out, no later drain repeats — and, like the telemetry
+        below, lives on the collection so it rides through checkpoints with
+        the rest of the index.  Undrained (I-PBS and the baselines have no
+        use for it) it holds at most one entry per key ever indexed.  The
+        set is unordered: consumers whose results depend on the order must
+        sort it.
+        """
+        grown = self._grown
+        self._grown = set()
+        return grown
 
     def drain_metrics(self) -> dict[str, float]:
         """Counter deltas accumulated since the last drain (then reset).

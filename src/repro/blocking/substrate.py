@@ -26,10 +26,11 @@ runtime-checkable protocol.  Three substrates implement it:
     :meth:`BlockingSubstrate.allows_pair`).
 
 The protocol deliberately includes the purge/intern semantics
-(``purged_keys`` / ``key_id``) and the telemetry drain hook: substrates ride
-through engine checkpoints via ``copy.deepcopy`` of the owning blocker, so
-*everything* a substrate accumulates — bucket tables, signature caches,
-undrained counter deltas — must live on the collection object itself.
+(``purged_keys`` / ``key_id``), the growth feed and the telemetry drain hook:
+substrates ride through engine checkpoints via ``copy.deepcopy`` of the
+owning blocker, so *everything* a substrate accumulates — bucket tables,
+signature caches, undrained grown keys and counter deltas — must live on the
+collection object itself.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ class BlockingSubstrate(Protocol):
     * **Purge-and-blacklist** — keys whose block grows past
       ``max_block_size`` are purged and never recreated; ``purged_keys``
       reports them, ``key_id`` keeps their dense id reserved.
+    * **Growth is announced** — every addition to a live block records the
+      block's key until ``drain_grown`` hands it out, once, to the feed's
+      single consumer (the idle refill); a key purged by that addition is
+      announced too.  With add-only maintenance this is the whole change
+      log a consumer needs: a block it has seen can only differ by members
+      appended since.
     * **Deterministic block order** — ``iter_partner_blocks`` returns the
       profile's live blocks sorted by key, so weighting and candidate
       generation are bit-identical across hosts, hash seeds, and
@@ -136,6 +143,9 @@ class BlockingSubstrate(Protocol):
 
     # -- candidate pre-filtering ----------------------------------------
     def allows_pair(self, pid_x: int, pid_y: int) -> bool: ...
+
+    # -- change feed ------------------------------------------------------
+    def drain_grown(self) -> set[str]: ...
 
     # -- observability ---------------------------------------------------
     def drain_metrics(self) -> dict[str, float]: ...

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.comparison import canonical_pair
 from repro.core.dataset import GroundTruth
@@ -56,33 +57,51 @@ class ProgressRecorder:
         Re-executions of the same pair are counted as work but can never
         contribute a second match.
         """
-        pair = canonical_pair(pid_x, pid_y)
-        self.comparisons_executed += 1
-        if pair in self._executed_pairs:
-            self.duplicate_executions += 1
-            self._maybe_sample(time)
-            return False
-        self._executed_pairs.add(pair)
-        if pair in self.ground_truth and pair not in self._found_pairs:
-            self._found_pairs.add(pair)
-            self.matches_emitted += 1
-            self._match_events.append((time, pair))
-            self._points.append(
-                ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
-            )
-            return True
-        self._maybe_sample(time)
-        return False
+        return self.record_batch(((pid_x, pid_y),), (time,)) == 1
+
+    def record_batch(
+        self, pairs: Sequence[tuple[int, int]], times: Sequence[float]
+    ) -> int:
+        """Record executed comparisons, ``pairs[i]`` finishing at ``times[i]``.
+
+        Returns how many of them are (new) ground-truth matches.  A pair
+        already in canonical order is stored as the object it is — systems
+        emit the tuples their own executed registry holds, so the two sets
+        share one tuple per comparison.
+        """
+        executed = self._executed_pairs
+        found = self._found_pairs
+        truth = self.ground_truth
+        points = self._points
+        sample_every = self.sample_every
+        matches = 0
+        for pair, time in zip(pairs, times):
+            if not pair[0] < pair[1]:
+                pair = canonical_pair(*pair)
+            self.comparisons_executed += 1
+            if pair in executed:
+                self.duplicate_executions += 1
+            else:
+                executed.add(pair)
+                if pair in truth and pair not in found:
+                    found.add(pair)
+                    matches += 1
+                    self.matches_emitted += 1
+                    self._match_events.append((time, pair))
+                    points.append(
+                        ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
+                    )
+                    continue
+            # Misses (and re-executions) are sampled sparsely.
+            if self.comparisons_executed % sample_every == 0:
+                points.append(
+                    ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
+                )
+        return matches
 
     def mark(self, time: float) -> None:
         """Force a sample (e.g. at budget exhaustion or stream end)."""
         self._points.append(ProgressPoint(time, self.comparisons_executed, self.matches_emitted))
-
-    def _maybe_sample(self, time: float) -> None:
-        if self.comparisons_executed % self.sample_every == 0:
-            self._points.append(
-                ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
-            )
 
     # ------------------------------------------------------------------
     @property

@@ -699,12 +699,14 @@ class ExecutionCore:
                 break
         if selected:
             pairs = [profiles[position] for position in selected]
-            recorder = state.recorder
             metrics.count("engine.comparisons_executed", len(selected))
-            for position, finished_at in zip(selected, post_clocks):
-                pid_x, pid_y = batch[position]
-                if recorder.record(pid_x, pid_y, finished_at):
-                    metrics.count("engine.matches_recorded")
+            # The recorder gets the emitted tuples themselves: its executed
+            # set then shares them with the system's store.
+            matches = state.recorder.record_batch(
+                [batch[position] for position in selected], post_clocks
+            )
+            if matches:
+                metrics.count("engine.matches_recorded", matches)
             fleet = self._pool  # inline: this is every round of every run
             if fleet is None and self.workers > 1 and not self._pool_attempted:
                 fleet = self._start_fleet(state)
@@ -869,6 +871,11 @@ class ExecutionCore:
     def _record_round(
         self, state: RunState, stats: PipelineStats, emitted: int, executed: int
     ) -> None:
+        log = state.metrics.rounds
+        if not log.keeps_next():
+            # Most rounds of a long run: no gauges read, no sample built.
+            log.skip()
+            return
         state.metrics.record_round(
             round=state.rounds,
             clock=state.clock,

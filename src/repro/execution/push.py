@@ -155,6 +155,11 @@ class PushRun:
         return frozenset(self._state.duplicates)
 
     @property
+    def match_count(self) -> int:
+        """``len(matches)`` without copying the set (one integer per reply)."""
+        return 0 if self._state is None else len(self._state.duplicates)
+
+    @property
     def comparisons_executed(self) -> int:
         if self._state is None:
             return 0

@@ -69,14 +69,26 @@ class RoundLog:
 
     def offer(self, sample: dict[str, float | int | None]) -> None:
         """Record ``sample`` if the current stride selects this round."""
-        index = self._offered
-        self._offered += 1
-        if index % self.stride:
+        if not self.keeps_next():
+            self.skip()
             return
+        self._offered += 1
         self._samples.append(sample)
         if len(self._samples) > self.max_samples:
             self._samples = self._samples[::2]
             self.stride *= 2
+
+    def keeps_next(self) -> bool:
+        """Whether the stride selects the next offer.
+
+        Lets a caller whose sample is costly to build ask first, and
+        :meth:`skip` the round instead of building a sample to be dropped.
+        """
+        return self._offered % self.stride == 0
+
+    def skip(self) -> None:
+        """Count an offer the stride drops (see :meth:`keeps_next`)."""
+        self._offered += 1
 
     @property
     def offered(self) -> int:

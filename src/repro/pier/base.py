@@ -27,7 +27,7 @@ from repro.blocking.blocks import Block
 from repro.blocking.cleaning import block_ghosting
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
 from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
-from repro.core.comparison import WeightedComparison, canonical_pair
+from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
@@ -207,10 +207,22 @@ class GetComparisons:
     pair offered then has been executed — or was evicted from a bounded
     index, which is a loss the bound accepts).
 
+    Finding the block to revisit costs what grew.  Eligible blocks wait in
+    a min-heap of ``(size, key)``; when it runs dry it is refilled from the
+    substrate's growth feed (:meth:`BlockingSubstrate.drain_grown`), never
+    from a scan of the collection.  Nothing is missed: the heap only runs
+    dry after every block that was eligible at the last refill has been
+    drained to its then-current size, so a block that is eligible now has
+    gained a member since — and the feed names it.  Nor can the order move:
+    ``(size, key)`` is a total order, so the pop sequence does not depend on
+    how the heap was filled.  The feed has one consumer per collection: a
+    second refill on a collection whose feed was already drained does not
+    see the blocks the first one was told about.
+
     Weights come from :func:`_pair_weights`.
     """
 
-    __slots__ = ("scheme", "per_pair", "last_scanned", "_cursor", "_heap")
+    __slots__ = ("scheme", "per_pair", "last_scanned", "last_examined", "_cursor", "_heap")
 
     def __init__(
         self, scheme: WeightingScheme | None = None, per_pair: bool = False
@@ -219,11 +231,13 @@ class GetComparisons:
         self.per_pair = per_pair
         #: Pairs the latest :meth:`next_batch` enumerated, before any filter.
         self.last_scanned = 0
+        #: Grown keys the latest :meth:`next_batch` took from the feed.
+        self.last_examined = 0
         # Block key -> members seen per source, aligned with the order of
         # the block's ``members_by_source`` (sources only ever append too).
         self._cursor: dict[str, tuple[int, ...]] = {}
-        # Cached min-heap of (size, key) over eligible blocks; rebuilt by a
-        # full scan only when it runs dry, revalidated lazily on pop.
+        # Min-heap of (size, key) over eligible blocks, revalidated lazily
+        # on pop and refilled from the growth feed when it runs dry.
         self._heap: list[tuple[int, str]] = []
 
     def _eligible(self, block) -> bool:
@@ -233,28 +247,35 @@ class GetComparisons:
         return size > sum(self._cursor.get(block.key, ()))
 
     def _pop_smallest(self, collection: BlockingSubstrate):
-        """Smallest eligible block, or ``None``; amortizes scans via a heap."""
-        for attempt in range(2):
-            while self._heap:
-                size, key = heapq.heappop(self._heap)
+        """Smallest eligible block, or ``None``."""
+        while True:
+            heap = self._heap
+            while heap:
+                size, key = heapq.heappop(heap)
                 block = collection.get(key)
                 if block is None or not self._eligible(block):
                     continue
                 if len(block) != size:
-                    heapq.heappush(self._heap, (len(block), key))
+                    heapq.heappush(heap, (len(block), key))
                     continue
                 return block
-            if attempt == 0:
-                # Purged blocks never come back: forget their cursors here,
-                # or they ride along in every checkpoint of the run.
-                self._cursor = {
-                    key: seen for key, seen in self._cursor.items() if key in collection
-                }
-                self._heap = [
-                    (len(block), block.key) for block in collection if self._eligible(block)
-                ]
-                heapq.heapify(self._heap)
-        return None
+            grown = collection.drain_grown()
+            if not grown:
+                return None
+            self.last_examined += len(grown)
+            eligible = []
+            for key in grown:
+                block = collection.get(key)
+                if block is None:
+                    # Purged blocks never come back: forget their cursors,
+                    # or they ride along in every checkpoint of the run.
+                    self._cursor.pop(key, None)
+                elif self._eligible(block):
+                    eligible.append((len(block), key))
+            # Sorted is a valid heap, and one whose layout (it is part of
+            # every checkpoint) does not depend on the set's hash order.
+            eligible.sort()
+            self._heap = eligible
 
     def next_batch(
         self,
@@ -263,12 +284,15 @@ class GetComparisons:
     ) -> tuple[list[WeightedComparison], int] | None:
         """Drain the next eligible block.
 
+        ``already_executed`` is asked once per new pair, in canonical order.
         Returns ``None`` when no eligible block remains (exhausted), or a
         ``(weighted comparisons, weighting ops)`` tuple otherwise — possibly
         with an empty list when every new pair of the block was executed
         before.  :attr:`last_scanned` then holds how many pairs were
-        enumerated to find them.
+        enumerated to find them, :attr:`last_examined` how many grown keys
+        were looked at to find the block.
         """
+        self.last_examined = 0
         block = self._pop_smallest(collection)
         if block is None:
             self.last_scanned = 0
@@ -280,7 +304,8 @@ class GetComparisons:
         pairs: list[tuple[int, int]] = []
         for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean):
             scanned += 1
-            pair = canonical_pair(pid_x, pid_y)
+            # Two members of one block are two profiles: no self-pair here.
+            pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
             if prune is not None and not prune(*pair):
                 continue
             if already_executed(*pair):
@@ -295,11 +320,12 @@ class GetComparisons:
         return weighted, len(pairs)
 
     def is_exhausted(self, collection: BlockingSubstrate) -> bool:
-        return not any(self._eligible(block) for block in collection)
+        """Whether no block is eligible — by a scan of the whole collection.
 
-    def reset(self) -> None:
-        self._cursor.clear()
-        self._heap.clear()
+        An independent probe for tests (it reads neither the heap nor the
+        growth feed); nothing in a run calls it, keep it off hot paths.
+        """
+        return not any(self._eligible(block) for block in collection)
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
@@ -353,7 +379,12 @@ class IncrPrioritization:
         raise NotImplementedError
 
     def exhausted(self, system: "PierSystem") -> bool:
-        """No comparisons left and no refill possible."""
+        """No comparisons left and no refill possible.
+
+        A probe for tests: implementations may scan the whole collection
+        (:meth:`GetComparisons.is_exhausted`), and no run calls it — the
+        engines learn of exhaustion from an idle refill that yields nothing.
+        """
         raise NotImplementedError
 
     # -- checkpoint support ---------------------------------------------
@@ -433,15 +464,20 @@ class PierSystem(ERSystem):
     def emit(self, stats: PipelineStats) -> EmitResult:
         budget = self._find_k(stats)
         store = self.store
+        executed = store.executed
+        dequeue = self.strategy.dequeue
         batch: list[tuple[int, int]] = []
         stale = 0
         while len(batch) < budget:
-            pair = self.strategy.dequeue()
+            pair = dequeue()
             if pair is None:
                 break
-            if not store.mark_executed(pair):
+            # Strategies queue canonical pairs: claim each for execution
+            # with one probe, and keep the queued tuple as the executed one.
+            if pair in executed:
                 stale += 1
                 continue
+            executed.add(pair)
             batch.append(pair)
         if batch:
             self.metrics.count("pier.comparisons_emitted", len(batch))

@@ -151,6 +151,7 @@ class IPBS(IncrPrioritization):
         metrics.count("strategy.blocks_processed")
         prune = collection.allows_pair if collection.prunes_candidates else None
         add_if_absent = self.comparison_filter.add_if_absent
+        executed = system.store.executed
         scanned = bloom_filtered = skipped = 0
         survivors: list[tuple[int, int]] = []
         members = block.members_by_source
@@ -174,7 +175,7 @@ class IPBS(IncrPrioritization):
                 if not add_if_absent(*pair):
                     bloom_filtered += 1
                     continue
-                if system.was_executed(*pair):
+                if pair in executed:
                     skipped += 1
                     continue
                 survivors.append(pair)

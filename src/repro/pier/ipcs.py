@@ -53,6 +53,7 @@ class IPCS(IncrPrioritization):
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
         metrics = system.metrics
+        executed = system.store.executed
         cost = 0.0
         skipped = enqueued = 0
         for profile in profiles:
@@ -62,7 +63,7 @@ class IPCS(IncrPrioritization):
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
-                if system.was_executed(weighted.left, weighted.right):
+                if (weighted.left, weighted.right) in executed:  # canonical already
                     skipped += 1
                     continue
                 self.index.enqueue(weighted.pair, weighted.weight)
@@ -80,7 +81,9 @@ class IPCS(IncrPrioritization):
         metrics = system.metrics
         cost = system.costs.per_round
         while not len(self.index):
-            result = self.refill.next_batch(system.collection, system.was_executed)
+            result = self.refill.next_batch(
+                system.collection, system.store.was_executed_canonical
+            )
             if result is None:
                 break
             batch, operations = result

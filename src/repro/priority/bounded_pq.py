@@ -12,19 +12,18 @@ weight".  This implementation supports:
 * bounded capacity — when full, a new item only enters by evicting the
   current *minimum* (the newest among equal keys), and only if it outranks
   that minimum;
-* ``peek_key()`` — the key of the current top (I-PES consults
-  ``E_PQ(p).top.weight`` without removing it).
+* ``peek_key()`` — the key of the current top, without removing it.
 
 Layout: one max-heap of plain ``(negated key, seq, key, item)`` tuples, so
 ``heapq`` orders entries with C-level tuple comparison (``seq`` is unique,
 the comparison never reaches ``key`` or ``item``).  Eviction needs the
 minimum, which only a *bounded* queue that has filled up ever asks for: the
 first time that happens a min view of ``(key, -seq)`` pairs is built from
-the live entries and kept in step from then on.  Unbounded queues (I-PES
-holds one per entity) never pay for it.  Once both heaps exist, an entry
-removed through one of them is still physically in the other; its ``seq``
-waits in ``_dead`` until it surfaces there and is skipped, which keeps all
-operations ``O(log n)`` amortized.
+the live entries and kept in step from then on.  Unbounded queues never pay
+for it.  Once both heaps exist, an entry removed through one of them is
+still physically in the other; its ``seq`` waits in ``_dead`` until it
+surfaces there and is skipped, which keeps all operations ``O(log n)``
+amortized.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ class BoundedPriorityQueue(Generic[T]):
         Maximum number of live items; ``None`` means unbounded.
     """
 
-    # Hot allocation path: I-PES creates one queue per entity, so dropping
-    # the per-instance ``__dict__`` is a real memory win (measured by
-    # ``python -m benchmarks.perf``, section "slots").
+    # No per-instance ``__dict__``: the bytes saved per queue are measured
+    # by ``python -m benchmarks.perf``, section "slots".
     __slots__ = (
         "capacity", "_heap", "_min_heap", "_dead", "_size", "_seq",
         "evictions", "rejections",

@@ -476,7 +476,7 @@ class ERServer:
                     request_id,
                     at=recorded,
                     clock=session.clock,
-                    matches=len(session.matches()),
+                    matches=session.match_count,
                     comparisons=session.comparisons_executed,
                 )
 
@@ -488,7 +488,7 @@ class ERServer:
                 return protocol.ok_response(
                     request_id,
                     clock=clock,
-                    matches=len(session.matches()),
+                    matches=session.match_count,
                     comparisons=session.comparisons_executed,
                 )
 

@@ -221,6 +221,11 @@ class TenantSession:
         return self._push.matches
 
     @property
+    def match_count(self) -> int:
+        """``len(self.matches())`` without building the set."""
+        return self._push.match_count
+
+    @property
     def comparisons_executed(self) -> int:
         return self._push.comparisons_executed
 

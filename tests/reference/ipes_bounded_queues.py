@@ -1,39 +1,18 @@
-"""I-PES: Incremental Progressive Entity Scheduling (paper §6, Alg. 4).
+"""I-PES as it was before its queues became plain heaps.
 
-The entity-centric strategy.  Instead of one global comparison order (whose
-quality stands or falls with the weighting scheme), I-PES ranks *entities*
-by the weight of their best pending comparison and emits comparisons entity
-by entity.  Three structures constitute its ``CmpIndex``:
-
-* ``E_PQ`` — per-entity priority queues of weighted comparisons;
-* ``EntityQueue`` — a priority queue of ``(entity, weight)`` tuples, where
-  the weight is the entity's best comparison weight at insertion time;
-* ``PQ`` — a bounded overflow queue for low-weighted comparisons.
-
-``E_PQ`` and ``EntityQueue`` are unbounded and an entity's queue holds one
-comparison on average, so they are plain ``heapq`` lists of
-``(-weight, seq, item)`` rather than queue objects: the highest weight pops
-first and ``seq`` — one strategy-wide counter, so monotone within every
-list — keeps equal weights first-in-first-out without a comparison ever
-reaching the item.  Only ``PQ`` evicts, and only it is a
-:class:`~repro.priority.bounded_pq.BoundedPriorityQueue`.
-
-Insertion applies the paper's double pruning: a comparison that does not
-improve either endpoint's best, is only stored (a) with the endpoint owning
-the smaller queue, and (b) if its weight beats both the global average
-weight and that endpoint's per-entity average — otherwise it is demoted to
-the bounded ``PQ``, keeping it out of the entity structures while never
-losing it outright (refills offer each comparison once, so a hard drop
-would shrink I-PES's comparison universe below the other strategies').
-This bounds memory and sheds superfluous comparisons, making I-PES far less
-sensitive to a poorly suited weighting scheme than I-PCS.
+``E_PQ`` is one :class:`~repro.priority.bounded_pq.BoundedPriorityQueue`
+object per entity and ``EntityQueue`` another, each with its own ``seq``
+counter for first-in-first-out among equal weights; everything else —
+Algorithm 4's double pruning, the overflow queue, the refill loop — is the
+production strategy's.  :class:`~repro.pier.ipes.IPES` must dequeue the same
+pairs in the same order and report the same dispositions, sizes, gauges and
+running averages (``tests/test_ipes_heaps.py``).
 """
 
 from __future__ import annotations
 
 import copy
 from collections import Counter
-from heapq import heappop, heappush
 from typing import Iterable
 
 from repro.core.comparison import WeightedComparison
@@ -42,13 +21,11 @@ from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
-__all__ = ["IPES"]
-
-_NO_TOP = float("-inf")
+__all__ = ["BoundedQueuesIPES"]
 
 
-class IPES(IncrPrioritization):
-    """Entity-centric prioritization (Algorithm 4).
+class BoundedQueuesIPES(IncrPrioritization):
+    """Entity-centric prioritization (Algorithm 4), one queue object per entity.
 
     Parameters
     ----------
@@ -74,10 +51,8 @@ class IPES(IncrPrioritization):
     ) -> None:
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
         self.refill = GetComparisons(scheme=self.generator.scheme, per_pair=per_pair_weighting)
-        # Heaps of (-weight, seq, pair) per entity and of (-weight, seq, pid).
-        self.entity_pq: dict[int, list[tuple[float, int, tuple[int, int]]]] = {}
-        self.entity_queue: list[tuple[float, int, int]] = []
-        self._seq = 0
+        self.entity_pq: dict[int, BoundedPriorityQueue[tuple[int, int]]] = {}
+        self.entity_queue: BoundedPriorityQueue[int] = BoundedPriorityQueue()
         self.overflow: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(
             overflow_capacity
         )
@@ -94,7 +69,6 @@ class IPES(IncrPrioritization):
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
         metrics = system.metrics
-        executed = system.store.executed
         cost = 0.0
         skipped = 0
         inserted: Counter[str] = Counter()
@@ -105,7 +79,7 @@ class IPES(IncrPrioritization):
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:
-                if (weighted.left, weighted.right) in executed:  # canonical already
+                if system.was_executed(weighted.left, weighted.right):
                     skipped += 1
                     continue
                 inserted[self._insert_weighted(weighted)] += 1
@@ -117,23 +91,20 @@ class IPES(IncrPrioritization):
 
     def on_empty_increment(self, system: PierSystem) -> float:
         metrics = system.metrics
-        costs = system.costs
-        cost = costs.per_round
+        cost = system.costs.per_round
         inserted: Counter[str] = Counter()
         while not len(self):
-            result = self.refill.next_batch(
-                system.collection, system.store.was_executed_canonical
-            )
+            result = self.refill.next_batch(system.collection, system.was_executed)
             if result is None:
                 break
             batch, operations = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
             metrics.count("strategy.weighting_ops", operations)
-            cost += operations * costs.per_weight
+            cost += operations * system.costs.per_weight
             for weighted in batch:
                 inserted[self._insert_weighted(weighted)] += 1
-                cost += costs.per_enqueue
+                cost += system.costs.per_enqueue
         self._count_inserted(metrics, inserted)
         return cost
 
@@ -149,22 +120,27 @@ class IPES(IncrPrioritization):
         Returns where the comparison ended up (``entity`` / ``balanced`` /
         ``pruned`` / ``overflow``) so callers can count dispositions.
         """
-        pid_x, pid_y, weight = weighted
+        weight = weighted.weight
         self.total_weight += weight
         self.count += 1
+        pid_x, pid_y = weighted.left, weighted.right
 
-        for pid in (pid_x, pid_y):
-            if self._top_weight(pid) < weight:
-                self._entity_enqueue(pid, weighted)
-                heappush(self.entity_queue, (-weight, self._seq, pid))
-                self._seq += 1
-                return "entity"
+        if self._top_weight(pid_x) < weight:
+            self._entity_enqueue(pid_x, weighted)
+            self.entity_queue.enqueue(pid_x, weight)
+            return "entity"
+        if self._top_weight(pid_y) < weight:
+            self._entity_enqueue(pid_y, weighted)
+            self.entity_queue.enqueue(pid_y, weight)
+            return "entity"
         if weight > self.total_weight / self.count:
-            size_x = len(self.entity_pq.get(pid_x, ()))
-            size_y = len(self.entity_pq.get(pid_y, ()))
+            queue_x = self.entity_pq.get(pid_x)
+            queue_y = self.entity_pq.get(pid_y)
+            size_x = len(queue_x) if queue_x else 0
+            size_y = len(queue_y) if queue_y else 0
             owner = pid_x if size_x <= size_y else pid_y
             return self._insert_if_above_entity_average(weighted, owner)
-        self.overflow.enqueue((pid_x, pid_y), weight)
+        self.overflow.enqueue(weighted.pair, weight)
         return "overflow"
 
     def _insert_if_above_entity_average(self, weighted: WeightedComparison, owner: int) -> str:
@@ -185,42 +161,39 @@ class IPES(IncrPrioritization):
         return "balanced"
 
     def _entity_enqueue(self, owner: int, weighted: WeightedComparison) -> None:
-        left, right, weight = weighted
         queue = self.entity_pq.get(owner)
         if queue is None:
-            queue = self.entity_pq[owner] = []
-        heappush(queue, (-weight, self._seq, (left, right)))
-        self._seq += 1
+            queue = BoundedPriorityQueue()
+            self.entity_pq[owner] = queue
+        queue.enqueue(weighted.pair, weighted.weight)
         self._entity_items += 1
         total, count = self._entity_totals.get(owner, (0.0, 0))
-        self._entity_totals[owner] = (total + weight, count + 1)
+        self._entity_totals[owner] = (total + weighted.weight, count + 1)
 
     def _top_weight(self, pid: int) -> float:
         """Weight of the best pending comparison of an entity (-inf if none)."""
         queue = self.entity_pq.get(pid)
         if not queue:
-            return _NO_TOP
-        return -queue[0][0]
+            return float("-inf")
+        return queue.peek_key()
 
     # ------------------------------------------------------------------
     # Emission (CmpIndex.dequeue of §6)
     # ------------------------------------------------------------------
     def dequeue(self) -> tuple[int, int] | None:
-        entity_queue = self.entity_queue
-        entity_pq = self.entity_pq
         while True:
-            if not entity_queue:
+            if not self.entity_queue:
                 self._refill_entity_queue()
-                if not entity_queue:
-                    break
-            entity = heappop(entity_queue)[2]
-            queue = entity_pq.get(entity)
+            if not self.entity_queue:
+                break
+            entity = self.entity_queue.dequeue()
+            queue = self.entity_pq.get(entity)
             if not queue:
                 continue  # stale EntityQueue entry
-            pair = heappop(queue)[2]
+            pair = queue.dequeue()
             self._entity_items -= 1
             if not queue:
-                del entity_pq[entity]
+                del self.entity_pq[entity]
                 self._entity_totals.pop(entity, None)
             return pair
         # Entity structures exhausted: fall back to the overflow queue.
@@ -230,11 +203,9 @@ class IPES(IncrPrioritization):
 
     def _refill_entity_queue(self) -> None:
         """When EntityQueue drains, reseed it from all live entity queues."""
-        # Entities in E_PQ's insertion order, each at its top's (negated)
-        # weight: emptied queues are deleted on dequeue, so all are live.
         for entity, queue in self.entity_pq.items():
-            heappush(self.entity_queue, (queue[0][0], self._seq, entity))
-            self._seq += 1
+            if queue:
+                self.entity_queue.enqueue(entity, queue.peek_key())
 
     # ------------------------------------------------------------------
     def gauges(self) -> dict[str, float]:
@@ -254,10 +225,8 @@ class IPES(IncrPrioritization):
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
         return {
-            # Heap entries are immutable tuples: copying the lists is deep enough.
-            "entity_pq": {pid: list(queue) for pid, queue in self.entity_pq.items()},
-            "entity_queue": list(self.entity_queue),
-            "seq": self._seq,
+            "entity_pq": {pid: copy.deepcopy(queue) for pid, queue in self.entity_pq.items()},
+            "entity_queue": copy.deepcopy(self.entity_queue),
             "overflow": copy.deepcopy(self.overflow),
             "total_weight": self.total_weight,
             "count": self.count,
@@ -267,9 +236,8 @@ class IPES(IncrPrioritization):
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
-        self.entity_pq = {pid: list(queue) for pid, queue in state["entity_pq"].items()}
-        self.entity_queue = list(state["entity_queue"])
-        self._seq = state["seq"]
+        self.entity_pq = {pid: copy.deepcopy(queue) for pid, queue in state["entity_pq"].items()}
+        self.entity_queue = copy.deepcopy(state["entity_queue"])
         self.overflow = copy.deepcopy(state["overflow"])
         self.total_weight = state["total_weight"]
         self.count = state["count"]

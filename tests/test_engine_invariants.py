@@ -28,6 +28,43 @@ def test_recorder_matches_matcher_counts(system_name, engine_factory, small_dblp
     assert result.comparisons_executed == matcher.comparisons_executed
 
 
+@pytest.mark.parametrize("system_name", SYSTEMS + ("PPS", "PBS"))
+@pytest.mark.parametrize("engine_factory", ENGINES)
+def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm):
+    """The recorder keeps its own executed set, apart from the systems'
+    stores: over a whole run it must never see a pair a second time."""
+    n_increments = 1 if system_name in ("PPS", "PBS") else 8  # batch: data upfront
+    plan = make_stream_plan(
+        split_into_increments(small_dblp_acm, n_increments, seed=0), rate=None
+    )
+    # A short budget: the batch systems never report exhaustion to the
+    # pipelined engine, which then spends what is left on empty rounds.
+    engine = engine_factory(make_matcher("JS"), budget=1.0)
+    push = engine.open_push(
+        make_system(system_name, small_dblp_acm), small_dblp_acm.ground_truth
+    )
+    push.feed_plan(plan)
+    push.drain(1.0)
+    assert push.comparisons_executed > 0
+    assert push.checkpoint().recorder_state["duplicate_executions"] == 0
+
+
+@pytest.mark.parametrize("system_name", ("I-PES", "I-PCS", "I-PBS"))
+@pytest.mark.parametrize("engine_factory", ENGINES)
+def test_recorder_and_store_share_one_tuple_per_pair(system_name, engine_factory, small_dblp_acm):
+    """Two executed sets, kept apart on purpose — but of the same tuple
+    objects: the batched kernel hands the recorder what the system emitted."""
+    plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=None)
+    system = make_system(system_name, small_dblp_acm)
+    engine = engine_factory(make_matcher("JS"), budget=1e9)
+    push = engine.open_push(system, small_dblp_acm.ground_truth)
+    push.feed_plan(plan)
+    push.drain(1e9)  # to exhaustion: no emitted pair is cut by a deadline
+    recorded = push.checkpoint().recorder_state["executed_pairs"]
+    assert recorded and recorded == system.store.executed
+    assert {id(pair) for pair in recorded} == {id(pair) for pair in system.store.executed}
+
+
 @pytest.mark.parametrize("engine_factory", ENGINES)
 def test_duplicates_subset_of_executed_matches(engine_factory, small_dblp_acm):
     """Classified duplicates that are true matches appear in match_events."""

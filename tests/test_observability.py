@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import make_matcher, make_system
 from repro.evaluation.io import run_result_to_dict
+from repro.execution import core
 from repro.observability.metrics import SCHEMA_VERSION, MetricsRegistry, RoundLog
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -105,6 +108,43 @@ class TestRoundLog:
         with pytest.raises(ValueError):
             RoundLog(max_samples=1)
 
+    @given(offers=st.integers(0, 300), max_samples=st.integers(2, 9))
+    def test_asking_first_equals_offering_every_sample(self, offers, max_samples):
+        """``keeps_next``/``skip`` spare the caller a sample the stride would
+        drop; the log must read as if every sample had been offered."""
+        asked = RoundLog(max_samples=max_samples)
+        built = 0
+        for index in range(offers):
+            if asked.keeps_next():
+                built += 1
+                asked.offer({"round": index})
+            else:
+                asked.skip()
+        samples, stride, kept = _strided([{"round": i} for i in range(offers)], max_samples)
+        assert (asked.samples, asked.stride, asked.offered) == (samples, stride, offers)
+        assert built == kept
+        offered_all = RoundLog(max_samples=max_samples)
+        for index in range(offers):
+            offered_all.offer({"round": index})
+        assert offered_all.dump_state() == asked.dump_state()
+
+
+def _strided(offers: list, max_samples: int) -> tuple[list, int, int]:
+    """The round log as specified: keep every ``stride``-th offer; past the
+    cap drop every other kept sample and double the stride.  Returns the
+    samples, the stride and how many offers were kept on arrival."""
+    samples: list = []
+    stride, kept = 1, 0
+    for index, sample in enumerate(offers):
+        if index % stride:
+            continue
+        kept += 1
+        samples.append(sample)
+        if len(samples) > max_samples:
+            samples = samples[::2]
+            stride *= 2
+    return samples, stride, kept
+
 
 ENGINES = (StreamingEngine, PipelinedStreamingEngine)
 PIER_SYSTEMS = ("I-PCS", "I-PBS", "I-PES")
@@ -131,6 +171,27 @@ def test_run_attaches_metrics_snapshot(system_name, engine_factory, small_dblp_a
     samples = snap["rounds"]["samples"]
     assert samples, "expected at least one round sample"
     assert all("k" in s and "queue_depth" in s and "backlog" in s for s in samples)
+
+
+@pytest.mark.parametrize("engine_factory", ENGINES)
+def test_gauges_are_read_once_per_kept_round(engine_factory, small_dblp_acm, monkeypatch):
+    """A round the stride drops costs no gauge reading.  (The cap is shrunk
+    so that a small run doubles the stride a few times.)"""
+    monkeypatch.setattr(core, "MetricsRegistry", lambda: MetricsRegistry(max_round_samples=16))
+    system = make_system("I-PES", small_dblp_acm)
+    readings = []
+    read_gauges = system.gauges
+    system.gauges = lambda: readings.append(1) or read_gauges()
+    plan = make_stream_plan(split_into_increments(small_dblp_acm, 20, seed=0), rate=2.0)
+    engine = engine_factory(make_matcher("JS"), budget=1e9)
+    result = engine.run(system, plan, small_dblp_acm.ground_truth)
+    rounds = result.details["metrics"]["rounds"]
+    assert rounds["stride"] >= 4
+    assert rounds["offered"] == result.details["metrics"]["counters"]["engine.emission_rounds"]
+    _, stride, kept = _strided(list(range(rounds["offered"])), 16)
+    assert stride == rounds["stride"]
+    assert len(readings) == kept < rounds["offered"]
+    assert all("k" in sample and "entity_queues" in sample for sample in rounds["samples"])
 
 
 def test_ipbs_reports_bloom_gauges(small_dblp_acm):

@@ -108,14 +108,6 @@ class TestGetComparisons:
         new_pairs = {w.pair for w in batch}
         assert (0, 3) in new_pairs and (1, 3) in new_pairs
 
-    def test_reset(self):
-        refill = GetComparisons()
-        collection = self._collection()
-        refill.next_batch(collection, lambda x, y: False)
-        refill.reset()
-        batch, _ = refill.next_batch(collection, lambda x, y: False)
-        assert {w.pair for w in batch} == {(0, 1)}
-
 
 class TestPierSystemFindK:
     def _system(self) -> PierSystem:

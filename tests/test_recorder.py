@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.dataset import GroundTruth
 from repro.evaluation.recorder import ProgressRecorder
@@ -48,6 +50,44 @@ class TestProgressRecorder:
     def test_sample_every_validation(self, truth):
         with pytest.raises(ValueError):
             ProgressRecorder(truth, sample_every=0)
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1]),
+            max_size=40,
+        ),
+        cuts=st.sets(st.integers(0, 40)),
+        sample_every=st.integers(1, 4),
+    )
+    def test_a_batch_records_like_its_pairs_one_by_one(self, pairs, cuts, sample_every):
+        """However a run of comparisons is cut into batches — pairs in either
+        order, repeats included — it leaves what ``record`` leaves pair by
+        pair: points, match events, hit count, re-executions."""
+        truth = GroundTruth([(0, 1), (2, 3), (4, 5), (6, 7)])
+        times = [0.5 * (index + 1) for index in range(len(pairs))]
+        single = ProgressRecorder(truth, sample_every=sample_every)
+        hits = sum(single.record(x, y, at) for (x, y), at in zip(pairs, times))
+        batched = ProgressRecorder(truth, sample_every=sample_every)
+        edges = sorted({0, len(pairs)} | {cut for cut in cuts if cut < len(pairs)})
+        batch_hits = sum(
+            batched.record_batch(pairs[start:stop], times[start:stop])
+            for start, stop in zip(edges, edges[1:])
+        )
+        assert batch_hits == hits == single.matches_emitted
+        assert batched.snapshot_state() == single.snapshot_state()
+        assert batched.duplicate_executions == len(pairs) - len(
+            {(min(pair), max(pair)) for pair in pairs}
+        )
+
+    def test_a_canonical_pair_is_stored_as_the_object_it_is(self, truth):
+        """The engines hand over the tuples the systems' stores hold: the
+        recorder's own executed set must not make a second tuple of each."""
+        emitted = [(0, 1), (2, 5)]
+        recorder = ProgressRecorder(truth)
+        assert recorder.record_batch(emitted + [(5, 2)], [1.0, 2.0, 3.0]) == 1
+        assert recorder.duplicate_executions == 1
+        stored = {id(pair) for pair in recorder.snapshot_state()["executed_pairs"]}
+        assert stored == {id(pair) for pair in emitted}
 
 
 class TestProgressCurve:

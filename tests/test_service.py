@@ -313,6 +313,43 @@ def test_server_end_to_end_bit_identical_to_standalone():
     assert len(reply["result"]["matches"]) > 0
 
 
+def test_reply_match_counts_equal_the_match_list():
+    """``ingest`` and ``drain`` answer with a count, ``matches`` with the
+    list: the two agree after ingests, a poll, a snapshot → restore and a
+    drain — on the tenant session and in the server's replies."""
+    config = TenantConfig(tenant_id="t", budget=BUDGET)
+    batches = _batches()
+
+    session = TenantSession(config)
+    assert session.match_count == 0
+    for i, batch in enumerate(batches[:2]):
+        session.ingest(batch, at=float(i))
+        assert session.match_count == len(session.matches())
+    blob = session.snapshot().to_bytes()
+    session.close()
+    session = TenantSession(config, snapshot=TenantSnapshot.from_bytes(blob))
+    assert session.match_count == len(session.matches())
+    session.ingest(batches[2], at=2.0)
+    session.drain(BUDGET)
+    assert session.match_count == len(session.matches()) > 0
+    session.close()
+
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.open("t", budget=BUDGET)
+            for i, batch in enumerate(batches[:2]):
+                reply = client.ingest("t", batch, at=float(i))
+                assert reply["matches"] == len(client.matches("t")["matches"])
+            blob = client.snapshot("t")
+            client.close_tenant("t")
+            client.restore("t", blob)
+            reply = client.ingest("t", batches[2], at=2.0)
+            assert reply["matches"] == len(client.matches("t")["matches"])
+            reply = client.drain("t", BUDGET)
+            assert reply["matches"] == len(client.matches("t")["matches"]) > 0
+            client.shutdown()
+
+
 def test_server_snapshot_migration_between_servers():
     config = TenantConfig(tenant_id="mig", budget=BUDGET)
     uninterrupted = TenantSession(config)
@@ -361,12 +398,21 @@ def test_server_refusal_codes():
 
 
 def test_server_sheds_ingests_under_pipelined_burst():
-    batches = _batches()
+    # The three batches over and over, under fresh pids each time: which
+    # requests the server sheds is a race, and every subset it may accept
+    # must be a stream the engine can index (a pid arrives once).
+    batches = [
+        [
+            EntityProfile(6 * (i // 3) + profile.pid, {"value": profile.attributes[0].value})
+            for profile in _batches()[i % 3]
+        ]
+        for i in range(24)
+    ]
     with _ServerThread(queue_limit=1) as server:
         with ServiceClient("127.0.0.1", server.port) as client:
             client.open("burst", budget=BUDGET)
             pending = [
-                client.send_ingest("burst", batches[i % 3], at=float(i) / 4.0)
+                client.send_ingest("burst", batches[i], at=float(i) / 4.0)
                 for i in range(24)
             ]
             replies = [client.wait(rid, check=False) for rid in pending]
@@ -388,7 +434,7 @@ def test_server_sheds_ingests_under_pipelined_burst():
     replay = TenantSession(TenantConfig(tenant_id="burst", budget=BUDGET))
     for i, r in enumerate(replies):
         if r.get("ok"):
-            replay.ingest(batches[i % 3], at=r["at"])
+            replay.ingest(batches[i], at=r["at"])
     replay.drain(BUDGET)
     assert result_fingerprint(replay.results()) == reply["fingerprint"]
     replay.close()
