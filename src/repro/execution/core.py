@@ -116,14 +116,14 @@ _IS_MATCH = attrgetter("is_match")
 
 #: Pairs per hand-off to the worker fleet.  Sized by measurement, not an
 #: option.  ``fleet_ed``'s run (I-PES/ED on dblp_acm x0.6, 55,927 pairs, two
-#: workers, 2-core build host, medians of 5 interleaved runs; the same run
-#: on ``workers=1`` takes 1.455 s):
+#: workers, 2-core build host, medians of 11 interleaved runs, of 5 at the
+#: two ends; the same run on ``workers=1`` takes 0.881 s):
 #:
 #:   pairs per hand-off    512   1024   2048   4096   8192  16384
 #:   hand-offs              78     45     25     13      7      4
-#:   wall s              1.066  1.001  0.998  0.970  0.964  0.981
+#:   wall s              0.784  0.727  0.703  0.701  0.693  0.660
 #:
-#: Flat from 1024 up (runs of one size spread by ~0.05 s): a hand-off costs
+#: Flat from 2048 up (runs of one size spread by ~0.1 s): a hand-off costs
 #: the master a few ms of pickling and pipe traffic whatever its size, so it
 #: only has to be large against that.  2048 is the low end of the plateau —
 #: the smaller the hand-off, the sooner a drain has something for the fleet

@@ -431,62 +431,9 @@ class EditDistanceMatcher(Matcher):
             )
         return cached
 
-    def _score(self, signature_x: _Signature, signature_y: _Signature) -> float:
-        """The staged funnel for one pair, shared by the scalar and batched
-        paths so both classify (and count) identically.  Stages run
-        cheapest-first; the first that decides the pair counts it:
-
-        1. *short texts* — a text shorter than one bigram has no bigrams,
-           which reads as overlap 0.0 and used to reject even *identical*
-           texts.  The funnel has no signal here; run the — then O(1) — DP
-           exactly.
-        2. *bigram prefilter* (heuristic) — Dice overlap of the distinct
-           bigrams far below any plausible threshold; the overlap itself is
-           the (pessimistic) reject similarity.
-        3. *length*, 4. *q-gram lemma*, 5. *bag distance* — exact lower
-           bounds on the edit distance ``d`` (one edit changes the length by
-           at most 1, destroys at most 2 of the longer text's ``longest - 1``
-           bigrams, and repairs at most 1 unmatched character of the longer
-           text); a bound above the DP's band proves ``d > bound``, for
-           which the bounded DP returns ``bound + 1``.
-        6. *DP* — Myers, with the shorter text's cached table.
-        """
-        text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = signature_x
-        text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = signature_y
-        counts = self.kernel_counts
-        if not grams_x or not grams_y:
-            counts["short_texts"] += 1
-            return normalized_edit_similarity(
-                text_x, text_y, min_similarity=self.threshold, kernel=self.kernel
-            )
-        common = (gram_bits_x & gram_bits_y).bit_count()
-        overlap = 2.0 * common / (grams_x + grams_y)
-        if overlap < self.prefilter_floor:
-            counts["prefilter_rejects"] += 1
-            return overlap
-        shortest = len(text_x)
-        longest = len(text_y)
-        if shortest > longest:
-            shortest, longest = longest, shortest
-            text_x, text_y, table_x = text_y, text_x, table_y
-        bound = int((1.0 - self.threshold) * longest) + 1
-        distance = bound + 1
-        if longest - shortest > bound:
-            counts["length_cuts"] += 1
-        elif common + (repeat_bits_x & repeat_bits_y).bit_count() < longest - 1 - 2 * bound:
-            counts["qgram_cuts"] += 1
-        elif longest - (char_bits_x & char_bits_y).bit_count() > bound:
-            counts["bag_cuts"] += 1
-        else:
-            counts["dp_calls"] += 1
-            if self.kernel in ("auto", "myers"):
-                distance = levenshtein_myers(table_x, shortest, text_y, bound)
-            else:
-                distance = levenshtein(text_x, text_y, max_distance=bound, kernel=self.kernel)
-        return 1.0 - (distance if distance < longest else longest) / longest
-
     def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        return self._score(self._prepared(profile_x), self._prepared(profile_y))
+        # A batch of one: the funnel exists once, in ``_batch_scores``.
+        return self._batch_scores(((profile_x, profile_y),))[0][0]
 
     def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
         return float(profile_x.text_length()) * float(profile_y.text_length())
@@ -504,11 +451,83 @@ class EditDistanceMatcher(Matcher):
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> tuple[list[float], list[float]]:
+        """The staged funnel, run over the batch in one loop; the scalar
+        path is a batch of one, so both classify (and count) identically.
+        Stages run cheapest-first; the first that decides a pair counts it:
+
+        1. *short texts* — a text shorter than one bigram has no bigrams,
+           which reads as overlap 0.0 and used to reject even *identical*
+           texts.  The funnel has no signal here; run the — then O(1) — DP
+           exactly.
+        2. *bigram prefilter* (heuristic) — Dice overlap of the distinct
+           bigrams far below any plausible threshold; the overlap itself is
+           the (pessimistic) reject similarity.
+        3. *length*, 4. *q-gram lemma*, 5. *bag distance* — exact lower
+           bounds on the edit distance ``d`` (one edit changes the length by
+           at most 1, destroys at most 2 of the longer text's ``longest - 1``
+           bigrams, and repairs at most 1 unmatched character of the longer
+           text); a bound above the DP's band proves ``d > bound``, for
+           which the bounded DP returns ``bound + 1``.
+        6. *DP* — Myers scans the shorter text against the longer text's
+           cached table, so the final cell's diagonal starts at the length
+           difference and a full scan is the shorter length.
+        """
+        cached = self._text_cache.get
         prepared = self._prepared
-        score = self._score
-        similarities = [
-            score(prepared(profile_x), prepared(profile_y)) for profile_x, profile_y in pairs
-        ]
+        threshold = self.threshold
+        slack = 1.0 - threshold
+        floor = self.prefilter_floor
+        kernel = self.kernel
+        myers = kernel in ("auto", "myers")
+        short_texts = prefilter_rejects = length_cuts = qgram_cuts = bag_cuts = dp_calls = 0
+        similarities = []
+        for profile_x, profile_y in pairs:
+            text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = (
+                cached(profile_x.pid) or prepared(profile_x)
+            )
+            text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = (
+                cached(profile_y.pid) or prepared(profile_y)
+            )
+            if not grams_x or not grams_y:
+                short_texts += 1
+                similarities.append(
+                    normalized_edit_similarity(
+                        text_x, text_y, min_similarity=threshold, kernel=kernel
+                    )
+                )
+                continue
+            common = (gram_bits_x & gram_bits_y).bit_count()
+            overlap = 2.0 * common / (grams_x + grams_y)
+            if overlap < floor:
+                prefilter_rejects += 1
+                similarities.append(overlap)
+                continue
+            shortest = len(text_x)
+            longest = len(text_y)
+            if shortest > longest:
+                shortest, longest = longest, shortest
+                text_x, text_y, table_y = text_y, text_x, table_x
+            bound = int(slack * longest) + 1
+            distance = bound + 1
+            if longest - shortest > bound:
+                length_cuts += 1
+            elif common + (repeat_bits_x & repeat_bits_y).bit_count() < longest - 1 - 2 * bound:
+                qgram_cuts += 1
+            elif longest - (char_bits_x & char_bits_y).bit_count() > bound:
+                bag_cuts += 1
+            else:
+                dp_calls += 1
+                if myers:
+                    distance = levenshtein_myers(table_y, longest, text_x, bound)
+                else:
+                    distance = levenshtein(text_x, text_y, max_distance=bound, kernel=kernel)
+            similarities.append(1.0 - (distance if distance < longest else longest) / longest)
+        counts = self.kernel_counts
+        for name, count in zip(
+            KERNEL_COUNTERS,
+            (short_texts, prefilter_rejects, length_cuts, qgram_cuts, bag_cuts, dp_calls),
+        ):
+            counts[name] += count
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
         costs = [

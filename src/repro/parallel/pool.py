@@ -87,19 +87,22 @@ __all__ = [
 #: be this small (full hand-offs are ``core.HAND_OFF_PAIRS``).  Threshold
 #: only — results are bit-identical either way.  Measured on the 2-core
 #: build host, two workers, warm caches, windows of the pairs I-PES emits
-#: on dblp_acm x0.6, in-process ms / synchronous round-trip ms:
+#: on dblp_acm x0.6, in-process ms / synchronous round-trip ms (ED: medians
+#: of five sweeps, JS: one):
 #:
-#:   pairs      32    64    128   256   512   2048
-#:   ED       0.67  0.93   1.02  1.26  1.22   1.56
-#:   JS       0.09  0.14   0.27  0.35  0.39   0.48
+#:   pairs      32    64    128   256   512   1024   2048
+#:   ED       0.40  0.64   0.73  0.83  1.03   1.10   1.27
+#:   JS       0.15  0.21   0.26  0.36  0.56   0.63   0.64
 #:
-#: ED breaks even at 128.  JS has no break-even at all — its ~0.7 µs per
-#: pair is less than pickling the pid pair — so a JS fleet can only ever
-#: pay through the overlap with the master, never through this threshold:
-#: the constant is set for ED, the gate does not look at the matcher, and
-#: Tier A is documented as an ED-class fleet (docs/architecture.md) until
-#: a JS fleet workload is measured end to end.
-DEFAULT_MIN_SHARD = 128
+#: ED breaks even at 512 (the five sweeps read 0.95-1.04 there, 0.71-0.85
+#: at 256; an ED pair of this mix costs ~8 µs in-process).  JS has no
+#: break-even at all — its ~1 µs per pair is less than pickling the pid
+#: pair — so a JS fleet can only ever pay through the overlap with the
+#: master, never through this threshold: the constant is set for ED, the
+#: gate does not look at the matcher, and Tier A is documented as an
+#: ED-class fleet (docs/architecture.md) until a JS fleet workload is
+#: measured end to end.
+DEFAULT_MIN_SHARD = 512
 
 #: Back-compat alias; the live value is resolved per pool through
 #: :class:`~repro.parallel.supervision.SupervisionConfig` (environment

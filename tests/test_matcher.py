@@ -13,8 +13,10 @@ from repro.matching.matcher import (
     EditDistanceMatcher,
     JaccardMatcher,
 )
+from repro.matching.similarity import ED_KERNELS
 
 from tests.conftest import make_profile
+from tests.reference.levenshtein import levenshtein
 
 
 class TestCostModel:
@@ -210,6 +212,68 @@ class TestEditDistanceKernelTelemetry:
         matcher.reset_stats()
         assert tuple(matcher.kernel_telemetry()) == KERNEL_COUNTERS
         assert all(value == 0 for value in matcher.kernel_telemetry().values())
+
+
+class TestFunnelLoop:
+    """The funnel is one loop over the batch (the scalar path is a batch of
+    one) and its DP scans the shorter text against the longer text's table.
+    Pairs that reach the DP with ``len(x)`` above, below and equal to
+    ``len(y)``, within the band and beyond it, held to the textbook table."""
+
+    BASE = "progressive entity resolution over incremental data"
+    ROTATED = BASE[20:] + BASE[:20]  # same bag, same bigrams but 3: only the DP can tell
+    TEXT_PAIRS = [
+        (BASE + " streams", BASE),
+        (BASE, BASE + " streams"),
+        (BASE, BASE.replace("v", "w")),
+        (ROTATED + "s", BASE),
+        (BASE, ROTATED + "s"),
+        (BASE, ROTATED),
+    ]
+
+    @staticmethod
+    def _profiles(text_pairs):
+        return [
+            (make_profile(2 * index, text_x), make_profile(2 * index + 1, text_y))
+            for index, (text_x, text_y) in enumerate(text_pairs)
+        ]
+
+    @pytest.mark.parametrize("kernel", ED_KERNELS)
+    def test_every_length_order_reaches_the_dp_and_scores_exactly(self, kernel):
+        threshold = 0.8
+        pairs = self._profiles(self.TEXT_PAIRS)
+        scalar = EditDistanceMatcher(threshold, kernel=kernel)
+        results = [scalar.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
+        assert scalar.kernel_counts["dp_calls"] == len(pairs)
+        assert [result.is_match for result in results] == [True] * 3 + [False] * 3
+        for result, (text_x, text_y) in zip(results, self.TEXT_PAIRS):
+            longest = max(len(text_x), len(text_y))
+            bound = int((1.0 - threshold) * longest) + 1
+            distance = levenshtein(text_x, text_y)
+            assert result.similarity == 1.0 - min(distance, bound + 1) / longest
+        batched = EditDistanceMatcher(threshold, kernel=kernel)
+        assert batched.evaluate_batch(pairs) == results
+        assert batched.kernel_counts == scalar.kernel_counts
+
+    def test_profile_first_seen_mid_batch(self):
+        """A signature missing from the cache is built inside the loop."""
+        known_x, known_y = make_profile(0, self.BASE), make_profile(1, self.ROTATED)
+        fresh = make_profile(2, self.BASE + " streams")
+        pairs = [(known_x, known_y), (known_x, fresh), (fresh, known_y)]
+        warm = EditDistanceMatcher(0.8)
+        warm.evaluate(known_x, known_y)
+        assert set(warm._text_cache) == {0, 1}
+        cold = EditDistanceMatcher(0.8)
+        assert warm.evaluate_batch(pairs) == cold.evaluate_batch(pairs)
+        assert set(warm._text_cache) == {0, 1, 2}
+
+    def test_similarity_counts_as_a_batch_of_one(self):
+        for pair in self._profiles(self.TEXT_PAIRS[:1] + [("x", "x"), ("aaaa bbbb", "xxxx yyyy")]):
+            scalar, batched = EditDistanceMatcher(0.8), EditDistanceMatcher(0.8)
+            similarity = scalar.similarity(*pair)
+            assert batched.evaluate_batch([pair])[0].similarity == similarity
+            assert scalar.kernel_counts == batched.kernel_counts
+            assert sum(scalar.kernel_counts.values()) == 1
 
 
 class TestSnapshotExcludesDerivedCaches:
