@@ -169,7 +169,11 @@ class BlockCollection:
             raise ValueError(f"profile {profile.pid} already indexed")
         keys: set[str] = set()
         grown = self._grown
-        for token in self.profile_keys(profile):
+        # Sorted: the keys usually come from a frozenset, whose iteration
+        # order follows the interpreter's hash seed, and the order decides
+        # block creation order — hence ``iter(collection)`` and the interned
+        # ids, which the batch baselines' schedules are built from.
+        for token in sorted(self.profile_keys(profile)):
             if token in self._purged_keys:
                 continue
             grown.add(token)
@@ -196,8 +200,9 @@ class BlockCollection:
 
         Token blocking keys a profile by its tokens; subclasses derive keys
         differently (MinHash bucket keys in :mod:`repro.blocking.lsh`).
-        Per-key indexing effects are order-independent, so any iteration
-        order produces the identical collection.
+        The result may be unordered: :meth:`add_profile` sorts it, because
+        the order keys are indexed in fixes block creation order and the
+        interned block ids.
         """
         return profile.tokens()
 

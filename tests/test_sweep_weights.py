@@ -229,19 +229,35 @@ for scheme_name in ("cbs", "ecbs", "js", "arcs"):
                   repr(comparison.weight))
 """
 
+# The batch baselines build their schedules from ``iter(collection)`` and the
+# interned block ids, i.e. from block *creation* order — which followed the
+# hash seed until ``BlockCollection.add_profile`` sorted a profile's keys.
+_BASELINE_SCRIPT = """
+from repro.api import ERSession
+
+SYSTEMS = ("BATCH", "PPS", "PBS", "PPS-LOCAL", "PBS-GLOBAL")
+for rate in (None, 5.0):
+    with ERSession("census_2m", systems=SYSTEMS, scale=0.05, n_increments=10,
+                   rate=rate, budget=10.0) as session:
+        for name in SYSTEMS:
+            result = session.run(name)
+            print(rate, name, result.comparisons_executed,
+                  result.curve.points, sorted(result.duplicates))
+"""
+
 
 class TestHashSeedStability:
     """The emitted stream must not depend on the interpreter's hash seed."""
 
     @staticmethod
-    def _stream_under_seed(seed: str) -> str:
+    def _stream_under_seed(seed: str, script: str = _HASHSEED_SCRIPT) -> str:
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = seed
         src_dir = str(Path(__file__).resolve().parent.parent / "src")
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
         proc = subprocess.run(
-            [sys.executable, "-c", _HASHSEED_SCRIPT],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -254,3 +270,10 @@ class TestHashSeedStability:
         out_b = self._stream_under_seed("31337")
         assert out_a == out_b
         assert len(out_a.splitlines()) > 20  # the probe emitted real work
+
+    def test_batch_baselines_identical_across_hash_seeds(self):
+        out_a = self._stream_under_seed("0", _BASELINE_SCRIPT)
+        out_b = self._stream_under_seed("31337", _BASELINE_SCRIPT)
+        assert out_a == out_b
+        executed = [int(line.split()[2]) for line in out_a.splitlines()]
+        assert len(executed) == 10 and min(executed) > 0  # every cell did real work
