@@ -63,7 +63,7 @@ CONFIG = {
     "fault_seed": 7,
     "systems": ["I-PCS", "I-PBS", "I-PES"],
     # Candidate-generation substrate; chaos pins token blocking (the LSH
-    # tier is exercised and gated in benchmarks.perf).
+    # tier is exercised and gated in tests/test_lsh.py).
     "blocking": "token",
     # max_attempts=2 (not the default 3) so retry exhaustion — and with it
     # the quarantine path — actually triggers at the injected failure rate.

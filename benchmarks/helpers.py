@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.api import ERSession
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -24,6 +26,12 @@ def report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(banner.lstrip("\n") + text + "\n")
+
+
+def compare(config):
+    """Run every system of an ``ExperimentConfig``; results keyed by name."""
+    with ERSession.from_config(config) as session:
+        return session.compare()
 
 
 def run_once(benchmark, func):

@@ -40,8 +40,8 @@ CONFIG = {
     "seed": 0,
     "systems": ["I-PCS", "I-PBS", "I-PES"],
     # The candidate-generation substrate (token / lsh / lsh-prefilter).
-    # The smoke baseline pins the paper's token blocking; the LSH tier has
-    # its own gated section in benchmarks.perf.
+    # The smoke baseline pins the paper's token blocking; the LSH tier is
+    # gated in tests/test_lsh.py.
     "blocking": "token",
 }
 

@@ -8,9 +8,9 @@ stream with the expensive matcher — the regime where adaptivity matters
 
 from __future__ import annotations
 
+from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
-from repro.evaluation.experiments import make_matcher
 from repro.evaluation.reporting import format_table
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
@@ -33,11 +33,12 @@ def _run_all():
     dataset = load_dataset("dbpedia", scale=0.3)
     increments = split_into_increments(dataset, 300, seed=0)
     plan = make_stream_plan(increments, rate=32.0)
+    session = ERSession(dataset, matcher="ED")
     rows = []
     aucs = {}
     for kind in ("adaptive", "4", "64", "1024", "16384"):
         system = PierSystem(IPES(), clean_clean=True, adaptive_k=_controller(kind))
-        engine = StreamingEngine(make_matcher("ED"), budget=BUDGET)
+        engine = StreamingEngine(session.build_matcher(), budget=BUDGET)
         result = engine.run(system, plan, dataset.ground_truth)
         auc = result.curve.area_under_curve(BUDGET)
         aucs[kind] = auc

@@ -10,9 +10,9 @@ selection vs the number of comparisons generated.
 
 from __future__ import annotations
 
+from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
-from repro.evaluation.experiments import make_matcher
 from repro.evaluation.reporting import format_table
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
@@ -29,12 +29,13 @@ def _run_all():
     dataset = load_dataset("movies", scale=0.2)
     increments = split_into_increments(dataset, 60, seed=0)
     plan = make_stream_plan(increments, rate=8.0)
+    session = ERSession(dataset, matcher="JS")
     rows = []
     ibase_pc = {}
     ibase_cmp = {}
     for beta in BETAS:
         ibase = IBaseSystem(clean_clean=True, beta=beta)
-        result = StreamingEngine(make_matcher("JS"), budget=BUDGET).run(
+        result = StreamingEngine(session.build_matcher(), budget=BUDGET).run(
             ibase, plan, dataset.ground_truth
         )
         ibase_pc[beta] = result.final_pc
@@ -44,7 +45,7 @@ def _run_all():
         # For PIER the idle refill masks β's effect on *eventual* quality,
         # so report its early quality instead (selection drives the start).
         pes = PierSystem(IPES(beta=beta), clean_clean=True)
-        pes_result = StreamingEngine(make_matcher("JS"), budget=BUDGET).run(
+        pes_result = StreamingEngine(session.build_matcher(), budget=BUDGET).run(
             pes, plan, dataset.ground_truth
         )
         rows.append(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
-from repro.evaluation.experiments import make_matcher
 from repro.evaluation.reporting import format_table
 from repro.metablocking.weights import make_scheme
 from repro.pier.base import PierSystem
@@ -32,6 +32,7 @@ def _run_all():
     dataset = load_dataset("dbpedia", scale=0.25)
     increments = split_into_increments(dataset, 100, seed=0)
     plan = make_stream_plan(increments, rate=None)
+    session = ERSession(dataset, matcher="ED")
     rows = []
     spread = {}
     for strategy_name, factory in (("I-PCS", IPCS), ("I-PES", IPES)):
@@ -40,7 +41,7 @@ def _run_all():
             system = PierSystem(
                 factory(scheme=make_scheme(scheme_name)), clean_clean=True
             )
-            engine = StreamingEngine(make_matcher("ED"), budget=BUDGET)
+            engine = StreamingEngine(session.build_matcher(), budget=BUDGET)
             result = engine.run(system, plan, dataset.ground_truth)
             auc = result.curve.area_under_curve(BUDGET)
             aucs.append(auc)

@@ -9,10 +9,10 @@ in the static progressive setting, confirming the original ranking
 
 from __future__ import annotations
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import pc_over_comparisons_table, summary_table
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SYSTEMS = ("PPS", "PBS", "LS-PSN", "GS-PSN")
 BUDGET = 60.0
@@ -28,7 +28,7 @@ def _run():
         rate=None,
         budget=BUDGET,
     )
-    return run_experiment(config)
+    return compare(config)
 
 
 def test_extension_psn_baselines(benchmark):

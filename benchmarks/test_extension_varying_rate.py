@@ -9,13 +9,13 @@ the stream no later than the serial engine.
 
 from __future__ import annotations
 
+from repro.api import ERSession
 from repro.core.increments import (
     make_poisson_stream_plan,
     make_stream_plan,
     split_into_increments,
 )
 from repro.datasets.registry import load_dataset
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.evaluation.reporting import summary_table
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -31,15 +31,16 @@ def _run_all():
     increments = split_into_increments(dataset, 120, seed=0)
     fixed_plan = make_stream_plan(increments, rate=RATE)
     poisson_plan = make_poisson_stream_plan(increments, rate=RATE, seed=5)
+    session = ERSession(dataset, systems=("I-PES",), matcher="ED")
     results = {}
     for label, plan, engine_factory in (
         ("fixed/serial", fixed_plan, StreamingEngine),
         ("poisson/serial", poisson_plan, StreamingEngine),
         ("poisson/pipelined", poisson_plan, PipelinedStreamingEngine),
     ):
-        engine = engine_factory(make_matcher("ED"), budget=BUDGET)
+        engine = engine_factory(session.build_matcher(), budget=BUDGET)
         results[label] = engine.run(
-            make_system("I-PES", dataset), plan, dataset.ground_truth
+            session.build_system("I-PES"), plan, dataset.ground_truth
         )
     return results
 

@@ -11,10 +11,10 @@ profile.
 
 from __future__ import annotations
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import pc_over_time_table
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SCALE = 0.4
 
@@ -29,7 +29,7 @@ def _static_setting():
         rate=None,
         budget=120.0,
     )
-    return run_experiment(config)
+    return compare(config)
 
 
 def _dynamic_setting():
@@ -42,7 +42,7 @@ def _dynamic_setting():
         rate=16.0,
         budget=120.0,
     )
-    return run_experiment(config)
+    return compare(config)
 
 
 def test_fig1_static(benchmark):

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.evaluation.reporting import pc_over_time_table, summary_table
 from repro.streaming.engine import StreamingEngine
 
@@ -42,11 +42,12 @@ def _run_cell(label: str):
     dataset = load_dataset("movies", scale=SCALE)
     increments = split_into_increments(dataset, n_increments, seed=0)
     plan = make_stream_plan(increments, rate=rate)
+    session = ERSession(dataset, systems=SYSTEMS, matcher="JS")
     results = {}
     for system_name in SYSTEMS:
-        engine = StreamingEngine(make_matcher("JS"), budget=budget)
+        engine = StreamingEngine(session.build_matcher(), budget=budget)
         results[system_name] = engine.run(
-            make_system(system_name, dataset), plan, dataset.ground_truth
+            session.build_system(system_name), plan, dataset.ground_truth
         )
     return results
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import pc_over_time_table, summary_table
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SYSTEMS = ("PPS", "PBS", "I-PCS", "I-PBS", "I-PES")
 
@@ -43,7 +43,7 @@ def _run(dataset_name: str, matcher: str):
         rate=None,  # static setting
         budget=js_budget if matcher == "JS" else ed_budget,
     )
-    return config, run_experiment(config)
+    return config, compare(config)
 
 
 @pytest.mark.parametrize("dataset_name", list(SETUPS))

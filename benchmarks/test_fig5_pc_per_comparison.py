@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import pc_over_comparisons_table
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SYSTEMS = ("PPS", "PBS", "I-PCS", "I-PBS", "I-PES")
 
@@ -41,7 +41,7 @@ def _run(dataset_name: str):
         rate=None,
         budget=10_000.0,       # effectively unbounded: run to completion
     )
-    return run_experiment(config)
+    return compare(config)
 
 
 @pytest.mark.parametrize("dataset_name", list(SETUPS))

@@ -12,13 +12,13 @@ batch counterparts PBS and PPS.  Expected shapes (paper, Figure 6):
 
 from __future__ import annotations
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import (
     pc_over_comparisons_table,
     pc_over_time_table,
 )
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SCALE = 0.3
 BUDGET = 150.0
@@ -41,7 +41,7 @@ def _run():
             rate=None,
             budget=BUDGET,
         )
-        for name, result in run_experiment(config).items():
+        for name, result in compare(config).items():
             results[f"{name}({n_increments})" if n_increments > 1 else name] = result
     return results
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import ExperimentConfig, run_experiment
+from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.reporting import pc_over_time_table, summary_table
 
-from benchmarks.helpers import report, run_once
+from benchmarks.helpers import compare, report, run_once
 
 SYSTEMS = ("I-BASE", "I-PCS", "I-PBS", "I-PES")
 RATES = (4.0, 8.0, 16.0)
@@ -40,7 +40,7 @@ def _run(dataset_name: str, matcher: str, rate: float):
         rate=rate,
         budget=budget,
     )
-    return budget, run_experiment(config)
+    return budget, compare(config)
 
 
 @pytest.mark.parametrize("dataset_name", list(SETUPS))

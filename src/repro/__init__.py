@@ -145,7 +145,7 @@ def resolve_stream(
 
     Thin wrapper over :class:`repro.api.ERSession` — batch baselines
     (PPS/PBS/BATCH/…-PSN) in the static setting therefore receive the full
-    dataset as one increment, matching ``run_experiment`` and the paper.
+    dataset as one increment, as the paper runs them.
     """
     with ERSession(
         dataset,

@@ -1,11 +1,10 @@
 """The unified session API: one typed builder for every way to run ER.
 
-Before this module, running a resolution meant composing five surfaces by
-hand — ``load_dataset`` + ``split_into_increments`` + ``make_stream_plan``
-+ ``make_system``/``make_matcher`` + picking an engine class — and each
-driver (``resolve_stream``, the CLI, the three benchmark drivers,
-``run_experiment``) repeated the dance with its own defaults and its own
-bugs.  :class:`ERSession` is that composition, written once:
+Running a resolution means composing five surfaces — ``load_dataset`` +
+``split_into_increments`` + ``make_stream_plan`` + a system and a matcher
+by paper name + an engine class.  :class:`ERSession` is that composition,
+written once, for every driver (``resolve_stream``, the CLI, the benchmark
+drivers, the service):
 
     from repro.api import ERSession
 
@@ -13,8 +12,7 @@ bugs.  :class:`ERSession` is that composition, written once:
                    n_increments=50, rate=5.0, budget=60.0, workers=4) as session:
         results = session.compare()
 
-Engine behavior knobs (the CLI's escape hatches, previously unreachable
-from Python) travel in one :class:`EngineOptions` value; ``workers``
+Engine behavior knobs travel in one :class:`EngineOptions` value; ``workers``
 switches on the process-parallel layer (:mod:`repro.parallel`): Tier A
 shards matcher scoring inside each run, Tier B fans independent
 ``compare`` cells across processes.  Either way results are bit-identical
@@ -23,10 +21,7 @@ semantics choice.
 
 Semantics note: batch baselines (PPS/PBS/BATCH/…-PSN) in the static
 setting (``rate=None``) always receive the whole dataset as a single
-increment, exactly how the paper runs them.  ``run_experiment`` always did
-this; the session API extends it to every entry point (``resolve_stream``,
-the CLI), which previously streamed ``n_increments`` pieces at batch
-systems in static runs.
+increment, exactly how the paper runs them — from every entry point.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from repro.evaluation.experiments import (
     _build_system,
 )
 from repro.matching.matcher import Matcher
-from repro.matching.similarity import ED_KERNELS
 from repro.resilience.checkpoint import EngineCheckpoint
 from repro.resilience.faults import (
     FaultReport,
@@ -71,11 +65,10 @@ __all__ = ["EngineOptions", "ERSession", "PushSession", "run_cell"]
 class EngineOptions:
     """How the engine executes — and, for one knob group, what it computes.
 
-    The execution fields preserve bit-identical results; they are the CLI
-    escape hatches (``--pipelined``, ``--scalar-matching``,
-    ``--per-pair-weighting``, ``--workers``, ``--ed-kernel``, the
-    supervision timeouts) as one first-class, picklable value that
-    :class:`ExperimentConfig` can carry.
+    The execution fields (``--pipelined``, ``--workers``, the supervision
+    timeouts on the CLI) travel as one first-class, picklable value that
+    :class:`ExperimentConfig` can carry; ``workers`` and its knobs never
+    change results.
 
     The **blocking substrate** group (``blocking`` / ``lsh_bands`` /
     ``lsh_rows`` / ``lsh_seed``; the CLI's ``--blocking`` / ``--lsh-*``) is
@@ -86,13 +79,7 @@ class EngineOptions:
     """
 
     pipelined: bool = False
-    scalar_matching: bool = False
-    per_pair_weighting: bool = False
     workers: int = 1
-    #: Edit-distance kernel for the ED matcher (see
-    #: :data:`repro.matching.similarity.ED_KERNELS`).  All kernels produce
-    #: identical distances; this is a wall-clock/debugging escape hatch.
-    ed_kernel: str = "auto"
     #: Fleet-supervision knobs (``workers > 1`` only; wall-clock behavior,
     #: never results).  ``None`` resolves from the environment
     #: (``REPRO_REPLY_TIMEOUT_S`` / ``REPRO_HANDSHAKE_TIMEOUT_S``) or the
@@ -124,10 +111,6 @@ class EngineOptions:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.min_shard is not None and self.min_shard < 1:
             raise ValueError(f"min_shard must be >= 1, got {self.min_shard}")
-        if self.ed_kernel not in ED_KERNELS:
-            raise ValueError(
-                f"ed_kernel must be one of {ED_KERNELS}, got {self.ed_kernel!r}"
-            )
         if self.handshake_timeout_s is not None and self.handshake_timeout_s <= 0:
             raise ValueError("handshake_timeout_s must be positive (or None)")
         if self.max_respawns is not None and self.max_respawns < 0:
@@ -278,9 +261,7 @@ class ERSession:
 
         Batch baselines in the static setting get the whole dataset as one
         increment; everything else gets the ``n_increments`` split.  Plans
-        are built once per session — shared, not re-split, across systems
-        (``run_experiment`` used to recompute the single-increment split
-        for every batch system in the loop).
+        are built once per session — shared, not re-split, across systems.
         """
         single = system_name.upper() in BATCH_SYSTEMS and self.rate is None
         plan = self._plans.get(single)
@@ -302,19 +283,14 @@ class ERSession:
         Fresh per run so a fault schedule always starts from its seed —
         every system of a comparison sees the same perturbation sequence.
         """
-        matcher = _build_matcher(
-            self.matcher_name, ed_kernel=self.engine_options.ed_kernel
-        )
+        matcher = _build_matcher(self.matcher_name)
         if self.fault_spec is not None:
             matcher = FaultyMatcher(matcher, seed=self.fault_spec.seed)
         return matcher
 
     def build_system(self, system_name: str):
         return _build_system(
-            system_name,
-            self.dataset,
-            per_pair_weighting=self.engine_options.per_pair_weighting,
-            blocking=self.engine_options.blocking_config(),
+            system_name, self.dataset, blocking=self.engine_options.blocking_config()
         )
 
     def build_engine(self, matcher: Matcher) -> StreamingEngine:
@@ -325,7 +301,6 @@ class ERSession:
             budget=self.budget,
             resilience=self.resilience,
             checkpoint_every=self.checkpoint_every,
-            batch_matching=not options.scalar_matching,
             workers=options.workers,
             pool=self._shared_pool(matcher),
             supervision=options.supervision(),
@@ -336,11 +311,7 @@ class ERSession:
     def _shared_pool(self, matcher: Matcher):
         """The session-owned Tier A pool (spawned once, reused per run)."""
         options = self.engine_options
-        if (
-            options.workers <= 1
-            or options.scalar_matching
-            or not matcher.supports_batch
-        ):
+        if options.workers <= 1 or not matcher.supports_batch:
             return None
         if self._external_pool is not None:
             pool = self._external_pool

@@ -150,8 +150,8 @@ class BlockCollection:
         # are stable and never reused.
         self._key_ids: dict[str, int] = {}
         # Per-profile cache of the sorted live-block tuple behind
-        # iter_partner_blocks/blocks_of_as_blocks; invalidated when the
-        # profile's key set changes (its own add, or a purge touching it).
+        # iter_partner_blocks; invalidated when the profile's key set
+        # changes (its own add, or a purge touching it).
         self._profile_blocks: dict[int, tuple[Block, ...]] = {}
         # Keys whose block gained a member since drain_grown() last ran.
         self._grown: set[str] = set()
@@ -170,9 +170,9 @@ class BlockCollection:
         keys: set[str] = set()
         grown = self._grown
         # Sorted: the keys usually come from a frozenset, whose iteration
-        # order follows the interpreter's hash seed, and the order decides
+        # order follows the interpreter's hash seed, and this order decides
         # block creation order — hence ``iter(collection)`` and the interned
-        # ids, which the batch baselines' schedules are built from.
+        # ids, which the batch baselines build their schedules from.
         for token in sorted(self.profile_keys(profile)):
             if token in self._purged_keys:
                 continue
@@ -200,9 +200,9 @@ class BlockCollection:
 
         Token blocking keys a profile by its tokens; subclasses derive keys
         differently (MinHash bucket keys in :mod:`repro.blocking.lsh`).
-        The result may be unordered: :meth:`add_profile` sorts it, because
-        the order keys are indexed in fixes block creation order and the
-        interned block ids.
+        The result may be unordered: :meth:`add_profile` indexes the keys in
+        sorted order, which fixes block creation order and the interned
+        block ids.
         """
         return profile.tokens()
 
@@ -277,17 +277,6 @@ class BlockCollection:
             )
             self._profile_blocks[pid] = cached
         return cached
-
-    def blocks_of_as_blocks(self, pid: int) -> tuple[Block, ...]:
-        """The live blocks containing ``pid``, as Block objects.
-
-        Returned in sorted key order: ``_blocks_of`` stores key *sets*, whose
-        iteration order varies with the interpreter's hash seed, and this
-        order feeds candidate generation (block ghosting, I-WNP, queue
-        tie-breaking).  Sorting keeps runs bit-identical across hosts and
-        checkpoint restores.  Alias of :meth:`iter_partner_blocks`.
-        """
-        return self.iter_partner_blocks(pid)
 
     def partner_counts(self, pid: int, source: int | None = None) -> Counter:
         """Co-occurrence counts ``|B(pid) ∩ B(y)|`` for every partner ``y``.

@@ -133,7 +133,6 @@ class BlockingSubstrate(Protocol):
     def blocks_of(self, pid: int) -> frozenset[str]: ...
     def block_count_of(self, pid: int) -> int: ...
     def iter_partner_blocks(self, pid: int) -> tuple[Block, ...]: ...
-    def blocks_of_as_blocks(self, pid: int) -> tuple[Block, ...]: ...
     def partner_counts(self, pid: int, source: int | None = None) -> Counter: ...
     def common_blocks(self, pid_x: int, pid_y: int) -> int: ...
     def profiles_indexed(self) -> int: ...

@@ -25,7 +25,6 @@ from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.experiments import SYSTEM_NAMES
 from repro.evaluation.io import run_result_to_json, write_curve_csv
 from repro.evaluation.reporting import format_table, pc_over_time_table, summary_table
-from repro.matching.similarity import ED_KERNELS
 
 __all__ = ["main", "build_parser"]
 
@@ -61,25 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--pipelined", action="store_true",
             help="use the two-stage pipelined engine instead of the serial one",
-        )
-        sub.add_argument(
-            "--scalar-matching", action="store_true",
-            help="force pair-at-a-time matcher evaluation instead of the "
-                 "batched kernel (bit-identical results; for debugging and "
-                 "benchmarking)",
-        )
-        sub.add_argument(
-            "--per-pair-weighting", action="store_true",
-            help="force one meta-blocking weight() call per candidate pair "
-                 "instead of the single-sweep weighting kernel "
-                 "(bit-identical results; for debugging and benchmarking)",
-        )
-        sub.add_argument(
-            "--ed-kernel", default="auto", choices=list(ED_KERNELS),
-            help="edit-distance kernel for the ED matcher: 'auto' (Myers "
-                 "bit-parallel), 'myers', 'banded' (band-limited DP), or "
-                 "'full' (unbounded DP); all kernels compute identical "
-                 "distances (escape hatch for debugging and benchmarking)",
         )
         sub.add_argument(
             "--blocking", default="token", choices=list(BLOCKING_SUBSTRATES),
@@ -182,10 +162,7 @@ def _session(args, systems) -> ERSession:
         matcher=args.matcher,
         engine=EngineOptions(
             pipelined=args.pipelined,
-            scalar_matching=args.scalar_matching,
-            per_pair_weighting=args.per_pair_weighting,
             workers=args.workers,
-            ed_kernel=args.ed_kernel,
             reply_timeout_s=args.reply_timeout_s,
             handshake_timeout_s=args.handshake_timeout_s,
             max_respawns=args.max_respawns,

@@ -1,8 +1,5 @@
 """Evaluation: metrics, progress recording, experiment harness, reporting."""
 
-# ``make_matcher``/``make_system``/``run_experiment`` are deliberately NOT
-# re-exported: they are deprecated shims, importable from
-# ``repro.evaluation.experiments`` for one more release.
 from repro.evaluation.experiments import (
     BATCH_SYSTEMS,
     ExperimentConfig,

@@ -1,15 +1,13 @@
-"""Experiment harness: build systems/matchers by name and run configurations.
+"""Experiment harness: systems and matchers by paper name, and the cell spec.
 
-This is the layer the benchmarks, examples, and EXPERIMENTS.md reproduction
-scripts sit on.  A :class:`ExperimentConfig` pins everything that defines
-one paper experiment cell (dataset, increments, input rate, matcher,
-algorithms, virtual budget); :func:`run_experiment` executes it and returns
-one :class:`RunResult` per algorithm.
+A :class:`ExperimentConfig` pins everything that defines one paper
+experiment cell (dataset, increments, input rate, matcher, algorithms,
+virtual budget); :meth:`repro.api.ERSession.from_config` turns it into a
+session whose ``compare()`` returns one ``RunResult`` per algorithm.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -30,18 +28,9 @@ from repro.progressive.batch import BatchERSystem
 from repro.progressive.pbs import PBSSystem
 from repro.progressive.pps import PPSSystem
 from repro.progressive.psn import GSPSNSystem, LSPSNSystem
-from repro.streaming.engine import RunResult
 from repro.streaming.system import ERSystem
 
-__all__ = [
-    "SYSTEM_NAMES",
-    "BATCH_SYSTEMS",
-    "WEIGHTING_SYSTEMS",
-    "ExperimentConfig",
-    "make_matcher",
-    "make_system",
-    "run_experiment",
-]
+__all__ = ["SYSTEM_NAMES", "BATCH_SYSTEMS", "ExperimentConfig"]
 
 # Systems that require the full dataset upfront (single-increment plans in
 # static experiments); all others consume the increment stream as-is.
@@ -64,53 +53,23 @@ SYSTEM_NAMES = (
 )
 
 
-def _build_matcher(name: str, *, ed_kernel: str = "auto") -> Matcher:
-    """JS (cheap) or ED (expensive) matcher with experiment thresholds.
-
-    ``ed_kernel`` selects the ED matcher's edit-distance kernel (ignored
-    for JS); every kernel computes identical distances, so it is a
-    wall-clock escape hatch only.
-    """
+def _build_matcher(name: str) -> Matcher:
+    """JS (cheap) or ED (expensive) matcher with experiment thresholds."""
     if name.upper() == "JS":
         return JaccardMatcher(threshold=0.35)
     if name.upper() == "ED":
-        return EditDistanceMatcher(threshold=0.7, kernel=ed_kernel)
+        return EditDistanceMatcher(threshold=0.7)
     raise ValueError(f"unknown matcher {name!r}; use 'JS' or 'ED'")
-
-
-#: Systems whose prioritization runs on meta-blocking weights and therefore
-#: honor the ``per_pair_weighting`` escape hatch.  The sorted-neighborhood
-#: and exhaustive-batch baselines do not weight comparisons, so the flag is
-#: ignored for them.
-WEIGHTING_SYSTEMS = frozenset(
-    {
-        "I-PES",
-        "I-PCS",
-        "I-PBS",
-        "I-AUTO",
-        "I-BASE",
-        "PPS",
-        "PPS-GLOBAL",
-        "PPS-LOCAL",
-        "PBS",
-        "PBS-GLOBAL",
-    }
-)
 
 
 def _build_system(
     name: str,
     dataset: Dataset,
     *,
-    per_pair_weighting: bool = False,
     blocking: "BlockingConfig | None" = None,
     **overrides,
 ) -> ERSystem:
     """Instantiate an ER system by its paper name for a given dataset.
-
-    ``per_pair_weighting=True`` selects the legacy per-pair meta-blocking
-    weighting path instead of the single-sweep kernel for the systems that
-    weight comparisons (bit-identical results; exists for bisection).
 
     ``blocking`` selects the candidate-generation substrate
     (token / lsh / lsh-prefilter) for every system; ``None`` keeps the
@@ -120,8 +79,6 @@ def _build_system(
     """
     clean_clean = dataset.kind is ERKind.CLEAN_CLEAN
     key = name.upper()
-    if per_pair_weighting and key in WEIGHTING_SYSTEMS:
-        overrides["per_pair_weighting"] = True
     if key == "I-PES":
         return PierSystem(IPES(**overrides), clean_clean=clean_clean, blocking=blocking)
     if key == "I-PCS":
@@ -185,14 +142,12 @@ class ExperimentConfig:
     seed: int = 0
     dataset: Dataset | None = field(default=None, compare=False)
     #: Engine knobs — see :class:`repro.api.EngineOptions` for the full
-    #: set: execution escape hatches (``pipelined``, ``scalar_matching``,
-    #: ``per_pair_weighting``, ``workers``, ``ed_kernel``), the fleet
-    #: supervision knobs (``reply_timeout_s``, ``handshake_timeout_s``,
+    #: set: the engine choice (``pipelined``), the fleet (``workers`` and
+    #: its supervision knobs ``reply_timeout_s``, ``handshake_timeout_s``,
     #: ``max_respawns``, ``min_shard``), and the blocking-substrate choice
     #: (``blocking``, ``lsh_bands``, ``lsh_rows``, ``lsh_seed`` — the one
     #: group that changes *what* is computed).  ``None`` means all
-    #: defaults: serial engine, batched kernel, sweep weighting, one
-    #: worker, token blocking.
+    #: defaults: serial engine, one worker, token blocking.
     engine: "EngineOptions | None" = None
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -202,54 +157,3 @@ class ExperimentConfig:
         if self.dataset is not None:
             return self.dataset
         return load_dataset(self.dataset_name, scale=self.scale)
-
-
-_DEPRECATION_TEMPLATE = (
-    "{name} is deprecated; build an repro.api.ERSession instead "
-    "(it unifies system/matcher/plan/engine construction and adds the "
-    "parallel execution knobs)"
-)
-
-
-def make_matcher(name: str) -> Matcher:
-    """Deprecated shim for :func:`_build_matcher`; use :class:`repro.api.ERSession`."""
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(name="make_matcher"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_matcher(name)
-
-
-def make_system(
-    name: str, dataset: Dataset, *, per_pair_weighting: bool = False, **overrides
-) -> ERSystem:
-    """Deprecated shim for :func:`_build_system`; use :class:`repro.api.ERSession`."""
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(name="make_system"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_system(
-        name, dataset, per_pair_weighting=per_pair_weighting, **overrides
-    )
-
-
-def run_experiment(config: ExperimentConfig) -> dict[str, RunResult]:
-    """Run every configured system over the configured stream; return
-    results keyed by system name.
-
-    Deprecated shim: the implementation lives in
-    :meth:`repro.api.ERSession.compare`, which honors ``config.engine``
-    (pipelined/scalar/per-pair/workers) and builds each stream plan once
-    instead of re-splitting the dataset per batch system.
-    """
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(name="run_experiment"),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import ERSession
-
-    with ERSession.from_config(config) as session:
-        return session.compare()

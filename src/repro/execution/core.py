@@ -18,17 +18,20 @@ is *not* executed and *not* credited to the progress curve — the engine
 charges the remaining time as cut-off work and stops, so no point of the
 reported curve ever lies beyond the budget.
 
-Comparison execution comes in two bit-identical flavors:
+Comparison execution has two paths, selected by what the matcher declares
+(``matcher.supports_batch``), never by an option:
 
 * the **scalar path** walks the emission batch pair by pair through
   ``matcher.evaluate`` with the full retry/backoff/quarantine machinery —
-  required for impure matchers (fault injection, latency spikes);
+  it is what runs a ``supports_batch = False`` matcher (fault injection,
+  latency spikes whose cost overshoots the estimate);
 * the **batched kernel** plans the deadline cut from
   ``matcher.estimate_cost_batch`` and executes the surviving prefix with a
   single ``matcher.evaluate_batch`` call.  For matchers that declare
   ``supports_batch`` (evaluation is deterministic, never raises, and costs
-  exactly its estimate) this produces bit-identical clocks, curves and
-  counters while amortizing per-pair Python dispatch — the acceleration
+  exactly its estimate) this produces the clocks, curves and counters the
+  scalar path would (``tests/test_engine_parity.py`` runs the same matcher
+  through both) while amortizing per-pair Python dispatch — the acceleration
   lever of SPER-style batched similarity evaluation.  With a worker fleet
   the kernel charges the round when it runs and scores it off the round
   (see :meth:`ExecutionCore._execute_batch_kernel`).
@@ -201,10 +204,6 @@ class ExecutionCore:
         the default changes nothing about a fault-free run.
     checkpoint_every:
         Convenience override for ``resilience.checkpoint_every``.
-    batch_matching:
-        Execute emission rounds through the batched kernel when the matcher
-        supports it (the default).  ``False`` forces the scalar path; both
-        are bit-identical for matchers that declare ``supports_batch``.
     workers:
         Score the batched kernel's rounds on this many worker processes
         (Tier A of :mod:`repro.parallel`), in hand-offs of
@@ -249,7 +248,6 @@ class ExecutionCore:
         sample_every: int = 64,
         resilience: ResilienceConfig | None = None,
         checkpoint_every: float | None = None,
-        batch_matching: bool = True,
         workers: int = 1,
         pool: "object | None" = None,
         supervision: "object | None" = None,
@@ -270,7 +268,6 @@ class ExecutionCore:
         if checkpoint_every is not None:
             resilience = replace(resilience, checkpoint_every=checkpoint_every)
         self.resilience = resilience
-        self.batch_matching = batch_matching
         self.workers = workers
         self.supervision = supervision
         self.worker_faults = worker_faults
@@ -536,11 +533,11 @@ class ExecutionCore:
     ) -> bool:
         """Execute one emission batch under deadline/retry/quarantine rules.
 
-        Routes to the batched kernel when both the engine and the matcher
-        allow it, else to the scalar path.  Returns ``deadline_cut``; the
-        match clock never exceeds the budget on return.
+        Routes to the batched kernel when the matcher supports it, else to
+        the scalar path.  Returns ``deadline_cut``; the match clock never
+        exceeds the budget on return.
         """
-        if self.batch_matching and state.matcher.supports_batch:
+        if state.matcher.supports_batch:
             clock, deadline_cut = self._execute_batch_kernel(state, batch, match_timer)
         else:
             clock, deadline_cut = self._execute_batch_scalar(state, batch, match_timer)

@@ -46,9 +46,6 @@ class IBaseSystem(ERSystem):
     high_watermark:
         Back-pressure bound on the comparison backlog: ingestion of further
         increments stalls while the backlog is above this value.
-    per_pair_weighting:
-        Use the legacy one-``weight()``-call-per-candidate path instead of
-        the single-sweep kernel (bit-identical; for bisection).
     blocking:
         Blocking-substrate choice (token / lsh / lsh-prefilter); ``None``
         keeps the paper's token blocking.
@@ -65,7 +62,6 @@ class IBaseSystem(ERSystem):
         costs: PipelineCosts | None = None,
         chunk_size: int = 64,
         high_watermark: int = 2000,
-        per_pair_weighting: bool = False,
         blocking: BlockingConfig | None = None,
     ) -> None:
         self.costs = costs or PipelineCosts()
@@ -77,7 +73,7 @@ class IBaseSystem(ERSystem):
             ),
             blocking=blocking,
         )
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
+        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
         self.chunk_size = chunk_size
         self.high_watermark = high_watermark
         self._fifo: deque[tuple[int, int]] = deque()

@@ -19,10 +19,8 @@ from typing import NamedTuple, Sequence
 
 from repro.core.profile import EntityProfile
 from repro.matching.similarity import (
-    ED_KERNELS,
     jaccard,
     jaccard_batch,
-    levenshtein,
     levenshtein_myers,
     myers_table,
     normalized_edit_similarity,
@@ -375,11 +373,11 @@ class EditDistanceMatcher(Matcher):
     prefilter, then three *exact* lower bounds on the distance (length
     difference, q-gram lemma, bag distance) that answer "not within the
     band" with the very float the bounded DP would return, and the
-    bit-parallel DP (:data:`ED_KERNELS`) only for the pairs none of them
-    decides — so host wall-clock time stays bounded without altering
-    classifications near the threshold.  Texts shorter than one bigram
-    bypass the funnel entirely (their empty bigram set carries no signal)
-    and go straight to the — then O(1) — exact DP.
+    bit-parallel DP only for the pairs none of them decides — so host
+    wall-clock time stays bounded without altering classifications near the
+    threshold.  Texts shorter than one bigram bypass the funnel entirely
+    (their empty bigram set carries no signal) and go straight to the —
+    then O(1) — exact DP.
     """
 
     name = "ED"
@@ -392,16 +390,12 @@ class EditDistanceMatcher(Matcher):
         cost_model: CostModel | None = None,
         max_text_length: int = 160,
         prefilter_floor: float = 0.3,
-        kernel: str = "auto",
     ) -> None:
         super().__init__(threshold, cost_model or CostModel(base=1e-4, per_unit=5e-7))
         if max_text_length < 8:
             raise ValueError("max_text_length must be >= 8")
-        if kernel not in ED_KERNELS:
-            raise ValueError(f"kernel must be one of {ED_KERNELS}, got {kernel!r}")
         self.max_text_length = max_text_length
         self.prefilter_floor = prefilter_floor
-        self.kernel = kernel
         self.kernel_counts = dict.fromkeys(KERNEL_COUNTERS, 0)
         self._init_derived_state()
 
@@ -477,8 +471,6 @@ class EditDistanceMatcher(Matcher):
         threshold = self.threshold
         slack = 1.0 - threshold
         floor = self.prefilter_floor
-        kernel = self.kernel
-        myers = kernel in ("auto", "myers")
         short_texts = prefilter_rejects = length_cuts = qgram_cuts = bag_cuts = dp_calls = 0
         similarities = []
         for profile_x, profile_y in pairs:
@@ -491,9 +483,7 @@ class EditDistanceMatcher(Matcher):
             if not grams_x or not grams_y:
                 short_texts += 1
                 similarities.append(
-                    normalized_edit_similarity(
-                        text_x, text_y, min_similarity=threshold, kernel=kernel
-                    )
+                    normalized_edit_similarity(text_x, text_y, min_similarity=threshold)
                 )
                 continue
             common = (gram_bits_x & gram_bits_y).bit_count()
@@ -517,10 +507,7 @@ class EditDistanceMatcher(Matcher):
                 bag_cuts += 1
             else:
                 dp_calls += 1
-                if myers:
-                    distance = levenshtein_myers(table_y, longest, text_x, bound)
-                else:
-                    distance = levenshtein(text_x, text_y, max_distance=bound, kernel=kernel)
+                distance = levenshtein_myers(table_y, longest, text_x, bound)
             similarities.append(1.0 - (distance if distance < longest else longest) / longest)
         counts = self.kernel_counts
         for name, count in zip(

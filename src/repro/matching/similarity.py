@@ -3,13 +3,11 @@
 The paper evaluates two pipeline configurations: a *cheap* matcher based on
 Jaccard similarity (JS) over token sets and an *expensive* matcher based on
 edit distance (ED) over the concatenated profile text.  Both are implemented
-here from scratch.  The edit distance offers three interchangeable kernels —
-a full dynamic-programming table, a banded DP with early exit, and the Myers
-bit-parallel algorithm (one arbitrary-precision bit-vector, so patterns of
-any length ride CPython's big-int limb arithmetic; with a bound it stops at
-the first column whose cell on the final cell's diagonal is beyond it) — all
-returning identical distances, so any kernel choice produces bit-identical
-similarities downstream.
+here from scratch.  The edit distance is the Myers bit-parallel algorithm
+(one arbitrary-precision bit-vector, so patterns of any length ride
+CPython's big-int limb arithmetic; with a bound it stops at the first column
+whose cell on the final cell's diagonal is beyond it).  Its oracle is the
+textbook dynamic-programming table in ``tests/reference/levenshtein.py``.
 """
 
 from __future__ import annotations
@@ -25,15 +23,7 @@ __all__ = [
     "myers_table",
     "levenshtein_myers",
     "normalized_edit_similarity",
-    "ED_KERNELS",
 ]
-
-#: Valid ``kernel`` arguments for :func:`levenshtein` /
-#: :func:`normalized_edit_similarity`.  ``auto`` is the Myers bit-parallel
-#: fast path; ``banded`` is the pre-Myers scalar dispatch (full table when
-#: unbounded, banded DP when bounded) kept as the cross-validation reference
-#: and escape hatch; ``myers`` / ``full`` force one algorithm outright.
-ED_KERNELS = ("auto", "myers", "banded", "full")
 
 
 def jaccard(tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str]) -> float:
@@ -93,22 +83,16 @@ def overlap_coefficient(
     return intersection / len(tokens_x)
 
 
-def levenshtein(
-    text_x: str, text_y: str, max_distance: int | None = None, kernel: str = "auto"
-) -> int:
+def levenshtein(text_x: str, text_y: str, max_distance: int | None = None) -> int:
     """Levenshtein edit distance between two strings.
 
     Parameters
     ----------
     max_distance:
         Optional bound ``k``.  If the true distance exceeds ``k`` the
-        function returns ``k + 1``; with a bound every kernel early-exits
-        once the distance provably exceeds ``k``, which keeps the expensive
+        function returns ``k + 1``; with a bound the kernel stops as soon
+        as the distance provably exceeds ``k``, which keeps the expensive
         matcher affordable for clearly different strings.
-    kernel:
-        Algorithm selection (see :data:`ED_KERNELS`).  All kernels return
-        identical integers for every input — exact distances up to the
-        bound, ``k + 1`` beyond it — so the choice is wall-clock only.
     """
     if text_x == text_y:
         return 0
@@ -117,72 +101,13 @@ def levenshtein(
         return len(text_y) if cap is None else min(len(text_y), cap)
     if not text_y:
         return len(text_x) if cap is None else min(len(text_x), cap)
-    # text_x is the shorter string: the DP row of the banded kernel and the
-    # text the Myers kernel scans (the longer one is its bit-vector pattern).
+    # text_x is the shorter string: the text the Myers kernel scans (the
+    # longer one is its bit-vector pattern).
     if len(text_x) > len(text_y):
         text_x, text_y = text_y, text_x
     if max_distance is not None and len(text_y) - len(text_x) > max_distance:
         return max_distance + 1
-    if kernel == "auto" or kernel == "myers":
-        return levenshtein_myers(myers_table(text_y), len(text_y), text_x, max_distance)
-    if kernel == "banded":
-        if max_distance is None:
-            return _levenshtein_full(text_x, text_y)
-        return _levenshtein_banded(text_x, text_y, max_distance)
-    if kernel == "full":
-        distance = _levenshtein_full(text_x, text_y)
-        return distance if cap is None else min(distance, cap)
-    raise ValueError(f"unknown edit-distance kernel {kernel!r}; use one of {ED_KERNELS}")
-
-
-def _levenshtein_full(text_x: str, text_y: str) -> int:
-    previous_row = list(range(len(text_x) + 1))
-    for row_index, char_y in enumerate(text_y, start=1):
-        current_row = [row_index]
-        for col_index, char_x in enumerate(text_x, start=1):
-            substitution = previous_row[col_index - 1] + (char_x != char_y)
-            insertion = current_row[col_index - 1] + 1
-            deletion = previous_row[col_index] + 1
-            current_row.append(min(substitution, insertion, deletion))
-        previous_row = current_row
-    return previous_row[-1]
-
-
-def _levenshtein_banded(text_x: str, text_y: str, bound: int) -> int:
-    """Banded DP: only cells with ``|i - j| <= bound`` can hold values
-    ``<= bound``, so the rest of each row is never materialized."""
-    width = len(text_x)
-    infinity = bound + 1
-    previous_row = [j if j <= bound else infinity for j in range(width + 1)]
-    for i, char_y in enumerate(text_y, start=1):
-        low = max(1, i - bound)
-        high = min(width, i + bound)
-        current_row = [infinity] * (width + 1)
-        if i <= bound:
-            current_row[0] = i
-        best = infinity
-        for j in range(low, high + 1):
-            char_x = text_x[j - 1]
-            substitution = previous_row[j - 1] + (char_x != char_y)
-            insertion = current_row[j - 1] + 1
-            deletion = previous_row[j] + 1
-            cell = substitution
-            if insertion < cell:
-                cell = insertion
-            if deletion < cell:
-                cell = deletion
-            if cell > infinity:
-                cell = infinity
-            current_row[j] = cell
-            if cell < best:
-                best = cell
-        if i <= bound and current_row[0] < best:
-            best = current_row[0]
-        if best > bound:
-            return infinity
-        previous_row = current_row
-    distance = previous_row[width]
-    return distance if distance <= bound else infinity
+    return levenshtein_myers(myers_table(text_y), len(text_y), text_x, max_distance)
 
 
 def myers_table(pattern: str) -> dict[str, int]:
@@ -286,10 +211,7 @@ def levenshtein_myers(peq: dict[str, int], length: int, text: str, bound: int | 
 
 
 def normalized_edit_similarity(
-    text_x: str,
-    text_y: str,
-    min_similarity: float | None = None,
-    kernel: str = "auto",
+    text_x: str, text_y: str, min_similarity: float | None = None
 ) -> float:
     """Edit-distance similarity ``1 - dist / max_len`` in [0, 1].
 
@@ -303,10 +225,6 @@ def normalized_edit_similarity(
         (e.g. a matcher deciding ``sim >= t``), passing ``t`` narrows the DP
         band accordingly; values below the threshold are then clamped
         pessimistically (still in [0, 1], still below ``t``).
-    kernel:
-        Edit-distance kernel selection, forwarded to :func:`levenshtein`.
-        Every kernel yields the same integer distance, hence bit-identical
-        floats out of this function.
     """
     longest = max(len(text_x), len(text_y))
     if longest == 0:
@@ -318,7 +236,7 @@ def normalized_edit_similarity(
         if not 0.0 <= min_similarity <= 1.0:
             raise ValueError("min_similarity must be in [0, 1]")
         bound = int((1.0 - min_similarity) * longest) + 1
-    distance = levenshtein(text_x, text_y, max_distance=bound, kernel=kernel)
+    distance = levenshtein(text_x, text_y, max_distance=bound)
     distance = min(distance, longest)
     return 1.0 - distance / longest
 

@@ -20,12 +20,7 @@ from repro.metablocking.weights import (
     WeightingScheme,
     make_scheme,
 )
-from repro.metablocking.wnp import (
-    WNPResult,
-    batch_wnp_for_profile,
-    incremental_wnp,
-    sweep_wnp,
-)
+from repro.metablocking.wnp import WNPResult, batch_wnp_for_profile, sweep_wnp
 
 __all__ = [
     "ARCSScheme",
@@ -39,7 +34,6 @@ __all__ = [
     "cardinality_edge_pruning",
     "cardinality_node_pruning",
     "enumerate_weighted_comparisons",
-    "incremental_wnp",
     "make_scheme",
     "partner_weights",
     "sweep_candidate_weights",

@@ -1,11 +1,11 @@
 """Single-sweep weighting kernel: fused candidate generation + weights.
 
-The per-pair weighting path costs ``O(candidates × |B(p)|)`` Python-level
-set intersections per new profile: every surviving candidate pair triggers
-one ``scheme.weight()`` call, and CBS/ECBS/JS each re-intersect the two
-profiles' full block-key sets while ARCS re-derives block cardinalities
-pair by pair.  Meta-blocking weights over a token index are, however,
-computable in a single co-occurrence counting sweep (cf. SPER,
+Weighing candidates one ``scheme.weight()`` call at a time costs
+``O(candidates × |B(p)|)`` Python-level set intersections per new profile:
+CBS/ECBS/JS each re-intersect the two profiles' full block-key sets and
+ARCS re-derives block cardinalities pair by pair.  Meta-blocking weights
+over a token index are, however, computable in a single co-occurrence
+counting sweep (cf. SPER,
 arXiv:2512.23491, and the blocking survey, arXiv:1905.06167): one pass over
 the new profile's blocks accumulates per-partner statistics in one dict —
 
@@ -18,17 +18,18 @@ speed (``Counter.update`` over the index's member lists).  Candidate
 de-duplication falls out for free: each partner appears once in the
 accumulator however many blocks it shares.
 
-Bit-identity with the per-pair path is a hard contract, relied on by the
-``--per-pair-weighting`` escape hatch and enforced by tests and the perf
-benchmark:
+The sweep must agree float for float with the definition — ghost, gather,
+de-duplicate, one ``scheme.weight()`` per candidate — which lives on as the
+oracle ``tests/reference/per_pair_weighting.py``
+(``tests/test_sweep_weights.py`` holds the two together):
 
 * blocks are visited in sorted-key order (via
   :meth:`~repro.blocking.substrate.BlockingSubstrate.iter_partner_blocks`), so
   the ARCS float accumulation adds the same terms in the same order as the
   sorted per-pair intersection;
 * candidates are emitted in first-appearance order over the (ghosted)
-  block list — the same order the legacy path produces after its ordered
-  de-duplication;
+  block list — the order an ordered de-duplication of the gathered
+  partners gives;
 * count-based weights are finalized through the scheme's own
   ``finalize_sweep``, which shares its arithmetic with ``weight()``.
 """
@@ -44,7 +45,7 @@ from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
-__all__ = ["sweep_weights", "partner_weights", "sweep_candidate_weights"]
+__all__ = ["sweep_weights", "partner_weights", "pair_weights", "sweep_candidate_weights"]
 
 #: C-level size fetch for the ghosting threshold scan (``len()`` would pay a
 #: Python ``__len__`` dispatch per block).
@@ -170,14 +171,14 @@ def sweep_candidate_weights(
         Block-ghosting parameter.  When given, candidates are gathered only
         from blocks no larger than ``|b_min| / beta`` (exactly like
         :func:`~repro.blocking.cleaning.block_ghosting`), while weights are
-        still computed against the *full* block evidence — matching the
-        legacy generate-then-weigh pipeline.  ``None`` disables ghosting.
+        still computed against the *full* block evidence, as generating
+        first and weighing afterwards would.  ``None`` disables ghosting.
     source:
         Optional source hint of ``pid`` on Clean-Clean collections; lets the
         counting sweep skip same-source member lists.
 
     Candidates come back in first-appearance order over the (ghosted) sorted
-    block list — the canonical order shared with the per-pair path.
+    block list.
     """
     scheme = scheme or CommonBlocksScheme()
     blocks = collection.iter_partner_blocks(pid)
@@ -279,3 +280,22 @@ def partner_weights(
         return {partner: weight(collection, pid, partner) for partner in partners}
     finalize = _accumulate(collection, pid, blocks, scheme, source)
     return {partner: finalize(partner) for partner in partners}
+
+
+def pair_weights(
+    collection: BlockingSubstrate,
+    pairs: Sequence[tuple[int, int]],
+    scheme: WeightingScheme | None = None,
+) -> list[float]:
+    """The weight of each pair of a drained block, in order.
+
+    One :func:`partner_weights` call per distinct left profile.
+    """
+    by_left: dict[int, list[int]] = {}
+    for left, right in pairs:
+        by_left.setdefault(left, []).append(right)
+    weights = {
+        left: partner_weights(collection, left, rights, scheme)
+        for left, rights in by_left.items()
+    }
+    return [weights[left][right] for left, right in pairs]

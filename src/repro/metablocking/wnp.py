@@ -8,17 +8,11 @@ only those whose weight is at least the node-local average.
 inside I-BASE, I-PCS and I-PES: it operates on the candidate list ``C_x`` of
 one newly arrived profile at a time, using the *current* state of the block
 collection to compute weights (an online approximation of the batch
-weights).
-
-Two weighting backends produce bit-identical results:
-
-* :func:`incremental_wnp` — the legacy per-pair path: one
-  ``scheme.weight()`` call per distinct candidate (candidates are
-  de-duplicated in first-appearance order before weighting, so one
-  weighting cost unit is charged per distinct pair);
-* :func:`sweep_wnp` — the single-sweep kernel of
-  :mod:`repro.metablocking.sweep`: candidates and weights from one pass
-  over the profile's (ghosted) block list.
+weights).  :func:`sweep_wnp` takes candidates and weights from one pass
+over the profile's (ghosted) block list (:mod:`repro.metablocking.sweep`);
+each distinct candidate is weighted — and charged — exactly once.  The
+oracle for it is the generate-then-weigh formulation in
+``tests/reference/per_pair_weighting.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +23,9 @@ from typing import Callable
 from repro.blocking.substrate import BlockingSubstrate
 from repro.core.comparison import WeightedComparison
 from repro.metablocking.sweep import sweep_candidate_weights
-from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
+from repro.metablocking.weights import WeightingScheme
 
-__all__ = ["WNPResult", "incremental_wnp", "sweep_wnp", "batch_wnp_for_profile"]
+__all__ = ["WNPResult", "sweep_wnp", "batch_wnp_for_profile"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,13 +44,7 @@ class WNPResult:
 def _prune_below_average(
     pid_x: int, candidates: list[int], weights: list[float]
 ) -> WNPResult:
-    """The WNP pruning rule: keep comparisons at or above the local average.
-
-    Shared by both weighting backends.  ``sum`` over the weight list adds
-    the floats left-to-right exactly like an explicit accumulation loop, so
-    identical weight lists give identical averages whichever backend
-    produced them.
-    """
+    """The WNP pruning rule: keep comparisons at or above the local average."""
     if not weights:
         return WNPResult(kept=(), pruned=0, weighting_cost_units=0)
     average = sum(weights) / len(weights)
@@ -77,41 +65,6 @@ def _prune_below_average(
     )
 
 
-def incremental_wnp(
-    collection: BlockingSubstrate,
-    pid_x: int,
-    candidate_pids: list[int],
-    scheme: WeightingScheme | None = None,
-) -> WNPResult:
-    """I-WNP: weigh candidates of ``pid_x`` and prune below-average ones.
-
-    Parameters
-    ----------
-    collection:
-        Current block collection (weights are computed against it).
-    pid_x:
-        The newly arrived profile whose candidate comparisons are cleaned.
-    candidate_pids:
-        Partner pids co-occurring with ``pid_x`` in at least one (ghosted)
-        block.  Duplicates are tolerated and collapsed *before* weighting
-        (first appearance wins), so a pair sharing k blocks is weighted —
-        and charged — exactly once.
-    scheme:
-        Weighting scheme; defaults to CBS as in the paper.
-
-    Returns the surviving weighted comparisons (weight >= the average over
-    the candidate list) along with pruning statistics.
-    """
-    scheme = scheme or CommonBlocksScheme()
-    ordered = dict.fromkeys(candidate_pids)
-    ordered.pop(pid_x, None)
-    if not ordered:
-        return WNPResult(kept=(), pruned=0, weighting_cost_units=0)
-    candidates = list(ordered)
-    weights = [scheme.weight(collection, pid_x, pid_y) for pid_y in candidates]
-    return _prune_below_average(pid_x, candidates, weights)
-
-
 def sweep_wnp(
     collection: BlockingSubstrate,
     pid_x: int,
@@ -121,14 +74,13 @@ def sweep_wnp(
     beta: float | None = None,
     source: int | None = None,
 ) -> WNPResult:
-    """I-WNP over the single-sweep weighting kernel.
+    """I-WNP: weigh the candidates of ``pid_x`` and prune below-average ones.
 
     Fuses candidate generation (with optional block ghosting ``beta``) and
-    weighting into one pass over ``pid_x``'s block index, then applies the
-    same below-average pruning as :func:`incremental_wnp`.  Emitted
-    comparisons, weights, ordering and cost units are bit-identical to the
-    per-pair path.  ``valid_partner=None`` skips the per-candidate filter
-    (see :func:`~repro.metablocking.sweep.sweep_candidate_weights`).
+    weighting into one pass over ``pid_x``'s block index, then keeps the
+    comparisons whose weight is at least the average over the candidate
+    list.  ``valid_partner=None`` skips the per-candidate filter (see
+    :func:`~repro.metablocking.sweep.sweep_candidate_weights`).
     """
     candidates, weights = sweep_candidate_weights(
         collection, pid_x, valid_partner, scheme, beta=beta, source=source

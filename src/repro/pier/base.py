@@ -24,16 +24,15 @@ import heapq
 from typing import Callable, Iterable, Iterator
 
 from repro.blocking.blocks import Block
-from repro.blocking.cleaning import block_ghosting
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
 from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
 from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
-from repro.metablocking.sweep import partner_weights
+from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
-from repro.metablocking.wnp import incremental_wnp, sweep_wnp
+from repro.metablocking.wnp import sweep_wnp
 from repro.priority.rates import AdaptiveK
 from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
 
@@ -56,25 +55,15 @@ class ComparisonGenerator:
     collects co-block partners that form valid comparisons, and cleans the
     candidate list with I-WNP.  Returns the surviving weighted comparisons
     together with the number of weighting operations performed (for cost
-    accounting).
-
-    By default candidates and weights come from the single-sweep kernel
-    (:func:`~repro.metablocking.wnp.sweep_wnp`); ``per_pair=True`` selects
-    the legacy one-``scheme.weight()``-call-per-candidate path, which is
-    bit-identical and exists for bisection (``--per-pair-weighting``).
+    accounting).  Candidates and weights come from the single-sweep kernel
+    (:func:`~repro.metablocking.wnp.sweep_wnp`).
     """
 
-    __slots__ = ("beta", "scheme", "per_pair")
+    __slots__ = ("beta", "scheme")
 
-    def __init__(
-        self,
-        beta: float = 0.2,
-        scheme: WeightingScheme | None = None,
-        per_pair: bool = False,
-    ) -> None:
+    def __init__(self, beta: float = 0.2, scheme: WeightingScheme | None = None) -> None:
         self.beta = beta
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair = per_pair
 
     def generate(
         self,
@@ -82,37 +71,23 @@ class ComparisonGenerator:
         profile: EntityProfile,
         valid_partner: Callable[[int], bool],
     ) -> tuple[tuple[WeightedComparison, ...], int]:
-        if not self.per_pair:
-            # Drop the per-candidate filter when the predicate declares
-            # itself redundant: a constant-true predicate filters nothing,
-            # and a cross-source-only predicate is already guaranteed by the
-            # sweep reading only other-source member lists (source hint).
-            predicate: Callable[[int], bool] | None = valid_partner
-            if getattr(predicate, "always_true", False) or (
-                collection.clean_clean
-                and getattr(predicate, "cross_source_only", False)
-            ):
-                predicate = None
-            result = sweep_wnp(
-                collection,
-                profile.pid,
-                predicate,
-                self.scheme,
-                beta=self.beta,
-                source=profile.source if collection.clean_clean else None,
-            )
-            return result.kept, result.weighting_cost_units
-        blocks = block_ghosting(list(collection.blocks_of_as_blocks(profile.pid)), self.beta)
-        candidates: list[int] = []
-        for block in blocks:
-            if collection.clean_clean:
-                partners = block.members(1 - profile.source)
-            else:
-                partners = tuple(block)
-            for pid in partners:
-                if pid != profile.pid and valid_partner(pid):
-                    candidates.append(pid)
-        result = incremental_wnp(collection, profile.pid, candidates, self.scheme)
+        # Drop the per-candidate filter when the predicate declares itself
+        # redundant: a constant-true predicate filters nothing, and a
+        # cross-source-only predicate is already guaranteed by the sweep
+        # reading only other-source member lists (source hint).
+        predicate: Callable[[int], bool] | None = valid_partner
+        if getattr(predicate, "always_true", False) or (
+            collection.clean_clean and getattr(predicate, "cross_source_only", False)
+        ):
+            predicate = None
+        result = sweep_wnp(
+            collection,
+            profile.pid,
+            predicate,
+            self.scheme,
+            beta=self.beta,
+            source=profile.source if collection.clean_clean else None,
+        )
         return result.kept, result.weighting_cost_units
 
 
@@ -163,30 +138,6 @@ def _member_counts(block: Block) -> tuple[int, ...]:
     return tuple(map(len, block.members_by_source.values()))
 
 
-def _pair_weights(
-    collection: BlockingSubstrate,
-    pairs: list[tuple[int, int]],
-    scheme: WeightingScheme,
-    per_pair: bool,
-) -> list[float]:
-    """The weight of each canonical pair of a drained block, in order.
-
-    One :func:`~repro.metablocking.sweep.partner_weights` call per distinct
-    left profile (``per_pair=True`` restores the legacy one-call-per-pair
-    weighting; results are bit-identical).
-    """
-    if per_pair:
-        return [scheme.weight(collection, left, right) for left, right in pairs]
-    by_left: dict[int, list[int]] = {}
-    for left, right in pairs:
-        by_left.setdefault(left, []).append(right)
-    weights = {
-        left: partner_weights(collection, left, rights, scheme)
-        for left, rights in by_left.items()
-    }
-    return [weights[left][right] for left, right in pairs]
-
-
 class GetComparisons:
     """Smallest-block-first comparison refill (Alg. 2, l. 10-11).
 
@@ -219,16 +170,13 @@ class GetComparisons:
     second refill on a collection whose feed was already drained does not
     see the blocks the first one was told about.
 
-    Weights come from :func:`_pair_weights`.
+    Weights come from :func:`~repro.metablocking.sweep.pair_weights`.
     """
 
-    __slots__ = ("scheme", "per_pair", "last_scanned", "last_examined", "_cursor", "_heap")
+    __slots__ = ("scheme", "last_scanned", "last_examined", "_cursor", "_heap")
 
-    def __init__(
-        self, scheme: WeightingScheme | None = None, per_pair: bool = False
-    ) -> None:
+    def __init__(self, scheme: WeightingScheme | None = None) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair = per_pair
         #: Pairs the latest :meth:`next_batch` enumerated, before any filter.
         self.last_scanned = 0
         #: Grown keys the latest :meth:`next_batch` took from the feed.
@@ -312,7 +260,7 @@ class GetComparisons:
                 continue
             pairs.append(pair)
         self.last_scanned = scanned
-        weights = _pair_weights(collection, pairs, self.scheme, self.per_pair)
+        weights = pair_weights(collection, pairs, self.scheme)
         weighted = [
             WeightedComparison(left, right, weight)
             for (left, right), weight in zip(pairs, weights)

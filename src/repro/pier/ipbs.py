@@ -35,8 +35,9 @@ from typing import Iterable
 from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
+from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
-from repro.pier.base import IncrPrioritization, PierSystem, _member_counts, _pair_weights
+from repro.pier.base import IncrPrioritization, PierSystem, _member_counts
 from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
@@ -53,10 +54,8 @@ class IPBS(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
         filter_initial_capacity: int = 4096,
-        per_pair_weighting: bool = False,
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair_weighting = per_pair_weighting
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
         self.cardinality_index: dict[str, int] = {}
         # Block key -> members per source when the block was last processed.
@@ -184,7 +183,7 @@ class IPBS(IncrPrioritization):
             metrics.count("strategy.bloom_filtered", bloom_filtered)
         if skipped:
             metrics.count("strategy.skipped_already_executed", skipped)
-        weights = _pair_weights(collection, survivors, self.scheme, self.per_pair_weighting)
+        weights = pair_weights(collection, survivors, self.scheme)
         for pair, weight in zip(survivors, weights):
             self.index.enqueue(pair, (-block_size, weight))
             cost += costs.per_weight + costs.per_enqueue

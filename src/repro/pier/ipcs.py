@@ -31,9 +31,6 @@ class IPCS(IncrPrioritization):
     capacity:
         Bound of the global comparison queue; low-weight comparisons are
         evicted under pressure, trading eventual quality for memory.
-    per_pair_weighting:
-        Use the legacy one-``weight()``-call-per-candidate path instead of
-        the single-sweep kernel (bit-identical; for bisection).
     """
 
     name = "I-PCS"
@@ -43,10 +40,9 @@ class IPCS(IncrPrioritization):
         beta: float = 0.2,
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
-        per_pair_weighting: bool = False,
     ) -> None:
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
-        self.refill = GetComparisons(scheme=self.generator.scheme, per_pair=per_pair_weighting)
+        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
+        self.refill = GetComparisons(scheme=self.generator.scheme)
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
 
     # ------------------------------------------------------------------

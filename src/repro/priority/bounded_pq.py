@@ -52,8 +52,7 @@ class BoundedPriorityQueue(Generic[T]):
         Maximum number of live items; ``None`` means unbounded.
     """
 
-    # No per-instance ``__dict__``: the bytes saved per queue are measured
-    # by ``python -m benchmarks.perf``, section "slots".
+    # No per-instance ``__dict__``: strategies may hold many queues.
     __slots__ = (
         "capacity", "_heap", "_min_heap", "_dead", "_size", "_seq",
         "evictions", "rejections",

@@ -9,7 +9,7 @@ weight order before moving to the next (larger) block.
 
 from __future__ import annotations
 
-from repro.metablocking.sweep import partner_weights
+from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.progressive.base import BatchProgressiveSystem
 
@@ -19,10 +19,8 @@ __all__ = ["PBSSystem"]
 class PBSSystem(BatchProgressiveSystem):
     """Progressive Block Scheduling packaged as an ERSystem.
 
-    Opening a block weighs its non-redundant comparisons through the
-    single-sweep kernel, one aggregate sweep per distinct left profile
-    (``per_pair_weighting=True`` restores the legacy per-pair calls;
-    results are bit-identical).
+    Opening a block weighs its non-redundant comparisons through
+    :func:`~repro.metablocking.sweep.pair_weights`.
     """
 
     def __init__(
@@ -31,14 +29,12 @@ class PBSSystem(BatchProgressiveSystem):
         max_block_size: int | None = 200,
         scheme: WeightingScheme | None = None,
         scope: str = "all",
-        per_pair_weighting: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(
             clean_clean=clean_clean, max_block_size=max_block_size, scope=scope, **kwargs
         )
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair_weighting = per_pair_weighting
         self._block_order: list[str] = []
         self._block_cursor = 0
         self._buffer: list[tuple[int, int]] = []
@@ -81,19 +77,9 @@ class PBSSystem(BatchProgressiveSystem):
             self._seen.add(pair)
             fresh.append(pair)
             cost += self.costs.per_weight
-        if self.per_pair_weighting:
-            weighted = [
-                (self.scheme.weight(self.collection, *pair), pair) for pair in fresh
-            ]
-        else:
-            by_left: dict[int, list[int]] = {}
-            for left, right in fresh:
-                by_left.setdefault(left, []).append(right)
-            weights = {
-                left: partner_weights(self.collection, left, rights, self.scheme)
-                for left, rights in by_left.items()
-            }
-            weighted = [(weights[pair[0]][pair[1]], pair) for pair in fresh]
-        weighted.sort(key=lambda item: -item[0])
+        weighted = sorted(
+            zip(pair_weights(self.collection, fresh, self.scheme), fresh),
+            key=lambda item: -item[0],
+        )
         self._buffer.extend(pair for _, pair in weighted)
         return cost

@@ -32,9 +32,6 @@ class PPSSystem(BatchProgressiveSystem):
         Comparisons emitted per profile during the per-profile phase.
     scope:
         ``"all"`` (static / PPS-GLOBAL) or ``"last"`` (PPS-LOCAL).
-    per_pair_weighting:
-        Build the block graph with the legacy per-edge ``weight()`` calls
-        instead of the single-sweep kernel (bit-identical; for bisection).
     """
 
     def __init__(
@@ -44,14 +41,12 @@ class PPSSystem(BatchProgressiveSystem):
         scheme: WeightingScheme | None = None,
         top_k: int = 10,
         scope: str = "all",
-        per_pair_weighting: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(
             clean_clean=clean_clean, max_block_size=max_block_size, scope=scope, **kwargs
         )
         self.scheme = scheme or CommonBlocksScheme()
-        self.per_pair_weighting = per_pair_weighting
         self.top_k = top_k
         self._emission: list[tuple[int, int]] = []
         self._cursor = 0
@@ -65,9 +60,7 @@ class PPSSystem(BatchProgressiveSystem):
         return enumerations * (self.costs.per_edge_enumeration + self.costs.per_weight)
 
     def _initialize(self) -> float:
-        graph = BlockGraph(
-            self.collection, self.valid_pair, self.scheme, per_pair=self.per_pair_weighting
-        )
+        graph = BlockGraph(self.collection, self.valid_pair, self.scheme)
         cost = graph.edge_enumerations * self.costs.per_edge_enumeration
         cost += len(graph.edges) * self.costs.per_weight
 

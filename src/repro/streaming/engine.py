@@ -42,7 +42,7 @@ class StreamingEngine(ExecutionCore):
     """Runs ER systems against stream plans on one shared virtual clock.
 
     See :class:`~repro.execution.core.ExecutionCore` for the constructor
-    parameters (matcher, budget, resilience, batch_matching, ...).
+    parameters (matcher, budget, resilience, workers, ...).
     """
 
     _KIND = "serial"

@@ -46,7 +46,7 @@ class PipelinedStreamingEngine(ExecutionCore):
     """Runs an :class:`ERSystem` with concurrent ingest and match stages.
 
     See :class:`~repro.execution.core.ExecutionCore` for the constructor
-    parameters (matcher, budget, resilience, batch_matching, ...).
+    parameters (matcher, budget, resilience, workers, ...).
     """
 
     _KIND = "pipelined"

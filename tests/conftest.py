@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ERSession
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
@@ -12,6 +13,22 @@ from repro.datasets.registry import load_dataset
 def make_profile(pid: int, text: str, source: int = 0, attr: str = "value") -> EntityProfile:
     """Tiny helper: a profile with a single attribute."""
     return EntityProfile(pid, {attr: text}, source=source)
+
+
+def build_matcher(name: str = "JS"):
+    """The experiment matcher ``name``, as every :class:`ERSession` builds it."""
+    return ERSession("dblp_acm", matcher=name).build_matcher()
+
+
+def build_system(name: str, dataset: Dataset):
+    """System ``name`` for ``dataset``, as every :class:`ERSession` builds it."""
+    return ERSession(dataset).build_system(name)
+
+
+def compare(config):
+    """Run every system of an ``ExperimentConfig``; results keyed by name."""
+    with ERSession.from_config(config) as session:
+        return session.compare()
 
 
 @pytest.fixture

@@ -35,9 +35,6 @@ class BoundedQueuesIPES(IncrPrioritization):
         Weighting scheme (CBS by default).
     overflow_capacity:
         Bound of the low-weight overflow queue ``PQ``.
-    per_pair_weighting:
-        Use the legacy one-``weight()``-call-per-candidate path instead of
-        the single-sweep kernel (bit-identical; for bisection).
     """
 
     name = "I-PES"
@@ -47,10 +44,9 @@ class BoundedQueuesIPES(IncrPrioritization):
         beta: float = 0.2,
         scheme: WeightingScheme | None = None,
         overflow_capacity: int = 100_000,
-        per_pair_weighting: bool = False,
     ) -> None:
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme, per_pair=per_pair_weighting)
-        self.refill = GetComparisons(scheme=self.generator.scheme, per_pair=per_pair_weighting)
+        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
+        self.refill = GetComparisons(scheme=self.generator.scheme)
         self.entity_pq: dict[int, BoundedPriorityQueue[tuple[int, int]]] = {}
         self.entity_queue: BoundedPriorityQueue[int] = BoundedPriorityQueue()
         self.overflow: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(

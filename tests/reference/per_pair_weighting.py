@@ -1,0 +1,96 @@
+"""Generate-then-weigh I-WNP: candidate generation as the paper writes it.
+
+Algorithm 2, lines 1-9, step by step: ghost the profile's blocks, gather the
+co-block partners, collapse repeats (first appearance wins), weigh every
+distinct candidate with one ``scheme.weight()`` call, keep what is at or
+above the average.  The production single-sweep kernel
+(:mod:`repro.metablocking.sweep`, :func:`repro.metablocking.wnp.sweep_wnp`)
+must produce the same candidates in the same order with the same floats —
+this module shares no code with it: ghosting is
+:func:`repro.blocking.cleaning.block_ghosting`, weights are the scheme's own
+per-pair definition.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from repro.blocking.cleaning import block_ghosting
+from repro.blocking.substrate import BlockingSubstrate
+from repro.core.comparison import WeightedComparison
+from repro.core.profile import EntityProfile
+from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
+
+__all__ = [
+    "ReferenceGenerator",
+    "reference_candidate_weights",
+    "reference_generate",
+    "reference_pair_weights",
+]
+
+
+def reference_candidate_weights(
+    collection: BlockingSubstrate,
+    profile: EntityProfile,
+    valid_partner: Callable[[int], bool],
+    scheme: WeightingScheme,
+    beta: float,
+) -> tuple[list[int], list[float]]:
+    """The distinct candidates of ``profile`` in first-appearance order over
+    its ghosted blocks, and one ``scheme.weight()`` per candidate."""
+    blocks = block_ghosting(list(collection.iter_partner_blocks(profile.pid)), beta)
+    gathered: list[int] = []
+    for block in blocks:
+        if collection.clean_clean:
+            partners = block.members(1 - profile.source)
+        else:
+            partners = tuple(block)
+        gathered.extend(
+            pid for pid in partners if pid != profile.pid and valid_partner(pid)
+        )
+    candidates = list(dict.fromkeys(gathered))
+    return candidates, [scheme.weight(collection, profile.pid, pid) for pid in candidates]
+
+
+def reference_generate(
+    collection: BlockingSubstrate,
+    profile: EntityProfile,
+    valid_partner: Callable[[int], bool],
+    scheme: WeightingScheme,
+    beta: float,
+) -> tuple[tuple[WeightedComparison, ...], int]:
+    """The surviving weighted comparisons of ``profile`` and the number of
+    weighting operations (one per distinct candidate)."""
+    candidates, weights = reference_candidate_weights(
+        collection, profile, valid_partner, scheme, beta
+    )
+    if not candidates:
+        return (), 0
+    average = sum(weights) / len(weights)
+    kept = tuple(
+        WeightedComparison(min(profile.pid, pid), max(profile.pid, pid), weight)
+        for pid, weight in zip(candidates, weights)
+        if weight >= average
+    )
+    return kept, len(weights)
+
+
+def reference_pair_weights(
+    collection: BlockingSubstrate,
+    pairs: Sequence[tuple[int, int]],
+    scheme: WeightingScheme | None = None,
+) -> list[float]:
+    """One ``scheme.weight()`` call per pair, in order."""
+    scheme = scheme or CommonBlocksScheme()
+    return [scheme.weight(collection, left, right) for left, right in pairs]
+
+
+class ReferenceGenerator:
+    """:func:`reference_generate` in the shape of a strategy's ``generator``."""
+
+    def __init__(self, beta: float, scheme: WeightingScheme) -> None:
+        self.beta = beta
+        self.scheme = scheme
+
+    def generate(self, collection, profile, valid_partner):
+        return reference_generate(collection, profile, valid_partner, self.scheme, self.beta)

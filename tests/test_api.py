@@ -1,19 +1,17 @@
 """Tests for the unified session API (``repro.api``).
 
 ``ERSession`` is the single entry point every driver (``resolve_stream``,
-the CLI, the benchmark drivers, ``run_experiment``) now routes through.
-Pinned here:
+the CLI, the benchmark drivers) routes through.  Pinned here:
 
 * construction/validation of :class:`EngineOptions` and the ``workers``
   shorthand;
 * stream-plan semantics — batch baselines get single-increment plans in
   the static setting, plans are built once and shared across systems;
 * round-trips: session ↔ :class:`ExperimentConfig`, ``resolve_stream``
-  equals a hand-built session, ``run_experiment`` equals
-  ``session.compare()``;
+  equals a hand-built session;
 * fault wiring (int seed → :meth:`FaultSpec.chaos`, reports accumulate)
   and checkpoint capture;
-* the legacy entry points still work but raise ``DeprecationWarning``.
+* the retired ``make_*``/``run_experiment`` entry points are gone.
 """
 
 from __future__ import annotations
@@ -24,12 +22,6 @@ import pytest
 
 from repro import resolve_stream
 from repro.api import EngineOptions, ERSession
-from repro.evaluation.experiments import (
-    ExperimentConfig,
-    make_matcher,
-    make_system,
-    run_experiment,
-)
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.resilience import FaultSpec, FaultyMatcher
 
@@ -153,25 +145,6 @@ def test_compare_runs_every_system_in_order(dataset):
         assert result.comparisons_executed > 0
 
 
-def test_run_experiment_matches_session_compare(dataset):
-    config = ExperimentConfig(
-        dataset_name=dataset.name,
-        systems=("I-PES",),
-        matcher="JS",
-        n_increments=8,
-        rate=5.0,
-        budget=4.0,
-        dataset=dataset,
-    )
-    with pytest.warns(DeprecationWarning):
-        legacy = run_experiment(config)
-    with ERSession.from_config(config) as session:
-        modern = session.compare()
-    assert list(legacy) == list(modern)
-    for name in legacy:
-        assert _comparable(legacy[name]) == _comparable(modern[name])
-
-
 def test_config_round_trip(dataset):
     session = _session(
         dataset,
@@ -190,13 +163,12 @@ def test_config_round_trip(dataset):
     assert rebuilt.rate == session.rate
 
 
-def test_engine_options_select_engine_and_kernel(dataset):
+def test_engine_options_select_engine(dataset):
     from repro.streaming.pipelined import PipelinedStreamingEngine
 
-    session = _session(dataset, engine=EngineOptions(pipelined=True, scalar_matching=True))
+    session = _session(dataset, engine=EngineOptions(pipelined=True))
     engine = session.build_engine(session.build_matcher())
     assert isinstance(engine, PipelinedStreamingEngine)
-    assert engine.batch_matching is False
 
 
 def test_checkpoint_every_captures_last_checkpoint(dataset):
@@ -235,30 +207,20 @@ def test_use_after_close_raises_at_the_facade(dataset):
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Retired shims
 # ----------------------------------------------------------------------
 def test_deprecated_names_dropped_from_package_roots():
-    """The shims live only in ``repro.evaluation.experiments`` now."""
+    """The shims are gone from the package roots and from their module."""
     import repro
     import repro.evaluation
+    import repro.evaluation.experiments
 
     for name in ("make_matcher", "make_system", "run_experiment"):
         assert not hasattr(repro, name)
         assert name not in repro.__all__
         assert not hasattr(repro.evaluation, name)
         assert name not in repro.evaluation.__all__
-
-
-def test_make_matcher_shim_warns():
-    with pytest.warns(DeprecationWarning, match="ERSession"):
-        matcher = make_matcher("JS")
-    assert isinstance(matcher, JaccardMatcher)
-
-
-def test_make_system_shim_warns(dataset):
-    with pytest.warns(DeprecationWarning, match="ERSession"):
-        system = make_system("I-PES", dataset)
-    assert "I-PES" in system.name
+        assert not hasattr(repro.evaluation.experiments, name)
 
 
 def test_session_itself_never_warns(dataset):

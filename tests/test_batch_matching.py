@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 
-from repro.evaluation.experiments import make_matcher
 from repro.matching.matcher import EditDistanceMatcher
 from repro.matching.similarity import dice, jaccard, jaccard_batch
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience import FaultyMatcher
 
-from tests.conftest import make_profile
+from tests.conftest import build_matcher, make_profile
 
 
 def _sample_pairs(dataset, n=200, seed=7):
@@ -45,8 +44,8 @@ def _run_batched(matcher, pairs):
 
 
 def _assert_identical(matcher_name, pairs):
-    scalar_matcher = make_matcher(matcher_name)
-    batched_matcher = make_matcher(matcher_name)
+    scalar_matcher = build_matcher(matcher_name)
+    batched_matcher = build_matcher(matcher_name)
     scalar_results, scalar_counters = _run_scalar(scalar_matcher, pairs)
     batched_results, batched_counters = _run_batched(batched_matcher, pairs)
     assert len(scalar_results) == len(batched_results)
@@ -62,12 +61,12 @@ def _assert_identical(matcher_name, pairs):
 
 
 def test_jaccard_batch_bit_identical(small_dblp_acm):
-    assert make_matcher("JS").supports_batch
+    assert build_matcher("JS").supports_batch
     _assert_identical("JS", _sample_pairs(small_dblp_acm))
 
 
 def test_edit_distance_batch_bit_identical(small_movies):
-    assert make_matcher("ED").supports_batch
+    assert build_matcher("ED").supports_batch
     _assert_identical("ED", _sample_pairs(small_movies))
 
 
@@ -75,9 +74,9 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
     """Accounting happens once per batch, continuing the running totals; a
     batch without pairs (or without matches) must not create a counter."""
     pairs = _sample_pairs(small_dblp_acm, n=90)
-    scalar_matcher = make_matcher("JS")
+    scalar_matcher = build_matcher("JS")
     _, scalar_counters = _run_scalar(scalar_matcher, pairs)
-    batched_matcher = make_matcher("JS")
+    batched_matcher = build_matcher("JS")
     registry = MetricsRegistry()
     batched_matcher.bind_metrics(registry)
     assert batched_matcher.evaluate_batch([]) == []
@@ -87,7 +86,7 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
     assert registry.snapshot(include_wall=False)["counters"] == scalar_counters
     assert batched_matcher.total_cost == scalar_matcher.total_cost
     assert batched_matcher.matches_found == scalar_matcher.matches_found
-    unmatched, unmatched_registry = make_matcher("JS"), MetricsRegistry()
+    unmatched, unmatched_registry = build_matcher("JS"), MetricsRegistry()
     unmatched.bind_metrics(unmatched_registry)
     unmatched.evaluate_batch([(make_profile(0, "north"), make_profile(1, "south"))])
     assert set(unmatched_registry.snapshot(include_wall=False)["counters"]) == {
@@ -99,7 +98,7 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
 def test_estimate_cost_batch_matches_scalar(small_dblp_acm):
     pairs = _sample_pairs(small_dblp_acm, n=100)
     for name in ("JS", "ED"):
-        matcher = make_matcher(name)
+        matcher = build_matcher(name)
         batched = matcher.estimate_cost_batch(pairs)
         scalar = [matcher.estimate_cost(x, y) for x, y in pairs]
         assert batched == scalar
@@ -130,11 +129,11 @@ def test_faulty_matcher_opts_out_of_batching(small_dblp_acm):
     """Fault injection sequences failures by call order, so the wrapper must
     stay on the scalar path — and its looping ``evaluate_batch`` must replay
     the exact fault schedule."""
-    wrapped = FaultyMatcher(make_matcher("JS"), seed=3, failure_rate=0.0)
+    wrapped = FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0)
     assert wrapped.supports_batch is False
 
     pairs = _sample_pairs(small_dblp_acm, n=50)
-    scalar_results, _ = _run_scalar(FaultyMatcher(make_matcher("JS"), seed=3, failure_rate=0.0), pairs)
+    scalar_results, _ = _run_scalar(FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0), pairs)
     batched_results, _ = _run_batched(wrapped, pairs)
     for scalar, batched in zip(scalar_results, batched_results):
         assert scalar.similarity == batched.similarity
@@ -143,10 +142,10 @@ def test_faulty_matcher_opts_out_of_batching(small_dblp_acm):
 
 def test_base_matcher_fallback_loops(small_dblp_acm):
     """A matcher without ``supports_batch`` evaluates pair-at-a-time."""
-    matcher = make_matcher("JS")
+    matcher = build_matcher("JS")
     matcher.supports_batch = False
     pairs = _sample_pairs(small_dblp_acm, n=20)
     results, _ = _run_batched(matcher, pairs)
-    reference, _ = _run_scalar(make_matcher("JS"), pairs)
+    reference, _ = _run_scalar(build_matcher("JS"), pairs)
     for got, want in zip(results, reference):
         assert got == want

@@ -149,12 +149,6 @@ class TestBlockCollection:
         # 'common' purged on 3rd insert; remaining blocks are singletons
         assert collection.total_comparisons() == 0
 
-    def test_blocks_of_as_blocks(self):
-        collection = BlockCollection()
-        collection.add_profile(make_profile(1, "alpha beta"))
-        blocks = collection.blocks_of_as_blocks(1)
-        assert {block.key for block in blocks} == {"alpha", "beta"}
-
     def test_profiles_indexed(self):
         collection = BlockCollection()
         assert collection.profiles_indexed() == 0

@@ -115,12 +115,12 @@ def test_real_system_curve_never_exceeds_budget(engine_factory, small_dblp_acm):
     """End-to-end: on a real dataset with a tight budget, every credited
     curve point lies within the budget."""
     from repro.core.increments import split_into_increments
-    from repro.evaluation.experiments import make_matcher, make_system
+    from tests.conftest import build_matcher, build_system
 
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 6, seed=0), rate=None)
     budget = 0.05
-    engine = engine_factory(make_matcher("JS"), budget=budget)
-    result = engine.run(make_system("I-PCS", small_dblp_acm), plan,
+    engine = engine_factory(build_matcher("JS"), budget=budget)
+    result = engine.run(build_system("I-PCS", small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     assert not result.work_exhausted
     assert result.clock_end <= budget

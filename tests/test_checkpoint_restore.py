@@ -8,10 +8,11 @@ recovery point, no comparison double-counted, converged counters.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
@@ -26,6 +27,8 @@ from repro.resilience import (
 )
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import build_matcher
 
 STRATEGY_FACTORIES = {
     "I-PCS": lambda: PierSystem(IPCS()),
@@ -46,7 +49,7 @@ def _plan(dataset, n=10, rate=5.0):
 def _crash_and_resume(factory, plan, truth, engine_cls=StreamingEngine, matcher="ED"):
     """Run to a simulated crash, then resume on fresh engine + system."""
     crashing = engine_cls(
-        make_matcher(matcher), budget=BUDGET,
+        build_matcher(matcher), budget=BUDGET,
         resilience=ResilienceConfig(
             checkpoint_every=CHECKPOINT_EVERY, crash_at=CRASH_AT
         ),
@@ -56,8 +59,15 @@ def _crash_and_resume(factory, plan, truth, engine_cls=StreamingEngine, matcher=
     checkpoint = exc.value.checkpoint
     assert checkpoint is not None, "crash happened before the first checkpoint"
     assert checkpoint.clock <= exc.value.clock
+    if matcher == "ED":
+        # As written before ``EditDistanceMatcher.kernel`` was removed: the
+        # stray key must not disturb the restore.
+        assert "kernel" not in checkpoint.matcher_state
+        checkpoint = replace(
+            checkpoint, matcher_state={**checkpoint.matcher_state, "kernel": "auto"}
+        )
     resumed_engine = engine_cls(
-        make_matcher(matcher), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        build_matcher(matcher), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
     )
     return resumed_engine.run(factory(), plan, truth, resume_from=checkpoint), checkpoint
 
@@ -80,7 +90,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES[name]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            make_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -93,7 +103,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES[name]
         plan = _plan(small_dblp_acm)
         uninterrupted = PipelinedStreamingEngine(
-            make_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth,
@@ -108,7 +118,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES["I-PES"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            make_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -125,7 +135,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES["I-PCS"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            make_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -144,7 +154,7 @@ class TestCrashResumeDeterminism:
             from dataclasses import replace
 
             return StreamingEngine(
-                FaultyMatcher(make_matcher("ED"), seed=7), budget=BUDGET,
+                FaultyMatcher(build_matcher("ED"), seed=7), budget=BUDGET,
                 resilience=replace(resil, crash_at=crash_at),
             )
 
@@ -166,7 +176,7 @@ class TestCheckpointPlumbing:
     def test_checkpoints_taken_counted(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
         engine = StreamingEngine(
-            make_matcher("ED"), budget=BUDGET, checkpoint_every=2.0
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=2.0
         )
         result = engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         taken = result.details["metrics"]["counters"]["engine.checkpoints_taken"]
@@ -177,17 +187,17 @@ class TestCheckpointPlumbing:
 
     def test_no_checkpoints_by_default(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(make_matcher("JS"), budget=BUDGET)
+        engine = StreamingEngine(build_matcher("JS"), budget=BUDGET)
         result = engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         assert "engine.checkpoints_taken" not in result.details["metrics"]["counters"]
         assert engine.last_checkpoint is None
 
     def test_resume_rejects_wrong_engine_kind(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(make_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         checkpoint = engine.last_checkpoint
-        other = PipelinedStreamingEngine(make_matcher("ED"), budget=BUDGET)
+        other = PipelinedStreamingEngine(build_matcher("ED"), budget=BUDGET)
         with pytest.raises(ValueError, match="engine"):
             other.run(
                 PierSystem(IPES()), plan, small_dblp_acm.ground_truth,
@@ -196,9 +206,9 @@ class TestCheckpointPlumbing:
 
     def test_resume_rejects_wrong_budget(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(make_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
-        other = StreamingEngine(make_matcher("ED"), budget=BUDGET * 2)
+        other = StreamingEngine(build_matcher("ED"), budget=BUDGET * 2)
         with pytest.raises(ValueError, match="budget"):
             other.run(
                 PierSystem(IPES()), plan, small_dblp_acm.ground_truth,
@@ -207,10 +217,10 @@ class TestCheckpointPlumbing:
 
     def test_resume_rejects_different_plan(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(make_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         other_plan = _plan(small_dblp_acm, n=7)
-        fresh = StreamingEngine(make_matcher("ED"), budget=BUDGET)
+        fresh = StreamingEngine(build_matcher("ED"), budget=BUDGET)
         with pytest.raises(ValueError, match="plan"):
             fresh.run(
                 PierSystem(IPES()), other_plan, small_dblp_acm.ground_truth,
@@ -220,7 +230,7 @@ class TestCheckpointPlumbing:
     def test_crash_before_first_checkpoint_carries_none(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
         engine = StreamingEngine(
-            make_matcher("ED"), budget=BUDGET,
+            build_matcher("ED"), budget=BUDGET,
             resilience=ResilienceConfig(checkpoint_every=100.0, crash_at=1.0),
         )
         with pytest.raises(SimulatedCrash) as exc:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.matching.matcher import KERNEL_COUNTERS, EditDistanceMatcher
-from repro.matching.similarity import ED_KERNELS
 from repro.parallel import WorkerPool
 from repro.resilience import WorkerFaultSpec
 from repro.streaming.engine import StreamingEngine
@@ -89,11 +88,10 @@ def _pairs_of(text_pairs):
     text_pairs=st.lists(_text_pair(), min_size=1, max_size=3),
     threshold=_thresholds,
     max_text_length=st.sampled_from([8, 12, 20, 40, 160]),
-    kernel=st.sampled_from(ED_KERNELS),
 )
 @settings(max_examples=1500, deadline=None)
-def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_length, kernel):
-    matcher = EditDistanceMatcher(threshold, max_text_length=max_text_length, kernel=kernel)
+def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_length):
+    matcher = EditDistanceMatcher(threshold, max_text_length=max_text_length)
     pairs = _pairs_of(text_pairs)
     scalar = []
     for (profile_x, profile_y), (text_x, text_y) in zip(pairs, text_pairs):
@@ -119,7 +117,7 @@ def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_len
             assert result.similarity == expected
     assert sum(matcher.kernel_counts.values()) == matcher.comparisons_executed == len(pairs)
 
-    batched = EditDistanceMatcher(threshold, max_text_length=max_text_length, kernel=kernel)
+    batched = EditDistanceMatcher(threshold, max_text_length=max_text_length)
     assert batched.evaluate_batch(pairs) == scalar
     assert batched.kernel_counts == matcher.kernel_counts
 

@@ -7,10 +7,12 @@ import pytest
 from repro.core.increments import Increment, make_stream_plan, split_into_increments
 from repro.core.dataset import GroundTruth
 from repro.core.profile import EntityProfile
-from repro.evaluation.experiments import make_matcher, make_system
+from repro.incremental.ibase import IBaseSystem
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 from repro.streaming.system import EmitResult, ERSystem, PipelineStats
+
+from tests.conftest import build_matcher, build_system
 
 SYSTEMS = ("I-PES", "I-PCS", "I-PBS", "I-BASE")
 ENGINES = (StreamingEngine, PipelinedStreamingEngine)
@@ -21,9 +23,9 @@ ENGINES = (StreamingEngine, PipelinedStreamingEngine)
 def test_recorder_matches_matcher_counts(system_name, engine_factory, small_dblp_acm):
     """Every comparison the engine records went through the matcher."""
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=5.0)
-    matcher = make_matcher("JS")
+    matcher = build_matcher("JS")
     engine = engine_factory(matcher, budget=60.0)
-    result = engine.run(make_system(system_name, small_dblp_acm), plan,
+    result = engine.run(build_system(system_name, small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     assert result.comparisons_executed == matcher.comparisons_executed
 
@@ -39,9 +41,9 @@ def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm):
     )
     # A short budget: the batch systems never report exhaustion to the
     # pipelined engine, which then spends what is left on empty rounds.
-    engine = engine_factory(make_matcher("JS"), budget=1.0)
+    engine = engine_factory(build_matcher("JS"), budget=1.0)
     push = engine.open_push(
-        make_system(system_name, small_dblp_acm), small_dblp_acm.ground_truth
+        build_system(system_name, small_dblp_acm), small_dblp_acm.ground_truth
     )
     push.feed_plan(plan)
     push.drain(1.0)
@@ -55,8 +57,8 @@ def test_recorder_and_store_share_one_tuple_per_pair(system_name, engine_factory
     """Two executed sets, kept apart on purpose — but of the same tuple
     objects: the batched kernel hands the recorder what the system emitted."""
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=None)
-    system = make_system(system_name, small_dblp_acm)
-    engine = engine_factory(make_matcher("JS"), budget=1e9)
+    system = build_system(system_name, small_dblp_acm)
+    engine = engine_factory(build_matcher("JS"), budget=1e9)
     push = engine.open_push(system, small_dblp_acm.ground_truth)
     push.feed_plan(plan)
     push.drain(1e9)  # to exhaustion: no emitted pair is cut by a deadline
@@ -69,8 +71,8 @@ def test_recorder_and_store_share_one_tuple_per_pair(system_name, engine_factory
 def test_duplicates_subset_of_executed_matches(engine_factory, small_dblp_acm):
     """Classified duplicates that are true matches appear in match_events."""
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 5, seed=0), rate=None)
-    engine = engine_factory(make_matcher("JS"), budget=60.0)
-    result = engine.run(make_system("I-PES", small_dblp_acm), plan,
+    engine = engine_factory(build_matcher("JS"), budget=60.0)
+    result = engine.run(build_system("I-PES", small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     event_pairs = {pair for _, pair in result.match_events}
     true_duplicates = {
@@ -84,11 +86,11 @@ def test_engines_agree_on_exhaustive_outcome(system_name, small_dblp_acm):
     """Given enough budget, serial and pipelined engines finish with the
     same final PC (the same work gets done, only timing differs)."""
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 10, seed=0), rate=20.0)
-    serial = StreamingEngine(make_matcher("JS"), budget=500.0).run(
-        make_system(system_name, small_dblp_acm), plan, small_dblp_acm.ground_truth
+    serial = StreamingEngine(build_matcher("JS"), budget=500.0).run(
+        build_system(system_name, small_dblp_acm), plan, small_dblp_acm.ground_truth
     )
-    pipelined = PipelinedStreamingEngine(make_matcher("JS"), budget=500.0).run(
-        make_system(system_name, small_dblp_acm), plan, small_dblp_acm.ground_truth
+    pipelined = PipelinedStreamingEngine(build_matcher("JS"), budget=500.0).run(
+        build_system(system_name, small_dblp_acm), plan, small_dblp_acm.ground_truth
     )
     assert serial.work_exhausted and pipelined.work_exhausted
     assert serial.final_pc == pytest.approx(pipelined.final_pc, abs=0.02)
@@ -130,7 +132,7 @@ def test_stats_report_true_backlog_under_backpressure():
     increments = [Increment(i, ()) for i in range(5)]
     plan = make_stream_plan(increments, rate=None)
     probe = _BackpressureProbe()
-    engine = StreamingEngine(make_matcher("JS"), budget=60.0)
+    engine = StreamingEngine(build_matcher("JS"), budget=60.0)
     engine.run(probe, plan, GroundTruth([]))
     assert probe.seen_backlogs[0] == 4
     assert max(probe.seen_backlogs) > 0
@@ -144,8 +146,8 @@ def test_backlog_nonzero_on_fast_stream(engine_factory, small_dblp_acm):
     plan = make_stream_plan(
         split_into_increments(small_dblp_acm, 40, seed=0), rate=1000.0
     )
-    system = make_system("I-BASE", small_dblp_acm, high_watermark=20, chunk_size=4)
-    engine = engine_factory(make_matcher("ED"), budget=120.0)
+    system = IBaseSystem(clean_clean=True, high_watermark=20, chunk_size=4)
+    engine = engine_factory(build_matcher("ED"), budget=120.0)
     result = engine.run(system, plan, small_dblp_acm.ground_truth)
     samples = result.details["metrics"]["rounds"]["samples"]
     assert max(sample["backlog"] for sample in samples) > 0
@@ -156,7 +158,7 @@ def test_budget_zero_comparisons_before_first_arrival(engine_factory, small_dblp
     plan = make_stream_plan(
         split_into_increments(small_dblp_acm, 4, seed=0), rate=1.0, start_time=10.0
     )
-    engine = engine_factory(make_matcher("JS"), budget=60.0)
-    result = engine.run(make_system("I-PES", small_dblp_acm), plan,
+    engine = engine_factory(build_matcher("JS"), budget=60.0)
+    result = engine.run(build_system("I-PES", small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     assert result.curve.pc_at_time(9.9) == 0.0

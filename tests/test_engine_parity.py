@@ -5,7 +5,9 @@ for all four incremental strategies on both engines:
 
 * **kernel parity** — a run with the batched matcher kernel is bit-identical
   to the scalar pair-at-a-time path: same progress curve, duplicates,
-  clocks, counters and gauges;
+  clocks, counters and gauges.  The engine picks the path from
+  ``matcher.supports_batch``, so the scalar side runs the very same matcher
+  declared ``supports_batch = False``;
 * **schema parity** — serial and pipelined runs export the *same* metric
   schema (counter/gauge/phase name sets) on healthy runs, because the core
   preseeds the union surface for both;
@@ -19,10 +21,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher, make_system
+from repro.matching.matcher import EditDistanceMatcher
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import build_matcher, build_system
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -40,11 +44,20 @@ def plan(small_dblp_acm):
     return make_stream_plan(increments, rate=5.0)
 
 
-def _run(engine_cls, dataset, plan, strategy, batch_matching, matcher="ED", **kwargs):
-    engine = engine_cls(
-        make_matcher(matcher), budget=BUDGET, batch_matching=batch_matching, **kwargs
-    )
-    return engine.run(make_system(strategy, dataset), plan, dataset.ground_truth)
+class ScalarED(EditDistanceMatcher):
+    """The ED matcher, declared unable to batch: the engine runs it scalar."""
+
+    supports_batch = False
+
+
+def _matcher(batch_matching):
+    matcher = build_matcher("ED")
+    return matcher if batch_matching else ScalarED(threshold=matcher.threshold)
+
+
+def _run(engine_cls, dataset, plan, strategy, batch_matching, **kwargs):
+    engine = engine_cls(_matcher(batch_matching), budget=BUDGET, **kwargs)
+    return engine.run(build_system(strategy, dataset), plan, dataset.ground_truth)
 
 
 def _comparable(result):
@@ -126,13 +139,12 @@ def _checkpoint_fingerprint(checkpoint):
 
 def _crash_checkpoint(engine_cls, dataset, plan, strategy, batch_matching):
     engine = engine_cls(
-        make_matcher("ED"),
+        _matcher(batch_matching),
         budget=BUDGET,
-        batch_matching=batch_matching,
         resilience=ResilienceConfig(checkpoint_every=1.0, crash_at=4.0),
     )
     with pytest.raises(SimulatedCrash) as exc:
-        engine.run(make_system(strategy, dataset), plan, dataset.ground_truth)
+        engine.run(build_system(strategy, dataset), plan, dataset.ground_truth)
     assert exc.value.checkpoint is not None
     return exc.value.checkpoint
 
@@ -152,10 +164,8 @@ def test_resume_crosses_kernels(dataset, plan, engine_name):
     batched path — the kernels share one execution semantics."""
     engine_cls = ENGINES[engine_name]
     checkpoint = _crash_checkpoint(engine_cls, dataset, plan, "I-PES", batch_matching=False)
-    resumed = engine_cls(
-        make_matcher("ED"), budget=BUDGET, batch_matching=True, checkpoint_every=1.0
-    ).run(
-        make_system("I-PES", dataset), plan, dataset.ground_truth, resume_from=checkpoint
+    resumed = engine_cls(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0).run(
+        build_system("I-PES", dataset), plan, dataset.ground_truth, resume_from=checkpoint
     )
     uninterrupted = _run(engine_cls, dataset, plan, "I-PES", batch_matching=True)
     assert resumed.duplicates == uninterrupted.duplicates

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import (
-    ExperimentConfig,
-    make_matcher,
-    make_system,
-    run_experiment,
-)
+from repro.evaluation.experiments import ExperimentConfig
 from repro.incremental.ibase import IBaseSystem
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.pier.base import PierSystem
@@ -17,18 +12,20 @@ from repro.progressive.batch import BatchERSystem
 from repro.progressive.pbs import PBSSystem
 from repro.progressive.pps import PPSSystem
 
+from tests.conftest import build_matcher, build_system, compare
+
 
 class TestMakeMatcher:
     def test_js(self):
-        assert isinstance(make_matcher("JS"), JaccardMatcher)
-        assert isinstance(make_matcher("js"), JaccardMatcher)
+        assert isinstance(build_matcher("JS"), JaccardMatcher)
+        assert isinstance(build_matcher("js"), JaccardMatcher)
 
     def test_ed(self):
-        assert isinstance(make_matcher("ED"), EditDistanceMatcher)
+        assert isinstance(build_matcher("ED"), EditDistanceMatcher)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            make_matcher("cosine")
+            build_matcher("cosine")
 
 
 class TestMakeSystem:
@@ -48,21 +45,21 @@ class TestMakeSystem:
         ],
     )
     def test_factory(self, name, kind, toy_dirty_dataset):
-        system = make_system(name, toy_dirty_dataset)
+        system = build_system(name, toy_dirty_dataset)
         assert isinstance(system, kind)
 
     def test_names_preserved(self, toy_dirty_dataset):
-        assert make_system("PPS-GLOBAL", toy_dirty_dataset).name == "PPS-GLOBAL"
-        assert make_system("PPS-LOCAL", toy_dirty_dataset).name == "PPS-LOCAL"
-        assert make_system("PPS", toy_dirty_dataset).name == "PPS"
+        assert build_system("PPS-GLOBAL", toy_dirty_dataset).name == "PPS-GLOBAL"
+        assert build_system("PPS-LOCAL", toy_dirty_dataset).name == "PPS-LOCAL"
+        assert build_system("PPS", toy_dirty_dataset).name == "PPS"
 
     def test_clean_clean_propagates(self, toy_clean_clean_dataset):
-        system = make_system("I-PES", toy_clean_clean_dataset)
+        system = build_system("I-PES", toy_clean_clean_dataset)
         assert system.collection.clean_clean
 
     def test_unknown(self, toy_dirty_dataset):
         with pytest.raises(ValueError):
-            make_system("I-WHAT", toy_dirty_dataset)
+            build_system("I-WHAT", toy_dirty_dataset)
 
 
 class TestRunExperiment:
@@ -75,7 +72,7 @@ class TestRunExperiment:
             budget=30.0,
             dataset=small_dblp_acm,
         )
-        results = run_experiment(config)
+        results = compare(config)
         assert set(results) == {"I-PES", "I-BASE"}
         assert all(result.final_pc >= 0 for result in results.values())
 
@@ -88,7 +85,7 @@ class TestRunExperiment:
             budget=30.0,
             dataset=small_dblp_acm,
         )
-        results = run_experiment(config)
+        results = compare(config)
         assert results["PPS"].increments_ingested == 1
 
     def test_dynamic_setting_streams_everyone(self, small_dblp_acm):
@@ -100,7 +97,7 @@ class TestRunExperiment:
             budget=30.0,
             dataset=small_dblp_acm,
         )
-        results = run_experiment(config)
+        results = compare(config)
         assert results["PPS-GLOBAL"].increments_ingested == 5
 
     def test_with_overrides(self):

@@ -12,7 +12,6 @@ import pytest
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import Increment, StreamPlan, make_stream_plan
 from repro.core.profile import EntityProfile
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
@@ -21,14 +20,14 @@ from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import make_profile
+from tests.conftest import build_matcher, build_system, make_profile
 
 ALL_STRATEGIES = [lambda: PierSystem(IPES()), lambda: PierSystem(IPCS()),
                   lambda: PierSystem(IPBS()), IBaseSystem]
 
 
 def _run(system, plan, truth, budget=50.0):
-    engine = StreamingEngine(make_matcher("JS"), budget=budget)
+    engine = StreamingEngine(build_matcher("JS"), budget=budget)
     return engine.run(system, plan, truth)
 
 
@@ -128,7 +127,7 @@ class TestPipelinedStarvation:
         system.ready_for_ingest = lambda: False
         increments = split_into_increments(toy_dirty_dataset, 3, seed=0)
         plan = make_stream_plan(increments, rate=10.0)
-        engine = PipelinedStreamingEngine(make_matcher("JS"), budget=50.0)
+        engine = PipelinedStreamingEngine(build_matcher("JS"), budget=50.0)
         result = engine.run(system, plan, toy_dirty_dataset.ground_truth)
         counters = result.details["metrics"]["counters"]
         assert counters["engine.forced_ingests"] == 3
@@ -142,7 +141,7 @@ class TestPipelinedStarvation:
 
         increments = split_into_increments(toy_dirty_dataset, 2, seed=0)
         plan = make_stream_plan(increments, rate=100.0)  # stream over instantly
-        engine = PipelinedStreamingEngine(make_matcher("JS"), budget=200.0)
+        engine = PipelinedStreamingEngine(build_matcher("JS"), budget=200.0)
         result = engine.run(factory(), plan, toy_dirty_dataset.ground_truth)
         # Generous budget: the system drains its queue, exhausts any idle
         # refill work, and the run ends work-exhausted inside the budget.
@@ -160,7 +159,7 @@ class TestPipelinedStarvation:
         plan = StreamPlan(
             increments=tuple(increments), arrival_times=(0.0, 0.1, 500.0)
         )
-        engine = PipelinedStreamingEngine(make_matcher("JS"), budget=2.0)
+        engine = PipelinedStreamingEngine(build_matcher("JS"), budget=2.0)
         result = engine.run(factory(), plan, toy_dirty_dataset.ground_truth)
         counters = result.details["metrics"]["counters"]
         gauges = result.details["metrics"]["gauges"]

@@ -62,11 +62,11 @@ class TestChooseStrategy:
 
 class TestFactoryIntegration:
     def test_i_auto(self):
-        from repro.evaluation.experiments import make_system
+        from tests.conftest import build_system
 
         census = load_dataset("census_2m", scale=0.1)
-        system = make_system("I-AUTO", census)
+        system = build_system("I-AUTO", census)
         assert system.name == "I-AUTO[I-PBS]"
         dbpedia = load_dataset("dbpedia", scale=0.1)
-        system = make_system("I-AUTO", dbpedia)
+        system = build_system("I-AUTO", dbpedia)
         assert system.name == "I-AUTO[I-PES]"

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import (
-    BATCH_SYSTEMS,
-    ExperimentConfig,
-    SYSTEM_NAMES,
-    run_experiment,
-)
+from repro.evaluation.experiments import BATCH_SYSTEMS, ExperimentConfig, SYSTEM_NAMES
+
+from tests.conftest import compare
 
 ALGORITHMS = tuple(name for name in SYSTEM_NAMES if name != "PPS-LOCAL")
 
@@ -31,7 +28,7 @@ def test_all_algorithms_static(dataset_name, small_dblp_acm, small_census):
         budget=120.0,
         dataset=dataset,
     )
-    results = run_experiment(config)
+    results = compare(config)
     for name, result in results.items():
         assert result.comparisons_executed > 0, name
         assert result.final_pc > 0.3, (name, result.final_pc)
@@ -51,7 +48,7 @@ def test_all_algorithms_dynamic(small_dblp_acm):
         budget=60.0,
         dataset=small_dblp_acm,
     )
-    results = run_experiment(config)
+    results = compare(config)
     for name, result in results.items():
         assert result.increments_ingested == 20, name
         # nothing found before the first arrival
@@ -68,7 +65,7 @@ def test_clean_clean_never_emits_intra_source(toy_clean_clean_dataset):
         budget=60.0,
         dataset=toy_clean_clean_dataset,
     )
-    results = run_experiment(config)
+    results = compare(config)
     for name, result in results.items():
         for pid_x, pid_y in result.duplicates:
             assert (
@@ -86,8 +83,8 @@ def test_ed_and_js_find_overlapping_duplicates(small_dblp_acm):
         budget=200.0,
         dataset=small_dblp_acm,
     )
-    js = run_experiment(base.with_overrides(matcher="JS"))["I-PES"]
-    ed = run_experiment(base.with_overrides(matcher="ED"))["I-PES"]
+    js = compare(base.with_overrides(matcher="JS"))["I-PES"]
+    ed = compare(base.with_overrides(matcher="ED"))["I-PES"]
     # both matchers classify a healthy share of the emitted true matches
     assert len(js.duplicates) > 0
     assert len(ed.duplicates) > 0

@@ -13,7 +13,6 @@ from repro.matching.matcher import (
     EditDistanceMatcher,
     JaccardMatcher,
 )
-from repro.matching.similarity import ED_KERNELS
 
 from tests.conftest import make_profile
 from tests.reference.levenshtein import levenshtein
@@ -181,10 +180,6 @@ class TestShortTextRegression:
 
 
 class TestEditDistanceKernelTelemetry:
-    def test_kernel_validation(self):
-        with pytest.raises(ValueError):
-            EditDistanceMatcher(0.8, kernel="simd")
-
     def test_staged_counts_cover_every_pair(self):
         matcher = EditDistanceMatcher(0.8)
         forty = string.ascii_lowercase + string.digits + "ABCD"
@@ -238,11 +233,10 @@ class TestFunnelLoop:
             for index, (text_x, text_y) in enumerate(text_pairs)
         ]
 
-    @pytest.mark.parametrize("kernel", ED_KERNELS)
-    def test_every_length_order_reaches_the_dp_and_scores_exactly(self, kernel):
+    def test_every_length_order_reaches_the_dp_and_scores_exactly(self):
         threshold = 0.8
         pairs = self._profiles(self.TEXT_PAIRS)
-        scalar = EditDistanceMatcher(threshold, kernel=kernel)
+        scalar = EditDistanceMatcher(threshold)
         results = [scalar.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
         assert scalar.kernel_counts["dp_calls"] == len(pairs)
         assert [result.is_match for result in results] == [True] * 3 + [False] * 3
@@ -251,7 +245,7 @@ class TestFunnelLoop:
             bound = int((1.0 - threshold) * longest) + 1
             distance = levenshtein(text_x, text_y)
             assert result.similarity == 1.0 - min(distance, bound + 1) / longest
-        batched = EditDistanceMatcher(threshold, kernel=kernel)
+        batched = EditDistanceMatcher(threshold)
         assert batched.evaluate_batch(pairs) == results
         assert batched.kernel_counts == scalar.kernel_counts
 

@@ -9,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.evaluation.io import run_result_to_dict
 from repro.execution import core
 from repro.observability.metrics import SCHEMA_VERSION, MetricsRegistry, RoundLog
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import build_matcher, build_system
 
 
 class TestMetricsRegistry:
@@ -154,9 +155,9 @@ PIER_SYSTEMS = ("I-PCS", "I-PBS", "I-PES")
 @pytest.mark.parametrize("engine_factory", ENGINES)
 def test_run_attaches_metrics_snapshot(system_name, engine_factory, small_dblp_acm):
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=5.0)
-    matcher = make_matcher("JS")
+    matcher = build_matcher("JS")
     engine = engine_factory(matcher, budget=60.0)
-    result = engine.run(make_system(system_name, small_dblp_acm), plan,
+    result = engine.run(build_system(system_name, small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     snap = result.details["metrics"]
     assert snap["schema_version"] == SCHEMA_VERSION
@@ -178,12 +179,12 @@ def test_gauges_are_read_once_per_kept_round(engine_factory, small_dblp_acm, mon
     """A round the stride drops costs no gauge reading.  (The cap is shrunk
     so that a small run doubles the stride a few times.)"""
     monkeypatch.setattr(core, "MetricsRegistry", lambda: MetricsRegistry(max_round_samples=16))
-    system = make_system("I-PES", small_dblp_acm)
+    system = build_system("I-PES", small_dblp_acm)
     readings = []
     read_gauges = system.gauges
     system.gauges = lambda: readings.append(1) or read_gauges()
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 20, seed=0), rate=2.0)
-    engine = engine_factory(make_matcher("JS"), budget=1e9)
+    engine = engine_factory(build_matcher("JS"), budget=1e9)
     result = engine.run(system, plan, small_dblp_acm.ground_truth)
     rounds = result.details["metrics"]["rounds"]
     assert rounds["stride"] >= 4
@@ -196,8 +197,8 @@ def test_gauges_are_read_once_per_kept_round(engine_factory, small_dblp_acm, mon
 
 def test_ipbs_reports_bloom_gauges(small_dblp_acm):
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 5, seed=0), rate=5.0)
-    engine = StreamingEngine(make_matcher("JS"), budget=60.0)
-    result = engine.run(make_system("I-PBS", small_dblp_acm), plan,
+    engine = StreamingEngine(build_matcher("JS"), budget=60.0)
+    result = engine.run(build_system("I-PBS", small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     samples = result.details["metrics"]["rounds"]["samples"]
     assert all("bloom_slices" in s and "bloom_items" in s for s in samples)
@@ -206,8 +207,8 @@ def test_ipbs_reports_bloom_gauges(small_dblp_acm):
 
 def test_json_export_includes_metrics(small_dblp_acm):
     plan = make_stream_plan(split_into_increments(small_dblp_acm, 4, seed=0), rate=None)
-    engine = StreamingEngine(make_matcher("JS"), budget=30.0)
-    result = engine.run(make_system("I-PES", small_dblp_acm), plan,
+    engine = StreamingEngine(build_matcher("JS"), budget=30.0)
+    result = engine.run(build_system("I-PES", small_dblp_acm), plan,
                         small_dblp_acm.ground_truth)
     payload = run_result_to_dict(result)
     assert payload["details"]["metrics"]["schema_version"] == SCHEMA_VERSION

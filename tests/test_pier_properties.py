@@ -14,12 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import Increment, make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 from repro.progressive.pps import PPSSystem
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.system import PipelineStats
+
+from tests.conftest import build_matcher, build_system
 
 PIER_ALGORITHMS = ("I-PES", "I-PCS", "I-PBS")
 
@@ -30,8 +31,8 @@ def _run(dataset, algorithm, budget=200.0, n_increments=15, rate=None, matcher="
     else:
         increments = split_into_increments(dataset, n_increments, seed=0)
     plan = make_stream_plan(increments, rate=rate)
-    engine = StreamingEngine(make_matcher(matcher), budget=budget)
-    return engine.run(make_system(algorithm, dataset), plan, dataset.ground_truth)
+    engine = StreamingEngine(build_matcher(matcher), budget=budget)
+    return engine.run(build_system(algorithm, dataset), plan, dataset.ground_truth)
 
 
 class TestImprovedEarlyQuality:
@@ -56,7 +57,7 @@ class TestIncrementality:
         """Ingesting ΔD_i into PIER costs far less (virtual time) than
         re-running the batch pipeline on D_i = D_{i-1} ⊎ ΔD_i."""
         increments = split_into_increments(small_dblp_acm, 10, seed=0)
-        pier = make_system("I-PES", small_dblp_acm)
+        pier = build_system("I-PES", small_dblp_acm)
         incremental_costs = [pier.ingest(increment) for increment in increments]
 
         batch = PPSSystem(clean_clean=True)
@@ -100,11 +101,11 @@ class TestGlobality:
         inter-arrival gaps instead of idling (contrast with I-BASE)."""
         increments = split_into_increments(small_dblp_acm, 10, seed=0)
         plan = make_stream_plan(increments, rate=0.5)  # 2s gaps
-        engine = StreamingEngine(make_matcher("JS"), budget=30.0)
-        pier = engine.run(make_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth)
-        engine2 = StreamingEngine(make_matcher("JS"), budget=30.0)
+        engine = StreamingEngine(build_matcher("JS"), budget=30.0)
+        pier = engine.run(build_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth)
+        engine2 = StreamingEngine(build_matcher("JS"), budget=30.0)
         ibase = engine2.run(
-            make_system("I-BASE", small_dblp_acm), plan, small_dblp_acm.ground_truth
+            build_system("I-BASE", small_dblp_acm), plan, small_dblp_acm.ground_truth
         )
         assert pier.comparisons_executed > ibase.comparisons_executed
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.incremental.ibase import IBaseSystem
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import build_matcher, build_system
 
 
 class TestPipelinedBasics:
@@ -64,10 +65,10 @@ class TestPipelineParallelism:
             split_into_increments(small_dbpedia, 60, seed=0), rate=32.0
         )
         serial = StreamingEngine(EditDistanceMatcher(0.7), budget=60.0).run(
-            make_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
+            build_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
         )
         pipelined = PipelinedStreamingEngine(EditDistanceMatcher(0.7), budget=60.0).run(
-            make_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
+            build_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
         )
         assert pipelined.stream_consumed_at is not None
         if serial.stream_consumed_at is not None:
@@ -79,10 +80,10 @@ class TestPipelineParallelism:
         )
         budget = 60.0
         serial = StreamingEngine(EditDistanceMatcher(0.7), budget=budget).run(
-            make_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
+            build_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
         )
         pipelined = PipelinedStreamingEngine(EditDistanceMatcher(0.7), budget=budget).run(
-            make_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
+            build_system("I-PES", small_dbpedia), plan, small_dbpedia.ground_truth
         )
         assert pipelined.curve.area_under_curve(budget) >= serial.curve.area_under_curve(
             budget

@@ -104,8 +104,8 @@ class TestGSPSN:
             GSPSNSystem(max_window=0)
 
     def test_runs_via_factory(self, toy_dirty_dataset):
-        from repro.evaluation.experiments import make_system
+        from tests.conftest import build_system
 
         for name in ("LS-PSN", "GS-PSN"):
-            system = make_system(name, toy_dirty_dataset)
+            system = build_system(name, toy_dirty_dataset)
             assert system.name == name

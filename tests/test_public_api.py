@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import load_dataset, resolve_stream
+from repro.api import EngineOptions
+
+#: Options and shims retired for one production path per behaviour (their
+#: oracles live in ``tests/reference/``).  Spelled split so this file does
+#: not match itself.
+RETIRED_NAMES = (
+    "per_pair_" + "weighting", "--per-pair-" + "weighting",
+    "scalar_" + "matching", "--scalar-" + "matching", "batch_" + "matching",
+    "ed_" + "kernel", "--ed-" + "kernel", "ED_" + "KERNELS",
+    "make_" + "matcher", "make_" + "system", "run_" + "experiment",
+)
 
 
 class TestExports:
@@ -15,6 +29,35 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__
+
+
+class TestRetiredNames:
+    def test_nothing_shipped_mentions_them(self):
+        root = Path(repro.__file__).parents[2]
+        shipped = [
+            path
+            for directory in ("src", "examples", "docs")
+            for path in (root / directory).rglob("*")
+            if path.suffix in (".py", ".md")
+        ] + list((root / "benchmarks").glob("*.py"))
+        assert len(shipped) > 100  # the walk found the tree
+        # Pointing at the oracle that replaced an option is not a mention.
+        oracle = "tests/reference/" + RETIRED_NAMES[0] + ".py"
+        texts = {
+            str(path.relative_to(root)): path.read_text(encoding="utf-8").replace(oracle, "")
+            for path in shipped
+        }
+        mentions = [
+            (file, name) for file, text in texts.items() for name in RETIRED_NAMES if name in text
+        ]
+        assert mentions == []
+
+    def test_engine_options_has_exactly_these_fields(self):
+        assert [field.name for field in dataclasses.fields(EngineOptions)] == [
+            "pipelined", "workers",
+            "reply_timeout_s", "handshake_timeout_s", "max_respawns", "min_shard",
+            "blocking", "lsh_bands", "lsh_rows", "lsh_seed",
+        ]
 
 
 class TestResolveStream:

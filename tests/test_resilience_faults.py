@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import make_matcher
 from repro.incremental.ibase import IBaseSystem
 from repro.matching.matcher import JaccardMatcher
 from repro.pier.base import PierSystem
@@ -28,7 +27,7 @@ from repro.resilience import (
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import make_profile
+from tests.conftest import build_matcher, make_profile
 
 ALL_STRATEGIES = [lambda: PierSystem(IPES()), lambda: PierSystem(IPCS()),
                   lambda: PierSystem(IPBS()), IBaseSystem]
@@ -194,7 +193,7 @@ class TestChaosRuns:
     def _chaos_run(self, factory, dataset, engine_cls=StreamingEngine, seed=7):
         plan = _plan(dataset, n=10, rate=5.0)
         report = apply_faults(plan, FaultSpec.chaos(seed=seed))
-        matcher = FaultyMatcher(make_matcher("ED"), seed=seed)
+        matcher = FaultyMatcher(build_matcher("ED"), seed=seed)
         engine = engine_cls(matcher, budget=10.0, resilience=self.RESILIENCE)
         return engine.run(factory(), report.plan, dataset.ground_truth)
 
@@ -227,11 +226,11 @@ class TestChaosRuns:
 
     def test_fault_free_run_unchanged_by_default_config(self, small_dblp_acm):
         plan = _plan(small_dblp_acm, n=8, rate=5.0)
-        baseline = StreamingEngine(make_matcher("JS"), budget=15.0).run(
+        baseline = StreamingEngine(build_matcher("JS"), budget=15.0).run(
             PierSystem(IPES()), plan, small_dblp_acm.ground_truth
         )
         configured = StreamingEngine(
-            make_matcher("JS"), budget=15.0, resilience=ResilienceConfig()
+            build_matcher("JS"), budget=15.0, resilience=ResilienceConfig()
         ).run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         assert baseline.curve.points == configured.curve.points
         assert baseline.duplicates == configured.duplicates

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import repro
 from repro.matching.similarity import (
-    ED_KERNELS,
     dice,
     jaccard,
     levenshtein,
     normalized_edit_similarity,
     overlap_coefficient,
 )
+
+from tests.reference.levenshtein import levenshtein as textbook_levenshtein
 
 short_text = st.text(alphabet="abcde ", max_size=24)
 token_sets = st.frozensets(st.sampled_from(["a", "b", "c", "d", "e", "f"]), max_size=6)
@@ -85,6 +86,8 @@ class TestLevenshtein:
             ("abc", "abc", 0),
             ("abc", "abd", 1),
             ("abc", "acb", 2),
+            ("𝄞😀", "😀𝄞", 2),  # astral-plane code points
+            ("a" * 70, "a" * 69 + "b", 1),  # beyond one 64-bit word
         ],
     )
     def test_known_distances(self, a, b, expected):
@@ -127,79 +130,58 @@ class TestLevenshtein:
 
 
 class TestEditDistanceKernels:
-    """All kernels must return identical integers for every input."""
-
-    @pytest.mark.parametrize("kernel", ED_KERNELS)
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ("", "", 0),
-            ("a", "", 1),
-            ("kitten", "sitting", 3),
-            ("𝄞😀", "😀𝄞", 2),
-            ("a" * 70, "a" * 69 + "b", 1),
-        ],
-    )
-    def test_known_distances_every_kernel(self, kernel, a, b, expected):
-        assert levenshtein(a, b, kernel=kernel) == expected
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            levenshtein("ab", "cd", kernel="simd")
+    """The bit-parallel kernel against the textbook table of
+    ``tests/reference/levenshtein.py`` — the two must return identical
+    integers (and hence identical similarity floats) for every input."""
 
     @given(kernel_text, kernel_text, st.integers(min_value=0, max_value=12))
     @settings(max_examples=150)
     def test_kernels_agree_under_bound(self, a, b, k):
-        """Bounded distances straddling ``k`` agree across every kernel,
+        """Bounded distances straddling ``k`` agree with the textbook table,
         including the capped ``k + 1`` overflow value."""
-        results = {
-            kernel: levenshtein(a, b, max_distance=k, kernel=kernel)
-            for kernel in ED_KERNELS
-        }
-        assert len(set(results.values())) == 1, results
-        full = levenshtein(a, b, kernel="full")
-        assert results["auto"] == (full if full <= k else k + 1)
+        full = textbook_levenshtein(a, b)
+        assert levenshtein(a, b, max_distance=k) == (full if full <= k else k + 1)
 
     @given(kernel_text, kernel_text)
     @settings(max_examples=60)
     def test_kernels_agree_unbounded(self, a, b):
-        results = {kernel: levenshtein(a, b, kernel=kernel) for kernel in ED_KERNELS}
-        assert len(set(results.values())) == 1, results
+        assert levenshtein(a, b) == textbook_levenshtein(a, b)
 
     def test_long_pattern_uses_multiword_bitvector(self):
         """Patterns past 64 chars exercise the big-int Myers regime."""
         base = "the quick brown fox jumps over the lazy dog " * 3  # 135 chars
         edited = base[:40] + "X" + base[41:100] + "YZ" + base[100:]
-        expected = levenshtein(base, edited, kernel="full")
+        expected = textbook_levenshtein(base, edited)
         assert expected > 0
-        assert levenshtein(base, edited, kernel="myers") == expected
-        assert levenshtein(base, edited, max_distance=expected, kernel="myers") == expected
-        assert (
-            levenshtein(base, edited, max_distance=expected - 1, kernel="myers")
-            == expected
-        )
+        assert levenshtein(base, edited) == expected
+        assert levenshtein(base, edited, max_distance=expected) == expected
+        assert levenshtein(base, edited, max_distance=expected - 1) == expected
 
     @given(kernel_text, kernel_text, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60)
     def test_normalized_similarity_bit_identical_across_kernels(self, a, b, t):
-        floats = {
-            kernel: normalized_edit_similarity(a, b, min_similarity=t, kernel=kernel)
-            for kernel in ED_KERNELS
-        }
-        assert len({value.hex() for value in floats.values()}) == 1, floats
+        """The similarity float is the one the textbook distance gives when
+        clamped to the band ``min_similarity`` asks for."""
+        longest = max(len(a), len(b))
+        if longest == 0:
+            expected = 0.0
+        else:
+            bound = int((1.0 - t) * longest) + 1
+            distance = min(textbook_levenshtein(a, b), bound + 1, longest)
+            expected = 1.0 - distance / longest
+        assert normalized_edit_similarity(a, b, min_similarity=t).hex() == expected.hex()
 
     def test_float_bit_identity_across_hash_seeds(self):
         """``peq`` is a dict keyed by characters, so iteration order could
         vary with PYTHONHASHSEED — the similarity floats must not."""
         script = (
-            "from repro.matching.similarity import ED_KERNELS, "
+            "from repro.matching.similarity import "
             "normalized_edit_similarity as nes\n"
             "pairs = [('kitten', 'sitting'), ('𝄞😀ab', 'ab😀𝄞'), "
             "('progressive entity resolution over incremental data streams "
             "with budgets', 'progresive entity resolutoin over incremental "
             "data stream with budget'), ('', 'x')]\n"
-            "print([nes(a, b, min_similarity=0.5, kernel=k).hex() "
-            "for a, b in pairs for k in ED_KERNELS])\n"
+            "print([nes(a, b, min_similarity=0.5).hex() for a, b in pairs])\n"
         )
         src_dir = str(Path(repro.__file__).parents[1])
         outputs = set()

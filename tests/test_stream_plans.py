@@ -9,8 +9,9 @@ from repro.core.increments import (
     make_poisson_stream_plan,
     split_into_increments,
 )
-from repro.evaluation.experiments import make_matcher, make_system
 from repro.streaming.engine import StreamingEngine
+
+from tests.conftest import build_matcher, build_system
 
 
 class TestPoissonPlan:
@@ -40,9 +41,9 @@ class TestPoissonPlan:
     def test_engine_consumes_poisson_stream(self, small_dblp_acm):
         increments = split_into_increments(small_dblp_acm, 20, seed=0)
         plan = make_poisson_stream_plan(increments, rate=5.0, seed=3)
-        engine = StreamingEngine(make_matcher("JS"), budget=60.0)
+        engine = StreamingEngine(build_matcher("JS"), budget=60.0)
         result = engine.run(
-            make_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth
+            build_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth
         )
         assert result.increments_ingested == 20
         assert result.final_pc > 0.5
@@ -64,8 +65,8 @@ class TestBurstyPlan:
     def test_engine_consumes_bursty_stream(self, small_dblp_acm):
         increments = split_into_increments(small_dblp_acm, 12, seed=0)
         plan = make_bursty_stream_plan(increments, burst_size=4, burst_interval=3.0)
-        engine = StreamingEngine(make_matcher("JS"), budget=60.0)
+        engine = StreamingEngine(build_matcher("JS"), budget=60.0)
         result = engine.run(
-            make_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth
+            build_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth
         )
         assert result.increments_ingested == 12

@@ -1,10 +1,12 @@
-"""Bit-identity tests for the single-sweep weighting kernel.
+"""The single-sweep weighting kernel against the definition.
 
-The sweep path (:mod:`repro.metablocking.sweep`) must reproduce the legacy
-per-pair weighting *exactly* — same candidates, same order, same float
-weights — for all four schemes, on dirty and Clean-Clean collections, with
-purged blocks and block ghosting in play, and independent of
-``PYTHONHASHSEED``.
+The sweep path (:mod:`repro.metablocking.sweep`) must reproduce
+generate-then-weigh I-WNP — ghost, gather, de-duplicate, one
+``scheme.weight()`` per candidate, prune below the average; kept as the
+oracle ``tests/reference/per_pair_weighting.py`` — *exactly*: same
+candidates, same order, same float weights, for all four schemes, on dirty
+and Clean-Clean collections, with purged blocks and block ghosting in play,
+and independent of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -15,22 +17,31 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking.blocks import BlockCollection
-from repro.blocking.cleaning import block_ghosting
 from repro.core.dataset import Dataset, ERKind
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.evaluation.experiments import (
-    WEIGHTING_SYSTEMS,
-    make_matcher,
-    make_system,
+from repro.metablocking import sweep
+from repro.metablocking.sweep import (
+    partner_weights,
+    sweep_candidate_weights,
+    sweep_weights,
 )
-from repro.metablocking.sweep import partner_weights, sweep_weights
 from repro.metablocking.weights import make_scheme
-from repro.metablocking.wnp import incremental_wnp, sweep_wnp
+from repro.metablocking.wnp import sweep_wnp
 from repro.pier.base import ComparisonGenerator
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import build_matcher, build_system, make_profile
+from tests.reference.per_pair_weighting import (
+    ReferenceGenerator,
+    reference_candidate_weights,
+    reference_generate,
+    reference_pair_weights,
+)
 
 SCHEME_NAMES = ("cbs", "ecbs", "js", "arcs")
 
@@ -44,17 +55,28 @@ def _index(dataset: Dataset, max_block_size: int | None) -> BlockCollection:
     return collection
 
 
-def _legacy_candidates(collection, profile, beta):
-    """Candidate pids exactly as the legacy generate path gathers them."""
-    blocks = block_ghosting(list(collection.blocks_of_as_blocks(profile.pid)), beta)
-    candidates: list[int] = []
-    for block in blocks:
-        if collection.clean_clean:
-            partners = block.members(1 - profile.source)
-        else:
-            partners = tuple(block)
-        candidates.extend(pid for pid in partners if pid != profile.pid)
-    return candidates
+def _assert_sweep_is_reference(
+    collection, profile, valid_partner, scheme, beta, source, drop_filter=False
+):
+    """One profile: candidates, order, floats, kept set and cost units.
+
+    ``drop_filter`` hands the sweep ``None`` for the predicate, as
+    ``ComparisonGenerator`` does when the filter is redundant (always true,
+    or cross-source on a sweep that already reads only the other source).
+    """
+    predicate = None if drop_filter else valid_partner
+    candidates, weights = sweep_candidate_weights(
+        collection, profile.pid, predicate, scheme, beta=beta, source=source
+    )
+    assert (candidates, weights) == reference_candidate_weights(
+        collection, profile, valid_partner, scheme, beta
+    )
+    kept, operations = reference_generate(collection, profile, valid_partner, scheme, beta)
+    swept = sweep_wnp(collection, profile.pid, predicate, scheme, beta=beta, source=source)
+    assert swept.kept == kept  # pairs, order, and exact floats
+    assert swept.pruned == operations - len(kept)
+    assert swept.weighting_cost_units == operations
+    return candidates, weights, kept
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +99,10 @@ class TestSweepBitIdentity:
         scheme = make_scheme(scheme_name)
         checked = 0
         for profile in dataset.profiles[:120]:
-            legacy = incremental_wnp(
-                collection,
-                profile.pid,
-                _legacy_candidates(collection, profile, beta=0.2),
-                scheme,
+            *_, kept = _assert_sweep_is_reference(
+                collection, profile, lambda pid: True, scheme, beta=0.2, source=None
             )
-            swept = sweep_wnp(
-                collection, profile.pid, lambda pid: True, scheme, beta=0.2
-            )
-            assert swept.kept == legacy.kept  # pairs, order, and exact floats
-            assert swept.pruned == legacy.pruned
-            assert swept.weighting_cost_units == legacy.weighting_cost_units
-            checked += len(legacy.kept)
+            checked += len(kept)
         assert checked > 0  # the fixture produced real candidate lists
 
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
@@ -100,37 +113,23 @@ class TestSweepBitIdentity:
         checked = 0
         for profile in dataset.profiles[:120]:
             valid = lambda pid, s=profile.source: sources[pid] != s
-            legacy = incremental_wnp(
-                collection,
-                profile.pid,
-                _legacy_candidates(collection, profile, beta=0.2),
-                scheme,
+            *_, kept = _assert_sweep_is_reference(
+                collection, profile, valid, scheme, beta=0.2, source=profile.source
             )
-            swept = sweep_wnp(
-                collection,
-                profile.pid,
-                valid,
-                scheme,
-                beta=0.2,
-                source=profile.source,
-            )
-            assert swept.kept == legacy.kept
-            assert swept.weighting_cost_units == legacy.weighting_cost_units
-            checked += len(legacy.kept)
+            checked += len(kept)
         assert checked > 0
 
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_generator_paths_identical(self, cc_collection, scheme_name):
-        """ComparisonGenerator(per_pair=True/False) emit identical streams."""
+        """ComparisonGenerator emits the reference generator's stream."""
         dataset, collection = cc_collection
         scheme = make_scheme(scheme_name)
         sweep_gen = ComparisonGenerator(beta=0.2, scheme=scheme)
-        pair_gen = ComparisonGenerator(beta=0.2, scheme=scheme, per_pair=True)
         sources = {profile.pid: profile.source for profile in dataset.profiles}
         for profile in dataset.profiles[:80]:
             valid = lambda pid, s=profile.source: sources[pid] != s
-            assert sweep_gen.generate(collection, profile, valid) == pair_gen.generate(
-                collection, profile, valid
+            assert sweep_gen.generate(collection, profile, valid) == reference_generate(
+                collection, profile, valid, scheme, 0.2
             )
 
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
@@ -138,9 +137,7 @@ class TestSweepBitIdentity:
         dataset, collection = dirty_collection
         scheme = make_scheme(scheme_name)
         for profile in dataset.profiles[:60]:
-            partners = list(
-                dict.fromkeys(_legacy_candidates(collection, profile, beta=1.0))
-            )
+            partners = list(collection.partner_counts(profile.pid))
             # include a partner with no shared live block: weight must be 0.0
             partners.append(max(p.pid for p in dataset.profiles) + 1000)
             aggregated = partner_weights(collection, profile.pid, partners, scheme)
@@ -183,28 +180,125 @@ class TestSweepBitIdentity:
             assert weight == scheme.weight(collection, profile.pid, partner)
 
 
+# Twelve tokens for up to sixteen profiles: blocks collide, and with
+# ``max_block_size`` at most 5 the popular ones get purged mid-build.
+_TOKENS = [f"k{index}" for index in range(12)]
+_generated_profiles = st.lists(
+    st.tuples(st.sets(st.sampled_from(_TOKENS), max_size=6), st.integers(0, 1)),
+    min_size=2,
+    max_size=16,
+)
+
+
+@given(
+    arrivals=_generated_profiles,
+    clean_clean=st.booleans(),
+    max_block_size=st.integers(min_value=2, max_value=5),
+    beta=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    scheme_name=st.sampled_from(SCHEME_NAMES),
+    drop_filter=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sweep_is_reference_on_generated_collections(
+    arrivals, clean_clean, max_block_size, beta, scheme_name, drop_filter
+):
+    scheme = make_scheme(scheme_name)
+    collection = BlockCollection(clean_clean=clean_clean, max_block_size=max_block_size)
+    profiles = [
+        make_profile(pid, " ".join(sorted(tokens)), source=source if clean_clean else 0)
+        for pid, (tokens, source) in enumerate(arrivals)
+    ]
+    for profile in profiles:
+        collection.add_profile(profile)
+    sources = {profile.pid: profile.source for profile in profiles}
+    for profile in profiles:
+        if clean_clean:
+            valid = lambda pid, s=profile.source: sources[pid] != s
+        else:
+            valid = lambda pid: True
+        candidates, weights, _ = _assert_sweep_is_reference(
+            collection, profile, valid, scheme, beta,
+            source=profile.source if clean_clean else None,
+            drop_filter=drop_filter,
+        )
+        if scheme_name == "cbs":
+            # From the definition, so a defect shared by ``scheme.weight()``
+            # and the sweep cannot hide: w = |B(x) ∩ B(y)|.
+            mine = collection.blocks_of(profile.pid)
+            assert weights == [len(mine & collection.blocks_of(pid)) for pid in candidates]
+
+
+#: Systems whose prioritization runs on meta-blocking weights.
+WEIGHTING_SYSTEMS = (
+    "I-AUTO", "I-BASE", "I-PBS", "I-PCS", "I-PES",
+    "PBS", "PBS-GLOBAL", "PPS", "PPS-GLOBAL", "PPS-LOCAL",
+)
+#: Modules that weigh the pairs of a drained block with ``pair_weights``.
+_PAIR_WEIGHT_CALLERS = (
+    "repro.pier.base", "repro.pier.ipbs", "repro.progressive.pbs",
+    "repro.metablocking.block_graph",
+)
+# The pipelined engine still spins ``budget / 1e-5`` empty rounds on an
+# exhausted batch baseline (ROADMAP item 1; ~45 s per case here), so the
+# baselines are held to the reference on the serial engine only.
+_ENGINE_CASES = [
+    (system_name, engine_cls)
+    for system_name in WEIGHTING_SYSTEMS
+    for engine_cls in (StreamingEngine, PipelinedStreamingEngine)
+    if engine_cls is StreamingEngine or system_name.startswith("I-")
+]
+
+
+def _run(system, engine_cls, dataset):
+    plan = make_stream_plan(split_into_increments(dataset, 8, seed=0), rate=None)
+    engine = engine_cls(build_matcher("JS"), budget=30.0)
+    return engine.run(system, plan, dataset.ground_truth)
+
+
 class TestEngineLevelParity:
-    """Both CLI paths (sweep vs --per-pair-weighting) give identical runs."""
+    """A run on the sweep kernel equals the run with the reference weighting
+    swapped in at every seam — the strategy's ``generator`` attribute and the
+    ``pair_weights`` name of each module that drains blocks.  The swap is
+    the test's; production has no hook for it."""
 
-    @pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
-    @pytest.mark.parametrize("system_name", sorted(WEIGHTING_SYSTEMS))
-    def test_full_run_bit_identical(self, system_name, engine_cls, small_dblp_acm):
-        dataset = small_dblp_acm
-        increments = split_into_increments(dataset, 8, seed=0)
-        plan = make_stream_plan(increments, rate=None)
+    @pytest.mark.parametrize("system_name,engine_cls", _ENGINE_CASES)
+    def test_full_run_bit_identical(
+        self, system_name, engine_cls, small_dblp_acm, monkeypatch
+    ):
+        sweep_result = _run(build_system(system_name, small_dblp_acm), engine_cls, small_dblp_acm)
 
-        def run(per_pair: bool):
-            system = make_system(
-                system_name, dataset, per_pair_weighting=per_pair
+        system = build_system(system_name, small_dblp_acm)
+        holder = getattr(system, "strategy", system)
+        if hasattr(holder, "generator"):
+            holder.generator = ReferenceGenerator(
+                holder.generator.beta, holder.generator.scheme
             )
-            engine = engine_cls(make_matcher("JS"), budget=30.0)
-            return engine.run(system, plan, dataset.ground_truth)
+        for module in _PAIR_WEIGHT_CALLERS:
+            monkeypatch.setattr(f"{module}.pair_weights", reference_pair_weights)
+        pair_result = _run(system, engine_cls, small_dblp_acm)
 
-        sweep_result, pair_result = run(False), run(True)
         assert sweep_result.match_events == pair_result.match_events
         assert sweep_result.curve.points == pair_result.curve.points
         assert sweep_result.comparisons_executed == pair_result.comparisons_executed
         assert sweep_result.duplicates == pair_result.duplicates
+
+    @pytest.mark.parametrize("system_name", ["I-PBS", "PBS", "PPS"])
+    def test_pair_weights_is_reference_on_every_drained_block(
+        self, system_name, small_dblp_acm, monkeypatch
+    ):
+        blocks_weighed = []
+
+        def checked(collection, pairs, scheme=None):
+            weights = sweep.pair_weights(collection, pairs, scheme)
+            assert weights == reference_pair_weights(collection, pairs, scheme)
+            blocks_weighed.append(len(pairs))
+            return weights
+
+        for module in _PAIR_WEIGHT_CALLERS:
+            monkeypatch.setattr(f"{module}.pair_weights", checked)
+        result = _run(build_system(system_name, small_dblp_acm), StreamingEngine, small_dblp_acm)
+        assert result.comparisons_executed > 0
+        assert sum(blocks_weighed) >= result.comparisons_executed
 
 
 _HASHSEED_SCRIPT = """

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.blocking.blocks import BlockCollection
-from repro.metablocking.wnp import batch_wnp_for_profile, incremental_wnp
+from repro.metablocking.wnp import batch_wnp_for_profile, sweep_wnp
 
 from tests.conftest import make_profile
 
@@ -20,7 +20,7 @@ def _collection() -> BlockCollection:
 class TestIncrementalWNP:
     def test_prunes_below_average(self):
         collection = _collection()
-        result = incremental_wnp(collection, 0, [1, 2, 3])
+        result = sweep_wnp(collection, 0, None)
         kept_partners = {c.other(0) for c in (w.comparison() for w in result.kept)}
         # weights: p1=3, p2=1, p3=2 → average 2 → keep p1, p3
         assert kept_partners == {1, 3}
@@ -28,31 +28,32 @@ class TestIncrementalWNP:
 
     def test_weights_attached(self):
         collection = _collection()
-        result = incremental_wnp(collection, 0, [1])
+        result = sweep_wnp(collection, 0, lambda pid: pid == 1)
         assert result.kept[0].weight == 3.0
 
     def test_empty_candidates(self):
-        result = incremental_wnp(_collection(), 0, [])
+        result = sweep_wnp(_collection(), 0, lambda pid: False)
         assert result.kept == ()
         assert result.weighting_cost_units == 0
 
     def test_self_candidate_ignored(self):
-        result = incremental_wnp(_collection(), 0, [0])
+        result = sweep_wnp(_collection(), 0, lambda pid: pid == 0)
         assert result.kept == ()
 
     def test_duplicate_candidates_collapsed(self):
+        """A partner met in three shared blocks is weighted — and charged — once."""
         collection = _collection()
-        result = incremental_wnp(collection, 0, [1, 1, 1])
+        result = sweep_wnp(collection, 0, lambda pid: pid == 1)
         assert len(result.kept) == 1
         assert result.weighting_cost_units == 1
 
     def test_single_candidate_always_kept(self):
         """A single candidate equals the average and must survive."""
-        result = incremental_wnp(_collection(), 0, [2])
+        result = sweep_wnp(_collection(), 0, lambda pid: pid == 2)
         assert len(result.kept) == 1
 
     def test_total_candidates_bookkeeping(self):
-        result = incremental_wnp(_collection(), 0, [1, 2, 3])
+        result = sweep_wnp(_collection(), 0, None)
         assert result.total_candidates == 3
 
 
