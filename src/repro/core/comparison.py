@@ -1,7 +1,7 @@
 """Comparison candidates.
 
 A comparison is an unordered pair of profile ids.  The pair is always stored
-in canonical order (``left < right``) so that set/bloom-filter membership and
+in canonical order (``left < right``) so that set membership and
 deduplication behave consistently across all prioritization strategies.
 """
 

@@ -10,8 +10,8 @@ This package hosts the machinery shared by every engine:
   :class:`~repro.streaming.pipelined.PipelinedStreamingEngine` are thin
   step-ordering policies over it.
 * :class:`~repro.execution.store.ComparisonStore` — the per-system
-  registry of executed / quarantined / Bloom-deduplicated comparisons
-  shared by all prioritization strategies.
+  registry of executed / quarantined comparisons shared by all
+  prioritization strategies.
 
 See ``docs/architecture.md`` for the layer map.
 

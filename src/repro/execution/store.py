@@ -1,20 +1,17 @@
 """Shared comparison bookkeeping for every ER system.
 
 Before this layer existed, each system kept its own private variant of the
-same three registries: the PIER framework and the incremental baseline each
-held an ``_executed`` set, I-PBS owned a scalable Bloom filter for
-cross-block dedup, and the engines tracked quarantined pairs in run-local
+same registries: the PIER framework and the incremental baseline each held
+an ``_executed`` set, and the engines tracked quarantined pairs in run-local
 sets.  :class:`ComparisonStore` centralizes them:
 
 * **executed-set** — the exactly-once execution registry.  A pair enters it
   the moment a system *commits* to executing it (emission for PIER and the
   batch baselines, enqueue for I-BASE), so redeliveries, refills and
   re-prioritizations can never hand the same comparison to the matcher
-  twice;
-* **Bloom dedup** — the probabilistic already-generated filter used by
-  block-centric generation (I-PBS).  It lives here so checkpoints serialize
-  it exactly once and restored runs reproduce the identical
-  false-positive pattern;
+  twice.  Block-centric generation (I-PBS) reads it too: together with the
+  strategy's own still-queued pairs it is the exact answer to "was this
+  pair generated before?", where the paper settles for a Bloom filter;
 * **quarantine registry** — pairs the engine refused to execute (cost
   ceiling, retry exhaustion).  Per-run state: cleared by
   :meth:`begin_run`, overwritten from the checkpoint on resume;
@@ -30,22 +27,20 @@ comparison is double-credited after a crash-restore.
 from __future__ import annotations
 
 from repro.core.comparison import canonical_pair
-from repro.priority.bloom import ScalableBloomFilter
 
 __all__ = ["ComparisonStore"]
 
 
 class ComparisonStore:
-    """Executed-set, Bloom dedup, quarantine registry, emission accounting."""
+    """Executed-set, quarantine registry, emission accounting."""
 
-    __slots__ = ("executed", "quarantined", "emitted", "stale_dequeues", "_bloom")
+    __slots__ = ("executed", "quarantined", "emitted", "stale_dequeues")
 
     def __init__(self) -> None:
         self.executed: set[tuple[int, int]] = set()
         self.quarantined: set[tuple[int, int]] = set()
         self.emitted = 0
         self.stale_dequeues = 0
-        self._bloom: ScalableBloomFilter | None = None
 
     # -- executed-set (exactly-once execution) --------------------------
     def was_executed(self, pid_x: int, pid_y: int) -> bool:
@@ -75,22 +70,10 @@ class ComparisonStore:
 
     def begin_run(self) -> None:
         """Reset the per-run registries at the start of a fresh (non-resume)
-        run.  The executed set and the Bloom filter share the *system's*
-        lifetime and survive — they encode which comparisons exist at all,
-        not what one engine run did with them."""
+        run.  The executed set shares the *system's* lifetime and survives —
+        it encodes which comparisons exist at all, not what one engine run
+        did with them."""
         self.quarantined.clear()
-
-    # -- Bloom dedup ----------------------------------------------------
-    def bloom_filter(self, initial_capacity: int = 4096) -> ScalableBloomFilter:
-        """The store's shared already-generated filter (created on first use).
-
-        ``initial_capacity`` only applies to the creating call; later callers
-        receive the same filter object, which is what lets checkpoint restore
-        mutate it in place without breaking anyone's bound reference.
-        """
-        if self._bloom is None:
-            self._bloom = ScalableBloomFilter(initial_capacity=initial_capacity)
-        return self._bloom
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
@@ -99,20 +82,12 @@ class ComparisonStore:
             "quarantined": set(self.quarantined),
             "emitted": self.emitted,
             "stale_dequeues": self.stale_dequeues,
-            "bloom": None if self._bloom is None else self._bloom.snapshot_state(),
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
-        """Rewind to a snapshot, mutating the Bloom filter *in place* so
-        references bound by strategies (I-PBS) stay valid."""
+        """Rewind to a snapshot.  Keys this store does not write (the
+        ``"bloom"`` entry of older checkpoints) are ignored."""
         self.executed = set(state["executed"])
         self.quarantined = set(state["quarantined"])
         self.emitted = state["emitted"]
         self.stale_dequeues = state["stale_dequeues"]
-        bloom_state = state["bloom"]
-        if bloom_state is None:
-            self._bloom = None
-        else:
-            if self._bloom is None:
-                self._bloom = ScalableBloomFilter()
-            self._bloom.restore_state(bloom_state)

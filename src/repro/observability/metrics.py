@@ -142,7 +142,7 @@ class MetricsRegistry:
 
     # -- gauges ---------------------------------------------------------
     def gauge(self, name: str, value: float) -> None:
-        """Set a last-value-wins gauge (e.g. final bloom slice count)."""
+        """Set a last-value-wins gauge (e.g. ``engine.clock_end``)."""
         self._gauges[name] = value
 
     def gauge_value(self, name: str, default: float = 0) -> float:

@@ -294,15 +294,6 @@ class IncrPrioritization:
 
     name = "incr-prioritization"
 
-    def bind_store(self, store: ComparisonStore) -> None:
-        """Attach the host system's shared :class:`ComparisonStore`.
-
-        Called once by :class:`PierSystem` before any ingestion.  Strategies
-        with their own dedup structures (the Bloom filter of I-PBS) rebind
-        them onto the store here so checkpoints serialize them exactly once;
-        the default is a no-op.
-        """
-
     def ingest_profiles(
         self,
         system: "PierSystem",
@@ -339,8 +330,9 @@ class IncrPrioritization:
     def snapshot_state(self) -> dict[str, object]:
         """Deep copy of the strategy's ``CmpIndex`` state.
 
-        The default walks ``__dict__``; strategies with custom serialization
-        needs (e.g. the Bloom filter of I-PBS) override this.
+        The default walks ``__dict__``; strategies whose state is plain
+        containers of immutable entries (I-PBS) override this with shallow
+        copies.
         """
         return {key: copy.deepcopy(value) for key, value in self.__dict__.items()}
 
@@ -394,7 +386,6 @@ class PierSystem(ERSystem):
         )
         self.adaptive_k = adaptive_k or AdaptiveK()
         self.store = ComparisonStore()
-        strategy.bind_store(self.store)
         self.name = f"PIER[{strategy.name}]"
 
     # ------------------------------------------------------------------
@@ -515,8 +506,8 @@ class PierSystem(ERSystem):
     def restore(self, state: dict[str, object]) -> None:
         self.blocker = copy.deepcopy(state["blocker"])
         self.adaptive_k = copy.deepcopy(state["adaptive_k"])
-        # In-place restore keeps the store's identity, so strategy-bound
-        # references (the I-PBS Bloom filter) stay valid.
+        # In-place restore keeps the store's identity: the engine's run
+        # state holds a reference to it.
         self.store.restore_state(state["store"])
         self.strategy.restore_state(state["strategy"])
 

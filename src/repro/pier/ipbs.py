@@ -15,8 +15,12 @@ pending work per block:
 Comparisons enter the global queue with the composite priority
 ``(-block_size, cbs_weight)``: comparisons from smaller generating blocks
 come first, CBS breaks ties within a block.  Each new pair of a block is
-generated once; a scalable Bloom filter drops those already generated from
-an earlier block.
+generated once, and a pair already generated from an earlier block is
+dropped.  The paper answers "already generated?" with a scalable Bloom
+filter because it cannot afford the exact set; this implementation keeps
+that set anyway — every generated pair is either still *queued* here or in
+the store's *executed* set, which exactly-once execution needs regardless —
+so the test is exact: two set probes, no false positive, no lost comparison.
 
 The queue is refilled from the current smallest pending block ``b_min``
 lazily: only when the queue is empty, or when ``b_min`` is *smaller* than
@@ -34,11 +38,9 @@ from typing import Iterable
 
 from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
-from repro.execution.store import ComparisonStore
 from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.pier.base import IncrPrioritization, PierSystem, _member_counts
-from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 __all__ = ["IPBS"]
@@ -53,25 +55,21 @@ class IPBS(IncrPrioritization):
         self,
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
-        filter_initial_capacity: int = 4096,
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
         self.cardinality_index: dict[str, int] = {}
         # Block key -> members per source when the block was last processed.
         self._cursor: dict[str, tuple[int, ...]] = {}
-        self.filter_initial_capacity = filter_initial_capacity
-        # Standalone default so the strategy works unbound (unit tests);
-        # bind_store replaces it with the host system's shared filter.
-        self.comparison_filter = ScalableBloomFilter(initial_capacity=filter_initial_capacity)
+        # Pairs enqueued and not yet handed out.  The host claims every
+        # dequeued pair into ``store.executed`` before the next refill, so
+        # ``queued ∪ executed`` is every pair generated so far.  A pair the
+        # bounded index evicts or refuses stays here: it is never generated
+        # again, the loss the bound accepts.
+        self.queued: set[tuple[int, int]] = set()
         # Lazy min-heap over (pending_count, key); entries whose count is
         # stale are discarded on pop, keeping b_min selection O(log n).
         self._pending_heap: list[tuple[int, str]] = []
-
-    def bind_store(self, store: ComparisonStore) -> None:
-        # Share the store's Bloom filter: one dedup structure per system,
-        # serialized exactly once inside the store's snapshot.
-        self.comparison_filter = store.bloom_filter(self.filter_initial_capacity)
 
     # ------------------------------------------------------------------
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
@@ -149,9 +147,9 @@ class IPBS(IncrPrioritization):
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
         prune = collection.allows_pair if collection.prunes_candidates else None
-        add_if_absent = self.comparison_filter.add_if_absent
+        queued = self.queued
         executed = system.store.executed
-        scanned = bloom_filtered = skipped = 0
+        scanned = redundant = 0
         survivors: list[tuple[int, int]] = []
         members = block.members_by_source
         seen = dict(zip(members, self._cursor.get(key, ())))
@@ -171,18 +169,15 @@ class IPBS(IncrPrioritization):
                 pair = canonical_pair(pid_x, pid_y)
                 if prune is not None and not prune(*pair):
                     continue
-                if not add_if_absent(*pair):
-                    bloom_filtered += 1
-                    continue
-                if pair in executed:
-                    skipped += 1
+                # Generated from an earlier common block already.
+                if pair in queued or pair in executed:
+                    redundant += 1
                     continue
                 survivors.append(pair)
         metrics.count("strategy.refill_pairs_scanned", scanned)
-        if bloom_filtered:
-            metrics.count("strategy.bloom_filtered", bloom_filtered)
-        if skipped:
-            metrics.count("strategy.skipped_already_executed", skipped)
+        if redundant:
+            metrics.count("strategy.redundant_pairs", redundant)
+        queued.update(survivors)
         weights = pair_weights(collection, survivors, self.scheme)
         for pair, weight in zip(survivors, weights):
             self.index.enqueue(pair, (-block_size, weight))
@@ -204,14 +199,12 @@ class IPBS(IncrPrioritization):
     def dequeue(self) -> tuple[int, int] | None:
         if not self.index:
             return None
-        return self.index.dequeue()
+        pair = self.index.dequeue()
+        self.queued.discard(pair)
+        return pair
 
     def gauges(self) -> dict[str, float]:
-        return {
-            "bloom_slices": self.comparison_filter.num_slices,
-            "bloom_items": self.comparison_filter.count,
-            "pending_blocks": len(self.cardinality_index),
-        }
+        return {"pending_blocks": len(self.cardinality_index)}
 
     def __len__(self) -> int:
         return len(self.index)
@@ -227,12 +220,9 @@ class IPBS(IncrPrioritization):
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        # The Bloom filter is serialized by the comparison store it is bound
-        # to (bit-exactly, so restored runs reproduce the identical
-        # false-positive pattern); restoring it here as well would break the
-        # filter's shared identity.
         return {
             "index": copy.deepcopy(self.index),
+            "queued": set(self.queued),
             "cardinality_index": dict(self.cardinality_index),
             "cursor": dict(self._cursor),
             "pending_heap": list(self._pending_heap),
@@ -240,6 +230,12 @@ class IPBS(IncrPrioritization):
 
     def restore_state(self, state: dict[str, object]) -> None:
         self.index = copy.deepcopy(state["index"])
+        if "queued" in state:
+            self.queued = set(state["queued"])
+        else:
+            # Written when a Bloom filter did this job: what is still queued
+            # is what the index holds (pairs it evicted before are forgotten).
+            self.queued = set(copy.deepcopy(self.index).drain())
         self.cardinality_index = dict(state["cardinality_index"])
         self._cursor = dict(state["cursor"])
         self._pending_heap = list(state["pending_heap"])

@@ -1,6 +1,6 @@
 """Priority queues, Bloom filters, and rate-adaptive budget control."""
 
-from repro.priority.bloom import BloomFilter, ExactComparisonFilter, ScalableBloomFilter
+from repro.priority.bloom import BloomFilter, ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.priority.rates import AdaptiveK, RateEstimator
 
@@ -8,7 +8,6 @@ __all__ = [
     "AdaptiveK",
     "BloomFilter",
     "BoundedPriorityQueue",
-    "ExactComparisonFilter",
     "RateEstimator",
     "ScalableBloomFilter",
 ]

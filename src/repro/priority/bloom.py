@@ -2,10 +2,14 @@
 
 I-PBS must not re-emit a comparison that was already generated from an
 earlier block.  Following Gazzarri & Herschel (EDBT 2020 short paper), the
-redundancy check uses a *scalable* Bloom filter: a sequence of plain Bloom
-filters of geometrically growing capacity and geometrically tightening
+paper's redundancy check uses a *scalable* Bloom filter: a sequence of plain
+Bloom filters of geometrically growing capacity and geometrically tightening
 false-positive rate, so the compound error stays bounded while the stream
 grows without a known size upfront.
+
+Nothing in a run uses this module: :class:`~repro.pier.ipbs.IPBS` answers
+the same question exactly, from sets it keeps anyway.  It stays as a data
+structure with its own tests.
 
 Hashing is deterministic (independent of ``PYTHONHASHSEED``): items are
 canonical ``(int, int)`` pairs mixed with a splitmix64-style finalizer, and
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["BloomFilter", "ScalableBloomFilter", "ExactComparisonFilter"]
+__all__ = ["BloomFilter", "ScalableBloomFilter"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -191,34 +195,3 @@ class ScalableBloomFilter:
     def restore_state(self, state: dict[str, object]) -> None:
         (self.initial_capacity, self.error_rate, self.growth, self.tightening) = state["params"]
         self._slices = [BloomFilter.from_state(slice_state) for slice_state in state["slices"]]
-
-
-class ExactComparisonFilter:
-    """Exact (set-based) comparison filter with the same interface.
-
-    Useful for tests asserting zero false positives, and as a drop-in when
-    memory is not a concern.
-    """
-
-    __slots__ = ("_seen",)
-
-    def __init__(self) -> None:
-        self._seen: set[tuple[int, int]] = set()
-
-    def add(self, left: int, right: int) -> None:
-        self._seen.add((left, right))
-
-    def add_if_absent(self, left: int, right: int) -> bool:
-        before = len(self._seen)
-        self._seen.add((left, right))
-        return len(self._seen) > before
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._seen
-
-    def contains(self, left: int, right: int) -> bool:
-        return (left, right) in self._seen
-
-    @property
-    def count(self) -> int:
-        return len(self._seen)

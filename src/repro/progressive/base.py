@@ -66,6 +66,9 @@ class BatchProgressiveSystem(ERSystem):
         )
         self._profiles: dict[int, EntityProfile] = {}
         self._dirty = False
+        # Set once ``_next_pairs`` comes back empty: nothing left to emit
+        # until the next increment.  Starts unset (not yet known).
+        self._drained = False
         self.store = ComparisonStore()
         self._pending_init_cost = 0.0
         self.initializations = 0
@@ -90,6 +93,7 @@ class BatchProgressiveSystem(ERSystem):
             cost += self.costs.per_profile + self.costs.per_token * len(profile.tokens())
         self._flush_blocking_metrics(self.collection)
         self._dirty = True
+        self._drained = False
         # The batch algorithms reassess their prioritization for *every* new
         # increment (the paper's central criticism of the naive GLOBAL
         # adaptations).  Each increment therefore owes one full
@@ -124,6 +128,7 @@ class BatchProgressiveSystem(ERSystem):
             self.metrics.count("batch.initialization_cost_s", cost)
             return EmitResult(batch=(), cost=cost)
         pairs, cost = self._next_pairs(self.chunk_size)
+        self._drained = not pairs
         store = self.store
         fresh: list[tuple[int, int]] = []
         for pair in pairs:
@@ -134,6 +139,9 @@ class BatchProgressiveSystem(ERSystem):
 
     def profile(self, pid: int) -> EntityProfile:
         return self._profiles[pid]
+
+    def has_pending_comparisons(self) -> bool:
+        return self._dirty or not self._drained
 
     # ------------------------------------------------------------------
     # Hooks

@@ -74,7 +74,7 @@ class ERSystem:
 
     name: str = "er-system"
     _metrics: MetricsRegistry | None = None
-    #: The system's comparison registry (executed-set / Bloom / quarantine).
+    #: The system's comparison registry (executed-set / quarantine).
     #: Systems that dedup comparisons create one eagerly in ``__init__``;
     #: for everything else the :attr:`comparison_store` property lazily
     #: provides one on first engine access.
@@ -122,8 +122,8 @@ class ERSystem:
         """Current gauge readings sampled into the per-round log.
 
         Subclasses report whatever describes their internal pressure — the
-        adaptive ``K``, queue depths, bloom filter growth.  Keys should be
-        flat dotted names; values must be plain numbers.
+        adaptive ``K``, queue depths, blocks with pending pairs.  Keys should
+        be flat dotted names; values must be plain numbers.
         """
         return {}
 
@@ -152,8 +152,12 @@ class ERSystem:
         """Cheap probe: would :meth:`emit` (likely) return work right now?
 
         Used by the pipelined engine to decide whether the match stage can
-        proceed without waiting for the ingest stage.  ``True`` is a safe
-        default (the engine tolerates empty emissions).
+        proceed without waiting for the ingest stage.  Systems answer from
+        their own queue or cursor.  The inherited ``True`` is *not* a safe
+        default for a system that can run out of work: its empty
+        :meth:`emit` still costs a round, which that engine counts as
+        progress, so it spends the whole budget on empty rounds and never
+        reports ``work_exhausted``.
         """
         return True
 

@@ -25,6 +25,29 @@ def build_system(name: str, dataset: Dataset):
     return ERSession(dataset).build_system(name)
 
 
+#: Two inputs of ~13.5k co-block pairs, as ``load_dataset`` arguments: large
+#: enough for a probabilistic dedup to have lost some (with a scalable Bloom
+#: filter in I-PBS the token runs executed 13,506 of 13,512 and 13,766 of
+#: 13,770), small enough for ``tests/reference/blocking_graph.py``.
+BLOCKING_GRAPH_DATASETS = {
+    "dirty": ("census_2m", 0.15, 5),
+    "clean-clean": ("dblp_acm", 0.3, 5),
+}
+
+
+def rounds_within_work(result, slack: int = 2) -> bool:
+    """An engine issues no more emission rounds than it has work for: one
+    per executed comparison, ingest and (re)initialization at most, plus a
+    closing empty one.  A count, not a wall clock."""
+    counters = result.details["metrics"]["counters"]
+    work = (
+        result.comparisons_executed
+        + result.increments_ingested
+        + counters.get("batch.initializations", 0)
+    )
+    return counters["engine.emission_rounds"] <= work + slack
+
+
 def compare(config):
     """Run every system of an ``ExperimentConfig``; results keyed by name."""
     with ERSession.from_config(config) as session:

@@ -3,12 +3,13 @@
 The profile index ``PI`` is a set of pending pids per block, filled at
 ingestion.  Opening a block walks every pending profile against every
 member, so two pending profiles meet twice — ``(x, y)`` and again as
-``(y, x)`` — and the second meeting is left to the Bloom filter to drop.
+``(y, x)`` — and the second meeting is left to the already-generated test
+to drop (exact membership in ``queued ∪ executed``, as in production).
 Weights come from one ``scheme.weight`` call per surviving pair.
 
 The production :class:`~repro.pier.ipbs.IPBS` must enqueue the same pairs
-with the same keys in the same order and leave the same filter bits and
-cardinality index behind; it may only probe the filter less often.
+with the same keys in the same order and leave the same ``queued`` set and
+cardinality index behind; it may only ask less often.
 :attr:`PendingScanIPBS.probes` counts the pairs this scan built, mirrors
 included.
 """
@@ -21,10 +22,8 @@ from typing import Iterable
 
 from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
-from repro.execution.store import ComparisonStore
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.pier.base import IncrPrioritization, PierSystem
-from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 
@@ -37,19 +36,14 @@ class PendingScanIPBS(IncrPrioritization):
         self,
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
-        filter_initial_capacity: int = 4096,
     ) -> None:
         self.scheme = scheme or CommonBlocksScheme()
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
         self.cardinality_index: dict[str, int] = {}
         self.profile_index: dict[str, set[int]] = {}
-        self.filter_initial_capacity = filter_initial_capacity
-        self.comparison_filter = ScalableBloomFilter(initial_capacity=filter_initial_capacity)
+        self.queued: set[tuple[int, int]] = set()
         self._pending_heap: list[tuple[int, str]] = []
         self.probes = 0
-
-    def bind_store(self, store: ComparisonStore) -> None:
-        self.comparison_filter = store.bloom_filter(self.filter_initial_capacity)
 
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
@@ -117,7 +111,7 @@ class PendingScanIPBS(IncrPrioritization):
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
         prune = collection.allows_pair if collection.prunes_candidates else None
-        bloom_filtered = skipped = 0
+        redundant = 0
         survivors: list[tuple[int, int]] = []
         for pid_x in sorted(pending):
             profile_x = system.profile(pid_x)
@@ -130,17 +124,13 @@ class PendingScanIPBS(IncrPrioritization):
                 pair = canonical_pair(pid_x, pid_y)
                 if prune is not None and not prune(*pair):
                     continue
-                if not self.comparison_filter.add_if_absent(*pair):
-                    bloom_filtered += 1
+                if pair in self.queued or system.was_executed(*pair):
+                    redundant += 1
                     continue
-                if system.was_executed(*pair):
-                    skipped += 1
-                    continue
+                self.queued.add(pair)  # its mirror comes later in this scan
                 survivors.append(pair)
-        if bloom_filtered:
-            metrics.count("strategy.bloom_filtered", bloom_filtered)
-        if skipped:
-            metrics.count("strategy.skipped_already_executed", skipped)
+        if redundant:
+            metrics.count("strategy.redundant_pairs", redundant)
         for pair in survivors:
             weight = self.scheme.weight(collection, *pair)
             self.index.enqueue(pair, (-block_size, weight))
@@ -157,7 +147,9 @@ class PendingScanIPBS(IncrPrioritization):
     def dequeue(self) -> tuple[int, int] | None:
         if not self.index:
             return None
-        return self.index.dequeue()
+        pair = self.index.dequeue()
+        self.queued.discard(pair)
+        return pair
 
     def __len__(self) -> int:
         return len(self.index)
@@ -174,6 +166,7 @@ class PendingScanIPBS(IncrPrioritization):
     def snapshot_state(self) -> dict[str, object]:
         return {
             "index": copy.deepcopy(self.index),
+            "queued": set(self.queued),
             "cardinality_index": dict(self.cardinality_index),
             "profile_index": {key: set(pids) for key, pids in self.profile_index.items()},
             "pending_heap": list(self._pending_heap),
@@ -182,6 +175,7 @@ class PendingScanIPBS(IncrPrioritization):
 
     def restore_state(self, state: dict[str, object]) -> None:
         self.index = copy.deepcopy(state["index"])
+        self.queued = set(state["queued"])
         self.cardinality_index = dict(state["cardinality_index"])
         self.profile_index = {key: set(pids) for key, pids in state["profile_index"].items()}
         self._pending_heap = list(state["pending_heap"])

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.priority.bloom import (
-    BloomFilter,
-    ExactComparisonFilter,
-    ScalableBloomFilter,
-    _pair_hashes,
-)
+from repro.priority.bloom import BloomFilter, ScalableBloomFilter, _pair_hashes
 
 pairs = st.tuples(
     st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6)
@@ -134,21 +129,6 @@ class TestAddIfAbsent:
         assert one_call.num_slices > 3  # the stream rolled slices over
         assert added < 600  # ... and repeated itself
 
-    def test_exact_filter(self):
-        exact = ExactComparisonFilter()
-        assert exact.add_if_absent(1, 2)
-        assert not exact.add_if_absent(1, 2)
-        assert exact.contains(1, 2) and exact.count == 1
-
-
-class TestExactComparisonFilter:
-    def test_exactness(self):
-        exact = ExactComparisonFilter()
-        exact.add(1, 2)
-        assert (1, 2) in exact
-        assert (2, 3) not in exact
-        assert exact.count == 1
-
 
 _HASHSEED_SCRIPT = """
 from repro.priority.bloom import ScalableBloomFilter
@@ -165,8 +145,8 @@ print(bloom.num_slices)
 
 
 class TestHashSeedIndependence:
-    """I-PBS dedup correctness requires bloom membership to be identical
-    across interpreter runs, whatever ``PYTHONHASHSEED`` says."""
+    """Bloom membership is identical across interpreter runs, whatever
+    ``PYTHONHASHSEED`` says."""
 
     @staticmethod
     def _membership_under_seed(seed: str) -> str:

@@ -18,6 +18,8 @@ from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
+from repro.priority.bloom import ScalableBloomFilter
+from repro.priority.rates import AdaptiveK
 from repro.resilience import (
     FaultSpec,
     FaultyMatcher,
@@ -37,6 +39,14 @@ STRATEGY_FACTORIES = {
     "I-BASE": IBaseSystem,
 }
 
+
+
+def _ipbs_small_rounds(capacity=500_000) -> PierSystem:
+    """I-PBS emitting one pair a round, so that checkpoints find pairs
+    waiting in its index (at the default K every round drains it)."""
+    return PierSystem(IPBS(capacity=capacity), adaptive_k=AdaptiveK(initial=1, minimum=1, maximum=1))
+
+
 BUDGET = 10.0
 CHECKPOINT_EVERY = 1.5
 CRASH_AT = 5.0
@@ -46,8 +56,12 @@ def _plan(dataset, n=10, rate=5.0):
     return make_stream_plan(split_into_increments(dataset, n, seed=0), rate=rate)
 
 
-def _crash_and_resume(factory, plan, truth, engine_cls=StreamingEngine, matcher="ED"):
-    """Run to a simulated crash, then resume on fresh engine + system."""
+def _crash_and_resume(
+    factory, plan, truth, engine_cls=StreamingEngine, matcher="ED", as_written=None
+):
+    """Run to a simulated crash, then resume on fresh engine + system.
+
+    ``as_written`` rewrites the checkpoint into an older layout first."""
     crashing = engine_cls(
         build_matcher(matcher), budget=BUDGET,
         resilience=ResilienceConfig(
@@ -66,10 +80,25 @@ def _crash_and_resume(factory, plan, truth, engine_cls=StreamingEngine, matcher=
         checkpoint = replace(
             checkpoint, matcher_state={**checkpoint.matcher_state, "kernel": "auto"}
         )
+    if as_written is not None:
+        checkpoint = as_written(checkpoint)
     resumed_engine = engine_cls(
         build_matcher(matcher), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
     )
     return resumed_engine.run(factory(), plan, truth, resume_from=checkpoint), checkpoint
+
+
+def _before_exact_dedup(checkpoint):
+    """An I-PBS checkpoint as written while a scalable Bloom filter answered
+    "already generated?": its state rode in the store's snapshot, and the
+    strategy kept no ``queued`` set."""
+    bloom = ScalableBloomFilter(initial_capacity=4096)
+    bloom.add(0, 1)
+    system_state = dict(checkpoint.system_state)
+    system_state["store"] = {**system_state["store"], "bloom": bloom.snapshot_state()}
+    system_state["strategy"] = dict(system_state["strategy"])
+    assert system_state["strategy"].pop("queued")  # the rebuild has work to do
+    return replace(checkpoint, system_state=system_state)
 
 
 def _assert_runs_identical(uninterrupted, resumed):
@@ -110,6 +139,46 @@ class TestCrashResumeDeterminism:
             engine_cls=PipelinedStreamingEngine,
         )
         assert checkpoint.ingest_clock is not None
+        _assert_runs_identical(uninterrupted, resumed)
+
+    def test_ipbs_index_small_enough_to_evict(self, small_dblp_acm):
+        """Pairs the bounded index evicted or refused live on in ``queued``
+        only; the checkpoint must carry them or the resumed run would
+        generate them again from a later block."""
+        systems = []
+
+        def factory():
+            systems.append(_ipbs_small_rounds(capacity=4))
+            return systems[-1]
+
+        plan = _plan(small_dblp_acm)
+        uninterrupted = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        ).run(factory(), plan, small_dblp_acm.ground_truth)
+        resumed, checkpoint = _crash_and_resume(
+            factory, plan, small_dblp_acm.ground_truth
+        )
+        _assert_runs_identical(uninterrupted, resumed)
+        lost = checkpoint.system_state["strategy"]
+        assert len(lost["queued"]) > len(lost["index"])
+        for system in (systems[0], systems[-1]):
+            index = system.strategy.index
+            assert index.evictions > 0 and index.rejections > 0
+            assert len(system.strategy.queued) == (
+                len(index) + index.evictions + index.rejections
+            )
+
+    def test_ipbs_checkpoint_from_before_exact_dedup(self, small_dblp_acm):
+        """The pinned older layout: ``queued`` is rebuilt from the live
+        index entries and the store's stray ``"bloom"`` key is ignored."""
+        plan = _plan(small_dblp_acm)
+        uninterrupted = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        ).run(_ipbs_small_rounds(), plan, small_dblp_acm.ground_truth)
+        resumed, _ = _crash_and_resume(
+            _ipbs_small_rounds, plan, small_dblp_acm.ground_truth,
+            as_written=_before_exact_dedup,
+        )
         _assert_runs_identical(uninterrupted, resumed)
 
     def test_no_double_counted_comparisons(self, small_dblp_acm):

@@ -1,10 +1,9 @@
 """Unit tests for the shared :class:`ComparisonStore`.
 
-The store centralizes executed-set, Bloom dedup, quarantine and emission
-accounting for every ER system; these tests pin down its lifecycle rules
-(what survives ``begin_run``, what a snapshot round-trip restores) and the
-identity guarantees that I-PBS relies on (the Bloom filter object must stay
-the *same object* across restore).
+The store centralizes executed-set, quarantine and emission accounting for
+every ER system; these tests pin down its lifecycle rules (what survives
+``begin_run``, what a snapshot round-trip restores, what it does with a
+snapshot written when it still carried I-PBS's Bloom filter).
 """
 
 from __future__ import annotations
@@ -37,24 +36,12 @@ def test_begin_run_clears_only_quarantine():
     store.mark_executed((1, 2))
     store.record_emission(1)
     store.quarantine((3, 4))
-    bloom = store.bloom_filter()
-    bloom.add(1, 2)
     store.begin_run()
     # Quarantine is per-run state...
     assert store.quarantined == set()
-    # ...but the executed set, accounting and Bloom filter share the
-    # system's lifetime.
+    # ...but the executed set and accounting share the system's lifetime.
     assert store.was_executed(1, 2)
     assert store.emitted == 1
-    assert store.bloom_filter() is bloom
-    assert bloom.contains(1, 2)
-
-
-def test_bloom_filter_is_lazily_created_and_shared():
-    store = ComparisonStore()
-    first = store.bloom_filter(initial_capacity=64)
-    # Later callers get the same object regardless of requested capacity.
-    assert store.bloom_filter(initial_capacity=4096) is first
 
 
 def test_snapshot_round_trip():
@@ -63,21 +50,17 @@ def test_snapshot_round_trip():
     store.mark_executed((3, 4))
     store.quarantine((5, 6))
     store.record_emission(2, stale=1)
-    store.bloom_filter().add(1, 2)
     state = copy.deepcopy(store.snapshot_state())
 
     store.mark_executed((7, 8))
     store.quarantine((9, 10))
     store.record_emission(4)
-    store.bloom_filter().add(7, 8)
 
     store.restore_state(state)
     assert store.executed == {(1, 2), (3, 4)}
     assert store.quarantined == {(5, 6)}
     assert store.emitted == 2
     assert store.stale_dequeues == 1
-    assert store.bloom_filter().contains(1, 2)
-    assert not store.bloom_filter().contains(7, 8)
 
 
 def test_snapshot_is_isolated_from_later_mutation():
@@ -88,38 +71,15 @@ def test_snapshot_is_isolated_from_later_mutation():
     assert state["executed"] == {(1, 2)}
 
 
-def test_restore_preserves_bloom_identity():
-    """Restoring must mutate the Bloom filter in place: I-PBS binds a direct
-    reference via ``bind_store`` and must keep seeing the restored bits."""
-    store = ComparisonStore()
-    bound_reference = store.bloom_filter()
-    bound_reference.add(1, 2)
-    state = copy.deepcopy(store.snapshot_state())
-    bound_reference.add(3, 4)
-
-    store.restore_state(state)
-    assert store.bloom_filter() is bound_reference
-    assert bound_reference.contains(1, 2)
-    assert not bound_reference.contains(3, 4)
-
-
 def test_restore_without_bloom_state():
+    """Snapshots carry no filter any more; one written when they did (a
+    stray ``"bloom"`` entry, whatever it holds) restores all the same."""
     store = ComparisonStore()
+    store.mark_executed((1, 2))
     state = store.snapshot_state()
-    assert state["bloom"] is None
-    store.restore_state(state)
-    # A fresh filter can still be created afterwards.
-    assert not store.bloom_filter().contains(1, 2)
-
-
-def test_restore_creates_bloom_when_missing():
-    """A fresh system restoring a checkpoint that carried Bloom state must
-    reconstruct the filter bit-exactly."""
-    source = ComparisonStore()
-    source.bloom_filter().add(1, 2)
-    state = source.snapshot_state()
-
-    target = ComparisonStore()
-    target.restore_state(state)
-    assert target.bloom_filter().contains(1, 2)
-    assert not target.bloom_filter().contains(3, 4)
+    assert "bloom" not in state
+    for snapshot in (state, {**state, "bloom": None}, {**state, "bloom": {"slices": []}}):
+        target = ComparisonStore()
+        target.restore_state(snapshot)
+        assert target.executed == {(1, 2)}
+        assert target.snapshot_state() == state

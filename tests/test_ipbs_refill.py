@@ -3,10 +3,11 @@
 ``IPBS._process_block`` takes a block's pending profiles from a member
 cursor and lets two pending profiles meet once.  These tests hold it to
 ``tests/reference/ipbs_pending_scan.py`` — a profile-index set per block,
-``pending × all members``, mirrors left to the Bloom filter: the same pairs
-enqueued with the same keys in the same order, the same filter bits, the
-same cardinality index, through checkpoints — and to the counting identity
-that every scanned pair is accounted for exactly once.
+``pending × all members``, mirrors left to the already-generated test: the
+same pairs enqueued with the same keys in the same order, the same
+``queued`` set, the same cardinality index, through checkpoints and with an
+index small enough to evict — and to the counting identity that every
+scanned pair is accounted for exactly once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.blocking.substrate import BLOCKING_SUBSTRATES, BlockingConfig
 from repro.core.increments import Increment, make_stream_plan, split_into_increments
+from repro.datasets.registry import load_dataset
 from repro.matching.matcher import JaccardMatcher
 from repro.metablocking.weights import make_scheme
 from repro.pier.base import PierSystem
@@ -25,7 +27,8 @@ from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.system import PipelineStats
 
-from tests.conftest import make_profile
+from tests.conftest import BLOCKING_GRAPH_DATASETS, make_profile
+from tests.reference.blocking_graph import co_block_pairs
 from tests.reference.ipbs_pending_scan import PendingScanIPBS
 
 VOCABULARY = ("ash", "birch", "cedar", "dogwood")
@@ -62,8 +65,7 @@ def _accounted(counters: dict[str, float]) -> float:
         counters.get(name, 0)
         for name in (
             "strategy.comparisons_enqueued",
-            "strategy.bloom_filtered",
-            "strategy.skipped_already_executed",
+            "strategy.redundant_pairs",
             "blocking.lsh.candidates_pruned",
         )
     )
@@ -90,18 +92,20 @@ _round = st.tuples(
     rounds=st.lists(_round, min_size=1, max_size=10),
     shuffle=st.randoms(use_true_random=False),
     scheme_name=st.sampled_from(["cbs", "js", "arcs"]),
+    capacity=st.sampled_from([3, None]),
 )
 @settings(max_examples=60, deadline=None)
 def test_once_per_pair_scan_matches_pending_scan(
-    substrate, clean_clean, rounds, shuffle, scheme_name
+    substrate, clean_clean, rounds, shuffle, scheme_name, capacity
 ):
     """Multi-increment arrivals, partial drains, idle refills, purges (a
     block is dropped once it outgrows 5 members), blocks reopened after they
-    grew, pids arriving out of order, and checkpoints in between."""
+    grew, pids arriving out of order, an index of three that evicts and
+    refuses, and checkpoints in between (the oracle runs uninterrupted)."""
     scheme = make_scheme(scheme_name)
-    new_strategy = lambda: IPBS(scheme, filter_initial_capacity=4)
+    new_strategy = lambda: IPBS(scheme, capacity)
     system = _system(new_strategy(), substrate, clean_clean)
-    oracle = _system(PendingScanIPBS(scheme, filter_initial_capacity=4), substrate, clean_clean)
+    oracle = _system(PendingScanIPBS(scheme, capacity), substrate, clean_clean)
     pids = list(range(sum(len(arrivals) for arrivals, *_ in rounds)))
     shuffle.shuffle(pids)
     for index, (arrivals, executions, idle, checkpoint) in enumerate(rounds):
@@ -128,10 +132,7 @@ def test_once_per_pair_scan_matches_pending_scan(
             restored.restore(snapshot)
             system = restored
         assert system.strategy.index.log == oracle.strategy.index.log
-        assert (
-            system.strategy.comparison_filter.snapshot_state()
-            == oracle.strategy.comparison_filter.snapshot_state()
-        )
+        assert system.strategy.queued == oracle.strategy.queued
         assert system.strategy.cardinality_index == oracle.strategy.cardinality_index
         assert len(system.strategy) == len(oracle.strategy)
     assert system.strategy.exhausted(system) == oracle.strategy.exhausted(oracle)
@@ -142,38 +143,55 @@ def test_once_per_pair_scan_matches_pending_scan(
 
 
 @pytest.mark.parametrize("clean_clean", [True, False], ids=["clean-clean", "dirty"])
-def test_first_probe_false_positive_stays_dropped(clean_clean):
-    """Every bit of a tiny filter set: the first probe of every pair is a
-    false positive.  No pair may come back through its skipped mirror, the
-    filter must stay as it was, and each pair is counted rejected once
-    (the pending scan rejects the pairs of two pending profiles twice)."""
-    systems = []
-    for strategy in (IPBS(filter_initial_capacity=4), PendingScanIPBS(filter_initial_capacity=4)):
-        system = _system(strategy, "token", clean_clean, max_block_size=None)
-        bloom = strategy.comparison_filter
-        state = bloom.snapshot_state()
-        capacity, error_rate, bits, _ = state["slices"][0]
-        state["slices"][0] = (capacity, error_rate, b"\xff" * len(bits), capacity)
-        bloom.restore_state(state)
-        saturated = bloom.snapshot_state()
-        first = tuple(make_profile(pid, "oak", source=pid % 2) for pid in (3, 0, 2))
-        later = tuple(make_profile(pid, "oak elm", source=pid % 2) for pid in (4, 1))
-        for index, profiles in enumerate((first, later)):
-            system.ingest(Increment(index, profiles))
-            assert system.on_idle(STATS) is None  # nothing was enqueued
-        assert strategy.index.log == []
-        assert strategy.exhausted(system)
-        assert bloom.snapshot_state() == saturated
-        systems.append(system)
-    system, oracle = systems
+def test_refused_first_offer_stays_dropped(clean_clean):
+    """An index of one takes the first offer of a block and refuses the
+    equally ranked rest.  Every pair of 'oak' is met again in the larger
+    'elm': the refused ones must not be offered a second time and each is
+    counted redundant once — the loss the bound accepts, with or without a
+    checkpoint in between."""
+    tokens = {3: "oak elm", 0: "oak elm", 2: "oak elm", 4: "elm", 1: "elm"}
+    increment = Increment(
+        0, tuple(make_profile(pid, text, source=pid % 2) for pid, text in tokens.items())
+    )
+    oak = 2 if clean_clean else 3  # the pairs of 'oak'
+    runs = []
+    for new_strategy, checkpoint in ((IPBS, False), (IPBS, True), (PendingScanIPBS, False)):
+        system = _system(new_strategy(capacity=1), "token", clean_clean, max_block_size=None)
+        system.ingest(increment)  # opens 'oak'
+        strategy = system.strategy
+        assert len(strategy.queued) == len(strategy.index.log) == oak
+        assert len(strategy) == 1 and strategy.index.rejections == oak - 1
+        if checkpoint:
+            restored = _system(new_strategy(capacity=1), "token", clean_clean, max_block_size=None)
+            restored.bind_metrics(system.metrics)
+            restored.restore(system.snapshot())
+            system = restored
+        assert system.emit(STATS).batch == ((0, 3),)
+        assert system.on_idle(STATS) is not None  # opens 'elm'
+        while system.emit(STATS).batch:
+            pass
+        assert system.on_idle(STATS) is None
+        assert system.strategy.exhausted(system)
+        runs.append(system)
+    system, resumed, oracle = runs
+    offered = [pair for pair, _ in system.strategy.index.log]
+    assert len(offered) == len(set(offered))  # nothing offered twice
+    assert len(system.store.executed) == 2  # one per block
+    assert system.strategy.queued == set(offered) - system.store.executed
     counters = system.metrics.snapshot()["counters"]
     pairs = system.collection.total_comparisons()  # per block: 'oak' and 'elm'
-    assert pairs == (7 if clean_clean else 11)
+    assert pairs == (8 if clean_clean else 13)
     assert counters["strategy.refill_pairs_scanned"] == pairs
-    assert counters["strategy.bloom_filtered"] == pairs
-    assert _accounted(counters) == pairs
-    rejected_twice = oracle.metrics.snapshot()["counters"]["strategy.bloom_filtered"]
-    assert rejected_twice == oracle.strategy.probes > pairs
+    assert counters["strategy.redundant_pairs"] == oak  # one executed, the rest refused
+    assert counters["strategy.comparisons_enqueued"] == len(offered) == pairs - oak
+    for other in (resumed, oracle):
+        assert other.strategy.index.log == system.strategy.index.log
+        assert other.strategy.queued == system.strategy.queued
+        assert other.store.executed == system.store.executed
+    assert resumed.metrics.snapshot()["counters"] == counters
+    # The pending scan also meets the mirror of two pending profiles.
+    mirrors = oracle.metrics.snapshot()["counters"]["strategy.redundant_pairs"]
+    assert mirrors == oracle.strategy.probes - len(offered) > oak
 
 
 @pytest.mark.parametrize("substrate", BLOCKING_SUBSTRATES)
@@ -200,3 +218,38 @@ def test_each_block_pair_is_scanned_once(substrate, small_dblp_acm):
     scanned = counters["strategy.refill_pairs_scanned"]
     assert scanned == system.collection.total_comparisons() == _accounted(counters)
     assert oracle.strategy.probes > scanned
+
+
+@pytest.mark.parametrize("kind", BLOCKING_GRAPH_DATASETS)
+@pytest.mark.parametrize("substrate", BLOCKING_SUBSTRATES)
+def test_executes_the_blocking_graph_all_of_it_once(substrate, kind):
+    """With nothing purged and nothing evicted, I-PBS at exhaustion has
+    executed exactly the pairs that share a block — by a brute-force walk of
+    the blocks — minus those the LSH prefilter refuses, each of which is
+    counted as pruned once per block that holds it."""
+    dataset = load_dataset(*BLOCKING_GRAPH_DATASETS[kind])
+    plan = make_stream_plan(split_into_increments(dataset, 20, seed=1), rate=None)
+    system = PierSystem(
+        IPBS(capacity=None),
+        clean_clean=kind == "clean-clean",
+        max_block_size=None,
+        blocking=BlockingConfig(substrate=substrate),
+    )
+    engine = StreamingEngine(JaccardMatcher(0.4), budget=1e9)
+    result = engine.run(system, plan, dataset.ground_truth)
+    assert result.work_exhausted
+    counters = result.details["metrics"]["counters"]
+    collection = system.collection
+    graph = co_block_pairs(collection)
+    refused = {
+        pair
+        for pair in graph
+        if collection.prunes_candidates and not collection.allows_pair(*pair)
+    }
+    assert system.store.executed == graph.keys() - refused
+    assert result.comparisons_executed == len(system.store.executed)  # none twice
+    assert system.strategy.queued == set()
+    assert counters["strategy.refill_pairs_scanned"] == sum(graph.values())
+    pruned = sum(graph[pair] for pair in refused)
+    assert counters.get("blocking.lsh.candidates_pruned", 0) == pruned
+    assert _accounted(counters) == sum(graph.values())

@@ -11,8 +11,9 @@ from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+from repro.streaming.system import PipelineStats
 
-from tests.conftest import build_matcher, build_system
+from tests.conftest import build_matcher, build_system, rounds_within_work
 
 
 class TestPipelinedBasics:
@@ -55,6 +56,54 @@ class TestPipelinedBasics:
         )
         assert result.work_exhausted
         assert result.comparisons_executed == 0
+
+
+#: Every name that builds a ``BatchProgressiveSystem``.
+BATCH_BASELINES = (
+    "BATCH", "PPS", "PBS", "LS-PSN", "GS-PSN", "PPS-GLOBAL", "PPS-LOCAL", "PBS-GLOBAL",
+)
+
+
+class TestExhaustedBatchBaselineEndsTheRun:
+    """An exhausted batch baseline used to answer "pending?" with the
+    inherited ``True`` and an empty ``emit`` at a positive cost, so the
+    pipelined engine burnt its budget in ``budget / 1e-5`` empty rounds and
+    never reported ``work_exhausted``."""
+
+    @pytest.mark.parametrize("name", BATCH_BASELINES)
+    @pytest.mark.parametrize("rate", [None, 2.0], ids=["static", "streamed"])
+    def test_rounds_bounded_and_engines_agree(self, name, rate, small_dblp_acm):
+        plan = make_stream_plan(split_into_increments(small_dblp_acm, 6, seed=0), rate=rate)
+        runs = []
+        for engine_cls in (StreamingEngine, PipelinedStreamingEngine):
+            result = engine_cls(build_matcher("JS"), budget=30.0).run(
+                build_system(name, small_dblp_acm), plan, small_dblp_acm.ground_truth
+            )
+            assert rounds_within_work(result)
+            runs.append(result)
+        serial, pipelined = runs
+        # The budget is ample: both engines must see the work run out ...
+        assert serial.work_exhausted and pipelined.work_exhausted
+        # ... and then have found the same duplicates.  (Fed six increments
+        # at once, PPS-LOCAL keeps only the newest one an engine has ingested
+        # when it first emits; the two engines ingest in a different order.)
+        if rate is not None or name != "PPS-LOCAL":
+            assert pipelined.duplicates == serial.duplicates
+
+    def test_pending_again_after_an_increment(self, small_dblp_acm):
+        first, second = split_into_increments(small_dblp_acm, 2, seed=0)
+        system = build_system("PBS", small_dblp_acm)
+        stats = PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
+        for increment in (first, second):
+            system.ingest(increment)
+            assert system.has_pending_comparisons()  # owes an initialization
+            emitted = 0
+            while system.has_pending_comparisons():
+                emitted += len(system.emit(stats).batch)
+            assert emitted
+        restored = build_system("PBS", small_dblp_acm)
+        restored.restore(system.snapshot())
+        assert not restored.has_pending_comparisons()
 
 
 class TestPipelineParallelism:

@@ -19,6 +19,9 @@ RETIRED_NAMES = (
     "scalar_" + "matching", "--scalar-" + "matching", "batch_" + "matching",
     "ed_" + "kernel", "--ed-" + "kernel", "ED_" + "KERNELS",
     "make_" + "matcher", "make_" + "system", "run_" + "experiment",
+    # I-PBS's Bloom-filter dedup, replaced by exact membership.
+    "comparison_" + "filter", "filter_initial_" + "capacity", "bind_" + "store",
+    "bloom_" + "filtered", "bloom_" + "slices", "Exact" + "ComparisonFilter",
 )
 
 

@@ -38,6 +38,8 @@ from repro.service import (
     result_fingerprint,
 )
 
+from tests.conftest import rounds_within_work
+
 BUDGET = 8.0
 
 
@@ -249,6 +251,24 @@ def test_tenant_snapshot_restore_is_bit_identical():
     restored.drain(BUDGET)
     assert result_fingerprint(restored.results()) == expected
     restored.close()
+
+
+def test_tenant_drains_exhausted_batch_baseline_without_spinning():
+    """A legal ``open`` (PBS on the pipelined engine), a few profiles, one
+    ``drain`` to the default budget: this parked the server's only executor
+    for minutes in ~3·10⁷ empty rounds.  Judged by the round count."""
+    config = TenantConfig(tenant_id="t", system="PBS", pipelined=True)
+    session = TenantSession(config)
+    try:
+        for i, batch in enumerate(_batches()):
+            session.ingest(batch, at=float(i))
+        session.drain(config.budget)
+        result = session.results()
+    finally:
+        session.close()
+    assert result.work_exhausted
+    assert result.duplicates == {(0, 2), (0, 5), (1, 4), (2, 5)}
+    assert rounds_within_work(result)
 
 
 # ----------------------------------------------------------------------
