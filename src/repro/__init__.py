@@ -55,7 +55,6 @@ from repro.resilience import (
     RetryPolicy,
     SimulatedCrash,
     TransientMatcherError,
-    WorkerFaultSpec,
     apply_faults,
 )
 from repro.streaming import RunResult, StreamingEngine
@@ -63,13 +62,7 @@ from repro.streaming.pipelined import PipelinedStreamingEngine
 
 # The session facade composes everything above, so it imports last.
 from repro.api import ERSession, EngineOptions
-from repro.parallel import (
-    SupervisionConfig,
-    WorkerPool,
-    WorkerPoolError,
-    strip_parallel_telemetry,
-    sweep_stale_segments,
-)
+from repro.parallel import WorkerPool, WorkerPoolError, strip_parallel_telemetry
 
 __version__ = "1.0.0"
 
@@ -108,13 +101,10 @@ __all__ = [
     "SimulatedCrash",
     "StreamPlan",
     "StreamingEngine",
-    "SupervisionConfig",
     "TransientMatcherError",
-    "WorkerFaultSpec",
     "WorkerPool",
     "WorkerPoolError",
     "strip_parallel_telemetry",
-    "sweep_stale_segments",
     "apply_faults",
     "available_datasets",
     "load_dataset",

@@ -47,13 +47,7 @@ from repro.evaluation.experiments import (
 )
 from repro.matching.matcher import Matcher
 from repro.resilience.checkpoint import EngineCheckpoint
-from repro.resilience.faults import (
-    FaultReport,
-    FaultSpec,
-    FaultyMatcher,
-    WorkerFaultSpec,
-    apply_faults,
-)
+from repro.resilience.faults import FaultReport, FaultSpec, FaultyMatcher, apply_faults
 from repro.resilience.retry import ResilienceConfig
 from repro.streaming.engine import RunResult, StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -65,10 +59,9 @@ __all__ = ["EngineOptions", "ERSession", "PushSession", "run_cell"]
 class EngineOptions:
     """How the engine executes — and, for one knob group, what it computes.
 
-    The execution fields (``--pipelined``, ``--workers``, the supervision
-    timeouts on the CLI) travel as one first-class, picklable value that
-    :class:`ExperimentConfig` can carry; ``workers`` and its knobs never
-    change results.
+    The execution fields (``--pipelined``, ``--workers``) travel as one
+    first-class, picklable value that :class:`ExperimentConfig` can carry;
+    ``workers`` never changes results.
 
     The **blocking substrate** group (``blocking`` / ``lsh_bands`` /
     ``lsh_rows`` / ``lsh_seed``; the CLI's ``--blocking`` / ``--lsh-*``) is
@@ -80,18 +73,6 @@ class EngineOptions:
 
     pipelined: bool = False
     workers: int = 1
-    #: Fleet-supervision knobs (``workers > 1`` only; wall-clock behavior,
-    #: never results).  ``None`` resolves from the environment
-    #: (``REPRO_REPLY_TIMEOUT_S`` / ``REPRO_HANDSHAKE_TIMEOUT_S``) or the
-    #: built-in defaults — see :mod:`repro.parallel.supervision`.
-    reply_timeout_s: float | None = None
-    handshake_timeout_s: float | None = None
-    max_respawns: int | None = None
-    #: Smallest hand-off worth sharding across the fleet (``None``: the
-    #: pool default).  A sharding *threshold* only — results are
-    #: bit-identical either way; chaos tests/benchmarks drop it to 1 so
-    #: even a tiny tail at a join exercises the workers.
-    min_shard: int | None = None
     #: Blocking substrate: ``"token"`` (the paper's configuration, default),
     #: ``"lsh"`` (MinHash-LSH buckets as blocks) or ``"lsh-prefilter"``
     #: (token blocks + LSH co-bucket candidate pruning).  See
@@ -109,12 +90,6 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.min_shard is not None and self.min_shard < 1:
-            raise ValueError(f"min_shard must be >= 1, got {self.min_shard}")
-        if self.handshake_timeout_s is not None and self.handshake_timeout_s <= 0:
-            raise ValueError("handshake_timeout_s must be positive (or None)")
-        if self.max_respawns is not None and self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0 (or None)")
         # Delegates substrate/band/row validation (raises on bad values).
         self.blocking_config()
 
@@ -127,16 +102,6 @@ class EngineOptions:
             lsh_seed=self.lsh_seed,
         )
 
-    def supervision(self) -> "SupervisionConfig":
-        """These options as a pool-side supervision configuration."""
-        from repro.parallel.supervision import SupervisionConfig
-
-        return SupervisionConfig(
-            handshake_timeout_s=self.handshake_timeout_s,
-            reply_timeout_s=self.reply_timeout_s,
-            max_respawns=self.max_respawns,
-        )
-
 
 class ERSession:
     """One resolution session: dataset × stream shape × systems × engine.
@@ -145,7 +110,9 @@ class ERSession:
     spawn lazily on first use.  A session owns at most one Tier A
     :class:`~repro.parallel.pool.WorkerPool`, shared across every run it
     executes — use the session as a context manager (or call
-    :meth:`close`) to shut the fleet down deterministically.
+    :meth:`close`) to shut the fleet down deterministically.  A pool that
+    breaks stays broken: the session's later runs score in-process,
+    bit-identically.
 
     Parameters
     ----------
@@ -165,13 +132,6 @@ class ERSession:
         :class:`FaultSpec`.  Perturbs the stream plan and wraps the matcher
         with :class:`FaultyMatcher`; fault reports accumulate on
         :attr:`fault_reports`.
-    worker_faults:
-        ``None`` (default), a seed for :meth:`WorkerFaultSpec.chaos`, or a
-        full :class:`WorkerFaultSpec`.  Injects seeded *process-level*
-        faults (SIGKILL, hangs, corrupt replies) into the session's worker
-        fleet; the supervision layer absorbs them, so results stay
-        bit-identical to a fault-free run.  Only meaningful with
-        ``workers > 1``.
     checkpoint_every / resilience:
         Checkpoint cadence override and the full resilience knob set,
         passed through to the engine.
@@ -181,8 +141,8 @@ class ERSession:
         session *borrows* the pool — :meth:`close` never shuts it down —
         which is how the service multiplexes many tenant sessions onto one
         fleet.  The pool's matcher template must match this session's
-        matcher configuration; interleaved runs re-claim the fleet's
-        profile caches per run (see ``WorkerPool.begin_run``).
+        matcher configuration; every run starts its own cache epoch on the
+        fleet (see ``WorkerPool.begin_run``).
     """
 
     def __init__(
@@ -199,7 +159,6 @@ class ERSession:
         seed: int = 0,
         workers: int | None = None,
         faults: int | FaultSpec | None = None,
-        worker_faults: "int | WorkerFaultSpec | None" = None,
         checkpoint_every: float | None = None,
         resilience: ResilienceConfig | None = None,
         pool: "object | None" = None,
@@ -224,10 +183,6 @@ class ERSession:
             self.fault_spec: FaultSpec | None = faults
         else:
             self.fault_spec = FaultSpec.chaos(int(faults))
-        if worker_faults is None or isinstance(worker_faults, WorkerFaultSpec):
-            self.worker_fault_spec: WorkerFaultSpec | None = worker_faults
-        else:
-            self.worker_fault_spec = WorkerFaultSpec.chaos(int(worker_faults))
         self.checkpoint_every = checkpoint_every
         self.resilience = resilience
         #: One :class:`FaultReport` per distinct stream plan the session
@@ -303,36 +258,23 @@ class ERSession:
             checkpoint_every=self.checkpoint_every,
             workers=options.workers,
             pool=self._shared_pool(matcher),
-            supervision=options.supervision(),
-            worker_faults=self.worker_fault_spec,
-            min_shard=options.min_shard,
         )
 
     def _shared_pool(self, matcher: Matcher):
-        """The session-owned Tier A pool (spawned once, reused per run)."""
-        options = self.engine_options
-        if options.workers <= 1 or not matcher.supports_batch:
+        """The Tier A pool runs score through: the borrowed one, else the
+        session's own (spawned once, reused per run, ``None`` if it could
+        not start).  A broken pool is still handed out — the engine then
+        scores in-process and counts ``parallel.fallbacks``."""
+        if self.engine_options.workers <= 1 or not matcher.supports_batch:
             return None
         if self._external_pool is not None:
-            pool = self._external_pool
-            return pool if pool.healthy else None
+            return self._external_pool
         if self._pool is None and not self._pool_attempted:
             self._pool_attempted = True
-            from repro.parallel.pool import DEFAULT_MIN_SHARD, WorkerPool
+            from repro.parallel.pool import WorkerPool
 
-            self._pool = WorkerPool.create(
-                options.workers,
-                matcher,
-                min_shard=(
-                    options.min_shard
-                    if options.min_shard is not None
-                    else DEFAULT_MIN_SHARD
-                ),
-                supervision=options.supervision(),
-                worker_faults=self.worker_fault_spec,
-            )
-        pool = self._pool
-        return pool if pool is not None and pool.healthy else None
+            self._pool = WorkerPool.create(self.engine_options.workers, matcher)
+        return self._pool
 
     # ------------------------------------------------------------------
     # Execution
@@ -437,7 +379,6 @@ class ERSession:
         fan_out = (
             fan_out
             and self.fault_spec is None
-            and self.worker_fault_spec is None
             and self.checkpoint_every is None
             and self.resilience is None
         )

@@ -100,35 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=1, metavar="N",
             help="shard matcher evaluation (run) and comparison cells "
                  "(compare) across N worker processes; results are "
-                 "bit-identical for every N (--workers 1 is the serial "
-                 "escape hatch)",
-        )
-        sub.add_argument(
-            "--reply-timeout", dest="reply_timeout_s", type=float,
-            default=None, metavar="SECONDS",
-            help="fleet-wide wall-clock deadline for each hand-off to the "
-                 "workers; a worker silent past it is evicted, its chunk "
-                 "re-scored in-process, and the slot respawned (default: "
-                 "$REPRO_REPLY_TIMEOUT_S or 60; 0 disables)",
-        )
-        sub.add_argument(
-            "--handshake-timeout", dest="handshake_timeout_s", type=float,
-            default=None, metavar="SECONDS",
-            help="fleet-wide deadline for the worker startup/respawn "
-                 "handshake (default: $REPRO_HANDSHAKE_TIMEOUT_S or 30)",
-        )
-        sub.add_argument(
-            "--max-respawns", type=int, default=None, metavar="N",
-            help="respawn attempts per worker slot before the slot is "
-                 "terminally dead; a fleet of only dead slots degrades to "
-                 "in-process scoring for good (default: 3)",
-        )
-        sub.add_argument(
-            "--worker-faults", type=int, default=None, metavar="SEED",
-            help="inject seeded process-level chaos into the worker fleet "
-                 "(SIGKILL mid-request, hangs past the reply deadline, "
-                 "corrupt replies); supervision absorbs them — results "
-                 "stay bit-identical",
+                 "bit-identical for every N, also when a worker fails "
+                 "(the rest of the run then scores in-process); "
+                 "--workers 1 is the serial escape hatch",
         )
 
     run_parser = subparsers.add_parser("run", help="run one algorithm over a stream")
@@ -163,9 +137,6 @@ def _session(args, systems) -> ERSession:
         engine=EngineOptions(
             pipelined=args.pipelined,
             workers=args.workers,
-            reply_timeout_s=args.reply_timeout_s,
-            handshake_timeout_s=args.handshake_timeout_s,
-            max_respawns=args.max_respawns,
             blocking=args.blocking,
             lsh_bands=args.lsh_bands,
             lsh_rows=args.lsh_rows,
@@ -177,7 +148,6 @@ def _session(args, systems) -> ERSession:
         budget=args.budget,
         seed=args.seed,
         faults=args.faults,
-        worker_faults=args.worker_faults,
         checkpoint_every=args.checkpoint_every,
     )
 

@@ -142,11 +142,10 @@ class ExperimentConfig:
     seed: int = 0
     dataset: Dataset | None = field(default=None, compare=False)
     #: Engine knobs — see :class:`repro.api.EngineOptions` for the full
-    #: set: the engine choice (``pipelined``), the fleet (``workers`` and
-    #: its supervision knobs ``reply_timeout_s``, ``handshake_timeout_s``,
-    #: ``max_respawns``, ``min_shard``), and the blocking-substrate choice
-    #: (``blocking``, ``lsh_bands``, ``lsh_rows``, ``lsh_seed`` — the one
-    #: group that changes *what* is computed).  ``None`` means all
+    #: set: the engine choice (``pipelined``), the fleet (``workers``), and
+    #: the blocking-substrate choice (``blocking``, ``lsh_bands``,
+    #: ``lsh_rows``, ``lsh_seed`` — the one group that changes *what* is
+    #: computed).  ``None`` means all
     #: defaults: serial engine, one worker, token blocking.
     engine: "EngineOptions | None" = None
 

@@ -32,9 +32,10 @@ Comparison execution has two paths, selected by what the matcher declares
   exactly its estimate) this produces the clocks, curves and counters the
   scalar path would (``tests/test_engine_parity.py`` runs the same matcher
   through both) while amortizing per-pair Python dispatch — the acceleration
-  lever of SPER-style batched similarity evaluation.  With a worker fleet
-  the kernel charges the round when it runs and scores it off the round
-  (see :meth:`ExecutionCore._execute_batch_kernel`).
+  lever of SPER-style batched similarity evaluation.  With a worker pool —
+  supplied by its owner, :class:`~repro.api.ERSession` or the service; the
+  core never starts one — the kernel charges the round when it runs and
+  scores it off the round (see :meth:`ExecutionCore._execute_batch_kernel`).
 
 Resilience semantics (see :mod:`repro.resilience`): increments are delivered
 exactly once (redeliveries deduplicated by id), transient matcher failures
@@ -106,13 +107,10 @@ PRESEEDED_COUNTERS = (
     "parallel.fallbacks",
     "parallel.pairs_sharded",
     "parallel.rounds_sharded",
+    # Always 0 (profiles travel inside the hand-offs); kept for its only
+    # reader, benchmarks/ledger/layers.py.
     "parallel.shm_bytes",
-    "parallel.shm_segments",
     "parallel.supervision.evictions",
-    "parallel.supervision.reassigned_chunks",
-    "parallel.supervision.reply_timeouts",
-    "parallel.supervision.respawns",
-    "parallel.supervision.stale_segments_swept",
 ) + tuple(f"matcher.kernel.{name}" for name in sorted(KERNEL_COUNTERS))
 
 _IS_MATCH = attrgetter("is_match")
@@ -185,9 +183,7 @@ class RunState:
         # so mid-run checkpoints (and their fingerprints) stay bit-identical
         # across worker counts.
         "parallel_rounds", "parallel_pairs", "parallel_fallbacks",
-        "scatter_wall_start", "shm_segments_start", "shm_bytes_start",
-        "evictions_start", "respawns_start", "reassigned_start",
-        "reply_timeouts_start",
+        "scatter_wall_start", "evictions_start",
     )
 
 
@@ -205,35 +201,18 @@ class ExecutionCore:
     checkpoint_every:
         Convenience override for ``resilience.checkpoint_every``.
     workers:
-        Score the batched kernel's rounds on this many worker processes
-        (Tier A of :mod:`repro.parallel`), in hand-offs of
-        :data:`HAND_OFF_PAIRS` pairs that overlap with the master's own
-        work.  ``1`` — the default — never touches multiprocessing; higher
-        values create a :class:`~repro.parallel.pool.WorkerPool` lazily on
-        the first round with pairs to score, and degrade silently
-        (``parallel.fallbacks`` counter) to in-process scoring when a pool
-        cannot start or breaks mid-run.  Results are bit-identical for
-        every worker count.
+        The fleet width the caller asked for.  A run that asked for more
+        than one worker but has no ``pool`` scores in-process and counts
+        one ``parallel.fallbacks``.
     pool:
-        An externally owned :class:`~repro.parallel.pool.WorkerPool` to use
-        instead of creating one (e.g. shared across runs by
-        :class:`repro.api.ERSession`).  The engine resets its profile
-        caches at the start of every run but never closes it.
-    supervision:
-        Fleet-supervision knobs (reply deadline, handshake deadline,
-        respawn budget/backoff) applied to any pool *this engine* creates;
-        externally supplied pools carry their own configuration.  ``None``
-        means environment-resolved defaults
-        (:class:`~repro.parallel.supervision.SupervisionConfig`).
-    worker_faults:
-        Seeded process-level chaos
-        (:class:`~repro.resilience.faults.WorkerFaultSpec`) for any pool
-        this engine creates — kills, hangs, corrupt replies on the
-        workers.  Supervision absorbs them; results stay bit-identical.
-    min_shard:
-        Smallest hand-off worth sharding, applied to any pool this
-        engine creates (``None``: the pool default).  A threshold only —
-        results are bit-identical either way.
+        The :class:`~repro.parallel.pool.WorkerPool` (Tier A of
+        :mod:`repro.parallel`) that scores the batched kernel's rounds, in
+        hand-offs of :data:`HAND_OFF_PAIRS` pairs that overlap with the
+        master's own work.  Owned by the caller (:class:`repro.api.ERSession`
+        or the service): the engine starts a cache epoch on it at the start
+        of every run and never closes it.  A hand-off the pool cannot take
+        — it is broken or closed — is scored in-process and counted in
+        ``parallel.fallbacks``.  Results are bit-identical either way.
     """
 
     _KIND = "abstract"
@@ -250,16 +229,11 @@ class ExecutionCore:
         checkpoint_every: float | None = None,
         workers: int = 1,
         pool: "object | None" = None,
-        supervision: "object | None" = None,
-        worker_faults: "object | None" = None,
-        min_shard: "int | None" = None,
     ) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if min_shard is not None and min_shard < 1:
-            raise ValueError("min_shard must be >= 1 (or None)")
         self.matcher = matcher
         self.budget = budget
         self.match_cost_prior = match_cost_prior
@@ -269,12 +243,7 @@ class ExecutionCore:
             resilience = replace(resilience, checkpoint_every=checkpoint_every)
         self.resilience = resilience
         self.workers = workers
-        self.supervision = supervision
-        self.worker_faults = worker_faults
-        self.min_shard = min_shard
         self._pool = pool
-        self._pool_owned = False
-        self._pool_attempted = False
         #: Latest checkpoint of the most recent run (``None`` before any).
         self.last_checkpoint: EngineCheckpoint | None = None
 
@@ -347,12 +316,14 @@ class ExecutionCore:
         metrics = MetricsRegistry()
         system.bind_metrics(metrics)
         matcher.bind_metrics(metrics)
-        if self._pool is not None:
+        pool = self._pool
+        if pool is not None:
             # Profile ids are only unique within a dataset: worker caches
             # must never survive into a new run.  Claiming the pool also
             # lets interleaved runs (multi-tenant push sessions sharing one
-            # fleet) detect each other and re-reset on every owner switch.
-            self._pool.begin_run(owner=self)
+            # fleet) detect each other and start a new epoch on every
+            # owner switch.
+            pool.begin_run(owner=self)
 
         state = RunState()
         state.system = system
@@ -380,15 +351,12 @@ class ExecutionCore:
         state.in_flight = None
         state.parallel_rounds = 0
         state.parallel_pairs = 0
-        state.parallel_fallbacks = 0
-        pool = self._pool
+        # A fleet was asked for and none was supplied (it could not start).
+        state.parallel_fallbacks = int(
+            pool is None and self.workers > 1 and matcher.supports_batch
+        )
         state.scatter_wall_start = pool.scatter_wall_s if pool is not None else 0.0
-        state.shm_segments_start = pool.shm_segments_published if pool is not None else 0
-        state.shm_bytes_start = pool.shm_bytes_published if pool is not None else 0
         state.evictions_start = pool.evictions if pool is not None else 0
-        state.respawns_start = pool.respawns if pool is not None else 0
-        state.reassigned_start = pool.reassigned_chunks if pool is not None else 0
-        state.reply_timeouts_start = pool.reply_timeouts if pool is not None else 0
 
         if resume_from is None:
             state.store.begin_run()
@@ -704,10 +672,7 @@ class ExecutionCore:
             )
             if matches:
                 metrics.count("engine.matches_recorded", matches)
-            fleet = self._pool  # inline: this is every round of every run
-            if fleet is None and self.workers > 1 and not self._pool_attempted:
-                fleet = self._start_fleet(state)
-            if fleet is None:
+            if self._pool is None:
                 results = matcher.evaluate_batch(pairs)
                 self._record_matches(state, pairs, map(_IS_MATCH, results))
             else:
@@ -728,60 +693,32 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # Tier A (see repro.parallel): workers score hand-offs, master accounts
     # ------------------------------------------------------------------
-    def _start_fleet(self, state: RunState) -> "object | None":
-        """Create the engine's own worker pool (``workers > 1``, none
-        supplied), the first time a round has pairs to score.
-
-        A host that cannot start one is counted in ``parallel.fallbacks``;
-        the run then scores in the round like any single-worker run.
-        """
-        from repro.parallel.pool import DEFAULT_MIN_SHARD, WorkerPool
-
-        self._pool_attempted = True
-        self._pool = WorkerPool.create(
-            self.workers,
-            self.matcher,
-            min_shard=self.min_shard if self.min_shard is not None else DEFAULT_MIN_SHARD,
-            supervision=self.supervision,
-            worker_faults=self.worker_faults,
-        )
-        if self._pool is None:
-            state.parallel_fallbacks += 1
-        else:
-            self._pool_owned = True
-        return self._pool
-
     def _hand_off(self, state: RunState) -> None:
         """Send the buffered pairs to the fleet and return to the round.
 
         At most one hand-off is outstanding: the previous one is gathered
-        first.  A buffer the pool cannot or should not take — below its
-        ``min_shard``, fleet broken or without a live worker — is scored
-        here, in-process, bit-identically; a pool that is not broken is
-        consulted again at the next hand-off, respawn may have healed it.
+        first.  A buffer below the pool's ``min_shard`` is scored here,
+        in-process, bit-identically; so is one the pool cannot take — it
+        is broken or closed — which also counts a ``parallel.fallbacks``.
 
         Telemetry accumulates on ``state`` and only reaches the metrics
         registry in :meth:`_finalize`: mid-run checkpoints must capture a
         ``metrics_state`` that is bit-identical across worker counts.
         """
-        from repro.parallel.pool import WorkerPoolError
-
         self._gather(state)
         pool = self._pool
         pairs, state.unscored = state.unscored, []
-        if pool.healthy and len(pairs) >= pool.min_shard:
-            if pool.owner is not self:
-                # Another engine scored through this pool since our last
-                # hand-off (interleaved tenants sharing one fleet): worker
-                # caches hold that run's profiles under possibly colliding
-                # pids, so reset before scoring.  Every drain ends joined,
-                # so the other engine has nothing in the pipes either.
-                pool.begin_run(owner=self)
-            try:
+        if len(pairs) >= pool.min_shard:
+            if pool.healthy:
+                if pool.owner is not self:
+                    # Another engine scored through this pool since our last
+                    # hand-off (interleaved tenants sharing one fleet): start
+                    # a new cache epoch before scoring.  Every drain ends
+                    # joined, so the other engine has nothing in the pipes.
+                    pool.begin_run(owner=self)
                 state.in_flight = (pool.scatter(pairs), pairs)
                 return
-            except WorkerPoolError:
-                state.parallel_fallbacks += 1
+            state.parallel_fallbacks += 1
         self._score_in_process(state, pairs)
 
     def _score_in_process(self, state: RunState, pairs: list) -> None:
@@ -833,19 +770,6 @@ class ExecutionCore:
         if state.unscored:
             self._hand_off(state)
         self._gather(state)
-
-    def close_pool(self) -> None:
-        """Shut down an engine-owned worker pool (no-op otherwise).
-
-        Externally supplied pools belong to their creator (typically an
-        :class:`repro.api.ERSession`) and are left running.
-        """
-        if self._pool is not None and self._pool_owned:
-            self._pool.close()
-        if self._pool_owned:
-            self._pool = None
-            self._pool_owned = False
-        self._pool_attempted = False
 
     # ------------------------------------------------------------------
     # Shared probes and reporting
@@ -914,31 +838,7 @@ class ExecutionCore:
             if scatter_wall > 0.0:
                 metrics.phase("scatter").add(0.0, scatter_wall)
             metrics.count(
-                "parallel.shm_segments",
-                pool.shm_segments_published - state.shm_segments_start,
-            )
-            metrics.count(
-                "parallel.shm_bytes", pool.shm_bytes_published - state.shm_bytes_start
-            )
-            metrics.count(
                 "parallel.supervision.evictions", pool.evictions - state.evictions_start
-            )
-            metrics.count(
-                "parallel.supervision.respawns", pool.respawns - state.respawns_start
-            )
-            metrics.count(
-                "parallel.supervision.reassigned_chunks",
-                pool.reassigned_chunks - state.reassigned_start,
-            )
-            metrics.count(
-                "parallel.supervision.reply_timeouts",
-                pool.reply_timeouts - state.reply_timeouts_start,
-            )
-            # Pool-lifetime fact, not a per-run delta: how much crash
-            # debris from dead masters the pool reaped when it started.
-            metrics.count(
-                "parallel.supervision.stale_segments_swept",
-                pool.stale_segments_swept,
             )
         # Effective fleet size, not the requested one: a failed pool reports 1.
         metrics.gauge(

@@ -3,16 +3,14 @@
 Two independent tiers, both configured through :class:`repro.api.ERSession`
 (or ``--workers N`` on the CLI):
 
-* **Tier A** (:mod:`repro.parallel.pool`): a persistent, *supervised*
-  :class:`WorkerPool` scores hand-offs of a few thousand pairs — the
-  emission rounds the master has already charged — across worker
-  processes while the master goes on prioritising, bit-identical to the
-  in-process kernel (the master keeps the virtual clock, the store and
-  all accounting).
-  The supervision layer (:mod:`repro.parallel.supervision`) detects dead,
-  hung and garbled workers, rescues their in-flight chunks in-process, and
-  respawns them with capped jittered backoff — faults change *where* pairs
-  are scored, never *what* is scored.
+* **Tier A** (:mod:`repro.parallel.pool`): a :class:`WorkerPool` of worker
+  processes scores hand-offs of a few thousand pairs — the emission rounds
+  the master has already charged — while the master goes on prioritising,
+  bit-identical to the in-process kernel (the master keeps the virtual
+  clock, the store and all accounting).  Worker caches are tagged with the
+  run they belong to; a worker failure re-scores the hand-off in-process
+  and leaves the pool broken for good, so later hand-offs are scored
+  in-process — failures change *where* pairs are scored, never *what*.
 * **Tier B** (:mod:`repro.parallel.cells`): :func:`run_cells` fans the
   independent cells of a comparison out across processes with deterministic
   collation.
@@ -27,23 +25,14 @@ and the metrics snapshot minus the ``parallel.*`` counters/gauges and the
 from __future__ import annotations
 
 from repro.parallel.cells import run_cells
-from repro.parallel.pool import (
-    DEFAULT_MIN_SHARD,
-    WorkerPool,
-    WorkerPoolError,
-    sweep_stale_segments,
-)
-from repro.parallel.supervision import DEFAULT_SUPERVISION, SupervisionConfig
+from repro.parallel.pool import MIN_SHARD, WorkerPool, WorkerPoolError
 
 __all__ = [
-    "DEFAULT_MIN_SHARD",
-    "DEFAULT_SUPERVISION",
-    "SupervisionConfig",
+    "MIN_SHARD",
     "WorkerPool",
     "WorkerPoolError",
     "run_cells",
     "strip_parallel_telemetry",
-    "sweep_stale_segments",
 ]
 
 #: The phase timer that only accumulates when a pool is live.

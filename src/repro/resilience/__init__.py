@@ -32,7 +32,6 @@ from repro.resilience.faults import (
     FaultSpec,
     FaultyMatcher,
     TransientMatcherError,
-    WorkerFaultSpec,
     apply_faults,
 )
 from repro.resilience.retry import DEFAULT_RESILIENCE, ResilienceConfig, RetryPolicy
@@ -47,7 +46,6 @@ __all__ = [
     "RetryPolicy",
     "SimulatedCrash",
     "TransientMatcherError",
-    "WorkerFaultSpec",
     "apply_faults",
     "plan_token",
 ]

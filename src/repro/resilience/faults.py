@@ -35,7 +35,6 @@ __all__ = [
     "FaultReport",
     "apply_faults",
     "FaultyMatcher",
-    "WorkerFaultSpec",
 ]
 
 
@@ -217,104 +216,6 @@ def apply_faults(plan: StreamPlan, spec: FaultSpec) -> FaultReport:
         coalesced_bursts=coalesced_bursts,
         corrupted_profiles=corrupted_profiles,
     )
-
-
-# ----------------------------------------------------------------------
-# Worker-process faults
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class WorkerFaultSpec:
-    """Seeded process-level faults for the matching fleet's workers.
-
-    Two scheduling surfaces, combinable:
-
-    * **Explicit schedules** — ``kill_on`` / ``hang_on`` / ``corrupt_on``
-      are ``(slot, request)`` pairs (both 0-based slot, 1-based request
-      ordinal): worker slot 2's 3rd scoring request, say — a slot gets one
-      request per hand-off it has a chunk of, so the ordinals count
-      hand-offs, not emission rounds.  Explicit
-      schedules apply only to a slot's *first incarnation*, so a respawned
-      replacement is not condemned to replay its predecessor's death —
-      which is what lets chaos tests assert exact eviction/respawn counts.
-    * **Seeded rates** — per scoring request, the worker draws once from a
-      stream seeded by ``(seed, slot, incarnation)`` and fails with the
-      given probabilities.  Deterministic for a fixed hand-off sequence.
-
-    Fault kinds (what the master must survive, see
-    :mod:`repro.parallel.supervision`):
-
-    * ``kill`` — the worker SIGKILLs itself mid-request (hard process death;
-      the master sees EOF/broken pipe).
-    * ``hang`` — the worker sleeps ``hang_s`` wall seconds before replying
-      (the master's reply deadline must fire; the late reply lands on a
-      closed pipe).
-    * ``corrupt`` — the worker replies with a truncated payload (the
-      master's reply validation must reject and evict).
-
-    The supervision invariant holds under every schedule: faults change
-    *where* pairs are scored, never *what* is scored.
-    """
-
-    seed: int = 0
-    kill_rate: float = 0.0
-    hang_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    hang_s: float = 30.0
-    kill_on: tuple[tuple[int, int], ...] = ()
-    hang_on: tuple[tuple[int, int], ...] = ()
-    corrupt_on: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("kill_rate", "hang_rate", "corrupt_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.kill_rate + self.hang_rate + self.corrupt_rate > 1.0:
-            raise ValueError("fault rates must not sum above 1")
-        if self.hang_s < 0:
-            raise ValueError("hang_s must be non-negative")
-
-    @classmethod
-    def chaos(cls, seed: int = 0) -> "WorkerFaultSpec":
-        """The default process-chaos profile: occasional everything."""
-        return cls(seed=seed, kill_rate=0.05, hang_rate=0.03, corrupt_rate=0.05, hang_s=1.0)
-
-    @property
-    def is_noop(self) -> bool:
-        return not any(
-            (self.kill_rate, self.hang_rate, self.corrupt_rate,
-             self.kill_on, self.hang_on, self.corrupt_on)
-        )
-
-    def rng_for(self, slot: int, incarnation: int) -> random.Random:
-        """The rate-draw stream of one worker incarnation (worker-side)."""
-        return random.Random((self.seed * 1_000_003 + slot) * 1_000_003 + incarnation)
-
-    def action(
-        self, slot: int, incarnation: int, ordinal: int, rng: random.Random
-    ) -> str | None:
-        """The fault (if any) for one scoring request; draws ``rng`` once.
-
-        Called by the worker on every scoring request, in arrival order —
-        the single draw per request is what keeps the rate schedule
-        deterministic and incarnation-local.
-        """
-        draw = rng.random()
-        if incarnation == 0:
-            key = (slot, ordinal)
-            if key in self.kill_on:
-                return "kill"
-            if key in self.hang_on:
-                return "hang"
-            if key in self.corrupt_on:
-                return "corrupt"
-        if draw < self.kill_rate:
-            return "kill"
-        if draw < self.kill_rate + self.hang_rate:
-            return "hang"
-        if draw < self.kill_rate + self.hang_rate + self.corrupt_rate:
-            return "corrupt"
-        return None
 
 
 # ----------------------------------------------------------------------

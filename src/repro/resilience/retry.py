@@ -26,11 +26,10 @@ class RetryPolicy:
 
     ``jitter`` spreads consecutive backoffs by a seeded multiplicative
     factor in ``[1 - jitter, 1 + jitter]`` so a thundering herd of retries
-    (or worker respawns — :mod:`repro.parallel.supervision` reuses this
-    policy for respawn scheduling) decorrelates.  The jitter stream comes
-    from a caller-owned ``random.Random``; with an explicit seed the
-    jittered sequence is exactly reproducible — on the virtual clock the
-    same backoffs are charged in the same order on every host.
+    decorrelates.  The jitter stream comes from a caller-owned
+    ``random.Random``; with an explicit seed the jittered sequence is
+    exactly reproducible — on the virtual clock the same backoffs are
+    charged in the same order on every host.
     """
 
     max_attempts: int = 3

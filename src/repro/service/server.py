@@ -371,12 +371,17 @@ class ERServer:
         self.metrics.gauge("service.tenants_active", float(len(self._tenants)))
 
     def _pool_for(self, config: TenantConfig) -> object | None:
-        """The shared Tier A fleet for this matcher config (lazily spawned)."""
+        """The shared Tier A fleet for this matcher config (lazily spawned).
+
+        A pool that broke is replaced here, at the next ``open`` or
+        ``restore``: it has already killed its workers, and the tenants
+        still holding it score in-process, bit-identically.
+        """
         if self.workers <= 1:
             return None
         key = config.matcher.upper()
         pool = self._pools.get(key)
-        if pool is None:
+        if pool is None or not pool.healthy:
             from repro.evaluation.experiments import _build_matcher
             from repro.parallel.pool import WorkerPool
 
@@ -384,7 +389,7 @@ class ERServer:
             if pool is None:
                 return None
             self._pools[key] = pool
-        return pool if pool.healthy else None
+        return pool
 
     # ------------------------------------------------------------------
     # Engine ops: queue admission + the tenant worker

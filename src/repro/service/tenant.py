@@ -7,7 +7,9 @@ its own virtual clock, its own comparison budget, its own resilience knobs.
 Tenants share nothing but the executor thread and (optionally) the Tier A
 :class:`~repro.parallel.pool.WorkerPool` the server injects; the pool's
 per-run cache epochs keep interleaved tenants from ever observing each
-other's profiles.
+other's profiles.  A tenant keeps the pool it was opened with: if that
+pool breaks, the tenant scores in-process from then on, bit-identically,
+and tenants opened later get the server's replacement pool.
 
 Budget model: ``TenantConfig.budget`` is the tenant's total virtual-time
 allowance, exactly the classic engine budget.  Every ingest auto-drains the

@@ -48,6 +48,39 @@ def rounds_within_work(result, slack: int = 2) -> bool:
     return counters["engine.emission_rounds"] <= work + slack
 
 
+def pool_or_skip(matcher: str = "ED", workers: int = 2):
+    """A worker pool for ``matcher`` whose every hand-off shards.
+
+    ``min_shard`` drops to 1 so even the small per-round batches of the
+    test datasets reach the workers — the production threshold only
+    changes *when* the pool is consulted, never the results.  The caller
+    closes the pool.
+    """
+    from repro.evaluation.experiments import _build_matcher
+    from repro.parallel import WorkerPool
+
+    pool = WorkerPool.create(workers, _build_matcher(matcher))
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    pool.min_shard = 1
+    return pool
+
+
+class ShortReplies:
+    """Stands in for one slot connection of a pool: every reply the worker
+    sends arrives one similarity short (a garbled reply)."""
+
+    def __init__(self, connection):
+        self.connection = connection
+
+    def recv(self):
+        status, (similarities, costs, counts) = self.connection.recv()
+        return status, (similarities[:-1], costs, counts)
+
+    def __getattr__(self, name):
+        return getattr(self.connection, name)
+
+
 def compare(config):
     """Run every system of an ``ExperimentConfig``; results keyed by name."""
     with ERSession.from_config(config) as session:

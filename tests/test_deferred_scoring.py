@@ -22,10 +22,12 @@ import repro.execution.core as core
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.matching.matcher import EditDistanceMatcher
-from repro.parallel import WorkerPool, strip_parallel_telemetry
+from repro.parallel import strip_parallel_telemetry
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
+
+from tests.conftest import pool_or_skip
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -43,9 +45,7 @@ def plan(small_dblp_acm):
 
 @pytest.fixture(scope="module")
 def ed_pool():
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("ED")
     yield pool
     pool.close()
 
@@ -222,9 +222,7 @@ def test_interleaved_tenants_never_share_a_hand_off(
             run.drain(horizon)
             solo[name].append(run.matches)
 
-    pool = WorkerPool.create(2, _build_matcher(matcher_name), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip(matcher_name)
     try:
         events = []
         scatter, gather = pool.scatter, pool.gather
@@ -250,7 +248,7 @@ def test_interleaved_tenants_never_share_a_hand_off(
         assert [kind for kind, _ in events[1::2]] == ["gather"] * (len(events) // 2)
         assert all(sent[1] is collected[1] for sent, collected in zip(events[0::2], events[1::2]))
         assert {owner for _, owner in events} == {engine for engine, _ in runs.values()}
-        assert pool.evictions == 0 and pool.reassigned_chunks == 0
+        assert pool.evictions == 0 and pool.healthy
     finally:
         pool.close()
 
@@ -259,9 +257,7 @@ def test_interleaved_tenants_never_share_a_hand_off(
 # A gather that fails: no charged pair is dropped, no exception is masked
 # ----------------------------------------------------------------------
 def _pooled_run(dataset, plan, **engine_kwargs):
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("ED")
     engine = StreamingEngine(
         _build_matcher("ED"), budget=8.0, workers=pool.size, pool=pool, **engine_kwargs
     )

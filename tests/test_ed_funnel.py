@@ -12,20 +12,19 @@ serial, sharded and fault-rescued runs.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.matching.matcher import KERNEL_COUNTERS, EditDistanceMatcher
-from repro.parallel import WorkerPool
-from repro.resilience import WorkerFaultSpec
 from repro.streaming.engine import StreamingEngine
 
-from tests.conftest import make_profile
+from tests.conftest import make_profile, pool_or_skip
 from tests.reference.levenshtein import levenshtein
 
 EXACT_CUTS = ("length_cuts", "qgram_cuts", "bag_cuts")
@@ -146,24 +145,21 @@ def test_bit_assignment_is_unobservable(alphabet, data, threshold, seed):
 # ----------------------------------------------------------------------
 # Funnel invariant on engine runs: serial, sharded, fault-rescued
 # ----------------------------------------------------------------------
-def _funnel(dataset, *, workers=1, worker_faults=None, rescued=0):
-    """Kernel counters and comparison count of one I-PES + ED run, of which
-    exactly ``rescued`` chunks were re-scored in-process."""
-    pool = None
-    if workers > 1:
-        pool = WorkerPool.create(
-            workers, _build_matcher("ED"), min_shard=1, worker_faults=worker_faults
-        )
-        if pool is None:
-            pytest.skip("process pool unavailable on this host")
+def _funnel(dataset, *, workers=1, kill=False):
+    """Kernel counters and comparison count of one I-PES + ED run; with
+    ``kill``, a worker is SIGKILLed first and the run is re-scored
+    in-process by the pool's rescue replica."""
+    pool = pool_or_skip("ED", workers) if workers > 1 else None
     try:
+        if kill:
+            os.kill(pool._processes[0].pid, signal.SIGKILL)
         engine = StreamingEngine(_build_matcher("ED"), budget=8.0, workers=workers, pool=pool)
         plan = make_stream_plan(split_into_increments(dataset, 8, seed=0), rate=5.0)
         result = engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
         counters = result.details["metrics"]["counters"]
         if pool is not None:
             assert counters["parallel.rounds_sharded"] > 0
-            assert pool.reassigned_chunks == rescued
+            assert pool.healthy is not kill
         funnel = {name: counters[f"matcher.kernel.{name}"] for name in KERNEL_COUNTERS}
         assert sum(funnel.values()) == result.comparisons_executed == counters["matcher.evaluations"]
         return funnel
@@ -177,7 +173,6 @@ def test_every_comparison_is_counted_by_exactly_one_stage(small_dblp_acm):
     assert serial["qgram_cuts"] > 0 and serial["dp_calls"] > 0
     # Merged from the workers' replies ...
     assert _funnel(small_dblp_acm, workers=2) == serial
-    # ... and from chunks re-scored in-process after a kill and a corrupt
-    # reply (the run is one hand-off, at the drain's join: ordinal 1).
-    faults = WorkerFaultSpec(kill_on=((0, 1),), corrupt_on=((1, 1),))
-    assert _funnel(small_dblp_acm, workers=2, worker_faults=faults, rescued=2) == serial
+    # ... and from the rescue replica, after a worker was killed (the run
+    # is one hand-off, at the drain's join).
+    assert _funnel(small_dblp_acm, workers=2, kill=True) == serial

@@ -12,15 +12,17 @@ executor choice, never a semantics choice.  Whatever the worker count,
   telemetry flushes at finalize, after the last possible checkpoint;
 * a pool that cannot start or breaks degrades to in-process scoring with
   the same results, counted in ``parallel.fallbacks``;
-* fresh profiles cross the process boundary once, through read-only
-  shared-memory segments when the startup probe succeeds (inline pickles
-  otherwise) — transport choice never changes results;
+* a profile crosses to a worker once per run (the chunks of a hand-off
+  carry what their worker has not received this epoch);
 * matchers that cannot batch (``FaultyMatcher``) never reach the pool.
+
+Worker failures (kill, stop, garbled reply) are in ``test_supervision.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -30,11 +32,11 @@ from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import ExperimentConfig, _build_matcher, _build_system
 from repro.parallel import WorkerPool, strip_parallel_telemetry
 from repro.parallel.cells import run_cells
-from repro.resilience import ResilienceConfig, SimulatedCrash, WorkerFaultSpec
+from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import make_profile
+from tests.conftest import ShortReplies, make_profile, pool_or_skip
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -54,15 +56,8 @@ def plan(small_dblp_acm):
 
 @pytest.fixture(scope="module")
 def ed_pool():
-    """One shared 2-worker ED pool for the whole module (spawn is slow).
-
-    ``min_shard=1`` so even the small per-round batches of the test
-    dataset shard — the production threshold only changes *when* the pool
-    is consulted, never the results.
-    """
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    """One shared 2-worker ED pool for the whole module (spawn is slow)."""
+    pool = pool_or_skip("ED")
     yield pool
     pool.close()
 
@@ -126,7 +121,6 @@ def _run(engine_cls, dataset, plan, strategy, *, workers=1, pool=None, **kwargs)
         _build_matcher("ED"), budget=BUDGET, workers=workers, pool=pool, **kwargs
     )
     result = engine.run(_build_system(strategy, dataset), plan, dataset.ground_truth)
-    engine.close_pool()
     return result, engine.last_checkpoint
 
 
@@ -135,7 +129,6 @@ def _run(engine_cls, dataset, plan, strategy, *, workers=1, pool=None, **kwargs)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("matcher_name", ["JS", "ED"])
 def test_pool_batch_scores_bit_identical(dataset, matcher_name):
-    matcher = _build_matcher(matcher_name)
     rng = random.Random(3)
     profiles = dataset.profiles
     pairs = [
@@ -143,9 +136,7 @@ def test_pool_batch_scores_bit_identical(dataset, matcher_name):
         for _ in range(150)
     ]
     reference = _build_matcher(matcher_name)._batch_scores(pairs)
-    pool = WorkerPool.create(2, matcher, min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip(matcher_name)
     try:
         pool.begin_run()
         assert pool.batch_scores(pairs) == reference
@@ -155,11 +146,24 @@ def test_pool_batch_scores_bit_identical(dataset, matcher_name):
         pool.close()
 
 
-def test_pool_shm_transport_publishes_each_profile_once(dataset, ed_pool):
-    """With shm active, fresh profiles ship once through shared memory and
-    repeat rounds publish nothing new — while staying bit-identical."""
-    if not ed_pool.shm_active:
-        pytest.skip("shared-memory transport unavailable on this host")
+class _RecordingConnection:
+    """A slot connection that keeps every message the master sends."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.messages = []
+
+    def send(self, message):
+        self.messages.append(message)
+        self.connection.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.connection, name)
+
+
+def test_pool_ships_each_profile_once_per_run(dataset, ed_pool):
+    """A chunk carries only the profiles its worker has not received this
+    epoch; a new run (``begin_run``) re-ships them under the next epoch."""
     rng = random.Random(11)
     profiles = dataset.profiles
     pairs = [
@@ -168,43 +172,47 @@ def test_pool_shm_transport_publishes_each_profile_once(dataset, ed_pool):
     ]
     reference = _build_matcher("ED")._batch_scores(pairs)
     ed_pool.begin_run()
-    segments_before = ed_pool.shm_segments_published
-    assert ed_pool.batch_scores(pairs) == reference
-    first_round = ed_pool.shm_segments_published - segments_before
-    assert first_round > 0
-    assert ed_pool.shm_bytes_published > 0
-    # Same profiles again: the per-run published set makes the second
-    # round metadata-only.
-    assert ed_pool.batch_scores(pairs[::-1]) == (
-        reference[0][::-1],
-        reference[1][::-1],
-    )
-    assert ed_pool.shm_segments_published - segments_before == first_round
+    recorders = ed_pool._connections[:] = [
+        _RecordingConnection(connection) for connection in ed_pool._connections
+    ]
+    try:
+        assert ed_pool.batch_scores(pairs) == reference
+        assert ed_pool.batch_scores(pairs[::-1]) == (reference[0][::-1], reference[1][::-1])
+        ed_pool.begin_run()
+        assert ed_pool.batch_scores(pairs) == reference
+    finally:
+        ed_pool._connections[:] = [recorder.connection for recorder in recorders]
+    for slot, recorder in enumerate(recorders):
+        (epoch, first, pid_pairs), (same_epoch, again, _), (next_epoch, fresh, _) = (
+            recorder.messages
+        )
+        chunk_pids = {pid for pair in pid_pairs for pid in pair}
+        assert sorted(profile.pid for profile in first) == sorted(chunk_pids), slot
+        assert same_epoch == epoch and next_epoch == epoch + 1
+        assert {profile.pid for profile in again}.isdisjoint(chunk_pids)
+        assert {profile.pid for profile in fresh} == chunk_pids
 
 
 def test_pool_pickle_fallback_bit_identical(dataset):
-    """A pool whose shm probe failed degrades to inline pickled profiles
-    with identical results and zero shm telemetry."""
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    """Profiles reach the workers pickled inside the chunks (the only
+    transport), and a pool that breaks falls back to its in-process rescue
+    replica: both score bit-identically to one in-process call."""
+    rng = random.Random(13)
+    profiles = dataset.profiles
+    pairs = [
+        (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
+        for _ in range(80)
+    ]
+    reference = _build_matcher("ED")._batch_scores(pairs)
+    pool = pool_or_skip("ED")
     try:
-        pool._use_shm = False
-        rng = random.Random(13)
-        profiles = dataset.profiles
-        pairs = [
-            (
-                profiles[rng.randrange(len(profiles))],
-                profiles[rng.randrange(len(profiles))],
-            )
-            for _ in range(80)
-        ]
-        reference = _build_matcher("ED")._batch_scores(pairs)
         pool.begin_run()
-        assert not pool.shm_active
         assert pool.batch_scores(pairs) == reference
-        assert pool.shm_segments_published == 0
-        assert pool.shm_bytes_published == 0
+        pool._connections[0] = ShortReplies(pool._connections[0])
+        assert pool.batch_scores(pairs[::-1]) == (reference[0][::-1], reference[1][::-1])
+        assert pool.broken
+        similarities, costs, _counts = pool._score_in_process(pairs)
+        assert (similarities, costs) == reference
     finally:
         pool.close()
 
@@ -222,35 +230,31 @@ def _colliding_rounds():
     return rounds
 
 
-@pytest.mark.parametrize("transport", ["shm", "inline"])
-@pytest.mark.parametrize(
-    "worker_faults",
-    [None, WorkerFaultSpec(corrupt_on=((0, 1), (1, 2)))],
-    ids=["workers", "rescue"],
-)
-def test_second_run_with_colliding_pids_is_not_scored_from_the_first(transport, worker_faults):
+# The ids name the transport too: profiles travel inline, pickled in the chunks.
+@pytest.mark.parametrize("path", ["workers", "rescue"], ids=["workers-inline", "rescue-inline"])
+def test_second_run_with_colliding_pids_is_not_scored_from_the_first(path):
     """Regression: the matcher's derived cache is keyed by pid; worker
-    replicas (and the pool's in-process rescue replica, which the corrupt
-    replies bring in for one chunk of each run) kept it across
+    replicas (and the pool's in-process rescue replica) kept it across
     ``begin_run``, so a second dataset reusing the pids was scored from the
-    first one's texts."""
+    first one's texts.  On the rescue path a garbled reply hands the first
+    run's second chunk to the rescue replica (and breaks the pool); the
+    replica, reset by ``begin_run``, then scores the second run."""
     first, second = _colliding_rounds()
     reference = _build_matcher("ED")._batch_scores(first)
     assert _build_matcher("ED")._batch_scores(second) != reference
-    pool = WorkerPool.create(
-        2, _build_matcher("ED"), min_shard=1, worker_faults=worker_faults
-    )
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("ED")
     try:
-        if transport == "inline":
-            pool._use_shm = False
-        elif not pool.shm_active:
-            pytest.skip("shared-memory transport unavailable on this host")
-        for pairs in (first, second):
-            pool.begin_run()
-            assert pool.batch_scores(pairs) == _build_matcher("ED")._batch_scores(pairs)
-        assert pool.reassigned_chunks == (0 if worker_faults is None else 2)
+        if path == "rescue":
+            pool._connections[1] = ShortReplies(pool._connections[1])
+        pool.begin_run()
+        assert pool.batch_scores(first) == reference
+        pool.begin_run()
+        if path == "workers":
+            assert pool.batch_scores(second) == _build_matcher("ED")._batch_scores(second)
+        else:
+            assert pool.broken
+            similarities, costs, _counts = pool._score_in_process(second)
+            assert (similarities, costs) == _build_matcher("ED")._batch_scores(second)
     finally:
         pool.close()
 
@@ -260,12 +264,12 @@ def test_pool_create_refuses_single_worker():
 
 
 def test_pool_close_is_idempotent():
-    pool = WorkerPool.create(2, _build_matcher("JS"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("JS")
+    workers = set(pool._processes)
     pool.close()
     pool.close()
     assert not pool.healthy
+    assert workers.isdisjoint(multiprocessing.active_children())
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +313,10 @@ def test_worker_count_invariance_pipelined_engine(dataset, plan, ed_pool):
 
 
 def test_sharded_run_reports_shm_and_kernel_telemetry(dataset, plan, ed_pool):
-    """Sharded runs surface the shm transfer counters, and the workers'
-    staged-scoring outcomes merge back so ``matcher.kernel.*`` telemetry is
-    bit-identical to the serial run (it is NOT stripped by
-    :func:`strip_parallel_telemetry`)."""
+    """The workers' staged-scoring outcomes merge back so
+    ``matcher.kernel.*`` telemetry is bit-identical to the serial run (it
+    is NOT stripped by :func:`strip_parallel_telemetry`); ``parallel.shm_bytes``
+    is still exported, at 0 — profiles travel inside the hand-offs."""
     serial, _ = _run(StreamingEngine, dataset, plan, "I-PES")
     sharded, _ = _run(
         StreamingEngine, dataset, plan, "I-PES", workers=ed_pool.size, pool=ed_pool
@@ -324,10 +328,7 @@ def test_sharded_run_reports_shm_and_kernel_telemetry(dataset, plan, ed_pool):
     assert counters["matcher.kernel.dp_calls"] > 0
     for key in kernel_keys:
         assert counters[key] == serial_counters[key]
-    if ed_pool.shm_active:
-        assert counters["parallel.shm_segments"] > 0
-        assert counters["parallel.shm_bytes"] > 0
-    assert serial_counters["parallel.shm_segments"] == 0
+    assert counters["parallel.shm_bytes"] == serial_counters["parallel.shm_bytes"] == 0
 
 
 def test_metric_schema_invariant_across_worker_counts(dataset, plan, ed_pool):
@@ -345,31 +346,42 @@ def test_metric_schema_invariant_across_worker_counts(dataset, plan, ed_pool):
 # ----------------------------------------------------------------------
 # Degradation: a fleet that cannot start changes nothing but a counter
 # ----------------------------------------------------------------------
-def test_pool_startup_failure_degrades_in_process(dataset, plan, monkeypatch):
-    serial, _ = _run(StreamingEngine, dataset, plan, "I-PES")
-    monkeypatch.setattr(
-        "repro.parallel.pool.WorkerPool.create",
-        classmethod(lambda cls, *args, **kwargs: None),
-    )
-    degraded, _ = _run(StreamingEngine, dataset, plan, "I-PES", workers=4)
+def _session_run(dataset, workers):
+    with ERSession(
+        dataset, systems=("I-PES",), matcher="ED", n_increments=8, rate=5.0,
+        budget=BUDGET, workers=workers,
+    ) as session:
+        return session.run()
+
+
+def test_pool_startup_failure_degrades_in_process(dataset, monkeypatch):
+    """No worker answers the handshake in time: ``create`` returns
+    ``None`` with no child left behind, and the run scores in-process."""
+    serial = _session_run(dataset, 1)
+    monkeypatch.setattr("repro.parallel.pool.HANDSHAKE_TIMEOUT_S", 0.0)
+    children = set(multiprocessing.active_children())
+    assert WorkerPool.create(2, _build_matcher("ED")) is None
+    assert set(multiprocessing.active_children()) == children
+    degraded = _session_run(dataset, 4)
     assert _comparable(degraded) == _comparable(serial)
     counters = degraded.details["metrics"]["counters"]
     assert counters["parallel.fallbacks"] == 1
     assert counters["parallel.rounds_sharded"] == 0
     assert degraded.details["metrics"]["gauges"]["parallel.workers"] == 1.0
+    assert set(multiprocessing.active_children()) == children
 
 
 def test_closed_pool_is_bypassed(dataset, plan):
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("ED")
     pool.close()
     serial, _ = _run(StreamingEngine, dataset, plan, "I-PES")
     bypassed, _ = _run(
         StreamingEngine, dataset, plan, "I-PES", workers=2, pool=pool
     )
     assert _comparable(bypassed) == _comparable(serial)
-    assert bypassed.details["metrics"]["counters"]["parallel.rounds_sharded"] == 0
+    counters = bypassed.details["metrics"]["counters"]
+    assert counters["parallel.rounds_sharded"] == 0
+    assert counters["parallel.fallbacks"] > 0
 
 
 # ----------------------------------------------------------------------

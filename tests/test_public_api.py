@@ -22,6 +22,12 @@ RETIRED_NAMES = (
     # I-PBS's Bloom-filter dedup, replaced by exact membership.
     "comparison_" + "filter", "filter_initial_" + "capacity", "bind_" + "store",
     "bloom_" + "filtered", "bloom_" + "slices", "Exact" + "ComparisonFilter",
+    # The worker fleet's supervision layer, fault hooks and shm transport.
+    "Supervision" + "Config", "WorkerFault" + "Spec", "sweep_stale_" + "segments",
+    "REPRO_REPLY_" + "TIMEOUT_S", "REPRO_HANDSHAKE_" + "TIMEOUT_S", "shared_" + "memory",
+    "--worker-" + "faults", "--reply-" + "timeout", "--handshake-" + "timeout",
+    "--max-" + "respawns", "reply_" + "timeout_s", "handshake_" + "timeout_s",
+    "max_" + "respawns", "min_" + "shard=",
 )
 
 
@@ -57,9 +63,7 @@ class TestRetiredNames:
 
     def test_engine_options_has_exactly_these_fields(self):
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [
-            "pipelined", "workers",
-            "reply_timeout_s", "handshake_timeout_s", "max_respawns", "min_shard",
-            "blocking", "lsh_bands", "lsh_rows", "lsh_seed",
+            "pipelined", "workers", "blocking", "lsh_bands", "lsh_rows", "lsh_seed",
         ]
 
 

@@ -13,21 +13,22 @@ Pinned here:
 * the server end-to-end over a localhost socket: protocol round-trips,
   per-tenant fingerprints matching standalone replays, admission/refusal
   codes, queue-level shedding under a pipelined burst, snapshot/migrate
-  across tenants, and clean shutdown.
+  across tenants, replacement of a broken fleet, and clean shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import queue
+import signal
 import threading
 
 import pytest
 
 from repro.api import ERSession
 from repro.core.profile import EntityProfile
-from repro.evaluation.experiments import _build_matcher
-from repro.parallel import WorkerPool, strip_parallel_telemetry
+from repro.parallel import strip_parallel_telemetry
 from repro.service import (
     ERServer,
     ServiceClient,
@@ -38,7 +39,7 @@ from repro.service import (
     result_fingerprint,
 )
 
-from tests.conftest import rounds_within_work
+from tests.conftest import pool_or_skip, rounds_within_work
 
 BUDGET = 8.0
 
@@ -164,9 +165,7 @@ def _assert_interleaved_equals_solo(pool, matcher, tenants):
 
 def test_interleaved_push_sessions_share_one_pool(small_dblp_acm):
     """Two tenants alternating on one WorkerPool == their solo runs."""
-    pool = WorkerPool.create(2, _build_matcher("JS"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("JS")
     try:
         _assert_interleaved_equals_solo(
             pool,
@@ -183,9 +182,7 @@ def test_interleaved_push_sessions_of_different_datasets(small_dblp_acm, small_m
     survived the cache-epoch reset, so the second tenant was scored from
     the first one's texts."""
     assert {p.pid for p in small_dblp_acm.profiles} & {p.pid for p in small_movies.profiles}
-    pool = WorkerPool.create(2, _build_matcher("ED"), min_shard=1)
-    if pool is None:
-        pytest.skip("process pool unavailable on this host")
+    pool = pool_or_skip("ED")
     try:
         _assert_interleaved_equals_solo(
             pool,
@@ -302,6 +299,7 @@ class _ServerThread:
 
     async def _serve(self) -> None:
         async with ERServer(**self._kwargs) as server:
+            self.server = server
             self._port_queue.put(server.port)
             await server.serve_until_stopped()
 
@@ -458,3 +456,44 @@ def test_server_sheds_ingests_under_pipelined_burst():
     replay.drain(BUDGET)
     assert result_fingerprint(replay.results()) == reply["fingerprint"]
     replay.close()
+
+
+def test_server_replaces_a_broken_pool(monkeypatch):
+    """A worker of the server's fleet is killed under tenant ``a``: its
+    first hand-off breaks the pool and is rescued in-process.  Tenant
+    ``b``, opened afterwards, gets a fresh fleet and shards again; ``a``
+    scores in-process from then on and still equals its standalone replay."""
+    monkeypatch.setattr("repro.parallel.pool.MIN_SHARD", 1)
+
+    def drive(client, name):
+        for i, batch in enumerate(_batches()):
+            client.ingest(name, batch, at=float(i))
+        client.drain(name, BUDGET)
+        return client.results(name)["fingerprint"]
+
+    with _ServerThread(workers=2) as thread:
+        with ServiceClient("127.0.0.1", thread.port) as client:
+            try:
+                client.open("a", matcher="ED", budget=BUDGET)
+                first_pool = thread.server._pools.get("ED")
+                if first_pool is None:
+                    pytest.skip("process pool unavailable on this host")
+                os.kill(first_pool._processes[0].pid, signal.SIGKILL)
+                fingerprint = drive(client, "a")
+                assert first_pool.broken
+                client.open("b", matcher="ED", budget=BUDGET)
+                assert thread.server._pools["ED"] is not first_pool
+                drive(client, "b")
+                counters = {
+                    name: thread.server._tenants[name].session.results()
+                    .details["metrics"]["counters"]
+                    for name in ("a", "b")
+                }
+            finally:
+                client.shutdown()
+    assert counters["a"]["parallel.supervision.evictions"] == 2
+    assert counters["a"]["parallel.fallbacks"] > 0
+    assert counters["b"]["parallel.rounds_sharded"] > 0
+    assert counters["b"]["parallel.fallbacks"] == 0
+    standalone = TenantSession(TenantConfig(tenant_id="a", matcher="ED", budget=BUDGET))
+    assert _drive_tenant(standalone) == fingerprint
