@@ -39,7 +39,7 @@ CONFIG = {
     "budget": 10.0,
     "seed": 0,
     "systems": ["I-PCS", "I-PBS", "I-PES"],
-    # The candidate-generation substrate (token / lsh / lsh-prefilter).
+    # The candidate-generation substrate (token / lsh).
     # The smoke baseline pins the paper's token blocking; the LSH tier is
     # gated in tests/test_lsh.py.
     "blocking": "token",

@@ -65,17 +65,16 @@ class EngineOptions:
 
     The **blocking substrate** group (``blocking`` / ``lsh_bands`` /
     ``lsh_rows`` / ``lsh_seed``; the CLI's ``--blocking`` / ``--lsh-*``) is
-    the deliberate exception: choosing ``lsh`` or ``lsh-prefilter``
-    changes which candidate comparisons are generated — it trades recall
-    for candidate volume, which is the point.  The default ``token``
-    substrate is bit-identical to every run that predates the knob.
+    the deliberate exception: choosing ``lsh`` changes which candidate
+    comparisons are generated — it trades recall for candidate volume,
+    which is the point.  The default ``token`` substrate is bit-identical
+    to every run that predates the knob.
     """
 
     pipelined: bool = False
     workers: int = 1
-    #: Blocking substrate: ``"token"`` (the paper's configuration, default),
-    #: ``"lsh"`` (MinHash-LSH buckets as blocks) or ``"lsh-prefilter"``
-    #: (token blocks + LSH co-bucket candidate pruning).  See
+    #: Blocking substrate: ``"token"`` (the paper's configuration, default)
+    #: or ``"lsh"`` (MinHash-LSH buckets as blocks).  See
     #: :mod:`repro.blocking.substrate`.
     blocking: str = "token"
     #: MinHash-LSH shape: ``lsh_bands`` × ``lsh_rows`` permutations; the
@@ -362,22 +361,19 @@ class ERSession:
             )
         return self._push.results()
 
-    def compare(self, *, parallel_cells: bool | None = None) -> dict[str, RunResult]:
+    def compare(self) -> dict[str, RunResult]:
         """Run every configured system; results keyed in configuration order.
 
         With ``workers > 1`` the independent cells fan out across processes
         (Tier B) when nothing forces them in-process: fault injection and
         checkpoint capture need the session's own state, so those
         comparisons run serially (each run still sharding through Tier A).
-        ``parallel_cells=False`` is the explicit escape hatch.
         """
         self._require_open("compare")
         workers = self.engine_options.workers
-        fan_out = workers > 1 and len(self.systems) > 1
-        if parallel_cells is not None:
-            fan_out = fan_out and parallel_cells
         fan_out = (
-            fan_out
+            workers > 1
+            and len(self.systems) > 1
             and self.fault_spec is None
             and self.checkpoint_every is None
             and self.resilience is None

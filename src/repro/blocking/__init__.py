@@ -2,7 +2,7 @@
 
 from repro.blocking.blocks import Block, BlockCollection
 from repro.blocking.cleaning import block_filtering, block_ghosting
-from repro.blocking.lsh import LSHBlockCollection, LSHPrefilterCollection, MinHasher
+from repro.blocking.lsh import LSHBlockCollection, MinHasher
 from repro.blocking.substrate import (
     BLOCKING_SUBSTRATES,
     BlockingConfig,
@@ -20,7 +20,6 @@ __all__ = [
     "BlockingSubstrate",
     "IncrementalTokenBlocking",
     "LSHBlockCollection",
-    "LSHPrefilterCollection",
     "MinHasher",
     "block_filtering",
     "block_ghosting",

@@ -119,11 +119,6 @@ class BlockCollection:
         ``None`` disables purging.
     """
 
-    #: Whether :meth:`allows_pair` can ever prune — ``False`` here, so hot
-    #: paths skip the per-pair call entirely on the token substrate.  The
-    #: LSH prefilter substrate overrides this.
-    prunes_candidates = False
-
     __slots__ = (
         "clean_clean",
         "max_block_size",
@@ -320,15 +315,6 @@ class BlockCollection:
     def purged_keys(self) -> frozenset[str]:
         return frozenset(self._purged_keys)
 
-    def allows_pair(self, pid_x: int, pid_y: int) -> bool:
-        """Candidate pre-filter hook: may this pair become a candidate?
-
-        Token blocking never prunes (``prunes_candidates`` is ``False``, so
-        callers do not even dispatch here); the LSH prefilter substrate
-        overrides this with a signature co-bucket test.
-        """
-        return True
-
     def drain_grown(self) -> set[str]:
         """Keys whose block gained a member since the last drain (then reset).
 
@@ -355,8 +341,8 @@ class BlockCollection:
         Substrates with their own telemetry (``blocking.lsh.*``) buffer it
         on the collection — which rides through checkpoints via deepcopy —
         and the owning system flushes the deltas into the run's metrics
-        registry at its ingest/idle boundaries.  The token substrate has
-        nothing to report.
+        registry after each ingest, the only place they accrue.  The token
+        substrate has nothing to report.
         """
         return {}
 

@@ -10,24 +10,15 @@ matches exactly, which happens with probability ``1 - (1 - s^rows)^bands``
 for token-Jaccard ``s`` — an S-curve stepping near
 ``(1/bands) ** (1/rows)``.
 
-Two collections implement the
-:class:`~repro.blocking.substrate.BlockingSubstrate` protocol here, both
-subclassing :class:`~repro.blocking.blocks.BlockCollection` so that purge,
+:class:`LSHBlockCollection` implements the
+:class:`~repro.blocking.substrate.BlockingSubstrate` protocol here by
+subclassing :class:`~repro.blocking.blocks.BlockCollection`, so that purge,
 intern, cache-invalidation and deep-copy snapshot semantics are inherited
-rather than re-implemented:
-
-* :class:`LSHBlockCollection` — the standalone tier.  Banded signature
-  buckets *are* the blocks (the :meth:`~LSHBlockCollection.profile_keys`
-  hook returns bucket keys instead of tokens), so every downstream
-  consumer — the sweep kernel, CBS/ECBS/JS/ARCS weighting, block
-  ghosting, I-WNP, the I-PBS cardinality indexes — runs unchanged over
-  buckets.
-* :class:`LSHPrefilterCollection` — the composable pre-filter.  Blocks
-  stay token-based (keys, weights and block sizes are bit-compatible with
-  the token substrate), but the collection additionally maintains the
-  signature index and prunes candidate pairs whose signatures share no
-  bucket (:meth:`~LSHPrefilterCollection.allows_pair`), before any weight
-  is computed.
+rather than re-implemented.  Banded signature buckets *are* the blocks (the
+:meth:`~LSHBlockCollection.profile_keys` hook returns bucket keys instead of
+tokens), so every downstream consumer — the sweep kernel, CBS/ECBS/JS/ARCS
+weighting, block ghosting, I-WNP, the I-PBS cardinality indexes — runs
+unchanged over buckets.
 
 Determinism contract: nothing here may depend on the interpreter hash seed
 or the host.  Tokens are hashed with ``blake2b`` (not the built-in
@@ -50,7 +41,7 @@ from typing import Iterable
 from repro.blocking.blocks import BlockCollection
 from repro.core.profile import EntityProfile
 
-__all__ = ["MinHasher", "LSHBlockCollection", "LSHPrefilterCollection"]
+__all__ = ["MinHasher", "LSHBlockCollection"]
 
 #: Mersenne prime 2^61 - 1: the universal-hash modulus.  Larger than any
 #: 61-bit token hash, so ``(a*h + b) % _PRIME`` is a proper permutation
@@ -126,8 +117,17 @@ class MinHasher:
         )
 
 
-class _MinHashCollection(BlockCollection):
-    """Shared signature cache + telemetry buffer of the two LSH substrates."""
+class LSHBlockCollection(BlockCollection):
+    """The MinHash-LSH blocking tier: buckets are the blocks.
+
+    Only the key-derivation hook differs from token blocking — a profile
+    lands in its ``bands`` banded bucket keys instead of its tokens.  All
+    other semantics (cross-source member bookkeeping, ``max_block_size``
+    purging of degenerate buckets, dense key interning, the sorted cached
+    block tuples behind the sweep kernel) are inherited.  On top, the
+    collection caches each profile's signature and buffers its
+    ``blocking.lsh.*`` counter deltas until :meth:`drain_metrics`.
+    """
 
     __slots__ = ("hasher", "_signatures", "_pending_metrics")
 
@@ -172,19 +172,6 @@ class _MinHashCollection(BlockCollection):
         """Cached signatures (for tests and describe-style reporting)."""
         return len(self._signatures)
 
-
-class LSHBlockCollection(_MinHashCollection):
-    """The standalone MinHash-LSH blocking tier: buckets are the blocks.
-
-    Only the key-derivation hook differs from token blocking — a profile
-    lands in its ``bands`` banded bucket keys instead of its tokens.  All
-    other semantics (cross-source member bookkeeping, ``max_block_size``
-    purging of degenerate buckets, dense key interning, the sorted cached
-    block tuples behind the sweep kernel) are inherited.
-    """
-
-    __slots__ = ()
-
     def profile_keys(self, profile: EntityProfile) -> Iterable[str]:
         signature = self.signature_of(profile)
         if not signature:
@@ -194,74 +181,3 @@ class LSHBlockCollection(_MinHashCollection):
         if fresh:
             self._count("blocking.lsh.buckets", fresh)
         return keys
-
-
-class LSHPrefilterCollection(_MinHashCollection):
-    """Token blocking composed with an LSH co-bucket candidate filter.
-
-    ``profile_keys`` stays the inherited token hook, so blocks, weights and
-    purge behavior are exactly the token substrate's.  On top, every added
-    profile is signed and bucketed into an interned side-table;
-    :meth:`allows_pair` then prunes candidate pairs whose bucket sets are
-    disjoint — before any weighting happens — and counts the prunes into
-    ``blocking.lsh.candidates_pruned``.
-    """
-
-    __slots__ = ("_bucket_ids", "_profile_buckets")
-
-    prunes_candidates = True
-
-    def __init__(
-        self,
-        clean_clean: bool = False,
-        max_block_size: int | None = 200,
-        *,
-        bands: int = 16,
-        rows: int = 2,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            clean_clean=clean_clean,
-            max_block_size=max_block_size,
-            bands=bands,
-            rows=rows,
-            seed=seed,
-        )
-        #: bucket key → dense id (interned; pair tests compare int sets).
-        self._bucket_ids: dict[str, int] = {}
-        self._profile_buckets: dict[int, frozenset[int]] = {}
-
-    def add_profile(self, profile: EntityProfile) -> set[str]:
-        keys = super().add_profile(profile)
-        signature = self.signature_of(profile)
-        if signature:
-            bucket_ids = []
-            intern = self._bucket_ids
-            for key in self.hasher.bucket_keys(signature):
-                bucket = intern.get(key)
-                if bucket is None:
-                    bucket = len(intern)
-                    intern[key] = bucket
-                    self._count("blocking.lsh.buckets")
-                bucket_ids.append(bucket)
-            self._profile_buckets[profile.pid] = frozenset(bucket_ids)
-        else:
-            self._profile_buckets[profile.pid] = frozenset()
-        return keys
-
-    def allows_pair(self, pid_x: int, pid_y: int) -> bool:
-        buckets_x = self._profile_buckets.get(pid_x)
-        buckets_y = self._profile_buckets.get(pid_y)
-        if not buckets_x or not buckets_y:
-            # No signature evidence (token-less profile, or a pid indexed
-            # elsewhere): stay permissive — the filter only ever prunes on
-            # positive disagreement.
-            return True
-        if buckets_x.isdisjoint(buckets_y):
-            self._count("blocking.lsh.candidates_pruned")
-            return False
-        return True
-
-    def bucket_count(self) -> int:
-        """Distinct buckets interned so far."""
-        return len(self._bucket_ids)

@@ -8,7 +8,7 @@ checkpoint layer all called the same dozen methods without a name for the
 contract.  This module gives it one.
 
 :class:`BlockingSubstrate` is that de-facto interface, written down as a
-runtime-checkable protocol.  Three substrates implement it:
+runtime-checkable protocol.  Two substrates implement it:
 
 ``token``
     Classic token blocking (:class:`~repro.blocking.blocks.BlockCollection`)
@@ -17,13 +17,10 @@ runtime-checkable protocol.  Three substrates implement it:
     Incremental MinHash-LSH (:class:`~repro.blocking.lsh.LSHBlockCollection`)
     — banded signature buckets *are* the blocks, so candidate volume scales
     with the number of near-duplicates instead of the token vocabulary.
-``lsh-prefilter``
-    Token blocking composed with an LSH co-bucket test
-    (:class:`~repro.blocking.lsh.LSHPrefilterCollection`): blocks and
-    weights stay token-based, but candidate pairs whose MinHash signatures
-    share no bucket are pruned before weighting
-    (:attr:`BlockingSubstrate.prunes_candidates` /
-    :meth:`BlockingSubstrate.allows_pair`).
+
+A substrate decides the candidates by the blocks it builds and nothing
+else: every co-block pair is a candidate, and no consumer asks it about
+individual pairs.
 
 The protocol deliberately includes the purge/intern semantics
 (``purged_keys`` / ``key_id``), the growth feed and the telemetry drain hook:
@@ -50,7 +47,7 @@ __all__ = [
 ]
 
 #: The substrate names accepted by ``EngineOptions.blocking`` / ``--blocking``.
-BLOCKING_SUBSTRATES = ("token", "lsh", "lsh-prefilter")
+BLOCKING_SUBSTRATES = ("token", "lsh")
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +113,6 @@ class BlockingSubstrate(Protocol):
 
     clean_clean: bool
     max_block_size: int | None
-    #: Whether :meth:`allows_pair` can ever return ``False``.  Callers on
-    #: hot paths read this once instead of paying a no-op call per pair.
-    prunes_candidates: bool
 
     # -- incremental maintenance ---------------------------------------
     def add_profile(self, profile: EntityProfile) -> set[str]: ...
@@ -140,9 +134,6 @@ class BlockingSubstrate(Protocol):
     def total_comparisons(self) -> int: ...
     def purged_keys(self) -> frozenset[str]: ...
 
-    # -- candidate pre-filtering ----------------------------------------
-    def allows_pair(self, pid_x: int, pid_y: int) -> bool: ...
-
     # -- change feed ------------------------------------------------------
     def drain_grown(self) -> set[str]: ...
 
@@ -163,10 +154,9 @@ def make_collection(
     """
     if config is None or config.substrate == "token":
         return BlockCollection(clean_clean=clean_clean, max_block_size=max_block_size)
-    from repro.blocking.lsh import LSHBlockCollection, LSHPrefilterCollection
+    from repro.blocking.lsh import LSHBlockCollection
 
-    cls = LSHBlockCollection if config.substrate == "lsh" else LSHPrefilterCollection
-    return cls(
+    return LSHBlockCollection(
         clean_clean=clean_clean,
         max_block_size=max_block_size,
         bands=config.lsh_bands,

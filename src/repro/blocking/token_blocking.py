@@ -10,8 +10,7 @@ data is available.
 
 The substrate defaults to token blocking (the class predates the substrate
 protocol, hence its name); a :class:`~repro.blocking.substrate.BlockingConfig`
-swaps in the MinHash-LSH tier or the LSH prefilter without touching any
-consumer — everything downstream reads the collection through the
+swaps in the MinHash-LSH tier without touching any consumer — everything downstream reads the collection through the
 :class:`~repro.blocking.substrate.BlockingSubstrate` protocol.
 """
 
@@ -41,7 +40,7 @@ class BlockingCosts:
 class IncrementalTokenBlocking:
     """Maintains a blocking substrate across increments, with cost accounting.
 
-    ``blocking`` selects the substrate (token / lsh / lsh-prefilter);
+    ``blocking`` selects the substrate (token / lsh);
     ``None`` keeps the historic token-blocking default.
     """
 

@@ -64,16 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--blocking", default="token", choices=list(BLOCKING_SUBSTRATES),
             help="candidate-generation substrate: 'token' (the paper's "
-                 "token blocking, default), 'lsh' (incremental MinHash-LSH "
-                 "— signature buckets become the blocks), or "
-                 "'lsh-prefilter' (token blocks, but candidate pairs whose "
-                 "MinHash signatures share no bucket are pruned before "
-                 "weighting); unlike the other engine flags, 'lsh' and "
-                 "'lsh-prefilter' change which comparisons are generated",
+                 "token blocking, default) or 'lsh' (incremental MinHash-LSH "
+                 "— signature buckets become the blocks); unlike the other "
+                 "engine flags, 'lsh' changes which comparisons are generated",
         )
         sub.add_argument(
             "--lsh-bands", dest="lsh_bands", type=int, default=16, metavar="B",
-            help="MinHash-LSH bands (with --blocking lsh/lsh-prefilter); "
+            help="MinHash-LSH bands (with --blocking lsh); "
                  "candidate threshold is ~(1/B)**(1/R)",
         )
         sub.add_argument(

@@ -1,6 +1,5 @@
-"""Core data model: profiles, comparisons, datasets, increments, clusters."""
+"""Core data model: profiles, comparisons, datasets, increments."""
 
-from repro.core.clusters import EntityClusters, UnionFind
 from repro.core.comparison import Comparison, WeightedComparison, canonical_pair
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import (
@@ -19,13 +18,11 @@ __all__ = [
     "Comparison",
     "Dataset",
     "ERKind",
-    "EntityClusters",
     "EntityProfile",
     "GroundTruth",
     "Increment",
     "StreamPlan",
     "Tokenizer",
-    "UnionFind",
     "WeightedComparison",
     "canonical_pair",
     "default_tokenizer",

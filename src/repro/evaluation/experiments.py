@@ -72,7 +72,7 @@ def _build_system(
     """Instantiate an ER system by its paper name for a given dataset.
 
     ``blocking`` selects the candidate-generation substrate
-    (token / lsh / lsh-prefilter) for every system; ``None`` keeps the
+    (token / lsh) for every system; ``None`` keeps the
     paper's token blocking.  For the PIER strategies it lands on the host
     :class:`PierSystem` (the strategy objects never see the substrate —
     they read it through the protocol).

@@ -87,7 +87,6 @@ __all__ = ["PRESEEDED_COUNTERS", "PRESEEDED_PHASES", "RunResult", "RunState", "E
 #: absent: its presence signals that checkpointing was enabled.
 PRESEEDED_COUNTERS = (
     "blocking.lsh.buckets",
-    "blocking.lsh.candidates_pruned",
     "blocking.lsh.signatures",
     "engine.comparisons_cut_by_deadline",
     "engine.comparisons_executed",

@@ -27,7 +27,7 @@ from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
 from repro.metablocking.weights import WeightingScheme
-from repro.pier.base import ComparisonGenerator, _always_valid
+from repro.pier.base import ComparisonGenerator
 from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
 
 __all__ = ["IBaseSystem"]
@@ -47,8 +47,8 @@ class IBaseSystem(ERSystem):
         Back-pressure bound on the comparison backlog: ingestion of further
         increments stalls while the backlog is above this value.
     blocking:
-        Blocking-substrate choice (token / lsh / lsh-prefilter); ``None``
-        keeps the paper's token blocking.
+        Blocking-substrate choice (token / lsh); ``None`` keeps the paper's
+        token blocking.
     """
 
     name = "I-BASE"
@@ -83,9 +83,7 @@ class IBaseSystem(ERSystem):
     def ingest(self, increment: Increment) -> float:
         cost = self.blocker.process_increment(increment)
         for profile in increment:
-            kept, operations = self.generator.generate(
-                self.blocker.collection, profile, self._valid_partner(profile)
-            )
+            kept, operations = self.generator.generate(self.blocker.collection, profile)
             cost += operations * self.costs.per_weight
             self.metrics.count("strategy.weighting_ops", operations)
             # Within a profile, higher-weighted comparisons go first (the
@@ -122,29 +120,6 @@ class IBaseSystem(ERSystem):
 
     def profile(self, pid: int) -> EntityProfile:
         return self.blocker.profile(pid)
-
-    # ------------------------------------------------------------------
-    def _valid_partner(self, profile: EntityProfile):
-        collection = self.blocker.collection
-        if collection.prunes_candidates:
-            # LSH prefilter: compose the co-bucket test into the predicate
-            # (no markers — the sweep must apply it per candidate).
-            pid_x = profile.pid
-            allows = collection.allows_pair
-            if not collection.clean_clean:
-                return lambda pid: allows(pid_x, pid)
-            source = profile.source
-            blocker = self.blocker
-            return lambda pid: (
-                allows(pid_x, pid) and blocker.profile(pid).source != source
-            )
-        if not collection.clean_clean:
-            return _always_valid
-        source = profile.source
-        blocker = self.blocker
-        predicate = lambda pid: blocker.profile(pid).source != source
-        predicate.cross_source_only = True  # type: ignore[attr-defined]
-        return predicate
 
     @property
     def backlog(self) -> int:

@@ -1,6 +1,5 @@
 """Match functions (JS / ED) with virtual-time cost accounting."""
 
-from repro.matching.extra_similarity import cosine_tokens, jaro, jaro_winkler
 from repro.matching.matcher import (
     CostModel,
     EditDistanceMatcher,
@@ -13,7 +12,6 @@ from repro.matching.similarity import (
     jaccard,
     levenshtein,
     normalized_edit_similarity,
-    overlap_coefficient,
 )
 
 __all__ = [
@@ -22,12 +20,8 @@ __all__ = [
     "JaccardMatcher",
     "MatchResult",
     "Matcher",
-    "cosine_tokens",
     "dice",
     "jaccard",
-    "jaro",
-    "jaro_winkler",
     "levenshtein",
     "normalized_edit_similarity",
-    "overlap_coefficient",
 ]

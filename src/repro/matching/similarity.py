@@ -18,7 +18,6 @@ __all__ = [
     "jaccard",
     "jaccard_batch",
     "dice",
-    "overlap_coefficient",
     "levenshtein",
     "myers_table",
     "levenshtein_myers",
@@ -69,18 +68,6 @@ def dice(tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str
         tokens_x, tokens_y = tokens_y, tokens_x
     intersection = sum(1 for token in tokens_x if token in tokens_y)
     return 2.0 * intersection / (len(tokens_x) + len(tokens_y))
-
-
-def overlap_coefficient(
-    tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str]
-) -> float:
-    """Overlap coefficient: |X ∩ Y| / min(|X|, |Y|)."""
-    if not tokens_x or not tokens_y:
-        return 0.0
-    if len(tokens_x) > len(tokens_y):
-        tokens_x, tokens_y = tokens_y, tokens_x
-    intersection = sum(1 for token in tokens_x if token in tokens_y)
-    return intersection / len(tokens_x)
 
 
 def levenshtein(text_x: str, text_y: str, max_distance: int | None = None) -> int:
@@ -239,8 +226,3 @@ def normalized_edit_similarity(
     distance = levenshtein(text_x, text_y, max_distance=bound)
     distance = min(distance, longest)
     return 1.0 - distance / longest
-
-
-def token_iterable_to_set(tokens: Iterable[str]) -> frozenset[str]:
-    """Small helper for callers holding token iterables."""
-    return tokens if isinstance(tokens, frozenset) else frozenset(tokens)

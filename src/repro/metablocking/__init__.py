@@ -1,12 +1,6 @@
 """Meta-blocking: weighting schemes, (I-)WNP comparison cleaning, block graph."""
 
 from repro.metablocking.block_graph import BlockGraph
-from repro.metablocking.pruning import (
-    cardinality_edge_pruning,
-    cardinality_node_pruning,
-    enumerate_weighted_comparisons,
-    weighted_edge_pruning,
-)
 from repro.metablocking.sweep import (
     partner_weights,
     sweep_candidate_weights,
@@ -31,13 +25,9 @@ __all__ = [
     "WNPResult",
     "WeightingScheme",
     "batch_wnp_for_profile",
-    "cardinality_edge_pruning",
-    "cardinality_node_pruning",
-    "enumerate_weighted_comparisons",
     "make_scheme",
     "partner_weights",
     "sweep_candidate_weights",
     "sweep_weights",
     "sweep_wnp",
-    "weighted_edge_pruning",
 ]

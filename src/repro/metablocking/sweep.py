@@ -160,11 +160,10 @@ def sweep_candidate_weights(
     pid:
         The profile whose candidate comparisons are generated.
     valid_partner:
-        Candidate filter (e.g. cross-source only for Clean-Clean ER).
-        ``None`` means every co-block partner is valid — callers pass this
-        when the filter is provably redundant (a cross-source predicate on a
-        Clean-Clean sweep that already reads only other-source member
-        lists), which skips one Python call per candidate.
+        Optional candidate filter, one call per distinct candidate.
+        ``None`` means every co-block partner is valid, which is what the
+        strategies pass: with the ``source`` hint a Clean-Clean sweep reads
+        only other-source member lists, so it has nothing to filter.
     scheme:
         Weighting scheme; defaults to CBS as in the paper.
     beta:

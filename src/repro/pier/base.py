@@ -39,24 +39,20 @@ from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, Pipeline
 __all__ = ["ComparisonGenerator", "GetComparisons", "IncrPrioritization", "PierSystem"]
 
 
-def _always_valid(pid: int) -> bool:
-    return True
-
-
-#: Marks a partner predicate as constant-true so the sweep kernel can skip
-#: one Python call per candidate (see ``ComparisonGenerator.generate``).
-_always_valid.always_true = True  # type: ignore[attr-defined]
-
-
 class ComparisonGenerator:
     """Candidate generation for one newly arrived profile (Alg. 2, l. 1-9).
 
     Applies block ghosting with parameter β to the profile's block list,
-    collects co-block partners that form valid comparisons, and cleans the
-    candidate list with I-WNP.  Returns the surviving weighted comparisons
-    together with the number of weighting operations performed (for cost
-    accounting).  Candidates and weights come from the single-sweep kernel
+    collects its co-block partners, and cleans the candidate list with
+    I-WNP.  Returns the surviving weighted comparisons together with the
+    number of weighting operations performed (for cost accounting).
+    Candidates and weights come from the single-sweep kernel
     (:func:`~repro.metablocking.wnp.sweep_wnp`).
+
+    Every co-block partner is a valid one: on Dirty ER any two profiles may
+    match, and on Clean-Clean ER the sweep reads only the other source's
+    member lists (the ``source`` hint), so it never meets a same-source
+    partner to filter out.
     """
 
     __slots__ = ("beta", "scheme")
@@ -66,24 +62,12 @@ class ComparisonGenerator:
         self.scheme = scheme or CommonBlocksScheme()
 
     def generate(
-        self,
-        collection: BlockingSubstrate,
-        profile: EntityProfile,
-        valid_partner: Callable[[int], bool],
+        self, collection: BlockingSubstrate, profile: EntityProfile
     ) -> tuple[tuple[WeightedComparison, ...], int]:
-        # Drop the per-candidate filter when the predicate declares itself
-        # redundant: a constant-true predicate filters nothing, and a
-        # cross-source-only predicate is already guaranteed by the sweep
-        # reading only other-source member lists (source hint).
-        predicate: Callable[[int], bool] | None = valid_partner
-        if getattr(predicate, "always_true", False) or (
-            collection.clean_clean and getattr(predicate, "cross_source_only", False)
-        ):
-            predicate = None
         result = sweep_wnp(
             collection,
             profile.pid,
-            predicate,
+            None,
             self.scheme,
             beta=self.beta,
             source=profile.source if collection.clean_clean else None,
@@ -232,7 +216,8 @@ class GetComparisons:
     ) -> tuple[list[WeightedComparison], int] | None:
         """Drain the next eligible block.
 
-        ``already_executed`` is asked once per new pair, in canonical order.
+        ``already_executed`` is asked once per new pair, in canonical order,
+        and is the only filter: every pair it lets through is offered.
         Returns ``None`` when no eligible block remains (exhausted), or a
         ``(weighted comparisons, weighting ops)`` tuple otherwise — possibly
         with an empty list when every new pair of the block was executed
@@ -247,15 +232,12 @@ class GetComparisons:
             return None
         seen = self._cursor.get(block.key, ())
         self._cursor[block.key] = _member_counts(block)
-        prune = collection.allows_pair if collection.prunes_candidates else None
         scanned = 0
         pairs: list[tuple[int, int]] = []
         for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean):
             scanned += 1
             # Two members of one block are two profiles: no self-pair here.
             pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
-            if prune is not None and not prune(*pair):
-                continue
             if already_executed(*pair):
                 continue
             pairs.append(pair)
@@ -359,8 +341,8 @@ class PierSystem(ERSystem):
     adaptive_k:
         The ``findK`` controller; a fresh default one if omitted.
     blocking:
-        Blocking-substrate choice (token / lsh / lsh-prefilter); ``None``
-        keeps the paper's token blocking.
+        Blocking-substrate choice (token / lsh); ``None`` keeps the paper's
+        token blocking.
     """
 
     def __init__(
@@ -428,7 +410,6 @@ class PierSystem(ERSystem):
 
     def on_idle(self, stats: PipelineStats) -> float | None:
         cost = self.strategy.on_empty_increment(self)
-        self._flush_blocking_metrics(self.collection)
         if len(self.strategy) == 0:
             # Even the refill produced nothing: all work is exhausted.
             return None
@@ -453,35 +434,6 @@ class PierSystem(ERSystem):
     @property
     def collection(self) -> BlockingSubstrate:
         return self.blocker.collection
-
-    def valid_partner(self, profile: EntityProfile) -> Callable[[int], bool]:
-        """Partner predicate for candidate generation of ``profile``.
-
-        The returned predicates carry self-describing markers
-        (``always_true`` / ``cross_source_only``) that let the sweep kernel
-        skip the per-candidate filter when it is provably redundant.  On a
-        pruning substrate (the LSH prefilter) the co-bucket test composes
-        into the predicate — *without* markers, so the sweep always applies
-        it.
-        """
-        collection = self.collection
-        if collection.prunes_candidates:
-            pid_x = profile.pid
-            allows = collection.allows_pair
-            if not collection.clean_clean:
-                return lambda pid: allows(pid_x, pid)
-            source = profile.source
-            blocker = self.blocker
-            return lambda pid: (
-                allows(pid_x, pid) and blocker.profile(pid).source != source
-            )
-        if not collection.clean_clean:
-            return _always_valid
-        source = profile.source
-        blocker = self.blocker
-        predicate = lambda pid: blocker.profile(pid).source != source
-        predicate.cross_source_only = True  # type: ignore[attr-defined]
-        return predicate
 
     def was_executed(self, pid_x: int, pid_y: int) -> bool:
         return self.store.was_executed(pid_x, pid_y)

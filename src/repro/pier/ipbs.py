@@ -146,7 +146,6 @@ class IPBS(IncrPrioritization):
         block_size = len(block)
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
-        prune = collection.allows_pair if collection.prunes_candidates else None
         queued = self.queued
         executed = system.store.executed
         scanned = redundant = 0
@@ -167,8 +166,6 @@ class IPBS(IncrPrioritization):
                     continue
                 scanned += 1
                 pair = canonical_pair(pid_x, pid_y)
-                if prune is not None and not prune(*pair):
-                    continue
                 # Generated from an earlier common block already.
                 if pair in queued or pair in executed:
                     redundant += 1

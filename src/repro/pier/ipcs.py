@@ -53,9 +53,7 @@ class IPCS(IncrPrioritization):
         cost = 0.0
         skipped = enqueued = 0
         for profile in profiles:
-            kept, operations = self.generator.generate(
-                system.collection, profile, system.valid_partner(profile)
-            )
+            kept, operations = self.generator.generate(system.collection, profile)
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:

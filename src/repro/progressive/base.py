@@ -105,13 +105,6 @@ class BatchProgressiveSystem(ERSystem):
         return cost
 
     def emit(self, stats: PipelineStats) -> EmitResult:
-        result = self._emit(stats)
-        # Initialization/emission consult the substrate (the LSH prefilter
-        # prunes inside valid_pair), so drain its telemetry every round.
-        self._flush_blocking_metrics(self.collection)
-        return result
-
-    def _emit(self, stats: PipelineStats) -> EmitResult:
         if self._dirty:
             owed = max(self._pending_init_cost, self._estimate_init_cost())
             remaining = stats.remaining_budget
@@ -161,9 +154,6 @@ class BatchProgressiveSystem(ERSystem):
     # ------------------------------------------------------------------
     def valid_pair(self, pid_x: int, pid_y: int) -> bool:
         if pid_x == pid_y:
-            return False
-        collection = self.collection
-        if collection.prunes_candidates and not collection.allows_pair(pid_x, pid_y):
             return False
         if not self.clean_clean:
             return True

@@ -29,13 +29,9 @@ ingestion (and vice versa) — the fully sequential execution model.
 
 from __future__ import annotations
 
-from repro.execution.core import PRESEEDED_COUNTERS, ExecutionCore, RunResult, RunState
+from repro.execution.core import ExecutionCore, RunResult, RunState
 
 __all__ = ["RunResult", "StreamingEngine"]
-
-# Backwards-compatible alias (the preseed list moved into the core, which
-# seeds it identically for every engine).
-_PRESEEDED_COUNTERS = PRESEEDED_COUNTERS
 
 
 class StreamingEngine(ExecutionCore):

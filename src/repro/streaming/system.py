@@ -107,10 +107,10 @@ class ERSystem:
         """Drain a blocking substrate's buffered counter deltas.
 
         Substrate telemetry (``blocking.lsh.*``) accrues on the collection
-        object — which is what engine checkpoints deep-copy — and systems
-        flush it here at their ingest/idle boundaries, so a restored run
-        replays both the metrics registry and the undrained buffer from one
-        consistent snapshot.
+        object — which is what engine checkpoints deep-copy — while it
+        indexes profiles, and systems flush it here after each ingest, so a
+        restored run replays both the metrics registry and the undrained
+        buffer from one consistent snapshot.
         """
         pending = collection.drain_metrics()
         if pending:

@@ -60,12 +60,9 @@ class FullRescanRefill:
             return None
         self.last_key = block.key
         self._drained_size[block.key] = len(block)
-        prune = collection.allows_pair if collection.prunes_candidates else None
         pairs: list[tuple[int, int]] = []
         for pid_x, pid_y in block.pairs(collection.clean_clean):
             pair = canonical_pair(pid_x, pid_y)
-            if prune is not None and not prune(*pair):
-                continue
             if already_executed(*pair):
                 continue
             pairs.append(pair)

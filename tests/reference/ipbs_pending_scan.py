@@ -110,7 +110,6 @@ class PendingScanIPBS(IncrPrioritization):
         block_size = len(block)
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
-        prune = collection.allows_pair if collection.prunes_candidates else None
         redundant = 0
         survivors: list[tuple[int, int]] = []
         for pid_x in sorted(pending):
@@ -122,8 +121,6 @@ class PendingScanIPBS(IncrPrioritization):
             for pid_y in partners:
                 self.probes += 1
                 pair = canonical_pair(pid_x, pid_y)
-                if prune is not None and not prune(*pair):
-                    continue
                 if pair in self.queued or system.was_executed(*pair):
                     redundant += 1
                     continue

@@ -69,9 +69,7 @@ class BoundedQueuesIPES(IncrPrioritization):
         skipped = 0
         inserted: Counter[str] = Counter()
         for profile in profiles:
-            kept, operations = self.generator.generate(
-                system.collection, profile, system.valid_partner(profile)
-            )
+            kept, operations = self.generator.generate(system.collection, profile)
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
             for weighted in kept:

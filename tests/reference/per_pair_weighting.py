@@ -86,11 +86,15 @@ def reference_pair_weights(
 
 
 class ReferenceGenerator:
-    """:func:`reference_generate` in the shape of a strategy's ``generator``."""
+    """:func:`reference_generate` in the shape of a strategy's ``generator``:
+    every co-block partner is valid (the gather reads only the other source
+    on Clean-Clean collections)."""
 
     def __init__(self, beta: float, scheme: WeightingScheme) -> None:
         self.beta = beta
         self.scheme = scheme
 
-    def generate(self, collection, profile, valid_partner):
-        return reference_generate(collection, profile, valid_partner, self.scheme, self.beta)
+    def generate(self, collection, profile):
+        return reference_generate(
+            collection, profile, lambda pid: True, self.scheme, self.beta
+        )

@@ -101,6 +101,19 @@ def _before_exact_dedup(checkpoint):
     return replace(checkpoint, system_state=system_state)
 
 
+#: Preseeded at zero by every run while the LSH pre-filter substrate existed.
+RETIRED_COUNTER = "blocking.lsh.candidates_pruned"
+
+
+def _with_retired_counter(checkpoint):
+    """A checkpoint as written while its metrics still carried
+    :data:`RETIRED_COUNTER`."""
+    counters = checkpoint.metrics_state["counters"]
+    assert RETIRED_COUNTER not in counters
+    metrics_state = {**checkpoint.metrics_state, "counters": {**counters, RETIRED_COUNTER: 0}}
+    return replace(checkpoint, metrics_state=metrics_state)
+
+
 def _assert_runs_identical(uninterrupted, resumed):
     assert resumed.duplicates == uninterrupted.duplicates
     assert resumed.curve.points == uninterrupted.curve.points
@@ -179,6 +192,23 @@ class TestCrashResumeDeterminism:
             _ipbs_small_rounds, plan, small_dblp_acm.ground_truth,
             as_written=_before_exact_dedup,
         )
+        _assert_runs_identical(uninterrupted, resumed)
+
+    def test_checkpoint_holding_a_retired_counter(self, small_dblp_acm):
+        """A token run restored from a checkpoint whose metrics still hold
+        the retired counter finishes equal to the uninterrupted run.  The
+        counter rides along at zero — a restore keeps every counter it is
+        handed, since runs legitimately create zero counters of their own —
+        and is the only difference in the export."""
+        factory = STRATEGY_FACTORIES["I-PCS"]
+        plan = _plan(small_dblp_acm)
+        uninterrupted = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        ).run(factory(), plan, small_dblp_acm.ground_truth)
+        resumed, _ = _crash_and_resume(
+            factory, plan, small_dblp_acm.ground_truth, as_written=_with_retired_counter
+        )
+        assert resumed.details["metrics"]["counters"].pop(RETIRED_COUNTER) == 0
         _assert_runs_identical(uninterrupted, resumed)
 
     def test_no_double_counted_comparisons(self, small_dblp_acm):

@@ -60,14 +60,10 @@ def _system(strategy, substrate: str, clean_clean: bool, max_block_size=5) -> Pi
 
 
 def _accounted(counters: dict[str, float]) -> float:
-    """Every way a scanned pair leaves ``_process_block``."""
-    return sum(
-        counters.get(name, 0)
-        for name in (
-            "strategy.comparisons_enqueued",
-            "strategy.redundant_pairs",
-            "blocking.lsh.candidates_pruned",
-        )
+    """The two ways a scanned pair leaves ``_process_block``: enqueued, or
+    redundant (generated from an earlier block already)."""
+    return counters.get("strategy.comparisons_enqueued", 0) + counters.get(
+        "strategy.redundant_pairs", 0
     )
 
 
@@ -225,8 +221,7 @@ def test_each_block_pair_is_scanned_once(substrate, small_dblp_acm):
 def test_executes_the_blocking_graph_all_of_it_once(substrate, kind):
     """With nothing purged and nothing evicted, I-PBS at exhaustion has
     executed exactly the pairs that share a block — by a brute-force walk of
-    the blocks — minus those the LSH prefilter refuses, each of which is
-    counted as pruned once per block that holds it."""
+    the blocks — each scanned once per block that holds it."""
     dataset = load_dataset(*BLOCKING_GRAPH_DATASETS[kind])
     plan = make_stream_plan(split_into_increments(dataset, 20, seed=1), rate=None)
     system = PierSystem(
@@ -239,17 +234,9 @@ def test_executes_the_blocking_graph_all_of_it_once(substrate, kind):
     result = engine.run(system, plan, dataset.ground_truth)
     assert result.work_exhausted
     counters = result.details["metrics"]["counters"]
-    collection = system.collection
-    graph = co_block_pairs(collection)
-    refused = {
-        pair
-        for pair in graph
-        if collection.prunes_candidates and not collection.allows_pair(*pair)
-    }
-    assert system.store.executed == graph.keys() - refused
+    graph = co_block_pairs(system.collection)
+    assert system.store.executed == graph.keys()
     assert result.comparisons_executed == len(system.store.executed)  # none twice
     assert system.strategy.queued == set()
     assert counters["strategy.refill_pairs_scanned"] == sum(graph.values())
-    pruned = sum(graph[pair] for pair in refused)
-    assert counters.get("blocking.lsh.candidates_pruned", 0) == pruned
     assert _accounted(counters) == sum(graph.values())

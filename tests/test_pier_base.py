@@ -26,9 +26,7 @@ class TestComparisonGenerator:
         for pid, text in [(0, "alpha beta"), (1, "alpha beta"), (2, "alpha")]:
             collection.add_profile(make_profile(pid, text))
         generator = ComparisonGenerator(beta=0.01)  # keep all blocks
-        kept, operations = generator.generate(
-            collection, make_profile(1, "alpha beta"), lambda pid: True
-        )
+        kept, operations = generator.generate(collection, make_profile(1, "alpha beta"))
         partners = {w.comparison().other(1) for w in kept}
         assert 0 in partners  # strong candidate survives I-WNP
         assert operations >= len(kept)
@@ -41,9 +39,7 @@ class TestComparisonGenerator:
         for pid in range(2, 12):
             collection.add_profile(make_profile(pid, "common"))
         generator = ComparisonGenerator(beta=1.0)  # only smallest-size blocks
-        kept, _ = generator.generate(
-            collection, make_profile(0, "rare common"), lambda pid: True
-        )
+        kept, _ = generator.generate(collection, make_profile(0, "rare common"))
         partners = {w.comparison().other(0) for w in kept}
         assert partners == {1}  # candidates from 'common' were ghosted away
 
@@ -53,12 +49,13 @@ class TestComparisonGenerator:
         collection.add_profile(make_profile(1, "shared", source=0))
         collection.add_profile(make_profile(2, "shared", source=1))
         generator = ComparisonGenerator(beta=0.01)
-        kept, _ = generator.generate(
-            collection, make_profile(2, "shared", source=1), lambda pid: True
-        )
+        kept, _ = generator.generate(collection, make_profile(2, "shared", source=1))
         partners = {w.comparison().other(2) for w in kept}
         assert partners <= {0, 1}
         assert partners  # found the cross-source candidates
+        # Profile 1 shares its block with 0 as well: same source, never paired.
+        kept, _ = generator.generate(collection, make_profile(0, "shared", source=0))
+        assert [w.pair for w in kept] == [(0, 2)]
 
 
 class TestGetComparisons:

@@ -28,6 +28,12 @@ RETIRED_NAMES = (
     "--worker-" + "faults", "--reply-" + "timeout", "--handshake-" + "timeout",
     "--max-" + "respawns", "reply_" + "timeout_s", "handshake_" + "timeout_s",
     "max_" + "respawns", "min_" + "shard=",
+    # The LSH pre-filter substrate and the per-pair veto hook it needed.
+    "lsh-" + "prefilter", "LSHPrefilter" + "Collection", "prunes_" + "candidates",
+    "allows_" + "pair", "candidates_" + "pruned",
+    # Modules nothing reached, an escape hatch nothing set, an unread alias.
+    "ja" + "ro", "overlap_" + "coefficient", "Entity" + "Clusters",
+    "parallel_" + "cells", "_PRESEEDED_" + "COUNTERS",
 )
 
 
@@ -43,11 +49,13 @@ class TestExports:
 class TestRetiredNames:
     def test_nothing_shipped_mentions_them(self):
         root = Path(repro.__file__).parents[2]
+        # ``docs/changes/`` archives old changelog measurements, like CHANGES.md.
+        history = root / "docs" / "changes"
         shipped = [
             path
             for directory in ("src", "examples", "docs")
             for path in (root / directory).rglob("*")
-            if path.suffix in (".py", ".md")
+            if path.suffix in (".py", ".md") and history not in path.parents
         ] + list((root / "benchmarks").glob("*.py"))
         assert len(shipped) > 100  # the walk found the tree
         # Pointing at the oracle that replaced an option is not a mention.

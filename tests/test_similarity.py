@@ -17,7 +17,6 @@ from repro.matching.similarity import (
     jaccard,
     levenshtein,
     normalized_edit_similarity,
-    overlap_coefficient,
 )
 
 from tests.reference.levenshtein import levenshtein as textbook_levenshtein
@@ -62,16 +61,9 @@ class TestDiceAndOverlap:
     def test_dice_partial(self):
         assert dice({"a", "b"}, {"b", "c"}) == pytest.approx(0.5)
 
-    def test_overlap_subset_is_one(self):
-        assert overlap_coefficient({"a"}, {"a", "b", "c"}) == 1.0
-
     @given(token_sets, token_sets)
     def test_dice_dominates_jaccard(self, x, y):
         assert dice(x, y) >= jaccard(x, y)
-
-    @given(token_sets, token_sets)
-    def test_overlap_dominates_dice(self, x, y):
-        assert overlap_coefficient(x, y) >= dice(x, y) - 1e-12
 
 
 class TestLevenshtein:

@@ -61,8 +61,9 @@ def _assert_sweep_is_reference(
     """One profile: candidates, order, floats, kept set and cost units.
 
     ``drop_filter`` hands the sweep ``None`` for the predicate, as
-    ``ComparisonGenerator`` does when the filter is redundant (always true,
-    or cross-source on a sweep that already reads only the other source).
+    ``ComparisonGenerator`` always does: the predicates given here are
+    either always true or cross-source on a sweep that already reads only
+    the other source, so the reference must come out the same.
     """
     predicate = None if drop_filter else valid_partner
     candidates, weights = sweep_candidate_weights(
@@ -121,14 +122,15 @@ class TestSweepBitIdentity:
 
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_generator_paths_identical(self, cc_collection, scheme_name):
-        """ComparisonGenerator emits the reference generator's stream."""
+        """ComparisonGenerator emits the reference generator's stream —
+        cross-source only, with no predicate of its own."""
         dataset, collection = cc_collection
         scheme = make_scheme(scheme_name)
         sweep_gen = ComparisonGenerator(beta=0.2, scheme=scheme)
         sources = {profile.pid: profile.source for profile in dataset.profiles}
         for profile in dataset.profiles[:80]:
             valid = lambda pid, s=profile.source: sources[pid] != s
-            assert sweep_gen.generate(collection, profile, valid) == reference_generate(
+            assert sweep_gen.generate(collection, profile) == reference_generate(
                 collection, profile, valid, scheme, 0.2
             )
 
