@@ -490,33 +490,48 @@ class ExecutionCore:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    # The emission round: one findK/emit step, its batch executed
+    # ------------------------------------------------------------------
+    def _emission_round(self, state: RunState) -> None:
+        """Ask the system for its next batch and execute it.
+
+        Both engines run a round only while ``system.has_work()`` holds.
+        The batch executes under the deadline/retry/quarantine rules,
+        through the batched kernel when the matcher supports it, else the
+        scalar path; the match clock never exceeds the budget on return.
+        """
+        metrics = state.metrics
+        stats = self._pipeline_stats(state)
+        with metrics.time_phase("emit") as emit_timer:
+            emit = state.system.emit(stats)
+            state.clock += emit.cost
+            emit_timer.virtual += emit.cost
+        state.rounds += 1
+        metrics.count("engine.emission_rounds")
+        executed_before = state.recorder.comparisons_executed
+        if emit.batch:
+            execute = (
+                self._execute_batch_kernel
+                if state.matcher.supports_batch
+                else self._execute_batch_scalar
+            )
+            with metrics.time_phase("match") as match_timer:
+                state.clock = execute(state, emit.batch, match_timer)
+        self._record_round(
+            state, stats,
+            emitted=len(emit.batch),
+            executed=state.recorder.comparisons_executed - executed_before,
+        )
+
+    # ------------------------------------------------------------------
     # Comparison execution: scalar path and batched kernel
     # ------------------------------------------------------------------
-    def _execute_emission(
-        self,
-        state: RunState,
-        batch: tuple[tuple[int, int], ...],
-        match_timer: PhaseTimer,
-    ) -> bool:
-        """Execute one emission batch under deadline/retry/quarantine rules.
-
-        Routes to the batched kernel when the matcher supports it, else to
-        the scalar path.  Returns ``deadline_cut``; the match clock never
-        exceeds the budget on return.
-        """
-        if state.matcher.supports_batch:
-            clock, deadline_cut = self._execute_batch_kernel(state, batch, match_timer)
-        else:
-            clock, deadline_cut = self._execute_batch_scalar(state, batch, match_timer)
-        state.clock = clock
-        return deadline_cut
-
     def _execute_batch_scalar(
         self,
         state: RunState,
         batch: tuple[tuple[int, int], ...],
         match_timer: PhaseTimer,
-    ) -> tuple[float, bool]:
+    ) -> float:
         """Pair-at-a-time execution with the full retry machinery.
 
         This is the reference semantics the batched kernel must match; it is
@@ -604,14 +619,14 @@ class ExecutionCore:
                 state.duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
             if clock >= budget:
                 break
-        return clock, deadline_cut
+        return clock
 
     def _execute_batch_kernel(
         self,
         state: RunState,
         batch: tuple[tuple[int, int], ...],
         match_timer: PhaseTimer,
-    ) -> tuple[float, bool]:
+    ) -> float:
         """Batched execution: plan the deadline cut from estimates, charge
         the surviving prefix, score it in one batch.
 
@@ -638,7 +653,6 @@ class ExecutionCore:
         ceiling = self.resilience.cost_ceiling
         budget = self.budget
         clock = state.clock
-        deadline_cut = False
         profiles = [(system.profile(pid_x), system.profile(pid_y)) for pid_x, pid_y in batch]
         costs = matcher.estimate_cost_batch(profiles)
         selected: list[int] = []
@@ -653,7 +667,6 @@ class ExecutionCore:
                 metrics.count("engine.comparisons_cut_by_deadline", len(batch) - position)
                 match_timer.virtual += budget - clock
                 clock = budget
-                deadline_cut = True
                 break
             clock += cost
             match_timer.virtual += cost
@@ -679,7 +692,7 @@ class ExecutionCore:
                 state.unscored.extend(pairs)
                 if len(state.unscored) >= HAND_OFF_PAIRS:
                     self._hand_off(state)
-        return clock, deadline_cut
+        return clock
 
     @staticmethod
     def _record_matches(state: RunState, pairs: list, flags: Iterable[bool]) -> None:

@@ -14,9 +14,7 @@ sets.  :class:`ComparisonStore` centralizes them:
   pair generated before?", where the paper settles for a Bloom filter;
 * **quarantine registry** — pairs the engine refused to execute (cost
   ceiling, retry exhaustion).  Per-run state: cleared by
-  :meth:`begin_run`, overwritten from the checkpoint on resume;
-* **emission accounting** — totals of committed emissions and stale
-  dequeues, shared across strategies for reporting.
+  :meth:`begin_run`, overwritten from the checkpoint on resume.
 
 The store is owned by the system (it shares the system's lifetime, like the
 executed set it replaces) and snapshotted as one unit inside
@@ -32,15 +30,13 @@ __all__ = ["ComparisonStore"]
 
 
 class ComparisonStore:
-    """Executed-set, quarantine registry, emission accounting."""
+    """Executed-set and quarantine registry."""
 
-    __slots__ = ("executed", "quarantined", "emitted", "stale_dequeues")
+    __slots__ = ("executed", "quarantined")
 
     def __init__(self) -> None:
         self.executed: set[tuple[int, int]] = set()
         self.quarantined: set[tuple[int, int]] = set()
-        self.emitted = 0
-        self.stale_dequeues = 0
 
     # -- executed-set (exactly-once execution) --------------------------
     def was_executed(self, pid_x: int, pid_y: int) -> bool:
@@ -57,11 +53,6 @@ class ComparisonStore:
             return False
         self.executed.add(pair)
         return True
-
-    def record_emission(self, emitted: int, stale: int = 0) -> None:
-        """Account one emission round: committed pairs and stale dequeues."""
-        self.emitted += emitted
-        self.stale_dequeues += stale
 
     # -- quarantine registry --------------------------------------------
     def quarantine(self, pair: tuple[int, int]) -> None:
@@ -80,14 +71,11 @@ class ComparisonStore:
         return {
             "executed": set(self.executed),
             "quarantined": set(self.quarantined),
-            "emitted": self.emitted,
-            "stale_dequeues": self.stale_dequeues,
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Rewind to a snapshot.  Keys this store does not write (the
-        ``"bloom"`` entry of older checkpoints) are ignored."""
+        Bloom filter and the emission counts of older checkpoints) are
+        ignored."""
         self.executed = set(state["executed"])
         self.quarantined = set(state["quarantined"])
-        self.emitted = state["emitted"]
-        self.stale_dequeues = state["stale_dequeues"]

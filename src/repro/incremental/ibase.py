@@ -102,18 +102,17 @@ class IBaseSystem(ERSystem):
         self._flush_blocking_metrics(self.blocker.collection)
         return cost
 
+    def has_work(self) -> bool:
+        return bool(self._fifo)
+
     def emit(self, stats: PipelineStats) -> EmitResult:
         batch = []
         while self._fifo and len(batch) < self.chunk_size:
             batch.append(self._fifo.popleft())
-        self.store.record_emission(len(batch))
         return EmitResult(batch=tuple(batch), cost=self.costs.per_round)
 
     def ready_for_ingest(self) -> bool:
         return len(self._fifo) < self.high_watermark
-
-    def has_pending_comparisons(self) -> bool:
-        return bool(self._fifo)
 
     def gauges(self) -> dict[str, float]:
         return {"queue_depth": len(self._fifo)}

@@ -249,14 +249,6 @@ class GetComparisons:
         ]
         return weighted, len(pairs)
 
-    def is_exhausted(self, collection: BlockingSubstrate) -> bool:
-        """Whether no block is eligible — by a scan of the whole collection.
-
-        An independent probe for tests (it reads neither the heap nor the
-        growth feed); nothing in a run calls it, keep it off hot paths.
-        """
-        return not any(self._eligible(block) for block in collection)
-
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
         return {"cursor": dict(self._cursor), "heap": list(self._heap)}
@@ -297,15 +289,6 @@ class IncrPrioritization:
         return {}
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def exhausted(self, system: "PierSystem") -> bool:
-        """No comparisons left and no refill possible.
-
-        A probe for tests: implementations may scan the whole collection
-        (:meth:`GetComparisons.is_exhausted`), and no run calls it — the
-        engines learn of exhaustion from an idle refill that yields nothing.
-        """
         raise NotImplementedError
 
     # -- checkpoint support ---------------------------------------------
@@ -382,10 +365,12 @@ class PierSystem(ERSystem):
         self._flush_blocking_metrics(self.collection)
         return cost
 
+    def has_work(self) -> bool:
+        return len(self.strategy) > 0
+
     def emit(self, stats: PipelineStats) -> EmitResult:
         budget = self._find_k(stats)
-        store = self.store
-        executed = store.executed
+        executed = self.store.executed
         dequeue = self.strategy.dequeue
         batch: list[tuple[int, int]] = []
         stale = 0
@@ -404,7 +389,6 @@ class PierSystem(ERSystem):
             self.metrics.count("pier.comparisons_emitted", len(batch))
         if stale:
             self.metrics.count("pier.dequeued_already_executed", stale)
-        store.record_emission(len(batch), stale)
         cost = self.costs.per_round + self.costs.per_enqueue * len(batch)
         return EmitResult(batch=tuple(batch), cost=cost)
 
@@ -417,9 +401,6 @@ class PierSystem(ERSystem):
 
     def profile(self, pid: int) -> EntityProfile:
         return self.blocker.profile(pid)
-
-    def has_pending_comparisons(self) -> bool:
-        return len(self.strategy) > 0
 
     def gauges(self) -> dict[str, float]:
         return {

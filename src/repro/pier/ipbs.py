@@ -206,15 +206,6 @@ class IPBS(IncrPrioritization):
     def __len__(self) -> int:
         return len(self.index)
 
-    def exhausted(self, system: PierSystem) -> bool:
-        if self.index:
-            return False
-        collection = system.collection
-        return not any(
-            count > 0 and collection.get(key) is not None
-            for key, count in self.cardinality_index.items()
-        )
-
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
         return {

@@ -100,9 +100,6 @@ class IPCS(IncrPrioritization):
     def __len__(self) -> int:
         return len(self.index)
 
-    def exhausted(self, system: PierSystem) -> bool:
-        return not self.index and self.refill.is_exhausted(system.collection)
-
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
         # generator/scheme are pure configuration; only the queue and the

@@ -41,7 +41,8 @@ class BatchProgressiveSystem(ERSystem):
 
     Subclasses implement :meth:`_initialize` (build the prioritization
     state, return its virtual cost) and :meth:`_next_pairs` (produce up to
-    ``n`` prioritized pairs, return them with their cost).
+    ``n`` prioritized pairs, return them with their cost; no pairs means
+    the emission order has been read to its end).
     """
 
     def __init__(
@@ -66,9 +67,9 @@ class BatchProgressiveSystem(ERSystem):
         )
         self._profiles: dict[int, EntityProfile] = {}
         self._dirty = False
-        # Set once ``_next_pairs`` comes back empty: nothing left to emit
-        # until the next increment.  Starts unset (not yet known).
-        self._drained = False
+        # The whole emission order has been read (at first, the empty one):
+        # nothing left to emit until the next increment.
+        self._drained = True
         self.store = ComparisonStore()
         self._pending_init_cost = 0.0
         self.initializations = 0
@@ -104,6 +105,9 @@ class BatchProgressiveSystem(ERSystem):
         self._pending_init_cost += self._estimate_init_cost()
         return cost
 
+    def has_work(self) -> bool:
+        return self._dirty or not self._drained
+
     def emit(self, stats: PipelineStats) -> EmitResult:
         if self._dirty:
             owed = max(self._pending_init_cost, self._estimate_init_cost())
@@ -120,21 +124,23 @@ class BatchProgressiveSystem(ERSystem):
             self.metrics.count("batch.initializations")
             self.metrics.count("batch.initialization_cost_s", cost)
             return EmitResult(batch=(), cost=cost)
-        pairs, cost = self._next_pairs(self.chunk_size)
-        self._drained = not pairs
-        store = self.store
+        # Read on past chunks whose pairs were all executed already (by an
+        # earlier initialization's order): a round comes back empty only at
+        # the end of the order.
+        mark_executed = self.store.mark_executed
         fresh: list[tuple[int, int]] = []
-        for pair in pairs:
-            if store.mark_executed(pair):
-                fresh.append(pair)
-        store.record_emission(len(fresh), len(pairs) - len(fresh))
-        return EmitResult(batch=tuple(fresh), cost=cost + self.costs.per_round)
+        cost = self.costs.per_round
+        while not fresh:
+            pairs, chunk_cost = self._next_pairs(self.chunk_size)
+            cost += chunk_cost
+            if not pairs:
+                self._drained = True
+                break
+            fresh = [pair for pair in pairs if mark_executed(pair)]
+        return EmitResult(batch=tuple(fresh), cost=cost)
 
     def profile(self, pid: int) -> EntityProfile:
         return self._profiles[pid]
-
-    def has_pending_comparisons(self) -> bool:
-        return self._dirty or not self._drained
 
     # ------------------------------------------------------------------
     # Hooks

@@ -17,11 +17,13 @@ the *serial* step-ordering policy, one loop iteration being:
 
 1. ingest every increment that has arrived by ``clock`` (subject to the
    system's back-pressure hook), charging ingestion costs;
-2. ask the system for one emission round and execute its batch through the
-   matcher, recording each executed comparison against the ground truth;
-3. if the system emitted nothing: let it manufacture idle work (the paper's
-   "empty increment" trigger), or fast-forward to the next arrival, or stop
-   when both the stream and the system are exhausted.
+2. if the system has work (``system.has_work()``), run one emission round
+   and execute its batch through the matcher, recording each executed
+   comparison against the ground truth;
+3. otherwise: force one back-pressured increment through, or let the
+   system manufacture idle work (the paper's "empty increment" trigger), or
+   fast-forward to the next arrival, or stop when both the stream and the
+   system are exhausted.
 
 Because every stage charges the same clock, an expensive matcher delays
 ingestion (and vice versa) — the fully sequential execution model.
@@ -56,7 +58,6 @@ class StreamingEngine(ExecutionCore):
             self._loop_top(state)
 
             # -- 1. ingest all due increments ---------------------------
-            ingested_now = False
             with metrics.time_phase("ingest") as ingest_timer:
                 while (
                     state.next_arrival < state.n_arrivals
@@ -65,38 +66,19 @@ class StreamingEngine(ExecutionCore):
                 ):
                     if state.increments[state.next_arrival].index in state.seen_increments:
                         self._drop_redelivered(state, state.clock)
-                        ingested_now = True
                         continue
                     self._ingest_one(state, ingest_timer)
-                    ingested_now = True
                     if state.clock >= budget:
                         break
             if state.clock >= budget:
                 break
 
-            # -- 2. one emission round ----------------------------------
-            stats = self._pipeline_stats(state)
-            with metrics.time_phase("emit") as emit_timer:
-                emit = system.emit(stats)
-                state.clock += emit.cost
-                emit_timer.virtual += emit.cost
-            state.rounds += 1
-            metrics.count("engine.emission_rounds")
-            executed_before = state.recorder.comparisons_executed
-            if emit.batch:
-                with metrics.time_phase("match") as match_timer:
-                    self._execute_emission(state, emit.batch, match_timer)
-                self._record_round(
-                    state, stats,
-                    emitted=len(emit.batch),
-                    executed=state.recorder.comparisons_executed - executed_before,
-                )
-                continue
-            self._record_round(state, stats, emitted=0, executed=0)
-            if ingested_now or state.clock >= budget:
+            # -- 2. one emission round, if the system has work ----------
+            if system.has_work():
+                self._emission_round(state)
                 continue
 
-            # -- 3. nothing emitted: idle handling ----------------------
+            # -- 3. no work: idle handling ------------------------------
             if state.next_arrival < state.n_arrivals and arrival_times[state.next_arrival] <= state.clock:
                 # Back-pressure refused ingestion but there is no work
                 # either: force-feed one increment to avoid a livelock.

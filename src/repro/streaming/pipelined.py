@@ -73,24 +73,13 @@ class PipelinedStreamingEngine(ExecutionCore):
                 self._ingest_step(state)
 
             # -- 2. one emission round on the match clock ----------------
-            if system.has_pending_comparisons():
-                stats = self._pipeline_stats(state)
-                with metrics.time_phase("emit") as emit_timer:
-                    emit = system.emit(stats)
-                    state.clock += emit.cost
-                    emit_timer.virtual += emit.cost
-                state.rounds += 1
-                metrics.count("engine.emission_rounds")
-                executed_before = state.recorder.comparisons_executed
-                clock_before = state.clock
-                with metrics.time_phase("match") as match_timer:
-                    deadline_cut = self._execute_emission(state, emit.batch, match_timer)
-                executed = state.recorder.comparisons_executed - executed_before
-                self._record_round(state, stats, emitted=len(emit.batch), executed=executed)
-                if executed or deadline_cut or emit.cost > 0 or state.clock > clock_before:
-                    continue
+            if system.has_work():
+                self._emission_round(state)
+                continue
 
             # -- 3. match stage starved: advance towards more input ------
+            # (``on_idle`` only once the stream is consumed, unlike the
+            # serial engine: see docs/architecture.md.)
             if state.next_arrival < state.n_arrivals:
                 start = max(arrival_times[state.next_arrival], state.ingest_clock)
                 if start >= budget:

@@ -60,16 +60,13 @@ class EmitResult:
     batch: tuple[tuple[int, int], ...]
     cost: float
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.batch
-
 
 class ERSystem:
     """Base class for all ER systems driven by the streaming engine.
 
-    Subclasses must implement :meth:`ingest`, :meth:`emit` and
-    :meth:`profile`; the remaining hooks have sensible defaults.
+    Subclasses must implement :meth:`ingest`, :meth:`has_work`,
+    :meth:`emit` and :meth:`profile`; the remaining hooks have sensible
+    defaults.
     """
 
     name: str = "er-system"
@@ -131,6 +128,18 @@ class ERSystem:
         """Consume a data increment; return the virtual cost of doing so."""
         raise NotImplementedError
 
+    def has_work(self) -> bool:
+        """Would :meth:`emit` make progress right now?
+
+        Both engines ask before every emission round and call :meth:`emit`
+        only on ``True``; on ``False`` they go straight to idle handling
+        (a forced ingest, :meth:`on_idle`, a fast-forward, or exhaustion).
+        Systems answer from their own queue or cursor, and a ``True`` must
+        be backed by state the next :meth:`emit` consumes, or the engines
+        spin on it.
+        """
+        raise NotImplementedError
+
     def emit(self, stats: PipelineStats) -> EmitResult:
         """Produce the next batch of comparisons to execute."""
         raise NotImplementedError
@@ -148,21 +157,8 @@ class ERSystem:
         """
         return True
 
-    def has_pending_comparisons(self) -> bool:
-        """Cheap probe: would :meth:`emit` (likely) return work right now?
-
-        Used by the pipelined engine to decide whether the match stage can
-        proceed without waiting for the ingest stage.  Systems answer from
-        their own queue or cursor.  The inherited ``True`` is *not* a safe
-        default for a system that can run out of work: its empty
-        :meth:`emit` still costs a round, which that engine counts as
-        progress, so it spends the whole budget on empty rounds and never
-        reports ``work_exhausted``.
-        """
-        return True
-
     def on_idle(self, stats: PipelineStats) -> float | None:
-        """Called when no increment is due and :meth:`emit` returned empty.
+        """Called when no increment is due and :meth:`has_work` is ``False``.
 
         Systems that can manufacture more work (the paper's "empty
         increment" trigger, e.g. ``GetComparisons`` refills) do so and

@@ -151,15 +151,6 @@ class PendingScanIPBS(IncrPrioritization):
     def __len__(self) -> int:
         return len(self.index)
 
-    def exhausted(self, system: PierSystem) -> bool:
-        if self.index:
-            return False
-        collection = system.collection
-        return not any(
-            count > 0 and collection.get(key) is not None
-            for key, count in self.cardinality_index.items()
-        )
-
     def snapshot_state(self) -> dict[str, object]:
         return {
             "index": copy.deepcopy(self.index),

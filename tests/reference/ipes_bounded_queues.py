@@ -211,11 +211,6 @@ class BoundedQueuesIPES(IncrPrioritization):
     def __len__(self) -> int:
         return self._entity_items + len(self.overflow)
 
-    def exhausted(self, system: PierSystem) -> bool:
-        if len(self):
-            return False
-        return self.refill.is_exhausted(system.collection)
-
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
         return {

@@ -52,9 +52,10 @@ class ScriptedSystem(ERSystem):
     def ingest(self, increment: Increment) -> float:
         return 0.0
 
+    def has_work(self) -> bool:
+        return self._pairs is not None
+
     def emit(self, stats: PipelineStats) -> EmitResult:
-        if self._pairs is None:
-            return EmitResult(batch=(), cost=0.0)
         batch, self._pairs = tuple(self._pairs), None
         return EmitResult(batch=batch, cost=0.0)
 

@@ -101,6 +101,16 @@ def _before_exact_dedup(checkpoint):
     return replace(checkpoint, system_state=system_state)
 
 
+def _with_emission_counts(checkpoint):
+    """A checkpoint as written while the comparison store still counted
+    emitted pairs and stale dequeues."""
+    system_state = dict(checkpoint.system_state)
+    store = system_state["store"]
+    assert "emitted" not in store and "stale_dequeues" not in store
+    system_state["store"] = {**store, "emitted": 1234, "stale_dequeues": 56}
+    return replace(checkpoint, system_state=system_state)
+
+
 #: Preseeded at zero by every run while the LSH pre-filter substrate existed.
 RETIRED_COUNTER = "blocking.lsh.candidates_pruned"
 
@@ -191,6 +201,20 @@ class TestCrashResumeDeterminism:
         resumed, _ = _crash_and_resume(
             _ipbs_small_rounds, plan, small_dblp_acm.ground_truth,
             as_written=_before_exact_dedup,
+        )
+        _assert_runs_identical(uninterrupted, resumed)
+
+    @pytest.mark.parametrize("name", ["I-PES", "I-BASE"])
+    def test_checkpoint_holding_emission_counts(self, name, small_dblp_acm):
+        """The store's retired emission counts ride in the checkpoint and
+        are ignored: the resumed run finishes equal to the uninterrupted one."""
+        factory = STRATEGY_FACTORIES[name]
+        plan = _plan(small_dblp_acm)
+        uninterrupted = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        ).run(factory(), plan, small_dblp_acm.ground_truth)
+        resumed, _ = _crash_and_resume(
+            factory, plan, small_dblp_acm.ground_truth, as_written=_with_emission_counts
         )
         _assert_runs_identical(uninterrupted, resumed)
 

@@ -12,6 +12,8 @@ from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
+from tests.conftest import build_system
+
 
 def _engine(budget=100.0) -> StreamingEngine:
     return StreamingEngine(JaccardMatcher(0.4), budget=budget)
@@ -105,6 +107,9 @@ class TestBackPressure:
                 self.ingested += 1
                 return 0.001
 
+            def has_work(self):
+                return False
+
             def emit(self, stats):
                 return EmitResult(batch=(), cost=0.0)
 
@@ -119,6 +124,33 @@ class TestBackPressure:
         result = _engine(budget=1.0).run(system, plan, toy_dirty_dataset.ground_truth)
         assert system.ingested == 3
         assert result.work_exhausted
+
+
+class EmitSpy:
+    """A system seen through a spy that notes, at every ``emit``, whether
+    the system said it had work."""
+
+    def __init__(self, system) -> None:
+        self.system = system
+        self.had_work: list[bool] = []
+
+    def emit(self, stats):
+        self.had_work.append(self.system.has_work())
+        return self.system.emit(stats)
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+
+class TestEmissionAsksForWork:
+    @pytest.mark.parametrize("name", ["I-PES", "I-PBS", "I-BASE", "PBS-GLOBAL", "GS-PSN"])
+    @pytest.mark.parametrize("rate", [None, 2.0], ids=["static", "streamed"])
+    def test_never_emits_without_work(self, name, rate, small_dblp_acm):
+        plan = make_stream_plan(split_into_increments(small_dblp_acm, 6, seed=0), rate=rate)
+        spy = EmitSpy(build_system(name, small_dblp_acm))
+        result = _engine(budget=300.0).run(spy, plan, small_dblp_acm.ground_truth)
+        assert result.work_exhausted
+        assert spy.had_work and all(spy.had_work)
 
 
 class TestConsumedMarker:

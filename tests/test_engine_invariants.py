@@ -39,8 +39,7 @@ def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm):
     plan = make_stream_plan(
         split_into_increments(small_dblp_acm, n_increments, seed=0), rate=None
     )
-    # A short budget: the batch systems never report exhaustion to the
-    # pipelined engine, which then spends what is left on empty rounds.
+    # A short budget: the run ends mid-way, with work still to come.
     engine = engine_factory(build_matcher("JS"), budget=1.0)
     push = engine.open_push(
         build_system(system_name, small_dblp_acm), small_dblp_acm.ground_truth
@@ -113,6 +112,10 @@ class _BackpressureProbe(ERSystem):
 
     def ready_for_ingest(self) -> bool:
         return self._ingested == 0
+
+    def has_work(self) -> bool:
+        # One round per ingested increment.
+        return len(self.seen_backlogs) < self._ingested
 
     def emit(self, stats: PipelineStats) -> EmitResult:
         self.seen_backlogs.append(stats.backlog)

@@ -29,6 +29,7 @@ from repro.streaming.system import PipelineStats
 
 from tests.conftest import BLOCKING_GRAPH_DATASETS, make_profile
 from tests.reference.blocking_graph import co_block_pairs
+from tests.reference.exhaustion import strategy_exhausted
 from tests.reference.ipbs_pending_scan import PendingScanIPBS
 
 VOCABULARY = ("ash", "birch", "cedar", "dogwood")
@@ -131,7 +132,9 @@ def test_once_per_pair_scan_matches_pending_scan(
         assert system.strategy.queued == oracle.strategy.queued
         assert system.strategy.cardinality_index == oracle.strategy.cardinality_index
         assert len(system.strategy) == len(oracle.strategy)
-    assert system.strategy.exhausted(system) == oracle.strategy.exhausted(oracle)
+    assert strategy_exhausted(system.strategy, system) == strategy_exhausted(
+        oracle.strategy, oracle
+    )
     counters = system.metrics.snapshot()["counters"]
     scanned = counters.get("strategy.refill_pairs_scanned", 0)
     assert _accounted(counters) == scanned <= oracle.strategy.probes
@@ -167,7 +170,7 @@ def test_refused_first_offer_stays_dropped(clean_clean):
         while system.emit(STATS).batch:
             pass
         assert system.on_idle(STATS) is None
-        assert system.strategy.exhausted(system)
+        assert strategy_exhausted(system.strategy, system)
         runs.append(system)
     system, resumed, oracle = runs
     offered = [pair for pair, _ in system.strategy.index.log]

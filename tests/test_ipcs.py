@@ -8,6 +8,7 @@ from repro.pier.ipcs import IPCS
 from repro.streaming.system import PipelineStats
 
 from tests.conftest import make_profile
+from tests.reference.exhaustion import strategy_exhausted
 
 
 def _stats() -> PipelineStats:
@@ -88,9 +89,9 @@ class TestIPCS:
     def test_exhausted_semantics(self):
         system = _system()
         strategy: IPCS = system.strategy
-        assert strategy.exhausted(system)  # nothing ingested at all
+        assert strategy_exhausted(strategy, system)  # nothing ingested at all
         system.ingest(Increment(0, (make_profile(0, "a1 b1"), make_profile(1, "a1 b1"))))
-        assert not strategy.exhausted(system)
+        assert not strategy_exhausted(strategy, system)
 
     def test_weights_are_cbs(self):
         system = _system(beta=0.01)

@@ -8,6 +8,7 @@ from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 
 from tests.conftest import make_profile
+from tests.reference.exhaustion import strategy_exhausted
 
 
 def _system(**kwargs) -> PierSystem:
@@ -123,9 +124,9 @@ class TestWithinSystem:
     def test_exhausted_lifecycle(self):
         system = _system()
         strategy: IPES = system.strategy
-        assert strategy.exhausted(system)
+        assert strategy_exhausted(strategy, system)
         system.ingest(Increment(0, (make_profile(0, "a1"), make_profile(1, "a1"))))
-        assert not strategy.exhausted(system)
+        assert not strategy_exhausted(strategy, system)
 
     def test_len_counts_entities_and_overflow(self):
         strategy = IPES()

@@ -12,6 +12,7 @@ from repro.priority.rates import AdaptiveK
 from repro.streaming.system import PipelineStats
 
 from tests.conftest import make_profile
+from tests.reference.exhaustion import refill_exhausted
 
 
 def _stats(input_rate=None, mean_match_cost=1e-4) -> PipelineStats:
@@ -85,7 +86,7 @@ class TestGetComparisons:
         refill.next_batch(collection, lambda x, y: False)
         refill.next_batch(collection, lambda x, y: False)
         assert refill.next_batch(collection, lambda x, y: False) is None
-        assert refill.is_exhausted(collection)
+        assert refill_exhausted(refill, collection)
 
     def test_executed_pairs_filtered(self):
         refill = GetComparisons()
@@ -100,7 +101,7 @@ class TestGetComparisons:
         while refill.next_batch(collection, lambda x, y: False) is not None:
             pass
         collection.add_profile(make_profile(3, "small"))
-        assert not refill.is_exhausted(collection)
+        assert not refill_exhausted(refill, collection)
         batch, _ = refill.next_batch(collection, lambda x, y: False)
         new_pairs = {w.pair for w in batch}
         assert (0, 3) in new_pairs and (1, 3) in new_pairs

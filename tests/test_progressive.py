@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.increments import Increment
@@ -48,7 +50,7 @@ class TestPPS:
         system = PPSSystem()
         system.ingest(Increment(0, PROFILES))
         first = system.emit(_stats())
-        assert first.is_empty       # initialization round
+        assert not first.batch      # initialization round
         assert first.cost > 0
         second = system.emit(_stats())
         assert second.batch          # emission starts
@@ -65,7 +67,7 @@ class TestPPS:
         system = PPSSystem()
         system.ingest(Increment(0, PROFILES))
         result = system.emit(_stats(remaining=1e-12))
-        assert result.is_empty
+        assert not result.batch
         assert result.cost >= 1e-12
         assert system.initializations == 0  # actual build skipped
 
@@ -153,6 +155,22 @@ class TestPBS:
         system.emit(_stats())
         pairs = _drain(system)
         assert pairs[0] == (0, 1)
+
+    def test_round_reads_on_past_executed_pairs(self):
+        """Chunks of pairs executed already do not end the round: it comes
+        back empty only at the end of the emission order, and only then
+        does the system report no work."""
+        system = PBSSystem(chunk_size=1)
+        system.ingest(Increment(0, PROFILES))
+        system.emit(_stats())  # init
+        order = _drain(copy.deepcopy(system))
+        assert len(order) > 2
+        for pair in order[:-1]:
+            system.store.mark_executed(pair)
+        assert system.emit(_stats()).batch == (order[-1],)
+        assert system.has_work()
+        assert not system.emit(_stats()).batch
+        assert not system.has_work()
 
 
 class TestBatchER:

@@ -10,6 +10,12 @@ import pytest
 import repro
 from repro import load_dataset, resolve_stream
 from repro.api import EngineOptions
+from repro.execution.store import ComparisonStore
+from repro.pier.base import GetComparisons, IncrPrioritization
+from repro.pier.ipbs import IPBS
+from repro.pier.ipcs import IPCS
+from repro.pier.ipes import IPES
+from repro.streaming.system import EmitResult, ERSystem
 
 #: Options and shims retired for one production path per behaviour (their
 #: oracles live in ``tests/reference/``).  Spelled split so this file does
@@ -34,6 +40,10 @@ RETIRED_NAMES = (
     # Modules nothing reached, an escape hatch nothing set, an unread alias.
     "ja" + "ro", "overlap_" + "coefficient", "Entity" + "Clusters",
     "parallel_" + "cells", "_PRESEEDED_" + "COUNTERS",
+    # Guesses at "is there work?" that ``has_work()`` replaced, and the
+    # emission counts and exhaustion probes no run read.
+    "has_pending_" + "comparisons", "record_" + "emission", "stale_" + "dequeues",
+    "is_" + "exhausted", "." + "exhausted(",
 )
 
 
@@ -68,6 +78,23 @@ class TestRetiredNames:
             (file, name) for file, text in texts.items() for name in RETIRED_NAMES if name in text
         ]
         assert mentions == []
+
+    def test_retired_members_are_gone(self):
+        """Names too common for the text scan (``Increment.is_empty`` and
+        ``work_exhausted`` stay)."""
+        for owner, name in (
+            (EmitResult, "is_empty"),
+            (ERSystem, "has_pending_comparisons"),
+            (ComparisonStore, "record_emission"),
+            (ComparisonStore, "emitted"),
+            (ComparisonStore, "stale_dequeues"),
+            (GetComparisons, "is_exhausted"),
+            (IncrPrioritization, "exhausted"),
+            (IPCS, "exhausted"),
+            (IPBS, "exhausted"),
+            (IPES, "exhausted"),
+        ):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
     def test_engine_options_has_exactly_these_fields(self):
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [

@@ -32,6 +32,7 @@ from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 
 from tests.conftest import make_profile
+from tests.reference.exhaustion import refill_exhausted
 from tests.reference.full_rescan_refill import FullRescanRefill
 
 VOCABULARY = ("ash", "birch", "cedar", "dogwood")
@@ -123,7 +124,7 @@ def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_
             state = copy.deepcopy(refill.snapshot_state())
             refill = GetComparisons(scheme)
             refill.restore_state(state)
-    assert refill.is_exhausted(collection) == (
+    assert refill_exhausted(refill, collection) == (
         oracle.next_batch(collection, was_executed) is None
     )
     # Finding the blocks cost what grew: a key is examined at most once per

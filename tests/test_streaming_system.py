@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import Increment
-from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
+from repro.streaming.system import ERSystem, PipelineCosts, PipelineStats
 
 
 class TestPipelineCosts:
@@ -27,12 +27,6 @@ class TestPipelineCosts:
             PipelineCosts().per_profile = 1.0
 
 
-class TestEmitResult:
-    def test_is_empty(self):
-        assert EmitResult(batch=(), cost=0.1).is_empty
-        assert not EmitResult(batch=((1, 2),), cost=0.1).is_empty
-
-
 class TestPipelineStats:
     def test_remaining_budget_defaults_none(self):
         stats = PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
@@ -51,6 +45,8 @@ class TestERSystemDefaults:
         system = ERSystem()
         with pytest.raises(NotImplementedError):
             system.ingest(Increment(0, ()))
+        with pytest.raises(NotImplementedError):
+            system.has_work()
         with pytest.raises(NotImplementedError):
             system.emit(
                 PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
