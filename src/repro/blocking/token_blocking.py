@@ -17,6 +17,8 @@ swaps in the MinHash-LSH tier without touching any consumer — everything downs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate, make_collection
 from repro.core.increments import Increment
@@ -78,11 +80,7 @@ class IncrementalTokenBlocking:
     # ------------------------------------------------------------------
     # Profile store (the pipeline needs profiles back by pid when matching)
     # ------------------------------------------------------------------
-    def profile(self, pid: int) -> EntityProfile:
-        return self._profiles[pid]
-
-    def get_profile(self, pid: int) -> EntityProfile | None:
-        return self._profiles.get(pid)
-
-    def known_profiles(self) -> int:
-        return len(self._profiles)
+    @property
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        """Read-only pid → profile view of every profile indexed so far."""
+        return MappingProxyType(self._profiles)

@@ -40,6 +40,12 @@ class GroundTruth:
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return canonical_pair(*pair) in self._pairs
 
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The canonical pairs themselves, for callers that canonicalize
+        their probes already."""
+        return self._pairs
+
     def __len__(self) -> int:
         return len(self._pairs)
 

@@ -71,14 +71,15 @@ class ProgressRecorder:
         """
         executed = self._executed_pairs
         found = self._found_pairs
-        truth = self.ground_truth
+        truth = self.ground_truth.pairs  # canonical, as the probes below
         points = self._points
         sample_every = self.sample_every
+        count = self.comparisons_executed
         matches = 0
         for pair, time in zip(pairs, times):
             if not pair[0] < pair[1]:
                 pair = canonical_pair(*pair)
-            self.comparisons_executed += 1
+            count += 1
             if pair in executed:
                 self.duplicate_executions += 1
             else:
@@ -88,15 +89,12 @@ class ProgressRecorder:
                     matches += 1
                     self.matches_emitted += 1
                     self._match_events.append((time, pair))
-                    points.append(
-                        ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
-                    )
+                    points.append(ProgressPoint(time, count, self.matches_emitted))
                     continue
             # Misses (and re-executions) are sampled sparsely.
-            if self.comparisons_executed % sample_every == 0:
-                points.append(
-                    ProgressPoint(time, self.comparisons_executed, self.matches_emitted)
-                )
+            if count % sample_every == 0:
+                points.append(ProgressPoint(time, count, self.matches_emitted))
+        self.comparisons_executed = count
         return matches
 
     def mark(self, time: float) -> None:

@@ -25,14 +25,18 @@ Comparison execution has two paths, selected by what the matcher declares
   ``matcher.evaluate`` with the full retry/backoff/quarantine machinery —
   it is what runs a ``supports_batch = False`` matcher (fault injection,
   latency spikes whose cost overshoots the estimate);
-* the **batched kernel** plans the deadline cut from
-  ``matcher.estimate_cost_batch`` and executes the surviving prefix with a
-  single ``matcher.evaluate_batch`` call.  For matchers that declare
-  ``supports_batch`` (evaluation is deterministic, never raises, and costs
-  exactly its estimate) this produces the clocks, curves and counters the
-  scalar path would (``tests/test_engine_parity.py`` runs the same matcher
-  through both) while amortizing per-pair Python dispatch — the acceleration
-  lever of SPER-style batched similarity evaluation.  With a worker pool —
+* the **batched kernel** handles each pair in one pass: its profiles are
+  looked up through the system's read-only ``profiles`` mapping, its cost
+  is computed once (``matcher.estimate_cost_batch``), the deadline cut is
+  planned over the round's costs in C, and the surviving prefix is scored
+  and accounted by a single ``matcher.evaluate_batch(pairs, costs)`` call,
+  which returns match flags, not per-pair result objects.  For matchers
+  that declare ``supports_batch`` (evaluation is deterministic, never
+  raises, and costs exactly its estimate) this produces the clocks, curves
+  and counters the scalar path would (``tests/test_engine_parity.py`` runs
+  the same matchers through both) while amortizing per-pair Python
+  dispatch — the acceleration lever of SPER-style batched similarity
+  evaluation.  With a worker pool —
   supplied by its owner, :class:`~repro.api.ERSession` or the service; the
   core never starts one — the kernel charges the round when it runs and
   scores it off the round (see :meth:`ExecutionCore._execute_batch_kernel`).
@@ -60,8 +64,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from operator import attrgetter
+from functools import reduce
+from itertools import accumulate, compress, islice
+from operator import add
 from typing import Iterable
 
 from repro.core.dataset import GroundTruth
@@ -111,8 +116,6 @@ PRESEEDED_COUNTERS = (
     "parallel.shm_bytes",
     "parallel.supervision.evictions",
 ) + tuple(f"matcher.kernel.{name}" for name in sorted(KERNEL_COUNTERS))
-
-_IS_MATCH = attrgetter("is_match")
 
 #: Pairs per hand-off to the worker fleet.  Sized by measurement, not an
 #: option.  ``fleet_ed``'s run (I-PES/ED on dblp_acm x0.6, 55,927 pairs, two
@@ -538,7 +541,7 @@ class ExecutionCore:
         also the only path able to handle impure matchers (transient faults,
         latency spikes whose actual cost overshoots the estimate).
         """
-        system = state.system
+        profiles = state.system.profiles
         matcher = state.matcher
         metrics = state.metrics
         recorder = state.recorder
@@ -549,8 +552,8 @@ class ExecutionCore:
         ceiling = self.resilience.cost_ceiling
         deadline_cut = False
         for position, (pid_x, pid_y) in enumerate(batch):
-            profile_x = system.profile(pid_x)
-            profile_y = system.profile(pid_y)
+            profile_x = profiles[pid_x]
+            profile_y = profiles[pid_y]
             cost = matcher.estimate_cost(profile_x, profile_y)
             if ceiling is not None and cost > ceiling:
                 # Pathological pair: estimated cost alone busts the ceiling.
@@ -637,6 +640,18 @@ class ExecutionCore:
         order — so the scalar path's retry/overshoot branches are provably
         dead and the cut position is decidable up front.
 
+        The plan is one pass in C: ``accumulate`` folds the round's costs
+        onto the clock left to right, exactly as the scalar loop adds them,
+        so its running sums *are* the scalar loop's clocks, and ``bisect``
+        finds the first pair that finishes at or past the deadline (costs
+        are non-negative, so the sums never decrease).  That pair is cut if
+        it would overshoot; one finishing exactly at the deadline still
+        runs and ends the round.  A ``cost_ceiling`` is a filter in front
+        of the plan: pairs whose estimate alone busts it are set aside, and
+        those before the round's end are quarantined, as the scalar loop
+        meets them.  A round that loses nothing passes its batch, profiles
+        and costs on as they are.
+
         The accounting of a round has two sides.  The **cost side** needs
         only the estimates and everything later in the run depends on it
         (the clock, ``mean_cost`` and with it the next ``K``, the progress
@@ -645,51 +660,70 @@ class ExecutionCore:
         is read by nothing inside a run, so with a worker fleet the scores
         may arrive later: the round's pairs join ``state.unscored`` and are
         settled at the next join point (:meth:`_join`).  Without a fleet
-        both sides run back to back, right here.
+        both sides run back to back, right here, in one
+        ``matcher.evaluate_batch`` call.
         """
-        system = state.system
         matcher = state.matcher
         metrics = state.metrics
-        ceiling = self.resilience.cost_ceiling
         budget = self.budget
         clock = state.clock
-        profiles = [(system.profile(pid_x), system.profile(pid_y)) for pid_x, pid_y in batch]
+        emitted = len(batch)
+        profile = state.system.profiles.__getitem__
+        profiles = [(profile(pid_x), profile(pid_y)) for pid_x, pid_y in batch]
         costs = matcher.estimate_cost_batch(profiles)
-        selected: list[int] = []
-        post_clocks: list[float] = []
-        for position, cost in enumerate(costs):
-            if ceiling is not None and cost > ceiling:
-                pid_x, pid_y = batch[position]
-                state.store.quarantine((min(pid_x, pid_y), max(pid_x, pid_y)))
-                metrics.count("engine.quarantined_pairs")
-                continue
-            if clock + cost > budget:
-                metrics.count("engine.comparisons_cut_by_deadline", len(batch) - position)
-                match_timer.virtual += budget - clock
-                clock = budget
-                break
-            clock += cost
-            match_timer.virtual += cost
-            selected.append(position)
-            post_clocks.append(clock)
-            if clock >= budget:
-                break
-        if selected:
-            pairs = [profiles[position] for position in selected]
-            metrics.count("engine.comparisons_executed", len(selected))
+        ceiling = self.resilience.cost_ceiling
+        over: list[int] = []
+        if ceiling is not None and max(costs) > ceiling:
+            over = [position for position, cost in enumerate(costs) if cost > ceiling]
+            kept = [position for position, cost in enumerate(costs) if cost <= ceiling]
+            emitted_batch = batch
+            batch = [batch[position] for position in kept]
+            profiles = [profiles[position] for position in kept]
+            costs = [costs[position] for position in kept]
+        # clocks[i + 1] is the clock after the i-th surviving pair.
+        clocks = list(accumulate(costs, initial=clock))
+        executed = len(costs)
+        end = emitted  # the original position the round stops at
+        cut = False
+        stop = bisect.bisect_left(clocks, budget, 1)
+        if stop < len(clocks):
+            end = kept[stop - 1] if over else stop - 1
+            cut = clocks[stop] > budget
+            executed = stop - 1 if cut else stop
+            if cut:
+                metrics.count("engine.comparisons_cut_by_deadline", emitted - end)
+        if over:
+            # Pathological pairs: estimated cost alone busts the ceiling.
+            # Quarantine (count, never execute) instead of starving the run.
+            quarantine = state.store.quarantine
+            reached = over[: bisect.bisect_left(over, end)]
+            for pid_x, pid_y in map(emitted_batch.__getitem__, reached):
+                quarantine((min(pid_x, pid_y), max(pid_x, pid_y)))
+            if reached:
+                metrics.count("engine.quarantined_pairs", len(reached))
+        if executed < len(costs):
+            batch = batch[:executed]
+            profiles = profiles[:executed]
+            costs = costs[:executed]
+        match_timer.virtual = reduce(add, costs, match_timer.virtual)
+        clock = clocks[executed]
+        if cut:
+            # The next comparison cannot finish by the deadline: charge the
+            # cut-off time, credit nothing.
+            match_timer.virtual += budget - clock
+            clock = budget
+        if executed:
+            metrics.count("engine.comparisons_executed", executed)
             # The recorder gets the emitted tuples themselves: its executed
             # set then shares them with the system's store.
-            matches = state.recorder.record_batch(
-                [batch[position] for position in selected], post_clocks
-            )
+            matches = state.recorder.record_batch(batch, islice(clocks, 1, None))
             if matches:
                 metrics.count("engine.matches_recorded", matches)
             if self._pool is None:
-                results = matcher.evaluate_batch(pairs)
-                self._record_matches(state, pairs, map(_IS_MATCH, results))
+                self._record_matches(state, profiles, matcher.evaluate_batch(profiles, costs))
             else:
-                matcher.account_costs([costs[position] for position in selected])
-                state.unscored.extend(pairs)
+                matcher.account_costs(costs)
+                state.unscored.extend(profiles)
                 if len(state.unscored) >= HAND_OFF_PAIRS:
                     self._hand_off(state)
         return clock
@@ -736,7 +770,7 @@ class ExecutionCore:
     def _score_in_process(self, state: RunState, pairs: list) -> None:
         """Result side of pairs the fleet does not score: same kernel, same
         outcome counts, straight into the master matcher."""
-        similarities, _costs = state.matcher._batch_scores(pairs)
+        similarities = state.matcher._batch_scores(pairs)
         self._record_matches(state, pairs, state.matcher.account_scores(similarities))
 
     def _gather(self, state: RunState) -> None:
@@ -746,7 +780,7 @@ class ExecutionCore:
         ticket, pairs = state.in_flight
         pool = self._pool
         try:
-            similarities, _costs = pool.gather(ticket)
+            similarities = pool.gather(ticket)
         except BaseException:
             # An interrupt in a poll, a pool closed under the run: the pool
             # has given the hand-off up (and cleared its pipes).  Its pairs

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
+from typing import Mapping
 
 from repro.blocking.substrate import BlockingConfig
 from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
@@ -117,8 +118,9 @@ class IBaseSystem(ERSystem):
     def gauges(self) -> dict[str, float]:
         return {"queue_depth": len(self._fifo)}
 
-    def profile(self, pid: int) -> EntityProfile:
-        return self.blocker.profile(pid)
+    @property
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        return self.blocker.profiles
 
     @property
     def backlog(self) -> int:
@@ -143,5 +145,5 @@ class IBaseSystem(ERSystem):
         return {
             "name": self.name,
             "backlog": len(self._fifo),
-            "profiles": self.blocker.known_profiles(),
+            "profiles": len(self.blocker.profiles),
         }

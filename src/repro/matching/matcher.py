@@ -14,7 +14,8 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass
-
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 from repro.core.profile import EntityProfile
@@ -73,12 +74,11 @@ class CostModel:
 
 
 class MatchResult(NamedTuple):
-    """Outcome of evaluating one comparison.
+    """Outcome of one scalar :meth:`Matcher.evaluate` call.
 
-    A ``NamedTuple`` rather than a frozen dataclass: results are constructed
-    once per comparison on the hottest path in the codebase, and tuple
-    construction avoids the per-field ``object.__setattr__`` cost while
-    keeping the record immutable and comparable.
+    Only the scalar path — matchers without :attr:`Matcher.supports_batch` —
+    builds these, one per comparison; the batched kernel works on plain
+    similarity and flag lists.
     """
 
     is_match: bool
@@ -103,10 +103,11 @@ class Matcher:
 
     #: Contract for the engines' batched kernel.  ``True`` promises that
     #: :meth:`evaluate` is deterministic, never raises, and costs exactly
-    #: :meth:`estimate_cost` — the conditions under which an emission round
-    #: can be deadline-planned from estimates and evaluated as one batch,
-    #: bit-identical to the scalar path.  Wrappers that perturb evaluation
-    #: (fault injection, latency spikes) must leave this ``False``.
+    #: :meth:`estimate_cost`, which is never negative — the conditions under
+    #: which an emission round can be deadline-planned from estimates and
+    #: evaluated as one batch, bit-identical to the scalar path.  Wrappers
+    #: that perturb evaluation (fault injection, latency spikes) must leave
+    #: this ``False``.
     supports_batch: bool = False
 
     def __init__(self, threshold: float, cost_model: CostModel) -> None:
@@ -167,41 +168,41 @@ class Matcher:
         return [self.estimate_cost(profile_x, profile_y) for profile_x, profile_y in pairs]
 
     def evaluate_batch(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[MatchResult]:
-        """Classify many pairs at once, bit-identical to scalar :meth:`evaluate`.
+        self,
+        pairs: Sequence[tuple[EntityProfile, EntityProfile]],
+        costs: Sequence[float],
+    ) -> list[bool]:
+        """Classify many pairs at once; returns their match flags.
 
-        Matchers without :attr:`supports_batch` simply loop (preserving any
-        side effects such as fault schedules).  Matchers with it route the
-        similarity/cost computation through their vectorized
-        :meth:`_batch_scores` kernel and account for the batch through the
-        two halves below, back to back.  A caller that scores a batch
-        somewhere else, or later, calls the halves itself:
-        :meth:`account_costs` when the batch is charged (its costs are the
-        :meth:`estimate_cost_batch` values, by the :attr:`supports_batch`
-        contract) and :meth:`account_scores` when its similarities arrive.
+        ``costs`` are the pairs' :meth:`estimate_cost_batch` values, which
+        the caller already holds (it planned the round from them); by the
+        :attr:`supports_batch` contract they are exactly what scalar
+        :meth:`evaluate` would charge.  The batch is accounted through the
+        two halves below, back to back, around one :meth:`_batch_scores`
+        call.  A caller that scores a batch somewhere else, or later, calls
+        the halves itself: :meth:`account_costs` when the batch is charged
+        and :meth:`account_scores` when its similarities arrive.
+
+        Matchers without :attr:`supports_batch` ignore ``costs`` and loop
+        :meth:`evaluate` (preserving side effects such as fault schedules).
         """
         if not self.supports_batch:
-            return [self.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
-        similarities, costs = self._batch_scores(pairs)
+            return [self.evaluate(profile_x, profile_y).is_match for profile_x, profile_y in pairs]
         self.account_costs(costs)
-        flags = self.account_scores(similarities)
-        return list(map(MatchResult._make, zip(flags, similarities, costs)))
+        return self.account_scores(self._batch_scores(pairs))
 
-    def account_costs(self, costs: list[float]) -> None:
+    def account_costs(self, costs: Sequence[float]) -> None:
         """Cost side of a batch: evaluation count and virtual cost.
 
         The costs are added one by one from the previous total, as the
-        scalar path adds them (``sum`` compensates from Python 3.12 on):
-        ``total_cost`` and ``matcher.virtual_cost_s`` are float
-        accumulations whose order is observable (mean cost feeds the
-        adaptive K), which is also why this half cannot wait for the scores.
+        scalar path adds them (``reduce`` folds left in C; ``sum``
+        compensates from Python 3.12 on): ``total_cost`` and
+        ``matcher.virtual_cost_s`` are float accumulations whose order is
+        observable (mean cost feeds the adaptive K), which is also why this
+        half cannot wait for the scores.
         """
-        total_cost = self.total_cost
-        for cost in costs:
-            total_cost += cost
         self.comparisons_executed += len(costs)
-        self.total_cost = total_cost
+        self.total_cost = reduce(add, costs, self.total_cost)
         metrics = self._metrics
         if metrics is not None and costs:
             metrics.count("matcher.evaluations", len(costs))
@@ -221,16 +222,12 @@ class Matcher:
 
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> tuple[list[float], list[float]]:
-        """Parallel ``(similarities, costs)`` lists for a batch of pairs;
-        subclasses with :attr:`supports_batch` override this with a
-        vectorized kernel."""
-        similarities = []
-        costs = []
-        for profile_x, profile_y in pairs:
-            similarities.append(self.similarity(profile_x, profile_y))
-            costs.append(self.cost_model.charge(self.work_units(profile_x, profile_y)))
-        return similarities, costs
+    ) -> list[float]:
+        """The similarities of a batch of pairs, in order; subclasses with
+        :attr:`supports_batch` override this with a vectorized kernel.
+        Costs are not its business: they come from
+        :meth:`estimate_cost_batch`, once per pair."""
+        return [self.similarity(profile_x, profile_y) for profile_x, profile_y in pairs]
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Attach the engine's per-run registry; evaluation counters go there."""
@@ -329,16 +326,10 @@ class JaccardMatcher(Matcher):
 
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> tuple[list[float], list[float]]:
-        token_pairs = [(profile_x.tokens(), profile_y.tokens()) for profile_x, profile_y in pairs]
-        similarities = jaccard_batch(token_pairs)
-        base = self.cost_model.base
-        per_unit = self.cost_model.per_unit
-        costs = [
-            base + per_unit * (len(tokens_x) + len(tokens_y))
-            for tokens_x, tokens_y in token_pairs
-        ]
-        return similarities, costs
+    ) -> list[float]:
+        return jaccard_batch(
+            [(profile_x.tokens(), profile_y.tokens()) for profile_x, profile_y in pairs]
+        )
 
 
 class _Signature(NamedTuple):
@@ -427,7 +418,7 @@ class EditDistanceMatcher(Matcher):
 
     def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
         # A batch of one: the funnel exists once, in ``_batch_scores``.
-        return self._batch_scores(((profile_x, profile_y),))[0][0]
+        return self._batch_scores(((profile_x, profile_y),))[0]
 
     def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
         return float(profile_x.text_length()) * float(profile_y.text_length())
@@ -444,7 +435,7 @@ class EditDistanceMatcher(Matcher):
 
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> tuple[list[float], list[float]]:
+    ) -> list[float]:
         """The staged funnel, run over the batch in one loop; the scalar
         path is a batch of one, so both classify (and count) identically.
         Stages run cheapest-first; the first that decides a pair counts it:
@@ -515,10 +506,4 @@ class EditDistanceMatcher(Matcher):
             (short_texts, prefilter_rejects, length_cuts, qgram_cuts, bag_cuts, dp_calls),
         ):
             counts[name] += count
-        base = self.cost_model.base
-        per_unit = self.cost_model.per_unit
-        costs = [
-            base + per_unit * (float(profile_x.text_length()) * float(profile_y.text_length()))
-            for profile_x, profile_y in pairs
-        ]
-        return similarities, costs
+        return similarities

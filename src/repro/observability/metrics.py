@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 __all__ = ["SCHEMA_VERSION", "PhaseTotals", "PhaseTimer", "RoundLog", "MetricsRegistry"]
 
@@ -132,10 +134,7 @@ class MetricsRegistry:
 
     def count_each(self, name: str, amounts: list[float]) -> None:
         """:meth:`count` every amount in turn, float additions in that order."""
-        total = self._counters.get(name, 0)
-        for amount in amounts:
-            total += amount
-        self._counters[name] = total
+        self._counters[name] = reduce(add, amounts, self._counters.get(name, 0))
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)

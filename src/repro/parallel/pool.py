@@ -4,7 +4,10 @@ The master keeps the virtual clock and all accounting.
 :meth:`WorkerPool.scatter` sends one contiguous chunk of a hand-off to each
 worker (a ``spawn`` process with one pipe) and returns at once;
 :meth:`WorkerPool.gather` concatenates the replies in order, bit-identical
-to one in-process ``_batch_scores`` call.
+to one in-process ``_batch_scores`` call.  A worker replies with the
+chunk's similarities and its kernel outcome counts, nothing else: costs
+never travel, the master charged them from its own estimates when the
+round ran.
 
 A chunk is ``(epoch, profiles this worker has not received this epoch, pid
 pairs)``; a worker that sees a new epoch first drops its profile cache and
@@ -119,7 +122,7 @@ class WorkerPool:
         if self._rescue is not None:
             self._rescue._init_derived_state()
 
-    def batch_scores(self, pairs: Sequence) -> tuple[list[float], list[float]]:
+    def batch_scores(self, pairs: Sequence) -> list[float]:
         """:meth:`scatter` and :meth:`gather` back to back."""
         return self.gather(self.scatter(pairs))
 
@@ -161,16 +164,15 @@ class WorkerPool:
         sent.update(fresh)
         return self._epoch, list(fresh.values()), [(x.pid, y.pid) for x, y in chunk]
 
-    def gather(self, hand_off: tuple) -> tuple[list[float], list[float]]:
-        """The hand-off's ``(similarities, costs)`` in chunk order; from the
-        first failed chunk on, scored in-process — the same result."""
+    def gather(self, hand_off: tuple) -> list[float]:
+        """The hand-off's similarities in chunk order; from the first
+        failed chunk on, scored in-process — the same result."""
         if hand_off is not self._outstanding:
             raise RuntimeError("not the outstanding hand-off of this pool")
         self._outstanding = None
         started = time.perf_counter()
         chunks, deadline = hand_off
         similarities: list[float] = []
-        costs: list[float] = []
         kernel_counts: dict[str, int] = {}
         try:
             for slot, chunk in chunks:
@@ -180,8 +182,7 @@ class WorkerPool:
                 if reply is None:
                     reply = self._score_in_process(chunk)
                 similarities.extend(reply[0])
-                costs.extend(reply[1])
-                for name, value in reply[2].items():
+                for name, value in reply[1].items():
                     kernel_counts[name] = kernel_counts.get(name, 0) + value
         except BaseException:
             # Interrupted (KeyboardInterrupt in a poll): the pipes still owe
@@ -190,7 +191,7 @@ class WorkerPool:
             raise
         self.scatter_wall_s += time.perf_counter() - started
         self.last_kernel_counts = kernel_counts
-        return similarities, costs
+        return similarities
 
     def _receive(self, slot: int, n_pairs: int, deadline: float) -> tuple | None:
         """One reply of exactly the chunk's shape, or ``None`` (pool broken)."""
@@ -202,10 +203,8 @@ class WorkerPool:
                 # Exact shape only: a short list would misalign every later
                 # pair of the merge.
                 match connection.recv():
-                    case ("ok", (list() as sims, list() as costs, dict() as counts)) if (
-                        len(sims) == len(costs) == n_pairs
-                    ):
-                        return sims, costs, counts
+                    case ("ok", (list() as sims, dict() as counts)) if len(sims) == n_pairs:
+                        return sims, counts
         except (EOFError, OSError, pickle.UnpicklingError):
             pass
         self._break()
@@ -267,17 +266,17 @@ def _replica(template: tuple) -> "Matcher":
 
 
 def _score(matcher: "Matcher", pairs: list) -> tuple:
-    """``(similarities, costs, kernel_counts)`` of one chunk."""
+    """``(similarities, kernel_counts)`` of one chunk."""
     counts = matcher.kernel_counts
     for key in counts:
         counts[key] = 0
-    similarities, costs = matcher._batch_scores(pairs)
-    return similarities, costs, dict(counts)
+    similarities = matcher._batch_scores(pairs)
+    return similarities, dict(counts)
 
 
 def _worker_main(connection, template: tuple) -> None:  # pragma: no cover - child
     """Answer the handshake, then reply to each chunk with ``("ok",
-    (similarities, costs, kernel_counts))`` until the pipe closes.  Any
+    (similarities, kernel_counts))`` until the pipe closes.  Any
     other error ends the process, which the master sees as EOF."""
     matcher = _replica(template)
     profiles: dict = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
@@ -399,8 +399,9 @@ class PierSystem(ERSystem):
             return None
         return cost
 
-    def profile(self, pid: int) -> EntityProfile:
-        return self.blocker.profile(pid)
+    @property
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        return self.blocker.profiles
 
     def gauges(self) -> dict[str, float]:
         return {

@@ -36,7 +36,6 @@ import copy
 import heapq
 from typing import Iterable
 
-from repro.core.comparison import canonical_pair
 from repro.core.profile import EntityProfile
 from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
@@ -165,7 +164,7 @@ class IPBS(IncrPrioritization):
                 if pid_y <= pid_x and pid_y in pending:
                     continue
                 scanned += 1
-                pair = canonical_pair(pid_x, pid_y)
+                pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
                 # Generated from an earlier common block already.
                 if pair in queued or pair in executed:
                     redundant += 1
@@ -194,9 +193,10 @@ class IPBS(IncrPrioritization):
 
     # ------------------------------------------------------------------
     def dequeue(self) -> tuple[int, int] | None:
-        if not self.index:
+        try:
+            pair = self.index.dequeue()
+        except IndexError:  # empty
             return None
-        pair = self.index.dequeue()
         self.queued.discard(pair)
         return pair
 

@@ -29,18 +29,12 @@ amortized.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Any, Generic, Iterator, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
 
 T = TypeVar("T")
-
-
-def _negated(key: Any) -> Any:
-    """``key`` with its order reversed: ``-key``, component-wise for tuples."""
-    if type(key) is tuple:
-        return tuple([-part for part in key])
-    return -key
 
 
 class BoundedPriorityQueue(Generic[T]):
@@ -96,7 +90,9 @@ class BoundedPriorityQueue(Generic[T]):
             self.evictions += 1
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (_negated(key), seq, key, item))
+        # The key with its order reversed: ``-key``, component-wise for tuples.
+        negated = tuple(map(neg, key)) if type(key) is tuple else -key
+        heappush(self._heap, (negated, seq, key, item))
         if self._min_heap is not None:
             heappush(self._min_heap, (key, -seq))
         self._size += 1
@@ -104,6 +100,10 @@ class BoundedPriorityQueue(Generic[T]):
 
     def dequeue(self) -> T:
         """Remove and return the highest-priority item."""
+        if self._dead is None and self._heap:
+            # No min view yet, so no dead entries: the top is live.
+            self._size -= 1
+            return heappop(self._heap)[3]
         return self._pop_live_top()[3]
 
     def dequeue_with_key(self) -> tuple[T, Any]:

@@ -27,6 +27,9 @@ time bounded in the collapse regimes of Figures 2 and 7.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -139,8 +142,9 @@ class BatchProgressiveSystem(ERSystem):
             fresh = [pair for pair in pairs if mark_executed(pair)]
         return EmitResult(batch=tuple(fresh), cost=cost)
 
-    def profile(self, pid: int) -> EntityProfile:
-        return self._profiles[pid]
+    @property
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        return MappingProxyType(self._profiles)
 
     # ------------------------------------------------------------------
     # Hooks

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -65,7 +66,7 @@ class ERSystem:
     """Base class for all ER systems driven by the streaming engine.
 
     Subclasses must implement :meth:`ingest`, :meth:`has_work`,
-    :meth:`emit` and :meth:`profile`; the remaining hooks have sensible
+    :meth:`emit` and :attr:`profiles`; the remaining hooks have sensible
     defaults.
     """
 
@@ -144,8 +145,14 @@ class ERSystem:
         """Produce the next batch of comparisons to execute."""
         raise NotImplementedError
 
-    def profile(self, pid: int) -> EntityProfile:
-        """Profile lookup for the classification step."""
+    @property
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        """Read-only pid → profile mapping for the classification step.
+
+        The engines read it once per emission round and look every pair's
+        profiles up through it, so it must be a live view of the system's
+        store (``types.MappingProxyType``), not a copy.
+        """
         raise NotImplementedError
 
     def ready_for_ingest(self) -> bool:

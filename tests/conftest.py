@@ -8,6 +8,7 @@ from repro.api import ERSession
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
+from repro.matching.matcher import MatchResult
 
 
 def make_profile(pid: int, text: str, source: int = 0, attr: str = "value") -> EntityProfile:
@@ -23,6 +24,28 @@ def build_matcher(name: str = "JS"):
 def build_system(name: str, dataset: Dataset):
     """System ``name`` for ``dataset``, as every :class:`ERSession` builds it."""
     return ERSession(dataset).build_system(name)
+
+
+def batched_results(matcher, pairs) -> list[MatchResult]:
+    """One ``matcher.evaluate_batch`` call over ``pairs``, given the costs
+    the engine passes (``estimate_cost_batch``), read back as the scalar
+    path's records: flags from ``evaluate_batch``, similarities from the
+    one ``_batch_scores`` call it makes, costs as passed in."""
+    costs = matcher.estimate_cost_batch(pairs)
+    kernel = matcher._batch_scores
+    scored: list[float] = []
+
+    def spy(batch):
+        scored.extend(kernel(batch))
+        return scored
+
+    matcher._batch_scores = spy
+    try:
+        flags = matcher.evaluate_batch(pairs, costs)
+    finally:
+        del matcher._batch_scores
+    assert len(scored) == len(flags) == len(costs)
+    return list(map(MatchResult._make, zip(flags, scored, costs)))
 
 
 #: Two inputs of ~13.5k co-block pairs, as ``load_dataset`` arguments: large
@@ -74,8 +97,8 @@ class ShortReplies:
         self.connection = connection
 
     def recv(self):
-        status, (similarities, costs, counts) = self.connection.recv()
-        return status, (similarities[:-1], costs, counts)
+        status, (similarities, counts) = self.connection.recv()
+        return status, (similarities[:-1], counts)
 
     def __getattr__(self, name):
         return getattr(self.connection, name)

@@ -113,7 +113,7 @@ class PendingScanIPBS(IncrPrioritization):
         redundant = 0
         survivors: list[tuple[int, int]] = []
         for pid_x in sorted(pending):
-            profile_x = system.profile(pid_x)
+            profile_x = system.profiles[pid_x]
             if collection.clean_clean:
                 partners = block.members(1 - profile_x.source)
             else:

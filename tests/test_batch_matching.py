@@ -1,8 +1,9 @@
 """Bit-identity tests for the batched matcher kernel.
 
 The engines' batched execution path is only sound if ``evaluate_batch``
-produces *exactly* the scalar results — same similarities, same costs, same
-stats and metrics counters, in the same accumulation order.  These tests
+produces *exactly* the scalar results — same similarities, same costs
+(``estimate_cost_batch``, which the engine passes in), same flags, stats
+and metrics counters, in the same accumulation order.  These tests
 compare the two paths pair by pair on real dataset profiles for both
 matchers, check the vectorized similarity kernels against their scalar
 definitions, and pin the ``supports_batch`` contract for wrapped matchers.
@@ -12,12 +13,17 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.core.increments import make_stream_plan, split_into_increments
 from repro.matching.matcher import EditDistanceMatcher
 from repro.matching.similarity import dice, jaccard, jaccard_batch
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience import FaultyMatcher
+from repro.streaming.engine import StreamingEngine
+from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import build_matcher, make_profile
+from tests.conftest import batched_results, build_matcher, build_system, make_profile
 
 
 def _sample_pairs(dataset, n=200, seed=7):
@@ -39,8 +45,12 @@ def _run_scalar(matcher, pairs):
 def _run_batched(matcher, pairs):
     registry = MetricsRegistry()
     matcher.bind_metrics(registry)
-    results = matcher.evaluate_batch(pairs)
+    results = batched_results(matcher, pairs)
     return results, registry.snapshot(include_wall=False)["counters"]
+
+
+def _evaluate_batch(matcher, pairs):
+    return matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs))
 
 
 def _assert_identical(matcher_name, pairs):
@@ -79,16 +89,16 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
     batched_matcher = build_matcher("JS")
     registry = MetricsRegistry()
     batched_matcher.bind_metrics(registry)
-    assert batched_matcher.evaluate_batch([]) == []
+    assert batched_matcher.evaluate_batch([], []) == []
     assert registry.snapshot(include_wall=False)["counters"] == {}
     for start in range(0, len(pairs), 30):
-        batched_matcher.evaluate_batch(pairs[start : start + 30])
+        _evaluate_batch(batched_matcher, pairs[start : start + 30])
     assert registry.snapshot(include_wall=False)["counters"] == scalar_counters
     assert batched_matcher.total_cost == scalar_matcher.total_cost
     assert batched_matcher.matches_found == scalar_matcher.matches_found
     unmatched, unmatched_registry = build_matcher("JS"), MetricsRegistry()
     unmatched.bind_metrics(unmatched_registry)
-    unmatched.evaluate_batch([(make_profile(0, "north"), make_profile(1, "south"))])
+    _evaluate_batch(unmatched, [(make_profile(0, "north"), make_profile(1, "south"))])
     assert set(unmatched_registry.snapshot(include_wall=False)["counters"]) == {
         "matcher.evaluations",
         "matcher.virtual_cost_s",
@@ -133,11 +143,15 @@ def test_faulty_matcher_opts_out_of_batching(small_dblp_acm):
     assert wrapped.supports_batch is False
 
     pairs = _sample_pairs(small_dblp_acm, n=50)
-    scalar_results, _ = _run_scalar(FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0), pairs)
-    batched_results, _ = _run_batched(wrapped, pairs)
-    for scalar, batched in zip(scalar_results, batched_results):
-        assert scalar.similarity == batched.similarity
-        assert scalar.cost == batched.cost
+    reference = FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0)
+    scalar_results, scalar_counters = _run_scalar(reference, pairs)
+    registry = MetricsRegistry()
+    wrapped.bind_metrics(registry)
+    flags = _evaluate_batch(wrapped, pairs)
+    assert flags == [result.is_match for result in scalar_results]
+    assert registry.snapshot(include_wall=False)["counters"] == scalar_counters
+    assert wrapped.spikes_injected == reference.spikes_injected > 0
+    assert wrapped.total_cost == reference.total_cost
 
 
 def test_base_matcher_fallback_loops(small_dblp_acm):
@@ -145,7 +159,54 @@ def test_base_matcher_fallback_loops(small_dblp_acm):
     matcher = build_matcher("JS")
     matcher.supports_batch = False
     pairs = _sample_pairs(small_dblp_acm, n=20)
-    results, _ = _run_batched(matcher, pairs)
-    reference, _ = _run_scalar(build_matcher("JS"), pairs)
-    for got, want in zip(results, reference):
-        assert got == want
+    registry = MetricsRegistry()
+    matcher.bind_metrics(registry)
+    flags = _evaluate_batch(matcher, pairs)
+    reference, counters = _run_scalar(build_matcher("JS"), pairs)
+    assert flags == [result.is_match for result in reference]
+    assert registry.snapshot(include_wall=False)["counters"] == counters
+
+
+@pytest.mark.parametrize("matcher_name, strategy", [("JS", "I-PBS"), ("ED", "I-PES")])
+@pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
+def test_evaluate_batch_once_per_round_that_executed(
+    small_dblp_acm, matcher_name, strategy, engine_cls
+):
+    """Without a fleet the kernel scores every round that executed pairs
+    with exactly one ``evaluate_batch`` call, and the calls' flags add up
+    to the executed comparisons.  Outside-in tracers wrap that method by
+    name (by swapping the instance's class, as here) to read the matching
+    layer, so a kernel that scores around it reads as no matching at all."""
+    calls: list[int] = []
+    matcher = build_matcher(matcher_name)
+
+    class Spy(type(matcher)):
+        def evaluate_batch(self, pairs, costs):
+            flags = super().evaluate_batch(pairs, costs)
+            calls.append(len(flags))
+            return flags
+
+    matcher.__class__ = Spy
+    rounds: list[tuple[int, int]] = []  # (evaluate_batch calls, pairs executed)
+
+    class Engine(engine_cls):
+        def _execute_batch_kernel(self, state, batch, match_timer):
+            calls_before = len(calls)
+            executed_before = state.recorder.comparisons_executed
+            clock = super()._execute_batch_kernel(state, batch, match_timer)
+            rounds.append(
+                (len(calls) - calls_before, state.recorder.comparisons_executed - executed_before)
+            )
+            return clock
+
+    plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=5.0)
+    # Budgets that end the run inside a round: a cut round executes a prefix.
+    budget = 1.47 if matcher_name == "JS" else 8.0
+    result = Engine(matcher, budget=budget).run(
+        build_system(strategy, small_dblp_acm), plan, small_dblp_acm.ground_truth
+    )
+    counters = result.details["metrics"]["counters"]
+    assert counters["engine.comparisons_cut_by_deadline"] > 0
+    assert [n_calls for n_calls, _ in rounds] == [int(executed > 0) for _, executed in rounds]
+    assert calls == [executed for _, executed in rounds if executed]
+    assert sum(calls) == result.comparisons_executed == counters["engine.comparisons_executed"] > 0

@@ -3,7 +3,8 @@
 The engines treat the virtual budget as a hard deadline.  A comparison whose
 cost would push the clock beyond the budget must be neither executed nor
 recorded on the progress curve; one finishing *exactly* at the budget counts.
-These tests pin that boundary with a scripted system and a unit-cost matcher.
+These tests pin that boundary with a scripted system and a unit-cost matcher,
+on the scalar path and on the batched kernel's deadline planner.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ class UnitCostMatcher(Matcher):
         return 0.0
 
 
+class BatchedUnitCostMatcher(UnitCostMatcher):
+    """The same matcher, batch-capable: the engines plan its rounds up front."""
+
+    supports_batch = True
+
+
+#: Each engine on both execution paths; the scalar cases keep the bare
+#: engine name as their id.
+CASES = [
+    pytest.param(engine, matcher_cls, id=engine.__name__ + suffix)
+    for engine in ENGINES
+    for matcher_cls, suffix in ((UnitCostMatcher, ""), (BatchedUnitCostMatcher, "-batched"))
+]
+
+
 class ScriptedSystem(ERSystem):
     """Emits a fixed list of pairs in one zero-cost round."""
 
@@ -59,27 +75,29 @@ class ScriptedSystem(ERSystem):
         batch, self._pairs = tuple(self._pairs), None
         return EmitResult(batch=batch, cost=0.0)
 
-    def profile(self, pid: int) -> EntityProfile:
-        return self._profiles[pid]
+    @property
+    def profiles(self) -> dict[int, EntityProfile]:
+        return self._profiles
 
 
-def _run(engine_factory, pairs, budget):
+def _run(engine_factory, pairs, budget, matcher_cls=UnitCostMatcher):
     plan = make_stream_plan([Increment(0, ())], rate=None)
     system = ScriptedSystem(pairs)
-    matcher = UnitCostMatcher()
+    matcher = matcher_cls()
     engine = engine_factory(matcher, budget=budget)
     result = engine.run(system, plan, GroundTruth(pairs))
     return result, matcher
 
 
-@pytest.mark.parametrize("engine_factory", ENGINES)
+@pytest.mark.parametrize("engine_factory, matcher_cls", CASES)
 class TestBudgetBoundary:
     PAIRS = [(0, 1), (2, 3), (4, 5)]
 
-    def test_post_budget_comparison_not_credited(self, engine_factory):
+    def test_post_budget_comparison_not_credited(self, engine_factory, matcher_cls):
         """With budget 2.5, the third unit-cost comparison would finish at
-        t=3.0 — past the deadline — and must not be executed or recorded."""
-        result, matcher = _run(engine_factory, self.PAIRS, budget=2.5)
+        t=3.0 — past the deadline — and must not be executed or recorded:
+        a cut in the middle of the batch."""
+        result, matcher = _run(engine_factory, self.PAIRS, budget=2.5, matcher_cls=matcher_cls)
         assert result.comparisons_executed == 2
         assert matcher.comparisons_executed == 2
         assert result.curve.final_pc == pytest.approx(2 / 3)
@@ -87,26 +105,31 @@ class TestBudgetBoundary:
         counters = result.details["metrics"]["counters"]
         assert counters["engine.comparisons_cut_by_deadline"] == 1
 
-    def test_curve_pinned_at_exact_budget_exhaustion(self, engine_factory):
+    def test_curve_pinned_at_exact_budget_exhaustion(self, engine_factory, matcher_cls):
         """A comparison finishing exactly at the budget still counts, and no
         curve point may lie beyond the budget."""
-        result, _ = _run(engine_factory, self.PAIRS, budget=3.0)
+        result, _ = _run(engine_factory, self.PAIRS, budget=3.0, matcher_cls=matcher_cls)
         assert result.comparisons_executed == 3
         assert result.curve.final_pc == 1.0
         assert result.clock_end == 3.0
         assert all(point.time <= 3.0 for point in result.curve.points)
         assert result.curve.pc_at_time(3.0) == 1.0
+        counters = result.details["metrics"]["counters"]
+        assert counters["engine.comparisons_cut_by_deadline"] == 0
 
-    def test_no_curve_point_beyond_budget(self, engine_factory):
+    def test_no_curve_point_beyond_budget(self, engine_factory, matcher_cls):
+        """Budget 0.5 cuts the very first pair of the batch; 1.0 and 2.0 end
+        the round on a pair finishing exactly at the deadline."""
         for budget in (0.5, 1.0, 1.5, 2.0, 2.5):
-            result, _ = _run(engine_factory, self.PAIRS, budget=budget)
+            result, _ = _run(engine_factory, self.PAIRS, budget=budget, matcher_cls=matcher_cls)
             assert all(point.time <= budget for point in result.curve.points)
             assert result.comparisons_executed == int(budget)
+            assert result.clock_end == budget
 
-    def test_match_phase_charges_cutoff_time(self, engine_factory):
+    def test_match_phase_charges_cutoff_time(self, engine_factory, matcher_cls):
         """The time between the last credited comparison and the deadline is
         charged to the match phase as cut-off work."""
-        result, _ = _run(engine_factory, self.PAIRS, budget=2.5)
+        result, _ = _run(engine_factory, self.PAIRS, budget=2.5, matcher_cls=matcher_cls)
         match_virtual = result.details["metrics"]["phases"]["match"]["virtual_s"]
         assert match_virtual == pytest.approx(2.5)
 

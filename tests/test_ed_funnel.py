@@ -24,7 +24,7 @@ from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.matching.matcher import KERNEL_COUNTERS, EditDistanceMatcher
 from repro.streaming.engine import StreamingEngine
 
-from tests.conftest import make_profile, pool_or_skip
+from tests.conftest import batched_results, make_profile, pool_or_skip
 from tests.reference.levenshtein import levenshtein
 
 EXACT_CUTS = ("length_cuts", "qgram_cuts", "bag_cuts")
@@ -117,7 +117,7 @@ def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_len
     assert sum(matcher.kernel_counts.values()) == matcher.comparisons_executed == len(pairs)
 
     batched = EditDistanceMatcher(threshold, max_text_length=max_text_length)
-    assert batched.evaluate_batch(pairs) == scalar
+    assert batched_results(batched, pairs) == scalar
     assert batched.kernel_counts == matcher.kernel_counts
 
 
@@ -138,7 +138,7 @@ def test_bit_assignment_is_unobservable(alphabet, data, threshold, seed):
     shuffled = EditDistanceMatcher(threshold, max_text_length=40)
     for profile in random.Random(seed).sample(profiles, len(profiles)):
         shuffled._prepared(profile)
-    assert shuffled.evaluate_batch(pairs) == in_order.evaluate_batch(pairs)
+    assert shuffled._batch_scores(pairs) == in_order._batch_scores(pairs)
     assert shuffled.kernel_counts == in_order.kernel_counts
 
 

@@ -116,7 +116,8 @@ class TestBackPressure:
             def ready_for_ingest(self):
                 return False
 
-            def profile(self, pid):
+            @property
+            def profiles(self):
                 raise AssertionError("no comparisons expected")
 
         plan = make_stream_plan(split_into_increments(toy_dirty_dataset, 3), rate=None)

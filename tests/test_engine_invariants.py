@@ -121,8 +121,9 @@ class _BackpressureProbe(ERSystem):
         self.seen_backlogs.append(stats.backlog)
         return EmitResult(batch=(), cost=0.0)
 
-    def profile(self, pid: int) -> EntityProfile:
-        return self._profile
+    @property
+    def profiles(self) -> dict[int, EntityProfile]:
+        return {0: self._profile}
 
 
 def test_stats_report_true_backlog_under_backpressure():

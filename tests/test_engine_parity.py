@@ -7,7 +7,8 @@ for all four incremental strategies on both engines:
   to the scalar pair-at-a-time path: same progress curve, duplicates,
   clocks, counters and gauges.  The engine picks the path from
   ``matcher.supports_batch``, so the scalar side runs the very same matcher
-  declared ``supports_batch = False``;
+  declared ``supports_batch = False`` — ED, JS, and ED under a cost ceiling
+  that quarantines pairs while the deadline cuts rounds;
 * **schema parity** — serial and pipelined runs export the *same* metric
   schema (counter/gauge/phase name sets) on healthy runs, because the core
   preseeds the union surface for both;
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.matching.matcher import EditDistanceMatcher
+from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -50,13 +51,35 @@ class ScalarED(EditDistanceMatcher):
     supports_batch = False
 
 
-def _matcher(batch_matching):
-    matcher = build_matcher("ED")
-    return matcher if batch_matching else ScalarED(threshold=matcher.threshold)
+class ScalarJS(JaccardMatcher):
+    """The JS matcher, declared unable to batch."""
+
+    supports_batch = False
 
 
-def _run(engine_cls, dataset, plan, strategy, batch_matching, **kwargs):
-    engine = engine_cls(_matcher(batch_matching), budget=BUDGET, **kwargs)
+SCALAR_TWINS = {"ED": ScalarED, "JS": ScalarJS}
+
+#: Kernel-parity cases: ``(matcher, budget, cost ceiling)``.  At 1.47 s JS
+#: is cut mid-round on every PIER strategy; ED under a 6 ms ceiling has
+#: pairs quarantined on every strategy and rounds cut on the PIER ones
+#: (I-BASE runs out of work first).
+KERNEL_CASES = {
+    "ED": ("ED", BUDGET, None),
+    "JS": ("JS", 1.47, None),
+    "ED-ceiling": ("ED", BUDGET, 0.006),
+}
+
+
+def _matcher(batch_matching, name="ED"):
+    matcher = build_matcher(name)
+    return matcher if batch_matching else SCALAR_TWINS[name](threshold=matcher.threshold)
+
+
+def _run(
+    engine_cls, dataset, plan, strategy, batch_matching, matcher_name="ED", budget=BUDGET,
+    **kwargs,
+):
+    engine = engine_cls(_matcher(batch_matching, matcher_name), budget=budget, **kwargs)
     return engine.run(build_system(strategy, dataset), plan, dataset.ground_truth)
 
 
@@ -81,12 +104,30 @@ def _comparable(result):
 
 
 @pytest.mark.parametrize("engine_name", list(ENGINES))
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_batched_kernel_bit_identical(dataset, plan, strategy, engine_name):
+@pytest.mark.parametrize(
+    "strategy, case",
+    [
+        # The ED cases keep the bare strategy as their id.
+        pytest.param(strategy, case, id=strategy if case == "ED" else f"{strategy}-{case}")
+        for case in KERNEL_CASES
+        for strategy in STRATEGIES
+    ],
+)
+def test_batched_kernel_bit_identical(dataset, plan, strategy, case, engine_name):
     engine_cls = ENGINES[engine_name]
-    batched = _run(engine_cls, dataset, plan, strategy, batch_matching=True)
-    scalar = _run(engine_cls, dataset, plan, strategy, batch_matching=False)
+    matcher_name, budget, ceiling = KERNEL_CASES[case]
+    options = dict(matcher_name=matcher_name, budget=budget)
+    if ceiling is not None:
+        options["resilience"] = ResilienceConfig(cost_ceiling=ceiling)
+    batched = _run(engine_cls, dataset, plan, strategy, batch_matching=True, **options)
+    scalar = _run(engine_cls, dataset, plan, strategy, batch_matching=False, **options)
     assert _comparable(batched) == _comparable(scalar)
+    # The case reaches the branches it is here for.
+    counters = batched.details["metrics"]["counters"]
+    if ceiling is not None:
+        assert counters["engine.quarantined_pairs"] > 0
+    if case != "ED" and strategy != "I-BASE":
+        assert counters["engine.comparisons_cut_by_deadline"] > 0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -85,7 +85,7 @@ class TestIBase:
         system = IBaseSystem()
         profile = make_profile(5, "x1")
         system.ingest(Increment(0, (profile,)))
-        assert system.profile(5) is profile
+        assert system.profiles[5] is profile
 
     def test_describe(self):
         system = IBaseSystem()

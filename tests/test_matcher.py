@@ -14,7 +14,7 @@ from repro.matching.matcher import (
     JaccardMatcher,
 )
 
-from tests.conftest import make_profile
+from tests.conftest import batched_results, make_profile
 from tests.reference.levenshtein import levenshtein
 
 
@@ -174,7 +174,7 @@ class TestShortTextRegression:
             (make_profile(6, "alpha beta"), make_profile(7, "alpha beta")),
         ]
         scalar = [EditDistanceMatcher(0.8).evaluate(x, y) for x, y in pairs]
-        batched = matcher.evaluate_batch(pairs)
+        batched = batched_results(matcher, pairs)
         assert batched == scalar
         assert batched[0].is_match
 
@@ -196,8 +196,8 @@ class TestEditDistanceKernelTelemetry:
             (make_profile(8, forty), make_profile(9, "".join(scattered))),
             (make_profile(10, forty), make_profile(11, forty[:28] + "#" * 12)),
         ]
-        results = matcher.evaluate_batch(pairs)
-        assert results[4].similarity == results[5].similarity == 1.0 - 9 / 40
+        results = matcher._batch_scores(pairs)
+        assert results[4] == results[5] == 1.0 - 9 / 40
         counts = matcher.kernel_telemetry()
         assert tuple(counts) == KERNEL_COUNTERS
         assert all(value == 1 for value in counts.values())
@@ -246,7 +246,7 @@ class TestFunnelLoop:
             distance = levenshtein(text_x, text_y)
             assert result.similarity == 1.0 - min(distance, bound + 1) / longest
         batched = EditDistanceMatcher(threshold)
-        assert batched.evaluate_batch(pairs) == results
+        assert batched_results(batched, pairs) == results
         assert batched.kernel_counts == scalar.kernel_counts
 
     def test_profile_first_seen_mid_batch(self):
@@ -258,14 +258,14 @@ class TestFunnelLoop:
         warm.evaluate(known_x, known_y)
         assert set(warm._text_cache) == {0, 1}
         cold = EditDistanceMatcher(0.8)
-        assert warm.evaluate_batch(pairs) == cold.evaluate_batch(pairs)
+        assert warm._batch_scores(pairs) == cold._batch_scores(pairs)
         assert set(warm._text_cache) == {0, 1, 2}
 
     def test_similarity_counts_as_a_batch_of_one(self):
         for pair in self._profiles(self.TEXT_PAIRS[:1] + [("x", "x"), ("aaaa bbbb", "xxxx yyyy")]):
             scalar, batched = EditDistanceMatcher(0.8), EditDistanceMatcher(0.8)
             similarity = scalar.similarity(*pair)
-            assert batched.evaluate_batch([pair])[0].similarity == similarity
+            assert batched._batch_scores([pair]) == [similarity]
             assert scalar.kernel_counts == batched.kernel_counts
             assert sum(scalar.kernel_counts.values()) == 1
 
@@ -305,7 +305,7 @@ class TestSnapshotExcludesDerivedCaches:
             )
             for pid in range(20)
         ]
-        expected = matcher.evaluate_batch(pairs)
+        expected = batched_results(matcher, pairs)
         snapshot = matcher.snapshot_state()
 
         restored = EditDistanceMatcher(0.99)
@@ -316,4 +316,4 @@ class TestSnapshotExcludesDerivedCaches:
         fresh = EditDistanceMatcher(0.8)
         fresh.restore_state(snapshot)
         fresh.reset_stats()
-        assert fresh.evaluate_batch(pairs) == expected
+        assert batched_results(fresh, pairs) == expected

@@ -141,7 +141,7 @@ def test_pool_batch_scores_bit_identical(dataset, matcher_name):
         pool.begin_run()
         assert pool.batch_scores(pairs) == reference
         # A second round reuses the workers' profile caches; still identical.
-        assert pool.batch_scores(pairs[::-1]) == (reference[0][::-1], reference[1][::-1])
+        assert pool.batch_scores(pairs[::-1]) == reference[::-1]
     finally:
         pool.close()
 
@@ -177,7 +177,7 @@ def test_pool_ships_each_profile_once_per_run(dataset, ed_pool):
     ]
     try:
         assert ed_pool.batch_scores(pairs) == reference
-        assert ed_pool.batch_scores(pairs[::-1]) == (reference[0][::-1], reference[1][::-1])
+        assert ed_pool.batch_scores(pairs[::-1]) == reference[::-1]
         ed_pool.begin_run()
         assert ed_pool.batch_scores(pairs) == reference
     finally:
@@ -209,10 +209,10 @@ def test_pool_pickle_fallback_bit_identical(dataset):
         pool.begin_run()
         assert pool.batch_scores(pairs) == reference
         pool._connections[0] = ShortReplies(pool._connections[0])
-        assert pool.batch_scores(pairs[::-1]) == (reference[0][::-1], reference[1][::-1])
+        assert pool.batch_scores(pairs[::-1]) == reference[::-1]
         assert pool.broken
-        similarities, costs, _counts = pool._score_in_process(pairs)
-        assert (similarities, costs) == reference
+        similarities, _counts = pool._score_in_process(pairs)
+        assert similarities == reference
     finally:
         pool.close()
 
@@ -253,8 +253,8 @@ def test_second_run_with_colliding_pids_is_not_scored_from_the_first(path):
             assert pool.batch_scores(second) == _build_matcher("ED")._batch_scores(second)
         else:
             assert pool.broken
-            similarities, costs, _counts = pool._score_in_process(second)
-            assert (similarities, costs) == _build_matcher("ED")._batch_scores(second)
+            similarities, _counts = pool._score_in_process(second)
+            assert similarities == _build_matcher("ED")._batch_scores(second)
     finally:
         pool.close()
 

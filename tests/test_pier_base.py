@@ -168,7 +168,9 @@ class TestPierSystemFindK:
         system = self._system()
         profile = make_profile(3, "alpha")
         system.ingest(Increment(0, (profile,)))
-        assert system.profile(3) is profile
+        assert system.profiles[3] is profile
+        with pytest.raises(TypeError):  # read-only
+            system.profiles[3] = profile
 
     def test_describe(self):
         system = self._system()

@@ -52,4 +52,4 @@ class TestERSystemDefaults:
                 PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
             )
         with pytest.raises(NotImplementedError):
-            system.profile(0)
+            system.profiles

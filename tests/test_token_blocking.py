@@ -16,7 +16,7 @@ class TestIncrementalTokenBlocking:
         profile = make_profile(1, "alpha beta")
         cost = blocker.process_profile(profile)
         assert cost > 0
-        assert blocker.profile(1) is profile
+        assert blocker.profiles[1] is profile
         assert blocker.collection.blocks_of(1) == {"alpha", "beta"}
 
     def test_process_increment_accumulates_cost(self):
@@ -38,9 +38,9 @@ class TestIncrementalTokenBlocking:
 
     def test_get_profile_missing(self):
         blocker = IncrementalTokenBlocking()
-        assert blocker.get_profile(42) is None
+        assert blocker.profiles.get(42) is None
         with pytest.raises(KeyError):
-            blocker.profile(42)
+            blocker.profiles[42]
 
     def test_clean_clean_flag_propagates(self):
         blocker = IncrementalTokenBlocking(clean_clean=True)
@@ -50,4 +50,4 @@ class TestIncrementalTokenBlocking:
         blocker = IncrementalTokenBlocking()
         blocker.process_profile(make_profile(1, "x1"))
         blocker.process_profile(make_profile(2, "x2"))
-        assert blocker.known_profiles() == 2
+        assert len(blocker.profiles) == 2
