@@ -31,13 +31,7 @@ from typing import Sequence
 
 from repro.blocking.substrate import BlockingConfig
 from repro.core.dataset import Dataset, GroundTruth
-from repro.core.increments import (
-    Increment,
-    StreamPlan,
-    make_stream_plan,
-    split_into_increments,
-)
-from repro.core.profile import EntityProfile
+from repro.core.increments import StreamPlan, make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
 from repro.evaluation.experiments import (
     BATCH_SYSTEMS,
@@ -45,6 +39,7 @@ from repro.evaluation.experiments import (
     _build_matcher,
     _build_system,
 )
+from repro.execution.push import PushRun
 from repro.matching.matcher import Matcher
 from repro.resilience.checkpoint import EngineCheckpoint
 from repro.resilience.faults import FaultReport, FaultSpec, FaultyMatcher, apply_faults
@@ -52,7 +47,7 @@ from repro.resilience.retry import ResilienceConfig
 from repro.streaming.engine import RunResult, StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-__all__ = ["EngineOptions", "ERSession", "PushSession", "run_cell"]
+__all__ = ["EngineOptions", "ERSession", "run_cell"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,9 +126,9 @@ class ERSession:
         :class:`FaultSpec`.  Perturbs the stream plan and wraps the matcher
         with :class:`FaultyMatcher`; fault reports accumulate on
         :attr:`fault_reports`.
-    checkpoint_every / resilience:
-        Checkpoint cadence override and the full resilience knob set,
-        passed through to the engine.
+    resilience:
+        The full resilience knob set (retry, quarantine, shedding,
+        checkpoint cadence), passed through to the engine.
     pool:
         An externally owned :class:`~repro.parallel.pool.WorkerPool` to
         score through instead of spawning a session-private fleet.  The
@@ -158,7 +153,6 @@ class ERSession:
         seed: int = 0,
         workers: int | None = None,
         faults: int | FaultSpec | None = None,
-        checkpoint_every: float | None = None,
         resilience: ResilienceConfig | None = None,
         pool: "object | None" = None,
     ) -> None:
@@ -182,7 +176,6 @@ class ERSession:
             self.fault_spec: FaultSpec | None = faults
         else:
             self.fault_spec = FaultSpec.chaos(int(faults))
-        self.checkpoint_every = checkpoint_every
         self.resilience = resilience
         #: One :class:`FaultReport` per distinct stream plan the session
         #: built under a fault spec (at most two: streaming + batch-static).
@@ -194,7 +187,6 @@ class ERSession:
         self._pool = None
         self._pool_attempted = False
         self._external_pool = pool
-        self._push: PushSession | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -254,7 +246,6 @@ class ERSession:
             matcher,
             budget=self.budget,
             resilience=self.resilience,
-            checkpoint_every=self.checkpoint_every,
             workers=options.workers,
             pool=self._shared_pool(matcher),
         )
@@ -296,7 +287,9 @@ class ERSession:
         push = self.push(name, resume_from=resume_from)
         push.feed_plan(self.plan_for(name))
         push.drain(self.budget)
-        return push.results()
+        result = push.results()
+        self.last_checkpoint = push.last_checkpoint
+        return result
 
     # ------------------------------------------------------------------
     # Push mode
@@ -307,59 +300,24 @@ class ERSession:
         *,
         resume_from: EngineCheckpoint | None = None,
         adopt_checkpoint_budget: bool = False,
-    ) -> "PushSession":
+    ) -> PushRun:
         """Open a push-mode run: feed increments as they arrive.
 
-        Returns a :class:`PushSession` whose ``ingest``/``drain``/
-        ``results`` methods drive one engine run incrementally (see
+        Returns the engine's :class:`~repro.execution.push.PushRun`, built
+        on this session's matcher, engine, shared pool and system; its
+        ``ingest``/``drain``/``results`` drive one run incrementally (see
         :mod:`repro.execution.push` for the exact semantics).  Each call
-        opens an independent run; the session-level :meth:`ingest` /
-        :meth:`drain` / :meth:`results` conveniences manage a single
-        default one.
+        opens an independent run.
         """
         self._require_open("push")
         name = system if system is not None else self.systems[0]
-        return PushSession(
-            self,
-            name,
+        engine = self.build_engine(self.build_matcher())
+        return engine.open_push(
+            self.build_system(name),
+            self.ground_truth,
             resume_from=resume_from,
             adopt_checkpoint_budget=adopt_checkpoint_budget,
         )
-
-    def ingest(
-        self, profiles: Sequence[EntityProfile], at: float | None = None
-    ) -> float:
-        """Feed one profile increment into the session's default push run.
-
-        Opens the run on first use (and re-opens after :meth:`results`
-        finalized the previous one).  Returns the virtual arrival time
-        recorded for the increment.
-        """
-        self._require_open("ingest")
-        if self._push is None or self._push.finished:
-            self._push = self.push()
-        return self._push.ingest(profiles, at=at)
-
-    def drain(self, until: float) -> float:
-        """Advance the default push run's virtual clock to ``until``.
-
-        ``until`` is an absolute virtual-time horizon — the push-mode
-        generalization of the classic budget deadline — and must be
-        non-decreasing across drains.  Returns the clock after draining.
-        """
-        self._require_open("drain")
-        if self._push is None or self._push.finished:
-            self._push = self.push()
-        return self._push.drain(until)
-
-    def results(self) -> RunResult:
-        """Finalize the default push run and return its :class:`RunResult`."""
-        self._require_open("results")
-        if self._push is None:
-            raise RuntimeError(
-                "no push run in progress: call ingest() or drain() first"
-            )
-        return self._push.results()
 
     def compare(self) -> dict[str, RunResult]:
         """Run every configured system; results keyed in configuration order.
@@ -375,7 +333,6 @@ class ERSession:
             workers > 1
             and len(self.systems) > 1
             and self.fault_spec is None
-            and self.checkpoint_every is None
             and self.resilience is None
         )
         if fan_out:
@@ -451,7 +408,6 @@ class ERSession:
             self._pool.close()
             self._pool = None
         self._pool_attempted = False
-        self._push = None
         self._closed = True
 
     def __enter__(self) -> "ERSession":
@@ -460,128 +416,6 @@ class ERSession:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class PushSession:
-    """One push-mode engine run opened by :meth:`ERSession.push`.
-
-    A thin facade over :class:`repro.execution.push.PushRun` that adds the
-    session's builders (matcher, system, engine, shared pool) and profile-
-    level ingestion: :meth:`ingest` wraps raw profiles into the next
-    :class:`~repro.core.increments.Increment` so callers never hand-number
-    increments.  :meth:`feed` remains available for replaying prepared
-    increments (checkpoint restore, plan adapters) with their original
-    indices.
-
-    The run is lazy like the engine's own: state materializes at the first
-    drain, which is what lets a restore see every increment fed before it.
-    """
-
-    def __init__(
-        self,
-        session: ERSession,
-        system_name: str,
-        *,
-        resume_from: EngineCheckpoint | None = None,
-        adopt_checkpoint_budget: bool = False,
-    ) -> None:
-        self._session = session
-        self.system_name = system_name
-        matcher = session.build_matcher()
-        self._engine = session.build_engine(matcher)
-        self._run = self._engine.open_push(
-            session.build_system(system_name),
-            session.ground_truth,
-            resume_from=resume_from,
-            adopt_checkpoint_budget=adopt_checkpoint_budget,
-        )
-        self._next_index = 0
-
-    # -- feeding -------------------------------------------------------
-    def ingest(
-        self, profiles: Sequence[EntityProfile], at: float | None = None
-    ) -> float:
-        """Feed one increment of profiles arriving at virtual time ``at``.
-
-        ``at`` defaults to "now" (the later of the run's clock and the last
-        arrival); explicit times must be non-decreasing.  Returns the
-        arrival time recorded.
-        """
-        increment = Increment(index=self._next_index, profiles=tuple(profiles))
-        return self.feed(increment, at=at)
-
-    def feed(self, increment: Increment, at: float | None = None) -> float:
-        """Feed one prepared :class:`Increment` (keeps its index)."""
-        recorded = self._run.feed(increment, at=at)
-        self._next_index = max(self._next_index, increment.index + 1)
-        return recorded
-
-    def feed_plan(self, plan: StreamPlan) -> None:
-        """Feed every increment of a prepared stream plan."""
-        for at, increment in plan:
-            self.feed(increment, at=at)
-
-    # -- driving -------------------------------------------------------
-    def start(self) -> None:
-        """Materialize the run state now (applying any pending restore)."""
-        self._run.start()
-
-    def drain(self, until: float) -> float:
-        """Advance the run to the absolute virtual horizon ``until``."""
-        clock = self._run.drain(until)
-        self._session.last_checkpoint = self._engine.last_checkpoint
-        return clock
-
-    def checkpoint(self) -> EngineCheckpoint:
-        """Take a consistent cut of the run (between drains)."""
-        return self._run.checkpoint()
-
-    def results(self) -> RunResult:
-        """Finalize the run; repeated calls return the same result."""
-        result = self._run.results()
-        self._session.last_checkpoint = self._engine.last_checkpoint
-        return result
-
-    # -- introspection -------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return self._run.started
-
-    @property
-    def finished(self) -> bool:
-        return self._run.finished
-
-    @property
-    def horizon(self) -> float | None:
-        return self._run.horizon
-
-    @property
-    def clock(self) -> float:
-        return self._run.clock
-
-    @property
-    def matches(self) -> frozenset[tuple[int, int]]:
-        return self._run.matches
-
-    @property
-    def match_count(self) -> int:
-        return self._run.match_count
-
-    @property
-    def comparisons_executed(self) -> int:
-        return self._run.comparisons_executed
-
-    @property
-    def increments_fed(self) -> int:
-        return self._run.increments_fed
-
-    @property
-    def backlog(self) -> int:
-        return self._run.backlog
-
-    @property
-    def work_exhausted(self) -> bool:
-        return self._run.work_exhausted
 
 
 def run_cell(config: ExperimentConfig, system_name: str) -> RunResult:

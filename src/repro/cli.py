@@ -25,6 +25,7 @@ from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.experiments import SYSTEM_NAMES
 from repro.evaluation.io import run_result_to_json, write_curve_csv
 from repro.evaluation.reporting import format_table, pc_over_time_table, summary_table
+from repro.resilience.retry import ResilienceConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -145,7 +146,13 @@ def _session(args, systems) -> ERSession:
         budget=args.budget,
         seed=args.seed,
         faults=args.faults,
-        checkpoint_every=args.checkpoint_every,
+        # Only a given flag builds a config: ``resilience=None`` keeps
+        # ``compare --workers N`` fanning out across processes.
+        resilience=(
+            None
+            if args.checkpoint_every is None
+            else ResilienceConfig(checkpoint_every=args.checkpoint_every)
+        ),
     )
 
 

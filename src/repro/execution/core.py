@@ -63,7 +63,7 @@ bounded per-round gauge log, exported as ``details["metrics"]`` on the
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress, islice
 from operator import add
@@ -200,8 +200,6 @@ class ExecutionCore:
     resilience:
         Fault-tolerance knobs (retry, quarantine, shedding, checkpointing);
         the default changes nothing about a fault-free run.
-    checkpoint_every:
-        Convenience override for ``resilience.checkpoint_every``.
     workers:
         The fleet width the caller asked for.  A run that asked for more
         than one worker but has no ``pool`` scores in-process and counts
@@ -228,7 +226,6 @@ class ExecutionCore:
         match_cost_prior: float = 1e-4,
         sample_every: int = 64,
         resilience: ResilienceConfig | None = None,
-        checkpoint_every: float | None = None,
         workers: int = 1,
         pool: "object | None" = None,
     ) -> None:
@@ -240,10 +237,7 @@ class ExecutionCore:
         self.budget = budget
         self.match_cost_prior = match_cost_prior
         self.sample_every = sample_every
-        resilience = resilience or DEFAULT_RESILIENCE
-        if checkpoint_every is not None:
-            resilience = replace(resilience, checkpoint_every=checkpoint_every)
-        self.resilience = resilience
+        self.resilience = resilience or DEFAULT_RESILIENCE
         self.workers = workers
         self._pool = pool
         #: Latest checkpoint of the most recent run (``None`` before any).

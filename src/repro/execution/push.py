@@ -9,8 +9,10 @@ virtual budget the tenant may burn next.
 
 :class:`PushRun` is the same run, inverted into a state machine:
 
-* :meth:`PushRun.feed` appends one increment (with its virtual arrival
-  time) to the run's open-ended plan;
+* :meth:`PushRun.ingest` appends one increment of profiles (with its
+  virtual arrival time) to the run's open-ended plan, numbered after every
+  increment fed so far; :meth:`PushRun.feed` appends a prepared
+  :class:`~repro.core.increments.Increment` with its own index;
 * :meth:`PushRun.drain` advances the engine's virtual clock to an absolute
   *horizon* — the engine's ``_drive`` policy executes exactly as it would
   inside ``run()``, with the horizon playing the role of the budget
@@ -35,13 +37,14 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.increments import Increment
 from repro.resilience.checkpoint import EngineCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GroundTruth
+    from repro.core.profile import EntityProfile
     from repro.execution.core import ExecutionCore, RunResult, RunState
     from repro.streaming.system import ERSystem
 
@@ -71,14 +74,6 @@ class PushPlan:
 
     def __iter__(self) -> Iterator[tuple[float, Increment]]:
         return iter(zip(self.arrival_times, self.increments))
-
-    @property
-    def last_arrival(self) -> float:
-        return self.arrival_times[-1] if self.arrival_times else 0.0
-
-    @property
-    def total_profiles(self) -> int:
-        return sum(len(increment) for increment in self.increments)
 
 
 class PushRun:
@@ -121,6 +116,7 @@ class PushRun:
         self._state: "RunState | None" = None
         self._horizon: float | None = None
         self._result: "RunResult | None" = None
+        self._next_index = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -184,9 +180,23 @@ class PushRun:
     def work_exhausted(self) -> bool:
         return self._state is not None and self._state.work_exhausted
 
+    @property
+    def last_checkpoint(self) -> EngineCheckpoint | None:
+        """The engine's latest checkpoint (``None`` before any)."""
+        return self._engine.last_checkpoint
+
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
+    def ingest(self, profiles: "Sequence[EntityProfile]", at: float | None = None) -> float:
+        """Feed one increment of ``profiles`` arriving at virtual time ``at``.
+
+        The increment is numbered after the highest index fed so far (by
+        either method), so callers never hand-number increments.  ``at``
+        behaves as in :meth:`feed`; returns the arrival time recorded.
+        """
+        return self.feed(Increment(index=self._next_index, profiles=tuple(profiles)), at=at)
+
     def feed(self, increment: Increment, at: float | None = None) -> float:
         """Append one increment arriving at virtual time ``at``.
 
@@ -209,6 +219,7 @@ class PushRun:
             )
         self.plan.increments.append(increment)
         times.append(at)
+        self._next_index = max(self._next_index, increment.index + 1)
         state = self._state
         if state is not None:
             # The state aliases the plan lists; only the derived fields —

@@ -14,7 +14,6 @@ the default configuration changes nothing about a fault-free run.
 
 from __future__ import annotations
 
-import random  # noqa: F401  (typing of the jitter stream parameter)
 from dataclasses import dataclass
 
 __all__ = ["RetryPolicy", "ResilienceConfig", "DEFAULT_RESILIENCE"]
@@ -24,19 +23,14 @@ __all__ = ["RetryPolicy", "ResilienceConfig", "DEFAULT_RESILIENCE"]
 class RetryPolicy:
     """Capped exponential backoff for transient failures.
 
-    ``jitter`` spreads consecutive backoffs by a seeded multiplicative
-    factor in ``[1 - jitter, 1 + jitter]`` so a thundering herd of retries
-    decorrelates.  The jitter stream comes from a caller-owned
-    ``random.Random``; with an explicit seed the jittered sequence is
-    exactly reproducible — on the virtual clock the same backoffs are
-    charged in the same order on every host.
+    Backoffs are charged to the virtual clock, so the same failures cost
+    the same time, in the same order, on every host.
     """
 
     max_attempts: int = 3
     base_backoff: float = 1e-3
     backoff_factor: float = 2.0
     max_backoff: float = 0.1
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -47,23 +41,13 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if self.max_backoff < self.base_backoff:
             raise ValueError("max_backoff must be >= base_backoff")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
-    def backoff(self, attempt: int, rng: "random.Random | None" = None) -> float:
-        """Seconds to wait after the ``attempt``-th failure (1-based).
-
-        Without ``rng`` (or with ``jitter == 0``) this is the raw capped
-        exponential.  With both, the capped value is scaled by the next
-        draw of the jitter stream — one ``rng.random()`` call per backoff,
-        so the sequence is pinned by the rng seed.
-        """
+    def backoff(self, attempt: int) -> float:
+        """Seconds to wait after the ``attempt``-th failure (1-based): the
+        capped exponential."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        capped = min(self.base_backoff * self.backoff_factor ** (attempt - 1), self.max_backoff)
-        if rng is None or self.jitter == 0.0:
-            return capped
-        return capped * (1.0 - self.jitter + 2.0 * self.jitter * rng.random())
+        return min(self.base_backoff * self.backoff_factor ** (attempt - 1), self.max_backoff)
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,10 +31,11 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.api import ERSession, EngineOptions, PushSession
+from repro.api import ERSession, EngineOptions
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
+from repro.execution.push import PushRun
 from repro.resilience.checkpoint import EngineCheckpoint
 from repro.resilience.retry import ResilienceConfig
 
@@ -126,39 +127,34 @@ class TenantSession:
         snapshot: TenantSnapshot | None = None,
     ) -> None:
         self.config = config
-        resilience = None
-        if config.shed_watermark is not None:
-            resilience = ResilienceConfig(shed_watermark=config.shed_watermark)
+        resilience = ResilienceConfig(
+            shed_watermark=config.shed_watermark, checkpoint_every=config.checkpoint_every
+        )
         self._session = ERSession(
             _empty_dataset(config),
             systems=(config.system,),
             matcher=config.matcher,
             engine=EngineOptions(pipelined=config.pipelined, workers=workers),
             budget=config.budget,
-            checkpoint_every=config.checkpoint_every,
             resilience=resilience,
             pool=pool,
         )
-        self._arrivals: list[tuple[float, Increment]] = []
         #: Ops accepted by admission, in order — replaying this log through
         #: a fresh TenantSession reproduces the run bit-identically.
         self.ingests_accepted = 0
         self.ingests_shed = 0
-        self.drains = 0
         if snapshot is None:
-            self._push: PushSession = self._session.push(config.system)
+            self._push: PushRun = self._session.push(config.system)
         else:
             self._push = self._session.push(
                 config.system,
                 resume_from=snapshot.checkpoint,
                 adopt_checkpoint_budget=True,
             )
-            for at, increment in snapshot.arrivals:
-                self._push.feed(increment, at=at)
-                self._arrivals.append((at, increment))
+            self._push.feed_plan(snapshot.arrivals)
             # Each logged arrival was one accepted ingest of the original
             # tenant; the counter carries over with the log.
-            self.ingests_accepted = len(self._arrivals)
+            self.ingests_accepted = len(snapshot.arrivals)
             # Bind the checkpoint to exactly these arrivals before any new
             # feeds can grow the plan past its fingerprint.
             self._push.start()
@@ -171,20 +167,6 @@ class TenantSession:
     @property
     def clock(self) -> float:
         return self._push.clock
-
-    @property
-    def horizon(self) -> float | None:
-        return self._push.horizon
-
-    @property
-    def finished(self) -> bool:
-        return self._push.finished
-
-    @property
-    def budget_exhausted(self) -> bool:
-        """Whether the virtual allowance is used up (no further arrivals)."""
-        horizon = self._push.horizon
-        return horizon is not None and horizon >= self.config.budget
 
     def ingest(self, profiles: Sequence[EntityProfile], at: float | None = None) -> float:
         """Feed one increment and auto-drain to its arrival time.
@@ -200,7 +182,6 @@ class TenantSession:
                 f"arrival at t={at} is beyond the tenant budget {budget}"
             )
         recorded = self._push.ingest(profiles, at=at)
-        self._arrivals.append((recorded, self._last_increment()))
         self.ingests_accepted += 1
         # Progressive surfacing: advance the engine to the arrival so due
         # comparisons execute now, not at the next explicit drain.
@@ -215,9 +196,7 @@ class TenantSession:
             raise ValueError(
                 f"drain horizon {until} exceeds the tenant budget {self.config.budget}"
             )
-        clock = self._push.drain(until)
-        self.drains += 1
-        return clock
+        return self._push.drain(until)
 
     def matches(self) -> frozenset[tuple[int, int]]:
         return self._push.matches
@@ -240,15 +219,10 @@ class TenantSession:
         return TenantSnapshot(
             config=self.config,
             checkpoint=self._push.checkpoint(),
-            arrivals=tuple(self._arrivals),
+            arrivals=tuple(self._push.plan),
             horizon=self._push.horizon,
             next_index=self._push.increments_fed,
         )
 
     def close(self) -> None:
         self._session.close()
-
-    # ------------------------------------------------------------------
-    def _last_increment(self) -> Increment:
-        # PushSession appended the increment to the underlying plan.
-        return self._push._run.plan.increments[-1]

@@ -49,6 +49,7 @@ def _ipbs_small_rounds(capacity=500_000) -> PierSystem:
 
 BUDGET = 10.0
 CHECKPOINT_EVERY = 1.5
+CADENCE = ResilienceConfig(checkpoint_every=CHECKPOINT_EVERY)
 CRASH_AT = 5.0
 
 
@@ -83,7 +84,7 @@ def _crash_and_resume(
     if as_written is not None:
         checkpoint = as_written(checkpoint)
     resumed_engine = engine_cls(
-        build_matcher(matcher), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        build_matcher(matcher), budget=BUDGET, resilience=CADENCE
     )
     return resumed_engine.run(factory(), plan, truth, resume_from=checkpoint), checkpoint
 
@@ -142,7 +143,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES[name]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -155,7 +156,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES[name]
         plan = _plan(small_dblp_acm)
         uninterrupted = PipelinedStreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth,
@@ -176,7 +177,7 @@ class TestCrashResumeDeterminism:
 
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -196,7 +197,7 @@ class TestCrashResumeDeterminism:
         index entries and the store's stray ``"bloom"`` key is ignored."""
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(_ipbs_small_rounds(), plan, small_dblp_acm.ground_truth)
         resumed, _ = _crash_and_resume(
             _ipbs_small_rounds, plan, small_dblp_acm.ground_truth,
@@ -211,7 +212,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES[name]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, _ = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth, as_written=_with_emission_counts
@@ -227,7 +228,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES["I-PCS"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, _ = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth, as_written=_with_retired_counter
@@ -241,7 +242,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES["I-PES"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -258,7 +259,7 @@ class TestCrashResumeDeterminism:
         factory = STRATEGY_FACTORIES["I-PCS"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth
@@ -299,7 +300,7 @@ class TestCheckpointPlumbing:
     def test_checkpoints_taken_counted(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
         engine = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, checkpoint_every=2.0
+            build_matcher("ED"), budget=BUDGET, resilience=ResilienceConfig(checkpoint_every=2.0)
         )
         result = engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         taken = result.details["metrics"]["counters"]["engine.checkpoints_taken"]
@@ -317,7 +318,9 @@ class TestCheckpointPlumbing:
 
     def test_resume_rejects_wrong_engine_kind(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, resilience=ResilienceConfig(checkpoint_every=1.0)
+        )
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         checkpoint = engine.last_checkpoint
         other = PipelinedStreamingEngine(build_matcher("ED"), budget=BUDGET)
@@ -329,7 +332,9 @@ class TestCheckpointPlumbing:
 
     def test_resume_rejects_wrong_budget(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, resilience=ResilienceConfig(checkpoint_every=1.0)
+        )
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         other = StreamingEngine(build_matcher("ED"), budget=BUDGET * 2)
         with pytest.raises(ValueError, match="budget"):
@@ -340,7 +345,9 @@ class TestCheckpointPlumbing:
 
     def test_resume_rejects_different_plan(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
-        engine = StreamingEngine(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0)
+        engine = StreamingEngine(
+            build_matcher("ED"), budget=BUDGET, resilience=ResilienceConfig(checkpoint_every=1.0)
+        )
         engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         other_plan = _plan(small_dblp_acm, n=7)
         fresh = StreamingEngine(build_matcher("ED"), budget=BUDGET)

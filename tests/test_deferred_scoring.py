@@ -166,7 +166,7 @@ def test_every_join_point_equals_the_in_process_run(
     dataset, plan, ed_pool, strategy, engine_name, schedule, checkpoint_every, hand_off_pairs
 ):
     engine_cls = ENGINES[engine_name]
-    kwargs = dict(checkpoint_every=checkpoint_every)
+    kwargs = dict(resilience=ResilienceConfig(checkpoint_every=checkpoint_every))
     in_process, _ = _walk(
         engine_cls, _build_matcher("ED"), dataset, plan, strategy, schedule, **kwargs
     )

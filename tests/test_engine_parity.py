@@ -205,9 +205,9 @@ def test_resume_crosses_kernels(dataset, plan, engine_name):
     batched path — the kernels share one execution semantics."""
     engine_cls = ENGINES[engine_name]
     checkpoint = _crash_checkpoint(engine_cls, dataset, plan, "I-PES", batch_matching=False)
-    resumed = engine_cls(build_matcher("ED"), budget=BUDGET, checkpoint_every=1.0).run(
-        build_system("I-PES", dataset), plan, dataset.ground_truth, resume_from=checkpoint
-    )
+    resumed = engine_cls(
+        build_matcher("ED"), budget=BUDGET, resilience=ResilienceConfig(checkpoint_every=1.0)
+    ).run(build_system("I-PES", dataset), plan, dataset.ground_truth, resume_from=checkpoint)
     uninterrupted = _run(engine_cls, dataset, plan, "I-PES", batch_matching=True)
     assert resumed.duplicates == uninterrupted.duplicates
     assert resumed.clock_end == uninterrupted.clock_end

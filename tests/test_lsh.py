@@ -213,6 +213,7 @@ class TestCLIBlockingFlags:
 # the first checkpoint) for the resume path to be exercised.
 BUDGET = 10.0
 CHECKPOINT_EVERY = 0.3
+CADENCE = ResilienceConfig(checkpoint_every=CHECKPOINT_EVERY)
 CRASH_AT = 1.0
 
 
@@ -295,7 +296,7 @@ class TestLSHCrashResume:
         plan = _plan(small_dblp_acm)
         factory = _factory(substrate, small_dblp_acm)
         uninterrupted = StreamingEngine(
-            _build_matcher("JS"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            _build_matcher("JS"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
         crashing = StreamingEngine(
             _build_matcher("JS"),
@@ -309,7 +310,7 @@ class TestLSHCrashResume:
         checkpoint = exc.value.checkpoint
         assert checkpoint is not None
         resumed = StreamingEngine(
-            _build_matcher("JS"), budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+            _build_matcher("JS"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth, resume_from=checkpoint)
         assert resumed.duplicates == uninterrupted.duplicates
         assert resumed.curve.points == uninterrupted.curve.points

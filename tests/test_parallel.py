@@ -278,7 +278,8 @@ def test_pool_close_is_idempotent():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_worker_count_invariance_serial_engine(dataset, plan, strategy, ed_pool):
     serial, serial_ckpt = _run(
-        StreamingEngine, dataset, plan, strategy, checkpoint_every=2.0
+        StreamingEngine, dataset, plan, strategy,
+        resilience=ResilienceConfig(checkpoint_every=2.0),
     )
     sharded, sharded_ckpt = _run(
         StreamingEngine,
@@ -287,7 +288,7 @@ def test_worker_count_invariance_serial_engine(dataset, plan, strategy, ed_pool)
         strategy,
         workers=ed_pool.size,
         pool=ed_pool,
-        checkpoint_every=2.0,
+        resilience=ResilienceConfig(checkpoint_every=2.0),
     )
     assert _comparable(sharded) == _comparable(serial)
     assert _checkpoint_fingerprint(sharded_ckpt) == _checkpoint_fingerprint(serial_ckpt)

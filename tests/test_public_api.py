@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro import load_dataset, resolve_stream
-from repro.api import EngineOptions
+from repro.api import EngineOptions, ERSession
+from repro.execution.core import ExecutionCore
+from repro.execution.push import PushPlan
 from repro.execution.store import ComparisonStore
 from repro.pier.base import GetComparisons, IncrPrioritization
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
+from repro.resilience import RetryPolicy
+from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
 
 #: Options and shims retired for one production path per behaviour (their
@@ -44,6 +49,8 @@ RETIRED_NAMES = (
     # emission counts and exhaustion probes no run read.
     "has_pending_" + "comparisons", "record_" + "emission", "stale_" + "dequeues",
     "is_" + "exhausted", "." + "exhausted(",
+    # The facade between a session and the engine's push run.
+    "Push" + "Session",
 )
 
 
@@ -93,12 +100,34 @@ class TestRetiredNames:
             (IPCS, "exhausted"),
             (IPBS, "exhausted"),
             (IPES, "exhausted"),
+            # The session's hidden default run: ``push()`` is the one handle.
+            (ERSession, "ingest"),
+            (ERSession, "drain"),
+            (ERSession, "results"),
+            (RetryPolicy, "jitter"),
+            (TenantSession, "horizon"),
+            (TenantSession, "finished"),
+            (TenantSession, "budget_exhausted"),
+            (TenantSession, "drains"),
+            (PushPlan, "last_arrival"),
+            (PushPlan, "total_profiles"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
     def test_engine_options_has_exactly_these_fields(self):
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [
             "pipelined", "workers", "blocking", "lsh_bands", "lsh_rows", "lsh_seed",
+        ]
+
+    def test_session_and_core_take_exactly_these_parameters(self):
+        """Checkpoint cadence lives on ``ResilienceConfig`` alone."""
+        assert list(inspect.signature(ERSession.__init__).parameters) == [
+            "self", "dataset", "systems", "matcher", "engine", "scale", "n_increments",
+            "rate", "budget", "seed", "workers", "faults", "resilience", "pool",
+        ]
+        assert list(inspect.signature(ExecutionCore.__init__).parameters) == [
+            "self", "matcher", "budget", "match_cost_prior", "sample_every",
+            "resilience", "workers", "pool",
         ]
 
 

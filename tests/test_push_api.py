@@ -1,4 +1,4 @@
-"""Tests for the push-mode run surface (``PushRun`` / ``PushSession``).
+"""Tests for the push-mode run surface (``PushRun``, opened by ``ERSession.push``).
 
 Push mode is the API redesign behind the service: ``run()`` is now the
 degenerate push schedule (feed the whole plan, drain once to the budget,
@@ -14,7 +14,9 @@ every run.  Pinned here, beyond that by-construction guarantee:
 * checkpoint/resume across push runs, including the migration shape
   (``adopt_checkpoint_budget`` + explicit ``start()`` binding the restore
   to the re-fed arrivals);
-* the session-level ``ingest``/``drain``/``results`` conveniences.
+* ``session.push()`` is the engine's ``PushRun`` itself, and its
+  ``ingest`` numbers increments after every index fed so far, ``feed``
+  included.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def test_feeding_a_started_run_does_not_slow_down(dataset, monkeypatch):
             push.feed(Increment(index=index, profiles=()), at=1.0)
         assert computed == []
         assert push.increments_fed == 5001
-        assert push.checkpoint().plan_fingerprint == plan_token(push._run.plan)
+        assert push.checkpoint().plan_fingerprint == plan_token(push.plan)
         assert computed == [5001]
 
 
@@ -327,18 +329,24 @@ def test_start_binds_restore_before_further_feeds(dataset):
 
 
 # ----------------------------------------------------------------------
-# Session-level conveniences
+# The one handle
 # ----------------------------------------------------------------------
-def test_session_level_push_conveniences(dataset):
+def test_session_push_returns_the_engines_push_run(dataset):
+    from repro.execution.push import PushRun
+
     with _session(dataset) as session:
-        with pytest.raises(RuntimeError, match="no push run in progress"):
-            session.results()
-        session.ingest(dataset.profiles[:4], at=0.0)
-        session.ingest(dataset.profiles[4:8], at=0.5)
-        session.drain(BUDGET)
-        result = session.results()
-        assert result.increments_ingested == 2
-        # A finalized default run is replaced transparently.
-        session.ingest(dataset.profiles[:4], at=0.0)
-        session.drain(BUDGET)
-        assert session.results().increments_ingested == 1
+        assert isinstance(session.push(), PushRun)
+
+
+def test_ingest_numbers_after_every_index_fed(dataset):
+    from repro.core.increments import Increment
+
+    with _session(dataset) as session:
+        push = session.push()
+        push.ingest(dataset.profiles[:2], at=0.0)
+        push.feed(Increment(index=5, profiles=tuple(dataset.profiles[2:4])), at=0.5)
+        push.ingest(dataset.profiles[4:6], at=1.0)
+        push.feed(Increment(index=3, profiles=tuple(dataset.profiles[6:8])), at=1.5)
+        push.ingest(dataset.profiles[8:10], at=2.0)
+        assert [increment.index for increment in push.plan.increments] == [0, 5, 6, 3, 7]
+        assert push.last_checkpoint is None

@@ -227,6 +227,7 @@ def test_no_block_pair_is_enumerated_twice(strategy_cls, small_dblp_acm):
 _HASHSEED_SCRIPT = """
 from repro.api import EngineOptions, ERSession
 from repro.datasets.registry import load_dataset
+from repro.resilience import ResilienceConfig
 from repro.service.protocol import result_fingerprint
 
 
@@ -253,7 +254,8 @@ for system in ("I-PCS", "I-PES"):
         # checkpoint cuts fall where the refill heap still holds blocks.
         with ERSession(
             dataset, systems=(system,), matcher="JS", n_increments=30, rate=200.0,
-            budget=1e9, checkpoint_every=0.01, engine=EngineOptions(blocking=blocking),
+            budget=1e9, resilience=ResilienceConfig(checkpoint_every=0.01),
+            engine=EngineOptions(blocking=blocking),
         ) as session:
             result = session.run()
         strategy = session.last_checkpoint.system_state["strategy"]

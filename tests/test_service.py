@@ -19,6 +19,7 @@ Pinned here:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import queue
 import signal
@@ -248,6 +249,44 @@ def test_tenant_snapshot_restore_is_bit_identical():
     restored.drain(BUDGET)
     assert result_fingerprint(restored.results()) == expected
     restored.close()
+
+
+def test_tenant_chained_migration_is_bit_identical():
+    """Snapshot → restore → ingest → snapshot → restore → drain: the second
+    snapshot's log is the run's own plan, so every arrival survives both hops
+    with its index."""
+    config = TenantConfig(tenant_id="t", budget=BUDGET)
+    batches = _batches()
+    expected = _drive_tenant(TenantSession(config))
+
+    first = TenantSession(config)
+    for i, batch in enumerate(batches[:2]):
+        first.ingest(batch, at=float(i))
+    blob = first.snapshot().to_bytes()
+    first.close()
+
+    second = TenantSession(config, snapshot=TenantSnapshot.from_bytes(blob))
+    second.ingest(batches[2], at=2.0)
+    assert second.ingests_accepted == 3
+    snapshot = TenantSnapshot.from_bytes(second.snapshot().to_bytes())
+    second.close()
+    assert [(at, increment.index) for at, increment in snapshot.arrivals] == [
+        (0.0, 0), (1.0, 1), (2.0, 2),
+    ]
+    assert [list(increment.profiles) for _, increment in snapshot.arrivals] == batches
+    assert snapshot.next_index == 3
+
+    third = TenantSession(config, snapshot=snapshot)
+    assert third.ingests_accepted == 3
+    third.drain(BUDGET)
+    assert result_fingerprint(third.results()) == expected
+    third.close()
+
+
+def test_tenant_snapshot_fields_are_unchanged():
+    assert [field.name for field in dataclasses.fields(TenantSnapshot)] == [
+        "config", "checkpoint", "arrivals", "horizon", "next_index",
+    ]
 
 
 def test_tenant_drains_exhausted_batch_baseline_without_spinning():
