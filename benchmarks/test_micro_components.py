@@ -19,7 +19,6 @@ from repro.matching.similarity import levenshtein
 from repro.metablocking.weights import CommonBlocksScheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.pier.ipes import IPES
-from repro.core.comparison import WeightedComparison
 from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
@@ -157,15 +156,16 @@ def test_bench_matcher_ed(benchmark, census):
 
 def test_bench_ipes_insert_dequeue(benchmark):
     rng = random.Random(4)
-    comparisons = [
-        WeightedComparison.of(rng.randrange(2000), 2000 + rng.randrange(2000), rng.random() * 10)
+    items = [
+        (rng.randrange(2000), 2000 + rng.randrange(2000), rng.random() * 10)
         for _ in range(5000)
     ]
+    pairs = [(left, right) for left, right, _ in items]
+    weights = [weight for *_, weight in items]
 
     def churn():
         strategy = IPES()
-        for weighted in comparisons:
-            strategy._insert_weighted(weighted)
+        strategy._insert_batch(pairs, weights)
         drained = 0
         while strategy.dequeue() is not None:
             drained += 1

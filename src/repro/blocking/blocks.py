@@ -354,6 +354,12 @@ class BlockCollection:
             return 0
         return len(keys_x & keys_y)
 
+    def common_block_counts(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """:meth:`common_blocks` of every pair, in order, in one pass."""
+        keys_of = self._blocks_of.get
+        none: frozenset[str] = frozenset()
+        return [len(keys_of(x, none) & keys_of(y, none)) for x, y in pairs]
+
     def __repr__(self) -> str:
         return (
             f"BlockCollection(blocks={len(self._blocks)}, "

@@ -129,6 +129,7 @@ class BlockingSubstrate(Protocol):
     def iter_partner_blocks(self, pid: int) -> tuple[Block, ...]: ...
     def partner_counts(self, pid: int, source: int | None = None) -> Counter: ...
     def common_blocks(self, pid_x: int, pid_y: int) -> int: ...
+    def common_block_counts(self, pairs: Iterable[tuple[int, int]]) -> list[int]: ...
     def profiles_indexed(self) -> int: ...
     def is_indexed(self, pid: int) -> bool: ...
     def total_comparisons(self) -> int: ...

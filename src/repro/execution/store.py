@@ -42,11 +42,6 @@ class ComparisonStore:
     def was_executed(self, pid_x: int, pid_y: int) -> bool:
         return canonical_pair(pid_x, pid_y) in self.executed
 
-    def was_executed_canonical(self, left: int, right: int) -> bool:
-        """:meth:`was_executed` for a pair known to be in canonical order
-        (``left < right``): one probe, for callers that ask per candidate."""
-        return (left, right) in self.executed
-
     def mark_executed(self, pair: tuple[int, int]) -> bool:
         """Claim a canonical pair for execution; ``False`` if already claimed."""
         if pair in self.executed:

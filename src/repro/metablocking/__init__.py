@@ -2,7 +2,6 @@
 
 from repro.metablocking.block_graph import BlockGraph
 from repro.metablocking.sweep import (
-    partner_weights,
     sweep_candidate_weights,
     sweep_weights,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "WeightingScheme",
     "batch_wnp_for_profile",
     "make_scheme",
-    "partner_weights",
     "sweep_candidate_weights",
     "sweep_weights",
     "sweep_wnp",

@@ -18,6 +18,13 @@ speed (``Counter.update`` over the index's member lists).  Candidate
 de-duplication falls out for free: each partner appears once in the
 accumulator however many blocks it shares.
 
+Paths that drain a block (the idle refill, I-PBS, PBS, the PPS block graph)
+already know their pairs and need only the weights.  For them a sweep would
+touch every member of every block of each left profile, however few pairs
+were asked for; :func:`pair_weights` instead takes the CBS count of every
+pair — the plain ``|B(x) ∩ B(y)|`` of the definition — from one
+comprehension of key-set intersections on the substrate.
+
 The sweep must agree float for float with the definition — ghost, gather,
 de-duplicate, one ``scheme.weight()`` per candidate — which lives on as the
 oracle ``tests/reference/per_pair_weighting.py``
@@ -39,13 +46,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
-__all__ = ["sweep_weights", "partner_weights", "pair_weights", "sweep_candidate_weights"]
+__all__ = ["sweep_weights", "pair_weights", "sweep_candidate_weights"]
 
 #: C-level size fetch for the ghosting threshold scan (``len()`` would pay a
 #: Python ``__len__`` dispatch per block).
@@ -109,33 +116,6 @@ def _count_totals(
     counts: Counter = Counter()
     counts.update(chain.from_iterable(_member_lists(blocks, cross_only, other)))
     return counts
-
-
-def _accumulate(
-    collection: BlockingSubstrate,
-    pid: int,
-    blocks: Sequence[Block],
-    scheme: WeightingScheme,
-    source: int | None,
-):
-    """Run the statistics sweep; return ``finalize``.
-
-    ``finalize(partner) -> float`` turns the accumulated statistic into the
-    scheme's weight, bit-identical to ``scheme.weight(collection, pid,
-    partner)``.
-    """
-    if getattr(scheme, "sweep_accumulates_inverse_cardinality", False):
-        totals = _arcs_totals(collection, pid, blocks, source)
-        return lambda partner: totals.get(partner, 0.0)
-    finalize_sweep = getattr(scheme, "finalize_sweep", None)
-    if finalize_sweep is not None:
-        counts = _count_totals(collection, pid, blocks, source)
-        if getattr(scheme, "sweep_weight_is_count", False):
-            return lambda partner: float(counts[partner])
-        return lambda partner: finalize_sweep(collection, pid, partner, counts[partner])
-    # Unknown scheme object: fall back to per-pair weighting (the sweep
-    # still provides de-duplicated candidates in deterministic order).
-    return lambda partner: scheme.weight(collection, pid, partner)
 
 
 def sweep_candidate_weights(
@@ -250,37 +230,6 @@ def sweep_weights(
     return list(zip(candidates, weights))
 
 
-def partner_weights(
-    collection: BlockingSubstrate,
-    pid: int,
-    partners: Collection[int],
-    scheme: WeightingScheme | None = None,
-    *,
-    source: int | None = None,
-) -> dict[int, float]:
-    """Weights of ``pid`` against a known partner list.
-
-    Used by the block-draining paths (refill, I-PBS, PPS/PBS), which already
-    know which pairs they need and only want the weights.  Partners that
-    share no live block with ``pid`` get weight ``0.0``.
-
-    There are two bit-identical ways to the same weights and the cheaper is
-    picked per call.  The counting sweep touches every member of every
-    block of ``pid`` (``Σ|b|``) however few partners are asked for; one
-    ``scheme.weight`` call per partner intersects two block-key sets (at
-    most ``|B(pid)|`` steps each).  A refill after a block grew by one
-    member asks for a couple of partners of a profile that sits in many
-    large blocks; I-PBS opening a block asks for most of them at once.
-    """
-    scheme = scheme or CommonBlocksScheme()
-    blocks = collection.iter_partner_blocks(pid)
-    if len(partners) * len(blocks) < sum(map(_block_size, blocks)):
-        weight = scheme.weight
-        return {partner: weight(collection, pid, partner) for partner in partners}
-    finalize = _accumulate(collection, pid, blocks, scheme, source)
-    return {partner: finalize(partner) for partner in partners}
-
-
 def pair_weights(
     collection: BlockingSubstrate,
     pairs: Sequence[tuple[int, int]],
@@ -288,13 +237,21 @@ def pair_weights(
 ) -> list[float]:
     """The weight of each pair of a drained block, in order.
 
-    One :func:`partner_weights` call per distinct left profile.
+    Count-based schemes read every ``|B(x) ∩ B(y)|`` from one
+    :meth:`~repro.blocking.substrate.BlockingSubstrate.common_block_counts`
+    call: CBS is the count itself, ECBS and JS put it through their
+    ``finalize_sweep``.  ARCS, and any scheme the sweep does not know,
+    weigh pair by pair with ``scheme.weight``.
     """
-    by_left: dict[int, list[int]] = {}
-    for left, right in pairs:
-        by_left.setdefault(left, []).append(right)
-    weights = {
-        left: partner_weights(collection, left, rights, scheme)
-        for left, rights in by_left.items()
-    }
-    return [weights[left][right] for left, right in pairs]
+    scheme = scheme or CommonBlocksScheme()
+    if getattr(scheme, "sweep_weight_is_count", False):
+        return list(map(float, collection.common_block_counts(pairs)))
+    finalize_sweep = getattr(scheme, "finalize_sweep", None)
+    if finalize_sweep is not None:
+        counts = collection.common_block_counts(pairs)
+        return [
+            finalize_sweep(collection, left, right, common)
+            for (left, right), common in zip(pairs, counts)
+        ]
+    weight = scheme.weight
+    return [weight(collection, left, right) for left, right in pairs]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
@@ -154,7 +154,10 @@ class GetComparisons:
     second refill on a collection whose feed was already drained does not
     see the blocks the first one was told about.
 
-    Weights come from :func:`~repro.metablocking.sweep.pair_weights`.
+    A drain hands back two parallel lists, the pairs not executed yet and
+    their weights from :func:`~repro.metablocking.sweep.pair_weights` (one
+    key-set intersection per pair), for the strategy to enqueue in one
+    loop; no per-pair record is built in between.
     """
 
     __slots__ = ("scheme", "last_scanned", "last_examined", "_cursor", "_heap")
@@ -210,20 +213,18 @@ class GetComparisons:
             self._heap = eligible
 
     def next_batch(
-        self,
-        collection: BlockingSubstrate,
-        already_executed: Callable[[int, int], bool],
-    ) -> tuple[list[WeightedComparison], int] | None:
+        self, collection: BlockingSubstrate, executed: Container[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[float]] | None:
         """Drain the next eligible block.
 
-        ``already_executed`` is asked once per new pair, in canonical order,
-        and is the only filter: every pair it lets through is offered.
-        Returns ``None`` when no eligible block remains (exhausted), or a
-        ``(weighted comparisons, weighting ops)`` tuple otherwise — possibly
-        with an empty list when every new pair of the block was executed
-        before.  :attr:`last_scanned` then holds how many pairs were
-        enumerated to find them, :attr:`last_examined` how many grown keys
-        were looked at to find the block.
+        Its new pairs come in canonical order, and ``executed`` (the store's
+        executed set) is the only filter: every pair not in it is offered.
+        Returns ``None`` when no eligible block remains (exhausted), or the
+        offered pairs and their weights as parallel lists otherwise — both
+        empty when every new pair of the block was executed before; one
+        weighting operation per pair.  :attr:`last_scanned` then holds how
+        many pairs were enumerated to find them, :attr:`last_examined` how
+        many grown keys were looked at to find the block.
         """
         self.last_examined = 0
         block = self._pop_smallest(collection)
@@ -232,22 +233,14 @@ class GetComparisons:
             return None
         seen = self._cursor.get(block.key, ())
         self._cursor[block.key] = _member_counts(block)
-        scanned = 0
-        pairs: list[tuple[int, int]] = []
-        for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean):
-            scanned += 1
-            # Two members of one block are two profiles: no self-pair here.
-            pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
-            if already_executed(*pair):
-                continue
-            pairs.append(pair)
-        self.last_scanned = scanned
-        weights = pair_weights(collection, pairs, self.scheme)
-        weighted = [
-            WeightedComparison(left, right, weight)
-            for (left, right), weight in zip(pairs, weights)
+        # Two members of one block are two profiles: no self-pair here.
+        new = [
+            (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
+            for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean)
         ]
-        return weighted, len(pairs)
+        self.last_scanned = len(new)
+        pairs = [pair for pair in new if pair not in executed]
+        return pairs, pair_weights(collection, pairs, self.scheme)
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
@@ -419,11 +412,6 @@ class PierSystem(ERSystem):
 
     def was_executed(self, pid_x: int, pid_y: int) -> bool:
         return self.store.was_executed(pid_x, pid_y)
-
-    @property
-    def _executed(self) -> set[tuple[int, int]]:
-        """Back-compat view of the store's executed-set (tests peek at it)."""
-        return self.store.executed
 
     # -- checkpoint support ---------------------------------------------
     def snapshot(self) -> dict[str, object]:

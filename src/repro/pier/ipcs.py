@@ -73,23 +73,23 @@ class IPCS(IncrPrioritization):
         # Alg. 2, lines 10-11: only refill when the index has run dry; keep
         # draining blocks until the index holds fresh work or nothing is left.
         metrics = system.metrics
-        cost = system.costs.per_round
+        costs = system.costs
+        enqueue = self.index.enqueue
+        cost = costs.per_round
         while not len(self.index):
-            result = self.refill.next_batch(
-                system.collection, system.store.was_executed_canonical
-            )
+            result = self.refill.next_batch(system.collection, system.store.executed)
             if result is None:
                 break
-            batch, operations = result
+            pairs, weights = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", operations)
-            cost += operations * system.costs.per_weight
-            for weighted in batch:
-                self.index.enqueue(weighted.pair, weighted.weight)
-                cost += system.costs.per_enqueue
-            if batch:
-                metrics.count("strategy.comparisons_enqueued", len(batch))
+            metrics.count("strategy.weighting_ops", len(pairs))
+            cost += len(pairs) * costs.per_weight
+            for pair, weight in zip(pairs, weights):
+                enqueue(pair, weight)
+                cost += costs.per_enqueue
+            if pairs:
+                metrics.count("strategy.comparisons_enqueued", len(pairs))
         return cost
 
     def dequeue(self) -> tuple[int, int] | None:

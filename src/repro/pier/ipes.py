@@ -34,9 +34,8 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.comparison import WeightedComparison
 from repro.core.profile import EntityProfile
 from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
@@ -89,112 +88,134 @@ class IPES(IncrPrioritization):
     # ------------------------------------------------------------------
     def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
         costs = system.costs
+        per_enqueue = costs.per_enqueue
         metrics = system.metrics
         executed = system.store.executed
         cost = 0.0
         skipped = 0
-        inserted: Counter[str] = Counter()
+        pairs: list[tuple[int, int]] = []
+        weights: list[float] = []
         for profile in profiles:
             kept, operations = self.generator.generate(system.collection, profile)
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
-            for weighted in kept:
-                if (weighted.left, weighted.right) in executed:  # canonical already
+            for left, right, weight in kept:
+                pair = (left, right)  # canonical already
+                if pair in executed:
                     skipped += 1
                     continue
-                inserted[self._insert_weighted(weighted)] += 1
-                cost += costs.per_enqueue
+                pairs.append(pair)
+                weights.append(weight)
+                cost += per_enqueue
         if skipped:
             metrics.count("strategy.skipped_already_executed", skipped)
-        self._count_inserted(metrics, inserted)
+        # Generation reads the collection, never the CmpIndex: inserting
+        # after the last profile is inserting after each.
+        self._count_inserted(metrics, self._insert_batch(pairs, weights))
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
         metrics = system.metrics
         costs = system.costs
+        per_enqueue = costs.per_enqueue
         cost = costs.per_round
         inserted: Counter[str] = Counter()
         while not len(self):
-            result = self.refill.next_batch(
-                system.collection, system.store.was_executed_canonical
-            )
+            result = self.refill.next_batch(system.collection, system.store.executed)
             if result is None:
                 break
-            batch, operations = result
+            pairs, weights = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", operations)
-            cost += operations * costs.per_weight
-            for weighted in batch:
-                inserted[self._insert_weighted(weighted)] += 1
-                cost += costs.per_enqueue
+            metrics.count("strategy.weighting_ops", len(pairs))
+            cost += len(pairs) * costs.per_weight
+            for _ in pairs:  # one float addition per enqueue, as charged per pair
+                cost += per_enqueue
+            inserted.update(self._insert_batch(pairs, weights))
         self._count_inserted(metrics, inserted)
         return cost
 
     @staticmethod
-    def _count_inserted(metrics, inserted: Counter[str]) -> None:
+    def _count_inserted(metrics, inserted: Mapping[str, int]) -> None:
         """One ``strategy.inserted_<disposition>`` count per disposition seen."""
         for disposition, amount in inserted.items():
-            metrics.count(f"strategy.inserted_{disposition}", amount)
+            if amount:
+                metrics.count(f"strategy.inserted_{disposition}", amount)
 
-    def _insert_weighted(self, weighted: WeightedComparison) -> str:
-        """Lines 1-14 of Algorithm 4 for a single weighted comparison.
+    def _insert_batch(
+        self, pairs: Sequence[tuple[int, int]], weights: Sequence[float]
+    ) -> dict[str, int]:
+        """Lines 1-14 of Algorithm 4 for canonical pairs, in order.
 
-        Returns where the comparison ended up (``entity`` / ``balanced`` /
-        ``pruned`` / ``overflow``) so callers can count dispositions.
+        A comparison that improves an endpoint's best (first ``x``, then
+        ``y``; a missing queue has top −∞) goes to that entity and enqueues
+        it (``entity``).  Otherwise, above the global average it goes to the
+        endpoint owning the smaller queue — the ``insert()`` function —
+        unless it is at or below that owner's average (``balanced`` /
+        ``pruned``); at or below the global average it goes to ``PQ``
+        (``overflow``).  A pruned comparison falls through to ``PQ`` too,
+        not lost: refills offer each comparison once, so a hard drop would
+        shrink I-PES's comparison universe below the other strategies'.
+
+        Returns how many comparisons took each route.  The heaps, running
+        totals and ``seq`` live in locals for the whole batch.
         """
-        pid_x, pid_y, weight = weighted
-        self.total_weight += weight
-        self.count += 1
-
-        for pid in (pid_x, pid_y):
-            if self._top_weight(pid) < weight:
-                self._entity_enqueue(pid, weighted)
-                heappush(self.entity_queue, (-weight, self._seq, pid))
-                self._seq += 1
-                return "entity"
-        if weight > self.total_weight / self.count:
-            size_x = len(self.entity_pq.get(pid_x, ()))
-            size_y = len(self.entity_pq.get(pid_y, ()))
-            owner = pid_x if size_x <= size_y else pid_y
-            return self._insert_if_above_entity_average(weighted, owner)
-        self.overflow.enqueue((pid_x, pid_y), weight)
-        return "overflow"
-
-    def _insert_if_above_entity_average(self, weighted: WeightedComparison, owner: int) -> str:
-        """The ``insert()`` function: admit only above the entity average.
-
-        A comparison below the owner's average is pruned *from the entity
-        structures*, not lost: it falls through to the bounded overflow
-        queue.  Dropping it outright would break the cross-strategy
-        agreement contract — refills drain each block once, so a dropped
-        comparison would never be offered again and I-PES would execute a
-        strictly smaller comparison universe than I-PCS/I-PBS.
-        """
-        total, count = self._entity_totals.get(owner, (0.0, 0))
-        if count and weighted.weight <= total / count:
-            self.overflow.enqueue(weighted.pair, weighted.weight)
-            return "pruned"
-        self._entity_enqueue(owner, weighted)
-        return "balanced"
-
-    def _entity_enqueue(self, owner: int, weighted: WeightedComparison) -> None:
-        left, right, weight = weighted
-        queue = self.entity_pq.get(owner)
-        if queue is None:
-            queue = self.entity_pq[owner] = []
-        heappush(queue, (-weight, self._seq, (left, right)))
-        self._seq += 1
-        self._entity_items += 1
-        total, count = self._entity_totals.get(owner, (0.0, 0))
-        self._entity_totals[owner] = (total + weight, count + 1)
-
-    def _top_weight(self, pid: int) -> float:
-        """Weight of the best pending comparison of an entity (-inf if none)."""
-        queue = self.entity_pq.get(pid)
-        if not queue:
-            return _NO_TOP
-        return -queue[0][0]
+        entity_pq = self.entity_pq
+        entity_queue = self.entity_queue
+        entity_totals = self._entity_totals
+        overflow_enqueue = self.overflow.enqueue
+        total_weight = self.total_weight
+        count = self.count
+        seq = self._seq
+        to_entity = balanced = pruned = overflow = 0
+        for pair, weight in zip(pairs, weights):
+            total_weight += weight
+            count += 1
+            pid_x, pid_y = pair
+            queue_x = entity_pq.get(pid_x)
+            queue_y = entity_pq.get(pid_y)
+            improves = True
+            if (-queue_x[0][0] if queue_x else _NO_TOP) < weight:
+                owner, queue = pid_x, queue_x
+            elif (-queue_y[0][0] if queue_y else _NO_TOP) < weight:
+                owner, queue = pid_y, queue_y
+            elif weight > total_weight / count:
+                improves = False
+                if len(queue_x or ()) <= len(queue_y or ()):
+                    owner, queue = pid_x, queue_x
+                else:
+                    owner, queue = pid_y, queue_y
+                total, items = entity_totals.get(owner, (0.0, 0))
+                if items and weight <= total / items:
+                    overflow_enqueue(pair, weight)
+                    pruned += 1
+                    continue
+            else:
+                overflow_enqueue(pair, weight)
+                overflow += 1
+                continue
+            if queue is None:
+                queue = entity_pq[owner] = []
+            heappush(queue, (-weight, seq, pair))
+            seq += 1
+            total, items = entity_totals.get(owner, (0.0, 0))
+            entity_totals[owner] = (total + weight, items + 1)
+            if improves:
+                heappush(entity_queue, (-weight, seq, owner))
+                seq += 1
+                to_entity += 1
+            else:
+                balanced += 1
+        self.total_weight = total_weight
+        self.count = count
+        self._seq = seq
+        self._entity_items += to_entity + balanced
+        return {
+            "entity": to_entity,
+            "balanced": balanced,
+            "pruned": pruned,
+            "overflow": overflow,
+        }
 
     # ------------------------------------------------------------------
     # Emission (CmpIndex.dequeue of §6)

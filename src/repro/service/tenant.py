@@ -93,7 +93,14 @@ class TenantSnapshot:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TenantSnapshot":
-        snapshot = pickle.loads(blob)
+        """Decode :meth:`to_bytes` output; any other bytes raise ``ValueError``."""
+        try:
+            snapshot = pickle.loads(blob)
+        except Exception as exc:
+            # Foreign bytes fail in many ways (UnpicklingError, EOFError,
+            # AttributeError, ImportError, IndexError, ...); the server
+            # answers ValueError with one ``bad-request`` reply.
+            raise ValueError(f"undecodable snapshot: {exc!r}") from exc
         if not isinstance(snapshot, cls):
             raise ValueError(f"not a TenantSnapshot: {type(snapshot).__name__}")
         return snapshot

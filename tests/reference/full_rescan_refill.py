@@ -1,8 +1,8 @@
 """The refill as it was before the member cursor: rescan the whole block.
 
 Every revisit of a grown block enumerates all of its pairs again and leaves
-it to ``already_executed`` to drop the ones seen before; weights come from
-one ``scheme.weight`` call per surviving pair.  The production
+it to the executed set to drop the ones seen before; weights come from one
+``scheme.weight`` call per surviving pair.  The production
 :class:`~repro.pier.base.GetComparisons` must offer the same comparisons in
 the same order — minus the pairs an earlier drain of the same block already
 offered, which the rescan re-offers when they were never executed.
@@ -11,10 +11,10 @@ offered, which the rescan re-offers when they were never executed.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Container
 
 from repro.blocking.substrate import BlockingSubstrate
-from repro.core.comparison import WeightedComparison, canonical_pair
+from repro.core.comparison import canonical_pair
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
 
@@ -51,10 +51,8 @@ class FullRescanRefill:
         return None
 
     def next_batch(
-        self,
-        collection: BlockingSubstrate,
-        already_executed: Callable[[int, int], bool],
-    ) -> tuple[list[WeightedComparison], int] | None:
+        self, collection: BlockingSubstrate, executed: Container[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[float]] | None:
         block = self._pop_smallest(collection)
         if block is None:
             return None
@@ -63,11 +61,8 @@ class FullRescanRefill:
         pairs: list[tuple[int, int]] = []
         for pid_x, pid_y in block.pairs(collection.clean_clean):
             pair = canonical_pair(pid_x, pid_y)
-            if already_executed(*pair):
+            if pair in executed:
                 continue
             pairs.append(pair)
-        weighted = [
-            WeightedComparison(left, right, self.scheme.weight(collection, left, right))
-            for left, right in pairs
-        ]
-        return weighted, len(pairs)
+        weights = [self.scheme.weight(collection, left, right) for left, right in pairs]
+        return pairs, weights

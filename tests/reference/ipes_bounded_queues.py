@@ -88,16 +88,16 @@ class BoundedQueuesIPES(IncrPrioritization):
         cost = system.costs.per_round
         inserted: Counter[str] = Counter()
         while not len(self):
-            result = self.refill.next_batch(system.collection, system.was_executed)
+            result = self.refill.next_batch(system.collection, system.store.executed)
             if result is None:
                 break
-            batch, operations = result
+            pairs, weights = result
             metrics.count("strategy.refill_batches")
             metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", operations)
-            cost += operations * system.costs.per_weight
-            for weighted in batch:
-                inserted[self._insert_weighted(weighted)] += 1
+            metrics.count("strategy.weighting_ops", len(pairs))
+            cost += len(pairs) * system.costs.per_weight
+            for pair, weight in zip(pairs, weights):
+                inserted[self._insert_weighted(WeightedComparison(*pair, weight))] += 1
                 cost += system.costs.per_enqueue
         self._count_inserted(metrics, inserted)
         return cost

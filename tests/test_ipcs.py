@@ -66,11 +66,11 @@ class TestIPCS:
     def test_refill_skips_executed(self):
         system = _system()
         system.ingest(Increment(0, (make_profile(0, "a1 b1"), make_profile(1, "a1 b1"))))
-        # execute everything through the system path so _executed is updated
+        # execute everything through the system path so the executed set is updated
         _run_dry(system)
-        count_before = len(system._executed)
+        count_before = len(system.store.executed)
         assert system.on_idle(_stats()) is None
-        assert len(system._executed) == count_before
+        assert len(system.store.executed) == count_before
 
     def test_pair_evicted_from_bounded_index_is_not_reoffered(self):
         """The refill offers each pair of a block once.  A bounded index that
@@ -79,12 +79,12 @@ class TestIPCS:
         system = PierSystem(IPCS(capacity=1))
         system.ingest(Increment(0, tuple(make_profile(pid, "shared") for pid in range(3))))
         _run_dry(system)
-        lost = {(0, 1), (0, 2), (1, 2)} - system._executed
+        lost = {(0, 1), (0, 2), (1, 2)} - system.store.executed
         assert lost  # all weights tie, so the full index turned offers away
         system.ingest(Increment(1, (make_profile(3, "shared"),)))
         _run_dry(system)
-        assert any(3 in pair for pair in system._executed)  # the block was revisited
-        assert lost.isdisjoint(system._executed)
+        assert any(3 in pair for pair in system.store.executed)  # the block was revisited
+        assert lost.isdisjoint(system.store.executed)
 
     def test_exhausted_semantics(self):
         system = _system()

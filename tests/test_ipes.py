@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.comparison import WeightedComparison
+from repro.core.comparison import canonical_pair
 from repro.core.increments import Increment
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
@@ -13,6 +13,15 @@ from tests.reference.exhaustion import strategy_exhausted
 
 def _system(**kwargs) -> PierSystem:
     return PierSystem(IPES(**kwargs))
+
+
+def _insert(strategy: IPES, pid_x: int, pid_y: int, weight: float) -> None:
+    strategy._insert_batch([canonical_pair(pid_x, pid_y)], [weight])
+
+
+def _top_weight(strategy: IPES, pid: int) -> float:
+    """Weight of the best pending comparison of an entity."""
+    return -strategy.entity_pq[pid][0][0]
 
 
 def _drain(strategy: IPES) -> list[tuple[int, int]]:
@@ -27,40 +36,40 @@ def _drain(strategy: IPES) -> list[tuple[int, int]]:
 class TestInsertion:
     def test_first_comparison_creates_entity_queue(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 5.0))
+        _insert(strategy, 0, 1, 5.0)
         assert 0 in strategy.entity_pq
         assert len(strategy) == 1
 
     def test_improving_comparison_updates_entity_queue(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 2.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 2, 5.0))
+        _insert(strategy, 0, 1, 2.0)
+        _insert(strategy, 0, 2, 5.0)
         # second beats E_PQ(0).top → stored under entity 0 again
-        assert strategy._top_weight(0) == 5.0
+        assert _top_weight(strategy, 0) == 5.0
 
     def test_low_weight_goes_to_overflow(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 10.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 2, 9.0))
-        strategy._insert_weighted(WeightedComparison.of(3, 4, 8.0))
+        _insert(strategy, 0, 1, 10.0)
+        _insert(strategy, 0, 2, 9.0)
+        _insert(strategy, 3, 4, 8.0)
         # (0,3) with weight 1: below both endpoints' tops and below the
         # global average (10+9+8+1)/4 = 7 → demoted to PQ
-        strategy._insert_weighted(WeightedComparison.of(0, 3, 1.0))
+        _insert(strategy, 0, 3, 1.0)
         assert len(strategy.overflow) >= 1
 
     def test_mid_weight_insert_respects_entity_average(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 10.0))
-        strategy._insert_weighted(WeightedComparison.of(2, 3, 2.0))
+        _insert(strategy, 0, 1, 10.0)
+        _insert(strategy, 2, 3, 2.0)
         # weight 8: below E_PQ(0).top, below E_PQ(1) top? p1's queue empty
         # (weight stored under p0), so (1, 4) starts p1's queue
-        strategy._insert_weighted(WeightedComparison.of(1, 4, 8.0))
-        assert strategy._top_weight(1) == 8.0
+        _insert(strategy, 1, 4, 8.0)
+        assert _top_weight(strategy, 1) == 8.0
 
     def test_global_average_tracked(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 4.0))
-        strategy._insert_weighted(WeightedComparison.of(2, 3, 2.0))
+        _insert(strategy, 0, 1, 4.0)
+        _insert(strategy, 2, 3, 2.0)
         assert strategy.total_weight == 6.0
         assert strategy.count == 2
 
@@ -68,29 +77,29 @@ class TestInsertion:
 class TestEmission:
     def test_best_entity_first(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 1.0))
-        strategy._insert_weighted(WeightedComparison.of(2, 3, 9.0))
+        _insert(strategy, 0, 1, 1.0)
+        _insert(strategy, 2, 3, 9.0)
         assert strategy.dequeue() == (2, 3)
 
     def test_drain_returns_everything_once(self):
         strategy = IPES()
         inserted = {(0, 1), (2, 3), (4, 5)}
         for index, (x, y) in enumerate(sorted(inserted)):
-            strategy._insert_weighted(WeightedComparison.of(x, y, float(index + 1)))
+            _insert(strategy, x, y, float(index + 1))
         assert set(_drain(strategy)) == inserted
 
     def test_entity_queue_refilled_when_stale(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 5.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 2, 7.0))
+        _insert(strategy, 0, 1, 5.0)
+        _insert(strategy, 0, 2, 7.0)
         pairs = _drain(strategy)
         assert set(pairs) == {(0, 1), (0, 2)}
 
     def test_overflow_used_after_entities_drain(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 10.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 2, 9.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 3, 0.5))  # overflow
+        _insert(strategy, 0, 1, 10.0)
+        _insert(strategy, 0, 2, 9.0)
+        _insert(strategy, 0, 3, 0.5)  # overflow
         pairs = _drain(strategy)
         assert pairs[-1] == (0, 3)
 
@@ -130,9 +139,9 @@ class TestWithinSystem:
 
     def test_len_counts_entities_and_overflow(self):
         strategy = IPES()
-        strategy._insert_weighted(WeightedComparison.of(0, 1, 10.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 2, 9.0))
-        strategy._insert_weighted(WeightedComparison.of(0, 3, 0.1))
+        _insert(strategy, 0, 1, 10.0)
+        _insert(strategy, 0, 2, 9.0)
+        _insert(strategy, 0, 3, 0.1)
         assert len(strategy) == 3
         strategy.dequeue()
         assert len(strategy) == 2

@@ -3,7 +3,8 @@
 ``IPES`` keeps ``E_PQ`` and ``EntityQueue`` as ``heapq`` lists ordered by one
 strategy-wide ``seq``; ``tests/reference/ipes_bounded_queues.py`` is the
 strategy as it was, one ``BoundedPriorityQueue`` per entity with a ``seq`` of
-its own.  The same script of inserts, dequeues, ingests, refills and
+its own, inserting one comparison at a time where ``IPES`` runs one loop
+over a batch.  The same script of inserts, dequeues, ingests, refills and
 checkpoints must read the same on both after every step — and must *not* on
 the two variants of the heap layout that are easiest to get wrong.
 """
@@ -11,12 +12,13 @@ the two variants of the heap layout that are easiest to get wrong.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from heapq import heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.comparison import WeightedComparison
+from repro.core.comparison import WeightedComparison, canonical_pair
 from repro.core.increments import Increment
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
@@ -33,6 +35,15 @@ _pid = st.integers(0, 4)
 _insert = st.tuples(st.just("insert"), _pid, _pid, st.sampled_from(WEIGHTS)).filter(
     lambda op: op[1] != op[2]
 )
+#: Several comparisons in one ``_insert_batch`` call (the oracle: one by one).
+_insert_batch = st.tuples(
+    st.just("insert_batch"),
+    st.lists(
+        st.tuples(_pid, _pid, st.sampled_from(WEIGHTS)).filter(lambda item: item[0] != item[1]),
+        min_size=2,
+        max_size=6,
+    ),
+)
 _dequeue = st.tuples(st.just("dequeue"), st.booleans())
 _ingest = st.tuples(
     st.just("ingest"),
@@ -42,6 +53,7 @@ _ingest = st.tuples(
 #: the engine's idle pattern — the index runs dry, then the refill fires.
 _steps = st.one_of(
     st.lists(_insert, min_size=1, max_size=4),
+    st.lists(_insert_batch, min_size=1, max_size=2),
     st.lists(_dequeue, min_size=1, max_size=4),
     st.lists(_ingest, min_size=1, max_size=5),
     st.integers(1, 3).map(lambda step: [("drain", step), ("refill",)]),
@@ -53,20 +65,40 @@ _steps = st.one_of(
 #: everything interleaved.
 _script = st.builds(
     lambda inserts, steps: inserts + [op for group in steps for op in group],
-    st.lists(_insert, min_size=20, max_size=30),
+    st.lists(st.one_of(_insert, _insert_batch), min_size=20, max_size=30),
     st.lists(_steps, min_size=4, max_size=20),
 )
+
+
+def insert(strategy, items) -> dict[str, int]:
+    """Insert ``(pid_x, pid_y, weight)`` items; how many took each route.
+
+    ``IPES`` takes them in one ``_insert_batch`` call, the oracle one
+    ``_insert_weighted`` call each.
+    """
+    pairs = [canonical_pair(pid_x, pid_y) for pid_x, pid_y, _ in items]
+    weights = [weight for *_, weight in items]
+    insert_batch = getattr(strategy, "_insert_batch", None)
+    if insert_batch is not None:
+        routes = insert_batch(pairs, weights)
+    else:
+        routes = Counter(
+            strategy._insert_weighted(WeightedComparison(*pair, weight))
+            for pair, weight in zip(pairs, weights)
+        )
+    return {route: amount for route, amount in routes.items() if amount}
 
 
 def run_script(make_strategy, script) -> list:
     """What ``script`` reads like on one strategy, step by step.
 
-    ``insert`` feeds ``_insert_weighted`` directly (any two pids, whether or
-    not they were ingested); ``dequeue``/``drain`` may mark what they pop as
-    executed, so later ingests of those pids hit ``was_executed``; ``ingest``
-    adds the next profile through the system (blocking, generation, I-WNP);
-    ``refill`` is the empty-increment trigger; ``checkpoint`` moves the
-    strategy's state into a fresh instance.  Blocks purge past five members.
+    ``insert`` and ``insert_batch`` feed the insert path directly (any two
+    pids, whether or not they were ingested); ``dequeue``/``drain`` may mark
+    what they pop as executed, so later ingests of those pids hit the
+    executed set; ``ingest`` adds the next profile through the system
+    (blocking, generation, I-WNP); ``refill`` is the empty-increment trigger;
+    ``checkpoint`` moves the strategy's state into a fresh instance.  Blocks
+    purge past five members.
     """
     system = PierSystem(make_strategy(), max_block_size=5)
     executed = system.store.executed
@@ -76,8 +108,9 @@ def run_script(make_strategy, script) -> list:
         strategy = system.strategy
         kind = op[0]
         if kind == "insert":
-            _, pid_x, pid_y, weight = op
-            seen = strategy._insert_weighted(WeightedComparison.of(pid_x, pid_y, weight))
+            seen = insert(strategy, [op[1:]])
+        elif kind == "insert_batch":
+            seen = insert(strategy, op[1])
         elif kind == "dequeue":
             seen = strategy.dequeue()
             if seen is not None and op[1]:
@@ -178,7 +211,7 @@ def test_oracle_catches_a_seq_that_restarts():
 
 def test_oracle_catches_a_reseed_by_plain_weight():
     expected = run_script(BoundedQueuesIPES, _RESEED)
-    assert [step[1] for step in expected[:8]].count("balanced") == 2
+    assert sum(step[1].get("balanced", 0) for step in expected[:8]) == 2
     assert expected[-2][1][-2:] == [(4, 5), (0, 1)]
     assert run_script(IPES, _RESEED) == expected
     assert run_script(_ReseedByPlainWeight, _RESEED) != expected

@@ -14,7 +14,7 @@ from repro.api import EngineOptions, ERSession
 from repro.execution.core import ExecutionCore
 from repro.execution.push import PushPlan
 from repro.execution.store import ComparisonStore
-from repro.pier.base import GetComparisons, IncrPrioritization
+from repro.pier.base import GetComparisons, IncrPrioritization, PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
@@ -51,6 +51,10 @@ RETIRED_NAMES = (
     "is_" + "exhausted", "." + "exhausted(",
     # The facade between a session and the engine's push run.
     "Push" + "Session",
+    # Per-pair detours of the idle refill: the weight-route chooser, the
+    # executed-set probe as a callback, and I-PES's one-comparison insert.
+    "partner_" + "weights", "was_executed_" + "canonical", "_insert_" + "weighted",
+    "_insert_if_above_" + "entity_average", "_entity_" + "enqueue",
 )
 
 
@@ -111,6 +115,8 @@ class TestRetiredNames:
             (TenantSession, "drains"),
             (PushPlan, "last_arrival"),
             (PushPlan, "total_profiles"),
+            (PierSystem, "_executed"),
+            (IPES, "_top_weight"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 

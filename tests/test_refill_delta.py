@@ -5,7 +5,7 @@ member past its cursor, and finds that block through the substrate's growth
 feed.  These tests hold it to what it replaced
 (``tests/reference/full_rescan_refill.py``, which scans the collection for
 eligible blocks and every block for pairs): same blocks in the same order,
-same comparisons, weights and op counts — with no pair enumerated twice, no
+same comparisons and weights — with no pair enumerated twice, no
 scan of the collection, and no more keys examined than blocks grew.
 """
 
@@ -97,7 +97,6 @@ def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_
     executed: set[tuple[int, int]] = set()
     pending: list[tuple[int, int]] = []
     offered: dict[str, set[tuple[int, int]]] = {}
-    was_executed = lambda left, right: (left, right) in executed
     pid = additions = examined = 0
     for arrivals, drains, step, checkpoint in rounds:
         for tokens, source in arrivals:
@@ -106,18 +105,20 @@ def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_
             )
             pid += 1
         for _ in range(drains):
-            expected = oracle.next_batch(collection, was_executed)
-            result = refill.next_batch(_NoScan(collection), was_executed)
+            expected = oracle.next_batch(collection, executed)
+            result = refill.next_batch(_NoScan(collection), executed)
             examined += refill.last_examined
             if expected is None:
                 assert result is None
                 break
             seen = offered.setdefault(oracle.last_key, set())
-            fresh = [weighted for weighted in expected[0] if weighted.pair not in seen]
-            assert result == (fresh, len(fresh))
+            fresh = [
+                (pair, weight) for pair, weight in zip(*expected) if pair not in seen
+            ]
+            assert result == ([pair for pair, _ in fresh], [weight for _, weight in fresh])
             assert refill.last_scanned >= len(fresh)
-            seen.update(weighted.pair for weighted in fresh)
-            pending.extend(weighted.pair for weighted in fresh)
+            seen.update(result[0])
+            pending.extend(result[0])
         executed.update(pending[::step])
         del pending[::step]
         if checkpoint:
@@ -125,7 +126,7 @@ def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_
             refill = GetComparisons(scheme)
             refill.restore_state(state)
     assert refill_exhausted(refill, collection) == (
-        oracle.next_batch(collection, was_executed) is None
+        oracle.next_batch(collection, executed) is None
     )
     # Finding the blocks cost what grew: a key is examined at most once per
     # member its block gained, however often the heap ran dry.
@@ -138,7 +139,7 @@ def test_purged_block_leaves_the_checkpoint():
     collection.add_profile(make_profile(0, "doomed kept"))
     collection.add_profile(make_profile(1, "doomed kept"))
     refill = GetComparisons()
-    nothing_executed = lambda left, right: False
+    nothing_executed: set[tuple[int, int]] = set()
     while refill.next_batch(collection, nothing_executed) is not None:
         pass
     assert set(refill.snapshot_state()["cursor"]) == {"doomed", "kept"}
@@ -154,7 +155,7 @@ def test_refill_on_a_filled_collection_sees_every_block():
     collection = BlockCollection()
     for pid, text in enumerate(["ash birch", "ash birch cedar", "cedar", "ash dogwood"]):
         collection.add_profile(make_profile(pid, text))
-    nothing_executed = lambda left, right: False
+    nothing_executed: set[tuple[int, int]] = set()
     refill, oracle = GetComparisons(), FullRescanRefill()
     while (expected := oracle.next_batch(collection, nothing_executed)) is not None:
         assert refill.next_batch(collection, nothing_executed) == expected
@@ -175,10 +176,10 @@ class _CountingRefill(GetComparisons):
         self.examined = 0
         self.scan_would_examine = 0
 
-    def next_batch(self, collection, already_executed):
+    def next_batch(self, collection, executed):
         if not self._heap:
             self.scan_would_examine += len(collection)
-        result = super().next_batch(collection, already_executed)
+        result = super().next_batch(collection, executed)
         self.examined += self.last_examined
         return result
 

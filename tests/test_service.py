@@ -454,6 +454,23 @@ def test_server_refusal_codes():
             client.shutdown()
 
 
+def test_server_refuses_undecodable_snapshots_on_a_live_connection():
+    """Bytes that do not unpickle — truncated, empty, garbage after a pickle
+    header — get one ``bad-request`` reply each, and the connection that
+    sent them keeps being served."""
+    session = TenantSession(TenantConfig(tenant_id="t", budget=BUDGET))
+    blob = session.snapshot().to_bytes()
+    session.close()
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            for bad in (blob[: len(blob) // 2], b"", b"\x80\x05garbage"):
+                with pytest.raises(ServiceError) as exc:
+                    client.restore("t", bad)
+                assert exc.value.code == "bad-request"
+                assert client.ping()["tenants"] == 0
+            client.shutdown()
+
+
 def test_server_sheds_ingests_under_pipelined_burst():
     # The three batches over and over, under fresh pids each time: which
     # requests the server sheds is a race, and every subset it may accept

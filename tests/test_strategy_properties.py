@@ -118,15 +118,12 @@ class TestIPESProperties:
     @given(profile_worlds)
     @settings(max_examples=50, deadline=None)
     def test_everything_inserted_is_emitted_once(self, token_lists):
-        from repro.core.comparison import WeightedComparison
-
         strategy = IPES()
         inserted = set()
         for index, tokens in enumerate(token_lists[:-1]):
             pair = (index, index + len(token_lists))
-            weight = float(len(tokens))
-            strategy._insert_weighted(WeightedComparison.of(*pair, weight))
-            inserted.add((min(pair), max(pair)))
+            strategy._insert_batch([pair], [float(len(tokens))])
+            inserted.add(pair)
         drained = _drain(strategy)
         assert set(drained) == inserted
         assert len(drained) == len(inserted)

@@ -21,14 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.blocks import BlockCollection
+from repro.blocking.substrate import BLOCKING_SUBSTRATES, BlockingConfig, make_collection
 from repro.core.dataset import Dataset, ERKind
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.metablocking import sweep
-from repro.metablocking.sweep import (
-    partner_weights,
-    sweep_candidate_weights,
-    sweep_weights,
-)
+from repro.metablocking.sweep import sweep_candidate_weights, sweep_weights
 from repro.metablocking.weights import make_scheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.pier.base import ComparisonGenerator
@@ -134,19 +131,50 @@ class TestSweepBitIdentity:
                 collection, profile, valid, scheme, 0.2
             )
 
+    @pytest.mark.parametrize("clean_clean", [False, True], ids=["dirty", "clean-clean"])
+    @pytest.mark.parametrize("substrate", BLOCKING_SUBSTRATES)
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
-    def test_partner_weights_matches_per_pair_calls(self, dirty_collection, scheme_name):
-        dataset, collection = dirty_collection
+    def test_pair_weights_matches_per_pair_calls(
+        self, scheme_name, substrate, clean_clean, request
+    ):
+        """Two drains of the same pairs, with blocks purged in between: the
+        weights are one ``scheme.weight`` each, float for float, also for a
+        pair with an unindexed profile and pairs whose shared block went."""
+        dataset = request.getfixturevalue("small_dblp_acm" if clean_clean else "small_census")
+        collection = make_collection(
+            BlockingConfig(substrate=substrate), clean_clean=clean_clean, max_block_size=6
+        )
         scheme = make_scheme(scheme_name)
-        for profile in dataset.profiles[:60]:
-            partners = list(collection.partner_counts(profile.pid))
-            # include a partner with no shared live block: weight must be 0.0
-            partners.append(max(p.pid for p in dataset.profiles) + 1000)
-            aggregated = partner_weights(collection, profile.pid, partners, scheme)
-            for partner in partners:
-                assert aggregated[partner] == scheme.weight(
-                    collection, profile.pid, partner
-                )
+        first, second = dataset.profiles[::2], dataset.profiles[1::2]
+        for profile in first:
+            collection.add_profile(profile)
+        blocks = {block.key: tuple(block.pairs(clean_clean)) for block in collection}
+        pairs = list(dict.fromkeys(pair for key in sorted(blocks) for pair in blocks[key]))
+        unindexed = max(profile.pid for profile in dataset.profiles) + 1000
+        pairs.append((first[0].pid, unindexed))
+        weights = sweep.pair_weights(collection, pairs, scheme)
+        assert weights == reference_pair_weights(collection, pairs, scheme)
+        assert weights[-1] == 0.0 and max(weights) > 0.0
+
+        for profile in second:
+            collection.add_profile(profile)
+        purged = set(blocks) & collection.purged_keys()
+        lost = {pair for key in purged for pair in blocks[key]}
+        assert lost  # pairs that shared a block the second drain no longer sees
+        again = sweep.pair_weights(collection, pairs, scheme)
+        assert again == reference_pair_weights(collection, pairs, scheme)
+        assert again[-1] == 0.0
+        if scheme_name == "cbs":
+            # From the definition: w = |B(x) ∩ B(y)| over the live blocks.
+            assert again == [
+                float(len(collection.blocks_of(x) & collection.blocks_of(y)))
+                for x, y in pairs
+            ]
+            assert any(
+                after < before
+                for pair, before, after in zip(pairs, weights, again)
+                if pair in lost
+            )
 
     def test_sweep_weights_no_ghosting_vs_beta_one(self, dirty_collection):
         """beta=1.0 ghosting keeps every block >= threshold logic sanity."""
@@ -306,6 +334,7 @@ class TestEngineLevelParity:
 _HASHSEED_SCRIPT = """
 from repro.datasets.registry import load_dataset
 from repro.blocking.blocks import BlockCollection
+from repro.blocking.substrate import BLOCKING_SUBSTRATES, BlockingConfig, make_collection
 from repro.metablocking.weights import make_scheme
 from repro.metablocking.wnp import sweep_wnp
 
