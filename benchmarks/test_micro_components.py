@@ -131,12 +131,10 @@ def test_bench_levenshtein_bounded(benchmark):
 def test_bench_matcher_js(benchmark, census):
     matcher = JaccardMatcher(0.35)
     profiles = list(census)[:400]
+    pairs = list(zip(profiles[0::2], profiles[1::2]))
 
     def run_matcher():
-        hits = 0
-        for i in range(0, len(profiles) - 1, 2):
-            hits += matcher.evaluate(profiles[i], profiles[i + 1]).is_match
-        return hits
+        return sum(matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs)))
 
     benchmark(run_matcher)
 
@@ -144,12 +142,10 @@ def test_bench_matcher_js(benchmark, census):
 def test_bench_matcher_ed(benchmark, census):
     matcher = EditDistanceMatcher(0.7)
     profiles = list(census)[:200]
+    pairs = list(zip(profiles[0::2], profiles[1::2]))
 
     def run_matcher():
-        hits = 0
-        for i in range(0, len(profiles) - 1, 2):
-            hits += matcher.evaluate(profiles[i], profiles[i + 1]).is_match
-        return hits
+        return sum(matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs)))
 
     benchmark(run_matcher)
 

@@ -46,17 +46,7 @@ from repro.matching import EditDistanceMatcher, JaccardMatcher, Matcher
 from repro.observability import MetricsRegistry
 from repro.pier import IPBS, IPCS, IPES, PierSystem
 from repro.progressive import BatchERSystem, PBSSystem, PPSSystem
-from repro.resilience import (
-    EngineCheckpoint,
-    FaultReport,
-    FaultSpec,
-    FaultyMatcher,
-    ResilienceConfig,
-    RetryPolicy,
-    SimulatedCrash,
-    TransientMatcherError,
-    apply_faults,
-)
+from repro.resilience import EngineCheckpoint, ResilienceConfig, SimulatedCrash
 from repro.streaming import RunResult, StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
@@ -77,9 +67,6 @@ __all__ = [
     "EngineOptions",
     "EntityProfile",
     "ExperimentConfig",
-    "FaultReport",
-    "FaultSpec",
-    "FaultyMatcher",
     "GroundTruth",
     "IBaseSystem",
     "IPBS",
@@ -96,16 +83,13 @@ __all__ = [
     "ExecutionCore",
     "PipelinedStreamingEngine",
     "ResilienceConfig",
-    "RetryPolicy",
     "RunResult",
     "SimulatedCrash",
     "StreamPlan",
     "StreamingEngine",
-    "TransientMatcherError",
     "WorkerPool",
     "WorkerPoolError",
     "strip_parallel_telemetry",
-    "apply_faults",
     "available_datasets",
     "load_dataset",
     "make_stream_plan",

@@ -42,8 +42,7 @@ from repro.evaluation.experiments import (
 from repro.execution.push import PushRun
 from repro.matching.matcher import Matcher
 from repro.resilience.checkpoint import EngineCheckpoint
-from repro.resilience.faults import FaultReport, FaultSpec, FaultyMatcher, apply_faults
-from repro.resilience.retry import ResilienceConfig
+from repro.resilience.config import ResilienceConfig
 from repro.streaming.engine import RunResult, StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
@@ -121,14 +120,9 @@ class ERSession:
         An :class:`EngineOptions`; ``None`` means all defaults.
     workers:
         Shorthand overriding ``engine.workers``.
-    faults:
-        ``None`` (default), a seed for :meth:`FaultSpec.chaos`, or a full
-        :class:`FaultSpec`.  Perturbs the stream plan and wraps the matcher
-        with :class:`FaultyMatcher`; fault reports accumulate on
-        :attr:`fault_reports`.
     resilience:
-        The full resilience knob set (retry, quarantine, shedding,
-        checkpoint cadence), passed through to the engine.
+        The full resilience knob set (quarantine, shedding, checkpoint
+        cadence), passed through to the engine.
     pool:
         An externally owned :class:`~repro.parallel.pool.WorkerPool` to
         score through instead of spawning a session-private fleet.  The
@@ -152,7 +146,6 @@ class ERSession:
         budget: float = 300.0,
         seed: int = 0,
         workers: int | None = None,
-        faults: int | FaultSpec | None = None,
         resilience: ResilienceConfig | None = None,
         pool: "object | None" = None,
     ) -> None:
@@ -172,14 +165,7 @@ class ERSession:
         self.rate = rate
         self.budget = budget
         self.seed = seed
-        if faults is None or isinstance(faults, FaultSpec):
-            self.fault_spec: FaultSpec | None = faults
-        else:
-            self.fault_spec = FaultSpec.chaos(int(faults))
         self.resilience = resilience
-        #: One :class:`FaultReport` per distinct stream plan the session
-        #: built under a fault spec (at most two: streaming + batch-static).
-        self.fault_reports: list[FaultReport] = []
         #: The engine's latest checkpoint after each :meth:`run`.
         self.last_checkpoint: EngineCheckpoint | None = None
         self._dataset: Dataset | None = dataset if isinstance(dataset, Dataset) else None
@@ -216,23 +202,12 @@ class ERSession:
                 self.dataset, 1 if single else self.n_increments, seed=self.seed
             )
             plan = make_stream_plan(increments, rate=self.rate)
-            if self.fault_spec is not None:
-                report = apply_faults(plan, self.fault_spec)
-                self.fault_reports.append(report)
-                plan = report.plan
             self._plans[single] = plan
         return plan
 
     def build_matcher(self) -> Matcher:
-        """A fresh matcher for one run (fault-wrapped when configured).
-
-        Fresh per run so a fault schedule always starts from its seed —
-        every system of a comparison sees the same perturbation sequence.
-        """
-        matcher = _build_matcher(self.matcher_name)
-        if self.fault_spec is not None:
-            matcher = FaultyMatcher(matcher, seed=self.fault_spec.seed)
-        return matcher
+        """A fresh matcher for one run."""
+        return _build_matcher(self.matcher_name)
 
     def build_system(self, system_name: str):
         return _build_system(
@@ -255,7 +230,7 @@ class ERSession:
         session's own (spawned once, reused per run, ``None`` if it could
         not start).  A broken pool is still handed out — the engine then
         scores in-process and counts ``parallel.fallbacks``."""
-        if self.engine_options.workers <= 1 or not matcher.supports_batch:
+        if self.engine_options.workers <= 1:
             return None
         if self._external_pool is not None:
             return self._external_pool
@@ -323,18 +298,14 @@ class ERSession:
         """Run every configured system; results keyed in configuration order.
 
         With ``workers > 1`` the independent cells fan out across processes
-        (Tier B) when nothing forces them in-process: fault injection and
-        checkpoint capture need the session's own state, so those
-        comparisons run serially (each run still sharding through Tier A).
+        (Tier B) when nothing forces them in-process: checkpoint capture
+        needs the session's own state, so a session with a resilience
+        configuration compares serially (each run still sharding through
+        Tier A).
         """
         self._require_open("compare")
         workers = self.engine_options.workers
-        fan_out = (
-            workers > 1
-            and len(self.systems) > 1
-            and self.fault_spec is None
-            and self.resilience is None
-        )
+        fan_out = workers > 1 and len(self.systems) > 1 and self.resilience is None
         if fan_out:
             from repro.parallel.cells import run_cells
 

@@ -25,7 +25,7 @@ from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.experiments import SYSTEM_NAMES
 from repro.evaluation.io import run_result_to_json, write_curve_csv
 from repro.evaluation.reporting import format_table, pc_over_time_table, summary_table
-from repro.resilience.retry import ResilienceConfig
+from repro.resilience.config import ResilienceConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -85,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "PYTHONHASHSEED)",
         )
         sub.add_argument(
-            "--faults", type=int, default=None, metavar="SEED",
-            help="inject seeded chaos: perturb the stream plan (drops, "
-                 "redeliveries, reorders, bursts, corruption) and wrap the "
-                 "matcher with transient failures and latency spikes",
-        )
-        sub.add_argument(
             "--checkpoint-every", type=float, default=None, metavar="SECONDS",
             help="checkpoint engine state every SECONDS of virtual time",
         )
@@ -145,7 +139,6 @@ def _session(args, systems) -> ERSession:
         rate=args.rate,
         budget=args.budget,
         seed=args.seed,
-        faults=args.faults,
         # Only a given flag builds a config: ``resilience=None`` keeps
         # ``compare --workers N`` fanning out across processes.
         resilience=(
@@ -154,11 +147,6 @@ def _session(args, systems) -> ERSession:
             else ResilienceConfig(checkpoint_every=args.checkpoint_every)
         ),
     )
-
-
-def _print_fault_reports(session: ERSession) -> None:
-    for report in session.fault_reports:
-        print(report.summary(), file=sys.stderr)
 
 
 def _command_datasets() -> int:
@@ -181,7 +169,6 @@ def _command_datasets() -> int:
 def _command_run(args) -> int:
     with _session(args, (args.algorithm,)) as session:
         result = session.run()
-        _print_fault_reports(session)
     times = [args.budget * f for f in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)]
     print(pc_over_time_table({args.algorithm: result}, times))
     print()
@@ -204,7 +191,6 @@ def _command_run(args) -> int:
 def _command_compare(args) -> int:
     with _session(args, tuple(args.algorithms)) as session:
         results = session.compare()
-        _print_fault_reports(session)
     times = [args.budget * f for f in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0)]
     print(pc_over_time_table(results, times))
     print()

@@ -84,8 +84,8 @@ class StreamPlan:
     Plans are validated at construction: arrival times must be finite,
     non-negative and non-decreasing (the engines' ``bisect``-based backlog
     computation silently corrupts otherwise), and increment ids must be
-    unique — unless ``allow_redelivery`` is set, which fault-injected plans
-    use to model at-least-once delivery (the engines deduplicate by id).
+    unique — unless ``allow_redelivery`` is set, which plans use to model
+    at-least-once delivery (the engines deduplicate by id).
     """
 
     increments: tuple[Increment, ...]

@@ -3,9 +3,9 @@
 This package hosts the machinery shared by every engine:
 
 * :class:`~repro.execution.core.ExecutionCore` — the virtual-clock loop
-  skeleton: arrival ingestion, budget clamping, retry/backoff, quarantine,
-  load shedding, exactly-once dedup, checkpoint cadence, metrics binding,
-  and the scalar/batched comparison-execution kernels.  The serial
+  skeleton: arrival ingestion, budget clamping, quarantine, load
+  shedding, exactly-once dedup, checkpoint cadence, metrics binding, and
+  the batched comparison-execution kernel.  The serial
   :class:`~repro.streaming.engine.StreamingEngine` and the two-clock
   :class:`~repro.streaming.pipelined.PipelinedStreamingEngine` are thin
   step-ordering policies over it.

@@ -5,12 +5,11 @@ Both engines simulate Algorithm 1 of the paper against a
 they differ *only* in step ordering (the serial engine charges every stage
 to one clock, the pipelined engine overlaps ingestion with matching on a
 second clock).  Everything else — arrival ingestion and exactly-once
-redelivery dedup, budget clamping, matcher retry with virtual-clock
-backoff, cost-ceiling quarantine, load shedding, checkpoint cadence and
-crash injection, metrics preseeding and finalization — is policy-free and
-lives here, in :class:`ExecutionCore`.  Engine subclasses implement
-:meth:`ExecutionCore._drive` (the step-ordering policy) plus two small
-clock hooks, and inherit the rest.
+redelivery dedup, budget clamping, cost-ceiling quarantine, load
+shedding, checkpoint cadence and crash injection, metrics preseeding and
+finalization — is policy-free and lives here, in :class:`ExecutionCore`.
+Engine subclasses implement :meth:`ExecutionCore._drive` (the
+step-ordering policy) plus two small clock hooks, and inherit the rest.
 
 Budget semantics: the budget is a hard deadline on the virtual clock.  A
 comparison whose (deterministic) cost would push the clock past the budget
@@ -18,40 +17,31 @@ is *not* executed and *not* credited to the progress curve — the engine
 charges the remaining time as cut-off work and stops, so no point of the
 reported curve ever lies beyond the budget.
 
-Comparison execution has two paths, selected by what the matcher declares
-(``matcher.supports_batch``), never by an option:
-
-* the **scalar path** walks the emission batch pair by pair through
-  ``matcher.evaluate`` with the full retry/backoff/quarantine machinery —
-  it is what runs a ``supports_batch = False`` matcher (fault injection,
-  latency spikes whose cost overshoots the estimate);
-* the **batched kernel** handles each pair in one pass: its profiles are
-  looked up through the system's read-only ``profiles`` mapping, its cost
-  is computed once (``matcher.estimate_cost_batch``), the deadline cut is
-  planned over the round's costs in C, and the surviving prefix is scored
-  and accounted by a single ``matcher.evaluate_batch(pairs, costs)`` call,
-  which returns match flags, not per-pair result objects.  For matchers
-  that declare ``supports_batch`` (evaluation is deterministic, never
-  raises, and costs exactly its estimate) this produces the clocks, curves
-  and counters the scalar path would (``tests/test_engine_parity.py`` runs
-  the same matchers through both) while amortizing per-pair Python
-  dispatch — the acceleration lever of SPER-style batched similarity
-  evaluation.  With a worker pool —
-  supplied by its owner, :class:`~repro.api.ERSession` or the service; the
-  core never starts one — the kernel charges the round when it runs and
-  scores it off the round (see :meth:`ExecutionCore._execute_batch_kernel`).
+Comparison execution has one path, the **batched kernel**.  A matcher is
+pure — scoring never fails and a pair costs exactly its estimate — so each
+emission round is handled in one pass: its pairs' profiles are looked up
+through the system's read-only ``profiles`` mapping, their costs are
+computed once (``matcher.estimate_cost_batch``), the deadline cut is
+planned over the round's costs in C, and the surviving prefix is scored and
+accounted by a single ``matcher.evaluate_batch(pairs, costs)`` call, which
+returns match flags — the acceleration lever of SPER-style batched
+similarity evaluation.  Its oracle, a pair-at-a-time loop, lives in
+``tests/reference/scalar_execution.py`` (``tests/test_engine_parity.py``
+runs every strategy through both).  With a worker pool — supplied by its
+owner, :class:`~repro.api.ERSession` or the service; the core never starts
+one — the kernel charges the round when it runs and scores it off the
+round (see :meth:`ExecutionCore._execute_batch_kernel`).
 
 Resilience semantics (see :mod:`repro.resilience`): increments are delivered
-exactly once (redeliveries deduplicated by id), transient matcher failures
-are retried with capped exponential backoff *charged to the virtual clock*,
-pathological pairs are quarantined into the system's shared
+exactly once (redeliveries deduplicated by id), pathological pairs are
+quarantined into the system's shared
 :class:`~repro.execution.store.ComparisonStore` instead of crashing the
 run, backlog beyond a watermark is shed, and the core can checkpoint at a
 configurable cadence and resume from an
 :class:`~repro.resilience.checkpoint.EngineCheckpoint` with bit-identical
 virtual results.  All of this is off by default
-(:data:`~repro.resilience.retry.DEFAULT_RESILIENCE` changes nothing about a
-fault-free run).
+(:data:`~repro.resilience.config.DEFAULT_RESILIENCE` changes nothing about
+a run).
 
 Every run is instrumented through a fresh
 :class:`~repro.observability.metrics.MetricsRegistry` (bound to the system
@@ -77,8 +67,7 @@ from repro.matching.matcher import KERNEL_COUNTERS, Matcher
 from repro.observability.metrics import MetricsRegistry, PhaseTimer
 from repro.priority.rates import RateEstimator
 from repro.resilience.checkpoint import EngineCheckpoint, SimulatedCrash, plan_token
-from repro.resilience.faults import TransientMatcherError
-from repro.resilience.retry import DEFAULT_RESILIENCE, ResilienceConfig
+from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.streaming.system import ERSystem, PipelineStats
 
 __all__ = ["PRESEEDED_COUNTERS", "PRESEEDED_PHASES", "RunResult", "RunState", "ExecutionCore"]
@@ -102,11 +91,8 @@ PRESEEDED_COUNTERS = (
     "engine.idle_rounds",
     "engine.increments_ingested",
     "engine.ingests_cut_by_deadline",
-    "engine.matcher_faults",
     "engine.matches_recorded",
     "engine.quarantined_pairs",
-    "engine.retries",
-    "engine.retry_backoff_s",
     "engine.shed_increments",
     "parallel.fallbacks",
     "parallel.pairs_sharded",
@@ -198,8 +184,8 @@ class ExecutionCore:
         The match function, the virtual-time budget, the prior mean
         comparison cost, and the progress-curve sampling stride.
     resilience:
-        Fault-tolerance knobs (retry, quarantine, shedding, checkpointing);
-        the default changes nothing about a fault-free run.
+        Fault-tolerance knobs (quarantine, shedding, checkpointing); the
+        default changes nothing about a run.
     workers:
         The fleet width the caller asked for.  A run that asked for more
         than one worker but has no ``pool`` scores in-process and counts
@@ -348,9 +334,7 @@ class ExecutionCore:
         state.parallel_rounds = 0
         state.parallel_pairs = 0
         # A fleet was asked for and none was supplied (it could not start).
-        state.parallel_fallbacks = int(
-            pool is None and self.workers > 1 and matcher.supports_batch
-        )
+        state.parallel_fallbacks = int(pool is None and self.workers > 1)
         state.scatter_wall_start = pool.scatter_wall_s if pool is not None else 0.0
         state.evictions_start = pool.evictions if pool is not None else 0
 
@@ -493,9 +477,9 @@ class ExecutionCore:
         """Ask the system for its next batch and execute it.
 
         Both engines run a round only while ``system.has_work()`` holds.
-        The batch executes under the deadline/retry/quarantine rules,
-        through the batched kernel when the matcher supports it, else the
-        scalar path; the match clock never exceeds the budget on return.
+        The batch executes through the batched kernel under the deadline
+        and quarantine rules; the match clock never exceeds the budget on
+        return.
         """
         metrics = state.metrics
         stats = self._pipeline_stats(state)
@@ -507,13 +491,8 @@ class ExecutionCore:
         metrics.count("engine.emission_rounds")
         executed_before = state.recorder.comparisons_executed
         if emit.batch:
-            execute = (
-                self._execute_batch_kernel
-                if state.matcher.supports_batch
-                else self._execute_batch_scalar
-            )
             with metrics.time_phase("match") as match_timer:
-                state.clock = execute(state, emit.batch, match_timer)
+                state.clock = self._execute_batch_kernel(state, emit.batch, match_timer)
         self._record_round(
             state, stats,
             emitted=len(emit.batch),
@@ -521,103 +500,8 @@ class ExecutionCore:
         )
 
     # ------------------------------------------------------------------
-    # Comparison execution: scalar path and batched kernel
+    # Comparison execution: the batched kernel
     # ------------------------------------------------------------------
-    def _execute_batch_scalar(
-        self,
-        state: RunState,
-        batch: tuple[tuple[int, int], ...],
-        match_timer: PhaseTimer,
-    ) -> float:
-        """Pair-at-a-time execution with the full retry machinery.
-
-        This is the reference semantics the batched kernel must match; it is
-        also the only path able to handle impure matchers (transient faults,
-        latency spikes whose actual cost overshoots the estimate).
-        """
-        profiles = state.system.profiles
-        matcher = state.matcher
-        metrics = state.metrics
-        recorder = state.recorder
-        store = state.store
-        budget = self.budget
-        clock = state.clock
-        retry = self.resilience.retry
-        ceiling = self.resilience.cost_ceiling
-        deadline_cut = False
-        for position, (pid_x, pid_y) in enumerate(batch):
-            profile_x = profiles[pid_x]
-            profile_y = profiles[pid_y]
-            cost = matcher.estimate_cost(profile_x, profile_y)
-            if ceiling is not None and cost > ceiling:
-                # Pathological pair: estimated cost alone busts the ceiling.
-                # Quarantine (count, never execute) instead of starving the run.
-                store.quarantine((min(pid_x, pid_y), max(pid_x, pid_y)))
-                metrics.count("engine.quarantined_pairs")
-                continue
-            if clock + cost > budget:
-                # The comparison cannot finish by the deadline: charge the
-                # cut-off time, credit nothing.
-                metrics.count("engine.comparisons_cut_by_deadline", len(batch) - position)
-                match_timer.virtual += budget - clock
-                clock = budget
-                deadline_cut = True
-                break
-            result = None
-            for attempt in range(1, retry.max_attempts + 1):
-                try:
-                    result = matcher.evaluate(profile_x, profile_y)
-                    break
-                except TransientMatcherError as fault:
-                    wasted = min(max(fault.cost, 0.0), budget - clock)
-                    clock += wasted
-                    match_timer.virtual += wasted
-                    metrics.count("engine.matcher_faults")
-                    if clock >= budget:
-                        metrics.count(
-                            "engine.comparisons_cut_by_deadline", len(batch) - position
-                        )
-                        deadline_cut = True
-                        break
-                    if attempt == retry.max_attempts:
-                        store.quarantine((min(pid_x, pid_y), max(pid_x, pid_y)))
-                        metrics.count("engine.quarantined_pairs")
-                        break
-                    backoff = min(retry.backoff(attempt), budget - clock)
-                    clock += backoff
-                    match_timer.virtual += backoff
-                    metrics.count("engine.retries")
-                    metrics.count("engine.retry_backoff_s", backoff)
-                    if clock >= budget:
-                        metrics.count(
-                            "engine.comparisons_cut_by_deadline", len(batch) - position
-                        )
-                        deadline_cut = True
-                        break
-            if deadline_cut:
-                break
-            if result is None:
-                continue  # quarantined after exhausting its retry attempts
-            clock += result.cost
-            match_timer.virtual += result.cost
-            if clock > budget:
-                # The actual cost overshot the estimate (latency spike): the
-                # comparison did not finish by the deadline, so it is not
-                # credited and the overshoot is not charged.
-                match_timer.virtual -= clock - budget
-                clock = budget
-                metrics.count("engine.comparisons_cut_by_deadline", len(batch) - position)
-                deadline_cut = True
-                break
-            metrics.count("engine.comparisons_executed")
-            if recorder.record(pid_x, pid_y, clock):
-                metrics.count("engine.matches_recorded")
-            if result.is_match:
-                state.duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
-            if clock >= budget:
-                break
-        return clock
-
     def _execute_batch_kernel(
         self,
         state: RunState,
@@ -627,23 +511,22 @@ class ExecutionCore:
         """Batched execution: plan the deadline cut from estimates, charge
         the surviving prefix, score it in one batch.
 
-        Bit-identical to :meth:`_execute_batch_scalar` for matchers with
-        ``supports_batch``: their evaluation cost equals the estimate
-        exactly (both are ``cost_model.charge(work_units)``), evaluation
-        never raises, and the clock accumulates the same floats in the same
-        order — so the scalar path's retry/overshoot branches are provably
-        dead and the cut position is decidable up front.
+        Bit-identical to the pair-at-a-time oracle in
+        ``tests/reference/scalar_execution.py``: a pair costs exactly its
+        estimate and scoring never fails, so the clock accumulates the same
+        floats in the same order and the cut position is decidable up
+        front.
 
         The plan is one pass in C: ``accumulate`` folds the round's costs
-        onto the clock left to right, exactly as the scalar loop adds them,
-        so its running sums *are* the scalar loop's clocks, and ``bisect``
+        onto the clock left to right, exactly as the oracle adds them, so
+        its running sums *are* the oracle's clocks, and ``bisect``
         finds the first pair that finishes at or past the deadline (costs
         are non-negative, so the sums never decrease).  That pair is cut if
         it would overshoot; one finishing exactly at the deadline still
         runs and ends the round.  A ``cost_ceiling`` is a filter in front
         of the plan: pairs whose estimate alone busts it are set aside, and
-        those before the round's end are quarantined, as the scalar loop
-        meets them.  A round that loses nothing passes its batch, profiles
+        those before the round's end are quarantined, as the oracle meets
+        them.  A round that loses nothing passes its batch, profiles
         and costs on as they are.
 
         The accounting of a round has two sides.  The **cost side** needs
@@ -870,7 +753,7 @@ class ExecutionCore:
         # Staged-kernel outcome counts accumulate as plain ints on the
         # matcher (worker-side counts are merged back per hand-off), so this
         # flush is also bit-identical across worker counts.
-        for name, value in state.matcher.kernel_telemetry().items():
+        for name, value in state.matcher.kernel_counts.items():
             metrics.count(f"matcher.kernel.{name}", value)
         pool = self._pool
         if pool is not None:
@@ -886,7 +769,6 @@ class ExecutionCore:
         )
         details = dict(state.system.describe())
         details["resilience"] = {
-            "retries": metrics.counter("engine.retries"),
             "quarantined_pairs": tuple(sorted(state.store.quarantined)),
             "shed_increments": state.shed,
             "duplicate_increments_dropped": state.duplicates_dropped,

@@ -12,8 +12,8 @@ sets.  :class:`ComparisonStore` centralizes them:
   twice.  Block-centric generation (I-PBS) reads it too: together with the
   strategy's own still-queued pairs it is the exact answer to "was this
   pair generated before?", where the paper settles for a Bloom filter;
-* **quarantine registry** — pairs the engine refused to execute (cost
-  ceiling, retry exhaustion).  Per-run state: cleared by
+* **quarantine registry** — pairs the engine refused to execute (their
+  estimate busts the cost ceiling).  Per-run state: cleared by
   :meth:`begin_run`, overwritten from the checkpoint on resume.
 
 The store is owned by the system (it shares the system's lifetime, like the

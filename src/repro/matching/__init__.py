@@ -4,7 +4,6 @@ from repro.matching.matcher import (
     CostModel,
     EditDistanceMatcher,
     JaccardMatcher,
-    MatchResult,
     Matcher,
 )
 from repro.matching.similarity import (
@@ -18,7 +17,6 @@ __all__ = [
     "CostModel",
     "EditDistanceMatcher",
     "JaccardMatcher",
-    "MatchResult",
     "Matcher",
     "dice",
     "jaccard",

@@ -20,7 +20,6 @@ from typing import NamedTuple, Sequence
 
 from repro.core.profile import EntityProfile
 from repro.matching.similarity import (
-    jaccard,
     jaccard_batch,
     levenshtein_myers,
     myers_table,
@@ -33,7 +32,6 @@ __all__ = [
     "Matcher",
     "JaccardMatcher",
     "EditDistanceMatcher",
-    "MatchResult",
     "KERNEL_COUNTERS",
 ]
 
@@ -46,15 +44,6 @@ __all__ = [
 KERNEL_COUNTERS = (
     "short_texts", "prefilter_rejects", "length_cuts", "qgram_cuts", "bag_cuts", "dp_calls",
 )
-
-
-class _NestedMatcherState(NamedTuple):
-    """Snapshot of a matcher-valued attribute (e.g. a fault wrapper's inner
-    matcher), so nested matchers get the same derived-state exclusion as the
-    top-level one.  Picklable: checkpoints travel to disk and Tier B cells."""
-
-    matcher_cls: type
-    state: dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,23 +62,14 @@ class CostModel:
         return self.base + self.per_unit * units
 
 
-class MatchResult(NamedTuple):
-    """Outcome of one scalar :meth:`Matcher.evaluate` call.
-
-    Only the scalar path — matchers without :attr:`Matcher.supports_batch` —
-    builds these, one per comparison; the batched kernel works on plain
-    similarity and flag lists.
-    """
-
-    is_match: bool
-    similarity: float
-    cost: float
-
-
 class Matcher:
     """Base class: thresholded similarity classification with cost accounting.
 
-    Subclasses implement :meth:`similarity` and :meth:`work_units`.
+    A matcher is pure: scoring a pair never fails, and a pair costs exactly
+    its estimate.  That is what lets the engines plan an emission round's
+    deadline cut from estimates and score the surviving prefix as one batch.
+    Subclasses implement :meth:`estimate_cost_batch` (the virtual cost of
+    each pair) and :meth:`_batch_scores` (their similarities).
     """
 
     name = "matcher"
@@ -100,15 +80,6 @@ class Matcher:
     #: which keeps checkpoint payloads bounded no matter how many profiles
     #: a long stream has touched.
     _DERIVED_STATE: tuple[str, ...] = ()
-
-    #: Contract for the engines' batched kernel.  ``True`` promises that
-    #: :meth:`evaluate` is deterministic, never raises, and costs exactly
-    #: :meth:`estimate_cost`, which is never negative — the conditions under
-    #: which an emission round can be deadline-planned from estimates and
-    #: evaluated as one batch, bit-identical to the scalar path.  Wrappers
-    #: that perturb evaluation (fault injection, latency spikes) must leave
-    #: this ``False``.
-    supports_batch: bool = False
 
     def __init__(self, threshold: float, cost_model: CostModel) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -127,46 +98,22 @@ class Matcher:
     def _init_derived_state(self) -> None:
         """(Re)build the attributes named in :attr:`_DERIVED_STATE`."""
 
-    def kernel_telemetry(self) -> dict[str, int]:
-        """The kernel outcome counters to report for this matcher.
-
-        Wrappers override this to expose the wrapped matcher's counters.
-        """
-        return self.kernel_counts
-    def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        raise NotImplementedError
-
-    def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        raise NotImplementedError
-
-    # -- API ------------------------------------------------------------
-    def evaluate(self, profile_x: EntityProfile, profile_y: EntityProfile) -> MatchResult:
-        """Classify a pair and account for its virtual cost."""
-        similarity = self.similarity(profile_x, profile_y)
-        cost = self.cost_model.charge(self.work_units(profile_x, profile_y))
-        is_match = similarity >= self.threshold
-        self.comparisons_executed += 1
-        self.total_cost += cost
-        if is_match:
-            self.matches_found += 1
-        if self._metrics is not None:
-            self._metrics.count("matcher.evaluations")
-            self._metrics.count("matcher.virtual_cost_s", cost)
-            if is_match:
-                self._metrics.count("matcher.matches")
-        return MatchResult(is_match=is_match, similarity=similarity, cost=cost)
-
-    def estimate_cost(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        """Cost of a comparison without executing it (used by schedulers)."""
-        return self.cost_model.charge(self.work_units(profile_x, profile_y))
-
-    # -- batched kernel --------------------------------------------------
     def estimate_cost_batch(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> list[float]:
-        """Vectorized :meth:`estimate_cost` (subclasses override the hot path)."""
-        return [self.estimate_cost(profile_x, profile_y) for profile_x, profile_y in pairs]
+        """The virtual cost of each pair, never negative; scoring a pair
+        charges exactly this."""
+        raise NotImplementedError
 
+    def _batch_scores(
+        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
+    ) -> list[float]:
+        """The similarities of a batch of pairs, in order.  Costs are not
+        its business: they come from :meth:`estimate_cost_batch`, once per
+        pair."""
+        raise NotImplementedError
+
+    # -- API ------------------------------------------------------------
     def evaluate_batch(
         self,
         pairs: Sequence[tuple[EntityProfile, EntityProfile]],
@@ -175,31 +122,26 @@ class Matcher:
         """Classify many pairs at once; returns their match flags.
 
         ``costs`` are the pairs' :meth:`estimate_cost_batch` values, which
-        the caller already holds (it planned the round from them); by the
-        :attr:`supports_batch` contract they are exactly what scalar
-        :meth:`evaluate` would charge.  The batch is accounted through the
-        two halves below, back to back, around one :meth:`_batch_scores`
-        call.  A caller that scores a batch somewhere else, or later, calls
-        the halves itself: :meth:`account_costs` when the batch is charged
-        and :meth:`account_scores` when its similarities arrive.
-
-        Matchers without :attr:`supports_batch` ignore ``costs`` and loop
-        :meth:`evaluate` (preserving side effects such as fault schedules).
+        the caller already holds (it planned the round from them).  The
+        batch is accounted through the two halves below, back to back,
+        around one :meth:`_batch_scores` call.  A caller that scores a
+        batch somewhere else, or later, calls the halves itself:
+        :meth:`account_costs` when the batch is charged and
+        :meth:`account_scores` when its similarities arrive.
         """
-        if not self.supports_batch:
-            return [self.evaluate(profile_x, profile_y).is_match for profile_x, profile_y in pairs]
         self.account_costs(costs)
         return self.account_scores(self._batch_scores(pairs))
 
     def account_costs(self, costs: Sequence[float]) -> None:
         """Cost side of a batch: evaluation count and virtual cost.
 
-        The costs are added one by one from the previous total, as the
-        scalar path adds them (``reduce`` folds left in C; ``sum``
-        compensates from Python 3.12 on): ``total_cost`` and
-        ``matcher.virtual_cost_s`` are float accumulations whose order is
-        observable (mean cost feeds the adaptive K), which is also why this
-        half cannot wait for the scores.
+        The costs are added one by one from the previous total (``reduce``
+        folds left in C; ``sum`` compensates from Python 3.12 on), so a
+        batch accounts the same floats as the same pairs charged one at a
+        time: ``total_cost`` and ``matcher.virtual_cost_s`` are float
+        accumulations whose order is observable (mean cost feeds the
+        adaptive K), which is also why this half cannot wait for the
+        scores.
         """
         self.comparisons_executed += len(costs)
         self.total_cost = reduce(add, costs, self.total_cost)
@@ -220,15 +162,6 @@ class Matcher:
             self._metrics.count("matcher.matches", found)
         return flags
 
-    def _batch_scores(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
-        """The similarities of a batch of pairs, in order; subclasses with
-        :attr:`supports_batch` override this with a vectorized kernel.
-        Costs are not its business: they come from
-        :meth:`estimate_cost_batch`, once per pair."""
-        return [self.similarity(profile_x, profile_y) for profile_x, profile_y in pairs]
-
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Attach the engine's per-run registry; evaluation counters go there."""
         self._metrics = registry
@@ -245,40 +178,22 @@ class Matcher:
         """Deep copy of all matcher state except the metrics binding and
         :attr:`_DERIVED_STATE` caches.
 
-        The generic ``__dict__`` walk also captures subclass state —
-        wrapped matchers, fault-schedule RNGs — so a restored matcher
-        replays exactly the same evaluation (and fault) sequence.  Derived
-        caches are dropped (rebuilt deterministically on demand), which
-        keeps checkpoint payloads bounded on long streams; matcher-valued
-        attributes are snapshot recursively so nested matchers get the
-        same treatment.
+        The generic ``__dict__`` walk also captures subclass state.
+        Derived caches are dropped (rebuilt deterministically on demand),
+        which keeps checkpoint payloads bounded on long streams.
         """
         excluded = self._DERIVED_STATE
-        state: dict[str, object] = {}
-        for key, value in self.__dict__.items():
-            if key == "_metrics" or key in excluded:
-                continue
-            if isinstance(value, Matcher):
-                state[key] = _NestedMatcherState(type(value), value.snapshot_state())
-            else:
-                state[key] = copy.deepcopy(value)
-        return state
+        return {
+            key: copy.deepcopy(value)
+            for key, value in self.__dict__.items()
+            if key != "_metrics" and key not in excluded
+        }
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Rewind to a snapshot, keeping the current metrics binding."""
         metrics = self._metrics
         for key, value in state.items():
-            if isinstance(value, _NestedMatcherState):
-                current = self.__dict__.get(key)
-                if type(current) is value.matcher_cls:
-                    current.restore_state(value.state)
-                else:
-                    rebuilt = value.matcher_cls.__new__(value.matcher_cls)
-                    rebuilt._metrics = None
-                    rebuilt.restore_state(value.state)
-                    self.__dict__[key] = rebuilt
-            else:
-                self.__dict__[key] = copy.deepcopy(value)
+            self.__dict__[key] = copy.deepcopy(value)
         self._metrics = metrics
         self._init_derived_state()
 
@@ -298,7 +213,6 @@ class JaccardMatcher(Matcher):
     """
 
     name = "JS"
-    supports_batch = True
 
     def __init__(
         self,
@@ -307,18 +221,12 @@ class JaccardMatcher(Matcher):
     ) -> None:
         super().__init__(threshold, cost_model or CostModel(base=2e-5, per_unit=1e-6))
 
-    def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        return jaccard(profile_x.tokens(), profile_y.tokens())
-
-    def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        return len(profile_x.tokens()) + len(profile_y.tokens())
-
     def estimate_cost_batch(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> list[float]:
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
-        # Identical arithmetic to charge(work_units(x, y)) per pair.
+        # ``cost_model.charge`` of the pair's token count, inlined.
         return [
             base + per_unit * (len(profile_x.tokens()) + len(profile_y.tokens()))
             for profile_x, profile_y in pairs
@@ -372,7 +280,6 @@ class EditDistanceMatcher(Matcher):
     """
 
     name = "ED"
-    supports_batch = True
     _DERIVED_STATE = ("_text_cache", "_gram_bit", "_repeat_bit", "_char_bit")
 
     def __init__(
@@ -416,13 +323,6 @@ class EditDistanceMatcher(Matcher):
             )
         return cached
 
-    def similarity(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        # A batch of one: the funnel exists once, in ``_batch_scores``.
-        return self._batch_scores(((profile_x, profile_y),))[0]
-
-    def work_units(self, profile_x: EntityProfile, profile_y: EntityProfile) -> float:
-        return float(profile_x.text_length()) * float(profile_y.text_length())
-
     def estimate_cost_batch(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> list[float]:
@@ -436,8 +336,8 @@ class EditDistanceMatcher(Matcher):
     def _batch_scores(
         self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
     ) -> list[float]:
-        """The staged funnel, run over the batch in one loop; the scalar
-        path is a batch of one, so both classify (and count) identically.
+        """The staged funnel, run over the batch in one loop; a pair scores
+        (and counts) the same in any batch, a batch of one included.
         Stages run cheapest-first; the first that decides a pair counts it:
 
         1. *short texts* — a text shorter than one bigram has no bigrams,

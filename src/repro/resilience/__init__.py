@@ -1,51 +1,36 @@
-"""Resilience layer: deterministic fault injection, retry, checkpoint/restore.
+"""Resilience layer: quarantine, load shedding, checkpoint/restore.
 
 Real progressive ER deployments are judged on early quality *under* adverse
-conditions: increments get dropped, duplicated, reordered or coalesced into
-bursts by flaky upstream sources; match functions backed by remote services
-fail transiently or exhibit latency spikes; processes crash and must resume
-without double-counting work.  This package makes all of those conditions
-first-class and — crucially — *deterministic*: every chaos experiment is
-driven by explicit seeds on the virtual clock, so a failing run replays
-bit-identically on any host.
+conditions: increments get redelivered or pile up faster than they can be
+ingested, some pairs are too expensive to afford, and processes crash and
+must resume without double-counting work.  This package makes those
+conditions first-class and — crucially — *deterministic*: every mechanism
+runs on the virtual clock, so a run replays bit-identically on any host.
 
-Three modules:
+Two modules:
 
-* :mod:`repro.resilience.faults` — seeded stream perturbation
-  (:func:`apply_faults` over a :class:`FaultSpec`) and the
-  :class:`FaultyMatcher` wrapper injecting transient exceptions and latency
-  spikes on a seeded schedule;
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (capped exponential
-  backoff charged to the virtual clock) and :class:`ResilienceConfig`, the
-  engine-side knob bundle (retry, cost-ceiling quarantine, load shedding,
+* :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the
+  engine-side knob bundle (cost-ceiling quarantine, load shedding,
   checkpoint cadence, crash injection);
 * :mod:`repro.resilience.checkpoint` — :class:`EngineCheckpoint` (a
   consistent cut of engine + system + matcher + recorder + metrics state)
   and :class:`SimulatedCrash`.
+
+Exactly-once delivery needs no knob: the engines drop a redelivered
+increment by its id.  A seeded stream perturbation for tests (drops,
+redeliveries, reorders, bursts, corruption) lives in
+``tests/reference/stream_faults.py``.
 """
 
 from __future__ import annotations
 
 from repro.resilience.checkpoint import EngineCheckpoint, SimulatedCrash, plan_token
-from repro.resilience.faults import (
-    FaultReport,
-    FaultSpec,
-    FaultyMatcher,
-    TransientMatcherError,
-    apply_faults,
-)
-from repro.resilience.retry import DEFAULT_RESILIENCE, ResilienceConfig, RetryPolicy
+from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 
 __all__ = [
     "DEFAULT_RESILIENCE",
     "EngineCheckpoint",
-    "FaultReport",
-    "FaultSpec",
-    "FaultyMatcher",
     "ResilienceConfig",
-    "RetryPolicy",
     "SimulatedCrash",
-    "TransientMatcherError",
-    "apply_faults",
     "plan_token",
 ]

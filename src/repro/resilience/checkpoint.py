@@ -4,9 +4,8 @@ An :class:`EngineCheckpoint` captures everything a streaming engine needs to
 resume a run exactly where it left off: the loop position (clocks, stream
 cursor, round count), the exactly-once bookkeeping (seen increment ids,
 executed duplicates, quarantined pairs), and deep snapshots of every
-stateful component — the ER system, the matcher (including any fault
-schedule RNG), the progress recorder, the arrival-rate estimator, and the
-metrics registry.
+stateful component — the ER system, the matcher, the progress recorder,
+the arrival-rate estimator, and the metrics registry.
 
 Checkpoints are taken at the *top* of the engine loop, so they are
 consistent cuts: no comparison is half-charged, no increment half-ingested.

@@ -129,7 +129,7 @@ class ServiceClient:
         return self.call("results", tenant=tenant)
 
     def snapshot(self, tenant: str) -> bytes:
-        """The tenant's migratable snapshot (pickle bytes)."""
+        """The tenant's migratable snapshot (``TenantSnapshot.to_bytes``)."""
         response = self.call("snapshot", tenant=tenant)
         return base64.b64decode(response["snapshot"])
 

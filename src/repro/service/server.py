@@ -45,7 +45,7 @@ _ENGINE_OPS = frozenset(
     {"ingest", "drain", "matches", "results", "snapshot", "close"}
 )
 
-#: Per-line frame ceiling.  Snapshot blobs (base64 pickles of a tenant's
+#: Per-line frame ceiling.  Snapshot blobs (base64 envelopes of a tenant's
 #: full engine state) travel as one line and routinely exceed asyncio's
 #: 64 KiB default stream limit, which kills the connection mid-read.
 MAX_FRAME_BYTES = 64 * 1024 * 1024

@@ -22,11 +22,14 @@ the virtual stream is over.
 the engine checkpoint plus the fed arrival log and the tenant's
 configuration, picklable as one object.  Restoring on any server (or the
 same one after a restart) resumes the stream bit-identically — the
-migration path behind zero-downtime restarts.
+migration path behind zero-downtime restarts.  A snapshot travels in a
+versioned envelope and decodes through an allow-list: restoring a blob
+from a client can build the classes a snapshot holds and nothing else.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,9 +40,44 @@ from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.push import PushRun
 from repro.resilience.checkpoint import EngineCheckpoint
-from repro.resilience.retry import ResilienceConfig
+from repro.resilience.config import ResilienceConfig
 
-__all__ = ["TenantConfig", "TenantSession", "TenantSnapshot"]
+__all__ = [
+    "SNAPSHOT_CLASSES", "SNAPSHOT_VERSION", "TenantConfig", "TenantSession", "TenantSnapshot",
+]
+
+#: A snapshot blob is this magic, :data:`SNAPSHOT_VERSION` as two bytes,
+#: then the pickled :class:`TenantSnapshot`.
+SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
+#: Bumped whenever a checkpoint layout changes.
+SNAPSHOT_VERSION = 1
+
+#: Every class a tenant snapshot holds, of every system on both blocking
+#: substrates (``tests/test_service.py`` fails when a snapshot meets a class
+#: outside this set, or no longer meets one in it).  Decoding a blob can
+#: build these and nothing else: no other global is importable from it.
+SNAPSHOT_CLASSES = frozenset({
+    ("repro.blocking.blocks", "Block"),
+    ("repro.blocking.blocks", "BlockCollection"),
+    ("repro.blocking.lsh", "LSHBlockCollection"),
+    ("repro.blocking.lsh", "MinHasher"),
+    ("repro.blocking.substrate", "BlockingConfig"),
+    ("repro.blocking.token_blocking", "BlockingCosts"),
+    ("repro.blocking.token_blocking", "IncrementalTokenBlocking"),
+    ("repro.core.increments", "Increment"),
+    ("repro.core.profile", "Attribute"),
+    ("repro.core.profile", "EntityProfile"),
+    ("repro.evaluation.recorder", "ProgressPoint"),
+    ("repro.execution.store", "ComparisonStore"),
+    ("repro.matching.matcher", "CostModel"),
+    ("repro.metablocking.weights", "CommonBlocksScheme"),
+    ("repro.priority.bounded_pq", "BoundedPriorityQueue"),
+    ("repro.priority.rates", "AdaptiveK"),
+    ("repro.resilience.checkpoint", "EngineCheckpoint"),
+    ("repro.service.tenant", "TenantConfig"),
+    ("repro.service.tenant", "TenantSnapshot"),
+    ("repro.streaming.system", "PipelineCosts"),
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,21 +127,53 @@ class TenantSnapshot:
     next_index: int
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        """The snapshot in its envelope: magic, version, pickled payload."""
+        # Pickled straight behind the header: no second copy of the payload.
+        stream = io.BytesIO()
+        stream.write(SNAPSHOT_MAGIC + SNAPSHOT_VERSION.to_bytes(2, "big"))
+        pickle.dump(self, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        return stream.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TenantSnapshot":
         """Decode :meth:`to_bytes` output; any other bytes raise ``ValueError``."""
+        header = len(SNAPSHOT_MAGIC) + 2
+        if blob[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC or len(blob) < header:
+            raise ValueError(
+                f"not a tenant snapshot envelope (expected version {SNAPSHOT_VERSION})"
+            )
+        version = int.from_bytes(blob[len(SNAPSHOT_MAGIC) : header], "big")
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(
+                f"snapshot version {version} cannot be restored "
+                f"(expected version {SNAPSHOT_VERSION})"
+            )
+        stream = io.BytesIO(blob)  # shares the blob's buffer: no copy
+        stream.seek(header)
         try:
-            snapshot = pickle.loads(blob)
+            snapshot = _SnapshotUnpickler(stream).load()
         except Exception as exc:
             # Foreign bytes fail in many ways (UnpicklingError, EOFError,
-            # AttributeError, ImportError, IndexError, ...); the server
-            # answers ValueError with one ``bad-request`` reply.
+            # AttributeError, IndexError, ...); the server answers
+            # ValueError with one ``bad-request`` reply.
             raise ValueError(f"undecodable snapshot: {exc!r}") from exc
         if not isinstance(snapshot, cls):
             raise ValueError(f"not a TenantSnapshot: {type(snapshot).__name__}")
+        if not isinstance(snapshot.config, TenantConfig) or not isinstance(
+            snapshot.checkpoint, (EngineCheckpoint, type(None))
+        ):
+            raise ValueError("malformed TenantSnapshot")
         return snapshot
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Unpickles a snapshot payload; refuses every global outside
+    :data:`SNAPSHOT_CLASSES`."""
+
+    def find_class(self, module: str, name: str) -> type:
+        if (module, name) not in SNAPSHOT_CLASSES:
+            raise pickle.UnpicklingError(f"{module}.{name} is not a snapshot class")
+        return super().find_class(module, name)
 
 
 def _empty_dataset(config: TenantConfig) -> Dataset:

@@ -9,9 +9,9 @@ back-pressure on fast streams, initialization stalls of the batch
 adaptations, the adaptive budget of PIER — emerges deterministically and
 reproducibly from one loop, independent of the host machine.
 
-All policy-free machinery (budget clamping, retry/backoff, quarantine,
-load shedding, exactly-once dedup, checkpoint cadence, metrics, and the
-scalar/batched matching kernels) lives in
+All policy-free machinery (budget clamping, quarantine, load shedding,
+exactly-once dedup, checkpoint cadence, metrics, and the batched matching
+kernel) lives in
 :class:`~repro.execution.core.ExecutionCore`; this class contributes only
 the *serial* step-ordering policy, one loop iteration being:
 

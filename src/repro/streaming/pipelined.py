@@ -27,9 +27,9 @@ deadline for *both* clocks: an ingest that cannot start before the deadline
 is not performed (the run ends budget-bound), and the reported
 ``engine.ingest_clock_end`` gauge never exceeds the budget.
 
-All policy-free machinery (budget clamping, retry/backoff, quarantine,
-load shedding, exactly-once dedup, checkpoint/restore, metrics, and the
-scalar/batched matching kernels) is inherited from
+All policy-free machinery (budget clamping, quarantine, load shedding,
+exactly-once dedup, checkpoint/restore, metrics, and the batched matching
+kernel) is inherited from
 :class:`~repro.execution.core.ExecutionCore`; this class contributes only
 the two-clock step-ordering policy.
 """

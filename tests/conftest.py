@@ -8,7 +8,8 @@ from repro.api import ERSession
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
-from repro.matching.matcher import MatchResult
+
+from tests.reference.scalar_execution import PairOutcome
 
 
 def make_profile(pid: int, text: str, source: int = 0, attr: str = "value") -> EntityProfile:
@@ -26,11 +27,12 @@ def build_system(name: str, dataset: Dataset):
     return ERSession(dataset).build_system(name)
 
 
-def batched_results(matcher, pairs) -> list[MatchResult]:
+def batched_results(matcher, pairs) -> list[PairOutcome]:
     """One ``matcher.evaluate_batch`` call over ``pairs``, given the costs
-    the engine passes (``estimate_cost_batch``), read back as the scalar
-    path's records: flags from ``evaluate_batch``, similarities from the
-    one ``_batch_scores`` call it makes, costs as passed in."""
+    the engine passes (``estimate_cost_batch``), read back as the oracle's
+    per-pair records (``tests/reference/scalar_execution.py``): flags from
+    ``evaluate_batch``, similarities from the one ``_batch_scores`` call it
+    makes, costs as passed in."""
     costs = matcher.estimate_cost_batch(pairs)
     kernel = matcher._batch_scores
     scored: list[float] = []
@@ -45,7 +47,7 @@ def batched_results(matcher, pairs) -> list[MatchResult]:
     finally:
         del matcher._batch_scores
     assert len(scored) == len(flags) == len(costs)
-    return list(map(MatchResult._make, zip(flags, scored, costs)))
+    return list(map(PairOutcome._make, zip(flags, scored, costs)))
 
 
 #: Two inputs of ~13.5k co-block pairs, as ``load_dataset`` arguments: large

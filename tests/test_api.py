@@ -9,8 +9,7 @@ the CLI, the benchmark drivers) routes through.  Pinned here:
   the static setting, plans are built once and shared across systems;
 * round-trips: session ↔ :class:`ExperimentConfig`, ``resolve_stream``
   equals a hand-built session;
-* fault wiring (int seed → :meth:`FaultSpec.chaos`, reports accumulate)
-  and checkpoint capture;
+* checkpoint capture;
 * the retired ``make_*``/``run_experiment`` entry points are gone.
 """
 
@@ -23,7 +22,7 @@ import pytest
 from repro import resolve_stream
 from repro.api import EngineOptions, ERSession
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
-from repro.resilience import FaultSpec, FaultyMatcher, ResilienceConfig
+from repro.resilience import ResilienceConfig
 
 BUDGET = 8.0
 
@@ -91,9 +90,6 @@ def test_matcher_construction(dataset):
     assert isinstance(
         _session(dataset, matcher="ED").build_matcher(), EditDistanceMatcher
     )
-    assert isinstance(
-        _session(dataset, matcher="JS", faults=7).build_matcher(), FaultyMatcher
-    )
 
 
 # ----------------------------------------------------------------------
@@ -112,17 +108,6 @@ def test_static_batch_baselines_get_single_increment_plans(dataset):
 def test_streaming_setting_streams_everyone(dataset):
     session = _session(dataset, systems=("PPS",))
     assert len(session.plan_for("PPS").increments) == session.n_increments
-
-
-def test_fault_seed_int_becomes_chaos_spec(dataset):
-    session = _session(dataset, faults=7)
-    assert session.fault_spec == FaultSpec.chaos(7)
-    assert session.fault_reports == []
-    session.plan_for("I-PES")
-    assert len(session.fault_reports) == 1
-    # The cached plan does not re-apply faults.
-    session.plan_for("I-PES")
-    assert len(session.fault_reports) == 1
 
 
 # ----------------------------------------------------------------------

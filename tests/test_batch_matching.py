@@ -1,12 +1,13 @@
 """Bit-identity tests for the batched matcher kernel.
 
 The engines' batched execution path is only sound if ``evaluate_batch``
-produces *exactly* the scalar results — same similarities, same costs
-(``estimate_cost_batch``, which the engine passes in), same flags, stats
-and metrics counters, in the same accumulation order.  These tests
-compare the two paths pair by pair on real dataset profiles for both
-matchers, check the vectorized similarity kernels against their scalar
-definitions, and pin the ``supports_batch`` contract for wrapped matchers.
+produces *exactly* what the same pairs give one at a time — same
+similarities, same costs (``estimate_cost_batch``, which the engine passes
+in), same flags, stats and metrics counters, in the same accumulation
+order.  These tests compare a batch against the pair-at-a-time oracle
+(``tests/reference/scalar_execution.py``) on real dataset profiles for
+both matchers, and check the vectorized similarity kernels against their
+scalar definitions.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from repro.core.increments import make_stream_plan, split_into_increments
 from repro.matching.matcher import EditDistanceMatcher
 from repro.matching.similarity import dice, jaccard, jaccard_batch
 from repro.observability.metrics import MetricsRegistry
-from repro.resilience import FaultyMatcher
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import batched_results, build_matcher, build_system, make_profile
+from tests.reference.scalar_execution import estimate_pair, evaluate_pair
 
 
 def _sample_pairs(dataset, n=200, seed=7):
@@ -38,7 +39,7 @@ def _sample_pairs(dataset, n=200, seed=7):
 def _run_scalar(matcher, pairs):
     registry = MetricsRegistry()
     matcher.bind_metrics(registry)
-    results = [matcher.evaluate(x, y) for x, y in pairs]
+    results = [evaluate_pair(matcher, x, y) for x, y in pairs]
     return results, registry.snapshot(include_wall=False)["counters"]
 
 
@@ -71,12 +72,10 @@ def _assert_identical(matcher_name, pairs):
 
 
 def test_jaccard_batch_bit_identical(small_dblp_acm):
-    assert build_matcher("JS").supports_batch
     _assert_identical("JS", _sample_pairs(small_dblp_acm))
 
 
 def test_edit_distance_batch_bit_identical(small_movies):
-    assert build_matcher("ED").supports_batch
     _assert_identical("ED", _sample_pairs(small_movies))
 
 
@@ -105,13 +104,21 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
     }
 
 
+#: Each matcher's work units per pair: tokens for JS, the character product
+#: of the full texts (the quadratic DP) for ED.
+WORK_UNITS = {
+    "JS": lambda x, y: len(x.tokens()) + len(y.tokens()),
+    "ED": lambda x, y: float(x.text_length()) * float(y.text_length()),
+}
+
+
 def test_estimate_cost_batch_matches_scalar(small_dblp_acm):
     pairs = _sample_pairs(small_dblp_acm, n=100)
-    for name in ("JS", "ED"):
+    for name, units in WORK_UNITS.items():
         matcher = build_matcher(name)
         batched = matcher.estimate_cost_batch(pairs)
-        scalar = [matcher.estimate_cost(x, y) for x, y in pairs]
-        assert batched == scalar
+        assert batched == [matcher.cost_model.charge(units(x, y)) for x, y in pairs]
+        assert batched == [estimate_pair(matcher, x, y) for x, y in pairs]
 
 
 def test_similarity_kernels_match_scalar_definitions():
@@ -132,39 +139,8 @@ def test_similarity_kernels_match_scalar_definitions():
         bigrams_x = {text_x[i : i + 2] for i in range(len(text_x) - 1)}
         for profile_y, text_y in zip(profiles, texts):
             bigrams_y = {text_y[i : i + 2] for i in range(len(text_y) - 1)}
-            assert matcher.similarity(profile_x, profile_y) == dice(bigrams_x, bigrams_y)
-
-
-def test_faulty_matcher_opts_out_of_batching(small_dblp_acm):
-    """Fault injection sequences failures by call order, so the wrapper must
-    stay on the scalar path — and its looping ``evaluate_batch`` must replay
-    the exact fault schedule."""
-    wrapped = FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0)
-    assert wrapped.supports_batch is False
-
-    pairs = _sample_pairs(small_dblp_acm, n=50)
-    reference = FaultyMatcher(build_matcher("JS"), seed=3, failure_rate=0.0)
-    scalar_results, scalar_counters = _run_scalar(reference, pairs)
-    registry = MetricsRegistry()
-    wrapped.bind_metrics(registry)
-    flags = _evaluate_batch(wrapped, pairs)
-    assert flags == [result.is_match for result in scalar_results]
-    assert registry.snapshot(include_wall=False)["counters"] == scalar_counters
-    assert wrapped.spikes_injected == reference.spikes_injected > 0
-    assert wrapped.total_cost == reference.total_cost
-
-
-def test_base_matcher_fallback_loops(small_dblp_acm):
-    """A matcher without ``supports_batch`` evaluates pair-at-a-time."""
-    matcher = build_matcher("JS")
-    matcher.supports_batch = False
-    pairs = _sample_pairs(small_dblp_acm, n=20)
-    registry = MetricsRegistry()
-    matcher.bind_metrics(registry)
-    flags = _evaluate_batch(matcher, pairs)
-    reference, counters = _run_scalar(build_matcher("JS"), pairs)
-    assert flags == [result.is_match for result in reference]
-    assert registry.snapshot(include_wall=False)["counters"] == counters
+            [score] = matcher._batch_scores([(profile_x, profile_y)])
+            assert score == dice(bigrams_x, bigrams_y)
 
 
 @pytest.mark.parametrize("matcher_name, strategy", [("JS", "I-PBS"), ("ED", "I-PES")])

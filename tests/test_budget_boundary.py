@@ -4,7 +4,7 @@ The engines treat the virtual budget as a hard deadline.  A comparison whose
 cost would push the clock beyond the budget must be neither executed nor
 recorded on the progress curve; one finishing *exactly* at the budget counts.
 These tests pin that boundary with a scripted system and a unit-cost matcher,
-on the scalar path and on the batched kernel's deadline planner.
+on the batched kernel's deadline planner and on its pair-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
+from tests.reference.scalar_execution import ScalarPipelinedEngine, ScalarStreamingEngine
+
 ENGINES = (StreamingEngine, PipelinedStreamingEngine)
 
 
@@ -30,25 +32,19 @@ class UnitCostMatcher(Matcher):
     def __init__(self) -> None:
         super().__init__(threshold=0.5, cost_model=CostModel(base=1.0, per_unit=0.0))
 
-    def similarity(self, profile_x, profile_y) -> float:
-        return 1.0
+    def estimate_cost_batch(self, pairs) -> list[float]:
+        return [self.cost_model.charge(0.0)] * len(pairs)
 
-    def work_units(self, profile_x, profile_y) -> float:
-        return 0.0
-
-
-class BatchedUnitCostMatcher(UnitCostMatcher):
-    """The same matcher, batch-capable: the engines plan its rounds up front."""
-
-    supports_batch = True
+    def _batch_scores(self, pairs) -> list[float]:
+        return [1.0] * len(pairs)
 
 
-#: Each engine on both execution paths; the scalar cases keep the bare
-#: engine name as their id.
+#: Each engine and its pair-at-a-time oracle twin; the oracle cases keep
+#: the bare engine name as their id.
 CASES = [
-    pytest.param(engine, matcher_cls, id=engine.__name__ + suffix)
-    for engine in ENGINES
-    for matcher_cls, suffix in ((UnitCostMatcher, ""), (BatchedUnitCostMatcher, "-batched"))
+    pytest.param(engine, id=batched.__name__ + suffix)
+    for batched, oracle in zip(ENGINES, (ScalarStreamingEngine, ScalarPipelinedEngine))
+    for engine, suffix in ((oracle, ""), (batched, "-batched"))
 ]
 
 
@@ -80,24 +76,24 @@ class ScriptedSystem(ERSystem):
         return self._profiles
 
 
-def _run(engine_factory, pairs, budget, matcher_cls=UnitCostMatcher):
+def _run(engine_factory, pairs, budget):
     plan = make_stream_plan([Increment(0, ())], rate=None)
     system = ScriptedSystem(pairs)
-    matcher = matcher_cls()
+    matcher = UnitCostMatcher()
     engine = engine_factory(matcher, budget=budget)
     result = engine.run(system, plan, GroundTruth(pairs))
     return result, matcher
 
 
-@pytest.mark.parametrize("engine_factory, matcher_cls", CASES)
+@pytest.mark.parametrize("engine_factory", CASES)
 class TestBudgetBoundary:
     PAIRS = [(0, 1), (2, 3), (4, 5)]
 
-    def test_post_budget_comparison_not_credited(self, engine_factory, matcher_cls):
+    def test_post_budget_comparison_not_credited(self, engine_factory):
         """With budget 2.5, the third unit-cost comparison would finish at
         t=3.0 — past the deadline — and must not be executed or recorded:
         a cut in the middle of the batch."""
-        result, matcher = _run(engine_factory, self.PAIRS, budget=2.5, matcher_cls=matcher_cls)
+        result, matcher = _run(engine_factory, self.PAIRS, budget=2.5)
         assert result.comparisons_executed == 2
         assert matcher.comparisons_executed == 2
         assert result.curve.final_pc == pytest.approx(2 / 3)
@@ -105,10 +101,10 @@ class TestBudgetBoundary:
         counters = result.details["metrics"]["counters"]
         assert counters["engine.comparisons_cut_by_deadline"] == 1
 
-    def test_curve_pinned_at_exact_budget_exhaustion(self, engine_factory, matcher_cls):
+    def test_curve_pinned_at_exact_budget_exhaustion(self, engine_factory):
         """A comparison finishing exactly at the budget still counts, and no
         curve point may lie beyond the budget."""
-        result, _ = _run(engine_factory, self.PAIRS, budget=3.0, matcher_cls=matcher_cls)
+        result, _ = _run(engine_factory, self.PAIRS, budget=3.0)
         assert result.comparisons_executed == 3
         assert result.curve.final_pc == 1.0
         assert result.clock_end == 3.0
@@ -117,19 +113,19 @@ class TestBudgetBoundary:
         counters = result.details["metrics"]["counters"]
         assert counters["engine.comparisons_cut_by_deadline"] == 0
 
-    def test_no_curve_point_beyond_budget(self, engine_factory, matcher_cls):
+    def test_no_curve_point_beyond_budget(self, engine_factory):
         """Budget 0.5 cuts the very first pair of the batch; 1.0 and 2.0 end
         the round on a pair finishing exactly at the deadline."""
         for budget in (0.5, 1.0, 1.5, 2.0, 2.5):
-            result, _ = _run(engine_factory, self.PAIRS, budget=budget, matcher_cls=matcher_cls)
+            result, _ = _run(engine_factory, self.PAIRS, budget=budget)
             assert all(point.time <= budget for point in result.curve.points)
             assert result.comparisons_executed == int(budget)
             assert result.clock_end == budget
 
-    def test_match_phase_charges_cutoff_time(self, engine_factory, matcher_cls):
+    def test_match_phase_charges_cutoff_time(self, engine_factory):
         """The time between the last credited comparison and the deadline is
         charged to the match phase as cut-off work."""
-        result, _ = _run(engine_factory, self.PAIRS, budget=2.5, matcher_cls=matcher_cls)
+        result, _ = _run(engine_factory, self.PAIRS, budget=2.5)
         match_virtual = result.details["metrics"]["phases"]["match"]["virtual_s"]
         assert match_virtual == pytest.approx(2.5)
 

@@ -20,17 +20,12 @@ from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.rates import AdaptiveK
-from repro.resilience import (
-    FaultSpec,
-    FaultyMatcher,
-    ResilienceConfig,
-    SimulatedCrash,
-    apply_faults,
-)
+from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher
+from tests.reference.stream_faults import FaultSpec, apply_faults
 
 STRATEGY_FACTORIES = {
     "I-PCS": lambda: PierSystem(IPCS()),
@@ -114,14 +109,17 @@ def _with_emission_counts(checkpoint):
 
 #: Preseeded at zero by every run while the LSH pre-filter substrate existed.
 RETIRED_COUNTER = "blocking.lsh.candidates_pruned"
+#: Preseeded at zero by every run while the engines retried matcher faults.
+RETRY_COUNTERS = ("engine.matcher_faults", "engine.retries", "engine.retry_backoff_s")
 
 
-def _with_retired_counter(checkpoint):
-    """A checkpoint as written while its metrics still carried
-    :data:`RETIRED_COUNTER`."""
+def _with_retired_counter(checkpoint, names=(RETIRED_COUNTER,)):
+    """A checkpoint as written while its metrics still carried ``names``."""
     counters = checkpoint.metrics_state["counters"]
-    assert RETIRED_COUNTER not in counters
-    metrics_state = {**checkpoint.metrics_state, "counters": {**counters, RETIRED_COUNTER: 0}}
+    assert not set(names) & set(counters)
+    metrics_state = {
+        **checkpoint.metrics_state, "counters": {**counters, **dict.fromkeys(names, 0)}
+    }
     return replace(checkpoint, metrics_state=metrics_state)
 
 
@@ -236,6 +234,23 @@ class TestCrashResumeDeterminism:
         assert resumed.details["metrics"]["counters"].pop(RETIRED_COUNTER) == 0
         _assert_runs_identical(uninterrupted, resumed)
 
+    @pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
+    def test_checkpoint_holding_the_retry_counters(self, small_dblp_acm, engine_cls):
+        """A checkpoint written while every run preseeded the retry counters
+        restores to an equal run; the three ride along at zero."""
+        factory = STRATEGY_FACTORIES["I-PES"]
+        plan = _plan(small_dblp_acm)
+        uninterrupted = engine_cls(
+            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
+        ).run(factory(), plan, small_dblp_acm.ground_truth)
+        resumed, _ = _crash_and_resume(
+            factory, plan, small_dblp_acm.ground_truth, engine_cls=engine_cls,
+            as_written=lambda checkpoint: _with_retired_counter(checkpoint, RETRY_COUNTERS),
+        )
+        counters = resumed.details["metrics"]["counters"]
+        assert [counters.pop(name) for name in RETRY_COUNTERS] == [0, 0, 0]
+        _assert_runs_identical(uninterrupted, resumed)
+
     def test_no_double_counted_comparisons(self, small_dblp_acm):
         """The resumed run's executed total equals the uninterrupted one and
         contains no re-executions of pre-crash pairs."""
@@ -269,17 +284,15 @@ class TestCrashResumeDeterminism:
         assert beyond == expected and beyond
 
     def test_crash_resume_under_chaos(self, small_dblp_acm):
-        """Restoring the FaultyMatcher RNG replays the identical fault
-        schedule, so even chaotic runs resume bit-identically."""
+        """A perturbed stream — drops, redeliveries, reorders, bursts,
+        corrupted profiles — resumes bit-identically too: the exactly-once
+        bookkeeping rides in the checkpoint."""
         plan = apply_faults(_plan(small_dblp_acm), FaultSpec.chaos(seed=7)).plan
-        resilience = ResilienceConfig(checkpoint_every=CHECKPOINT_EVERY)
 
-        def engine(crash_at=None, resil=resilience):
-            from dataclasses import replace
-
+        def engine(crash_at=None):
             return StreamingEngine(
-                FaultyMatcher(build_matcher("ED"), seed=7), budget=BUDGET,
-                resilience=replace(resil, crash_at=crash_at),
+                build_matcher("ED"), budget=BUDGET,
+                resilience=replace(CADENCE, crash_at=crash_at),
             )
 
         uninterrupted = engine().run(

@@ -26,6 +26,7 @@ from repro.streaming.engine import StreamingEngine
 
 from tests.conftest import batched_results, make_profile, pool_or_skip
 from tests.reference.levenshtein import levenshtein
+from tests.reference.scalar_execution import evaluate_pair
 
 EXACT_CUTS = ("length_cuts", "qgram_cuts", "bag_cuts")
 
@@ -95,7 +96,7 @@ def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_len
     scalar = []
     for (profile_x, profile_y), (text_x, text_y) in zip(pairs, text_pairs):
         before = dict(matcher.kernel_counts)
-        result = matcher.evaluate(profile_x, profile_y)
+        result = evaluate_pair(matcher, profile_x, profile_y)
         scalar.append(result)
         (stage,) = [name for name in KERNEL_COUNTERS if matcher.kernel_counts[name] != before[name]]
         assert matcher.kernel_counts[stage] == before[stage] + 1

@@ -4,17 +4,16 @@ Three guarantees introduced by the unified execution core are pinned here,
 for all four incremental strategies on both engines:
 
 * **kernel parity** — a run with the batched matcher kernel is bit-identical
-  to the scalar pair-at-a-time path: same progress curve, duplicates,
-  clocks, counters and gauges.  The engine picks the path from
-  ``matcher.supports_batch``, so the scalar side runs the very same matcher
-  declared ``supports_batch = False`` — ED, JS, and ED under a cost ceiling
-  that quarantines pairs while the deadline cuts rounds;
+  to one whose rounds run through the pair-at-a-time oracle
+  (``tests/reference/scalar_execution.py``): same progress curve,
+  duplicates, clocks, counters and gauges — for ED, JS, and ED under a cost
+  ceiling that quarantines pairs while the deadline cuts rounds;
 * **schema parity** — serial and pipelined runs export the *same* metric
   schema (counter/gauge/phase name sets) on healthy runs, because the core
   preseeds the union surface for both;
 * **checkpoint parity** — the checkpoint a run takes at a given cadence has
-  the same fingerprint whichever kernel produced it, so resumes can freely
-  cross between scalar and batched execution.
+  the same fingerprint whichever of the two executed it, so resumes can
+  freely cross between the oracle and the kernel.
 """
 
 from __future__ import annotations
@@ -22,15 +21,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher, build_system
+from tests.reference.scalar_execution import ScalarPipelinedEngine, ScalarStreamingEngine
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
+#: Each engine's twin whose rounds run through the pair-at-a-time oracle.
+ORACLES = {StreamingEngine: ScalarStreamingEngine, PipelinedStreamingEngine: ScalarPipelinedEngine}
 BUDGET = 8.0
 
 
@@ -45,20 +46,6 @@ def plan(small_dblp_acm):
     return make_stream_plan(increments, rate=5.0)
 
 
-class ScalarED(EditDistanceMatcher):
-    """The ED matcher, declared unable to batch: the engine runs it scalar."""
-
-    supports_batch = False
-
-
-class ScalarJS(JaccardMatcher):
-    """The JS matcher, declared unable to batch."""
-
-    supports_batch = False
-
-
-SCALAR_TWINS = {"ED": ScalarED, "JS": ScalarJS}
-
 #: Kernel-parity cases: ``(matcher, budget, cost ceiling)``.  At 1.47 s JS
 #: is cut mid-round on every PIER strategy; ED under a 6 ms ceiling has
 #: pairs quarantined on every strategy and rounds cut on the PIER ones
@@ -70,16 +57,17 @@ KERNEL_CASES = {
 }
 
 
-def _matcher(batch_matching, name="ED"):
-    matcher = build_matcher(name)
-    return matcher if batch_matching else SCALAR_TWINS[name](threshold=matcher.threshold)
+def _engine(engine_cls, batch_matching):
+    return engine_cls if batch_matching else ORACLES[engine_cls]
 
 
 def _run(
     engine_cls, dataset, plan, strategy, batch_matching, matcher_name="ED", budget=BUDGET,
     **kwargs,
 ):
-    engine = engine_cls(_matcher(batch_matching, matcher_name), budget=budget, **kwargs)
+    engine = _engine(engine_cls, batch_matching)(
+        build_matcher(matcher_name), budget=budget, **kwargs
+    )
     return engine.run(build_system(strategy, dataset), plan, dataset.ground_truth)
 
 
@@ -179,8 +167,8 @@ def _checkpoint_fingerprint(checkpoint):
 
 
 def _crash_checkpoint(engine_cls, dataset, plan, strategy, batch_matching):
-    engine = engine_cls(
-        _matcher(batch_matching),
+    engine = _engine(engine_cls, batch_matching)(
+        build_matcher("ED"),
         budget=BUDGET,
         resilience=ResilienceConfig(checkpoint_every=1.0, crash_at=4.0),
     )
@@ -201,8 +189,8 @@ def test_checkpoint_fingerprint_parity(dataset, plan, strategy, engine_name):
 
 @pytest.mark.parametrize("engine_name", list(ENGINES))
 def test_resume_crosses_kernels(dataset, plan, engine_name):
-    """A checkpoint taken on the scalar path resumes bit-identically on the
-    batched path — the kernels share one execution semantics."""
+    """A checkpoint taken on the oracle resumes bit-identically on the
+    batched kernel — the two share one execution semantics."""
     engine_cls = ENGINES[engine_name]
     checkpoint = _crash_checkpoint(engine_cls, dataset, plan, "I-PES", batch_matching=False)
     resumed = engine_cls(

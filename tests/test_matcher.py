@@ -15,6 +15,7 @@ from repro.matching.matcher import (
 )
 
 from tests.conftest import batched_results, make_profile
+from tests.reference.scalar_execution import estimate_pair, evaluate_pair
 from tests.reference.levenshtein import levenshtein
 
 
@@ -32,13 +33,13 @@ class TestJaccardMatcher:
         matcher = JaccardMatcher(0.5)
         a = make_profile(0, "alpha beta gamma")
         b = make_profile(1, "alpha beta gamma")
-        result = matcher.evaluate(a, b)
+        result = evaluate_pair(matcher, a, b)
         assert result.is_match
         assert result.similarity == 1.0
 
     def test_disjoint_profiles_do_not_match(self):
         matcher = JaccardMatcher(0.1)
-        result = matcher.evaluate(make_profile(0, "alpha"), make_profile(1, "omega"))
+        result = evaluate_pair(matcher, make_profile(0, "alpha"), make_profile(1, "omega"))
         assert not result.is_match
 
     def test_threshold_validation(self):
@@ -48,8 +49,8 @@ class TestJaccardMatcher:
     def test_stats_accumulate(self):
         matcher = JaccardMatcher(0.5)
         a, b = make_profile(0, "x1 y1"), make_profile(1, "x1 y1")
-        matcher.evaluate(a, b)
-        matcher.evaluate(a, make_profile(2, "zz"))
+        evaluate_pair(matcher, a, b)
+        evaluate_pair(matcher, a, make_profile(2, "zz"))
         assert matcher.comparisons_executed == 2
         assert matcher.matches_found == 1
         assert matcher.total_cost > 0
@@ -57,22 +58,22 @@ class TestJaccardMatcher:
 
     def test_reset_stats(self):
         matcher = JaccardMatcher(0.5)
-        matcher.evaluate(make_profile(0, "aa bb"), make_profile(1, "aa bb"))
+        evaluate_pair(matcher, make_profile(0, "aa bb"), make_profile(1, "aa bb"))
         matcher.reset_stats()
         assert matcher.comparisons_executed == 0
         assert matcher.mean_cost == 0.0
 
     def test_cost_grows_with_tokens(self):
         matcher = JaccardMatcher(0.5)
-        small = matcher.estimate_cost(make_profile(0, "aa"), make_profile(1, "bb"))
-        large = matcher.estimate_cost(
-            make_profile(2, "aa bb cc dd ee"), make_profile(3, "ff gg hh ii jj")
+        small = estimate_pair(matcher, make_profile(0, "aa"), make_profile(1, "bb"))
+        large = estimate_pair(
+            matcher, make_profile(2, "aa bb cc dd ee"), make_profile(3, "ff gg hh ii jj")
         )
         assert large > small
 
     def test_estimate_does_not_execute(self):
         matcher = JaccardMatcher(0.5)
-        matcher.estimate_cost(make_profile(0, "aa"), make_profile(1, "aa"))
+        estimate_pair(matcher, make_profile(0, "aa"), make_profile(1, "aa"))
         assert matcher.comparisons_executed == 0
 
 
@@ -81,13 +82,13 @@ class TestEditDistanceMatcher:
         matcher = EditDistanceMatcher(0.8)
         a = make_profile(0, "progressive entity resolution")
         b = make_profile(1, "progressive entity resolutino")
-        assert matcher.evaluate(a, b).is_match
+        assert evaluate_pair(matcher, a, b).is_match
 
     def test_dissimilar_rejected_by_prefilter(self):
         matcher = EditDistanceMatcher(0.8)
         a = make_profile(0, "aaaa bbbb cccc")
         b = make_profile(1, "xxxx yyyy zzzz")
-        result = matcher.evaluate(a, b)
+        result = evaluate_pair(matcher, a, b)
         assert not result.is_match
         assert result.similarity <= matcher.prefilter_floor
 
@@ -103,15 +104,13 @@ class TestEditDistanceMatcher:
 
         for left, right in pairs:
             exact = normalized_edit_similarity(left, right)
-            got = matcher.similarity(make_profile(0, left), make_profile(1, right))
+            [got] = matcher._batch_scores([(make_profile(0, left), make_profile(1, right))])
             assert (got >= 0.7) == (exact >= 0.7)
 
     def test_quadratic_cost(self):
         matcher = EditDistanceMatcher(0.8)
-        short = matcher.estimate_cost(make_profile(0, "ab"), make_profile(1, "cd"))
-        long = matcher.estimate_cost(
-            make_profile(2, "a" * 100), make_profile(3, "b" * 100)
-        )
+        short = estimate_pair(matcher, make_profile(0, "ab"), make_profile(1, "cd"))
+        long = estimate_pair(matcher, make_profile(2, "a" * 100), make_profile(3, "b" * 100))
         assert long > short * 40
 
     def test_text_truncation_configurable(self):
@@ -123,14 +122,14 @@ class TestEditDistanceMatcher:
         ed = EditDistanceMatcher()
         a = make_profile(0, "some moderately long profile text here")
         b = make_profile(1, "another moderately long profile text there")
-        assert ed.estimate_cost(a, b) > js.estimate_cost(a, b)
+        assert estimate_pair(ed, a, b) > estimate_pair(js, a, b)
 
     def test_bigram_cache_reused(self):
         matcher = EditDistanceMatcher(0.8)
         a, b = make_profile(0, "alpha beta"), make_profile(1, "alpha beta")
-        matcher.evaluate(a, b)
+        evaluate_pair(matcher, a, b)
         cached = matcher._text_cache[a.pid]
-        matcher.evaluate(a, b)
+        evaluate_pair(matcher, a, b)
         assert matcher._text_cache[a.pid] is cached
 
 
@@ -146,7 +145,7 @@ class TestShortTextRegression:
     @pytest.mark.parametrize("text", ["x", "7", "𝄞"])
     def test_identical_one_char_profiles_match(self, text):
         matcher = EditDistanceMatcher(0.8)
-        result = matcher.evaluate(make_profile(0, text), make_profile(1, text))
+        result = evaluate_pair(matcher, make_profile(0, text), make_profile(1, text))
         assert result.similarity == 1.0
         assert result.is_match
 
@@ -155,13 +154,13 @@ class TestShortTextRegression:
         # short side has an empty bigram set, so only the exact kernel can
         # produce this value (the old prefilter returned 0.0).
         matcher = EditDistanceMatcher(0.5)
-        result = matcher.evaluate(make_profile(0, "ab"), make_profile(1, "a"))
+        result = evaluate_pair(matcher, make_profile(0, "ab"), make_profile(1, "a"))
         assert result.similarity == 0.5
         assert result.is_match
 
     def test_distinct_one_char_profiles_do_not_match(self):
         matcher = EditDistanceMatcher(0.8)
-        result = matcher.evaluate(make_profile(0, "x"), make_profile(1, "y"))
+        result = evaluate_pair(matcher, make_profile(0, "x"), make_profile(1, "y"))
         assert result.similarity == 0.0
         assert not result.is_match
 
@@ -173,7 +172,7 @@ class TestShortTextRegression:
             (make_profile(4, "ab"), make_profile(5, "a")),
             (make_profile(6, "alpha beta"), make_profile(7, "alpha beta")),
         ]
-        scalar = [EditDistanceMatcher(0.8).evaluate(x, y) for x, y in pairs]
+        scalar = [evaluate_pair(EditDistanceMatcher(0.8), x, y) for x, y in pairs]
         batched = batched_results(matcher, pairs)
         assert batched == scalar
         assert batched[0].is_match
@@ -198,20 +197,21 @@ class TestEditDistanceKernelTelemetry:
         ]
         results = matcher._batch_scores(pairs)
         assert results[4] == results[5] == 1.0 - 9 / 40
-        counts = matcher.kernel_telemetry()
+        counts = dict(matcher.kernel_counts)
         assert tuple(counts) == KERNEL_COUNTERS
         assert all(value == 1 for value in counts.values())
         restored = EditDistanceMatcher(0.5)
         restored.restore_state(matcher.snapshot_state())
-        assert restored.kernel_telemetry() == counts
+        assert restored.kernel_counts == counts
         matcher.reset_stats()
-        assert tuple(matcher.kernel_telemetry()) == KERNEL_COUNTERS
-        assert all(value == 0 for value in matcher.kernel_telemetry().values())
+        assert tuple(matcher.kernel_counts) == KERNEL_COUNTERS
+        assert all(value == 0 for value in matcher.kernel_counts.values())
 
 
 class TestFunnelLoop:
-    """The funnel is one loop over the batch (the scalar path is a batch of
-    one) and its DP scans the shorter text against the longer text's table.
+    """The funnel is one loop over the batch (a pair scored on its own is a
+    batch of one) and its DP scans the shorter text against the longer
+    text's table.
     Pairs that reach the DP with ``len(x)`` above, below and equal to
     ``len(y)``, within the band and beyond it, held to the textbook table."""
 
@@ -237,7 +237,7 @@ class TestFunnelLoop:
         threshold = 0.8
         pairs = self._profiles(self.TEXT_PAIRS)
         scalar = EditDistanceMatcher(threshold)
-        results = [scalar.evaluate(profile_x, profile_y) for profile_x, profile_y in pairs]
+        results = [evaluate_pair(scalar, profile_x, profile_y) for profile_x, profile_y in pairs]
         assert scalar.kernel_counts["dp_calls"] == len(pairs)
         assert [result.is_match for result in results] == [True] * 3 + [False] * 3
         for result, (text_x, text_y) in zip(results, self.TEXT_PAIRS):
@@ -255,7 +255,7 @@ class TestFunnelLoop:
         fresh = make_profile(2, self.BASE + " streams")
         pairs = [(known_x, known_y), (known_x, fresh), (fresh, known_y)]
         warm = EditDistanceMatcher(0.8)
-        warm.evaluate(known_x, known_y)
+        evaluate_pair(warm, known_x, known_y)
         assert set(warm._text_cache) == {0, 1}
         cold = EditDistanceMatcher(0.8)
         assert warm._batch_scores(pairs) == cold._batch_scores(pairs)
@@ -264,7 +264,7 @@ class TestFunnelLoop:
     def test_similarity_counts_as_a_batch_of_one(self):
         for pair in self._profiles(self.TEXT_PAIRS[:1] + [("x", "x"), ("aaaa bbbb", "xxxx yyyy")]):
             scalar, batched = EditDistanceMatcher(0.8), EditDistanceMatcher(0.8)
-            similarity = scalar.similarity(*pair)
+            similarity = evaluate_pair(scalar, *pair).similarity
             assert batched._batch_scores([pair]) == [similarity]
             assert scalar.kernel_counts == batched.kernel_counts
             assert sum(scalar.kernel_counts.values()) == 1
@@ -274,7 +274,8 @@ class TestSnapshotExcludesDerivedCaches:
     def test_text_cache_not_in_snapshot(self):
         matcher = EditDistanceMatcher(0.8)
         for pid in range(50):
-            matcher.evaluate(
+            evaluate_pair(
+                matcher,
                 make_profile(2 * pid, f"profile number {pid} alpha beta gamma"),
                 make_profile(2 * pid + 1, f"profile number {pid} alpha beta gamma!"),
             )
@@ -289,7 +290,8 @@ class TestSnapshotExcludesDerivedCaches:
         matcher = EditDistanceMatcher(0.8)
         empty_size = len(pickle.dumps(matcher.snapshot_state()))
         for pid in range(500):
-            matcher.evaluate(
+            evaluate_pair(
+                matcher,
                 make_profile(2 * pid, f"some long profile text number {pid} " * 3),
                 make_profile(2 * pid + 1, f"other profile text number {pid} " * 3),
             )
@@ -312,7 +314,7 @@ class TestSnapshotExcludesDerivedCaches:
         restored.restore_state(snapshot)
         assert restored.threshold == matcher.threshold
         assert restored._text_cache == {}
-        assert restored.kernel_telemetry() == matcher.kernel_telemetry()
+        assert restored.kernel_counts == matcher.kernel_counts
         fresh = EditDistanceMatcher(0.8)
         fresh.restore_state(snapshot)
         fresh.reset_stats()

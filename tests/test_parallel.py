@@ -13,8 +13,7 @@ executor choice, never a semantics choice.  Whatever the worker count,
 * a pool that cannot start or breaks degrades to in-process scoring with
   the same results, counted in ``parallel.fallbacks``;
 * a profile crosses to a worker once per run (the chunks of a hand-off
-  carry what their worker has not received this epoch);
-* matchers that cannot batch (``FaultyMatcher``) never reach the pool.
+  carry what their worker has not received this epoch).
 
 Worker failures (kill, stop, garbled reply) are in ``test_supervision.py``.
 """
@@ -386,30 +385,8 @@ def test_closed_pool_is_bypassed(dataset, plan):
 
 
 # ----------------------------------------------------------------------
-# Composition: faults stay serial, checkpoints resume across fleets
+# Composition: checkpoints resume across fleets
 # ----------------------------------------------------------------------
-def test_faulty_matcher_never_shards(dataset):
-    def run(workers):
-        with ERSession(
-            dataset,
-            systems=("I-PES",),
-            matcher="ED",
-            n_increments=8,
-            rate=5.0,
-            budget=BUDGET,
-            faults=7,
-            workers=workers,
-        ) as session:
-            return session.run()
-
-    serial = run(1)
-    parallel = run(4)
-    assert _comparable(parallel) == _comparable(serial)
-    counters = parallel.details["metrics"]["counters"]
-    assert counters["parallel.rounds_sharded"] == 0
-    assert counters["parallel.fallbacks"] == 0
-
-
 def test_resume_crosses_worker_counts(dataset, plan, ed_pool):
     """A checkpoint taken serially resumes bit-identically on a fleet."""
     engine = StreamingEngine(

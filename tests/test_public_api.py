@@ -18,7 +18,8 @@ from repro.pier.base import GetComparisons, IncrPrioritization, PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
-from repro.resilience import RetryPolicy
+from repro.matching.matcher import Matcher
+from repro.resilience import ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
 
@@ -55,6 +56,11 @@ RETIRED_NAMES = (
     # executed-set probe as a callback, and I-PES's one-comparison insert.
     "partner_" + "weights", "was_executed_" + "canonical", "_insert_" + "weighted",
     "_insert_if_above_" + "entity_average", "_entity_" + "enqueue",
+    # The matcher-fault injector, the retry machinery that survived it, the
+    # scalar pair loop it ran on, and the fault wiring of the session/CLI.
+    "Faulty" + "Matcher", "TransientMatcher" + "Error", "Retry" + "Policy",
+    "Match" + "Result", "supports_" + "batch", "_execute_batch_" + "scalar",
+    "apply_" + "faults", "Fault" + "Spec", "--" + "faults",
 )
 
 
@@ -108,7 +114,14 @@ class TestRetiredNames:
             (ERSession, "ingest"),
             (ERSession, "drain"),
             (ERSession, "results"),
-            (RetryPolicy, "jitter"),
+            # One evaluation API, the batch: the scalar hooks went with the
+            # scalar pair loop, and the retry policy with the faults.
+            (Matcher, "evaluate"),
+            (Matcher, "estimate_cost"),
+            (Matcher, "similarity"),
+            (Matcher, "work_units"),
+            (Matcher, "kernel_telemetry"),
+            (ResilienceConfig, "retry"),
             (TenantSession, "horizon"),
             (TenantSession, "finished"),
             (TenantSession, "budget_exhausted"),
@@ -119,6 +132,7 @@ class TestRetiredNames:
             (IPES, "_top_weight"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert "faults" not in inspect.signature(ERSession.__init__).parameters
 
     def test_engine_options_has_exactly_these_fields(self):
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [
@@ -129,7 +143,7 @@ class TestRetiredNames:
         """Checkpoint cadence lives on ``ResilienceConfig`` alone."""
         assert list(inspect.signature(ERSession.__init__).parameters) == [
             "self", "dataset", "systems", "matcher", "engine", "scale", "n_increments",
-            "rate", "budget", "seed", "workers", "faults", "resilience", "pool",
+            "rate", "budget", "seed", "workers", "resilience", "pool",
         ]
         assert list(inspect.signature(ExecutionCore.__init__).parameters) == [
             "self", "matcher", "budget", "match_cost_prior", "sample_every",

@@ -1,8 +1,16 @@
-"""Tests for seeded fault injection: stream perturbation and FaultyMatcher.
+"""Runs over a perturbed stream: every resilience mechanism real input reaches.
 
-Determinism is the contract under test: the same seed must replay the same
-faults bit-identically, at the spec level (perturbed plans), the matcher
-level (failure schedules) and the run level (chaos runs across strategies).
+The perturbation is test-side (``tests/reference/stream_faults.py``):
+seeded drops, redeliveries, reorders, bursts, emptied increments and
+corrupted profiles.  Pinned here:
+
+* the perturbation itself replays bit-identically per seed;
+* chaos runs complete on every strategy and both engines, and replay;
+* through ``PushRun.feed`` — the surface a caller numbering its own
+  increments uses — every surviving mechanism fires on the PIER strategies
+  (redeliveries dropped, cost-ceiling quarantines, shed increments,
+  checkpoints), and a crash resumed from a checkpoint equals the
+  uninterrupted run.
 """
 
 from __future__ import annotations
@@ -10,24 +18,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
+from dataclasses import replace
+
+from repro.api import EngineOptions, ERSession
 from repro.incremental.ibase import IBaseSystem
-from repro.matching.matcher import JaccardMatcher
 from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
-from repro.resilience import (
-    FaultSpec,
-    FaultyMatcher,
-    ResilienceConfig,
-    RetryPolicy,
-    TransientMatcherError,
-    apply_faults,
-)
+from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher, make_profile
+from tests.reference.stream_faults import FaultSpec, apply_faults
 
 ALL_STRATEGIES = [lambda: PierSystem(IPES()), lambda: PierSystem(IPCS()),
                   lambda: PierSystem(IPBS()), IBaseSystem]
@@ -123,68 +127,11 @@ class TestApplyFaults:
             assert delivered.source == original.source
 
 
-class TestFaultyMatcher:
-    def _profiles(self):
-        return make_profile(0, "alpha beta gamma"), make_profile(1, "alpha beta delta")
-
-    def test_parameters_validated(self):
-        inner = JaccardMatcher(0.5)
-        with pytest.raises(ValueError):
-            FaultyMatcher(inner, failure_rate=1.2)
-        with pytest.raises(ValueError):
-            FaultyMatcher(inner, failure_rate=0.6, latency_spike_rate=0.6)
-        with pytest.raises(ValueError):
-            FaultyMatcher(inner, latency_spike_factor=0.5)
-
-    def test_failures_carry_wasted_cost(self):
-        x, y = self._profiles()
-        matcher = FaultyMatcher(
-            JaccardMatcher(0.5), seed=0, failure_rate=1.0, latency_spike_rate=0.0
-        )
-        with pytest.raises(TransientMatcherError) as exc:
-            matcher.evaluate(x, y)
-        assert exc.value.cost > 0.0
-        assert matcher.faults_injected == 1
-
-    def test_latency_spike_stretches_cost(self):
-        x, y = self._profiles()
-        clean = JaccardMatcher(0.5)
-        spiky = FaultyMatcher(
-            JaccardMatcher(0.5), seed=0, failure_rate=0.0,
-            latency_spike_rate=1.0, latency_spike_factor=10.0,
-        )
-        base = clean.evaluate(x, y)
-        spiked = spiky.evaluate(x, y)
-        assert spiked.cost == pytest.approx(10.0 * base.cost)
-        assert spiked.is_match == base.is_match
-        assert spiky.spikes_injected == 1
-
-    def test_schedule_replays_after_reset(self):
-        x, y = self._profiles()
-        matcher = FaultyMatcher(JaccardMatcher(0.5), seed=42, failure_rate=0.3)
-
-        def schedule():
-            outcomes = []
-            for _ in range(50):
-                try:
-                    matcher.evaluate(x, y)
-                    outcomes.append("ok")
-                except TransientMatcherError:
-                    outcomes.append("fail")
-            return outcomes
-
-        first = schedule()
-        matcher.reset_stats()
-        assert schedule() == first
-        assert "fail" in first and "ok" in first
-
-
 class TestChaosRuns:
     """A seeded chaos run must complete on every strategy, with the
     resilience counters populated and the whole run replayable."""
 
     RESILIENCE = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=3),
         cost_ceiling=1.0,
         shed_watermark=16,
         checkpoint_every=2.0,
@@ -193,16 +140,15 @@ class TestChaosRuns:
     def _chaos_run(self, factory, dataset, engine_cls=StreamingEngine, seed=7):
         plan = _plan(dataset, n=10, rate=5.0)
         report = apply_faults(plan, FaultSpec.chaos(seed=seed))
-        matcher = FaultyMatcher(build_matcher("ED"), seed=seed)
-        engine = engine_cls(matcher, budget=10.0, resilience=self.RESILIENCE)
+        engine = engine_cls(build_matcher("ED"), budget=10.0, resilience=self.RESILIENCE)
         return engine.run(factory(), report.plan, dataset.ground_truth)
 
     @pytest.mark.parametrize("factory", ALL_STRATEGIES)
     def test_chaos_completes_on_every_strategy(self, factory, small_dblp_acm):
         result = self._chaos_run(factory, small_dblp_acm)
         counters = result.details["metrics"]["counters"]
-        assert counters["engine.retries"] > 0
-        assert "engine.quarantined_pairs" in counters
+        assert counters["engine.duplicate_increments_dropped"] > 0
+        assert counters["engine.checkpoints_taken"] > 0
         assert result.clock_end <= 10.0
         assert result.final_pc > 0.0
 
@@ -210,8 +156,8 @@ class TestChaosRuns:
     def test_chaos_completes_on_pipelined_engine(self, factory, small_dblp_acm):
         result = self._chaos_run(factory, small_dblp_acm, engine_cls=PipelinedStreamingEngine)
         counters = result.details["metrics"]["counters"]
-        assert counters["engine.retries"] > 0
-        assert "engine.quarantined_pairs" in counters
+        assert counters["engine.duplicate_increments_dropped"] > 0
+        assert counters["engine.checkpoints_taken"] > 0
         assert result.clock_end <= 10.0
 
     def test_chaos_run_is_deterministic(self, small_dblp_acm):
@@ -235,6 +181,68 @@ class TestChaosRuns:
         assert baseline.curve.points == configured.curve.points
         assert baseline.duplicates == configured.duplicates
         counters = baseline.details["metrics"]["counters"]
-        assert counters["engine.retries"] == 0
+        assert counters["engine.duplicate_increments_dropped"] == 0
         assert counters["engine.quarantined_pairs"] == 0
         assert counters["engine.shed_increments"] == 0
+
+
+class TestPerturbedStreamThroughPush:
+    """The three PIER strategies on both engines, ED, a perturbed stream fed
+    increment by increment through ``PushRun.feed``.  The settings make
+    every surviving mechanism fire: the stream redelivers increments, a
+    6 ms ceiling binds on this data (as in ``test_engine_parity``), a
+    watermark of one due increment sheds under ED's load, and checkpoints
+    come every half virtual second."""
+
+    BUDGET = 10.0
+    RESILIENCE = ResilienceConfig(cost_ceiling=0.006, shed_watermark=1, checkpoint_every=0.5)
+    CRASH_AT = 0.8
+
+    @staticmethod
+    def _perturbed(session, name):
+        return apply_faults(session.plan_for(name), FaultSpec.chaos(seed=7)).plan
+
+    def _run(self, dataset, name, pipelined, resilience=RESILIENCE, resume_from=None):
+        session = ERSession(
+            dataset, systems=(name,), matcher="ED", n_increments=20, rate=20.0,
+            budget=self.BUDGET, engine=EngineOptions(pipelined=pipelined),
+            resilience=resilience,
+        )
+        with session:
+            push = session.push(name, resume_from=resume_from)
+            for at, increment in self._perturbed(session, name):
+                push.feed(increment, at=at)
+            push.drain(self.BUDGET)
+            return push.results()
+
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["serial", "pipelined"])
+    @pytest.mark.parametrize("name", ["I-PCS", "I-PBS", "I-PES"])
+    def test_every_mechanism_fires_and_a_crash_resumes_equal(
+        self, small_dblp_acm, name, pipelined
+    ):
+        uninterrupted = self._run(small_dblp_acm, name, pipelined)
+        counters = uninterrupted.details["metrics"]["counters"]
+        for counter in (
+            "engine.duplicate_increments_dropped",
+            "engine.quarantined_pairs",
+            "engine.shed_increments",
+            "engine.checkpoints_taken",
+        ):
+            assert counters[counter] > 0, counter
+        resilience = uninterrupted.details["resilience"]
+        assert len(resilience["quarantined_pairs"]) == counters["engine.quarantined_pairs"]
+        assert resilience["shed_increments"] == counters["engine.shed_increments"]
+
+        with pytest.raises(SimulatedCrash) as crash:
+            self._run(
+                small_dblp_acm, name, pipelined,
+                resilience=replace(self.RESILIENCE, crash_at=self.CRASH_AT),
+            )
+        checkpoint = crash.value.checkpoint
+        assert checkpoint is not None and checkpoint.clock < self.CRASH_AT
+        resumed = self._run(small_dblp_acm, name, pipelined, resume_from=checkpoint)
+        assert resumed.duplicates == uninterrupted.duplicates
+        assert resumed.curve.points == uninterrupted.curve.points
+        assert resumed.clock_end == uninterrupted.clock_end
+        assert resumed.details["resilience"] == resilience
+        assert resumed.details["metrics"]["counters"] == counters

@@ -13,22 +13,33 @@ Pinned here:
 * the server end-to-end over a localhost socket: protocol round-trips,
   per-tenant fingerprints matching standalone replays, admission/refusal
   codes, queue-level shedding under a pipelined burst, snapshot/migrate
-  across tenants, replacement of a broken fleet, and clean shutdown.
+  across tenants, replacement of a broken fleet, and clean shutdown;
+* client bytes never reach an unrestricted unpickler: a snapshot travels
+  in a versioned envelope and decodes through an allow-list of the classes
+  snapshots of every system hold, so a crafted ``restore`` runs nothing and
+  hostile or damaged bytes get one refusal on a connection that stays open.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import io
 import os
+import pickle
 import queue
 import signal
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import ERSession
+from repro.api import EngineOptions, ERSession
+from repro.core.dataset import GroundTruth
 from repro.core.profile import EntityProfile
+from repro.datasets.registry import load_dataset
+from repro.evaluation.experiments import SYSTEM_NAMES
 from repro.parallel import strip_parallel_telemetry
 from repro.service import (
     ERServer,
@@ -39,6 +50,7 @@ from repro.service import (
     TenantSnapshot,
     result_fingerprint,
 )
+from repro.service.tenant import SNAPSHOT_CLASSES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION
 
 from tests.conftest import pool_or_skip, rounds_within_work
 
@@ -553,3 +565,160 @@ def test_server_replaces_a_broken_pool(monkeypatch):
     assert counters["b"]["parallel.fallbacks"] == 0
     standalone = TenantSession(TenantConfig(tenant_id="a", matcher="ED", budget=BUDGET))
     assert _drive_tenant(standalone) == fingerprint
+
+
+# ----------------------------------------------------------------------
+# Snapshots from a client: the envelope and the allow-list
+# ----------------------------------------------------------------------
+def _enveloped(payload: bytes) -> bytes:
+    return SNAPSHOT_MAGIC + SNAPSHOT_VERSION.to_bytes(2, "big") + payload
+
+
+class _ShellProbe:
+    """Unpickles into a shell command that creates ``path``."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.system, (f"touch {self.path}",))
+
+
+class _RecordingUnpickler(pickle.Unpickler):
+    def __init__(self, blob: bytes, seen: set) -> None:
+        super().__init__(io.BytesIO(blob))
+        self.seen = seen
+
+    def find_class(self, module: str, name: str) -> type:
+        self.seen.add((module, name))
+        return super().find_class(module, name)
+
+
+def _tenant_snapshot() -> TenantSnapshot:
+    session = TenantSession(TenantConfig(tenant_id="t", budget=BUDGET))
+    for i, batch in enumerate(_batches()[:2]):
+        session.ingest(batch, at=float(i))
+    snapshot = session.snapshot()
+    session.close()
+    return snapshot
+
+
+def test_a_reduce_probe_runs_nothing(tmp_path):
+    """A blob whose payload would call ``os.system`` is refused before any
+    global outside the allow-list is imported: directly, and over a live
+    connection, with and without the envelope."""
+    marker = tmp_path / "probe-ran"
+    payload = pickle.dumps(_ShellProbe(str(marker)))
+    for blob in (_enveloped(payload), payload):
+        with pytest.raises(ValueError):
+            TenantSnapshot.from_bytes(blob)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            for blob in (_enveloped(payload), payload):
+                with pytest.raises(ServiceError) as exc:
+                    client.restore("t", blob)
+                assert exc.value.code == "bad-request"
+            assert client.ping()["tenants"] == 0
+            client.shutdown()
+    assert not marker.exists()
+
+
+def test_snapshots_of_every_system_round_trip_within_the_allow_list():
+    """Every system's snapshot, mid-stream, on both blocking substrates,
+    decodes through the allow-list, and the run resumed from the decoded
+    snapshot ends equal to the run that was never cut.  Together the
+    snapshots meet exactly the listed classes, so a layout change can
+    neither widen the list unnoticed nor leave a stale entry in it."""
+    dataset = load_dataset("dblp_acm", scale=0.1)
+    seen: set = set()
+    for substrate in ("token", "lsh"):
+        for name in SYSTEM_NAMES:
+            session = ERSession(
+                dataset, systems=(name,), n_increments=4, rate=5.0, budget=BUDGET,
+                engine=EngineOptions(blocking=substrate),
+            )
+            arrivals = list(session.plan_for(name))
+            push = session.push(name)
+            for at, increment in arrivals[:3]:
+                push.feed(increment, at=at)
+                push.drain(at + 0.05)
+            blob = TenantSnapshot(
+                TenantConfig(tenant_id="t", system=name), push.checkpoint(),
+                tuple(push.plan), push.horizon, push.increments_fed,
+            ).to_bytes()
+            _RecordingUnpickler(blob[len(SNAPSHOT_MAGIC) + 2 :], seen).load()
+            restored = TenantSnapshot.from_bytes(blob)
+            resumed = session.push(
+                name, resume_from=restored.checkpoint, adopt_checkpoint_budget=True
+            )
+            resumed.feed_plan(restored.arrivals)
+            resumed.start()  # binds the checkpoint to the arrivals it was cut at
+            for run in (push, resumed):
+                run.feed_plan(arrivals[3:])
+                run.drain(BUDGET)
+            assert _comparable(resumed.results()) == _comparable(push.results()), (
+                substrate, name,
+            )
+    assert seen == SNAPSHOT_CLASSES
+
+
+def test_a_class_outside_the_allow_list_is_refused():
+    snapshot = dataclasses.replace(_tenant_snapshot(), horizon=GroundTruth())
+    with pytest.raises(ValueError, match="GroundTruth is not a snapshot class"):
+        TenantSnapshot.from_bytes(snapshot.to_bytes())
+
+
+def test_an_unenveloped_blob_is_refused_naming_the_version():
+    """Snapshots written before the envelope existed no longer restore."""
+    legacy = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(ValueError, match=f"expected version {SNAPSHOT_VERSION}"):
+        TenantSnapshot.from_bytes(legacy)
+    newer = SNAPSHOT_MAGIC + (SNAPSHOT_VERSION + 1).to_bytes(2, "big") + legacy
+    with pytest.raises(ValueError, match=f"expected version {SNAPSHOT_VERSION}"):
+        TenantSnapshot.from_bytes(newer)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.restore("t", legacy)
+            assert exc.value.code == "bad-request"
+            assert f"expected version {SNAPSHOT_VERSION}" in str(exc.value)
+            client.shutdown()
+
+
+@pytest.fixture(scope="module")
+def live_client():
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            yield client
+            client.shutdown()
+
+
+@pytest.fixture(scope="module")
+def valid_blob() -> bytes:
+    return _tenant_snapshot().to_bytes()
+
+
+def _flip(blob: bytes, bit: int) -> bytes:
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hostile_bytes_get_a_refusal_on_a_live_connection(live_client, valid_blob, data):
+    """Arbitrary, truncated and bit-flipped snapshot blobs, restored as a
+    tenant the genuine snapshot does not belong to: each gets one
+    ``bad-request`` reply — never an escaping exception, a dropped
+    connection or a hang — and the connection still answers ``ping``."""
+    blob = data.draw(
+        st.one_of(
+            st.binary(max_size=512),
+            st.integers(0, len(valid_blob) - 1).map(lambda size: valid_blob[:size]),
+            st.integers(0, 8 * len(valid_blob) - 1).map(lambda bit: _flip(valid_blob, bit)),
+        )
+    )
+    with pytest.raises(ServiceError) as exc:
+        live_client.restore("fuzz", blob)
+    assert exc.value.code == "bad-request"
+    assert live_client.ping()["tenants"] == 0

@@ -13,8 +13,7 @@ a substituted slot connection.  In every case
 * no child process is left alive after ``close()``.
 
 A pool that cannot start is in ``test_parallel.py``; the server's
-replacement of a broken pool is in ``test_service.py``.  The engine's
-``RetryPolicy`` backoff is pinned here too.
+replacement of a broken pool is in ``test_service.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.parallel import WorkerPoolError, strip_parallel_telemetry
-from repro.resilience import ResilienceConfig, RetryPolicy, SimulatedCrash
+from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
@@ -166,23 +165,6 @@ def _assert_broken(pool, counters=None):
 
 def _assert_no_child_alive():
     assert multiprocessing.active_children() == []
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy: capped exponential backoff
-# ----------------------------------------------------------------------
-def test_backoff_without_jitter_is_capped_exponential():
-    policy = RetryPolicy(base_backoff=0.05, backoff_factor=2.0, max_backoff=2.0)
-    assert [policy.backoff(attempt) for attempt in range(1, 8)] == [
-        0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0,
-    ]
-
-
-def test_backoff_validates_inputs():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy().backoff(0)
 
 
 # ----------------------------------------------------------------------
