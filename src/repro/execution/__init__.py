@@ -2,13 +2,13 @@
 
 This package hosts the machinery shared by every engine:
 
-* :class:`~repro.execution.core.ExecutionCore` — the virtual-clock loop
-  skeleton: arrival ingestion, budget clamping, quarantine, load
-  shedding, exactly-once dedup, checkpoint cadence, metrics binding, and
-  the batched comparison-execution kernel.  The serial
+* :class:`~repro.execution.core.ExecutionCore` — the virtual-clock loop:
+  arrival ingestion, budget clamping, quarantine, load shedding,
+  exactly-once dedup, checkpoint cadence, metrics binding, and the
+  batched comparison-execution kernel.  The serial
   :class:`~repro.streaming.engine.StreamingEngine` and the two-clock
   :class:`~repro.streaming.pipelined.PipelinedStreamingEngine` are thin
-  step-ordering policies over it.
+  clock policies over it.
 * :class:`~repro.execution.store.ComparisonStore` — the per-system
   registry of executed / quarantined comparisons shared by all
   prioritization strategies.

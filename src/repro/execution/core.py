@@ -1,15 +1,17 @@
-"""The execution core: the virtual-clock loop skeleton shared by all engines.
+"""The execution core: the virtual-clock loop shared by both engines.
 
 Both engines simulate Algorithm 1 of the paper against a
-:class:`~repro.core.increments.StreamPlan` on deterministic virtual clocks;
-they differ *only* in step ordering (the serial engine charges every stage
-to one clock, the pipelined engine overlaps ingestion with matching on a
-second clock).  Everything else — arrival ingestion and exactly-once
-redelivery dedup, budget clamping, cost-ceiling quarantine, load
-shedding, checkpoint cadence and crash injection, metrics preseeding and
-finalization — is policy-free and lives here, in :class:`ExecutionCore`.
-Engine subclasses implement :meth:`ExecutionCore._drive` (the
-step-ordering policy) plus two small clock hooks, and inherit the rest.
+:class:`~repro.core.increments.StreamPlan` on deterministic virtual clocks,
+through one loop, :meth:`ExecutionCore._drive`.  They differ *only* in
+when an ingest can start and which clock it charges (the serial engine
+charges every stage to one clock, the pipelined engine overlaps ingestion
+with matching on a second clock).  Everything else — the loop, arrival
+ingestion and exactly-once redelivery dedup, budget clamping, cost-ceiling
+quarantine, load shedding, checkpoint cadence and crash injection, metrics
+preseeding and finalization — lives here, in :class:`ExecutionCore`.
+Engine subclasses implement three small clock hooks
+(:meth:`_ingest_start`, :meth:`_advance_ingest`,
+:meth:`_ingest_clock_end`) and inherit the rest.
 
 Budget semantics: the budget is a hard deadline on the virtual clock.  A
 comparison whose (deterministic) cost would push the clock past the budget
@@ -72,13 +74,12 @@ from repro.streaming.system import ERSystem, PipelineStats
 
 __all__ = ["PRESEEDED_COUNTERS", "PRESEEDED_PHASES", "RunResult", "RunState", "ExecutionCore"]
 
-#: Counters every run exports even when they stay zero.  This is the union
-#: of both engines' counter surfaces, preseeded identically by the shared
-#: core, so exported schemas match across engines on healthy runs (e.g.
-#: ``engine.fast_forwards`` only ever increments on the serial engine and
-#: ``engine.ingests_cut_by_deadline`` only on the pipelined one, yet both
-#: appear in every export).  ``engine.checkpoints_taken`` is deliberately
-#: absent: its presence signals that checkpointing was enabled.
+#: Counters every run exports even when they stay zero, preseeded
+#: identically by the shared core, so exported schemas match across engines
+#: and runs (e.g. ``engine.fast_forwards`` stays 0 on a static plan, on
+#: either engine, yet appears in every export).  ``engine.checkpoints_taken``
+#: is deliberately absent: its presence signals that checkpointing was
+#: enabled.
 PRESEEDED_COUNTERS = (
     "blocking.lsh.buckets",
     "blocking.lsh.signatures",
@@ -90,7 +91,6 @@ PRESEEDED_COUNTERS = (
     "engine.forced_ingests",
     "engine.idle_rounds",
     "engine.increments_ingested",
-    "engine.ingests_cut_by_deadline",
     "engine.matches_recorded",
     "engine.quarantined_pairs",
     "engine.shed_increments",
@@ -120,8 +120,9 @@ PRESEEDED_COUNTERS = (
 HAND_OFF_PAIRS = 2048
 
 #: Phase timers every run exports even when they never fire, for the same
-#: reason: ``sleep`` only accumulates on the serial engine (fast-forward),
-#: yet both engines export the full phase surface.
+#: reason: ``sleep`` only accumulates when either engine fast-forwards, and
+#: ``scatter`` only with a worker pool, yet every run exports the full phase
+#: surface.
 PRESEEDED_PHASES = ("emit", "idle", "ingest", "match", "scatter", "sleep")
 
 
@@ -176,7 +177,7 @@ class RunState:
 
 
 class ExecutionCore:
-    """Virtual-clock run skeleton; engines subclass it as step policies.
+    """Virtual-clock run loop; engines subclass it as clock policies.
 
     Parameters
     ----------
@@ -279,9 +280,80 @@ class ExecutionCore:
         )
 
     def _drive(self, state: RunState) -> None:
-        """The engine's step-ordering policy: run the loop until the budget
-        expires or ``state.work_exhausted`` is set."""
-        raise NotImplementedError
+        """Algorithm 1's loop, for both engines: run until the budget
+        expires or ``state.work_exhausted`` is set.  One iteration is:
+
+        1. ingest every increment whose ingest can start by ``clock``
+           (subject to the system's back-pressure hook), charging ingestion
+           costs through :meth:`_advance_ingest`;
+        2. if the system has work (``system.has_work()``), run one emission
+           round and execute its batch through the matcher, recording each
+           executed comparison against the ground truth;
+        3. otherwise: force one back-pressured increment through, or let the
+           system manufacture idle work (the paper's "empty increment"
+           trigger), or fast-forward to the next ingest start, or stop when
+           both the stream and the system are exhausted.
+
+        The engines differ only in when an ingest can start
+        (:meth:`_ingest_start`) and which clock it charges
+        (:meth:`_advance_ingest`).
+        """
+        system = state.system
+        metrics = state.metrics
+        budget = self.budget
+
+        while state.clock < budget:
+            # -- 0. resilience bookkeeping at the loop-top cut ----------
+            self._loop_top(state)
+
+            # -- 1. ingest all due increments ---------------------------
+            with metrics.time_phase("ingest") as ingest_timer:
+                while (
+                    state.next_arrival < state.n_arrivals
+                    and self._ingest_start(state) <= state.clock
+                    and system.ready_for_ingest()
+                ):
+                    if state.increments[state.next_arrival].index in state.seen_increments:
+                        self._drop_redelivered(state)
+                        continue
+                    self._ingest_one(state, ingest_timer)
+                    if state.clock >= budget:
+                        break
+            if state.clock >= budget:
+                break
+
+            # -- 2. one emission round, if the system has work ----------
+            if system.has_work():
+                self._emission_round(state)
+                continue
+
+            # -- 3. no work: idle handling ------------------------------
+            if state.next_arrival < state.n_arrivals and self._ingest_start(state) <= state.clock:
+                # Back-pressure refused ingestion but there is no work
+                # either: force-feed one increment to avoid a livelock.
+                if state.increments[state.next_arrival].index in state.seen_increments:
+                    self._drop_redelivered(state)
+                    continue
+                with metrics.time_phase("ingest") as ingest_timer:
+                    self._ingest_one(state, ingest_timer, forced=True)
+                continue
+            with metrics.time_phase("idle") as idle_timer:
+                idle_cost = system.on_idle(self._pipeline_stats(state))
+                if idle_cost is not None:
+                    state.clock += idle_cost
+                    idle_timer.virtual += idle_cost
+            if idle_cost is not None:
+                metrics.count("engine.idle_rounds")
+                continue
+            if state.next_arrival < state.n_arrivals:
+                start = self._ingest_start(state)
+                gap = start - state.clock
+                state.clock = start  # sleep until the next ingest can start
+                metrics.count("engine.fast_forwards")
+                metrics.phase("sleep").add(gap)
+                continue
+            state.work_exhausted = True
+            break
 
     # ------------------------------------------------------------------
     # Setup / resume
@@ -441,13 +513,13 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _drop_redelivered(self, state: RunState, now: float) -> None:
+    def _drop_redelivered(self, state: RunState) -> None:
         """Exactly-once delivery: skip a redelivered increment."""
         state.metrics.count("engine.duplicate_increments_dropped")
         state.duplicates_dropped += 1
         state.next_arrival += 1
         if state.next_arrival == state.n_arrivals:
-            state.consumed_at = now
+            state.consumed_at = state.clock
 
     def _ingest_one(self, state: RunState, timer: PhaseTimer, forced: bool = False) -> None:
         """Consume the next arrival (callers handle redelivery dedup)."""
@@ -465,6 +537,10 @@ class ExecutionCore:
         state.next_arrival += 1
         if state.next_arrival == state.n_arrivals:
             state.consumed_at = now
+
+    def _ingest_start(self, state: RunState) -> float:
+        """When the next arrival's ingest can start on the policy's clock."""
+        raise NotImplementedError
 
     def _advance_ingest(self, state: RunState, arrival: float, cost: float) -> float:
         """Charge one ingestion to the policy's clock; return its finish time."""

@@ -161,12 +161,10 @@ class TestPipelinedStarvation:
         )
         engine = PipelinedStreamingEngine(build_matcher("JS"), budget=2.0)
         result = engine.run(factory(), plan, toy_dirty_dataset.ground_truth)
-        counters = result.details["metrics"]["counters"]
         gauges = result.details["metrics"]["gauges"]
         assert not result.work_exhausted
         assert result.clock_end == 2.0
         assert result.increments_ingested == 2
-        assert counters["engine.ingests_cut_by_deadline"] == 1
         assert gauges["engine.ingest_clock_end"] <= 2.0
 
 
