@@ -107,12 +107,17 @@ def tenant_workload(index: int) -> list[list[EntityProfile]]:
 # An in-process server on a real localhost socket
 # ----------------------------------------------------------------------
 class ServerThread:
-    """Run an :class:`ERServer` event loop in a daemon thread."""
+    """Run an :class:`ERServer` event loop in a daemon thread.
+
+    Exceptions that escape to the loop's exception handler are recorded;
+    any one of them fails the run on exit.
+    """
 
     def __init__(self, **kwargs: object) -> None:
         self._kwargs = kwargs
         self._port_queue: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self.loop_errors: list[dict] = []
 
     def __enter__(self) -> "ServerThread":
         self._thread.start()
@@ -126,6 +131,8 @@ class ServerThread:
         self._thread.join(timeout=60)
         if self._thread.is_alive():
             raise RuntimeError("server thread did not stop (no clean shutdown)")
+        if self.loop_errors:
+            raise RuntimeError(f"exceptions escaped to the server loop: {self.loop_errors}")
 
     def _run(self) -> None:
         try:
@@ -134,6 +141,9 @@ class ServerThread:
             self._port_queue.put(exc)
 
     async def _serve(self) -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context)
+        )
         async with ERServer(**self._kwargs) as server:
             self._port_queue.put(server.port)
             await server.serve_until_stopped()

@@ -11,12 +11,14 @@ Architecture — three moving parts, one per concern:
   the *accepted* op sequence, never on socket interleaving — replaying a
   tenant's accepted log through a standalone session is bit-identical,
   which the service benchmark verifies per tenant.
-* **One drain executor** (a single worker thread) runs every
-  engine-touching call.  Engines hold the GIL hard; one thread keeps the
-  event loop responsive, and — because *all* tenants share it — it also
-  serializes access to the shared Tier A :class:`WorkerPool`, whose
-  cache-epoch handshake (``begin_run(owner=...)``) assumes one run speaks
-  to the fleet at a time.
+* **The event loop itself** runs every engine-touching call, one op at a
+  time, and yields after each op so the other tenants and every socket
+  get a turn.  Engines hold the GIL, so a second thread would only add a
+  cross-thread hand-off per op; one thread also serializes access to the
+  shared Tier A :class:`WorkerPool`, whose cache-epoch handshake
+  (``begin_run(owner=...)``) assumes one run speaks to the fleet at a
+  time.  The price: a request that arrives during an op is read when that
+  op ends.
 
 Backpressure and shedding are two-level, mirroring the engine's own
 resilience design: the server sheds ingest *requests* when a tenant's op
@@ -31,8 +33,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 from repro.observability.metrics import MetricsRegistry
 from repro.service import protocol
@@ -105,7 +105,6 @@ class ERServer:
         self._pools: dict[str, object] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._server: asyncio.AbstractServer | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._stopping: asyncio.Event | None = None
         self._stop_task: asyncio.Task | None = None
 
@@ -121,11 +120,6 @@ class ERServer:
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("server already started")
-        # One thread: engines are GIL-bound anyway, and a single lane
-        # serializes shared-pool access across tenants by construction.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="er-drain"
-        )
         self._stopping = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -163,17 +157,13 @@ class ERServer:
                 tenant.worker.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await tenant.worker
-        if self._executor is not None:
-            loop = asyncio.get_running_loop()
-            for name, tenant in list(self._tenants.items()):
-                await loop.run_in_executor(self._executor, tenant.session.close)
-                self.metrics.count("service.tenant.closed")
-                self._tenants.pop(name, None)
-            for pool in self._pools.values():
-                await loop.run_in_executor(self._executor, pool.close)
-            self._pools.clear()
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        for name, tenant in list(self._tenants.items()):
+            tenant.session.close()
+            self.metrics.count("service.tenant.closed")
+            self._tenants.pop(name, None)
+        for pool in self._pools.values():
+            pool.close()
+        self._pools.clear()
         self.metrics.gauge("service.tenants_active", 0.0)
         if self._stopping is not None:
             self._stopping.set()
@@ -200,7 +190,23 @@ class ERServer:
         self._connections.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran the stream limit.  Its tail may still
+                    # be in flight, so the stream cannot be re-synchronised:
+                    # answer once and hang up.
+                    self._reply(
+                        writer,
+                        protocol.error_response(
+                            None,
+                            protocol.ERR_BAD_REQUEST,
+                            f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                        ),
+                    )
+                    with contextlib.suppress(ConnectionError):
+                        await writer.drain()
+                    break
                 if not line:
                     break
                 try:
@@ -250,8 +256,7 @@ class ERServer:
         elif op == "open":
             self._reply(writer, self._open_tenant(request))
         elif op == "restore":
-            response = await self._restore_tenant(request)
-            self._reply(writer, response)
+            self._reply(writer, self._restore_tenant(request))
         elif op == "shutdown":
             self._reply(writer, protocol.ok_response(request_id))
             with contextlib.suppress(Exception):
@@ -314,7 +319,7 @@ class ERServer:
             request_id, tenant=tenant_id, budget=config.budget
         )
 
-    async def _restore_tenant(self, request: dict) -> dict:
+    def _restore_tenant(self, request: dict) -> dict:
         request_id = request.get("id")
         tenant_id = request.get("tenant")
         refusal = self._admit(tenant_id)
@@ -337,17 +342,13 @@ class ERServer:
                 f"snapshot belongs to tenant {snapshot.config.tenant_id!r}",
             )
         # Restoring replays the fed arrivals and re-drains to the snapshot
-        # horizon — real engine work, so run it on the drain lane.
-        loop = asyncio.get_running_loop()
+        # horizon: real engine work, run inline like any other op.
         try:
-            session = await loop.run_in_executor(
-                self._executor,
-                lambda: TenantSession(
-                    snapshot.config,
-                    workers=self.workers,
-                    pool=self._pool_for(snapshot.config),
-                    snapshot=snapshot,
-                ),
+            session = TenantSession(
+                snapshot.config,
+                workers=self.workers,
+                pool=self._pool_for(snapshot.config),
+                snapshot=snapshot,
             )
         except Exception as exc:
             return protocol.error_response(
@@ -429,16 +430,12 @@ class ERServer:
         await tenant.queue.put((request, writer))
 
     async def _tenant_worker(self, tenant_id: str, tenant: _Tenant) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             request, writer = await tenant.queue.get()
             request_id = request.get("id")
             op = request.get("op")
             try:
-                handler = self._engine_op(op, tenant_id, tenant, request)
-                response = await loop.run_in_executor(self._executor, handler)
-            except asyncio.CancelledError:
-                raise
+                response = self._engine_op(op, tenant_id, tenant, request)
             except ValueError as exc:
                 code = (
                     protocol.ERR_BUDGET
@@ -458,11 +455,15 @@ class ERServer:
             tenant.queue.task_done()
             if op == "close":
                 break
+            # ``get()`` on a non-empty queue does not suspend: without this
+            # yield a tenant with a deep queue would starve the other
+            # tenants and every socket.
+            await asyncio.sleep(0)
 
     def _engine_op(
         self, op: str, tenant_id: str, tenant: _Tenant, request: dict
-    ) -> Callable[[], dict]:
-        """Bind one queued engine op to a thunk for the drain executor."""
+    ) -> dict:
+        """Run one queued engine op on the loop thread; returns its reply."""
         request_id = request.get("id")
         session = tenant.session
         metrics = self.metrics
@@ -470,80 +471,56 @@ class ERServer:
         if op == "ingest":
             profiles = protocol.decode_profiles(request.get("profiles", ()))
             at = request.get("at")
-
-            def run() -> dict:
-                recorded = session.ingest(
-                    profiles, at=None if at is None else float(at)
-                )
-                metrics.count("service.tenant.ingests")
-                metrics.count("service.tenant.profiles", len(profiles))
-                return protocol.ok_response(
-                    request_id,
-                    at=recorded,
-                    clock=session.clock,
-                    matches=session.match_count,
-                    comparisons=session.comparisons_executed,
-                )
-
-        elif op == "drain":
-
-            def run() -> dict:
-                clock = session.drain(float(request["until"]))
-                metrics.count("service.tenant.drains")
-                return protocol.ok_response(
-                    request_id,
-                    clock=clock,
-                    matches=session.match_count,
-                    comparisons=session.comparisons_executed,
-                )
-
-        elif op == "matches":
-
-            def run() -> dict:
-                return protocol.ok_response(
-                    request_id,
-                    matches=sorted(map(list, session.matches())),
-                    clock=session.clock,
-                    comparisons=session.comparisons_executed,
-                )
-
-        elif op == "results":
-
-            def run() -> dict:
-                result = session.results()
-                metrics.count("service.tenant.results")
-                return protocol.ok_response(
-                    request_id,
-                    result=protocol.result_payload(result),
-                    fingerprint=protocol.result_fingerprint(result),
-                )
-
-        elif op == "snapshot":
-
-            def run() -> dict:
-                snapshot = session.snapshot()
-                metrics.count("service.tenant.snapshots")
-                return protocol.ok_response(
-                    request_id,
-                    snapshot=base64.b64encode(snapshot.to_bytes()).decode("ascii"),
-                    clock=session.clock,
-                )
-
-        elif op == "close":
+            recorded = session.ingest(profiles, at=None if at is None else float(at))
+            metrics.count("service.tenant.ingests")
+            metrics.count("service.tenant.profiles", len(profiles))
+            return protocol.ok_response(
+                request_id,
+                at=recorded,
+                clock=session.clock,
+                matches=session.match_count,
+                comparisons=session.comparisons_executed,
+            )
+        if op == "drain":
+            clock = session.drain(float(request["until"]))
+            metrics.count("service.tenant.drains")
+            return protocol.ok_response(
+                request_id,
+                clock=clock,
+                matches=session.match_count,
+                comparisons=session.comparisons_executed,
+            )
+        if op == "matches":
+            return protocol.ok_response(
+                request_id,
+                matches=sorted(map(list, session.matches())),
+                clock=session.clock,
+                comparisons=session.comparisons_executed,
+            )
+        if op == "results":
+            result = session.results()
+            metrics.count("service.tenant.results")
+            return protocol.ok_response(
+                request_id,
+                result=protocol.result_payload(result),
+                fingerprint=protocol.result_fingerprint(result),
+            )
+        if op == "snapshot":
+            snapshot = session.snapshot()
+            metrics.count("service.tenant.snapshots")
+            return protocol.ok_response(
+                request_id,
+                snapshot=base64.b64encode(snapshot.to_bytes()).decode("ascii"),
+                clock=session.clock,
+            )
+        if op == "close":
             tenant.closing = True
-
-            def run() -> dict:
-                session.close()
-                metrics.count("service.tenant.closed")
-                self._tenants.pop(tenant_id, None)
-                metrics.gauge("service.tenants_active", float(len(self._tenants)))
-                return protocol.ok_response(request_id, tenant=tenant_id)
-
-        else:  # pragma: no cover - _ENGINE_OPS is the dispatch gate
-
-            def run() -> dict:
-                return protocol.error_response(
-                    request_id, protocol.ERR_BAD_REQUEST, f"unknown op {op!r}"
-                )
-
-        return run
+            session.close()
+            metrics.count("service.tenant.closed")
+            self._tenants.pop(tenant_id, None)
+            metrics.gauge("service.tenants_active", float(len(self._tenants)))
+            return protocol.ok_response(request_id, tenant=tenant_id)
+        # Unreachable while ``_ENGINE_OPS`` gates the dispatch.
+        return protocol.error_response(
+            request_id, protocol.ERR_BAD_REQUEST, f"unknown op {op!r}"
+        )

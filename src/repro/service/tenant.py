@@ -4,7 +4,8 @@ A tenant is one independent incremental ER workload multiplexed onto the
 service: its own :class:`~repro.api.ERSession` (over an initially *empty*
 dataset — profiles only ever arrive through :meth:`TenantSession.ingest`),
 its own virtual clock, its own comparison budget, its own resilience knobs.
-Tenants share nothing but the executor thread and (optionally) the Tier A
+Tenants share nothing but the server's event-loop thread, which runs their
+ops one at a time, and (optionally) the Tier A
 :class:`~repro.parallel.pool.WorkerPool` the server injects; the pool's
 per-run cache epochs keep interleaved tenants from ever observing each
 other's profiles.  A tenant keeps the pool it was opened with: if that
@@ -190,9 +191,9 @@ def _empty_dataset(config: TenantConfig) -> Dataset:
 class TenantSession:
     """One tenant's live push-mode run inside the service.
 
-    Not thread-safe by itself: the server funnels every engine-touching
-    call through its single drain executor, which is also what serializes
-    shared-pool access across tenants.
+    Not thread-safe by itself: the server runs every engine-touching call
+    on its event-loop thread, one op at a time, which is also what
+    serializes shared-pool access across tenants.
     """
 
     def __init__(

@@ -13,7 +13,9 @@ Pinned here:
 * the server end-to-end over a localhost socket: protocol round-trips,
   per-tenant fingerprints matching standalone replays, admission/refusal
   codes, queue-level shedding under a pipelined burst, snapshot/migrate
-  across tenants, replacement of a broken fleet, and clean shutdown;
+  across tenants, replacement of a broken fleet, tenants taking turns op
+  by op on the event loop, one refusal for an over-limit line, and clean
+  shutdown with no exception escaping to the loop;
 * client bytes never reach an unrestricted unpickler: a snapshot travels
   in a versioned envelope and decodes through an allow-list of the classes
   snapshots of every system hold, so a crafted ``restore`` runs nothing and
@@ -28,8 +30,11 @@ import io
 import os
 import pickle
 import queue
+import select
 import signal
+import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +53,7 @@ from repro.service import (
     TenantConfig,
     TenantSession,
     TenantSnapshot,
+    protocol,
     result_fingerprint,
 )
 from repro.service.tenant import SNAPSHOT_CLASSES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION
@@ -323,12 +329,18 @@ def test_tenant_drains_exhausted_batch_baseline_without_spinning():
 # The server over a localhost socket
 # ----------------------------------------------------------------------
 class _ServerThread:
-    """An ERServer event loop in a daemon thread (clients block normally)."""
+    """An ERServer event loop in a daemon thread (clients block normally).
+
+    Every exception that reaches the loop's exception handler (one a
+    connection handler or a task let escape) is recorded, and the run
+    fails on exit if there was any.
+    """
 
     def __init__(self, **kwargs: object) -> None:
         self._kwargs = kwargs
         self._port_queue: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self.loop_errors: list[dict] = []
 
     def __enter__(self) -> "_ServerThread":
         self._thread.start()
@@ -341,6 +353,7 @@ class _ServerThread:
     def __exit__(self, *exc_info: object) -> None:
         self._thread.join(timeout=60)
         assert not self._thread.is_alive(), "server did not shut down cleanly"
+        assert not self.loop_errors, f"exceptions escaped to the loop: {self.loop_errors}"
 
     def _run(self) -> None:
         try:
@@ -349,6 +362,9 @@ class _ServerThread:
             self._port_queue.put(exc)
 
     async def _serve(self) -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context)
+        )
         async with ERServer(**self._kwargs) as server:
             self.server = server
             self._port_queue.put(server.port)
@@ -481,6 +497,90 @@ def test_server_refuses_undecodable_snapshots_on_a_live_connection():
                 assert exc.value.code == "bad-request"
                 assert client.ping()["tenants"] == 0
             client.shutdown()
+
+
+def test_an_over_limit_frame_gets_one_refusal_and_a_hang_up(monkeypatch):
+    """A line longer than the stream limit can be neither parsed nor
+    skipped: its sender gets one ``bad-request`` naming the limit and the
+    connection is closed.  Nothing escapes to the loop, and a new
+    connection is served."""
+    monkeypatch.setattr("repro.service.server.MAX_FRAME_BYTES", 4096)
+    with _ServerThread() as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(protocol.encode_line({"op": "ping", "id": 1, "pad": "x" * 8192}))
+            stream = sock.makefile("rb")
+            reply = protocol.decode_line(stream.readline())
+            assert reply["error"] == "bad-request"
+            assert "4096 bytes" in reply["detail"]
+            assert stream.readline() == b""
+        with ServiceClient("127.0.0.1", server.port) as client:
+            assert client.ping()["ok"]
+            client.shutdown()
+
+
+def test_tenants_take_turns_and_pings_are_answered_between_ops(monkeypatch):
+    """Engine ops run on the event loop one at a time, and a tenant worker
+    yields after each op: two tenants with five queued ingests each run
+    alternately, and a ``ping`` on a third connection is answered between
+    ops, before both queues are empty."""
+    recorded: list[tuple[str, int]] = []
+    answered_after: list[int] = []
+    queued = threading.Event()
+    gate_running = threading.Event()
+    ping = protocol.encode_line({"op": "ping", "id": "probe"})
+    ingest = TenantSession.ingest
+
+    def slow_ingest(self, profiles, at=None):
+        tenant = self.config.tenant_id
+        if tenant == "gate":
+            # Hold the loop until both tenants' requests sit in the socket
+            # buffers, so both queues fill in one pass of the loop.
+            gate_running.set()
+            assert queued.wait(timeout=30)
+        else:
+            if not recorded:
+                probe.sendall(ping)  # arrives while the first op runs
+            elif not answered_after and select.select([probe], [], [], 0)[0]:
+                answered_after.append(len(recorded))
+            recorded.append((tenant, sum(1 for name, _ in recorded if name == tenant)))
+            time.sleep(0.02)
+        return ingest(self, profiles, at=at)
+
+    monkeypatch.setattr(TenantSession, "ingest", slow_ingest)
+    with _ServerThread() as server:
+        with (
+            ServiceClient("127.0.0.1", server.port) as gate,
+            ServiceClient("127.0.0.1", server.port) as a,
+            ServiceClient("127.0.0.1", server.port) as b,
+            socket.create_connection(("127.0.0.1", server.port), timeout=30) as probe,
+        ):
+            for name, client in (("gate", gate), ("a", a), ("b", b)):
+                client.open(name, budget=BUDGET)
+            # Connected before the ops queue: accepting a connection takes
+            # more turns of the loop than reading a line on one.
+            probe_replies = probe.makefile("rb")
+            probe.sendall(ping)
+            assert protocol.decode_line(probe_replies.readline())["ok"]
+            gate_id = gate.send_ingest("gate", [_profile(0, "gate")], at=0.0)
+            assert gate_running.wait(timeout=30)
+            pending = [
+                (client, client.send_ingest(name, [_profile(i, f"{name} {i}")], at=float(i)))
+                for i in range(5)
+                for name, client in (("a", a), ("b", b))
+            ]
+            time.sleep(0.05)
+            queued.set()
+            gate.wait(gate_id)
+            for client, request_id in pending:
+                client.wait(request_id)
+            assert protocol.decode_line(probe_replies.readline())["ok"]
+            gate.shutdown()
+
+    tenants = [name for name, _ in recorded]
+    assert sorted(recorded) == [(name, i) for name in ("a", "b") for i in range(5)]
+    assert len(set(tenants[0::2])) == len(set(tenants[1::2])) == 1, tenants
+    assert tenants[0] != tenants[1], tenants
+    assert answered_after, "ping answered only after both queues were empty"
 
 
 def test_server_sheds_ingests_under_pipelined_burst():
