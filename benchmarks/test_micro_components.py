@@ -104,6 +104,32 @@ def test_bench_bounded_pq_enqueue_dequeue(benchmark):
     assert benchmark(churn) <= 1024
 
 
+def test_bench_bounded_pq_batch(benchmark):
+    """I-PBS's cycle: a block's pairs offered in one batch under
+    ``(-block_size, weight)`` keys, then taken by one emission round."""
+    rng = random.Random(2)
+    blocks = []
+    first = 0
+    for _ in range(300):
+        size = rng.randrange(2, 12)
+        pairs = [
+            (first + i, first + j) for i in range(size) for j in range(i + 1, size)
+        ]
+        keys = [(-size, rng.choice((0.25, 0.5, 1.0, 2.0))) for _ in pairs]
+        blocks.append((pairs, keys))
+        first += size
+
+    def churn():
+        queue = BoundedPriorityQueue(capacity=500_000)
+        executed = set()
+        for pairs, keys in blocks:
+            queue.enqueue_batch(pairs, keys)
+            queue.pop_batch(len(pairs), executed)
+        return len(executed)
+
+    assert benchmark(churn) == sum(len(pairs) for pairs, _ in blocks)
+
+
 def test_bench_scalable_bloom(benchmark):
     def fill_and_probe():
         bloom = ScalableBloomFilter(initial_capacity=1024)

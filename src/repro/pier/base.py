@@ -273,9 +273,23 @@ class IncrPrioritization:
         """``updateCmpIndex`` with an empty increment (refill trigger)."""
         raise NotImplementedError
 
-    def dequeue(self) -> tuple[int, int] | None:
-        """Retrieve and remove the best comparison, or ``None`` if empty."""
+    def dequeue_batch(
+        self, count: int, executed: set[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """One emission round's comparisons (Alg. 1, l. 5-8).
+
+        Removes the best comparisons in order until ``count`` of them are
+        not in ``executed`` or the index is empty, and claims those into
+        ``executed``.  Returns them and the ones that were executed already
+        (stale), each in dequeue order.
+        """
         raise NotImplementedError
+
+    def dequeue(self) -> tuple[int, int] | None:
+        """Retrieve and remove the best comparison, or ``None`` if empty:
+        a round of one, with nothing executed yet."""
+        batch, _ = self.dequeue_batch(1, set())
+        return batch[0] if batch else None
 
     def gauges(self) -> dict[str, float]:
         """Strategy-specific gauge readings for the per-round metrics log."""
@@ -363,25 +377,13 @@ class PierSystem(ERSystem):
 
     def emit(self, stats: PipelineStats) -> EmitResult:
         budget = self._find_k(stats)
-        executed = self.store.executed
-        dequeue = self.strategy.dequeue
-        batch: list[tuple[int, int]] = []
-        stale = 0
-        while len(batch) < budget:
-            pair = dequeue()
-            if pair is None:
-                break
-            # Strategies queue canonical pairs: claim each for execution
-            # with one probe, and keep the queued tuple as the executed one.
-            if pair in executed:
-                stale += 1
-                continue
-            executed.add(pair)
-            batch.append(pair)
+        # Strategies queue canonical pairs: the queued tuples are claimed
+        # into the executed set as they are, one probe each.
+        batch, stale = self.strategy.dequeue_batch(budget, self.store.executed)
         if batch:
             self.metrics.count("pier.comparisons_emitted", len(batch))
         if stale:
-            self.metrics.count("pier.dequeued_already_executed", stale)
+            self.metrics.count("pier.dequeued_already_executed", len(stale))
         cost = self.costs.per_round + self.costs.per_enqueue * len(batch)
         return EmitResult(batch=tuple(batch), cost=cost)
 

@@ -147,8 +147,6 @@ class IPBS(IncrPrioritization):
         metrics.count("strategy.blocks_processed")
         queued = self.queued
         executed = system.store.executed
-        scanned = redundant = 0
-        survivors: list[tuple[int, int]] = []
         members = block.members_by_source
         seen = dict(zip(members, self._cursor.get(key, ())))
         # PI of Alg. 3: the members past the cursor, with their source.
@@ -157,27 +155,30 @@ class IPBS(IncrPrioritization):
             for source, pids in members.items()
             for pid in pids[seen.get(source, 0) :]
         }
-        for pid_x in sorted(pending):
-            partners = members.get(1 - pending[pid_x], ()) if collection.clean_clean else block
-            for pid_y in partners:
-                # Two pending profiles meet once, at the one that sorts first.
-                if pid_y <= pid_x and pid_y in pending:
-                    continue
-                scanned += 1
-                pair = (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
-                # Generated from an earlier common block already.
-                if pair in queued or pair in executed:
-                    redundant += 1
-                    continue
-                survivors.append(pair)
-        metrics.count("strategy.refill_pairs_scanned", scanned)
-        if redundant:
-            metrics.count("strategy.redundant_pairs", redundant)
+        # Who a pending member of each source meets: the other source, or
+        # on Dirty ER every member, sources laid back to back.
+        if collection.clean_clean:
+            partners = {source: members.get(1 - source, ()) for source in members}
+        else:
+            partners = dict.fromkeys(members, [pid for pids in members.values() for pid in pids])
+        # Two pending profiles meet once, at the one that sorts first.
+        scan = [
+            (pid_x, pid_y) if pid_x < pid_y else (pid_y, pid_x)
+            for pid_x in sorted(pending)
+            for pid_y in partners[pending[pid_x]]
+            if pid_y > pid_x or pid_y not in pending
+        ]
+        # A pair generated from an earlier common block already is redundant.
+        survivors = [pair for pair in scan if pair not in queued and pair not in executed]
+        metrics.count("strategy.refill_pairs_scanned", len(scan))
+        if len(scan) > len(survivors):
+            metrics.count("strategy.redundant_pairs", len(scan) - len(survivors))
         queued.update(survivors)
         weights = pair_weights(collection, survivors, self.scheme)
-        for pair, weight in zip(survivors, weights):
-            self.index.enqueue(pair, (-block_size, weight))
-            cost += costs.per_weight + costs.per_enqueue
+        per_pair = costs.per_weight + costs.per_enqueue
+        for _ in survivors:  # one float addition per pair, as charged per pair
+            cost += per_pair
+        self.index.enqueue_batch(survivors, [(-block_size, weight) for weight in weights])
         if survivors:
             metrics.count("strategy.comparisons_enqueued", len(survivors))
         self._reset_block(key, block)
@@ -192,13 +193,14 @@ class IPBS(IncrPrioritization):
             self._cursor[key] = _member_counts(block)
 
     # ------------------------------------------------------------------
-    def dequeue(self) -> tuple[int, int] | None:
-        try:
-            pair = self.index.dequeue()
-        except IndexError:  # empty
-            return None
-        self.queued.discard(pair)
-        return pair
+    def dequeue_batch(
+        self, count: int, executed: set[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        batch, stale = self.index.pop_batch(count, executed)
+        self.queued.difference_update(batch)
+        if stale:
+            self.queued.difference_update(stale)
+        return batch, stale
 
     def gauges(self) -> dict[str, float]:
         return {"pending_blocks": len(self.cardinality_index)}
@@ -218,12 +220,7 @@ class IPBS(IncrPrioritization):
 
     def restore_state(self, state: dict[str, object]) -> None:
         self.index = copy.deepcopy(state["index"])
-        if "queued" in state:
-            self.queued = set(state["queued"])
-        else:
-            # Written when a Bloom filter did this job: what is still queued
-            # is what the index holds (pairs it evicted before are forgotten).
-            self.queued = set(copy.deepcopy(self.index).drain())
+        self.queued = set(state["queued"])
         self.cardinality_index = dict(state["cardinality_index"])
         self._cursor = dict(state["cursor"])
         self._pending_heap = list(state["pending_heap"])

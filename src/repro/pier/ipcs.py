@@ -51,22 +51,29 @@ class IPCS(IncrPrioritization):
         metrics = system.metrics
         executed = system.store.executed
         cost = 0.0
-        skipped = enqueued = 0
+        skipped = 0
+        pairs: list[tuple[int, int]] = []
+        weights: list[float] = []
         for profile in profiles:
             kept, operations = self.generator.generate(system.collection, profile)
             cost += operations * costs.per_weight
             metrics.count("strategy.weighting_ops", operations)
-            for weighted in kept:
-                if (weighted.left, weighted.right) in executed:  # canonical already
+            for left, right, weight in kept:
+                pair = (left, right)  # canonical already
+                if pair in executed:
                     skipped += 1
                     continue
-                self.index.enqueue(weighted.pair, weighted.weight)
-                enqueued += 1
+                pairs.append(pair)
+                weights.append(weight)
                 cost += costs.per_enqueue
         if skipped:
             metrics.count("strategy.skipped_already_executed", skipped)
-        if enqueued:
-            metrics.count("strategy.comparisons_enqueued", enqueued)
+        # Generation reads the collection, never the index: offering the
+        # increment's comparisons after the last profile is offering them
+        # after each.
+        self.index.enqueue_batch(pairs, weights)
+        if pairs:
+            metrics.count("strategy.comparisons_enqueued", len(pairs))
         return cost
 
     def on_empty_increment(self, system: PierSystem) -> float:
@@ -74,7 +81,6 @@ class IPCS(IncrPrioritization):
         # draining blocks until the index holds fresh work or nothing is left.
         metrics = system.metrics
         costs = system.costs
-        enqueue = self.index.enqueue
         cost = costs.per_round
         while not len(self.index):
             result = self.refill.next_batch(system.collection, system.store.executed)
@@ -85,17 +91,17 @@ class IPCS(IncrPrioritization):
             metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
             metrics.count("strategy.weighting_ops", len(pairs))
             cost += len(pairs) * costs.per_weight
-            for pair, weight in zip(pairs, weights):
-                enqueue(pair, weight)
+            for _ in pairs:  # one float addition per enqueue, as charged per pair
                 cost += costs.per_enqueue
+            self.index.enqueue_batch(pairs, weights)
             if pairs:
                 metrics.count("strategy.comparisons_enqueued", len(pairs))
         return cost
 
-    def dequeue(self) -> tuple[int, int] | None:
-        if not self.index:
-            return None
-        return self.index.dequeue()
+    def dequeue_batch(
+        self, count: int, executed: set[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        return self.index.pop_batch(count, executed)
 
     def __len__(self) -> int:
         return len(self.index)

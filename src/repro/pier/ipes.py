@@ -158,12 +158,15 @@ class IPES(IncrPrioritization):
         shrink I-PES's comparison universe below the other strategies'.
 
         Returns how many comparisons took each route.  The heaps, running
-        totals and ``seq`` live in locals for the whole batch.
+        totals and ``seq`` live in locals for the whole batch; nothing here
+        reads ``PQ``, so the comparisons bound for it are offered in one
+        batch at the end, in order.
         """
         entity_pq = self.entity_pq
         entity_queue = self.entity_queue
         entity_totals = self._entity_totals
-        overflow_enqueue = self.overflow.enqueue
+        overflow_pairs: list[tuple[int, int]] = []
+        overflow_weights: list[float] = []
         total_weight = self.total_weight
         count = self.count
         seq = self._seq
@@ -187,11 +190,13 @@ class IPES(IncrPrioritization):
                     owner, queue = pid_y, queue_y
                 total, items = entity_totals.get(owner, (0.0, 0))
                 if items and weight <= total / items:
-                    overflow_enqueue(pair, weight)
+                    overflow_pairs.append(pair)
+                    overflow_weights.append(weight)
                     pruned += 1
                     continue
             else:
-                overflow_enqueue(pair, weight)
+                overflow_pairs.append(pair)
+                overflow_weights.append(weight)
                 overflow += 1
                 continue
             if queue is None:
@@ -210,6 +215,7 @@ class IPES(IncrPrioritization):
         self.count = count
         self._seq = seq
         self._entity_items += to_entity + balanced
+        self.overflow.enqueue_batch(overflow_pairs, overflow_weights)
         return {
             "entity": to_entity,
             "balanced": balanced,
@@ -220,10 +226,15 @@ class IPES(IncrPrioritization):
     # ------------------------------------------------------------------
     # Emission (CmpIndex.dequeue of §6)
     # ------------------------------------------------------------------
-    def dequeue(self) -> tuple[int, int] | None:
+    def dequeue_batch(
+        self, count: int, executed: set[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         entity_queue = self.entity_queue
         entity_pq = self.entity_pq
-        while True:
+        batch: list[tuple[int, int]] = []
+        stale: list[tuple[int, int]] = []
+        taken = 0  # comparisons removed from the entity structures
+        while len(batch) < count:
             if not entity_queue:
                 self._refill_entity_queue()
                 if not entity_queue:
@@ -233,15 +244,22 @@ class IPES(IncrPrioritization):
             if not queue:
                 continue  # stale EntityQueue entry
             pair = heappop(queue)[2]
-            self._entity_items -= 1
+            taken += 1
             if not queue:
                 del entity_pq[entity]
                 self._entity_totals.pop(entity, None)
-            return pair
-        # Entity structures exhausted: fall back to the overflow queue.
-        if self.overflow:
-            return self.overflow.dequeue()
-        return None
+            if pair in executed:
+                stale.append(pair)
+            else:
+                executed.add(pair)
+                batch.append(pair)
+        self._entity_items -= taken
+        if len(batch) < count and self.overflow:
+            # Entity structures exhausted: fall back to the overflow queue.
+            more, more_stale = self.overflow.pop_batch(count - len(batch), executed)
+            batch += more
+            stale += more_stale
+        return batch, stale
 
     def _refill_entity_queue(self) -> None:
         """When EntityQueue drains, reseed it from all live entity queues."""

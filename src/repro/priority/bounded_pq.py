@@ -12,7 +12,12 @@ weight".  This implementation supports:
 * bounded capacity — when full, a new item only enters by evicting the
   current *minimum* (the newest among equal keys), and only if it outranks
   that minimum;
-* ``peek_key()`` — the key of the current top, without removing it.
+* ``peek_key()`` — the key of the current top, without removing it;
+* ``enqueue_batch(items, keys)`` / ``pop_batch(count, executed)`` — the
+  same as ``enqueue`` per pair in order / ``count`` successive ``dequeue``
+  calls, moved in bulk where nothing can be evicted: a batch offered to an
+  empty queue is loaded by one sort (a sorted list is a valid heap), and a
+  round that takes every entry drains by one sort.
 
 Layout: one max-heap of plain ``(negated key, seq, key, item)`` tuples, so
 ``heapq`` orders entries with C-level tuple comparison (``seq`` is unique,
@@ -23,14 +28,16 @@ the live entries and kept in step from then on.  Unbounded queues never pay
 for it.  Once both heaps exist, an entry removed through one of them is
 still physically in the other; its ``seq`` waits in ``_dead`` until it
 surfaces there and is skipped, which keeps all operations ``O(log n)``
-amortized.
+amortized.  The batch operations keep this layout and give the pop order,
+``seq`` numbers, evictions and refusals of the per-item calls; only the
+order of entries inside the heap list may differ, which no pop can see.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import neg
-from typing import Any, Generic, Iterator, TypeVar
+from typing import Any, Generic, Iterator, Sequence, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
 
@@ -97,6 +104,91 @@ class BoundedPriorityQueue(Generic[T]):
             heappush(self._min_heap, (key, -seq))
         self._size += 1
         return True
+
+    def enqueue_batch(self, items: Sequence[T], keys: Sequence[Any]) -> None:
+        """:meth:`enqueue` each ``items[i]`` with ``keys[i]``, in order.
+
+        While nothing can be evicted (no min view yet, and the batch fits
+        under the capacity) the entries are built in one pass, with
+        consecutive ``seq`` numbers; the keys of one batch are all floats
+        or all 2-tuples.  An empty queue takes them by one sort, a
+        non-empty one by a push each.  Every other batch goes through
+        :meth:`enqueue`, the one place that evicts and refuses.
+        """
+        count = len(items)
+        if not count:
+            return
+        capacity = self.capacity
+        if self._min_heap is not None or (
+            capacity is not None and self._size + count > capacity
+        ):
+            enqueue = self.enqueue
+            for item, key in zip(items, keys):
+                enqueue(item, key)
+            return
+        if type(keys[0]) is tuple:
+            negated = [(-major, -minor) for major, minor in keys]
+        else:
+            negated = [-key for key in keys]
+        seq = self._seq
+        self._seq = seq + count
+        self._size += count
+        entries = zip(negated, range(seq, seq + count), keys, items)
+        heap = self._heap
+        if heap:
+            for entry in entries:
+                heappush(heap, entry)
+        else:
+            # ``seq`` is unique: the sort never compares ``key`` or ``item``.
+            heap.extend(entries)
+            heap.sort()
+
+    def pop_batch(self, count: int, executed: set[T]) -> tuple[list[T], list[T]]:
+        """Up to ``count`` items not in ``executed``, claimed into it.
+
+        Equals :meth:`dequeue` until ``count`` fresh items were taken or
+        the queue is empty: an item already in ``executed`` is dequeued
+        (stale) and does not count.  Returns the fresh items and the stale
+        ones, each in pop order.  A round that takes every entry of a queue
+        without dead entries sorts the heap once (linear on a heap that was
+        bulk-loaded and left alone) instead of popping entry by entry.
+        """
+        batch: list[T] = []
+        stale: list[T] = []
+        heap = self._heap
+        dead = self._dead
+        if not dead and count >= self._size:
+            heap.sort()
+            for entry in heap:
+                item = entry[3]
+                if item in executed:
+                    stale.append(item)
+                else:
+                    executed.add(item)
+                    batch.append(item)
+            heap.clear()
+            if self._min_heap is not None:
+                self._min_heap.clear()  # every entry in it has left
+            self._size = 0
+            return batch, stale
+        size = self._size
+        while size and len(batch) < count:
+            entry = heappop(heap)
+            if dead is not None:
+                seq = entry[1]
+                if seq in dead:  # evicted: already gone from the count
+                    dead.remove(seq)
+                    continue
+                dead.add(seq)  # still in the min view
+            size -= 1
+            item = entry[3]
+            if item in executed:
+                stale.append(item)
+            else:
+                executed.add(item)
+                batch.append(item)
+        self._size = size
+        return batch, stale
 
     def dequeue(self) -> T:
         """Remove and return the highest-priority item."""

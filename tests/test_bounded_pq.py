@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
+from tests.reference.emit_loop import per_pair_round
+
 
 class TestBasics:
     def test_dequeue_order_descending(self):
@@ -250,4 +252,80 @@ class TestSortedListModel:
                 assert (queue.peek(), queue.peek_key()) == (top[2], top[0])
         assert list(queue.drain()) == [
             entry[2] for entry in sorted(model, key=_rank, reverse=True)
+        ]
+
+
+#: Item ids repeat, so a popped item may have been claimed already (stale).
+_items = st.integers(0, 5)
+_batch_steps = st.one_of(
+    st.tuples(st.just("enqueue"), st.tuples(_items, st.integers(0, 2))),
+    st.tuples(st.just("enqueue_batch"), st.lists(st.tuples(_items, st.integers(0, 2)), max_size=7)),
+    st.tuples(st.just("enqueue_batch"), st.lists(st.tuples(_items, st.integers(0, 2)), max_size=7)),
+    st.tuples(st.just("dequeue"), st.none()),
+    st.tuples(st.just("pop_batch"), st.integers(0, 9)),
+    st.tuples(st.just("pop_batch"), st.integers(0, 9)),
+    st.tuples(st.just("deepcopy"), st.none()),
+)
+
+
+def _live_entries(queue) -> tuple[int, int | None]:
+    """Entries of the max heap and of the min view that are not dead."""
+    dead = queue._dead or set()
+    in_max = sum(1 for entry in queue._heap if entry[1] not in dead)
+    if queue._min_heap is None:
+        return in_max, None
+    return in_max, sum(1 for _, negated_seq in queue._min_heap if -negated_seq not in dead)
+
+
+class TestBatchOperations:
+    """``enqueue_batch`` / ``pop_batch`` against a twin fed one item at a time.
+
+    Few distinct keys make ties the rule; capacities of one to eight make
+    the batches evict, be refused, and leave dead entries behind for
+    ``pop_batch`` to step over, and a copy mid-sequence must carry it all.
+    """
+
+    @given(
+        st.one_of(st.lists(_float_keys, min_size=3, max_size=3),
+                  st.lists(_tuple_keys, min_size=3, max_size=3)),
+        st.sampled_from([None, 1, 3, 8]),
+        st.lists(_batch_steps, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batches_match_per_item_calls(self, key_pool, capacity, steps):
+        queue, twin = BoundedPriorityQueue(capacity), BoundedPriorityQueue(capacity)
+        executed: set[int] = set()
+        twin_executed: set[int] = set()
+        for step, argument in steps:
+            if step == "enqueue":
+                item, key = argument[0], key_pool[argument[1]]
+                assert queue.enqueue(item, key) == twin.enqueue(item, key)
+            elif step == "enqueue_batch":
+                items = [item for item, _ in argument]
+                keys = [key_pool[index] for _, index in argument]
+                queue.enqueue_batch(items, keys)
+                for item, key in zip(items, keys):
+                    twin.enqueue(item, key)
+            elif step == "dequeue":
+                if twin:
+                    assert queue.dequeue_with_key() == twin.dequeue_with_key()
+                else:
+                    with pytest.raises(IndexError):
+                        queue.dequeue()
+            elif step == "pop_batch":
+                assert queue.pop_batch(argument, executed) == per_pair_round(
+                    lambda: twin.dequeue() if twin else None, argument, twin_executed
+                )
+                assert executed == twin_executed
+            else:
+                queue = copy.deepcopy(queue)
+            assert len(queue) == len(twin)
+            assert (queue.evictions, queue.rejections) == (twin.evictions, twin.rejections)
+            assert queue._seq == twin._seq  # a checkpoint carries the counter
+            live_in_max, live_in_min = _live_entries(queue)
+            assert live_in_max == len(queue) and live_in_min in (None, len(queue))
+            if twin:
+                assert queue.peek_key() == twin.peek_key()
+        assert [queue.dequeue_with_key() for _ in range(len(queue))] == [
+            twin.dequeue_with_key() for _ in range(len(twin))
         ]

@@ -18,7 +18,6 @@ from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
-from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.rates import AdaptiveK
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
@@ -82,19 +81,6 @@ def _crash_and_resume(
         build_matcher(matcher), budget=BUDGET, resilience=CADENCE
     )
     return resumed_engine.run(factory(), plan, truth, resume_from=checkpoint), checkpoint
-
-
-def _before_exact_dedup(checkpoint):
-    """An I-PBS checkpoint as written while a scalable Bloom filter answered
-    "already generated?": its state rode in the store's snapshot, and the
-    strategy kept no ``queued`` set."""
-    bloom = ScalableBloomFilter(initial_capacity=4096)
-    bloom.add(0, 1)
-    system_state = dict(checkpoint.system_state)
-    system_state["store"] = {**system_state["store"], "bloom": bloom.snapshot_state()}
-    system_state["strategy"] = dict(system_state["strategy"])
-    assert system_state["strategy"].pop("queued")  # the rebuild has work to do
-    return replace(checkpoint, system_state=system_state)
 
 
 def _with_emission_counts(checkpoint):
@@ -189,19 +175,6 @@ class TestCrashResumeDeterminism:
             assert len(system.strategy.queued) == (
                 len(index) + index.evictions + index.rejections
             )
-
-    def test_ipbs_checkpoint_from_before_exact_dedup(self, small_dblp_acm):
-        """The pinned older layout: ``queued`` is rebuilt from the live
-        index entries and the store's stray ``"bloom"`` key is ignored."""
-        plan = _plan(small_dblp_acm)
-        uninterrupted = StreamingEngine(
-            build_matcher("ED"), budget=BUDGET, resilience=CADENCE
-        ).run(_ipbs_small_rounds(), plan, small_dblp_acm.ground_truth)
-        resumed, _ = _crash_and_resume(
-            _ipbs_small_rounds, plan, small_dblp_acm.ground_truth,
-            as_written=_before_exact_dedup,
-        )
-        _assert_runs_identical(uninterrupted, resumed)
 
     @pytest.mark.parametrize("name", ["I-PES", "I-BASE"])
     def test_checkpoint_holding_emission_counts(self, name, small_dblp_acm):

@@ -37,17 +37,32 @@ STATS = PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
 
 
 class RecordingQueue(BoundedPriorityQueue):
-    """A comparison index that remembers every ``(pair, key)`` offered."""
+    """A comparison index that remembers every ``(pair, key)`` offered.
 
-    __slots__ = ("log",)
+    Offers come one at a time (the oracle) or in batches (production); a
+    batch that falls back to one ``enqueue`` per pair — an index that may
+    evict or refuse — is still logged once per offer.
+    """
+
+    __slots__ = ("log", "_in_batch")
 
     def __init__(self, capacity: int | None = None) -> None:
         super().__init__(capacity)
         self.log: list[tuple[tuple[int, int], tuple]] = []
+        self._in_batch = False
 
     def enqueue(self, item, key):
-        self.log.append((item, key))
+        if not self._in_batch:
+            self.log.append((item, key))
         return super().enqueue(item, key)
+
+    def enqueue_batch(self, items, keys):
+        self.log.extend(zip(items, keys))
+        self._in_batch = True
+        try:
+            return super().enqueue_batch(items, keys)
+        finally:
+            self._in_batch = False
 
 
 def _system(strategy, substrate: str, clean_clean: bool, max_block_size=5) -> PierSystem:
