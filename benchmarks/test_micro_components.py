@@ -19,7 +19,6 @@ from repro.matching.similarity import levenshtein
 from repro.metablocking.weights import CommonBlocksScheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.pier.ipes import IPES
-from repro.priority.bloom import ScalableBloomFilter
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 
@@ -128,16 +127,6 @@ def test_bench_bounded_pq_batch(benchmark):
         return len(executed)
 
     assert benchmark(churn) == sum(len(pairs) for pairs, _ in blocks)
-
-
-def test_bench_scalable_bloom(benchmark):
-    def fill_and_probe():
-        bloom = ScalableBloomFilter(initial_capacity=1024)
-        for i in range(20_000):
-            bloom.add(i, i + 1)
-        return sum(1 for i in range(20_000) if (i, i + 1) in bloom)
-
-    assert benchmark(fill_and_probe) == 20_000
 
 
 def test_bench_levenshtein_bounded(benchmark):

@@ -5,8 +5,8 @@ Resolution over Incremental Data* (EDBT 2023): the PIER framework with its
 three prioritization strategies (I-PCS, I-PBS, I-PES), the baselines it is
 evaluated against (PPS, PBS, their GLOBAL/LOCAL stream adaptations, I-BASE,
 plain batch ER), all supporting substrates (schema-agnostic token blocking,
-block cleaning, meta-blocking weighting schemes, I-WNP, Bloom filters,
-bounded priority queues, adaptive budget control), a deterministic
+block ghosting, meta-blocking weighting schemes, I-WNP, bounded
+priority queues, adaptive budget control), a deterministic
 virtual-time streaming engine, synthetic analogues of the paper's four
 benchmark datasets, and the evaluation harness that regenerates every
 figure and table of the paper's evaluation section.

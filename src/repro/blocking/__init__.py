@@ -1,7 +1,6 @@
-"""Blocking substrates (token, MinHash-LSH) and block cleaning."""
+"""Blocking substrates (token, MinHash-LSH)."""
 
 from repro.blocking.blocks import Block, BlockCollection
-from repro.blocking.cleaning import block_filtering, block_ghosting
 from repro.blocking.lsh import LSHBlockCollection, MinHasher
 from repro.blocking.substrate import (
     BLOCKING_SUBSTRATES,
@@ -21,7 +20,5 @@ __all__ = [
     "IncrementalTokenBlocking",
     "LSHBlockCollection",
     "MinHasher",
-    "block_filtering",
-    "block_ghosting",
     "make_collection",
 ]

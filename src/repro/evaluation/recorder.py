@@ -45,8 +45,6 @@ class ProgressRecorder:
         self.matches_emitted = 0
         self._found_pairs: set[tuple[int, int]] = set()
         self._points: list[ProgressPoint] = [ProgressPoint(0.0, 0, 0)]
-        self.duplicate_executions = 0
-        self._executed_pairs: set[tuple[int, int]] = set()
         self._match_events: list[tuple[float, tuple[int, int]]] = []
 
     # ------------------------------------------------------------------
@@ -64,12 +62,11 @@ class ProgressRecorder:
     ) -> int:
         """Record executed comparisons, ``pairs[i]`` finishing at ``times[i]``.
 
-        Returns how many of them are (new) ground-truth matches.  A pair
-        already in canonical order is stored as the object it is — systems
-        emit the tuples their own executed registry holds, so the two sets
-        share one tuple per comparison.
+        Returns how many of them are (new) ground-truth matches.  Which
+        pairs were executed is the systems' to know (each claims into its
+        :class:`~repro.execution.store.ComparisonStore` before execution);
+        the recorder only keeps the matches it has counted.
         """
-        executed = self._executed_pairs
         found = self._found_pairs
         truth = self.ground_truth.pairs  # canonical, as the probes below
         points = self._points
@@ -80,19 +77,13 @@ class ProgressRecorder:
             if not pair[0] < pair[1]:
                 pair = canonical_pair(*pair)
             count += 1
-            if pair in executed:
-                self.duplicate_executions += 1
-            else:
-                executed.add(pair)
-                if pair in truth and pair not in found:
-                    found.add(pair)
-                    matches += 1
-                    self.matches_emitted += 1
-                    self._match_events.append((time, pair))
-                    points.append(ProgressPoint(time, count, self.matches_emitted))
-                    continue
-            # Misses (and re-executions) are sampled sparsely.
-            if count % sample_every == 0:
+            if pair in truth and pair not in found:
+                found.add(pair)
+                matches += 1
+                self.matches_emitted += 1
+                self._match_events.append((time, pair))
+                points.append(ProgressPoint(time, count, self.matches_emitted))
+            elif count % sample_every == 0:  # misses are sampled sparsely
                 points.append(ProgressPoint(time, count, self.matches_emitted))
         self.comparisons_executed = count
         return matches
@@ -107,12 +98,6 @@ class ProgressRecorder:
         if not len(self.ground_truth):
             return 1.0
         return self.matches_emitted / len(self.ground_truth)
-
-    def was_executed(self, pid_x: int, pid_y: int) -> bool:
-        return canonical_pair(pid_x, pid_y) in self._executed_pairs
-
-    def found_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._found_pairs)
 
     def match_events(self) -> tuple[tuple[float, tuple[int, int]], ...]:
         """Each ground-truth hit as ``(time, pair)``, in emission order.
@@ -134,8 +119,6 @@ class ProgressRecorder:
             "matches_emitted": self.matches_emitted,
             "found_pairs": set(self._found_pairs),
             "points": list(self._points),
-            "duplicate_executions": self.duplicate_executions,
-            "executed_pairs": set(self._executed_pairs),
             "match_events": list(self._match_events),
         }
 
@@ -145,8 +128,6 @@ class ProgressRecorder:
         self.matches_emitted = state["matches_emitted"]
         self._found_pairs = set(state["found_pairs"])
         self._points = list(state["points"])
-        self.duplicate_executions = state["duplicate_executions"]
-        self._executed_pairs = set(state["executed_pairs"])
         self._match_events = list(state["match_events"])
 
 

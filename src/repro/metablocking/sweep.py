@@ -148,8 +148,8 @@ def sweep_candidate_weights(
         Weighting scheme; defaults to CBS as in the paper.
     beta:
         Block-ghosting parameter.  When given, candidates are gathered only
-        from blocks no larger than ``|b_min| / beta`` (exactly like
-        :func:`~repro.blocking.cleaning.block_ghosting`), while weights are
+        from blocks no larger than ``|b_min| / beta`` (block ghosting,
+        Gazzarri & Herschel, ICDE 2021), while weights are
         still computed against the *full* block evidence, as generating
         first and weighing afterwards would.  ``None`` disables ghosting.
     source:

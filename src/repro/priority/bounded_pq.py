@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import neg
-from typing import Any, Generic, Iterator, Sequence, TypeVar
+from typing import Any, Generic, Sequence, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
 
@@ -196,25 +196,15 @@ class BoundedPriorityQueue(Generic[T]):
             # No min view yet, so no dead entries: the top is live.
             self._size -= 1
             return heappop(self._heap)[3]
-        return self._pop_live_top()[3]
-
-    def dequeue_with_key(self) -> tuple[T, Any]:
-        """Like :meth:`dequeue` but also return the item's priority key."""
-        entry = self._pop_live_top()
-        return entry[3], entry[2]
-
-    def peek(self) -> T:
-        """Return (without removing) the highest-priority item."""
-        return self._live_top()[3]
+        entry = self._live_top()
+        heappop(self._heap)
+        self._dead.add(entry[1])  # still in the min view
+        self._size -= 1
+        return entry[3]
 
     def peek_key(self) -> Any:
         """Priority key of the current top item."""
         return self._live_top()[2]
-
-    def drain(self) -> Iterator[T]:
-        """Yield all items in priority order, emptying the queue."""
-        while self._size:
-            yield self.dequeue()
 
     def clear(self) -> None:
         self._heap.clear()
@@ -233,14 +223,6 @@ class BoundedPriorityQueue(Generic[T]):
         if not heap:
             raise IndexError("empty BoundedPriorityQueue")
         return heap[0]
-
-    def _pop_live_top(self) -> tuple[Any, int, Any, T]:
-        entry = self._live_top()
-        heappop(self._heap)
-        if self._dead is not None:
-            self._dead.add(entry[1])  # still in the min view
-        self._size -= 1
-        return entry
 
     def _live_min(self) -> tuple[Any, int]:
         """Minimum live ``(key, -seq)`` of a full queue: the eviction victim.

@@ -50,8 +50,9 @@ __all__ = [
 #: A snapshot blob is this magic, :data:`SNAPSHOT_VERSION` as two bytes,
 #: then the pickled :class:`TenantSnapshot`.
 SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
-#: Bumped whenever a checkpoint layout changes.
-SNAPSHOT_VERSION = 1
+#: Bumped whenever a checkpoint layout changes (2: the progress recorder
+#: keeps no executed set of its own).
+SNAPSHOT_VERSION = 2
 
 #: Every class a tenant snapshot holds, of every system on both blocking
 #: substrates (``tests/test_service.py`` fails when a snapshot meets a class

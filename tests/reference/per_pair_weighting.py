@@ -6,16 +6,15 @@ distinct candidate with one ``scheme.weight()`` call, keep what is at or
 above the average.  The production single-sweep kernel
 (:mod:`repro.metablocking.sweep`, :func:`repro.metablocking.wnp.sweep_wnp`)
 must produce the same candidates in the same order with the same floats —
-this module shares no code with it: ghosting is
-:func:`repro.blocking.cleaning.block_ghosting`, weights are the scheme's own
-per-pair definition.
+this module shares no code with it: ghosting is :func:`block_ghosting`
+below, weights are the scheme's own per-pair definition.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.blocking.cleaning import block_ghosting
+from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
 from repro.core.comparison import WeightedComparison
 from repro.core.profile import EntityProfile
@@ -23,10 +22,26 @@ from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
 __all__ = [
     "ReferenceGenerator",
+    "block_ghosting",
     "reference_candidate_weights",
     "reference_generate",
     "reference_pair_weights",
 ]
+
+
+def block_ghosting(blocks: list[Block], beta: float) -> list[Block]:
+    """Block ghosting (Gazzarri & Herschel, ICDE 2021) of a profile's blocks.
+
+    Keeps every block no larger than ``|b_min| / beta``, where ``b_min`` is
+    the smallest block in the list and ``beta`` is in ``(0, 1]``, in input
+    order.  An empty input yields an empty list.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    if not blocks:
+        return []
+    threshold = min(len(block) for block in blocks) / beta
+    return [block for block in blocks if len(block) <= threshold]
 
 
 def reference_candidate_weights(

@@ -13,12 +13,23 @@ from repro.priority.bounded_pq import BoundedPriorityQueue
 from tests.reference.emit_loop import per_pair_round
 
 
+def _drain(queue) -> list:
+    """Every item in pop order, emptying the queue."""
+    return [queue.dequeue() for _ in range(len(queue))]
+
+
+def _dequeue_with_key(queue) -> tuple:
+    """The top item and its key: ``peek_key`` names what ``dequeue`` pops."""
+    key = queue.peek_key()
+    return queue.dequeue(), key
+
+
 class TestBasics:
     def test_dequeue_order_descending(self):
         queue = BoundedPriorityQueue()
         for item, key in [("a", 1.0), ("b", 3.0), ("c", 2.0)]:
             queue.enqueue(item, key)
-        assert list(queue.drain()) == ["b", "c", "a"]
+        assert _drain(queue) == ["b", "c", "a"]
 
     def test_fifo_on_ties(self):
         queue = BoundedPriorityQueue()
@@ -42,20 +53,19 @@ class TestBasics:
         queue = BoundedPriorityQueue()
         queue.enqueue("a", 1.0)
         queue.enqueue("b", 2.0)
-        assert queue.peek() == "b"
         assert queue.peek_key() == 2.0
-        assert len(queue) == 2  # peek does not remove
+        assert len(queue) == 2  # peek_key does not remove
+        assert queue.dequeue() == "b"
+        assert queue.peek_key() == 1.0
 
     def test_peek_empty_raises(self):
         with pytest.raises(IndexError):
-            BoundedPriorityQueue().peek()
-        with pytest.raises(IndexError):
             BoundedPriorityQueue().peek_key()
 
-    def test_dequeue_with_key(self):
+    def test_peek_key_names_the_next_dequeue(self):
         queue = BoundedPriorityQueue()
         queue.enqueue("a", 4.2)
-        assert queue.dequeue_with_key() == ("a", 4.2)
+        assert _dequeue_with_key(queue) == ("a", 4.2)
 
     def test_tuple_keys(self):
         queue = BoundedPriorityQueue()
@@ -63,7 +73,7 @@ class TestBasics:
         queue.enqueue("large-block", (-10, 9.0))
         queue.enqueue("small-block-heavy", (-2, 5.0))
         # (-2, 5.0) > (-2, 1.0) > (-10, 9.0)
-        assert list(queue.drain()) == ["small-block-heavy", "small-block", "large-block"]
+        assert _drain(queue) == ["small-block-heavy", "small-block", "large-block"]
 
     def test_clear(self):
         queue = BoundedPriorityQueue()
@@ -83,7 +93,7 @@ class TestBounding:
         assert queue.enqueue("high", 3.0)
         assert queue.enqueue("mid", 2.0)  # evicts "low"
         assert queue.evictions == 1
-        assert sorted(queue.drain()) == ["high", "mid"]
+        assert sorted(_drain(queue)) == ["high", "mid"]
 
     def test_rejection_of_underweight(self):
         queue = BoundedPriorityQueue(capacity=2)
@@ -109,7 +119,7 @@ class TestBounding:
         assert queue.enqueue("e", 2.0)  # evicts "b"
         assert not queue.enqueue("f", 2.0)  # "a" is gone: the minimum is 2.0
         assert (len(queue), queue.evictions, queue.rejections) == (2, 1, 2)
-        assert list(queue.drain()) == ["d", "e"]
+        assert _drain(queue) == ["d", "e"]
 
     def test_evicted_entry_is_not_dequeued(self):
         """... and one that left through the bottom is dead to the top."""
@@ -139,7 +149,7 @@ class TestHypothesisModel:
             queue.enqueue(index, key)
         drained_keys = []
         while queue:
-            _, key = queue.dequeue_with_key()
+            _, key = _dequeue_with_key(queue)
             drained_keys.append(key)
         assert drained_keys == sorted(keys, reverse=True)
 
@@ -153,7 +163,7 @@ class TestHypothesisModel:
         queue = BoundedPriorityQueue(capacity=capacity)
         for index, key in enumerate(keys):
             queue.enqueue(index, key)
-        kept = sorted((queue.dequeue_with_key()[1] for _ in range(len(queue))), reverse=True)
+        kept = sorted((_dequeue_with_key(queue)[1] for _ in range(len(queue))), reverse=True)
         expected = sorted(keys, reverse=True)[: len(kept)]
         assert kept == expected
         assert len(kept) <= capacity
@@ -169,7 +179,7 @@ class TestHypothesisModel:
             if is_dequeue and model:
                 expected = max(model)
                 model.remove(expected)
-                _, got = queue.dequeue_with_key()
+                _, got = _dequeue_with_key(queue)
                 assert got == expected
             else:
                 queue.enqueue(counter, key)
@@ -239,7 +249,7 @@ class TestSortedListModel:
                 top = max(model, key=_rank)
                 model.remove(top)
                 if argument:
-                    assert queue.dequeue_with_key() == (top[2], top[0])
+                    assert _dequeue_with_key(queue) == (top[2], top[0])
                 else:
                     assert queue.dequeue() == top[2]
             else:
@@ -249,8 +259,8 @@ class TestSortedListModel:
             assert (queue.evictions, queue.rejections) == (evictions, rejections)
             if model:
                 top = max(model, key=_rank)
-                assert (queue.peek(), queue.peek_key()) == (top[2], top[0])
-        assert list(queue.drain()) == [
+                assert queue.peek_key() == top[0]
+        assert _drain(queue) == [
             entry[2] for entry in sorted(model, key=_rank, reverse=True)
         ]
 
@@ -308,7 +318,7 @@ class TestBatchOperations:
                     twin.enqueue(item, key)
             elif step == "dequeue":
                 if twin:
-                    assert queue.dequeue_with_key() == twin.dequeue_with_key()
+                    assert _dequeue_with_key(queue) == _dequeue_with_key(twin)
                 else:
                     with pytest.raises(IndexError):
                         queue.dequeue()
@@ -326,6 +336,6 @@ class TestBatchOperations:
             assert live_in_max == len(queue) and live_in_min in (None, len(queue))
             if twin:
                 assert queue.peek_key() == twin.peek_key()
-        assert [queue.dequeue_with_key() for _ in range(len(queue))] == [
-            twin.dequeue_with_key() for _ in range(len(twin))
+        assert [_dequeue_with_key(queue) for _ in range(len(queue))] == [
+            _dequeue_with_key(twin) for _ in range(len(twin))
         ]

@@ -1,4 +1,9 @@
-"""Tests for block ghosting and block filtering."""
+"""Tests for block ghosting, as the generate-then-weigh oracle applies it.
+
+Production ghosting runs inside the sweep
+(:func:`repro.metablocking.sweep.sweep_candidate_weights`), which the oracle
+is checked against in ``tests/test_sweep_weights.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.blocking.blocks import Block
-from repro.blocking.cleaning import block_filtering, block_ghosting
+
+from tests.reference.per_pair_weighting import block_ghosting
 
 
 def _block(key: str, size: int) -> Block:
@@ -55,23 +61,3 @@ class TestBlockGhosting:
         assert kept
         assert min(len(b) for b in kept) == min(sizes)
 
-
-class TestBlockFiltering:
-    def test_keeps_ratio_of_smallest(self):
-        blocks = [_block("a", 1), _block("b", 5), _block("c", 3), _block("d", 9)]
-        kept = block_filtering(blocks, ratio=0.5)
-        assert sorted(b.key for b in kept) == ["a", "c"]
-
-    def test_keeps_at_least_one(self):
-        assert len(block_filtering([_block("a", 9)], ratio=0.01)) == 1
-
-    def test_ratio_one_keeps_all(self):
-        blocks = [_block("a", 1), _block("b", 2)]
-        assert len(block_filtering(blocks, ratio=1.0)) == 2
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            block_filtering([_block("a", 1)], ratio=0.0)
-
-    def test_empty_input(self):
-        assert block_filtering([], ratio=0.5) == []

@@ -112,7 +112,8 @@ def test_ipes_round_falls_back_to_overflow():
     for each in (strategy, twin):
         routes = each._insert_batch(pairs, weights)
         assert (routes["entity"], routes["overflow"]) == (4, 2)
-    overflowed = list(copy.deepcopy(strategy.overflow).drain())
+    overflow = copy.deepcopy(strategy.overflow)
+    overflowed = [overflow.dequeue() for _ in range(len(overflow))]
     executed, twin_executed = {overflowed[0]}, {overflowed[0]}
     got = strategy.dequeue_batch(len(pairs), executed)
     assert got == per_pair_round(lambda: ipes_dequeue(twin), len(pairs), twin_executed)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.comparison import canonical_pair
 from repro.core.increments import Increment, make_stream_plan, split_into_increments
 from repro.core.dataset import GroundTruth
 from repro.core.profile import EntityProfile
+from repro.evaluation.recorder import ProgressRecorder
 from repro.incremental.ibase import IBaseSystem
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -32,9 +36,18 @@ def test_recorder_matches_matcher_counts(system_name, engine_factory, small_dblp
 
 @pytest.mark.parametrize("system_name", SYSTEMS + ("PPS", "PBS"))
 @pytest.mark.parametrize("engine_factory", ENGINES)
-def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm):
-    """The recorder keeps its own executed set, apart from the systems'
-    stores: over a whole run it must never see a pair a second time."""
+def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm, monkeypatch):
+    """A spy on ``ProgressRecorder.record_batch`` sees every executed pair,
+    apart from the systems' own stores: over a whole run none comes twice."""
+    recorded: list[tuple[int, int]] = []
+    record_batch = ProgressRecorder.record_batch
+
+    def spy(recorder, pairs, times):
+        pairs = list(pairs)
+        recorded.extend(canonical_pair(*pair) for pair in pairs)
+        return record_batch(recorder, pairs, times)
+
+    monkeypatch.setattr(ProgressRecorder, "record_batch", spy)
     n_increments = 1 if system_name in ("PPS", "PBS") else 8  # batch: data upfront
     plan = make_stream_plan(
         split_into_increments(small_dblp_acm, n_increments, seed=0), rate=None
@@ -47,23 +60,9 @@ def test_no_pair_is_executed_twice(system_name, engine_factory, small_dblp_acm):
     push.feed_plan(plan)
     push.drain(1.0)
     assert push.comparisons_executed > 0
-    assert push.checkpoint().recorder_state["duplicate_executions"] == 0
-
-
-@pytest.mark.parametrize("system_name", ("I-PES", "I-PCS", "I-PBS"))
-@pytest.mark.parametrize("engine_factory", ENGINES)
-def test_recorder_and_store_share_one_tuple_per_pair(system_name, engine_factory, small_dblp_acm):
-    """Two executed sets, kept apart on purpose — but of the same tuple
-    objects: the batched kernel hands the recorder what the system emitted."""
-    plan = make_stream_plan(split_into_increments(small_dblp_acm, 8, seed=0), rate=None)
-    system = build_system(system_name, small_dblp_acm)
-    engine = engine_factory(build_matcher("JS"), budget=1e9)
-    push = engine.open_push(system, small_dblp_acm.ground_truth)
-    push.feed_plan(plan)
-    push.drain(1e9)  # to exhaustion: no emitted pair is cut by a deadline
-    recorded = push.checkpoint().recorder_state["executed_pairs"]
-    assert recorded and recorded == system.store.executed
-    assert {id(pair) for pair in recorded} == {id(pair) for pair in system.store.executed}
+    assert len(recorded) == push.comparisons_executed
+    twice = [pair for pair, times in Counter(recorded).items() if times > 1]
+    assert twice == [], f"{len(twice)} pairs executed more than once"
 
 
 @pytest.mark.parametrize("engine_factory", ENGINES)

@@ -98,6 +98,6 @@ class TestIPCS:
         system.ingest(
             Increment(0, (make_profile(0, "alpha beta"), make_profile(1, "alpha beta")))
         )
-        pair, key = system.strategy.index.dequeue_with_key()
-        assert pair == (0, 1)
-        assert key == 2.0
+        index = system.strategy.index
+        assert index.peek_key() == 2.0
+        assert index.dequeue() == (0, 1)

@@ -312,7 +312,7 @@ def test_worker_count_invariance_pipelined_engine(dataset, plan, ed_pool):
     assert sharded.details["metrics"]["counters"]["parallel.rounds_sharded"] > 0
 
 
-def test_sharded_run_reports_shm_and_kernel_telemetry(dataset, plan, ed_pool):
+def test_sharded_run_merges_matcher_kernel_counters(dataset, plan, ed_pool):
     """The workers' staged-scoring outcomes merge back so
     ``matcher.kernel.*`` telemetry is bit-identical to the serial run (it
     is NOT stripped by :func:`strip_parallel_telemetry`); ``parallel.shm_bytes``

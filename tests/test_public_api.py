@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro import load_dataset, resolve_stream
 from repro.api import EngineOptions, ERSession
+from repro.evaluation.recorder import ProgressRecorder
 from repro.execution.core import ExecutionCore
 from repro.execution.push import PushPlan
 from repro.execution.store import ComparisonStore
@@ -19,6 +20,7 @@ from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.matching.matcher import Matcher
+from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.resilience import ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
@@ -61,6 +63,11 @@ RETIRED_NAMES = (
     "Faulty" + "Matcher", "TransientMatcher" + "Error", "Retry" + "Policy",
     "Match" + "Result", "supports_" + "batch", "_execute_batch_" + "scalar",
     "apply_" + "faults", "Fault" + "Spec", "--" + "faults",
+    # State and code no production path read: the Bloom filter, the
+    # recorder's copy of the executed set, a queue pop nothing called and
+    # a cleaning stage nothing ran.
+    "ScalableBloom" + "Filter", "priority." + "bloom", "dequeue_with" + "_key",
+    "duplicate_" + "executions", "block_" + "filtering",
 )
 
 
@@ -130,6 +137,12 @@ class TestRetiredNames:
             (PushPlan, "total_profiles"),
             (PierSystem, "_executed"),
             (IPES, "_top_weight"),
+            # ``peek_key`` and ``dequeue`` stay; ``ComparisonStore`` is the
+            # one executed set.
+            (BoundedPriorityQueue, "peek"),
+            (BoundedPriorityQueue, "drain"),
+            (ProgressRecorder, "was_executed"),
+            (ProgressRecorder, "found_pairs"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert "faults" not in inspect.signature(ERSession.__init__).parameters

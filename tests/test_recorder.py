@@ -28,7 +28,6 @@ class TestProgressRecorder:
         assert recorder.record(0, 1, time=1.0)
         assert not recorder.record(0, 1, time=2.0)
         assert recorder.matches_emitted == 1
-        assert recorder.duplicate_executions == 1
         assert recorder.comparisons_executed == 2
 
     def test_pair_completeness(self, truth):
@@ -40,12 +39,6 @@ class TestProgressRecorder:
     def test_empty_truth(self):
         recorder = ProgressRecorder(GroundTruth())
         assert recorder.pair_completeness == 1.0
-
-    def test_was_executed(self, truth):
-        recorder = ProgressRecorder(truth)
-        recorder.record(5, 4, 1.0)
-        assert recorder.was_executed(4, 5)
-        assert not recorder.was_executed(0, 1)
 
     def test_sample_every_validation(self, truth):
         with pytest.raises(ValueError):
@@ -62,7 +55,7 @@ class TestProgressRecorder:
     def test_a_batch_records_like_its_pairs_one_by_one(self, pairs, cuts, sample_every):
         """However a run of comparisons is cut into batches — pairs in either
         order, repeats included — it leaves what ``record`` leaves pair by
-        pair: points, match events, hit count, re-executions."""
+        pair: points, match events, hit count."""
         truth = GroundTruth([(0, 1), (2, 3), (4, 5), (6, 7)])
         times = [0.5 * (index + 1) for index in range(len(pairs))]
         single = ProgressRecorder(truth, sample_every=sample_every)
@@ -75,19 +68,6 @@ class TestProgressRecorder:
         )
         assert batch_hits == hits == single.matches_emitted
         assert batched.snapshot_state() == single.snapshot_state()
-        assert batched.duplicate_executions == len(pairs) - len(
-            {(min(pair), max(pair)) for pair in pairs}
-        )
-
-    def test_a_canonical_pair_is_stored_as_the_object_it_is(self, truth):
-        """The engines hand over the tuples the systems' stores hold: the
-        recorder's own executed set must not make a second tuple of each."""
-        emitted = [(0, 1), (2, 5)]
-        recorder = ProgressRecorder(truth)
-        assert recorder.record_batch(emitted + [(5, 2)], [1.0, 2.0, 3.0]) == 1
-        assert recorder.duplicate_executions == 1
-        stored = {id(pair) for pair in recorder.snapshot_state()["executed_pairs"]}
-        assert stored == {id(pair) for pair in emitted}
 
 
 class TestProgressCurve:

@@ -785,6 +785,15 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
+def test_a_version_1_envelope_is_refused_naming_version_1():
+    """Version 1 checkpoints carried the progress recorder's own executed
+    set; an envelope that says 1 is refused, and the refusal names it."""
+    payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
+    blob = SNAPSHOT_MAGIC + (1).to_bytes(2, "big") + payload
+    with pytest.raises(ValueError, match="snapshot version 1 cannot be restored"):
+        TenantSnapshot.from_bytes(blob)
+
+
 @pytest.fixture(scope="module")
 def live_client():
     with _ServerThread() as server:
