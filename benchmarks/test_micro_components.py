@@ -176,10 +176,11 @@ def test_bench_ipes_insert_dequeue(benchmark):
 
     def churn():
         strategy = IPES()
-        strategy._insert_batch(pairs, weights)
+        strategy.offer(pairs, weights)
+        executed: set[tuple[int, int]] = set()
         drained = 0
-        while strategy.dequeue() is not None:
-            drained += 1
+        while batch := strategy.dequeue_batch(100, executed)[0]:
+            drained += len(batch)
         return drained
 
     assert benchmark(churn) > 0

@@ -216,7 +216,7 @@ class ExecutionCore:
         workers: int = 1,
         pool: "object | None" = None,
     ) -> None:
-        if budget <= 0:
+        if not budget > 0:
             raise ValueError("budget must be positive")
         if workers < 1:
             raise ValueError("workers must be >= 1")

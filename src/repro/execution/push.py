@@ -250,7 +250,7 @@ class PushRun:
         clock after draining.
         """
         self._require_unfinished("drain")
-        if until <= 0.0:
+        if not until > 0.0:
             raise ValueError(f"drain horizon must be positive, got {until}")
         if self._horizon is not None and until < self._horizon:
             raise ValueError(

@@ -1,10 +1,7 @@
 """Meta-blocking: weighting schemes, (I-)WNP comparison cleaning, block graph."""
 
 from repro.metablocking.block_graph import BlockGraph
-from repro.metablocking.sweep import (
-    sweep_candidate_weights,
-    sweep_weights,
-)
+from repro.metablocking.sweep import sweep_candidate_weights
 from repro.metablocking.weights import (
     ARCSScheme,
     CommonBlocksScheme,
@@ -13,7 +10,7 @@ from repro.metablocking.weights import (
     WeightingScheme,
     make_scheme,
 )
-from repro.metablocking.wnp import WNPResult, batch_wnp_for_profile, sweep_wnp
+from repro.metablocking.wnp import WNPResult, sweep_wnp
 
 __all__ = [
     "ARCSScheme",
@@ -23,9 +20,7 @@ __all__ = [
     "JaccardScheme",
     "WNPResult",
     "WeightingScheme",
-    "batch_wnp_for_profile",
     "make_scheme",
     "sweep_candidate_weights",
-    "sweep_weights",
     "sweep_wnp",
 ]

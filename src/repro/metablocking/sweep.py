@@ -52,7 +52,7 @@ from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingSubstrate
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
-__all__ = ["sweep_weights", "pair_weights", "sweep_candidate_weights"]
+__all__ = ["pair_weights", "sweep_candidate_weights"]
 
 #: C-level size fetch for the ghosting threshold scan (``len()`` would pay a
 #: Python ``__len__`` dispatch per block).
@@ -129,9 +129,8 @@ def sweep_candidate_weights(
 ) -> tuple[list[int], list[float]]:
     """Candidates and weights of ``pid`` in one sweep, as parallel lists.
 
-    The array-shaped core of :func:`sweep_weights`; callers on the hot path
-    (I-WNP) consume the two lists directly so the weight sum and pruning run
-    over plain float lists at C speed.
+    Callers on the hot path (I-WNP) consume the two lists directly so the
+    weight sum and pruning run over plain float lists at C speed.
 
     Parameters
     ----------
@@ -207,27 +206,6 @@ def sweep_candidate_weights(
     return candidates, [
         scheme.weight(collection, pid, partner) for partner in candidates
     ]
-
-
-def sweep_weights(
-    collection: BlockingSubstrate,
-    pid: int,
-    valid_partner: Callable[[int], bool] | None,
-    scheme: WeightingScheme | None = None,
-    *,
-    beta: float | None = None,
-    source: int | None = None,
-) -> list[tuple[int, float]]:
-    """Candidates and weights of ``pid`` in one sweep over its block index.
-
-    Pair-shaped convenience wrapper around :func:`sweep_candidate_weights`
-    (see there for the parameters): returns an ordered list of
-    ``(partner, weight)`` for the distinct valid candidates.
-    """
-    candidates, weights = sweep_candidate_weights(
-        collection, pid, valid_partner, scheme, beta=beta, source=source
-    )
-    return list(zip(candidates, weights))
 
 
 def pair_weights(

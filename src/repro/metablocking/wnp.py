@@ -25,7 +25,7 @@ from repro.core.comparison import WeightedComparison
 from repro.metablocking.sweep import sweep_candidate_weights
 from repro.metablocking.weights import WeightingScheme
 
-__all__ = ["WNPResult", "sweep_wnp", "batch_wnp_for_profile"]
+__all__ = ["WNPResult", "sweep_wnp"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,18 +86,3 @@ def sweep_wnp(
         collection, pid_x, valid_partner, scheme, beta=beta, source=source
     )
     return _prune_below_average(pid_x, candidates, weights)
-
-
-def batch_wnp_for_profile(
-    collection: BlockingSubstrate,
-    pid_x: int,
-    valid_partner: Callable[[int], bool],
-    scheme: WeightingScheme | None = None,
-) -> WNPResult:
-    """Batch WNP restricted to one node: gathers candidates from the full
-    collection (all co-block partners of ``pid_x``) before pruning.
-
-    ``valid_partner(pid_y) -> bool`` filters candidates (e.g. cross-source
-    only for Clean-Clean ER).  Runs on the sweep kernel (no ghosting).
-    """
-    return sweep_wnp(collection, pid_x, valid_partner, scheme)

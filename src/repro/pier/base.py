@@ -3,7 +3,8 @@
 :class:`PierSystem` implements Algorithm 1 of the paper once; the three
 prioritization strategies (I-PCS, I-PBS, I-PES) plug in through the
 :class:`IncrPrioritization` interface, exactly mirroring the paper's
-``Strategy: IncrPrioritization`` parameter.
+``Strategy: IncrPrioritization`` parameter.  The interface also carries
+Algorithm 2's candidate side, which I-PCS and I-PES share.
 
 This module also hosts the two generation utilities shared across
 strategies and the incremental baseline:
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
@@ -254,23 +255,99 @@ class GetComparisons:
 class IncrPrioritization:
     """Strategy interface of Algorithm 1 (``IncrPrioritization``).
 
-    Implementations maintain the global comparison index ``CmpIndex``.
-    All methods that perform work return their virtual cost, computed from
-    the shared :class:`PipelineCosts`.
+    Algorithm 2's candidate side lives here once, shared by I-PCS and I-PES:
+    :meth:`ingest_profiles` generates each new profile's comparisons
+    (block ghosting and I-WNP through :attr:`generator`), and
+    :meth:`on_empty_increment` refills a dry index smallest block first
+    (:attr:`refill`).  Both drop pairs already executed, charge the shared
+    :class:`PipelineCosts`, count ``strategy.*`` metrics and hand what is
+    left to :meth:`offer`.  A strategy built on them supplies only its
+    ``CmpIndex`` — :meth:`offer`, :meth:`dequeue_batch`, ``__len__``,
+    :meth:`gauges`, and ``snapshot_state``/``restore_state`` for
+    checkpoints.  I-PBS draws its candidates from Algorithm 3's cardinality
+    index instead and overrides both hooks.  Methods that do work return
+    their virtual cost.
     """
 
     name = "incr-prioritization"
+
+    def __init__(self, beta: float = 0.2, scheme: WeightingScheme | None = None) -> None:
+        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
+        self.refill = GetComparisons(scheme=self.generator.scheme)
 
     def ingest_profiles(
         self,
         system: "PierSystem",
         profiles: Iterable[EntityProfile],
     ) -> float:
-        """``updateCmpIndex`` for a non-empty increment."""
-        raise NotImplementedError
+        """``updateCmpIndex`` for a non-empty increment (Alg. 2, l. 1-9)."""
+        costs = system.costs
+        per_enqueue = costs.per_enqueue
+        metrics = system.metrics
+        executed = system.store.executed
+        cost = 0.0
+        skipped = 0
+        pairs: list[tuple[int, int]] = []
+        weights: list[float] = []
+        for profile in profiles:
+            kept, operations = self.generator.generate(system.collection, profile)
+            cost += operations * costs.per_weight
+            metrics.count("strategy.weighting_ops", operations)
+            for left, right, weight in kept:
+                pair = (left, right)  # canonical already
+                if pair in executed:
+                    skipped += 1
+                    continue
+                pairs.append(pair)
+                weights.append(weight)
+                cost += per_enqueue
+        if skipped:
+            metrics.count("strategy.skipped_already_executed", skipped)
+        # Generation reads the collection, never the index: offering the
+        # increment's comparisons after the last profile is offering them
+        # after each.
+        self._count_offered(metrics, self.offer(pairs, weights))
+        return cost
 
     def on_empty_increment(self, system: "PierSystem") -> float:
-        """``updateCmpIndex`` with an empty increment (refill trigger)."""
+        """``updateCmpIndex`` with an empty increment (Alg. 2, l. 10-11).
+
+        Refills only once the index has run dry, and keeps draining blocks
+        until it holds fresh work or nothing is left.
+        """
+        metrics = system.metrics
+        costs = system.costs
+        per_enqueue = costs.per_enqueue
+        cost = costs.per_round
+        while not len(self):
+            result = self.refill.next_batch(system.collection, system.store.executed)
+            if result is None:
+                break
+            pairs, weights = result
+            metrics.count("strategy.refill_batches")
+            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
+            metrics.count("strategy.weighting_ops", len(pairs))
+            cost += len(pairs) * costs.per_weight
+            for _ in pairs:  # one float addition per enqueue, as charged per pair
+                cost += per_enqueue
+            self._count_offered(metrics, self.offer(pairs, weights))
+        return cost
+
+    @staticmethod
+    def _count_offered(metrics, counts: Mapping[str, int]) -> None:
+        """One ``strategy.<name>`` count per non-zero entry of an offer."""
+        for name, amount in counts.items():
+            if amount:
+                metrics.count(f"strategy.{name}", amount)
+
+    def offer(
+        self, pairs: Sequence[tuple[int, int]], weights: Sequence[float]
+    ) -> Mapping[str, int]:
+        """Add canonical, not yet executed pairs with their weights, in order.
+
+        Returns the index's own counts (``strategy.`` is prefixed when they
+        are recorded).
+        """
         raise NotImplementedError
 
     def dequeue_batch(
@@ -285,31 +362,12 @@ class IncrPrioritization:
         """
         raise NotImplementedError
 
-    def dequeue(self) -> tuple[int, int] | None:
-        """Retrieve and remove the best comparison, or ``None`` if empty:
-        a round of one, with nothing executed yet."""
-        batch, _ = self.dequeue_batch(1, set())
-        return batch[0] if batch else None
-
     def gauges(self) -> dict[str, float]:
         """Strategy-specific gauge readings for the per-round metrics log."""
         return {}
 
     def __len__(self) -> int:
         raise NotImplementedError
-
-    # -- checkpoint support ---------------------------------------------
-    def snapshot_state(self) -> dict[str, object]:
-        """Deep copy of the strategy's ``CmpIndex`` state.
-
-        The default walks ``__dict__``; strategies whose state is plain
-        containers of immutable entries (I-PBS) override this with shallow
-        copies.
-        """
-        return {key: copy.deepcopy(value) for key, value in self.__dict__.items()}
-
-    def restore_state(self, state: dict[str, object]) -> None:
-        self.__dict__.update(copy.deepcopy(state))
 
 
 class PierSystem(ERSystem):
@@ -411,9 +469,6 @@ class PierSystem(ERSystem):
     @property
     def collection(self) -> BlockingSubstrate:
         return self.blocker.collection
-
-    def was_executed(self, pid_x: int, pid_y: int) -> bool:
-        return self.store.was_executed(pid_x, pid_y)
 
     # -- checkpoint support ---------------------------------------------
     def snapshot(self) -> dict[str, object]:

@@ -9,11 +9,10 @@ scheme — the limitation that motivates I-PES.
 from __future__ import annotations
 
 import copy
-from typing import Iterable
+from typing import Sequence
 
-from repro.core.profile import EntityProfile
 from repro.metablocking.weights import WeightingScheme
-from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
+from repro.pier.base import IncrPrioritization
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 __all__ = ["IPCS"]
@@ -41,62 +40,15 @@ class IPCS(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         capacity: int | None = 500_000,
     ) -> None:
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
-        self.refill = GetComparisons(scheme=self.generator.scheme)
+        super().__init__(beta=beta, scheme=scheme)
         self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
 
     # ------------------------------------------------------------------
-    def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
-        costs = system.costs
-        metrics = system.metrics
-        executed = system.store.executed
-        cost = 0.0
-        skipped = 0
-        pairs: list[tuple[int, int]] = []
-        weights: list[float] = []
-        for profile in profiles:
-            kept, operations = self.generator.generate(system.collection, profile)
-            cost += operations * costs.per_weight
-            metrics.count("strategy.weighting_ops", operations)
-            for left, right, weight in kept:
-                pair = (left, right)  # canonical already
-                if pair in executed:
-                    skipped += 1
-                    continue
-                pairs.append(pair)
-                weights.append(weight)
-                cost += costs.per_enqueue
-        if skipped:
-            metrics.count("strategy.skipped_already_executed", skipped)
-        # Generation reads the collection, never the index: offering the
-        # increment's comparisons after the last profile is offering them
-        # after each.
+    def offer(
+        self, pairs: Sequence[tuple[int, int]], weights: Sequence[float]
+    ) -> dict[str, int]:
         self.index.enqueue_batch(pairs, weights)
-        if pairs:
-            metrics.count("strategy.comparisons_enqueued", len(pairs))
-        return cost
-
-    def on_empty_increment(self, system: PierSystem) -> float:
-        # Alg. 2, lines 10-11: only refill when the index has run dry; keep
-        # draining blocks until the index holds fresh work or nothing is left.
-        metrics = system.metrics
-        costs = system.costs
-        cost = costs.per_round
-        while not len(self.index):
-            result = self.refill.next_batch(system.collection, system.store.executed)
-            if result is None:
-                break
-            pairs, weights = result
-            metrics.count("strategy.refill_batches")
-            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", len(pairs))
-            cost += len(pairs) * costs.per_weight
-            for _ in pairs:  # one float addition per enqueue, as charged per pair
-                cost += costs.per_enqueue
-            self.index.enqueue_batch(pairs, weights)
-            if pairs:
-                metrics.count("strategy.comparisons_enqueued", len(pairs))
-        return cost
+        return {"comparisons_enqueued": len(pairs)}
 
     def dequeue_batch(
         self, count: int, executed: set[tuple[int, int]]

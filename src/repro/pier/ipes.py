@@ -32,13 +32,11 @@ sensitive to a poorly suited weighting scheme than I-PCS.
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from repro.core.profile import EntityProfile
 from repro.metablocking.weights import WeightingScheme
-from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
+from repro.pier.base import IncrPrioritization
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 __all__ = ["IPES"]
@@ -67,8 +65,7 @@ class IPES(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         overflow_capacity: int = 100_000,
     ) -> None:
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
-        self.refill = GetComparisons(scheme=self.generator.scheme)
+        super().__init__(beta=beta, scheme=scheme)
         # Heaps of (-weight, seq, pair) per entity and of (-weight, seq, pid).
         self.entity_pq: dict[int, list[tuple[float, int, tuple[int, int]]]] = {}
         self.entity_queue: list[tuple[float, int, int]] = []
@@ -84,65 +81,9 @@ class IPES(IncrPrioritization):
         self._entity_items = 0
 
     # ------------------------------------------------------------------
-    # Ingestion (Algorithm 4)
+    # Insertion (Algorithm 4)
     # ------------------------------------------------------------------
-    def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
-        costs = system.costs
-        per_enqueue = costs.per_enqueue
-        metrics = system.metrics
-        executed = system.store.executed
-        cost = 0.0
-        skipped = 0
-        pairs: list[tuple[int, int]] = []
-        weights: list[float] = []
-        for profile in profiles:
-            kept, operations = self.generator.generate(system.collection, profile)
-            cost += operations * costs.per_weight
-            metrics.count("strategy.weighting_ops", operations)
-            for left, right, weight in kept:
-                pair = (left, right)  # canonical already
-                if pair in executed:
-                    skipped += 1
-                    continue
-                pairs.append(pair)
-                weights.append(weight)
-                cost += per_enqueue
-        if skipped:
-            metrics.count("strategy.skipped_already_executed", skipped)
-        # Generation reads the collection, never the CmpIndex: inserting
-        # after the last profile is inserting after each.
-        self._count_inserted(metrics, self._insert_batch(pairs, weights))
-        return cost
-
-    def on_empty_increment(self, system: PierSystem) -> float:
-        metrics = system.metrics
-        costs = system.costs
-        per_enqueue = costs.per_enqueue
-        cost = costs.per_round
-        inserted: Counter[str] = Counter()
-        while not len(self):
-            result = self.refill.next_batch(system.collection, system.store.executed)
-            if result is None:
-                break
-            pairs, weights = result
-            metrics.count("strategy.refill_batches")
-            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", len(pairs))
-            cost += len(pairs) * costs.per_weight
-            for _ in pairs:  # one float addition per enqueue, as charged per pair
-                cost += per_enqueue
-            inserted.update(self._insert_batch(pairs, weights))
-        self._count_inserted(metrics, inserted)
-        return cost
-
-    @staticmethod
-    def _count_inserted(metrics, inserted: Mapping[str, int]) -> None:
-        """One ``strategy.inserted_<disposition>`` count per disposition seen."""
-        for disposition, amount in inserted.items():
-            if amount:
-                metrics.count(f"strategy.inserted_{disposition}", amount)
-
-    def _insert_batch(
+    def offer(
         self, pairs: Sequence[tuple[int, int]], weights: Sequence[float]
     ) -> dict[str, int]:
         """Lines 1-14 of Algorithm 4 for canonical pairs, in order.
@@ -157,10 +98,10 @@ class IPES(IncrPrioritization):
         not lost: refills offer each comparison once, so a hard drop would
         shrink I-PES's comparison universe below the other strategies'.
 
-        Returns how many comparisons took each route.  The heaps, running
-        totals and ``seq`` live in locals for the whole batch; nothing here
-        reads ``PQ``, so the comparisons bound for it are offered in one
-        batch at the end, in order.
+        Returns how many comparisons took each route, as ``inserted_<route>``
+        counts.  The heaps, running totals and ``seq`` live in locals for the
+        whole batch; nothing here reads ``PQ``, so the comparisons bound for
+        it are offered in one batch at the end, in order.
         """
         entity_pq = self.entity_pq
         entity_queue = self.entity_queue
@@ -217,10 +158,10 @@ class IPES(IncrPrioritization):
         self._entity_items += to_entity + balanced
         self.overflow.enqueue_batch(overflow_pairs, overflow_weights)
         return {
-            "entity": to_entity,
-            "balanced": balanced,
-            "pruned": pruned,
-            "overflow": overflow,
+            "inserted_entity": to_entity,
+            "inserted_balanced": balanced,
+            "inserted_pruned": pruned,
+            "inserted_overflow": overflow,
         }
 
     # ------------------------------------------------------------------

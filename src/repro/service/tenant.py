@@ -106,7 +106,7 @@ class TenantConfig:
     def __post_init__(self) -> None:
         if not self.tenant_id:
             raise ValueError("tenant_id must be non-empty")
-        if self.budget <= 0:
+        if not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
         if self.kind not in ("dirty", "clean-clean"):
             raise ValueError(f"kind must be 'dirty' or 'clean-clean', got {self.kind!r}")

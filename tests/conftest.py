@@ -17,6 +17,13 @@ def make_profile(pid: int, text: str, source: int = 0, attr: str = "value") -> E
     return EntityProfile(pid, {attr: text}, source=source)
 
 
+def dequeue_one(strategy):
+    """The best comparison of ``strategy``'s index, removed, or ``None`` if
+    it is empty: an emission round of one, with nothing executed yet."""
+    batch, _ = strategy.dequeue_batch(1, set())
+    return batch[0] if batch else None
+
+
 def build_matcher(name: str = "JS"):
     """The experiment matcher ``name``, as every :class:`ERSession` builds it."""
     return ERSession("dblp_acm", matcher=name).build_matcher()

@@ -123,7 +123,7 @@ class PendingScanIPBS(IncrPrioritization):
             for pid_y in partners:
                 self.probes += 1
                 pair = canonical_pair(pid_x, pid_y)
-                if pair in self.queued or system.was_executed(*pair):
+                if pair in self.queued or system.store.was_executed(*pair):
                     redundant += 1
                     continue
                 self.queued.add(pair)  # its mirror comes later in this scan

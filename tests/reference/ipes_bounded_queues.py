@@ -2,23 +2,23 @@
 
 ``E_PQ`` is one :class:`~repro.priority.bounded_pq.BoundedPriorityQueue`
 object per entity and ``EntityQueue`` another, each with its own ``seq``
-counter for first-in-first-out among equal weights; everything else —
-Algorithm 4's double pruning, the overflow queue, the refill loop — is the
-production strategy's.  :class:`~repro.pier.ipes.IPES` must dequeue the same
-pairs in the same order and report the same dispositions, sizes, gauges and
-running averages (``tests/test_ipes_heaps.py``).
+counter for first-in-first-out among equal weights, and comparisons are
+inserted one at a time; everything else — Algorithm 4's double pruning, the
+overflow queue, and Algorithm 2's generation and refill loops (inherited from
+:class:`~repro.pier.base.IncrPrioritization`) — is the production code's.
+:class:`~repro.pier.ipes.IPES` must dequeue the same pairs in the same order
+and report the same dispositions, sizes, gauges and running averages
+(``tests/test_ipes_heaps.py``).
 """
 
 from __future__ import annotations
 
 import copy
 from collections import Counter
-from typing import Iterable
 
 from repro.core.comparison import WeightedComparison
-from repro.core.profile import EntityProfile
 from repro.metablocking.weights import WeightingScheme
-from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
+from repro.pier.base import IncrPrioritization
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
 from tests.reference.emit_loop import per_pair_round
@@ -47,8 +47,7 @@ class BoundedQueuesIPES(IncrPrioritization):
         scheme: WeightingScheme | None = None,
         overflow_capacity: int = 100_000,
     ) -> None:
-        self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
-        self.refill = GetComparisons(scheme=self.generator.scheme)
+        super().__init__(beta=beta, scheme=scheme)
         self.entity_pq: dict[int, BoundedPriorityQueue[tuple[int, int]]] = {}
         self.entity_queue: BoundedPriorityQueue[int] = BoundedPriorityQueue()
         self.overflow: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(
@@ -62,53 +61,14 @@ class BoundedQueuesIPES(IncrPrioritization):
         self._entity_items = 0
 
     # ------------------------------------------------------------------
-    # Ingestion (Algorithm 4)
+    # Insertion (Algorithm 4)
     # ------------------------------------------------------------------
-    def ingest_profiles(self, system: PierSystem, profiles: Iterable[EntityProfile]) -> float:
-        costs = system.costs
-        metrics = system.metrics
-        cost = 0.0
-        skipped = 0
-        inserted: Counter[str] = Counter()
-        for profile in profiles:
-            kept, operations = self.generator.generate(system.collection, profile)
-            cost += operations * costs.per_weight
-            metrics.count("strategy.weighting_ops", operations)
-            for weighted in kept:
-                if system.was_executed(weighted.left, weighted.right):
-                    skipped += 1
-                    continue
-                inserted[self._insert_weighted(weighted)] += 1
-                cost += costs.per_enqueue
-        if skipped:
-            metrics.count("strategy.skipped_already_executed", skipped)
-        self._count_inserted(metrics, inserted)
-        return cost
-
-    def on_empty_increment(self, system: PierSystem) -> float:
-        metrics = system.metrics
-        cost = system.costs.per_round
-        inserted: Counter[str] = Counter()
-        while not len(self):
-            result = self.refill.next_batch(system.collection, system.store.executed)
-            if result is None:
-                break
-            pairs, weights = result
-            metrics.count("strategy.refill_batches")
-            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", len(pairs))
-            cost += len(pairs) * system.costs.per_weight
-            for pair, weight in zip(pairs, weights):
-                inserted[self._insert_weighted(WeightedComparison(*pair, weight))] += 1
-                cost += system.costs.per_enqueue
-        self._count_inserted(metrics, inserted)
-        return cost
-
-    @staticmethod
-    def _count_inserted(metrics, inserted: Counter[str]) -> None:
-        """One ``strategy.inserted_<disposition>`` count per disposition seen."""
-        for disposition, amount in inserted.items():
-            metrics.count(f"strategy.inserted_{disposition}", amount)
+    def offer(self, pairs, weights) -> Counter[str]:
+        """One ``_insert_weighted`` call per comparison, routes counted."""
+        return Counter(
+            f"inserted_{self._insert_weighted(WeightedComparison(*pair, weight))}"
+            for pair, weight in zip(pairs, weights)
+        )
 
     def _insert_weighted(self, weighted: WeightedComparison) -> str:
         """Lines 1-14 of Algorithm 4 for a single weighted comparison.

@@ -110,8 +110,8 @@ def test_ipes_round_falls_back_to_overflow():
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)]
     weights = [3.0, 3.0, 3.0, 3.0, 1.0, 0.5]
     for each in (strategy, twin):
-        routes = each._insert_batch(pairs, weights)
-        assert (routes["entity"], routes["overflow"]) == (4, 2)
+        routes = each.offer(pairs, weights)
+        assert (routes["inserted_entity"], routes["inserted_overflow"]) == (4, 2)
     overflow = copy.deepcopy(strategy.overflow)
     overflowed = [overflow.dequeue() for _ in range(len(overflow))]
     executed, twin_executed = {overflowed[0]}, {overflowed[0]}

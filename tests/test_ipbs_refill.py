@@ -27,7 +27,7 @@ from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.system import PipelineStats
 
-from tests.conftest import BLOCKING_GRAPH_DATASETS, make_profile
+from tests.conftest import BLOCKING_GRAPH_DATASETS, dequeue_one, make_profile
 from tests.reference.blocking_graph import co_block_pairs
 from tests.reference.exhaustion import strategy_exhausted
 from tests.reference.ipbs_pending_scan import PendingScanIPBS
@@ -130,8 +130,8 @@ def test_once_per_pair_scan_matches_pending_scan(
         )
         assert system.ingest(increment) == oracle.ingest(increment)
         for _ in range(executions):
-            pair = system.strategy.dequeue()
-            assert pair == oracle.strategy.dequeue()
+            pair = dequeue_one(system.strategy)
+            assert pair == dequeue_one(oracle.strategy)
             if pair is None:
                 break
             assert system.store.mark_executed(pair) == oracle.store.mark_executed(pair)

@@ -7,7 +7,7 @@ from repro.pier.base import PierSystem
 from repro.pier.ipcs import IPCS
 from repro.streaming.system import PipelineStats
 
-from tests.conftest import make_profile
+from tests.conftest import dequeue_one, make_profile
 from tests.reference.exhaustion import strategy_exhausted
 
 
@@ -36,7 +36,7 @@ class TestIPCS:
             make_profile(2, "alpha delta epsilon"),  # CBS 1 with p0
         )
         system.ingest(Increment(0, profiles))
-        first = system.strategy.dequeue()
+        first = dequeue_one(system.strategy)
         assert first == (0, 1)
 
     def test_len_tracks_queue(self):
@@ -46,7 +46,7 @@ class TestIPCS:
         assert len(system.strategy) > 0
 
     def test_dequeue_empty_returns_none(self):
-        assert IPCS().dequeue() is None
+        assert dequeue_one(IPCS()) is None
 
     def test_bounded_capacity_evicts_lightest(self):
         system = PierSystem(IPCS(capacity=2, beta=0.01))
@@ -57,11 +57,11 @@ class TestIPCS:
     def test_refill_on_empty_increment(self):
         system = _system()
         system.ingest(Increment(0, (make_profile(0, "a1 b1"), make_profile(1, "a1 b1"))))
-        while system.strategy.dequeue() is not None:
+        while dequeue_one(system.strategy) is not None:
             pass
         # empty increment triggers GetComparisons refill (Alg. 2 l. 10-11)
         system.ingest(Increment(1, ()))
-        assert system.strategy.dequeue() is not None
+        assert dequeue_one(system.strategy) is not None
 
     def test_refill_skips_executed(self):
         system = _system()

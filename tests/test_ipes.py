@@ -7,7 +7,7 @@ from repro.core.increments import Increment
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 
-from tests.conftest import make_profile
+from tests.conftest import dequeue_one, make_profile
 from tests.reference.exhaustion import strategy_exhausted
 
 
@@ -16,7 +16,7 @@ def _system(**kwargs) -> PierSystem:
 
 
 def _insert(strategy: IPES, pid_x: int, pid_y: int, weight: float) -> None:
-    strategy._insert_batch([canonical_pair(pid_x, pid_y)], [weight])
+    strategy.offer([canonical_pair(pid_x, pid_y)], [weight])
 
 
 def _top_weight(strategy: IPES, pid: int) -> float:
@@ -27,7 +27,7 @@ def _top_weight(strategy: IPES, pid: int) -> float:
 def _drain(strategy: IPES) -> list[tuple[int, int]]:
     pairs = []
     while True:
-        pair = strategy.dequeue()
+        pair = dequeue_one(strategy)
         if pair is None:
             return pairs
         pairs.append(pair)
@@ -79,7 +79,7 @@ class TestEmission:
         strategy = IPES()
         _insert(strategy, 0, 1, 1.0)
         _insert(strategy, 2, 3, 9.0)
-        assert strategy.dequeue() == (2, 3)
+        assert dequeue_one(strategy) == (2, 3)
 
     def test_drain_returns_everything_once(self):
         strategy = IPES()
@@ -104,7 +104,7 @@ class TestEmission:
         assert pairs[-1] == (0, 3)
 
     def test_dequeue_empty(self):
-        assert IPES().dequeue() is None
+        assert dequeue_one(IPES()) is None
 
 
 class TestWithinSystem:
@@ -117,7 +117,7 @@ class TestWithinSystem:
             make_profile(3, "delta epsilon"),      # weaker pair (2,3)
         )
         system.ingest(Increment(0, profiles))
-        assert system.strategy.dequeue() == (0, 1)
+        assert dequeue_one(system.strategy) == (0, 1)
 
     def test_refill_on_idle(self):
         system = _system()
@@ -143,5 +143,5 @@ class TestWithinSystem:
         _insert(strategy, 0, 2, 9.0)
         _insert(strategy, 0, 3, 0.1)
         assert len(strategy) == 3
-        strategy.dequeue()
+        dequeue_one(strategy)
         assert len(strategy) == 2

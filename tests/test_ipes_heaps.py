@@ -12,18 +12,17 @@ the two variants of the heap layout that are easiest to get wrong.
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from heapq import heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.comparison import WeightedComparison, canonical_pair
+from repro.core.comparison import canonical_pair
 from repro.core.increments import Increment
 from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 
-from tests.conftest import make_profile
+from tests.conftest import dequeue_one, make_profile
 from tests.reference.ipes_bounded_queues import BoundedQueuesIPES
 
 VOCABULARY = ("ash", "birch", "cedar", "dogwood")
@@ -35,7 +34,7 @@ _pid = st.integers(0, 4)
 _insert = st.tuples(st.just("insert"), _pid, _pid, st.sampled_from(WEIGHTS)).filter(
     lambda op: op[1] != op[2]
 )
-#: Several comparisons in one ``_insert_batch`` call (the oracle: one by one).
+#: Several comparisons in one ``offer`` call (the oracle: one by one).
 _insert_batch = st.tuples(
     st.just("insert_batch"),
     st.lists(
@@ -71,21 +70,14 @@ _script = st.builds(
 
 
 def insert(strategy, items) -> dict[str, int]:
-    """Insert ``(pid_x, pid_y, weight)`` items; how many took each route.
+    """Offer ``(pid_x, pid_y, weight)`` items; how many took each route.
 
-    ``IPES`` takes them in one ``_insert_batch`` call, the oracle one
-    ``_insert_weighted`` call each.
+    ``IPES`` inserts them in one loop, the oracle one ``_insert_weighted``
+    call each.
     """
     pairs = [canonical_pair(pid_x, pid_y) for pid_x, pid_y, _ in items]
     weights = [weight for *_, weight in items]
-    insert_batch = getattr(strategy, "_insert_batch", None)
-    if insert_batch is not None:
-        routes = insert_batch(pairs, weights)
-    else:
-        routes = Counter(
-            strategy._insert_weighted(WeightedComparison(*pair, weight))
-            for pair, weight in zip(pairs, weights)
-        )
+    routes = strategy.offer(pairs, weights)
     return {route: amount for route, amount in routes.items() if amount}
 
 
@@ -112,12 +104,12 @@ def run_script(make_strategy, script) -> list:
         elif kind == "insert_batch":
             seen = insert(strategy, op[1])
         elif kind == "dequeue":
-            seen = strategy.dequeue()
+            seen = dequeue_one(strategy)
             if seen is not None and op[1]:
                 executed.add(seen)
         elif kind == "drain":
             seen = []
-            while (pair := strategy.dequeue()) is not None:
+            while (pair := dequeue_one(strategy)) is not None:
                 seen.append(pair)
             executed.update(seen[:: op[1]])
         elif kind == "ingest":
@@ -211,7 +203,7 @@ def test_oracle_catches_a_seq_that_restarts():
 
 def test_oracle_catches_a_reseed_by_plain_weight():
     expected = run_script(BoundedQueuesIPES, _RESEED)
-    assert sum(step[1].get("balanced", 0) for step in expected[:8]) == 2
+    assert sum(step[1].get("inserted_balanced", 0) for step in expected[:8]) == 2
     assert expected[-2][1][-2:] == [(4, 5), (0, 1)]
     assert run_script(IPES, _RESEED) == expected
     assert run_script(_ReseedByPlainWeight, _RESEED) != expected

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.blocking.blocks import BlockCollection
-from repro.pier.base import ComparisonGenerator, GetComparisons, PierSystem
+from repro.pier.base import ComparisonGenerator, GetComparisons, IncrPrioritization, PierSystem
 from repro.pier.ipcs import IPCS
+from repro.pier.ipes import IPES
 from repro.core.increments import Increment
 from repro.priority.rates import AdaptiveK
 from repro.streaming.system import PipelineStats
@@ -57,6 +58,63 @@ class TestComparisonGenerator:
         # Profile 1 shares its block with 0 as well: same source, never paired.
         kept, _ = generator.generate(collection, make_profile(0, "shared", source=0))
         assert [w.pair for w in kept] == [(0, 2)]
+
+
+class _OfferLog(IncrPrioritization):
+    """Algorithm 2's candidate side alone: an index that keeps its offers."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.offered: list[tuple[tuple[int, int], float]] = []
+
+    def offer(self, pairs, weights):
+        self.offered += zip(pairs, weights)
+        return {}
+
+    def __len__(self) -> int:
+        return len(self.offered)
+
+
+#: Two increments over a small vocabulary, so blocks are shared; pairs of the
+#: second one are marked executed before it arrives, so the filter bites.
+_INCREMENTS = (
+    ("alpha beta", "alpha beta gamma", "gamma delta", "beta delta"),
+    ("alpha beta", "alpha gamma", "delta beta gamma"),
+)
+_EXECUTED = {(0, 4), (1, 4), (2, 6), (4, 5)}
+
+
+def _ingest_all(strategy: IncrPrioritization) -> tuple[PierSystem, list[float]]:
+    system = PierSystem(strategy, max_block_size=None)
+    costs = []
+    pid = 0
+    for index, texts in enumerate(_INCREMENTS):
+        profiles = tuple(make_profile(pid + offset, text) for offset, text in enumerate(texts))
+        pid += len(texts)
+        system.store.executed.update(_EXECUTED)
+        costs.append(system.ingest(Increment(index, profiles)))
+    return system, costs
+
+
+@pytest.mark.parametrize("make_strategy", [IPCS, IPES], ids=["I-PCS", "I-PES"])
+def test_strategies_share_the_candidate_side(make_strategy):
+    """I-PCS and I-PES charge and count ingestion as the candidate side does
+    alone — so equally — and a refill trigger on a non-empty index charges
+    one round and offers nothing."""
+    system, costs = _ingest_all(make_strategy())
+    alone, alone_costs = _ingest_all(_OfferLog())
+    assert costs == alone_costs
+    for name in ("strategy.weighting_ops", "strategy.skipped_already_executed"):
+        assert system.metrics.counter(name) == alone.metrics.counter(name) > 0
+    assert len(system.strategy) > 0
+
+    strategy = system.strategy
+    depth = len(strategy)
+    offers = []
+    strategy.offer = lambda pairs, weights: offers.append(pairs) or {}
+    assert strategy.on_empty_increment(system) == system.costs.per_round
+    assert offers == [] and len(strategy) == depth
+    assert system.metrics.counter("strategy.refill_batches") == 0
 
 
 class TestGetComparisons:

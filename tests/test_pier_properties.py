@@ -20,7 +20,7 @@ from repro.progressive.pps import PPSSystem
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.system import PipelineStats
 
-from tests.conftest import build_matcher, build_system
+from tests.conftest import build_matcher, build_system, dequeue_one
 
 PIER_ALGORITHMS = ("I-PES", "I-PCS", "I-PBS")
 
@@ -94,7 +94,7 @@ class TestGlobality:
         # pretend nothing was emitted yet; now a weak increment arrives
         second = (make_profile(2, "alpha"), make_profile(3, "zzz unrelated"))
         system.ingest(Increment(1, second))
-        assert system.strategy.dequeue() == (0, 1)
+        assert dequeue_one(system.strategy) == (0, 1)
 
     def test_work_continues_while_waiting(self, small_dblp_acm):
         """On a slow stream, PIER keeps executing comparisons during the

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import load_dataset, resolve_stream
+from repro import load_dataset, metablocking, resolve_stream
 from repro.api import EngineOptions, ERSession
 from repro.evaluation.recorder import ProgressRecorder
 from repro.execution.core import ExecutionCore
@@ -20,7 +20,9 @@ from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.matching.matcher import Matcher
+from repro.metablocking import sweep, wnp
 from repro.priority.bounded_pq import BoundedPriorityQueue
+from repro.progressive.base import BatchProgressiveSystem
 from repro.resilience import ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
@@ -68,6 +70,8 @@ RETIRED_NAMES = (
     # a cleaning stage nothing ran.
     "ScalableBloom" + "Filter", "priority." + "bloom", "dequeue_with" + "_key",
     "duplicate_" + "executions", "block_" + "filtering",
+    # Helpers only tests reached, and I-PES's batch insert, now its offer.
+    "batch_wnp_" + "for_profile", "sweep_" + "weights(", "_insert_" + "batch",
 )
 
 
@@ -143,8 +147,23 @@ class TestRetiredNames:
             (BoundedPriorityQueue, "drain"),
             (ProgressRecorder, "was_executed"),
             (ProgressRecorder, "found_pairs"),
+            # Code only tests reached: a round of one, two executed-set
+            # probes the store answers, and two pair-shaped sweep wrappers.
+            (IncrPrioritization, "dequeue"),
+            (IPCS, "dequeue"),
+            (IPES, "dequeue"),
+            (IPBS, "dequeue"),
+            (PierSystem, "was_executed"),
+            (BatchProgressiveSystem, "was_executed"),
+            (metablocking, "sweep_weights"),
+            (metablocking, "batch_wnp_for_profile"),
+            (sweep, "sweep_weights"),
+            (wnp, "batch_wnp_for_profile"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        # Every strategy checkpoints its own index: no ``__dict__`` default.
+        assert "snapshot_state" not in vars(IncrPrioritization)
+        assert "restore_state" not in vars(IncrPrioritization)
         assert "faults" not in inspect.signature(ERSession.__init__).parameters
 
     def test_engine_options_has_exactly_these_fields(self):

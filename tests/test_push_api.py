@@ -27,6 +27,8 @@ import pytest
 
 from repro.api import EngineOptions, ERSession
 from repro.core.profile import EntityProfile
+from repro.matching.matcher import JaccardMatcher
+from repro.streaming.engine import StreamingEngine
 
 BUDGET = 8.0
 
@@ -247,6 +249,20 @@ def test_drain_rejects_non_monotonic_horizons(dataset):
         push.drain(4.0)
         with pytest.raises(ValueError, match="non-decreasing"):
             push.drain(2.0)
+
+
+def test_nan_horizon_and_budget_are_refused(dataset):
+    """NaN passes ``<= 0``: taken as a horizon, no later arrival would ever
+    exceed it, and a tenant's automatic drains would stop for good."""
+    with _session(dataset) as session:
+        push = session.push()
+        push.feed_plan(session.plan_for("I-PES"))
+        with pytest.raises(ValueError, match="positive"):
+            push.drain(math.nan)
+        assert push.horizon is None
+        assert push.drain(4.0) > 0.0
+    with pytest.raises(ValueError, match="positive"):
+        StreamingEngine(JaccardMatcher(), budget=math.nan)
 
 
 def test_results_is_terminal(dataset):

@@ -460,6 +460,28 @@ def test_server_snapshot_migration_between_servers():
     assert reply["fingerprint"] == expected
 
 
+def test_server_refuses_nan_horizons_and_budgets():
+    """A JSON ``NaN`` decodes to a float that passes ``<= 0``: as a drain
+    horizon it would silence every later automatic drain, so it gets one
+    ``bad-request`` and later ingests still advance the clock."""
+    batches = _batches()
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.open("nan", budget=float("nan"))
+            assert exc.value.code == "bad-request"
+            client.open("t", budget=BUDGET)
+            first = client.ingest("t", batches[0], at=1.0)["clock"]
+            for until in (float("nan"), "nan"):
+                with pytest.raises(ServiceError) as exc:
+                    client.drain("t", until)
+                assert exc.value.code == "bad-request"
+            second = client.ingest("t", batches[1], at=2.0)["clock"]
+            third = client.ingest("t", batches[2], at=3.0)["clock"]
+            assert first < second < third
+            client.shutdown()
+
+
 def test_server_refusal_codes():
     with _ServerThread(max_tenants=1) as server:
         with ServiceClient("127.0.0.1", server.port) as client:

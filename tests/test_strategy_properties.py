@@ -26,7 +26,7 @@ from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.streaming.engine import StreamingEngine
 
-from tests.conftest import BLOCKING_GRAPH_DATASETS
+from tests.conftest import BLOCKING_GRAPH_DATASETS, dequeue_one
 from tests.reference.blocking_graph import co_block_pairs
 
 # Random mini-worlds: each profile gets 1-3 tokens from a tiny vocabulary,
@@ -48,7 +48,7 @@ def _increment(token_lists) -> Increment:
 def _drain(strategy):
     pairs = []
     while True:
-        pair = strategy.dequeue()
+        pair = dequeue_one(strategy)
         if pair is None:
             return pairs
         pairs.append(pair)
@@ -94,10 +94,10 @@ class TestIPBSProperties:
         system.ingest(_increment(token_lists))
         emitted = []
         for _ in range(200):
-            pair = system.strategy.dequeue()
+            pair = dequeue_one(system.strategy)
             if pair is None:
                 system.strategy.on_empty_increment(system)
-                pair = system.strategy.dequeue()
+                pair = dequeue_one(system.strategy)
                 if pair is None:
                     break
             # Exactly-once is the store's contract: claim as ``emit`` does.
@@ -122,7 +122,7 @@ class TestIPESProperties:
         inserted = set()
         for index, tokens in enumerate(token_lists[:-1]):
             pair = (index, index + len(token_lists))
-            strategy._insert_batch([pair], [float(len(tokens))])
+            strategy.offer([pair], [float(len(tokens))])
             inserted.add(pair)
         drained = _drain(strategy)
         assert set(drained) == inserted

@@ -25,7 +25,7 @@ from repro.blocking.substrate import BLOCKING_SUBSTRATES, BlockingConfig, make_c
 from repro.core.dataset import Dataset, ERKind
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.metablocking import sweep
-from repro.metablocking.sweep import sweep_candidate_weights, sweep_weights
+from repro.metablocking.sweep import sweep_candidate_weights
 from repro.metablocking.weights import make_scheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.pier.base import ComparisonGenerator
@@ -181,18 +181,17 @@ class TestSweepBitIdentity:
         dataset, collection = dirty_collection
         scheme = make_scheme("cbs")
         profile = dataset.profiles[0]
-        unghosted = sweep_weights(collection, profile.pid, lambda pid: True, scheme)
-        assert unghosted == [
-            (partner, scheme.weight(collection, profile.pid, partner))
-            for partner, _ in unghosted
-        ]
+        partners, weights = sweep_candidate_weights(
+            collection, profile.pid, lambda pid: True, scheme
+        )
+        assert weights == [scheme.weight(collection, profile.pid, partner) for partner in partners]
 
     def test_sweep_weights_beta_validation(self, dirty_collection):
         _, collection = dirty_collection
         with pytest.raises(ValueError):
-            sweep_weights(collection, 0, lambda pid: True, beta=0.0)
+            sweep_candidate_weights(collection, 0, lambda pid: True, beta=0.0)
         with pytest.raises(ValueError):
-            sweep_weights(collection, 0, lambda pid: True, beta=1.5)
+            sweep_candidate_weights(collection, 0, lambda pid: True, beta=1.5)
 
     def test_unknown_scheme_falls_back_to_per_pair(self, dirty_collection):
         dataset, collection = dirty_collection
@@ -205,8 +204,10 @@ class TestSweepBitIdentity:
 
         scheme = HalfCBS()
         profile = dataset.profiles[1]
-        swept = sweep_weights(collection, profile.pid, lambda pid: True, scheme)
-        for partner, weight in swept:
+        partners, weights = sweep_candidate_weights(
+            collection, profile.pid, lambda pid: True, scheme
+        )
+        for partner, weight in zip(partners, weights):
             assert weight == scheme.weight(collection, profile.pid, partner)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.blocking.blocks import BlockCollection
-from repro.metablocking.wnp import batch_wnp_for_profile, sweep_wnp
+from repro.metablocking.wnp import sweep_wnp
 
 from tests.conftest import make_profile
 
@@ -60,11 +60,11 @@ class TestIncrementalWNP:
 class TestBatchWNP:
     def test_gathers_all_coblock_partners(self):
         collection = _collection()
-        result = batch_wnp_for_profile(collection, 0, lambda pid: True)
+        result = sweep_wnp(collection, 0, lambda pid: True)
         assert result.total_candidates == 3
 
     def test_partner_filter(self):
         collection = _collection()
-        result = batch_wnp_for_profile(collection, 0, lambda pid: pid != 1)
+        result = sweep_wnp(collection, 0, lambda pid: pid != 1)
         partners = {w.comparison().other(0) for w in result.kept}
         assert 1 not in partners
