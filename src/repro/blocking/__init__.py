@@ -8,16 +8,13 @@ from repro.blocking.substrate import (
     BlockingSubstrate,
     make_collection,
 )
-from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
 
 __all__ = [
     "BLOCKING_SUBSTRATES",
     "Block",
     "BlockCollection",
     "BlockingConfig",
-    "BlockingCosts",
     "BlockingSubstrate",
-    "IncrementalTokenBlocking",
     "LSHBlockCollection",
     "MinHasher",
     "make_collection",

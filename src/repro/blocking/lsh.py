@@ -29,7 +29,7 @@ bit-identical across hosts, PYTHONHASHSEED values, and checkpoint
 restores.  All mutable state (signature cache, bucket tables, undrained
 ``blocking.lsh.*`` counter deltas) lives on the collection object, which
 rides through :class:`~repro.resilience.checkpoint.EngineCheckpoint`
-snapshots via ``copy.deepcopy`` of the owning blocker.
+snapshots via ``copy.deepcopy`` of the owning system's ``collection``.
 """
 
 from __future__ import annotations

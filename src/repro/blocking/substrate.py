@@ -1,11 +1,12 @@
 """The blocking-substrate contract: what every candidate index must expose.
 
 Token blocking was the only substrate for the first seven growth steps, so
-its concrete classes (:class:`~repro.blocking.blocks.BlockCollection` inside
-:class:`~repro.blocking.token_blocking.IncrementalTokenBlocking`) *were* the
-interface: the sweep kernel, the weighting schemes, the strategies and the
-checkpoint layer all called the same dozen methods without a name for the
-contract.  This module gives it one.
+its concrete class (:class:`~repro.blocking.blocks.BlockCollection`) *was*
+the interface: the sweep kernel, the weighting schemes, the strategies and
+the checkpoint layer all called the same dozen methods without a name for
+the contract.  This module gives it one.  Every system holds its substrate
+as ``ERSystem.collection`` and indexes increments into it through
+``ERSystem._index``.
 
 :class:`BlockingSubstrate` is that de-facto interface, written down as a
 runtime-checkable protocol.  Two substrates implement it:
@@ -25,7 +26,7 @@ individual pairs.
 The protocol deliberately includes the purge/intern semantics
 (``purged_keys`` / ``key_id``), the growth feed and the telemetry drain hook:
 substrates ride through engine checkpoints via ``copy.deepcopy`` of the
-owning blocker, so *everything* a substrate accumulates — bucket tables,
+collection itself, so *everything* a substrate accumulates — bucket tables,
 signature caches, undrained grown keys and counter deltas — must live on the
 collection object itself.
 """

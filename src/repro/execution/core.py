@@ -385,7 +385,7 @@ class ExecutionCore:
         state.metrics = metrics
         state.recorder = ProgressRecorder(ground_truth, sample_every=self.sample_every)
         state.estimator = RateEstimator()
-        state.store = system.comparison_store
+        state.store = system.store
         state.duplicates = set()
         state.seen_increments = set()
         state.plan = plan
@@ -422,7 +422,7 @@ class ExecutionCore:
             # The system restore may have replaced its store wholesale
             # (default ``__dict__`` walk); rebind and then apply the
             # checkpoint's authoritative quarantine cut.
-            state.store = system.comparison_store
+            state.store = system.store
             state.store.quarantined = set(resume_from.quarantined)
             state.duplicates = set(resume_from.duplicates)
             state.seen_increments = set(resume_from.seen_increments)

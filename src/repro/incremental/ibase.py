@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Mapping
 
 from repro.blocking.substrate import BlockingConfig
-from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
 from repro.core.increments import Increment
-from repro.core.profile import EntityProfile
-from repro.execution.store import ComparisonStore
 from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator
 from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
@@ -65,26 +61,17 @@ class IBaseSystem(ERSystem):
         high_watermark: int = 2000,
         blocking: BlockingConfig | None = None,
     ) -> None:
-        self.costs = costs or PipelineCosts()
-        self.blocker = IncrementalTokenBlocking(
-            clean_clean=clean_clean,
-            max_block_size=max_block_size,
-            costs=BlockingCosts(
-                per_profile=self.costs.per_profile, per_token=self.costs.per_token
-            ),
-            blocking=blocking,
-        )
+        super().__init__(clean_clean, max_block_size, costs, blocking)
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
         self.chunk_size = chunk_size
         self.high_watermark = high_watermark
         self._fifo: deque[tuple[int, int]] = deque()
-        self.store = ComparisonStore()
 
     # ------------------------------------------------------------------
     def ingest(self, increment: Increment) -> float:
-        cost = self.blocker.process_increment(increment)
+        cost = self._index(increment)
         for profile in increment:
-            kept, operations = self.generator.generate(self.blocker.collection, profile)
+            kept, operations = self.generator.generate(self.collection, profile)
             cost += operations * self.costs.per_weight
             self.metrics.count("strategy.weighting_ops", operations)
             # Within a profile, higher-weighted comparisons go first (the
@@ -100,7 +87,6 @@ class IBaseSystem(ERSystem):
                 self._fifo.append(pair)
                 self.metrics.count("strategy.comparisons_enqueued")
                 cost += self.costs.per_enqueue
-        self._flush_blocking_metrics(self.blocker.collection)
         return cost
 
     def has_work(self) -> bool:
@@ -119,25 +105,24 @@ class IBaseSystem(ERSystem):
         return {"queue_depth": len(self._fifo)}
 
     @property
-    def profiles(self) -> Mapping[int, EntityProfile]:
-        return self.blocker.profiles
-
-    @property
     def backlog(self) -> int:
         return len(self._fifo)
 
     # -- checkpoint support ---------------------------------------------
     def snapshot(self) -> dict[str, object]:
-        """Blocking state, the FIFO backlog and the comparison store — the
-        generator and cost tables are pure configuration."""
+        """Blocking state, the profile store, the FIFO backlog and the
+        comparison store — the generator and cost tables are pure
+        configuration."""
         return {
-            "blocker": copy.deepcopy(self.blocker),
+            "collection": copy.deepcopy(self.collection),
+            "profiles": dict(self._profiles),
             "fifo": list(self._fifo),
             "store": self.store.snapshot_state(),
         }
 
     def restore(self, state: dict[str, object]) -> None:
-        self.blocker = copy.deepcopy(state["blocker"])
+        self.collection = copy.deepcopy(state["collection"])
+        self._profiles = dict(state["profiles"])
         self._fifo = deque(state["fifo"])
         self.store.restore_state(state["store"])
 
@@ -145,5 +130,5 @@ class IBaseSystem(ERSystem):
         return {
             "name": self.name,
             "backlog": len(self._fifo),
-            "profiles": len(self.blocker.profiles),
+            "profiles": len(self._profiles),
         }

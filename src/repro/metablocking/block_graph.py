@@ -2,9 +2,11 @@
 
 The batch Progressive Profile Scheduling baseline builds a *block graph*:
 nodes are profiles, and an edge connects two profiles iff they share at
-least one block (and form a valid comparison).  Edges carry weights from a
-weighting scheme; a profile's *duplication likelihood* aggregates its
-incident edge weights.
+least one block.  Every co-block pair is a valid comparison:
+``Block.pairs`` pairs only cross-source members on Clean-Clean ER and
+distinct members on Dirty ER.  Edges carry weights from a weighting
+scheme; a profile's *duplication likelihood* aggregates its incident edge
+weights.
 
 Building this graph is the expensive initialization step that makes batch
 PPS unsuitable for streams (the effect Figures 2, 4 and 7 of the paper
@@ -13,8 +15,6 @@ is charged in virtual time by the callers.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.blocking.substrate import BlockingSubstrate
 from repro.core.comparison import canonical_pair
@@ -34,11 +34,9 @@ class BlockGraph:
     def __init__(
         self,
         collection: BlockingSubstrate,
-        valid_pair: Callable[[int, int], bool],
         scheme: WeightingScheme | None = None,
     ) -> None:
         self._collection = collection
-        self._valid_pair = valid_pair
         self._scheme = scheme or CommonBlocksScheme()
         self.edges: dict[tuple[int, int], float] = {}
         self.adjacency: dict[int, list[tuple[int, float]]] = {}
@@ -55,8 +53,6 @@ class BlockGraph:
                 if pair in seen:
                     continue
                 seen.add(pair)
-                if not self._valid_pair(*pair):
-                    continue
                 ordered.append(pair)
         weights = pair_weights(self._collection, ordered, self._scheme)
         for pair, weight in zip(ordered, weights):

@@ -26,11 +26,9 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.blocking.blocks import Block
 from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
-from repro.blocking.token_blocking import BlockingCosts, IncrementalTokenBlocking
 from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
-from repro.execution.store import ComparisonStore
 from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.metablocking.wnp import sweep_wnp
@@ -373,8 +371,9 @@ class IncrPrioritization:
 class PierSystem(ERSystem):
     """Algorithm 1: the progressive incremental ER framework.
 
-    Wires incremental token blocking, a prioritization strategy, and the
-    adaptive ``findK`` controller into one :class:`ERSystem`.
+    Wires the shared front-end (incremental blocking, see
+    :class:`~repro.streaming.system.ERSystem`), a prioritization strategy,
+    and the adaptive ``findK`` controller into one :class:`ERSystem`.
 
     Parameters
     ----------
@@ -384,7 +383,7 @@ class PierSystem(ERSystem):
         ER task kind (drives candidate generation inside blocks).
     max_block_size:
         Incremental block-purging threshold.
-    costs / blocking_costs:
+    costs:
         Virtual cost parameters.
     adaptive_k:
         The ``findK`` controller; a fresh default one if omitted.
@@ -399,35 +398,23 @@ class PierSystem(ERSystem):
         clean_clean: bool = False,
         max_block_size: int | None = 200,
         costs: PipelineCosts | None = None,
-        blocking_costs: BlockingCosts | None = None,
         adaptive_k: AdaptiveK | None = None,
         blocking: BlockingConfig | None = None,
     ) -> None:
+        super().__init__(clean_clean, max_block_size, costs, blocking)
         self.strategy = strategy
-        self.costs = costs or PipelineCosts()
-        blocking_costs = blocking_costs or BlockingCosts(
-            per_profile=self.costs.per_profile, per_token=self.costs.per_token
-        )
-        self.blocker = IncrementalTokenBlocking(
-            clean_clean=clean_clean,
-            max_block_size=max_block_size,
-            costs=blocking_costs,
-            blocking=blocking,
-        )
         self.adaptive_k = adaptive_k or AdaptiveK()
-        self.store = ComparisonStore()
         self.name = f"PIER[{strategy.name}]"
 
     # ------------------------------------------------------------------
     # ERSystem interface
     # ------------------------------------------------------------------
     def ingest(self, increment: Increment) -> float:
-        cost = self.blocker.process_increment(increment)
+        cost = self._index(increment)
         if increment.is_empty:
             cost += self.strategy.on_empty_increment(self)
         else:
             cost += self.strategy.ingest_profiles(self, increment.profiles)
-        self._flush_blocking_metrics(self.collection)
         return cost
 
     def has_work(self) -> bool:
@@ -452,10 +439,6 @@ class PierSystem(ERSystem):
             return None
         return cost
 
-    @property
-    def profiles(self) -> Mapping[int, EntityProfile]:
-        return self.blocker.profiles
-
     def gauges(self) -> dict[str, float]:
         return {
             "k": self.adaptive_k.value,
@@ -463,27 +446,23 @@ class PierSystem(ERSystem):
             **self.strategy.gauges(),
         }
 
-    # ------------------------------------------------------------------
-    # Internals shared with strategies
-    # ------------------------------------------------------------------
-    @property
-    def collection(self) -> BlockingSubstrate:
-        return self.blocker.collection
-
     # -- checkpoint support ---------------------------------------------
     def snapshot(self) -> dict[str, object]:
-        """Blocking state, findK state, the shared comparison store, and the
-        strategy's ``CmpIndex`` — everything Algorithm 1 mutates during a
-        run."""
+        """Blocking state, the profile store, findK state, the shared
+        comparison store, and the strategy's ``CmpIndex`` — everything
+        Algorithm 1 mutates during a run.  Profiles alias rather than copy
+        (``EntityProfile.__deepcopy__``), so a dict copy is a snapshot."""
         return {
-            "blocker": copy.deepcopy(self.blocker),
+            "collection": copy.deepcopy(self.collection),
+            "profiles": dict(self._profiles),
             "adaptive_k": copy.deepcopy(self.adaptive_k),
             "store": self.store.snapshot_state(),
             "strategy": self.strategy.snapshot_state(),
         }
 
     def restore(self, state: dict[str, object]) -> None:
-        self.blocker = copy.deepcopy(state["blocker"])
+        self.collection = copy.deepcopy(state["collection"])
+        self._profiles = dict(state["profiles"])
         self.adaptive_k = copy.deepcopy(state["adaptive_k"])
         # In-place restore keeps the store's identity: the engine's run
         # state holds a reference to it.

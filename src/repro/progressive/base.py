@@ -27,13 +27,8 @@ time bounded in the collapse regimes of Figures 2 and 7.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping
-
 from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.core.increments import Increment
-from repro.core.profile import EntityProfile
-from repro.execution.store import ComparisonStore
 from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
 
 __all__ = ["BatchProgressiveSystem"]
@@ -59,21 +54,14 @@ class BatchProgressiveSystem(ERSystem):
     ) -> None:
         if scope not in ("all", "last"):
             raise ValueError("scope must be 'all' or 'last'")
-        self.costs = costs or PipelineCosts()
-        self.clean_clean = clean_clean
-        self.max_block_size = max_block_size
+        super().__init__(clean_clean, max_block_size, costs, blocking)
         self.scope = scope
         self.chunk_size = chunk_size
-        self.blocking = blocking
-        self.collection = make_collection(
-            blocking, clean_clean=clean_clean, max_block_size=max_block_size
-        )
-        self._profiles: dict[int, EntityProfile] = {}
+        self.blocking = blocking  # the LOCAL scope rebuilds its collection from it
         self._dirty = False
         # The whole emission order has been read (at first, the empty one):
         # nothing left to emit until the next increment.
         self._drained = True
-        self.store = ComparisonStore()
         self._pending_init_cost = 0.0
         self.initializations = 0
 
@@ -86,16 +74,11 @@ class BatchProgressiveSystem(ERSystem):
         if self.scope == "last":
             self.collection = make_collection(
                 self.blocking,
-                clean_clean=self.clean_clean,
-                max_block_size=self.max_block_size,
+                clean_clean=self.collection.clean_clean,
+                max_block_size=self.collection.max_block_size,
             )
             self._profiles.clear()
-        cost = 0.0
-        for profile in increment:
-            self.collection.add_profile(profile)
-            self._profiles[profile.pid] = profile
-            cost += self.costs.per_profile + self.costs.per_token * len(profile.tokens())
-        self._flush_blocking_metrics(self.collection)
+        cost = self._index(increment)
         self._dirty = True
         self._drained = False
         # The batch algorithms reassess their prioritization for *every* new
@@ -142,10 +125,6 @@ class BatchProgressiveSystem(ERSystem):
             fresh = [pair for pair in pairs if mark_executed(pair)]
         return EmitResult(batch=tuple(fresh), cost=cost)
 
-    @property
-    def profiles(self) -> Mapping[int, EntityProfile]:
-        return MappingProxyType(self._profiles)
-
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
@@ -163,9 +142,11 @@ class BatchProgressiveSystem(ERSystem):
     # Shared helpers
     # ------------------------------------------------------------------
     def valid_pair(self, pid_x: int, pid_y: int) -> bool:
+        """Whether two profiles may match: used by LS-PSN and GS-PSN, whose
+        sorted profile array mixes sources and repeats profiles."""
         if pid_x == pid_y:
             return False
-        if not self.clean_clean:
+        if not self.collection.clean_clean:
             return True
         return self._profiles[pid_x].source != self._profiles[pid_y].source
 

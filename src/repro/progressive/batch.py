@@ -50,7 +50,7 @@ class BatchERSystem(BatchProgressiveSystem):
                 continue
             for pid_x, pid_y in block.pairs(self.collection.clean_clean):
                 pair = (min(pid_x, pid_y), max(pid_x, pid_y))
-                if pair in self._seen or not self.valid_pair(*pair):
+                if pair in self._seen:
                     continue
                 self._seen.add(pair)
                 self._buffer.append(pair)

@@ -72,7 +72,7 @@ class PBSSystem(BatchProgressiveSystem):
         fresh: list[tuple[int, int]] = []
         for pid_x, pid_y in block.pairs(self.collection.clean_clean):
             pair = (min(pid_x, pid_y), max(pid_x, pid_y))
-            if pair in self._seen or not self.valid_pair(*pair):
+            if pair in self._seen:
                 continue
             self._seen.add(pair)
             fresh.append(pair)

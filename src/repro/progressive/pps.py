@@ -51,8 +51,6 @@ class PPSSystem(BatchProgressiveSystem):
         self._emission: list[tuple[int, int]] = []
         self._cursor = 0
         self.name = {"all": "PPS", "last": "PPS-LOCAL"}[scope]
-        if scope == "all":
-            self.name = "PPS"
 
     # ------------------------------------------------------------------
     def _estimate_init_cost(self) -> float:
@@ -60,7 +58,7 @@ class PPSSystem(BatchProgressiveSystem):
         return enumerations * (self.costs.per_edge_enumeration + self.costs.per_weight)
 
     def _initialize(self) -> float:
-        graph = BlockGraph(self.collection, self.valid_pair, self.scheme)
+        graph = BlockGraph(self.collection, self.scheme)
         cost = graph.edge_enumerations * self.costs.per_edge_enumeration
         cost += len(graph.edges) * self.costs.per_weight
 

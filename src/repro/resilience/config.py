@@ -43,11 +43,15 @@ class ResilienceConfig:
     crash_at: float | None = None
 
     def __post_init__(self) -> None:
-        if self.cost_ceiling is not None and self.cost_ceiling <= 0:
+        # ``not x > 0`` also refuses NaN, which passes ``x <= 0``.
+        if self.cost_ceiling is not None and not self.cost_ceiling > 0:
             raise ValueError("cost_ceiling must be positive (or None)")
-        if self.shed_watermark is not None and self.shed_watermark < 0:
-            raise ValueError("shed_watermark must be >= 0 (or None)")
-        if self.checkpoint_every is not None and self.checkpoint_every <= 0:
+        watermark = self.shed_watermark
+        if watermark is not None and (
+            not isinstance(watermark, int) or isinstance(watermark, bool) or watermark < 0
+        ):
+            raise ValueError(f"shed_watermark must be an int >= 0 (or None), got {watermark!r}")
+        if self.checkpoint_every is not None and not self.checkpoint_every > 0:
             raise ValueError("checkpoint_every must be positive (or None)")
 
 

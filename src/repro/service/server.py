@@ -301,7 +301,7 @@ class ERServer:
                 matcher=request.get("matcher", "JS"),
                 budget=float(request.get("budget", 300.0)),
                 kind=request.get("kind", "dirty"),
-                pipelined=bool(request.get("pipelined", False)),
+                pipelined=request.get("pipelined", False),
                 shed_watermark=request.get("shed_watermark"),
                 checkpoint_every=request.get("checkpoint_every"),
             )

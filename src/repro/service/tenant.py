@@ -51,8 +51,9 @@ __all__ = [
 #: then the pickled :class:`TenantSnapshot`.
 SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: Bumped whenever a checkpoint layout changes (2: the progress recorder
-#: keeps no executed set of its own).
-SNAPSHOT_VERSION = 2
+#: keeps no executed set of its own; 3: incremental systems checkpoint their
+#: ``collection`` and ``profiles`` instead of a blocker object).
+SNAPSHOT_VERSION = 3
 
 #: Every class a tenant snapshot holds, of every system on both blocking
 #: substrates (``tests/test_service.py`` fails when a snapshot meets a class
@@ -64,8 +65,6 @@ SNAPSHOT_CLASSES = frozenset({
     ("repro.blocking.lsh", "LSHBlockCollection"),
     ("repro.blocking.lsh", "MinHasher"),
     ("repro.blocking.substrate", "BlockingConfig"),
-    ("repro.blocking.token_blocking", "BlockingCosts"),
-    ("repro.blocking.token_blocking", "IncrementalTokenBlocking"),
     ("repro.core.increments", "Increment"),
     ("repro.core.profile", "Attribute"),
     ("repro.core.profile", "EntityProfile"),
@@ -110,6 +109,8 @@ class TenantConfig:
             raise ValueError(f"budget must be positive, got {self.budget}")
         if self.kind not in ("dirty", "clean-clean"):
             raise ValueError(f"kind must be 'dirty' or 'clean-clean', got {self.kind!r}")
+        if not isinstance(self.pipelined, bool):
+            raise ValueError(f"pipelined must be a bool, got {self.pipelined!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
+from repro.blocking.substrate import BlockingConfig, BlockingSubstrate, make_collection
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
@@ -65,30 +67,68 @@ class EmitResult:
 class ERSystem:
     """Base class for all ER systems driven by the streaming engine.
 
-    Subclasses must implement :meth:`ingest`, :meth:`has_work`,
-    :meth:`emit` and :attr:`profiles`; the remaining hooks have sensible
-    defaults.
+    The base class is the shared front-end, the paper's *Incremental
+    Blocking* component: it owns the blocking substrate
+    (:attr:`collection`), the pid → profile store behind :attr:`profiles`,
+    the comparison store the engines bind to (:attr:`store`) and the cost
+    table, and :meth:`_index` indexes an increment into them.  Subclasses
+    implement :meth:`ingest`, :meth:`has_work` and :meth:`emit`; the
+    remaining hooks have sensible defaults.
     """
 
     name: str = "er-system"
     _metrics: MetricsRegistry | None = None
-    #: The system's comparison registry (executed-set / quarantine).
-    #: Systems that dedup comparisons create one eagerly in ``__init__``;
-    #: for everything else the :attr:`comparison_store` property lazily
-    #: provides one on first engine access.
-    store: ComparisonStore | None = None
+
+    def __init__(
+        self,
+        clean_clean: bool = False,
+        max_block_size: int | None = 200,
+        costs: PipelineCosts | None = None,
+        blocking: BlockingConfig | None = None,
+    ) -> None:
+        self.costs = costs or PipelineCosts()
+        self.collection: BlockingSubstrate = make_collection(
+            blocking, clean_clean=clean_clean, max_block_size=max_block_size
+        )
+        self._profiles: dict[int, EntityProfile] = {}
+        #: The system's comparison registry (executed set / quarantine).  It
+        #: shares the system's lifetime, and ``snapshot``/``restore`` carry
+        #: it with the rest of the mutable state.
+        self.store = ComparisonStore()
+
+    def _index(self, increment: Increment) -> float:
+        """Index and store every profile of ``increment``; return the cost.
+
+        One profile costs ``per_profile + per_token·|tokens|``, summed in
+        profile order.  Substrate telemetry (``blocking.lsh.*``) accrues on
+        the collection object — which is what engine checkpoints copy —
+        while it indexes profiles, and is flushed into the metrics here, so
+        a restored run replays both the metrics registry and the undrained
+        buffer from one consistent snapshot.
+        """
+        collection = self.collection
+        costs = self.costs
+        cost = 0.0
+        for profile in increment:
+            collection.add_profile(profile)
+            self._profiles[profile.pid] = profile
+            cost += costs.per_profile + costs.per_token * len(profile.tokens())
+        pending = collection.drain_metrics()
+        if pending:
+            metrics = self.metrics
+            for name, value in pending.items():
+                metrics.count(name, value)
+        return cost
 
     @property
-    def comparison_store(self) -> ComparisonStore:
-        """The shared :class:`ComparisonStore` the engines bind to.
+    def profiles(self) -> Mapping[int, EntityProfile]:
+        """Read-only pid → profile mapping for the classification step.
 
-        It shares the system's lifetime (like the executed sets it
-        replaced), and ``snapshot``/``restore`` carry it with the rest of
-        the mutable state, so checkpoints serialize it exactly once.
+        The engines read it once per emission round and look every pair's
+        profiles up through it, so it is a live view of the store, not a
+        copy.
         """
-        if self.store is None:
-            self.store = ComparisonStore()
-        return self.store
+        return MappingProxyType(self._profiles)
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -100,21 +140,6 @@ class ERSystem:
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Attach the engine's per-run registry; called at the start of a run."""
         self._metrics = registry
-
-    def _flush_blocking_metrics(self, collection) -> None:
-        """Drain a blocking substrate's buffered counter deltas.
-
-        Substrate telemetry (``blocking.lsh.*``) accrues on the collection
-        object — which is what engine checkpoints deep-copy — while it
-        indexes profiles, and systems flush it here after each ingest, so a
-        restored run replays both the metrics registry and the undrained
-        buffer from one consistent snapshot.
-        """
-        pending = collection.drain_metrics()
-        if pending:
-            metrics = self.metrics
-            for name, value in pending.items():
-                metrics.count(name, value)
 
     def gauges(self) -> dict[str, float]:
         """Current gauge readings sampled into the per-round log.
@@ -143,16 +168,6 @@ class ERSystem:
 
     def emit(self, stats: PipelineStats) -> EmitResult:
         """Produce the next batch of comparisons to execute."""
-        raise NotImplementedError
-
-    @property
-    def profiles(self) -> Mapping[int, EntityProfile]:
-        """Read-only pid → profile mapping for the classification step.
-
-        The engines read it once per emission round and look every pair's
-        profiles up through it, so it must be a live view of the system's
-        store (``types.MappingProxyType``), not a copy.
-        """
         raise NotImplementedError
 
     def ready_for_ingest(self) -> bool:

@@ -54,12 +54,11 @@ class ScriptedSystem(ERSystem):
     name = "scripted"
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
+        super().__init__()
         self._pairs: list[tuple[int, int]] | None = list(pairs)
-        self._profiles = {
-            pid: EntityProfile(pid, {"a": f"p{pid}"})
-            for pair in pairs
-            for pid in pair
-        }
+        self._profiles.update(
+            (pid, EntityProfile(pid, {"a": f"p{pid}"})) for pair in pairs for pid in pair
+        )
 
     def ingest(self, increment: Increment) -> float:
         return 0.0
@@ -70,10 +69,6 @@ class ScriptedSystem(ERSystem):
     def emit(self, stats: PipelineStats) -> EmitResult:
         batch, self._pairs = tuple(self._pairs), None
         return EmitResult(batch=batch, cost=0.0)
-
-    @property
-    def profiles(self) -> dict[int, EntityProfile]:
-        return self._profiles
 
 
 def _run(engine_factory, pairs, budget):

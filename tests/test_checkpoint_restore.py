@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.blocking.substrate import BlockingConfig
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
@@ -19,6 +20,8 @@ from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.priority.rates import AdaptiveK
+from repro.progressive.pbs import PBSSystem
+from repro.progressive.pps import PPSSystem
 from repro.resilience import ResilienceConfig, SimulatedCrash
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
@@ -30,8 +33,15 @@ STRATEGY_FACTORIES = {
     "I-PCS": lambda: PierSystem(IPCS()),
     "I-PBS": lambda: PierSystem(IPBS()),
     "I-PES": lambda: PierSystem(IPES()),
+    "I-PES-lsh": lambda: PierSystem(IPES(), blocking=BlockingConfig(substrate="lsh")),
     "I-BASE": IBaseSystem,
+    # The batch baselines checkpoint through the default ``__dict__`` walk.
+    "PBS-GLOBAL": lambda: PBSSystem(scope="all"),
+    "PPS-LOCAL": lambda: PPSSystem(scope="last"),
 }
+#: These two run out of work on the rate-5 stream before ``CRASH_AT``, so
+#: they get a slower one that is still arriving when the crash comes.
+SLOW_STREAM = {"I-PES-lsh": 1.0, "PPS-LOCAL": 1.0}
 
 
 
@@ -125,7 +135,7 @@ class TestCrashResumeDeterminism:
     @pytest.mark.parametrize("name", list(STRATEGY_FACTORIES))
     def test_serial_engine(self, name, small_dblp_acm):
         factory = STRATEGY_FACTORIES[name]
-        plan = _plan(small_dblp_acm)
+        plan = _plan(small_dblp_acm, rate=SLOW_STREAM.get(name, 5.0))
         uninterrupted = StreamingEngine(
             build_matcher("ED"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)

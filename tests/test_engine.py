@@ -101,6 +101,7 @@ class TestBackPressure:
             name = "stubborn"
 
             def __init__(self):
+                super().__init__()
                 self.ingested = 0
 
             def ingest(self, increment):

@@ -9,7 +9,6 @@ import pytest
 from repro.core.comparison import canonical_pair
 from repro.core.increments import Increment, make_stream_plan, split_into_increments
 from repro.core.dataset import GroundTruth
-from repro.core.profile import EntityProfile
 from repro.evaluation.recorder import ProgressRecorder
 from repro.incremental.ibase import IBaseSystem
 from repro.streaming.engine import StreamingEngine
@@ -101,9 +100,9 @@ class _BackpressureProbe(ERSystem):
     name = "backpressure-probe"
 
     def __init__(self) -> None:
+        super().__init__()
         self.seen_backlogs: list[int] = []
         self._ingested = 0
-        self._profile = EntityProfile(0, {"a": "x"})
 
     def ingest(self, increment: Increment) -> float:
         self._ingested += 1
@@ -119,10 +118,6 @@ class _BackpressureProbe(ERSystem):
     def emit(self, stats: PipelineStats) -> EmitResult:
         self.seen_backlogs.append(stats.backlog)
         return EmitResult(batch=(), cost=0.0)
-
-    @property
-    def profiles(self) -> dict[int, EntityProfile]:
-        return {0: self._profile}
 
 
 def test_stats_report_true_backlog_under_backpressure():

@@ -333,7 +333,7 @@ class TestLSHCrashResume:
         with pytest.raises(SimulatedCrash) as exc:
             crashing.run(factory(), plan, small_dblp_acm.ground_truth)
         checkpoint = exc.value.checkpoint
-        collection = checkpoint.system_state["blocker"].collection
+        collection = checkpoint.system_state["collection"]
         assert isinstance(collection, LSHBlockCollection)
         assert collection.signature_count() > 0
         assert len(collection) > 0

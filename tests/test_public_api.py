@@ -15,6 +15,8 @@ from repro.evaluation.recorder import ProgressRecorder
 from repro.execution.core import ExecutionCore
 from repro.execution.push import PushPlan
 from repro.execution.store import ComparisonStore
+from repro.incremental.ibase import IBaseSystem
+from repro.metablocking.block_graph import BlockGraph
 from repro.pier.base import GetComparisons, IncrPrioritization, PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
@@ -23,6 +25,7 @@ from repro.matching.matcher import Matcher
 from repro.metablocking import sweep, wnp
 from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.progressive.base import BatchProgressiveSystem
+from repro.progressive.pbs import PBSSystem
 from repro.resilience import ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
@@ -72,6 +75,11 @@ RETIRED_NAMES = (
     "duplicate_" + "executions", "block_" + "filtering",
     # Helpers only tests reached, and I-PES's batch insert, now its offer.
     "batch_wnp_" + "for_profile", "sweep_" + "weights(", "_insert_" + "batch",
+    # The blocking wrapper and its cost table: ``ERSystem`` is the one
+    # front-end, and the engines read its ``store``.
+    "IncrementalToken" + "Blocking", "Blocking" + "Costs", "blocking_" + "costs",
+    "token_" + "blocking", "process_" + "increment", "_flush_blocking_" + "metrics",
+    "comparison_" + "store",
 )
 
 
@@ -159,8 +167,14 @@ class TestRetiredNames:
             (metablocking, "batch_wnp_for_profile"),
             (sweep, "sweep_weights"),
             (wnp, "batch_wnp_for_profile"),
+            (ERSystem, "comparison_store"),
+            (ERSystem, "_flush_blocking_metrics"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        for system in (PierSystem(IPES()), IBaseSystem(), PBSSystem()):
+            assert not hasattr(system, "blocker"), system.name
+        assert "blocking_costs" not in inspect.signature(PierSystem.__init__).parameters
+        assert "valid_pair" not in inspect.signature(BlockGraph.__init__).parameters
         # Every strategy checkpoints its own index: no ``__dict__`` default.
         assert "snapshot_state" not in vars(IncrPrioritization)
         assert "restore_state" not in vars(IncrPrioritization)

@@ -41,6 +41,24 @@ def _plan(dataset, n=8, rate=5.0, seed=0):
     return make_stream_plan(split_into_increments(dataset, n, seed=seed), rate=rate)
 
 
+class TestResilienceConfig:
+    @pytest.mark.parametrize("fields", [
+        {"cost_ceiling": float("nan")},
+        {"checkpoint_every": float("nan")},
+        {"shed_watermark": 2.5},
+        {"shed_watermark": True},
+    ], ids=repr)
+    def test_refuses_nan_and_non_int_watermarks(self, fields):
+        """NaN passes ``<= 0``, and a float or bool watermark sheds as the
+        int it rounds to."""
+        with pytest.raises(ValueError):
+            ResilienceConfig(**fields)
+
+    def test_accepts_the_boundaries(self):
+        config = ResilienceConfig(cost_ceiling=1e-9, shed_watermark=0, checkpoint_every=1e-9)
+        assert config.shed_watermark == 0
+
+
 class TestFaultSpec:
     def test_rates_validated(self):
         with pytest.raises(ValueError):

@@ -460,16 +460,31 @@ def test_server_snapshot_migration_between_servers():
     assert reply["fingerprint"] == expected
 
 
+#: ``open`` fields that passed the old checks: a NaN cadence (``nan <= 0`` is
+#: False, so the tenant never checkpointed), a watermark that is not an int
+#: (2.5 shed as 2, ``true`` as 1), and ``bool("false")``, which is True.
+MALFORMED_OPEN_FIELDS = (
+    {"budget": float("nan")},
+    {"checkpoint_every": float("nan")},
+    {"shed_watermark": 2.5},
+    {"shed_watermark": True},
+    {"pipelined": "false"},
+)
+
+
 def test_server_refuses_nan_horizons_and_budgets():
     """A JSON ``NaN`` decodes to a float that passes ``<= 0``: as a drain
     horizon it would silence every later automatic drain, so it gets one
-    ``bad-request`` and later ingests still advance the clock."""
+    ``bad-request`` and later ingests still advance the clock.  Malformed
+    ``open`` fields get one ``bad-request`` each and open no tenant."""
     batches = _batches()
     with _ServerThread() as server:
         with ServiceClient("127.0.0.1", server.port) as client:
-            with pytest.raises(ServiceError) as exc:
-                client.open("nan", budget=float("nan"))
-            assert exc.value.code == "bad-request"
+            for fields in MALFORMED_OPEN_FIELDS:
+                with pytest.raises(ServiceError) as exc:
+                    client.open("bad", **{"budget": BUDGET, **fields})
+                assert exc.value.code == "bad-request", fields
+            assert client.ping()["tenants"] == 0
             client.open("t", budget=BUDGET)
             first = client.ingest("t", batches[0], at=1.0)["clock"]
             for until in (float("nan"), "nan"):
@@ -807,12 +822,14 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
-def test_a_version_1_envelope_is_refused_naming_version_1():
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_old_envelope_is_refused_naming_its_version(version):
     """Version 1 checkpoints carried the progress recorder's own executed
-    set; an envelope that says 1 is refused, and the refusal names it."""
+    set, version 2 a blocker object per incremental system; an envelope
+    that says either is refused, and the refusal names it."""
     payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
-    blob = SNAPSHOT_MAGIC + (1).to_bytes(2, "big") + payload
-    with pytest.raises(ValueError, match="snapshot version 1 cannot be restored"):
+    blob = SNAPSHOT_MAGIC + version.to_bytes(2, "big") + payload
+    with pytest.raises(ValueError, match=f"snapshot version {version} cannot be restored"):
         TenantSnapshot.from_bytes(blob)
 
 

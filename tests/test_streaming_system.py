@@ -51,5 +51,3 @@ class TestERSystemDefaults:
             system.emit(
                 PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
             )
-        with pytest.raises(NotImplementedError):
-            system.profiles
