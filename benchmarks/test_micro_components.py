@@ -79,7 +79,7 @@ def test_bench_iwnp(benchmark, census, indexed_census):
 
     def clean():
         return sum(
-            sweep_wnp(indexed_census, pid, None, beta=0.2).total_candidates
+            len(sweep_wnp(indexed_census, pid, beta=0.2).kept)
             for pid in targets
         )
 

@@ -5,7 +5,6 @@ from repro.blocking.lsh import LSHBlockCollection, MinHasher
 from repro.blocking.substrate import (
     BLOCKING_SUBSTRATES,
     BlockingConfig,
-    BlockingSubstrate,
     make_collection,
 )
 
@@ -14,7 +13,6 @@ __all__ = [
     "Block",
     "BlockCollection",
     "BlockingConfig",
-    "BlockingSubstrate",
     "LSHBlockCollection",
     "MinHasher",
     "make_collection",

@@ -8,17 +8,15 @@ profiles mapping and its inverse (profile → blocks), which the weighting
 schemes and the single-sweep weighting kernel
 (:mod:`repro.metablocking.sweep`) read on every comparison.
 
-:class:`BlockCollection` is also the reference implementation of the
-:class:`~repro.blocking.substrate.BlockingSubstrate` protocol: alternative
-substrates (the MinHash-LSH tier in :mod:`repro.blocking.lsh`) subclass it
-and override :meth:`BlockCollection.profile_keys` — the single hook that
-decides which blocking keys a profile lands in — inheriting the purge,
-intern, cache-invalidation and snapshot semantics unchanged.
+:class:`BlockCollection` is the one blocking substrate: the MinHash-LSH
+tier (:mod:`repro.blocking.lsh`) subclasses it and overrides
+:meth:`BlockCollection.profile_keys` — the single hook that decides which
+blocking keys a profile lands in — inheriting the purge, growth-feed,
+cache-invalidation and snapshot semantics unchanged.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 from repro.core.profile import EntityProfile
@@ -30,17 +28,13 @@ class Block:
     """A single block: the profiles sharing one blocking key (token).
 
     Profiles are kept per source so that Clean-Clean ER can generate only
-    cross-source comparisons without filtering after the fact.  Each block
-    carries a dense integer id (``bid``) interned by its owning collection;
-    ids are assigned in key-creation order and survive purging, so they are
-    stable for the lifetime of a run.
+    cross-source comparisons without filtering after the fact.
     """
 
-    __slots__ = ("key", "bid", "members_by_source", "_size", "_cc_value", "_cc_kind")
+    __slots__ = ("key", "members_by_source", "_size", "_cc_value", "_cc_kind")
 
-    def __init__(self, key: str, bid: int = -1) -> None:
+    def __init__(self, key: str) -> None:
         self.key = key
-        self.bid = bid
         self.members_by_source: dict[int, list[int]] = {}
         self._size = 0
         self._cc_value = 0
@@ -106,6 +100,21 @@ class Block:
 class BlockCollection:
     """Incrementally maintained token → block index with its inverse.
 
+    What every consumer (the sweep kernel, the weighting schemes, the
+    strategies, the checkpoint layer) relies on:
+
+    * **Add-only maintenance** — profiles are only ever added; re-adding an
+      indexed pid raises (re-indexing would double-count comparisons).
+    * **Purge-and-blacklist** — a key whose block grows past
+      ``max_block_size`` is purged and never recreated (``purged_keys``).
+    * **Growth is announced** — see :meth:`drain_grown`.
+    * **Deterministic block order** — :meth:`iter_partner_blocks` returns a
+      profile's live blocks sorted by key, so weights and candidates are
+      bit-identical across hosts, hash seeds and checkpoint restores.
+    * **Deep-copy snapshots** — all mutable state (undrained telemetry
+      included) lives on the object, so ``copy.deepcopy`` is a complete
+      snapshot.
+
     Parameters
     ----------
     clean_clean:
@@ -126,7 +135,6 @@ class BlockCollection:
         "_blocks_of",
         "_purged_keys",
         "_total_comparisons",
-        "_key_ids",
         "_profile_blocks",
         "_grown",
     )
@@ -140,10 +148,6 @@ class BlockCollection:
         self._blocks_of: dict[int, set[str]] = {}
         self._purged_keys: set[str] = set()
         self._total_comparisons = 0
-        # Dense int id per block key, assigned in creation order.  Purged
-        # keys keep their id (they are blacklisted, never recreated), so ids
-        # are stable and never reused.
-        self._key_ids: dict[str, int] = {}
         # Per-profile cache of the sorted live-block tuple behind
         # iter_partner_blocks; invalidated when the profile's key set
         # changes (its own add, or a purge touching it).
@@ -166,15 +170,15 @@ class BlockCollection:
         grown = self._grown
         # Sorted: the keys usually come from a frozenset, whose iteration
         # order follows the interpreter's hash seed, and this order decides
-        # block creation order — hence ``iter(collection)`` and the interned
-        # ids, which the batch baselines build their schedules from.
+        # block creation order — hence ``iter(collection)``, which the batch
+        # baselines build their schedules from.
         for token in sorted(self.profile_keys(profile)):
             if token in self._purged_keys:
                 continue
             grown.add(token)
             block = self._blocks.get(token)
             if block is None:
-                block = Block(token, self._intern_key(token))
+                block = Block(token)
                 self._blocks[token] = block
             if self.clean_clean:
                 gained = len(block.members_by_source.get(1 - profile.source, ()))
@@ -196,17 +200,9 @@ class BlockCollection:
         Token blocking keys a profile by its tokens; subclasses derive keys
         differently (MinHash bucket keys in :mod:`repro.blocking.lsh`).
         The result may be unordered: :meth:`add_profile` indexes the keys in
-        sorted order, which fixes block creation order and the interned
-        block ids.
+        sorted order, which fixes block creation order.
         """
         return profile.tokens()
-
-    def _intern_key(self, key: str) -> int:
-        bid = self._key_ids.get(key)
-        if bid is None:
-            bid = len(self._key_ids)
-            self._key_ids[key] = bid
-        return bid
 
     def _purge_block(self, key: str) -> None:
         block = self._blocks.pop(key)
@@ -232,10 +228,6 @@ class BlockCollection:
 
     def get(self, key: str) -> Block | None:
         return self._blocks.get(key)
-
-    def key_id(self, key: str) -> int | None:
-        """Dense interned id of a block key (stable, survives purging)."""
-        return self._key_ids.get(key)
 
     def blocks_of(self, pid: int) -> frozenset[str]:
         """Keys of the live blocks containing ``pid`` (B(p) in the paper).
@@ -272,28 +264,6 @@ class BlockCollection:
             )
             self._profile_blocks[pid] = cached
         return cached
-
-    def partner_counts(self, pid: int, source: int | None = None) -> Counter:
-        """Co-occurrence counts ``|B(pid) ∩ B(y)|`` for every partner ``y``.
-
-        One sweep over ``pid``'s live blocks; the CBS weight of every
-        candidate comparison of ``pid`` in a single pass (``pid`` itself is
-        removed from the result).  With ``source`` given on a Clean-Clean
-        collection, only cross-source partners are counted.
-        """
-        counts: Counter = Counter()
-        if self.clean_clean and source is not None:
-            other = 1 - source
-            for block in self.iter_partner_blocks(pid):
-                members = block.members_by_source.get(other)
-                if members:
-                    counts.update(members)
-        else:
-            for block in self.iter_partner_blocks(pid):
-                for members in block.members_by_source.values():
-                    counts.update(members)
-            del counts[pid]
-        return counts
 
     def profiles_indexed(self) -> int:
         return len(self._blocks_of)

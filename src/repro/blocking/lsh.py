@@ -10,11 +10,10 @@ matches exactly, which happens with probability ``1 - (1 - s^rows)^bands``
 for token-Jaccard ``s`` — an S-curve stepping near
 ``(1/bands) ** (1/rows)``.
 
-:class:`LSHBlockCollection` implements the
-:class:`~repro.blocking.substrate.BlockingSubstrate` protocol here by
-subclassing :class:`~repro.blocking.blocks.BlockCollection`, so that purge,
-intern, cache-invalidation and deep-copy snapshot semantics are inherited
-rather than re-implemented.  Banded signature buckets *are* the blocks (the
+:class:`LSHBlockCollection` subclasses
+:class:`~repro.blocking.blocks.BlockCollection`, so that purge, growth-feed,
+cache-invalidation and deep-copy snapshot semantics are inherited rather
+than re-implemented.  Banded signature buckets *are* the blocks (the
 :meth:`~LSHBlockCollection.profile_keys` hook returns bucket keys instead of
 tokens), so every downstream consumer — the sweep kernel, CBS/ECBS/JS/ARCS
 weighting, block ghosting, I-WNP, the I-PBS cardinality indexes — runs
@@ -123,8 +122,8 @@ class LSHBlockCollection(BlockCollection):
     Only the key-derivation hook differs from token blocking — a profile
     lands in its ``bands`` banded bucket keys instead of its tokens.  All
     other semantics (cross-source member bookkeeping, ``max_block_size``
-    purging of degenerate buckets, dense key interning, the sorted cached
-    block tuples behind the sweep kernel) are inherited.  On top, the
+    purging of degenerate buckets, the sorted cached block tuples behind
+    the sweep kernel) are inherited.  On top, the
     collection caches each profile's signature and buffers its
     ``blocking.lsh.*`` counter deltas until :meth:`drain_metrics`.
     """
@@ -177,7 +176,9 @@ class LSHBlockCollection(BlockCollection):
         if not signature:
             return ()
         keys = self.hasher.bucket_keys(signature)
-        fresh = sum(1 for key in keys if key not in self._key_ids)
+        # A bucket seen before is live or purged (purged keys never return).
+        blocks, purged = self._blocks, self._purged_keys
+        fresh = sum(1 for key in keys if key not in blocks and key not in purged)
         if fresh:
             self._count("blocking.lsh.buckets", fresh)
         return keys

@@ -1,6 +1,6 @@
 """Core data model: profiles, comparisons, datasets, increments."""
 
-from repro.core.comparison import Comparison, WeightedComparison, canonical_pair
+from repro.core.comparison import WeightedComparison, canonical_pair
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import (
     Increment,
@@ -15,7 +15,6 @@ from repro.core.tokenizer import Tokenizer, default_tokenizer
 
 __all__ = [
     "Attribute",
-    "Comparison",
     "Dataset",
     "ERKind",
     "EntityProfile",

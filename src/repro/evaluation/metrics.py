@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import BlockCollection
 from repro.core.comparison import canonical_pair
 from repro.core.dataset import GroundTruth
 
@@ -52,7 +52,7 @@ def f_measure(pc: float, pq: float) -> float:
     return 2.0 * pc * pq / (pc + pq)
 
 
-def blocking_pair_completeness(collection: BlockingSubstrate, truth: GroundTruth) -> float:
+def blocking_pair_completeness(collection: BlockCollection, truth: GroundTruth) -> float:
     """Upper bound on achievable PC: fraction of true matches co-occurring in
     at least one live block of the collection.
 

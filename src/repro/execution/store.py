@@ -69,8 +69,8 @@ class ComparisonStore:
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
-        """Rewind to a snapshot.  Keys this store does not write (the
-        Bloom filter and the emission counts of older checkpoints) are
-        ignored."""
+        """Rewind to a snapshot; only the two keys :meth:`snapshot_state`
+        writes are read.  Snapshots of an older checkpoint layout never get
+        here: ``TenantSnapshot.from_bytes`` refuses them by version."""
         self.executed = set(state["executed"])
         self.quarantined = set(state["quarantined"])

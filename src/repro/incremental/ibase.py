@@ -25,7 +25,7 @@ from repro.blocking.substrate import BlockingConfig
 from repro.core.increments import Increment
 from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator
-from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
+from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
 __all__ = ["IBaseSystem"]
 
@@ -56,12 +56,11 @@ class IBaseSystem(ERSystem):
         max_block_size: int | None = 200,
         beta: float = 0.2,
         scheme: WeightingScheme | None = None,
-        costs: PipelineCosts | None = None,
         chunk_size: int = 64,
         high_watermark: int = 2000,
         blocking: BlockingConfig | None = None,
     ) -> None:
-        super().__init__(clean_clean, max_block_size, costs, blocking)
+        super().__init__(clean_clean, max_block_size, blocking)
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
         self.chunk_size = chunk_size
         self.high_watermark = high_watermark

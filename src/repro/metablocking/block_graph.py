@@ -16,7 +16,7 @@ is charged in virtual time by the callers.
 
 from __future__ import annotations
 
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import BlockCollection
 from repro.core.comparison import canonical_pair
 from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
@@ -33,7 +33,7 @@ class BlockGraph:
 
     def __init__(
         self,
-        collection: BlockingSubstrate,
+        collection: BlockCollection,
         scheme: WeightingScheme | None = None,
     ) -> None:
         self._collection = collection

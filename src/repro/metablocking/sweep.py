@@ -31,26 +31,26 @@ oracle ``tests/reference/per_pair_weighting.py``
 (``tests/test_sweep_weights.py`` holds the two together):
 
 * blocks are visited in sorted-key order (via
-  :meth:`~repro.blocking.substrate.BlockingSubstrate.iter_partner_blocks`), so
+  :meth:`~repro.blocking.blocks.BlockCollection.iter_partner_blocks`), so
   the ARCS float accumulation adds the same terms in the same order as the
   sorted per-pair intersection;
 * candidates are emitted in first-appearance order over the (ghosted)
   block list — the order an ordered de-duplication of the gathered
   partners gives;
-* count-based weights are finalized through the scheme's own
-  ``finalize_sweep``, which shares its arithmetic with ``weight()``.
+* count-based weights come from the scheme's one count→weight method,
+  :meth:`~repro.metablocking.weights.CountScheme.weights_from_counts`, which
+  its ``weight()`` calls too, with every pair in the same ``(x, y)`` order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.blocking.blocks import Block
-from repro.blocking.substrate import BlockingSubstrate
-from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
+from repro.blocking.blocks import Block, BlockCollection
+from repro.metablocking.weights import ARCSScheme, CommonBlocksScheme, WeightingScheme
 
 __all__ = ["pair_weights", "sweep_candidate_weights"]
 
@@ -60,19 +60,13 @@ _block_size = attrgetter("_size")
 
 
 def _arcs_totals(
-    collection: BlockingSubstrate,
-    pid: int,
-    blocks: Sequence[Block],
-    source: int | None,
+    blocks: Sequence[Block], clean_clean: bool, cross_only: bool, other: int
 ) -> dict[int, float]:
-    """Accumulate ``Σ 1/||b||`` per partner over ``pid``'s blocks.
+    """Accumulate ``Σ 1/||b||`` per partner over a profile's blocks.
 
     Blocks arrive in sorted-key order, so each partner's float sum adds its
     terms in exactly the order the (sorted) per-pair ARCS intersection does.
     """
-    clean_clean = collection.clean_clean
-    cross_only = clean_clean and source is not None
-    other = 1 - source if cross_only else 0
     totals: dict[int, float] = {}
     for block in blocks:
         cardinality = block.comparison_count(clean_clean)
@@ -104,24 +98,9 @@ def _member_lists(
     ]
 
 
-def _count_totals(
-    collection: BlockingSubstrate,
-    pid: int,
-    blocks: Sequence[Block],
-    source: int | None,
-) -> Counter:
-    """Co-occurrence counts per partner over ``pid``'s blocks (C-speed)."""
-    cross_only = collection.clean_clean and source is not None
-    other = 1 - source if cross_only else 0
-    counts: Counter = Counter()
-    counts.update(chain.from_iterable(_member_lists(blocks, cross_only, other)))
-    return counts
-
-
 def sweep_candidate_weights(
-    collection: BlockingSubstrate,
+    collection: BlockCollection,
     pid: int,
-    valid_partner: Callable[[int], bool] | None,
     scheme: WeightingScheme | None = None,
     *,
     beta: float | None = None,
@@ -137,14 +116,10 @@ def sweep_candidate_weights(
     collection:
         The live block collection (purged blocks are skipped).
     pid:
-        The profile whose candidate comparisons are generated.
-    valid_partner:
-        Optional candidate filter, one call per distinct candidate.
-        ``None`` means every co-block partner is valid, which is what the
-        strategies pass: with the ``source`` hint a Clean-Clean sweep reads
-        only other-source member lists, so it has nothing to filter.
+        The profile whose candidate comparisons are generated.  Every
+        co-block partner is a candidate.
     scheme:
-        Weighting scheme; defaults to CBS as in the paper.
+        Weighting scheme; ``None`` means CBS, as in the paper.
     beta:
         Block-ghosting parameter.  When given, candidates are gathered only
         from blocks no larger than ``|b_min| / beta`` (block ghosting,
@@ -152,8 +127,9 @@ def sweep_candidate_weights(
         still computed against the *full* block evidence, as generating
         first and weighing afterwards would.  ``None`` disables ghosting.
     source:
-        Optional source hint of ``pid`` on Clean-Clean collections; lets the
-        counting sweep skip same-source member lists.
+        Optional source hint of ``pid`` on Clean-Clean collections; the
+        sweep then reads only the other source's member lists, so it never
+        meets a same-source partner.
 
     Candidates come back in first-appearance order over the (ghosted) sorted
     block list.
@@ -172,64 +148,43 @@ def sweep_candidate_weights(
         ghosted = [block for block in blocks if block._size <= threshold]
 
     # First-appearance de-duplication runs at C speed: one dict.fromkeys
-    # over the chained member lists.  The validity filter afterwards
-    # preserves that order and touches each distinct partner exactly once.
+    # over the chained member lists.
     cross_only = collection.clean_clean and source is not None
     other = 1 - source if cross_only else 0
     order = dict.fromkeys(
         chain.from_iterable(_member_lists(ghosted, cross_only, other))
     )
     order.pop(pid, None)
-    if valid_partner is None:
-        candidates = list(order)
-    else:
-        candidates = [partner for partner in order if valid_partner(partner)]
+    candidates = list(order)
     if not candidates:
         return [], []
 
-    if getattr(scheme, "sweep_accumulates_inverse_cardinality", False):
-        totals = _arcs_totals(collection, pid, blocks, source)
+    if isinstance(scheme, ARCSScheme):
+        totals = _arcs_totals(blocks, collection.clean_clean, cross_only, other)
         return candidates, [totals.get(partner, 0.0) for partner in candidates]
-    finalize_sweep = getattr(scheme, "finalize_sweep", None)
-    if finalize_sweep is not None:
-        counts = _count_totals(collection, pid, blocks, source)
-        if getattr(scheme, "sweep_weight_is_count", False):
-            # Pure C: subscript + float conversion via map.
-            return candidates, list(map(float, map(counts.__getitem__, candidates)))
-        sweep_many = getattr(scheme, "sweep_weights_for", None)
-        if sweep_many is not None:
-            return candidates, sweep_many(collection, pid, candidates, counts)
-        return candidates, [
-            finalize_sweep(collection, pid, partner, counts[partner])
-            for partner in candidates
-        ]
-    return candidates, [
-        scheme.weight(collection, pid, partner) for partner in candidates
-    ]
+    counts: Counter = Counter()
+    counts.update(chain.from_iterable(_member_lists(blocks, cross_only, other)))
+    return candidates, scheme.weights_from_counts(
+        collection, zip(repeat(pid), candidates), map(counts.__getitem__, candidates)
+    )
 
 
 def pair_weights(
-    collection: BlockingSubstrate,
+    collection: BlockCollection,
     pairs: Sequence[tuple[int, int]],
     scheme: WeightingScheme | None = None,
 ) -> list[float]:
     """The weight of each pair of a drained block, in order.
 
     Count-based schemes read every ``|B(x) ∩ B(y)|`` from one
-    :meth:`~repro.blocking.substrate.BlockingSubstrate.common_block_counts`
-    call: CBS is the count itself, ECBS and JS put it through their
-    ``finalize_sweep``.  ARCS, and any scheme the sweep does not know,
-    weigh pair by pair with ``scheme.weight``.
+    :meth:`~repro.blocking.blocks.BlockCollection.common_block_counts` call
+    and turn it into weights with their ``weights_from_counts``; ARCS weighs
+    pair by pair with ``scheme.weight``.
     """
     scheme = scheme or CommonBlocksScheme()
-    if getattr(scheme, "sweep_weight_is_count", False):
-        return list(map(float, collection.common_block_counts(pairs)))
-    finalize_sweep = getattr(scheme, "finalize_sweep", None)
-    if finalize_sweep is not None:
-        counts = collection.common_block_counts(pairs)
-        return [
-            finalize_sweep(collection, left, right, common)
-            for (left, right), common in zip(pairs, counts)
-        ]
-    weight = scheme.weight
-    return [weight(collection, left, right) for left, right in pairs]
+    if isinstance(scheme, ARCSScheme):
+        weight = scheme.weight
+        return [weight(collection, left, right) for left, right in pairs]
+    return scheme.weights_from_counts(
+        collection, pairs, collection.common_block_counts(pairs)
+    )

@@ -7,26 +7,26 @@ cheapest to maintain incrementally; the other classic schemes (ECBS, JS,
 ARCS) are provided both for completeness and for the weighting-scheme
 ablation benchmark.
 
-Every scheme supports two evaluation modes with bit-identical results:
-
-* the classic per-pair :meth:`~WeightingScheme.weight` call, and
-* the single-sweep aggregate path (:mod:`repro.metablocking.sweep`), which
-  derives the same weights for *all* partners of one profile from one
-  co-occurrence counting pass.  Count-based schemes (CBS, ECBS, JS) expose
-  :meth:`finalize_sweep` to turn a co-occurrence count into the weight;
-  ARCS marks itself with ``sweep_accumulates_inverse_cardinality`` so the
-  sweep accumulates ``1/||b||`` terms instead of counts.
+Every scheme has one per-pair definition, :meth:`~WeightingScheme.weight`,
+and the bulk paths (:mod:`repro.metablocking.sweep`) reproduce it float for
+float.  The count-based schemes (CBS, ECBS, JS) derive a weight from the
+co-occurrence count ``|B(p_x) ∩ B(p_y)|`` plus block-count sizes, so each
+has exactly one count→weight method, :meth:`~CountScheme.weights_from_counts`,
+which its ``weight``, the single sweep and ``pair_weights`` all call.  ARCS
+sums ``1/||b||`` over the common blocks instead, so the sweep accumulates
+those terms for it and ``pair_weights`` calls its ``weight``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
+from typing import Iterable, Protocol
 
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import BlockCollection
 
 __all__ = [
     "WeightingScheme",
+    "CountScheme",
     "CommonBlocksScheme",
     "EnhancedCommonBlocksScheme",
     "JaccardScheme",
@@ -40,12 +40,29 @@ class WeightingScheme(Protocol):
 
     name: str
 
-    def weight(self, collection: BlockingSubstrate, pid_x: int, pid_y: int) -> float:
+    def weight(self, collection: BlockCollection, pid_x: int, pid_y: int) -> float:
         """Match-likelihood weight of the comparison ``(pid_x, pid_y)``."""
         ...
 
 
-class CommonBlocksScheme:
+class CountScheme:
+    """A scheme whose weight is a function of the co-occurrence count."""
+
+    def weights_from_counts(
+        self,
+        collection: BlockCollection,
+        pairs: Iterable[tuple[int, int]],
+        counts: Iterable[int],
+    ) -> list[float]:
+        """The weight of each ``(x, y)`` pair given ``|B(x) ∩ B(y)|``, in order."""
+        raise NotImplementedError
+
+    def weight(self, collection: BlockCollection, pid_x: int, pid_y: int) -> float:
+        common = collection.common_blocks(pid_x, pid_y)
+        return self.weights_from_counts(collection, ((pid_x, pid_y),), (common,))[0]
+
+
+class CommonBlocksScheme(CountScheme):
     """CBS: ``w(c_{x,y}) = |B(p_x) ∩ B(p_y)|``.
 
     The fastest scheme; the paper's default.  Its known failure mode —
@@ -55,20 +72,11 @@ class CommonBlocksScheme:
 
     name = "CBS"
 
-    #: Tells the sweep kernel the weight is the bare co-occurrence count —
-    #: no per-partner finalize call needed.
-    sweep_weight_is_count = True
-
-    def weight(self, collection: BlockingSubstrate, pid_x: int, pid_y: int) -> float:
-        return float(collection.common_blocks(pid_x, pid_y))
-
-    def finalize_sweep(
-        self, collection: BlockingSubstrate, pid_x: int, pid_y: int, common: int
-    ) -> float:
-        return float(common)
+    def weights_from_counts(self, collection, pairs, counts) -> list[float]:
+        return list(map(float, counts))
 
 
-class EnhancedCommonBlocksScheme:
+class EnhancedCommonBlocksScheme(CountScheme):
     """ECBS: CBS boosted by the rarity of each profile's blocks.
 
     ``w = CBS * log(|B| / |B(p_x)|) * log(|B| / |B(p_y)|)`` — profiles that
@@ -77,76 +85,33 @@ class EnhancedCommonBlocksScheme:
 
     name = "ECBS"
 
-    def weight(self, collection: BlockingSubstrate, pid_x: int, pid_y: int) -> float:
-        return self.finalize_sweep(
-            collection, pid_x, pid_y, collection.common_blocks(pid_x, pid_y)
-        )
-
-    def finalize_sweep(
-        self, collection: BlockingSubstrate, pid_x: int, pid_y: int, common: int
-    ) -> float:
-        if common == 0:
-            return 0.0
+    def weights_from_counts(self, collection, pairs, counts) -> list[float]:
         total_blocks = max(len(collection), 1)
-        blocks_x = collection.block_count_of(pid_x) or 1
-        blocks_y = collection.block_count_of(pid_y) or 1
-        boost_x = math.log1p(total_blocks / blocks_x)
-        boost_y = math.log1p(total_blocks / blocks_y)
-        return common * boost_x * boost_y
-
-    def sweep_weights_for(
-        self, collection: BlockingSubstrate, pid_x: int, candidates, counts
-    ) -> list[float]:
-        """Vectorized ``finalize_sweep``: ``boost_x`` is hoisted out of the
-        per-candidate loop (it only depends on ``pid_x``), which changes no
-        float — same inputs, same product order."""
-        total_blocks = max(len(collection), 1)
-        boost_x = math.log1p(total_blocks / (collection.block_count_of(pid_x) or 1))
         block_count_of = collection.block_count_of
         log1p = math.log1p
-        weights = []
-        for pid_y in candidates:
-            common = counts[pid_y]
-            if common == 0:
-                weights.append(0.0)
-                continue
-            boost_y = log1p(total_blocks / (block_count_of(pid_y) or 1))
-            weights.append(common * boost_x * boost_y)
-        return weights
+        return [
+            common
+            * log1p(total_blocks / (block_count_of(pid_x) or 1))
+            * log1p(total_blocks / (block_count_of(pid_y) or 1))
+            if common
+            else 0.0
+            for (pid_x, pid_y), common in zip(pairs, counts)
+        ]
 
 
-class JaccardScheme:
+class JaccardScheme(CountScheme):
     """JS scheme: Jaccard coefficient of the two profiles' block sets."""
 
     name = "JS-scheme"
 
-    def weight(self, collection: BlockingSubstrate, pid_x: int, pid_y: int) -> float:
-        return self.finalize_sweep(
-            collection, pid_x, pid_y, collection.common_blocks(pid_x, pid_y)
-        )
-
-    def finalize_sweep(
-        self, collection: BlockingSubstrate, pid_x: int, pid_y: int, common: int
-    ) -> float:
-        if common == 0:
-            return 0.0
-        union = collection.block_count_of(pid_x) + collection.block_count_of(pid_y) - common
-        return common / union if union else 0.0
-
-    def sweep_weights_for(
-        self, collection: BlockingSubstrate, pid_x: int, candidates, counts
-    ) -> list[float]:
-        """Vectorized ``finalize_sweep`` with ``|B(p_x)|`` hoisted; the
-        integer union arithmetic is exact, so the division is unchanged."""
-        count_x = collection.block_count_of(pid_x)
+    def weights_from_counts(self, collection, pairs, counts) -> list[float]:
         block_count_of = collection.block_count_of
         weights = []
-        for pid_y in candidates:
-            common = counts[pid_y]
+        for (pid_x, pid_y), common in zip(pairs, counts):
             if common == 0:
                 weights.append(0.0)
                 continue
-            union = count_x + block_count_of(pid_y) - common
+            union = block_count_of(pid_x) + block_count_of(pid_y) - common
             weights.append(common / union if union else 0.0)
         return weights
 
@@ -164,11 +129,7 @@ class ARCSScheme:
 
     name = "ARCS"
 
-    #: Tells the sweep kernel to accumulate ``1/||b||`` per co-occurrence
-    #: instead of plain counts.
-    sweep_accumulates_inverse_cardinality = True
-
-    def weight(self, collection: BlockingSubstrate, pid_x: int, pid_y: int) -> float:
+    def weight(self, collection: BlockCollection, pid_x: int, pid_y: int) -> float:
         keys_x = collection.blocks_of(pid_x)
         keys_y = collection.blocks_of(pid_y)
         if not keys_x or not keys_y:

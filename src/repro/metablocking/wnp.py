@@ -1,4 +1,4 @@
-"""Weighted Node Pruning — batch (WNP) and incremental (I-WNP).
+"""Weighted Node Pruning, incremental (I-WNP).
 
 WNP is a meta-blocking comparison-cleaning technique: for each profile
 (node), it weighs all candidate comparisons incident to that node and keeps
@@ -18,9 +18,8 @@ oracle for it is the generate-then-weigh formulation in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import BlockCollection
 from repro.core.comparison import WeightedComparison
 from repro.metablocking.sweep import sweep_candidate_weights
 from repro.metablocking.weights import WeightingScheme
@@ -30,23 +29,34 @@ __all__ = ["WNPResult", "sweep_wnp"]
 
 @dataclass(frozen=True, slots=True)
 class WNPResult:
-    """Outcome of a (I-)WNP invocation on one profile's candidate list."""
+    """Outcome of I-WNP on one profile's candidate list: the kept
+    comparisons, and one weighting operation per candidate."""
 
     kept: tuple[WeightedComparison, ...]
-    pruned: int
     weighting_cost_units: int
 
-    @property
-    def total_candidates(self) -> int:
-        return len(self.kept) + self.pruned
 
-
-def _prune_below_average(
-    pid_x: int, candidates: list[int], weights: list[float]
+def sweep_wnp(
+    collection: BlockCollection,
+    pid_x: int,
+    scheme: WeightingScheme | None = None,
+    *,
+    beta: float | None = None,
+    source: int | None = None,
 ) -> WNPResult:
-    """The WNP pruning rule: keep comparisons at or above the local average."""
+    """I-WNP: weigh the candidates of ``pid_x`` and prune below-average ones.
+
+    Fuses candidate generation (with optional block ghosting ``beta``) and
+    weighting into one pass over ``pid_x``'s block index (see
+    :func:`~repro.metablocking.sweep.sweep_candidate_weights`), then keeps
+    the comparisons whose weight is at least the average over the candidate
+    list, in candidate order, each as a canonical pair.
+    """
+    candidates, weights = sweep_candidate_weights(
+        collection, pid_x, scheme, beta=beta, source=source
+    )
     if not weights:
-        return WNPResult(kept=(), pruned=0, weighting_cost_units=0)
+        return WNPResult(kept=(), weighting_cost_units=0)
     average = sum(weights) / len(weights)
     comparison = WeightedComparison
     kept = tuple(
@@ -58,31 +68,4 @@ def _prune_below_average(
             if weight >= average
         ]
     )
-    return WNPResult(
-        kept=kept,
-        pruned=len(weights) - len(kept),
-        weighting_cost_units=len(weights),
-    )
-
-
-def sweep_wnp(
-    collection: BlockingSubstrate,
-    pid_x: int,
-    valid_partner: Callable[[int], bool] | None,
-    scheme: WeightingScheme | None = None,
-    *,
-    beta: float | None = None,
-    source: int | None = None,
-) -> WNPResult:
-    """I-WNP: weigh the candidates of ``pid_x`` and prune below-average ones.
-
-    Fuses candidate generation (with optional block ghosting ``beta``) and
-    weighting into one pass over ``pid_x``'s block index, then keeps the
-    comparisons whose weight is at least the average over the candidate
-    list.  ``valid_partner=None`` skips the per-candidate filter (see
-    :func:`~repro.metablocking.sweep.sweep_candidate_weights`).
-    """
-    candidates, weights = sweep_candidate_weights(
-        collection, pid_x, valid_partner, scheme, beta=beta, source=source
-    )
-    return _prune_below_average(pid_x, candidates, weights)
+    return WNPResult(kept=kept, weighting_cost_units=len(weights))

@@ -24,8 +24,8 @@ import copy
 import heapq
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
-from repro.blocking.blocks import Block
-from repro.blocking.substrate import BlockingConfig, BlockingSubstrate
+from repro.blocking.blocks import Block, BlockCollection
+from repro.blocking.substrate import BlockingConfig
 from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -33,7 +33,7 @@ from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.priority.rates import AdaptiveK
-from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
+from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
 __all__ = ["ComparisonGenerator", "GetComparisons", "IncrPrioritization", "PierSystem"]
 
@@ -61,12 +61,11 @@ class ComparisonGenerator:
         self.scheme = scheme or CommonBlocksScheme()
 
     def generate(
-        self, collection: BlockingSubstrate, profile: EntityProfile
+        self, collection: BlockCollection, profile: EntityProfile
     ) -> tuple[tuple[WeightedComparison, ...], int]:
         result = sweep_wnp(
             collection,
             profile.pid,
-            None,
             self.scheme,
             beta=self.beta,
             source=profile.source if collection.clean_clean else None,
@@ -143,7 +142,7 @@ class GetComparisons:
 
     Finding the block to revisit costs what grew.  Eligible blocks wait in
     a min-heap of ``(size, key)``; when it runs dry it is refilled from the
-    substrate's growth feed (:meth:`BlockingSubstrate.drain_grown`), never
+    substrate's growth feed (:meth:`BlockCollection.drain_grown`), never
     from a scan of the collection.  Nothing is missed: the heap only runs
     dry after every block that was eligible at the last refill has been
     drained to its then-current size, so a block that is eligible now has
@@ -180,7 +179,7 @@ class GetComparisons:
             return False
         return size > sum(self._cursor.get(block.key, ()))
 
-    def _pop_smallest(self, collection: BlockingSubstrate):
+    def _pop_smallest(self, collection: BlockCollection):
         """Smallest eligible block, or ``None``."""
         while True:
             heap = self._heap
@@ -212,7 +211,7 @@ class GetComparisons:
             self._heap = eligible
 
     def next_batch(
-        self, collection: BlockingSubstrate, executed: Container[tuple[int, int]]
+        self, collection: BlockCollection, executed: Container[tuple[int, int]]
     ) -> tuple[list[tuple[int, int]], list[float]] | None:
         """Drain the next eligible block.
 
@@ -383,8 +382,6 @@ class PierSystem(ERSystem):
         ER task kind (drives candidate generation inside blocks).
     max_block_size:
         Incremental block-purging threshold.
-    costs:
-        Virtual cost parameters.
     adaptive_k:
         The ``findK`` controller; a fresh default one if omitted.
     blocking:
@@ -397,11 +394,10 @@ class PierSystem(ERSystem):
         strategy: IncrPrioritization,
         clean_clean: bool = False,
         max_block_size: int | None = 200,
-        costs: PipelineCosts | None = None,
         adaptive_k: AdaptiveK | None = None,
         blocking: BlockingConfig | None = None,
     ) -> None:
-        super().__init__(clean_clean, max_block_size, costs, blocking)
+        super().__init__(clean_clean, max_block_size, blocking)
         self.strategy = strategy
         self.adaptive_k = adaptive_k or AdaptiveK()
         self.name = f"PIER[{strategy.name}]"

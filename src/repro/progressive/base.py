@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.core.increments import Increment
-from repro.streaming.system import EmitResult, ERSystem, PipelineCosts, PipelineStats
+from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
 __all__ = ["BatchProgressiveSystem"]
 
@@ -47,14 +47,13 @@ class BatchProgressiveSystem(ERSystem):
         self,
         clean_clean: bool = False,
         max_block_size: int | None = 200,
-        costs: PipelineCosts | None = None,
         scope: str = "all",
         chunk_size: int = 64,
         blocking: BlockingConfig | None = None,
     ) -> None:
         if scope not in ("all", "last"):
             raise ValueError("scope must be 'all' or 'last'")
-        super().__init__(clean_clean, max_block_size, costs, blocking)
+        super().__init__(clean_clean, max_block_size, blocking)
         self.scope = scope
         self.chunk_size = chunk_size
         self.blocking = blocking  # the LOCAL scope rebuilds its collection from it

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.api import ERSession, EngineOptions
@@ -52,8 +52,9 @@ __all__ = [
 SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: Bumped whenever a checkpoint layout changes (2: the progress recorder
 #: keeps no executed set of its own; 3: incremental systems checkpoint their
-#: ``collection`` and ``profiles`` instead of a blocker object).
-SNAPSHOT_VERSION = 3
+#: ``collection`` and ``profiles`` instead of a blocker object; 4: the
+#: collection interns no block ids and systems pickle no cost table).
+SNAPSHOT_VERSION = 4
 
 #: Every class a tenant snapshot holds, of every system on both blocking
 #: substrates (``tests/test_service.py`` fails when a snapshot meets a class
@@ -77,7 +78,6 @@ SNAPSHOT_CLASSES = frozenset({
     ("repro.resilience.checkpoint", "EngineCheckpoint"),
     ("repro.service.tenant", "TenantConfig"),
     ("repro.service.tenant", "TenantSnapshot"),
-    ("repro.streaming.system", "PipelineCosts"),
 })
 
 
@@ -166,6 +166,12 @@ class TenantSnapshot:
             snapshot.checkpoint, (EngineCheckpoint, type(None))
         ):
             raise ValueError("malformed TenantSnapshot")
+        try:
+            # Unpickling a frozen dataclass skips ``__post_init__``:
+            # rebuilding the config runs its validation.
+            replace(snapshot.config)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid snapshot config: {exc}") from exc
         return snapshot
 
 

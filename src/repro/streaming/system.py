@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.blocking.substrate import BlockingConfig, BlockingSubstrate, make_collection
+from repro.blocking.blocks import BlockCollection
+from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
@@ -71,23 +72,23 @@ class ERSystem:
     Blocking* component: it owns the blocking substrate
     (:attr:`collection`), the pid → profile store behind :attr:`profiles`,
     the comparison store the engines bind to (:attr:`store`) and the cost
-    table, and :meth:`_index` indexes an increment into them.  Subclasses
+    table (:attr:`costs`, one shared class-level constant), and
+    :meth:`_index` indexes an increment into them.  Subclasses
     implement :meth:`ingest`, :meth:`has_work` and :meth:`emit`; the
     remaining hooks have sensible defaults.
     """
 
     name: str = "er-system"
+    costs = PipelineCosts()
     _metrics: MetricsRegistry | None = None
 
     def __init__(
         self,
         clean_clean: bool = False,
         max_block_size: int | None = 200,
-        costs: PipelineCosts | None = None,
         blocking: BlockingConfig | None = None,
     ) -> None:
-        self.costs = costs or PipelineCosts()
-        self.collection: BlockingSubstrate = make_collection(
+        self.collection: BlockCollection = make_collection(
             blocking, clean_clean=clean_clean, max_block_size=max_block_size
         )
         self._profiles: dict[int, EntityProfile] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Container
 
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import BlockCollection
 from repro.core.comparison import canonical_pair
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 
@@ -32,7 +32,7 @@ class FullRescanRefill:
         size = len(block)
         return size >= 2 and size > self._drained_size.get(block.key, 0)
 
-    def _pop_smallest(self, collection: BlockingSubstrate):
+    def _pop_smallest(self, collection: BlockCollection):
         for attempt in range(2):
             while self._heap:
                 size, key = heapq.heappop(self._heap)
@@ -51,7 +51,7 @@ class FullRescanRefill:
         return None
 
     def next_batch(
-        self, collection: BlockingSubstrate, executed: Container[tuple[int, int]]
+        self, collection: BlockCollection, executed: Container[tuple[int, int]]
     ) -> tuple[list[tuple[int, int]], list[float]] | None:
         block = self._pop_smallest(collection)
         if block is None:

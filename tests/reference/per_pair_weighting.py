@@ -12,10 +12,9 @@ below, weights are the scheme's own per-pair definition.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.blocking.blocks import Block
-from repro.blocking.substrate import BlockingSubstrate
+from repro.blocking.blocks import Block, BlockCollection
 from repro.core.comparison import WeightedComparison
 from repro.core.profile import EntityProfile
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
@@ -45,14 +44,14 @@ def block_ghosting(blocks: list[Block], beta: float) -> list[Block]:
 
 
 def reference_candidate_weights(
-    collection: BlockingSubstrate,
+    collection: BlockCollection,
     profile: EntityProfile,
-    valid_partner: Callable[[int], bool],
     scheme: WeightingScheme,
     beta: float,
 ) -> tuple[list[int], list[float]]:
     """The distinct candidates of ``profile`` in first-appearance order over
-    its ghosted blocks, and one ``scheme.weight()`` per candidate."""
+    its ghosted blocks, and one ``scheme.weight()`` per candidate.  On a
+    Clean-Clean collection only the other source's members are partners."""
     blocks = block_ghosting(list(collection.iter_partner_blocks(profile.pid)), beta)
     gathered: list[int] = []
     for block in blocks:
@@ -60,25 +59,20 @@ def reference_candidate_weights(
             partners = block.members(1 - profile.source)
         else:
             partners = tuple(block)
-        gathered.extend(
-            pid for pid in partners if pid != profile.pid and valid_partner(pid)
-        )
+        gathered.extend(pid for pid in partners if pid != profile.pid)
     candidates = list(dict.fromkeys(gathered))
     return candidates, [scheme.weight(collection, profile.pid, pid) for pid in candidates]
 
 
 def reference_generate(
-    collection: BlockingSubstrate,
+    collection: BlockCollection,
     profile: EntityProfile,
-    valid_partner: Callable[[int], bool],
     scheme: WeightingScheme,
     beta: float,
 ) -> tuple[tuple[WeightedComparison, ...], int]:
     """The surviving weighted comparisons of ``profile`` and the number of
     weighting operations (one per distinct candidate)."""
-    candidates, weights = reference_candidate_weights(
-        collection, profile, valid_partner, scheme, beta
-    )
+    candidates, weights = reference_candidate_weights(collection, profile, scheme, beta)
     if not candidates:
         return (), 0
     average = sum(weights) / len(weights)
@@ -91,7 +85,7 @@ def reference_generate(
 
 
 def reference_pair_weights(
-    collection: BlockingSubstrate,
+    collection: BlockCollection,
     pairs: Sequence[tuple[int, int]],
     scheme: WeightingScheme | None = None,
 ) -> list[float]:
@@ -101,15 +95,11 @@ def reference_pair_weights(
 
 
 class ReferenceGenerator:
-    """:func:`reference_generate` in the shape of a strategy's ``generator``:
-    every co-block partner is valid (the gather reads only the other source
-    on Clean-Clean collections)."""
+    """:func:`reference_generate` in the shape of a strategy's ``generator``."""
 
     def __init__(self, beta: float, scheme: WeightingScheme) -> None:
         self.beta = beta
         self.scheme = scheme
 
     def generate(self, collection, profile):
-        return reference_generate(
-            collection, profile, lambda pid: True, self.scheme, self.beta
-        )
+        return reference_generate(collection, profile, self.scheme, self.beta)

@@ -187,17 +187,6 @@ class TestBlockCollection:
         )
         assert collection.total_comparisons() == recomputed
 
-    def test_key_id_dense_interning(self):
-        collection = BlockCollection()
-        collection.add_profile(make_profile(1, "alpha beta"))
-        collection.add_profile(make_profile(2, "beta gamma"))
-        ids = {key: collection.key_id(key) for key in ("alpha", "beta", "gamma")}
-        assert sorted(ids.values()) == [0, 1, 2]
-        # interning is stable: asking again returns the same id
-        assert collection.key_id("beta") == ids["beta"]
-        for key, kid in ids.items():
-            assert collection.get(key).bid == kid
-
     def test_block_count_of_matches_blocks_of(self):
         collection = BlockCollection(max_block_size=3)
         for pid in range(5):
@@ -217,23 +206,6 @@ class TestBlockCollection:
         collection.add_profile(make_profile(11, "aaown0 other"))
         collection.add_profile(make_profile(12, "aaown0 more"))
         assert [block.key for block in collection.iter_partner_blocks(0)] == []
-
-    def test_partner_counts_dirty(self):
-        collection = BlockCollection(max_block_size=None)
-        collection.add_profile(make_profile(1, "alpha beta"))
-        collection.add_profile(make_profile(2, "beta gamma"))
-        collection.add_profile(make_profile(3, "alpha beta gamma"))
-        counts = collection.partner_counts(1)
-        assert counts == {2: 1, 3: 2}
-        assert 1 not in counts
-
-    def test_partner_counts_clean_clean_cross_source(self):
-        collection = BlockCollection(clean_clean=True, max_block_size=None)
-        collection.add_profile(make_profile(1, "alpha beta", source=0))
-        collection.add_profile(make_profile(2, "alpha beta", source=0))
-        collection.add_profile(make_profile(3, "alpha", source=1))
-        counts = collection.partner_counts(1, source=0)
-        assert counts == {3: 1}  # same-source partner 2 excluded
 
     def test_inverse_index_consistency(self):
         collection = BlockCollection(max_block_size=10)
@@ -301,17 +273,6 @@ class TestPurgeReAddInteraction:
         assert collection.is_indexed(0)
         with pytest.raises(ValueError):
             collection.add_profile(make_profile(0, "hub brand-new"))
-
-    def test_purged_key_id_stays_reserved(self):
-        collection = BlockCollection(max_block_size=2)
-        collection.add_profile(make_profile(0, "hub alpha"))
-        hub_id = collection.key_id("hub")
-        for pid in range(1, 4):
-            collection.add_profile(make_profile(pid, "hub"))
-        assert "hub" in collection.purged_keys()
-        assert collection.key_id("hub") == hub_id  # id survives the purge
-        collection.add_profile(make_profile(10, "beta"))
-        assert collection.key_id("beta") > hub_id  # never reissued
 
     def test_comparison_counter_consistent_through_purge_and_readds(self):
         collection = BlockCollection(max_block_size=3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.comparison import Comparison, WeightedComparison, canonical_pair
+from repro.core.comparison import WeightedComparison, canonical_pair
 
 
 class TestCanonicalPair:
@@ -27,38 +27,8 @@ class TestCanonicalPair:
         assert left < right
 
 
-class TestComparison:
-    def test_of_canonicalizes(self):
-        assert Comparison.of(9, 4) == Comparison(4, 9)
-
-    def test_involves(self):
-        comparison = Comparison.of(1, 2)
-        assert comparison.involves(1)
-        assert comparison.involves(2)
-        assert not comparison.involves(3)
-
-    def test_other(self):
-        comparison = Comparison.of(1, 2)
-        assert comparison.other(1) == 2
-        assert comparison.other(2) == 1
-
-    def test_other_rejects_stranger(self):
-        with pytest.raises(ValueError):
-            Comparison.of(1, 2).other(3)
-
-    def test_usable_in_sets(self):
-        assert len({Comparison.of(1, 2), Comparison.of(2, 1)}) == 1
-
-
 class TestWeightedComparison:
-    def test_of_canonicalizes_and_keeps_weight(self):
-        weighted = WeightedComparison.of(9, 4, 3.5)
+    def test_pair_view_and_weight(self):
+        weighted = WeightedComparison(4, 9, 3.5)
         assert weighted.pair == (4, 9)
         assert weighted.weight == 3.5
-
-    def test_tuple_weights_supported(self):
-        weighted = WeightedComparison.of(1, 2, (-3, 1.5))
-        assert weighted.weight == (-3, 1.5)
-
-    def test_comparison_view(self):
-        assert WeightedComparison.of(1, 2, 1.0).comparison() == Comparison(1, 2)

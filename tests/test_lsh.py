@@ -1,8 +1,8 @@
 """Tests for the MinHash-LSH blocking substrate.
 
 Covers the hasher's determinism contract (seeded, hash-seed independent,
-order independent), the :class:`BlockingSubstrate` protocol conformance of
-both substrates, the ``EngineOptions``/CLI threading of the blocking
+order independent), that both substrates are a :class:`BlockCollection`,
+the ``EngineOptions``/CLI threading of the blocking
 knobs, end-to-end engine parity on the LSH substrates, and crash-resume
 bit-identity of LSH state through engine checkpoints.
 """
@@ -22,7 +22,6 @@ from repro.blocking.lsh import LSHBlockCollection, MinHasher
 from repro.blocking.substrate import (
     BLOCKING_SUBSTRATES,
     BlockingConfig,
-    BlockingSubstrate,
     make_collection,
 )
 from repro.cli import build_parser
@@ -89,7 +88,7 @@ class TestMinHasher:
 class TestSubstrateProtocol:
     def test_all_substrates_satisfy_protocol(self):
         for collection in (BlockCollection(), LSHBlockCollection()):
-            assert isinstance(collection, BlockingSubstrate)
+            assert isinstance(collection, BlockCollection)
 
     def test_make_collection_factory(self):
         assert type(make_collection(None)) is BlockCollection
@@ -342,6 +341,7 @@ class TestLSHCrashResume:
 _HASHSEED_SCRIPT = """
 from repro.blocking.lsh import LSHBlockCollection
 from repro.datasets.registry import load_dataset
+from repro.metablocking.sweep import sweep_candidate_weights
 
 dataset = load_dataset("dblp_acm", scale=0.1)
 lsh = LSHBlockCollection(clean_clean=True, bands=16, rows=2, seed=0)
@@ -350,7 +350,7 @@ for profile in dataset.profiles:
 for profile in dataset.profiles[:40]:
     print(profile.pid, lsh.signature_of(profile))
     print(profile.pid, sorted(lsh.blocks_of(profile.pid)))
-    print(profile.pid, sorted(lsh.partner_counts(profile.pid, profile.source).items()))
+    print(profile.pid, sweep_candidate_weights(lsh, profile.pid, source=profile.source))
 print([block.key for block in lsh])
 print(sorted(lsh.drain_metrics().items()))
 """

@@ -29,7 +29,7 @@ class TestComparisonGenerator:
             collection.add_profile(make_profile(pid, text))
         generator = ComparisonGenerator(beta=0.01)  # keep all blocks
         kept, operations = generator.generate(collection, make_profile(1, "alpha beta"))
-        partners = {w.comparison().other(1) for w in kept}
+        partners = {right if left == 1 else left for left, right, _ in kept}
         assert 0 in partners  # strong candidate survives I-WNP
         assert operations >= len(kept)
 
@@ -42,7 +42,7 @@ class TestComparisonGenerator:
             collection.add_profile(make_profile(pid, "common"))
         generator = ComparisonGenerator(beta=1.0)  # only smallest-size blocks
         kept, _ = generator.generate(collection, make_profile(0, "rare common"))
-        partners = {w.comparison().other(0) for w in kept}
+        partners = {right if left == 0 else left for left, right, _ in kept}
         assert partners == {1}  # candidates from 'common' were ghosted away
 
     def test_clean_clean_partners_cross_source(self):
@@ -52,7 +52,7 @@ class TestComparisonGenerator:
         collection.add_profile(make_profile(2, "shared", source=1))
         generator = ComparisonGenerator(beta=0.01)
         kept, _ = generator.generate(collection, make_profile(2, "shared", source=1))
-        partners = {w.comparison().other(2) for w in kept}
+        partners = {right if left == 2 else left for left, right, _ in kept}
         assert partners <= {0, 1}
         assert partners  # found the cross-source candidates
         # Profile 1 shares its block with 0 as well: same source, never paired.

@@ -11,6 +11,9 @@ import pytest
 import repro
 from repro import load_dataset, metablocking, resolve_stream
 from repro.api import EngineOptions, ERSession
+from repro.blocking.blocks import Block, BlockCollection
+from repro.core import comparison
+from repro.core.comparison import WeightedComparison
 from repro.evaluation.recorder import ProgressRecorder
 from repro.execution.core import ExecutionCore
 from repro.execution.push import PushPlan
@@ -23,9 +26,11 @@ from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
 from repro.matching.matcher import Matcher
 from repro.metablocking import sweep, wnp
+from repro.metablocking.wnp import WNPResult
 from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.progressive.base import BatchProgressiveSystem
 from repro.progressive.pbs import PBSSystem
+from repro.progressive.pps import PPSSystem
 from repro.resilience import ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
@@ -80,6 +85,13 @@ RETIRED_NAMES = (
     "IncrementalToken" + "Blocking", "Blocking" + "Costs", "blocking_" + "costs",
     "token_" + "blocking", "process_" + "increment", "_flush_blocking_" + "metrics",
     "comparison_" + "store",
+    # A protocol with one implementation, interning and a co-occurrence
+    # counter nothing read, a filter every caller passed as ``None``, and
+    # the per-scheme sweep variants ``weights_from_counts`` replaced.
+    "BlockingSub" + "strate", "_intern_" + "key", "_key_" + "ids", ".key_" + "id(",
+    "partner_" + "counts", "valid_" + "partner", "finalize_" + "sweep",
+    "sweep_weights_" + "for", "sweep_weight_" + "is_count",
+    "sweep_accumulates_inverse_" + "cardinality",
 )
 
 
@@ -169,11 +181,26 @@ class TestRetiredNames:
             (wnp, "batch_wnp_for_profile"),
             (ERSystem, "comparison_store"),
             (ERSystem, "_flush_blocking_metrics"),
+            (Block, "bid"),
+            (BlockCollection, "key_id"),
+            (BlockCollection, "partner_counts"),
+            (WNPResult, "pruned"),
+            (WNPResult, "total_candidates"),
+            (comparison, "Comparison"),
+            (WeightedComparison, "of"),
+            (WeightedComparison, "comparison"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         for system in (PierSystem(IPES()), IBaseSystem(), PBSSystem()):
             assert not hasattr(system, "blocker"), system.name
         assert "blocking_costs" not in inspect.signature(PierSystem.__init__).parameters
+        # The cost table is a class-level constant of ``ERSystem``.
+        for system_cls in (ERSystem, PierSystem, IBaseSystem, BatchProgressiveSystem,
+                           PBSSystem, PPSSystem):
+            assert "costs" not in inspect.signature(system_cls.__init__).parameters
+        assert "costs" in vars(ERSystem) and "costs" not in vars(PierSystem(IPES()))
+        assert "valid_partner" not in inspect.signature(sweep.sweep_candidate_weights).parameters
+        assert "valid_partner" not in inspect.signature(wnp.sweep_wnp).parameters
         assert "valid_pair" not in inspect.signature(BlockGraph.__init__).parameters
         # Every strategy checkpoints its own index: no ``__dict__`` default.
         assert "snapshot_state" not in vars(IncrPrioritization)

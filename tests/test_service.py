@@ -822,15 +822,34 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_an_old_envelope_is_refused_naming_its_version(version):
     """Version 1 checkpoints carried the progress recorder's own executed
-    set, version 2 a blocker object per incremental system; an envelope
-    that says either is refused, and the refusal names it."""
+    set, version 2 a blocker object per incremental system, version 3 the
+    collection's interned block ids and a cost table per batch system; an
+    envelope that says any of them is refused, and the refusal names it."""
     payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
     blob = SNAPSHOT_MAGIC + version.to_bytes(2, "big") + payload
     with pytest.raises(ValueError, match=f"snapshot version {version} cannot be restored"):
         TenantSnapshot.from_bytes(blob)
+
+
+def test_a_snapshot_with_an_invalid_config_is_refused():
+    """Unpickling a frozen dataclass skips ``__post_init__``: a genuine
+    snapshot whose config was altered past its validation is refused on
+    decode, and over a live connection, as one ``bad-request``."""
+    snapshot = _tenant_snapshot()
+    object.__setattr__(snapshot.config, "kind", "nonsense")
+    blob = snapshot.to_bytes()
+    with pytest.raises(ValueError, match="kind must be"):
+        TenantSnapshot.from_bytes(blob)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.restore("t", blob)
+            assert exc.value.code == "bad-request"
+            assert client.ping()["tenants"] == 0
+            client.shutdown()
 
 
 @pytest.fixture(scope="module")

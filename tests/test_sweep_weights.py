@@ -52,27 +52,22 @@ def _index(dataset: Dataset, max_block_size: int | None) -> BlockCollection:
     return collection
 
 
-def _assert_sweep_is_reference(
-    collection, profile, valid_partner, scheme, beta, source, drop_filter=False
-):
+def _assert_sweep_is_reference(collection, profile, scheme, beta, source):
     """One profile: candidates, order, floats, kept set and cost units.
 
-    ``drop_filter`` hands the sweep ``None`` for the predicate, as
-    ``ComparisonGenerator`` always does: the predicates given here are
-    either always true or cross-source on a sweep that already reads only
-    the other source, so the reference must come out the same.
+    The sweep gets the ``source`` hint on Clean-Clean collections, as
+    ``ComparisonGenerator`` gives it; the reference gathers only the other
+    source's members by itself.
     """
-    predicate = None if drop_filter else valid_partner
     candidates, weights = sweep_candidate_weights(
-        collection, profile.pid, predicate, scheme, beta=beta, source=source
+        collection, profile.pid, scheme, beta=beta, source=source
     )
     assert (candidates, weights) == reference_candidate_weights(
-        collection, profile, valid_partner, scheme, beta
+        collection, profile, scheme, beta
     )
-    kept, operations = reference_generate(collection, profile, valid_partner, scheme, beta)
-    swept = sweep_wnp(collection, profile.pid, predicate, scheme, beta=beta, source=source)
+    kept, operations = reference_generate(collection, profile, scheme, beta)
+    swept = sweep_wnp(collection, profile.pid, scheme, beta=beta, source=source)
     assert swept.kept == kept  # pairs, order, and exact floats
-    assert swept.pruned == operations - len(kept)
     assert swept.weighting_cost_units == operations
     return candidates, weights, kept
 
@@ -98,7 +93,7 @@ class TestSweepBitIdentity:
         checked = 0
         for profile in dataset.profiles[:120]:
             *_, kept = _assert_sweep_is_reference(
-                collection, profile, lambda pid: True, scheme, beta=0.2, source=None
+                collection, profile, scheme, beta=0.2, source=None
             )
             checked += len(kept)
         assert checked > 0  # the fixture produced real candidate lists
@@ -107,12 +102,10 @@ class TestSweepBitIdentity:
     def test_clean_clean_with_source_hint(self, cc_collection, scheme_name):
         dataset, collection = cc_collection
         scheme = make_scheme(scheme_name)
-        sources = {profile.pid: profile.source for profile in dataset.profiles}
         checked = 0
         for profile in dataset.profiles[:120]:
-            valid = lambda pid, s=profile.source: sources[pid] != s
             *_, kept = _assert_sweep_is_reference(
-                collection, profile, valid, scheme, beta=0.2, source=profile.source
+                collection, profile, scheme, beta=0.2, source=profile.source
             )
             checked += len(kept)
         assert checked > 0
@@ -124,11 +117,9 @@ class TestSweepBitIdentity:
         dataset, collection = cc_collection
         scheme = make_scheme(scheme_name)
         sweep_gen = ComparisonGenerator(beta=0.2, scheme=scheme)
-        sources = {profile.pid: profile.source for profile in dataset.profiles}
         for profile in dataset.profiles[:80]:
-            valid = lambda pid, s=profile.source: sources[pid] != s
             assert sweep_gen.generate(collection, profile) == reference_generate(
-                collection, profile, valid, scheme, 0.2
+                collection, profile, scheme, 0.2
             )
 
     @pytest.mark.parametrize("clean_clean", [False, True], ids=["dirty", "clean-clean"])
@@ -181,34 +172,15 @@ class TestSweepBitIdentity:
         dataset, collection = dirty_collection
         scheme = make_scheme("cbs")
         profile = dataset.profiles[0]
-        partners, weights = sweep_candidate_weights(
-            collection, profile.pid, lambda pid: True, scheme
-        )
+        partners, weights = sweep_candidate_weights(collection, profile.pid, scheme)
         assert weights == [scheme.weight(collection, profile.pid, partner) for partner in partners]
 
     def test_sweep_weights_beta_validation(self, dirty_collection):
         _, collection = dirty_collection
         with pytest.raises(ValueError):
-            sweep_candidate_weights(collection, 0, lambda pid: True, beta=0.0)
+            sweep_candidate_weights(collection, 0, beta=0.0)
         with pytest.raises(ValueError):
-            sweep_candidate_weights(collection, 0, lambda pid: True, beta=1.5)
-
-    def test_unknown_scheme_falls_back_to_per_pair(self, dirty_collection):
-        dataset, collection = dirty_collection
-
-        class HalfCBS:
-            name = "half-cbs"
-
-            def weight(self, coll, pid_x, pid_y):
-                return coll.common_blocks(pid_x, pid_y) / 2.0
-
-        scheme = HalfCBS()
-        profile = dataset.profiles[1]
-        partners, weights = sweep_candidate_weights(
-            collection, profile.pid, lambda pid: True, scheme
-        )
-        for partner, weight in zip(partners, weights):
-            assert weight == scheme.weight(collection, profile.pid, partner)
+            sweep_candidate_weights(collection, 0, beta=1.5)
 
 
 # Twelve tokens for up to sixteen profiles: blocks collide, and with
@@ -227,30 +199,28 @@ _generated_profiles = st.lists(
     max_block_size=st.integers(min_value=2, max_value=5),
     beta=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
     scheme_name=st.sampled_from(SCHEME_NAMES),
-    drop_filter=st.booleans(),
+    substrate=st.sampled_from(BLOCKING_SUBSTRATES),
 )
 @settings(max_examples=300, deadline=None)
 def test_sweep_is_reference_on_generated_collections(
-    arrivals, clean_clean, max_block_size, beta, scheme_name, drop_filter
+    arrivals, clean_clean, max_block_size, beta, scheme_name, substrate
 ):
     scheme = make_scheme(scheme_name)
-    collection = BlockCollection(clean_clean=clean_clean, max_block_size=max_block_size)
+    collection = make_collection(
+        BlockingConfig(substrate=substrate, lsh_bands=4, lsh_rows=1),
+        clean_clean=clean_clean,
+        max_block_size=max_block_size,
+    )
     profiles = [
         make_profile(pid, " ".join(sorted(tokens)), source=source if clean_clean else 0)
         for pid, (tokens, source) in enumerate(arrivals)
     ]
     for profile in profiles:
         collection.add_profile(profile)
-    sources = {profile.pid: profile.source for profile in profiles}
     for profile in profiles:
-        if clean_clean:
-            valid = lambda pid, s=profile.source: sources[pid] != s
-        else:
-            valid = lambda pid: True
         candidates, weights, _ = _assert_sweep_is_reference(
-            collection, profile, valid, scheme, beta,
+            collection, profile, scheme, beta,
             source=profile.source if clean_clean else None,
-            drop_filter=drop_filter,
         )
         if scheme_name == "cbs":
             # From the definition, so a defect shared by ``scheme.weight()``
@@ -343,20 +313,18 @@ dataset = load_dataset("dblp_acm", scale=0.1)
 collection = BlockCollection(clean_clean=True, max_block_size=25)
 for profile in dataset.profiles:
     collection.add_profile(profile)
-sources = {profile.pid: profile.source for profile in dataset.profiles}
 for scheme_name in ("cbs", "ecbs", "js", "arcs"):
     scheme = make_scheme(scheme_name)
     for profile in dataset.profiles[:40]:
-        valid = lambda pid, s=profile.source: sources[pid] != s
-        result = sweep_wnp(collection, profile.pid, valid, scheme,
+        result = sweep_wnp(collection, profile.pid, scheme,
                            beta=0.2, source=profile.source)
         for comparison in result.kept:
             print(scheme_name, comparison.left, comparison.right,
                   repr(comparison.weight))
 """
 
-# The batch baselines build their schedules from ``iter(collection)`` and the
-# interned block ids, i.e. from block *creation* order — which followed the
+# The batch baselines build their schedules from ``iter(collection)``, i.e.
+# from block *creation* order — which followed the
 # hash seed until ``BlockCollection.add_profile`` sorted a profile's keys.
 _BASELINE_SCRIPT = """
 from repro.api import ERSession

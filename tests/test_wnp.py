@@ -1,4 +1,4 @@
-"""Tests for WNP / I-WNP comparison cleaning."""
+"""Tests for I-WNP comparison cleaning."""
 
 from __future__ import annotations
 
@@ -17,54 +17,67 @@ def _collection() -> BlockCollection:
     return collection
 
 
+def _partners(result, pid: int) -> set[int]:
+    return {right if left == pid else left for left, right, _ in result.kept}
+
+
 class TestIncrementalWNP:
     def test_prunes_below_average(self):
-        collection = _collection()
-        result = sweep_wnp(collection, 0, None)
-        kept_partners = {c.other(0) for c in (w.comparison() for w in result.kept)}
+        result = sweep_wnp(_collection(), 0)
         # weights: p1=3, p2=1, p3=2 → average 2 → keep p1, p3
-        assert kept_partners == {1, 3}
-        assert result.pruned == 1
+        assert _partners(result, 0) == {1, 3}
+        assert result.weighting_cost_units - len(result.kept) == 1
 
     def test_weights_attached(self):
-        collection = _collection()
-        result = sweep_wnp(collection, 0, lambda pid: pid == 1)
-        assert result.kept[0].weight == 3.0
+        result = sweep_wnp(_collection(), 0)
+        assert {(c.pair, c.weight) for c in result.kept} == {((0, 1), 3.0), ((0, 3), 2.0)}
 
     def test_empty_candidates(self):
-        result = sweep_wnp(_collection(), 0, lambda pid: False)
+        collection = _collection()
+        collection.add_profile(make_profile(4, "omega"))  # shares no block
+        result = sweep_wnp(collection, 4)
         assert result.kept == ()
         assert result.weighting_cost_units == 0
 
     def test_self_candidate_ignored(self):
-        result = sweep_wnp(_collection(), 0, lambda pid: pid == 0)
-        assert result.kept == ()
+        result = sweep_wnp(_collection(), 0)
+        assert 0 not in _partners(result, 0)
 
     def test_duplicate_candidates_collapsed(self):
         """A partner met in three shared blocks is weighted — and charged — once."""
-        collection = _collection()
-        result = sweep_wnp(collection, 0, lambda pid: pid == 1)
+        collection = BlockCollection(max_block_size=None)
+        collection.add_profile(make_profile(0, "alpha beta gamma delta"))
+        collection.add_profile(make_profile(1, "alpha beta gamma"))
+        result = sweep_wnp(collection, 0)
         assert len(result.kept) == 1
         assert result.weighting_cost_units == 1
 
     def test_single_candidate_always_kept(self):
         """A single candidate equals the average and must survive."""
-        result = sweep_wnp(_collection(), 0, lambda pid: pid == 2)
+        collection = BlockCollection(max_block_size=None)
+        collection.add_profile(make_profile(0, "alpha beta gamma delta"))
+        collection.add_profile(make_profile(2, "alpha"))
+        result = sweep_wnp(collection, 0)
         assert len(result.kept) == 1
 
     def test_total_candidates_bookkeeping(self):
-        result = sweep_wnp(_collection(), 0, None)
-        assert result.total_candidates == 3
+        """One weighting operation per distinct candidate, kept or pruned."""
+        result = sweep_wnp(_collection(), 0)
+        assert result.weighting_cost_units == 3
 
 
 class TestBatchWNP:
     def test_gathers_all_coblock_partners(self):
-        collection = _collection()
-        result = sweep_wnp(collection, 0, lambda pid: True)
-        assert result.total_candidates == 3
+        result = sweep_wnp(_collection(), 2)  # p2's one block holds everyone
+        assert result.weighting_cost_units == 3
 
     def test_partner_filter(self):
-        collection = _collection()
-        result = sweep_wnp(collection, 0, lambda pid: pid != 1)
-        partners = {w.comparison().other(0) for w in result.kept}
-        assert 1 not in partners
+        """On Clean-Clean collections the source hint is the partner filter:
+        same-source co-block partners are never candidates."""
+        collection = BlockCollection(clean_clean=True, max_block_size=None)
+        collection.add_profile(make_profile(0, "alpha beta", source=0))
+        collection.add_profile(make_profile(1, "alpha beta", source=0))
+        collection.add_profile(make_profile(2, "alpha", source=1))
+        result = sweep_wnp(collection, 0, source=0)
+        assert _partners(result, 0) == {2}
+        assert result.weighting_cost_units == 1
