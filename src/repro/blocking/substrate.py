@@ -78,10 +78,13 @@ def make_collection(
     """Build the collection a :class:`BlockingConfig` describes.
 
     ``None`` means the default token substrate — callers that never heard
-    of LSH keep working unchanged.
+    of LSH keep working unchanged.  Any name but ``"token"`` and ``"lsh"``
+    raises ``ValueError``.
     """
     if config is None or config.substrate == "token":
         return BlockCollection(clean_clean=clean_clean, max_block_size=max_block_size)
+    if config.substrate != "lsh":
+        raise ValueError(f"unknown substrate {config.substrate!r}")
     from repro.blocking.lsh import LSHBlockCollection
 
     return LSHBlockCollection(

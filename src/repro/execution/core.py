@@ -786,6 +786,9 @@ class ExecutionCore:
             mean_match_cost=mean_cost,
             backlog=self._backlog(state),
             remaining_budget=self.budget - state.clock,
+            next_ingest=(
+                self._ingest_start(state) if state.next_arrival < state.n_arrivals else None
+            ),
         )
 
     def _record_round(

@@ -13,9 +13,9 @@ strategies and the incremental baseline:
   profile, gather candidates from its (block-ghosted) blocks and clean them
   with I-WNP, producing a weighted comparison list.
 * :class:`GetComparisons` — the fallback of Algorithm 2 lines 10-11: when
-  both the increment and the comparison index are empty, pull comparisons
-  from the block collection, smallest block first, so useful work continues
-  while waiting for the next increment.
+  the increment is empty, pull comparisons from the block collection,
+  smallest block first, so useful work continues while waiting for the
+  next increment — in idle time until the index holds a round of ``K``.
 """
 
 from __future__ import annotations
@@ -136,9 +136,10 @@ class GetComparisons:
     add-only contract: a block's per-source member lists only ever append,
     and a purge removes the whole block for good.  Pairs between two old
     members were all enumerated by an earlier drain and are not offered
-    again (strategies refill only once their index has run dry, so every
-    pair offered then has been executed — or was evicted from a bounded
-    index, which is a loss the bound accepts).
+    again (a fill starts on an empty index, so every pair an earlier fill
+    offered has been executed — or was evicted from a bounded index, which
+    is a loss the bound accepts; a pair two blocks of one fill share is
+    filtered from the second).
 
     Finding the block to revisit costs what grew.  Eligible blocks wait in
     a min-heap of ``(size, key)``; when it runs dry it is refilled from the
@@ -211,18 +212,19 @@ class GetComparisons:
             self._heap = eligible
 
     def next_batch(
-        self, collection: BlockCollection, executed: Container[tuple[int, int]]
+        self, collection: BlockCollection, executed: Container[tuple[int, int]], offered: set
     ) -> tuple[list[tuple[int, int]], list[float]] | None:
         """Drain the next eligible block.
 
-        Its new pairs come in canonical order, and ``executed`` (the store's
-        executed set) is the only filter: every pair not in it is offered.
-        Returns ``None`` when no eligible block remains (exhausted), or the
-        offered pairs and their weights as parallel lists otherwise — both
-        empty when every new pair of the block was executed before; one
-        weighting operation per pair.  :attr:`last_scanned` then holds how
-        many pairs were enumerated to find them, :attr:`last_examined` how
-        many grown keys were looked at to find the block.
+        Its new pairs come in canonical order, filtered by ``executed`` (the
+        store's executed set) and by ``offered``, the pairs earlier blocks
+        of the same fill offered, which the offered ones join.  Returns
+        ``None`` when no eligible block remains (exhausted), or the offered
+        pairs and their weights as parallel lists otherwise — both empty
+        when every new pair of the block was filtered; one weighting
+        operation per pair.  :attr:`last_scanned` then holds how many pairs
+        were enumerated to find them, :attr:`last_examined` how many grown
+        keys were looked at to find the block.
         """
         self.last_examined = 0
         block = self._pop_smallest(collection)
@@ -237,7 +239,8 @@ class GetComparisons:
             for pid_x, pid_y in _new_pairs(block, seen, collection.clean_clean)
         ]
         self.last_scanned = len(new)
-        pairs = [pair for pair in new if pair not in executed]
+        pairs = [pair for pair in new if pair not in executed and pair not in offered]
+        offered.update(pairs)
         return pairs, pair_weights(collection, pairs, self.scheme)
 
     # -- checkpoint support ---------------------------------------------
@@ -255,7 +258,7 @@ class IncrPrioritization:
     Algorithm 2's candidate side lives here once, shared by I-PCS and I-PES:
     :meth:`ingest_profiles` generates each new profile's comparisons
     (block ghosting and I-WNP through :attr:`generator`), and
-    :meth:`on_empty_increment` refills a dry index smallest block first
+    :meth:`on_empty_increment` fills the index smallest block first
     (:attr:`refill`).  Both drop pairs already executed, charge the shared
     :class:`PipelineCosts`, count ``strategy.*`` metrics and hand what is
     left to :meth:`offer`.  A strategy built on them supplies only its
@@ -306,18 +309,22 @@ class IncrPrioritization:
         self._count_offered(metrics, self.offer(pairs, weights))
         return cost
 
-    def on_empty_increment(self, system: "PierSystem") -> float:
+    def on_empty_increment(
+        self, system: "PierSystem", target: int = 1, until: float | None = None
+    ) -> float:
         """``updateCmpIndex`` with an empty increment (Alg. 2, l. 10-11).
 
-        Refills only once the index has run dry, and keeps draining blocks
-        until it holds fresh work or nothing is left.
+        Drains blocks while the index holds under ``target`` pairs (1 for an
+        empty increment, ``K`` in idle time) and, once it holds work, until
+        the charged cost reaches ``until``; each pair is offered once.
         """
         metrics = system.metrics
         costs = system.costs
         per_enqueue = costs.per_enqueue
         cost = costs.per_round
-        while not len(self):
-            result = self.refill.next_batch(system.collection, system.store.executed)
+        offered: set[tuple[int, int]] = set()
+        while len(self) < target and (until is None or cost < until or not len(self)):
+            result = self.refill.next_batch(system.collection, system.store.executed, offered)
             if result is None:
                 break
             pairs, weights = result
@@ -429,11 +436,17 @@ class PierSystem(ERSystem):
         return EmitResult(batch=tuple(batch), cost=cost)
 
     def on_idle(self, stats: PipelineStats) -> float | None:
-        cost = self.strategy.on_empty_increment(self)
-        if len(self.strategy) == 0:
-            # Even the refill produced nothing: all work is exhausted.
-            return None
-        return cost
+        # A round of the current K (findK updates it when it is emitted), or of
+        # what the matcher runs by the next ingest start or budget end if less.
+        target, until = self.adaptive_k.value, stats.remaining_budget
+        if stats.next_ingest is not None:
+            gap = stats.next_ingest - stats.now
+            until = gap if until is None else min(until, gap)
+        if until is not None:
+            target = min(target, max(1, int(until / max(stats.mean_match_cost, 1e-9))))
+        cost = self.strategy.on_empty_increment(self, target, until)
+        # An index still empty after the fill: all work is exhausted.
+        return cost if len(self.strategy) else None
 
     def gauges(self) -> dict[str, float]:
         return {

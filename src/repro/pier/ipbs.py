@@ -92,7 +92,10 @@ class IPBS(IncrPrioritization):
         cost += self._consider_refill(system)
         return cost
 
-    def on_empty_increment(self, system: PierSystem) -> float:
+    def on_empty_increment(
+        self, system: PierSystem, target: int = 1, until: float | None = None
+    ) -> float:
+        # Alg. 3's lazy refill at any round size (docs/ALGORITHMS.md).
         return system.costs.per_round + self._consider_refill(system)
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.api import ERSession, EngineOptions
+from repro.blocking.substrate import BlockingConfig
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -168,8 +169,13 @@ class TenantSnapshot:
             raise ValueError("malformed TenantSnapshot")
         try:
             # Unpickling a frozen dataclass skips ``__post_init__``:
-            # rebuilding the config runs its validation.
+            # rebuilding a config runs its validation.  The batch systems
+            # checkpoint the BlockingConfig their LOCAL scope rebuilds from.
             replace(snapshot.config)
+            state = {} if snapshot.checkpoint is None else dict(snapshot.checkpoint.system_state)
+            for value in state.values():
+                if isinstance(value, BlockingConfig):
+                    replace(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid snapshot config: {exc}") from exc
         return snapshot

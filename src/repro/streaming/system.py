@@ -54,6 +54,7 @@ class PipelineStats:
     mean_match_cost: float          # virtual seconds per executed comparison
     backlog: int                    # increments arrived but not yet ingested
     remaining_budget: float | None = None  # virtual seconds left in this run
+    next_ingest: float | None = None  # when the next ingest can start; None once consumed
 
 
 @dataclass(frozen=True, slots=True)

@@ -69,7 +69,9 @@ class PendingScanIPBS(IncrPrioritization):
         cost += self._consider_refill(system)
         return cost
 
-    def on_empty_increment(self, system: PierSystem) -> float:
+    def on_empty_increment(
+        self, system: PierSystem, target: int = 1, until: float | None = None
+    ) -> float:
         return system.costs.per_round + self._consider_refill(system)
 
     def _consider_refill(self, system: PierSystem) -> float:

@@ -103,6 +103,14 @@ class TestSubstrateProtocol:
         assert lsh.max_block_size == 50
         assert (lsh.hasher.bands, lsh.hasher.rows, lsh.hasher.seed) == (4, 3, 9)
 
+    def test_make_collection_refuses_an_unknown_substrate(self):
+        """Only ``"token"`` and ``"lsh"`` name a substrate: a config that got
+        past its validation with any other name builds nothing."""
+        config = BlockingConfig()
+        object.__setattr__(config, "substrate", "nonsense")
+        with pytest.raises(ValueError, match="unknown substrate 'nonsense'"):
+            make_collection(config)
+
     def test_token_substrate_defaults(self):
         collection = BlockCollection()
         collection.add_profile(make_profile(1, "alpha beta"))

@@ -128,42 +128,42 @@ class TestGetComparisons:
     def test_smallest_block_first(self):
         refill = GetComparisons()
         collection = self._collection()
-        pairs, weights = refill.next_batch(collection, set())
+        pairs, weights = refill.next_batch(collection, set(), set())
         assert pairs == [(0, 1)]  # 'small' (size 2) first
         assert weights == [2.0]  # CBS: 'small' and 'big'
 
     def test_progression_through_blocks(self):
         refill = GetComparisons()
         collection = self._collection()
-        refill.next_batch(collection, set())
-        pairs, weights = refill.next_batch(collection, set())
+        refill.next_batch(collection, set(), set())
+        pairs, weights = refill.next_batch(collection, set(), set())
         assert set(pairs) == {(0, 1), (0, 2), (1, 2)}  # 'big'
         assert len(weights) == len(pairs)
 
     def test_exhaustion(self):
         refill = GetComparisons()
         collection = self._collection()
-        refill.next_batch(collection, set())
-        refill.next_batch(collection, set())
-        assert refill.next_batch(collection, set()) is None
+        refill.next_batch(collection, set(), set())
+        refill.next_batch(collection, set(), set())
+        assert refill.next_batch(collection, set(), set()) is None
         assert refill_exhausted(refill, collection)
 
     def test_executed_pairs_filtered(self):
         refill = GetComparisons()
         collection = self._collection()
-        assert refill.next_batch(collection, {(0, 1)}) == ([], [])
+        assert refill.next_batch(collection, {(0, 1)}, set()) == ([], [])
         assert refill.last_scanned == 1
-        pairs, _ = refill.next_batch(collection, {(0, 1), (1, 2)})
+        pairs, _ = refill.next_batch(collection, {(0, 1), (1, 2)}, set())
         assert pairs == [(0, 2)]
 
     def test_grown_blocks_revisited(self):
         refill = GetComparisons()
         collection = self._collection()
-        while refill.next_batch(collection, set()) is not None:
+        while refill.next_batch(collection, set(), set()) is not None:
             pass
         collection.add_profile(make_profile(3, "small"))
         assert not refill_exhausted(refill, collection)
-        pairs, _ = refill.next_batch(collection, set())
+        pairs, _ = refill.next_batch(collection, set(), set())
         assert (0, 3) in pairs and (1, 3) in pairs
 
 

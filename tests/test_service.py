@@ -852,6 +852,29 @@ def test_a_snapshot_with_an_invalid_config_is_refused():
             client.shutdown()
 
 
+def test_a_snapshot_with_an_invalid_blocking_config_is_refused():
+    """PPS-LOCAL checkpoints the ``BlockingConfig`` its resets rebuild the
+    collection from: one altered past its validation is refused on decode,
+    and over a live connection, as one ``bad-request``, instead of
+    resuming into a substrate nobody configured."""
+    session = TenantSession(TenantConfig(tenant_id="t", system="PPS-LOCAL", budget=BUDGET))
+    for i, batch in enumerate(_batches()[:2]):
+        session.ingest(batch, at=float(i))
+    snapshot = session.snapshot()
+    session.close()
+    object.__setattr__(snapshot.checkpoint.system_state["blocking"], "substrate", "nonsense")
+    blob = snapshot.to_bytes()
+    with pytest.raises(ValueError, match="substrate must be one of"):
+        TenantSnapshot.from_bytes(blob)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.restore("t", blob)
+            assert exc.value.code == "bad-request"
+            assert client.ping()["tenants"] == 0
+            client.shutdown()
+
+
 @pytest.fixture(scope="module")
 def live_client():
     with _ServerThread() as server:
