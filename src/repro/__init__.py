@@ -46,7 +46,7 @@ from repro.matching import EditDistanceMatcher, JaccardMatcher, Matcher
 from repro.observability import MetricsRegistry
 from repro.pier import IPBS, IPCS, IPES, PierSystem
 from repro.progressive import BatchERSystem, PBSSystem, PPSSystem
-from repro.resilience import EngineCheckpoint, ResilienceConfig, SimulatedCrash
+from repro.resilience import EngineCheckpoint, ResilienceConfig
 from repro.streaming import RunResult, StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
@@ -84,7 +84,6 @@ __all__ = [
     "PipelinedStreamingEngine",
     "ResilienceConfig",
     "RunResult",
-    "SimulatedCrash",
     "StreamPlan",
     "StreamingEngine",
     "WorkerPool",

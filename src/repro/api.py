@@ -121,8 +121,8 @@ class ERSession:
     workers:
         Shorthand overriding ``engine.workers``.
     resilience:
-        The full resilience knob set (quarantine, shedding, checkpoint
-        cadence), passed through to the engine.
+        The resilience knobs (shedding, checkpoint cadence), passed
+        through to the engine.
     pool:
         An externally owned :class:`~repro.parallel.pool.WorkerPool` to
         score through instead of spawning a session-private fleet.  The
@@ -274,7 +274,6 @@ class ERSession:
         system: str | None = None,
         *,
         resume_from: EngineCheckpoint | None = None,
-        adopt_checkpoint_budget: bool = False,
     ) -> PushRun:
         """Open a push-mode run: feed increments as they arrive.
 
@@ -287,12 +286,8 @@ class ERSession:
         self._require_open("push")
         name = system if system is not None else self.systems[0]
         engine = self.build_engine(self.build_matcher())
-        return engine.open_push(
-            self.build_system(name),
-            self.ground_truth,
-            resume_from=resume_from,
-            adopt_checkpoint_budget=adopt_checkpoint_budget,
-        )
+        system = self.build_system(name)
+        return engine.open_push(system, self.ground_truth, resume_from=resume_from)
 
     def compare(self) -> dict[str, RunResult]:
         """Run every configured system; results keyed in configuration order.

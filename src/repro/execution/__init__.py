@@ -3,15 +3,15 @@
 This package hosts the machinery shared by every engine:
 
 * :class:`~repro.execution.core.ExecutionCore` — the virtual-clock loop:
-  arrival ingestion, budget clamping, quarantine, load shedding,
+  arrival ingestion, budget clamping, load shedding,
   exactly-once dedup, checkpoint cadence, metrics binding, and the
   batched comparison-execution kernel.  The serial
   :class:`~repro.streaming.engine.StreamingEngine` and the two-clock
   :class:`~repro.streaming.pipelined.PipelinedStreamingEngine` are thin
   clock policies over it.
 * :class:`~repro.execution.store.ComparisonStore` — the per-system
-  registry of executed / quarantined comparisons shared by all
-  prioritization strategies.
+  registry of executed comparisons shared by all prioritization
+  strategies.
 
 See ``docs/architecture.md`` for the layer map.
 

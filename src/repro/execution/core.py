@@ -6,18 +6,19 @@ through one loop, :meth:`ExecutionCore._drive`.  They differ *only* in
 when an ingest can start and which clock it charges (the serial engine
 charges every stage to one clock, the pipelined engine overlaps ingestion
 with matching on a second clock).  Everything else — the loop, arrival
-ingestion and exactly-once redelivery dedup, budget clamping, cost-ceiling
-quarantine, load shedding, checkpoint cadence and crash injection, metrics
-preseeding and finalization — lives here, in :class:`ExecutionCore`.
-Engine subclasses implement three small clock hooks
-(:meth:`_ingest_start`, :meth:`_advance_ingest`,
+ingestion and exactly-once redelivery dedup, budget clamping, load
+shedding, checkpoint cadence, metrics preseeding and finalization — lives
+here, in :class:`ExecutionCore`.  Engine subclasses implement three small
+clock hooks (:meth:`_ingest_start`, :meth:`_advance_ingest`,
 :meth:`_ingest_clock_end`) and inherit the rest.
 
-Budget semantics: the budget is a hard deadline on the virtual clock.  A
-comparison whose (deterministic) cost would push the clock past the budget
-is *not* executed and *not* credited to the progress curve — the engine
-charges the remaining time as cut-off work and stops, so no point of the
-reported curve ever lies beyond the budget.
+Budget semantics: the budget is the run's one deadline on the virtual
+clock.  A comparison whose (deterministic) cost would push the clock past
+the budget is *not* executed and *not* credited to the progress curve — the
+engine charges the remaining time as cut-off work and stops, so no point of
+the reported curve ever lies beyond the budget.  A drain's horizon is not a
+deadline but a pause: :meth:`ExecutionCore._drive` returns at the first
+loop top whose clock has reached it, and the next drain resumes there.
 
 Comparison execution has one path, the **batched kernel**.  A matcher is
 pure — scoring never fails and a pair costs exactly its estimate — so each
@@ -35,13 +36,10 @@ one — the kernel charges the round when it runs and scores it off the
 round (see :meth:`ExecutionCore._execute_batch_kernel`).
 
 Resilience semantics (see :mod:`repro.resilience`): increments are delivered
-exactly once (redeliveries deduplicated by id), pathological pairs are
-quarantined into the system's shared
-:class:`~repro.execution.store.ComparisonStore` instead of crashing the
-run, backlog beyond a watermark is shed, and the core can checkpoint at a
-configurable cadence and resume from an
-:class:`~repro.resilience.checkpoint.EngineCheckpoint` with bit-identical
-virtual results.  All of this is off by default
+exactly once (redeliveries deduplicated by id), backlog beyond a watermark
+is shed, and the core can checkpoint at a configurable cadence and resume
+from an :class:`~repro.resilience.checkpoint.EngineCheckpoint` with
+bit-identical virtual results.  All of this is off by default
 (:data:`~repro.resilience.config.DEFAULT_RESILIENCE` changes nothing about
 a run).
 
@@ -64,11 +62,10 @@ from typing import Iterable
 from repro.core.dataset import GroundTruth
 from repro.core.increments import StreamPlan
 from repro.evaluation.recorder import ProgressCurve, ProgressRecorder
-from repro.execution.store import ComparisonStore
 from repro.matching.matcher import KERNEL_COUNTERS, Matcher
 from repro.observability.metrics import MetricsRegistry, PhaseTimer
 from repro.priority.rates import RateEstimator
-from repro.resilience.checkpoint import EngineCheckpoint, SimulatedCrash, plan_token
+from repro.resilience.checkpoint import EngineCheckpoint, plan_token
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.streaming.system import ERSystem, PipelineStats
 
@@ -92,6 +89,8 @@ PRESEEDED_COUNTERS = (
     "engine.idle_rounds",
     "engine.increments_ingested",
     "engine.matches_recorded",
+    # Always 0 (no pair is ever quarantined); kept for its only reader,
+    # benchmarks/ledger/ (workloads.py and layers.py).
     "engine.quarantined_pairs",
     "engine.shed_increments",
     "parallel.fallbacks",
@@ -185,8 +184,8 @@ class ExecutionCore:
         The match function, the virtual-time budget, the prior mean
         comparison cost, and the progress-curve sampling stride.
     resilience:
-        Fault-tolerance knobs (quarantine, shedding, checkpointing); the
-        default changes nothing about a run.
+        Fault-tolerance knobs (shedding, checkpointing); the default
+        changes nothing about a run.
     workers:
         The fleet width the caller asked for.  A run that asked for more
         than one worker but has no ``pool`` scores in-process and counts
@@ -262,7 +261,6 @@ class ExecutionCore:
         system: ERSystem,
         ground_truth: GroundTruth,
         resume_from: EngineCheckpoint | None = None,
-        adopt_checkpoint_budget: bool = False,
     ) -> "PushRun":
         """Open a push-mode run: feed increments, drain to horizons.
 
@@ -271,17 +269,15 @@ class ExecutionCore:
         """
         from repro.execution.push import PushRun
 
-        return PushRun(
-            self,
-            system,
-            ground_truth,
-            resume_from=resume_from,
-            adopt_checkpoint_budget=adopt_checkpoint_budget,
-        )
+        return PushRun(self, system, ground_truth, resume_from=resume_from)
 
-    def _drive(self, state: RunState) -> None:
+    def _drive(self, state: RunState, until: float) -> None:
         """Algorithm 1's loop, for both engines: run until the budget
-        expires or ``state.work_exhausted`` is set.  One iteration is:
+        expires or ``state.work_exhausted`` is set, pausing at the first
+        loop top whose clock has reached ``until``.  The pause cuts nothing:
+        the round in flight has finished, so the clock may stand past
+        ``until``, and the next call resumes the same sequence of rounds.
+        One iteration is:
 
         1. ingest every increment whose ingest can start by ``clock``
            (subject to the system's back-pressure hook), charging ingestion
@@ -298,11 +294,15 @@ class ExecutionCore:
         (:meth:`_ingest_start`) and which clock it charges
         (:meth:`_advance_ingest`).
         """
+        if state.work_exhausted:
+            return  # nothing was fed since the stream and the system ran dry
         system = state.system
         metrics = state.metrics
         budget = self.budget
 
         while state.clock < budget:
+            if state.clock >= until:
+                return  # a pause at the loop-top cut, not a deadline
             # -- 0. resilience bookkeeping at the loop-top cut ----------
             self._loop_top(state)
 
@@ -410,9 +410,7 @@ class ExecutionCore:
         state.scatter_wall_start = pool.scatter_wall_s if pool is not None else 0.0
         state.evictions_start = pool.evictions if pool is not None else 0
 
-        if resume_from is None:
-            state.store.begin_run()
-        else:
+        if resume_from is not None:
             self._check_resumable(resume_from, plan_token(plan))
             metrics.load_state(resume_from.metrics_state)
             system.restore(resume_from.system_state)
@@ -420,10 +418,8 @@ class ExecutionCore:
             state.recorder.restore_state(resume_from.recorder_state)
             state.estimator.restore_state(resume_from.estimator_state)
             # The system restore may have replaced its store wholesale
-            # (default ``__dict__`` walk); rebind and then apply the
-            # checkpoint's authoritative quarantine cut.
+            # (default ``__dict__`` walk): rebind it.
             state.store = system.store
-            state.store.quarantined = set(resume_from.quarantined)
             state.duplicates = set(resume_from.duplicates)
             state.seen_increments = set(resume_from.seen_increments)
             state.next_arrival = resume_from.next_arrival
@@ -431,6 +427,7 @@ class ExecutionCore:
             if self._TRACKS_INGEST_CLOCK:
                 state.ingest_clock = resume_from.ingest_clock
             state.consumed_at = resume_from.consumed_at
+            state.work_exhausted = resume_from.work_exhausted
             state.rounds = resume_from.rounds
             state.ingested = resume_from.ingested
             state.shed = resume_from.shed
@@ -462,7 +459,7 @@ class ExecutionCore:
     # Phase 0: resilience bookkeeping at the loop-top cut
     # ------------------------------------------------------------------
     def _loop_top(self, state: RunState) -> None:
-        """Checkpoint cadence, crash injection, load shedding."""
+        """Checkpoint cadence, load shedding."""
         resilience = self.resilience
         if (
             resilience.checkpoint_every is not None
@@ -471,8 +468,6 @@ class ExecutionCore:
             state.metrics.count("engine.checkpoints_taken")
             self.last_checkpoint = self._take_checkpoint(state)
             state.last_checkpoint_clock = state.clock
-        if resilience.crash_at is not None and state.clock >= resilience.crash_at:
-            raise SimulatedCrash(self.last_checkpoint, state.clock)
         if resilience.shed_watermark is not None:
             due = bisect.bisect_right(state.arrival_times, state.clock, state.next_arrival)
             excess = (due - state.next_arrival) - resilience.shed_watermark
@@ -496,13 +491,13 @@ class ExecutionCore:
             ingest_clock=state.ingest_clock,
             next_arrival=state.next_arrival,
             consumed_at=state.consumed_at,
+            work_exhausted=state.work_exhausted,
             rounds=state.rounds,
             ingested=state.ingested,
             shed=state.shed,
             duplicates_dropped=state.duplicates_dropped,
             seen_increments=frozenset(state.seen_increments),
             duplicates=frozenset(state.duplicates),
-            quarantined=frozenset(state.store.quarantined),
             system_state=state.system.snapshot(),
             matcher_state=state.matcher.snapshot_state(),
             recorder_state=state.recorder.snapshot_state(),
@@ -554,8 +549,7 @@ class ExecutionCore:
 
         Both engines run a round only while ``system.has_work()`` holds.
         The batch executes through the batched kernel under the deadline
-        and quarantine rules; the match clock never exceeds the budget on
-        return.
+        rule; the match clock never exceeds the budget on return.
         """
         metrics = state.metrics
         stats = self._pipeline_stats(state)
@@ -599,11 +593,8 @@ class ExecutionCore:
         finds the first pair that finishes at or past the deadline (costs
         are non-negative, so the sums never decrease).  That pair is cut if
         it would overshoot; one finishing exactly at the deadline still
-        runs and ends the round.  A ``cost_ceiling`` is a filter in front
-        of the plan: pairs whose estimate alone busts it are set aside, and
-        those before the round's end are quarantined, as the oracle meets
-        them.  A round that loses nothing passes its batch, profiles
-        and costs on as they are.
+        runs and ends the round.  A round that loses nothing passes its
+        batch, profiles and costs on as they are.
 
         The accounting of a round has two sides.  The **cost side** needs
         only the estimates and everything later in the run depends on it
@@ -624,37 +615,17 @@ class ExecutionCore:
         profile = state.system.profiles.__getitem__
         profiles = [(profile(pid_x), profile(pid_y)) for pid_x, pid_y in batch]
         costs = matcher.estimate_cost_batch(profiles)
-        ceiling = self.resilience.cost_ceiling
-        over: list[int] = []
-        if ceiling is not None and max(costs) > ceiling:
-            over = [position for position, cost in enumerate(costs) if cost > ceiling]
-            kept = [position for position, cost in enumerate(costs) if cost <= ceiling]
-            emitted_batch = batch
-            batch = [batch[position] for position in kept]
-            profiles = [profiles[position] for position in kept]
-            costs = [costs[position] for position in kept]
-        # clocks[i + 1] is the clock after the i-th surviving pair.
+        # clocks[i + 1] is the clock after the i-th pair.
         clocks = list(accumulate(costs, initial=clock))
-        executed = len(costs)
-        end = emitted  # the original position the round stops at
+        executed = emitted
         cut = False
         stop = bisect.bisect_left(clocks, budget, 1)
         if stop < len(clocks):
-            end = kept[stop - 1] if over else stop - 1
             cut = clocks[stop] > budget
             executed = stop - 1 if cut else stop
             if cut:
-                metrics.count("engine.comparisons_cut_by_deadline", emitted - end)
-        if over:
-            # Pathological pairs: estimated cost alone busts the ceiling.
-            # Quarantine (count, never execute) instead of starving the run.
-            quarantine = state.store.quarantine
-            reached = over[: bisect.bisect_left(over, end)]
-            for pid_x, pid_y in map(emitted_batch.__getitem__, reached):
-                quarantine((min(pid_x, pid_y), max(pid_x, pid_y)))
-            if reached:
-                metrics.count("engine.quarantined_pairs", len(reached))
-        if executed < len(costs):
+                metrics.count("engine.comparisons_cut_by_deadline", emitted - executed)
+        if executed < emitted:
             batch = batch[:executed]
             profiles = profiles[:executed]
             costs = costs[:executed]
@@ -848,7 +819,6 @@ class ExecutionCore:
         )
         details = dict(state.system.describe())
         details["resilience"] = {
-            "quarantined_pairs": tuple(sorted(state.store.quarantined)),
             "shed_increments": state.shed,
             "duplicate_increments_dropped": state.duplicates_dropped,
             "checkpoints_taken": metrics.counter("engine.checkpoints_taken"),

@@ -14,10 +14,13 @@ virtual budget the tenant may burn next.
   increment fed so far; :meth:`PushRun.feed` appends a prepared
   :class:`~repro.core.increments.Increment` with its own index;
 * :meth:`PushRun.drain` advances the engine's virtual clock to an absolute
-  *horizon* — the engine's ``_drive`` policy executes exactly as it would
-  inside ``run()``, with the horizon playing the role of the budget
-  deadline (deadline cuts at a horizon are real cuts: raising the horizon
-  later does not un-cut them);
+  *horizon* — the engine's ``_drive`` loop executes exactly as it would
+  inside ``run()`` and pauses at the first loop top whose clock has reached
+  the horizon.  The horizon is a pause, not a deadline: the round in
+  flight finishes (so the clock may stand past the horizon), nothing is
+  cut, and the next drain resumes the same sequence of rounds.  The
+  engine's budget is the run's only deadline, so once increments are fed,
+  where the drains fall changes nothing;
 * :meth:`PushRun.results` finalizes the run into the usual
   :class:`~repro.execution.core.RunResult` and closes the push run.
 
@@ -83,20 +86,14 @@ class PushRun:
     ----------
     engine:
         The :class:`~repro.execution.core.ExecutionCore` policy instance
-        (serial or pipelined) executing this run.  The push run owns the
-        engine's ``budget`` attribute for its lifetime: every drain sets it
-        to the drain horizon.
+        (serial or pipelined) executing this run.  Its ``budget`` is the
+        run's one deadline; drains pause before it, never cut.
     system / ground_truth:
         As in ``engine.run``.
     resume_from:
         Restore this checkpoint on the first drain, after the arrivals fed
-        by then — the checkpoint's plan fingerprint must match them.
-    adopt_checkpoint_budget:
-        With ``True``, the restore adopts the checkpoint's budget as the
-        engine budget (the service's tenant-migration mode, where drains
-        move the horizon afterwards anyway).  The default keeps the
-        engine's configured budget and therefore the classic strict
-        budget-match check.
+        by then — the checkpoint's plan fingerprint must match them, and
+        its budget the engine's.
     """
 
     def __init__(
@@ -105,13 +102,11 @@ class PushRun:
         system: "ERSystem",
         ground_truth: "GroundTruth",
         resume_from: EngineCheckpoint | None = None,
-        adopt_checkpoint_budget: bool = False,
     ) -> None:
         self._engine = engine
         self._system = system
         self._ground_truth = ground_truth
         self._resume_from = resume_from
-        self._adopt_checkpoint_budget = adopt_checkpoint_budget
         self.plan = PushPlan()
         self._state: "RunState | None" = None
         self._horizon: float | None = None
@@ -243,11 +238,13 @@ class PushRun:
     def drain(self, until: float) -> float:
         """Advance the run's virtual clock to the absolute horizon ``until``.
 
-        The horizon is a hard virtual-time deadline, exactly like the
-        classic budget: work that cannot finish by it is cut, not deferred.
-        Horizons must be non-decreasing across drains; a drain to the
-        current horizon (or behind the clock) is a no-op.  Returns the
-        clock after draining.
+        The horizon is a pause: the drive returns at the first loop top
+        whose clock has reached it, after the round in flight has finished,
+        so the returned clock may lie past ``until``.  Nothing is cut at a
+        horizon; only the engine's budget cuts work, and a horizon past it
+        drains to the budget.  Horizons must be non-decreasing across
+        drains; a drain to the current horizon (or behind the clock) is a
+        no-op.  Returns the clock after draining.
         """
         self._require_unfinished("drain")
         if not until > 0.0:
@@ -258,12 +255,11 @@ class PushRun:
             )
         state = self._ensure_state()
         self._horizon = until
-        self._engine.budget = until
         # However the drive ends — horizon, exhaustion, a crash, an
         # interrupt — the scores it is still owed are collected before the
         # drain returns: a hand-off to the worker fleet never outlives it.
         try:
-            self._engine._drive(state)
+            self._engine._drive(state, until)
         except BaseException:
             # The drive's exception is the one to report: a join that fails
             # on top of it has still settled every charged pair.
@@ -285,12 +281,8 @@ class PushRun:
 
     def _ensure_state(self) -> "RunState":
         if self._state is None:
-            engine = self._engine
-            resume_from = self._resume_from
-            if resume_from is not None and self._adopt_checkpoint_budget:
-                engine.budget = resume_from.budget
-            self._state = engine._setup(
-                self._system, self.plan, self._ground_truth, resume_from
+            self._state = self._engine._setup(
+                self._system, self.plan, self._ground_truth, self._resume_from
             )
             self._resume_from = None
         return self._state
@@ -304,8 +296,8 @@ class PushRun:
         Drains always stop at the engine loop's top-of-iteration cut, so a
         checkpoint taken here has the same consistency guarantee as the
         cadence-driven ones: no comparison half-charged, no increment
-        half-ingested.  The checkpoint's ``budget`` records the current
-        drain horizon.
+        half-ingested.  The checkpoint's ``budget`` is the engine's budget,
+        whatever the drain horizon.
         """
         self._require_unfinished("checkpoint")
         state = self._ensure_state()

@@ -2,20 +2,17 @@
 
 An :class:`EngineCheckpoint` captures everything a streaming engine needs to
 resume a run exactly where it left off: the loop position (clocks, stream
-cursor, round count), the exactly-once bookkeeping (seen increment ids,
-executed duplicates, quarantined pairs), and deep snapshots of every
-stateful component — the ER system, the matcher, the progress recorder,
-the arrival-rate estimator, and the metrics registry.
+cursor, round count, whether the run ran dry), the exactly-once
+bookkeeping (seen increment ids, executed duplicates), and deep snapshots
+of every stateful component — the ER system, the matcher, the progress
+recorder, the arrival-rate estimator, and the metrics registry.
 
 Checkpoints are taken at the *top* of the engine loop, so they are
 consistent cuts: no comparison is half-charged, no increment half-ingested.
 A run resumed from a checkpoint therefore produces byte-identical virtual
 results (progress curve, duplicates, counters) to the uninterrupted run —
-the property the crash-resume tests pin down.
-
-:class:`SimulatedCrash` is the deterministic crash injector's exception; it
-carries the latest checkpoint (or ``None`` if none was taken yet) so callers
-can restart without any out-of-band state.
+the property the crash-resume tests pin down (their crash injector lives in
+``tests/reference/crash.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.increments import StreamPlan
 
-__all__ = ["EngineCheckpoint", "SimulatedCrash", "plan_token"]
+__all__ = ["EngineCheckpoint", "plan_token"]
 
 
 def plan_token(plan: StreamPlan) -> int:
@@ -67,33 +64,15 @@ class EngineCheckpoint:
     ingest_clock: float | None
     next_arrival: int
     consumed_at: float | None
+    work_exhausted: bool                          # ran dry: a drain has nothing to do
     rounds: int
     ingested: int
     shed: int
     duplicates_dropped: int
     seen_increments: frozenset[int]
     duplicates: frozenset[tuple[int, int]]
-    quarantined: frozenset[tuple[int, int]]
     system_state: dict
     matcher_state: dict
     recorder_state: dict
     estimator_state: tuple
     metrics_state: dict
-
-
-class SimulatedCrash(RuntimeError):
-    """Raised by the deterministic crash injector (``crash_at``).
-
-    Carries the latest :class:`EngineCheckpoint` (``None`` if the crash hit
-    before the first checkpoint) and the virtual time of the crash, so a
-    caller can resume with ``engine.run(..., resume_from=crash.checkpoint)``.
-    """
-
-    def __init__(self, checkpoint: EngineCheckpoint | None, clock: float) -> None:
-        if checkpoint is None:
-            detail = "no checkpoint taken"
-        else:
-            detail = f"latest checkpoint at t={checkpoint.clock:.6g}"
-        super().__init__(f"simulated crash at virtual t={clock:.6g} ({detail})")
-        self.checkpoint = checkpoint
-        self.clock = clock

@@ -13,11 +13,12 @@ pool breaks, the tenant scores in-process from then on, bit-identically,
 and tenants opened later get the server's replacement pool.
 
 Budget model: ``TenantConfig.budget`` is the tenant's total virtual-time
-allowance, exactly the classic engine budget.  Every ingest auto-drains the
-engine to the increment's arrival time (capped at the budget), so matches
-surface progressively; an explicit :meth:`TenantSession.drain` moves the
-horizon further.  Arrivals beyond the budget are refused at admission —
-the virtual stream is over.
+allowance, exactly the classic engine budget, and the run's only deadline.
+Every ingest auto-drains the engine to the increment's arrival time (capped
+at the budget), so matches surface progressively; an explicit
+:meth:`TenantSession.drain` moves the horizon further.  A horizon is a
+pause, never a cut (see :mod:`repro.execution.push`).  Arrivals beyond the
+budget are refused at admission — the virtual stream is over.
 
 :class:`TenantSnapshot` is checkpoint/restore (PR 2) lifted to the tenant:
 the engine checkpoint plus the fed arrival log and the tenant's
@@ -54,8 +55,11 @@ SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: Bumped whenever a checkpoint layout changes (2: the progress recorder
 #: keeps no executed set of its own; 3: incremental systems checkpoint their
 #: ``collection`` and ``profiles`` instead of a blocker object; 4: the
-#: collection interns no block ids and systems pickle no cost table).
-SNAPSHOT_VERSION = 4
+#: collection interns no block ids and systems pickle no cost table; 5: a
+#: checkpoint's ``budget`` is the tenant's budget, not the last drain
+#: horizon, it records whether the run ran dry, and no checkpoint or
+#: comparison store carries a quarantine).
+SNAPSHOT_VERSION = 5
 
 #: Every class a tenant snapshot holds, of every system on both blocking
 #: substrates (``tests/test_service.py`` fails when a snapshot meets a class
@@ -178,6 +182,13 @@ class TenantSnapshot:
                     replace(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid snapshot config: {exc}") from exc
+        checkpoint, budget = snapshot.checkpoint, snapshot.config.budget
+        if checkpoint is not None and checkpoint.budget != budget:
+            # A checkpoint records the engine's budget, which a tenant
+            # builds from its config: a mismatch was written by hand.
+            raise ValueError(
+                f"checkpoint budget {checkpoint.budget} does not match the tenant budget {budget}"
+            )
         return snapshot
 
 
@@ -238,11 +249,7 @@ class TenantSession:
         if snapshot is None:
             self._push: PushRun = self._session.push(config.system)
         else:
-            self._push = self._session.push(
-                config.system,
-                resume_from=snapshot.checkpoint,
-                adopt_checkpoint_budget=True,
-            )
+            self._push = self._session.push(config.system, resume_from=snapshot.checkpoint)
             self._push.feed_plan(snapshot.arrivals)
             # Each logged arrival was one accepted ingest of the original
             # tenant; the counter carries over with the log.

@@ -9,9 +9,9 @@ back-pressure on fast streams, initialization stalls of the batch
 adaptations, the adaptive budget of PIER — emerges deterministically and
 reproducibly from one loop, independent of the host machine.
 
-The loop and all policy-free machinery (budget clamping, quarantine, load
-shedding, exactly-once dedup, checkpoint cadence, metrics, and the batched
-matching kernel) live in :class:`~repro.execution.core.ExecutionCore`
+The loop and all policy-free machinery (budget clamping, load shedding,
+exactly-once dedup, checkpoint cadence, metrics, and the batched matching
+kernel) live in :class:`~repro.execution.core.ExecutionCore`
 (see :meth:`~repro.execution.core.ExecutionCore._drive` for its steps);
 this class contributes only the *serial* clock policy: an increment's
 ingest starts at its arrival and charges the one shared clock.  Because

@@ -53,7 +53,7 @@ class PipelineStats:
     input_rate: float | None        # increments per virtual second (EMA)
     mean_match_cost: float          # virtual seconds per executed comparison
     backlog: int                    # increments arrived but not yet ingested
-    remaining_budget: float | None = None  # virtual seconds left in this run
+    remaining_budget: float | None = None  # virtual seconds left before the budget
     next_ingest: float | None = None  # when the next ingest can start; None once consumed
 
 
@@ -93,7 +93,7 @@ class ERSystem:
             blocking, clean_clean=clean_clean, max_block_size=max_block_size
         )
         self._profiles: dict[int, EntityProfile] = {}
-        #: The system's comparison registry (executed set / quarantine).  It
+        #: The system's comparison registry (its executed set).  It
         #: shares the system's lifetime, and ``snapshot``/``restore`` carry
         #: it with the rest of the mutable state.
         self.store = ComparisonStore()

@@ -1,19 +1,16 @@
 """Pair-at-a-time comparison execution: the oracle of the batched kernel.
 
 ``ExecutionCore._execute_batch_kernel`` plans an emission round's deadline
-cut over the round's costs with ``accumulate`` and ``bisect``, sets the
-pairs that bust the cost ceiling aside in front of that plan, and scores
+cut over the round's costs with ``accumulate`` and ``bisect``, and scores
 the surviving prefix in one ``evaluate_batch`` call.  The loop here does
-none of that.  It walks the round's pairs in emission order and, for each
-pair:
+neither.  It walks the round's pairs in emission order and, for each pair:
 
 1. estimates its cost (a batch of one);
-2. quarantines it if that estimate busts the cost ceiling;
-3. cuts the round if the pair cannot finish by the deadline: the time
+2. cuts the round if the pair cannot finish by the deadline: the time
    left is charged, nothing is credited;
-4. charges it and scores it, ``account_costs([cost])`` then
+3. charges it and scores it, ``account_costs([cost])`` then
    ``account_scores(_batch_scores([pair]))``;
-5. records it, and ends the round if it finished exactly at the deadline.
+4. records it, and ends the round if it finished exactly at the deadline.
 
 :class:`ScalarStreamingEngine` and :class:`ScalarPipelinedEngine` run every
 round through this loop.  A run on them must equal the production engine's
@@ -52,7 +49,7 @@ def estimate_pair(matcher, profile_x, profile_y) -> float:
 
 
 def evaluate_pair(matcher, profile_x, profile_y) -> PairOutcome:
-    """One pair, charged and scored on its own (steps 1 and 4)."""
+    """One pair, charged and scored on its own (steps 1 and 3)."""
     pair = [(profile_x, profile_y)]
     cost = estimate_pair(matcher, profile_x, profile_y)
     matcher.account_costs([cost])
@@ -66,16 +63,11 @@ def execute_pairwise(engine, state, batch, match_timer) -> float:
     profiles = state.system.profiles
     metrics = state.metrics
     budget = engine.budget
-    ceiling = engine.resilience.cost_ceiling
     clock = state.clock
     for position, (pid_x, pid_y) in enumerate(batch):
         canonical = (min(pid_x, pid_y), max(pid_x, pid_y))
         profile_x, profile_y = profiles[pid_x], profiles[pid_y]
         cost = estimate_pair(state.matcher, profile_x, profile_y)
-        if ceiling is not None and cost > ceiling:
-            state.store.quarantine(canonical)
-            metrics.count("engine.quarantined_pairs")
-            continue
         if clock + cost > budget:
             metrics.count("engine.comparisons_cut_by_deadline", len(batch) - position)
             match_timer.virtual += budget - clock

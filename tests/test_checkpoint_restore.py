@@ -22,11 +22,12 @@ from repro.pier.ipes import IPES
 from repro.priority.rates import AdaptiveK
 from repro.progressive.pbs import PBSSystem
 from repro.progressive.pps import PPSSystem
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher
+from tests.reference.crash import SimulatedCrash, crash_at
 from tests.reference.stream_faults import FaultSpec, apply_faults
 
 STRATEGY_FACTORIES = {
@@ -67,13 +68,8 @@ def _crash_and_resume(
     """Run to a simulated crash, then resume on fresh engine + system.
 
     ``as_written`` rewrites the checkpoint into an older layout first."""
-    crashing = engine_cls(
-        build_matcher(matcher), budget=BUDGET,
-        resilience=ResilienceConfig(
-            checkpoint_every=CHECKPOINT_EVERY, crash_at=CRASH_AT
-        ),
-    )
-    with pytest.raises(SimulatedCrash) as exc:
+    crashing = engine_cls(build_matcher(matcher), budget=BUDGET, resilience=CADENCE)
+    with crash_at(CRASH_AT), pytest.raises(SimulatedCrash) as exc:
         crashing.run(factory(), plan, truth)
     checkpoint = exc.value.checkpoint
     assert checkpoint is not None, "crash happened before the first checkpoint"
@@ -272,17 +268,14 @@ class TestCrashResumeDeterminism:
         bookkeeping rides in the checkpoint."""
         plan = apply_faults(_plan(small_dblp_acm), FaultSpec.chaos(seed=7)).plan
 
-        def engine(crash_at=None):
-            return StreamingEngine(
-                build_matcher("ED"), budget=BUDGET,
-                resilience=replace(CADENCE, crash_at=crash_at),
-            )
+        def engine():
+            return StreamingEngine(build_matcher("ED"), budget=BUDGET, resilience=CADENCE)
 
         uninterrupted = engine().run(
             PierSystem(IPES()), plan, small_dblp_acm.ground_truth
         )
-        with pytest.raises(SimulatedCrash) as exc:
-            engine(crash_at=CRASH_AT).run(
+        with crash_at(CRASH_AT), pytest.raises(SimulatedCrash) as exc:
+            engine().run(
                 PierSystem(IPES()), plan, small_dblp_acm.ground_truth
             )
         resumed = engine().run(
@@ -357,9 +350,9 @@ class TestCheckpointPlumbing:
         plan = _plan(small_dblp_acm)
         engine = StreamingEngine(
             build_matcher("ED"), budget=BUDGET,
-            resilience=ResilienceConfig(checkpoint_every=100.0, crash_at=1.0),
+            resilience=ResilienceConfig(checkpoint_every=100.0),
         )
-        with pytest.raises(SimulatedCrash) as exc:
+        with crash_at(1.0), pytest.raises(SimulatedCrash) as exc:
             engine.run(PierSystem(IPES()), plan, small_dblp_acm.ground_truth)
         assert exc.value.checkpoint is None
         assert exc.value.clock >= 1.0

@@ -1,10 +1,9 @@
 """Unit tests for the shared :class:`ComparisonStore`.
 
-The store centralizes the executed-set and the quarantine registry for
-every ER system; these tests pin down its lifecycle rules (what survives
-``begin_run``, what a snapshot round-trip restores, what it does with a
-snapshot written when it still carried I-PBS's Bloom filter or counted
-emissions).
+The store is the executed set of every ER system; these tests pin down
+its rules (a pair is claimed once, what a snapshot round-trip restores,
+what it does with a snapshot written when it still carried I-PBS's Bloom
+filter, counted emissions or held a quarantine).
 """
 
 from __future__ import annotations
@@ -24,30 +23,16 @@ def test_mark_executed_claims_exactly_once():
     assert not store.was_executed(1, 3)
 
 
-def test_begin_run_clears_only_quarantine():
-    store = ComparisonStore()
-    store.mark_executed((1, 2))
-    store.quarantine((3, 4))
-    store.begin_run()
-    # Quarantine is per-run state...
-    assert store.quarantined == set()
-    # ...but the executed set shares the system's lifetime.
-    assert store.was_executed(1, 2)
-
-
 def test_snapshot_round_trip():
     store = ComparisonStore()
     store.mark_executed((1, 2))
     store.mark_executed((3, 4))
-    store.quarantine((5, 6))
     state = copy.deepcopy(store.snapshot_state())
 
     store.mark_executed((7, 8))
-    store.quarantine((9, 10))
 
     store.restore_state(state)
     assert store.executed == {(1, 2), (3, 4)}
-    assert store.quarantined == {(5, 6)}
 
 
 def test_snapshot_is_isolated_from_later_mutation():
@@ -59,18 +44,20 @@ def test_snapshot_is_isolated_from_later_mutation():
 
 
 def test_restore_without_bloom_state():
-    """Snapshots carry no filter and no emission counts any more; one
-    written when they did (stray ``"bloom"``, ``"emitted"`` and
-    ``"stale_dequeues"`` entries, whatever they hold) restores all the same."""
+    """Snapshots carry no filter, no emission counts and no quarantine any
+    more; one written when they did (stray ``"bloom"``, ``"emitted"``,
+    ``"stale_dequeues"`` and ``"quarantined"`` entries, whatever they hold)
+    restores all the same."""
     store = ComparisonStore()
     store.mark_executed((1, 2))
     state = store.snapshot_state()
-    assert set(state) == {"executed", "quarantined"}
+    assert set(state) == {"executed"}
     for snapshot in (
         state,
         {**state, "bloom": None},
         {**state, "bloom": {"slices": []}},
         {**state, "emitted": 8, "stale_dequeues": 2},
+        {**state, "quarantined": {(5, 6)}},
     ):
         target = ComparisonStore()
         target.restore_state(snapshot)

@@ -23,11 +23,12 @@ from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.matching.matcher import EditDistanceMatcher
 from repro.parallel import strip_parallel_telemetry
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import pool_or_skip
+from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -71,7 +72,6 @@ def _checkpoint_fingerprint(checkpoint):
         checkpoint.rounds,
         checkpoint.ingested,
         checkpoint.duplicates,
-        checkpoint.quarantined,
         checkpoint.matcher_state,
         checkpoint.recorder_state,
         checkpoint.estimator_state,
@@ -305,9 +305,7 @@ def test_a_failed_gather_drops_no_charged_pair(dataset, plan, failure, monkeypat
 
 def test_a_failed_join_does_not_mask_the_crash(dataset, plan, monkeypatch):
     monkeypatch.setattr(core, "HAND_OFF_PAIRS", 100)
-    pool, engine, run = _pooled_run(
-        dataset, plan, resilience=ResilienceConfig(crash_at=4.0)
-    )
+    pool, engine, run = _pooled_run(dataset, plan)
     try:
         join = engine._join
         in_flight_at_join = []
@@ -322,7 +320,7 @@ def test_a_failed_join_does_not_mask_the_crash(dataset, plan, monkeypatch):
             join(state)
 
         engine._join = join_on_a_closed_pool
-        with pytest.raises(SimulatedCrash):
+        with crash_at(4.0), pytest.raises(SimulatedCrash):
             run.drain(8.0)
         assert in_flight_at_join == [True]
         _assert_every_charged_pair_is_scored(run, pool)

@@ -6,8 +6,8 @@ for all four incremental strategies on both engines:
 * **kernel parity** — a run with the batched matcher kernel is bit-identical
   to one whose rounds run through the pair-at-a-time oracle
   (``tests/reference/scalar_execution.py``): same progress curve,
-  duplicates, clocks, counters and gauges — for ED, JS, and ED under a cost
-  ceiling that quarantines pairs while the deadline cuts rounds;
+  duplicates, clocks, counters and gauges — for ED, and for JS while the
+  deadline cuts rounds;
 * **schema parity** — serial and pipelined runs export the *same* metric
   schema (counter/gauge/phase name sets) on healthy runs, because the core
   preseeds the union surface for both;
@@ -21,11 +21,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher, build_system
+from tests.reference.crash import SimulatedCrash, crash_at
 from tests.reference.scalar_execution import ScalarPipelinedEngine, ScalarStreamingEngine
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
@@ -46,14 +47,11 @@ def plan(small_dblp_acm):
     return make_stream_plan(increments, rate=5.0)
 
 
-#: Kernel-parity cases: ``(matcher, budget, cost ceiling)``.  At 1.47 s JS
-#: is cut mid-round on every PIER strategy; ED under a 6 ms ceiling has
-#: pairs quarantined on every strategy and rounds cut on the PIER ones
-#: (I-BASE runs out of work first).
+#: Kernel-parity cases: ``(matcher, budget)``.  At 1.47 s JS is cut
+#: mid-round on every PIER strategy.
 KERNEL_CASES = {
-    "ED": ("ED", BUDGET, None),
-    "JS": ("JS", 1.47, None),
-    "ED-ceiling": ("ED", BUDGET, 0.006),
+    "ED": ("ED", BUDGET),
+    "JS": ("JS", 1.47),
 }
 
 
@@ -103,18 +101,14 @@ def _comparable(result):
 )
 def test_batched_kernel_bit_identical(dataset, plan, strategy, case, engine_name):
     engine_cls = ENGINES[engine_name]
-    matcher_name, budget, ceiling = KERNEL_CASES[case]
+    matcher_name, budget = KERNEL_CASES[case]
     options = dict(matcher_name=matcher_name, budget=budget)
-    if ceiling is not None:
-        options["resilience"] = ResilienceConfig(cost_ceiling=ceiling)
     batched = _run(engine_cls, dataset, plan, strategy, batch_matching=True, **options)
     scalar = _run(engine_cls, dataset, plan, strategy, batch_matching=False, **options)
     assert _comparable(batched) == _comparable(scalar)
-    # The case reaches the branches it is here for.
+    # The case reaches the branch it is here for.
     counters = batched.details["metrics"]["counters"]
-    if ceiling is not None:
-        assert counters["engine.quarantined_pairs"] > 0
-    if case != "ED" and strategy != "I-BASE":
+    if case == "JS" and strategy != "I-BASE":
         assert counters["engine.comparisons_cut_by_deadline"] > 0
 
 
@@ -159,7 +153,6 @@ def _checkpoint_fingerprint(checkpoint):
         checkpoint.duplicates_dropped,
         checkpoint.seen_increments,
         checkpoint.duplicates,
-        checkpoint.quarantined,
         checkpoint.recorder_state,
         checkpoint.estimator_state,
         _virtual_metrics_state(checkpoint.metrics_state),
@@ -170,9 +163,9 @@ def _crash_checkpoint(engine_cls, dataset, plan, strategy, batch_matching):
     engine = _engine(engine_cls, batch_matching)(
         build_matcher("ED"),
         budget=BUDGET,
-        resilience=ResilienceConfig(checkpoint_every=1.0, crash_at=4.0),
+        resilience=ResilienceConfig(checkpoint_every=1.0),
     )
-    with pytest.raises(SimulatedCrash) as exc:
+    with crash_at(4.0), pytest.raises(SimulatedCrash) as exc:
         engine.run(build_system(strategy, dataset), plan, dataset.ground_truth)
     assert exc.value.checkpoint is not None
     return exc.value.checkpoint

@@ -158,7 +158,7 @@ def _recording(engine_cls):
             self.after_idle: list[tuple[float, float]] = []
             self.fill: float | None = None  # the latest idle round's bound
 
-        def _drive(self, state):
+        def _drive(self, state, until):
             system = state.system
             refill, on_idle = system.strategy.refill, system.on_idle
 
@@ -170,7 +170,7 @@ def _recording(engine_cls):
                 return cost
 
             system.on_idle = noted_on_idle
-            super()._drive(state)
+            super()._drive(state, until)
 
         def _emission_round(self, state):
             self.fill = None

@@ -30,11 +30,12 @@ from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.pier.base import PierSystem
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import make_profile
+from tests.reference.crash import SimulatedCrash, crash_at
 
 
 class TestMinHasher:
@@ -305,14 +306,8 @@ class TestLSHCrashResume:
         uninterrupted = StreamingEngine(
             _build_matcher("JS"), budget=BUDGET, resilience=CADENCE
         ).run(factory(), plan, small_dblp_acm.ground_truth)
-        crashing = StreamingEngine(
-            _build_matcher("JS"),
-            budget=BUDGET,
-            resilience=ResilienceConfig(
-                checkpoint_every=CHECKPOINT_EVERY, crash_at=CRASH_AT
-            ),
-        )
-        with pytest.raises(SimulatedCrash) as exc:
+        crashing = StreamingEngine(_build_matcher("JS"), budget=BUDGET, resilience=CADENCE)
+        with crash_at(CRASH_AT), pytest.raises(SimulatedCrash) as exc:
             crashing.run(factory(), plan, small_dblp_acm.ground_truth)
         checkpoint = exc.value.checkpoint
         assert checkpoint is not None
@@ -330,14 +325,8 @@ class TestLSHCrashResume:
     def test_checkpoint_carries_lsh_state(self, small_dblp_acm):
         plan = _plan(small_dblp_acm)
         factory = _factory("lsh", small_dblp_acm)
-        crashing = StreamingEngine(
-            _build_matcher("JS"),
-            budget=BUDGET,
-            resilience=ResilienceConfig(
-                checkpoint_every=CHECKPOINT_EVERY, crash_at=CRASH_AT
-            ),
-        )
-        with pytest.raises(SimulatedCrash) as exc:
+        crashing = StreamingEngine(_build_matcher("JS"), budget=BUDGET, resilience=CADENCE)
+        with crash_at(CRASH_AT), pytest.raises(SimulatedCrash) as exc:
             crashing.run(factory(), plan, small_dblp_acm.ground_truth)
         checkpoint = exc.value.checkpoint
         collection = checkpoint.system_state["collection"]

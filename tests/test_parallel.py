@@ -31,11 +31,12 @@ from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import ExperimentConfig, _build_matcher, _build_system
 from repro.parallel import WorkerPool, strip_parallel_telemetry
 from repro.parallel.cells import run_cells
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import ShortReplies, make_profile, pool_or_skip
+from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 ENGINES = {"serial": StreamingEngine, "pipelined": PipelinedStreamingEngine}
@@ -108,7 +109,6 @@ def _checkpoint_fingerprint(checkpoint):
         checkpoint.duplicates_dropped,
         checkpoint.seen_increments,
         checkpoint.duplicates,
-        checkpoint.quarantined,
         checkpoint.recorder_state,
         checkpoint.estimator_state,
         metrics_state,
@@ -392,9 +392,9 @@ def test_resume_crosses_worker_counts(dataset, plan, ed_pool):
     engine = StreamingEngine(
         _build_matcher("ED"),
         budget=BUDGET,
-        resilience=ResilienceConfig(checkpoint_every=1.0, crash_at=4.0),
+        resilience=ResilienceConfig(checkpoint_every=1.0),
     )
-    with pytest.raises(SimulatedCrash) as exc:
+    with crash_at(4.0), pytest.raises(SimulatedCrash) as exc:
         engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
     checkpoint = exc.value.checkpoint
     assert checkpoint is not None

@@ -31,7 +31,7 @@ from repro.priority.bounded_pq import BoundedPriorityQueue
 from repro.progressive.base import BatchProgressiveSystem
 from repro.progressive.pbs import PBSSystem
 from repro.progressive.pps import PPSSystem
-from repro.resilience import ResilienceConfig
+from repro.resilience import EngineCheckpoint, ResilienceConfig
 from repro.service import TenantSession
 from repro.streaming.system import EmitResult, ERSystem
 
@@ -92,6 +92,11 @@ RETIRED_NAMES = (
     "partner_" + "counts", "valid_" + "partner", "finalize_" + "sweep",
     "sweep_weights_" + "for", "sweep_weight_" + "is_count",
     "sweep_accumulates_inverse_" + "cardinality",
+    # Knobs only tests set: the cost-ceiling quarantine, the crash injector
+    # (now ``tests/reference/crash.py``), and the restore that adopted a
+    # checkpoint's budget while drain horizons were written into it.
+    "cost_" + "ceiling", "crash_" + "at", "Simulated" + "Crash",
+    "adopt_checkpoint_" + "budget",
 )
 
 
@@ -189,6 +194,11 @@ class TestRetiredNames:
             (comparison, "Comparison"),
             (WeightedComparison, "of"),
             (WeightedComparison, "comparison"),
+            # The cost-ceiling quarantine and its per-run reset.
+            (ComparisonStore, "quarantine"),
+            (ComparisonStore, "quarantined"),
+            (ComparisonStore, "begin_run"),
+            (EngineCheckpoint, "quarantined"),
         ):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         for system in (PierSystem(IPES()), IBaseSystem(), PBSSystem()):

@@ -12,8 +12,7 @@ every run.  Pinned here, beyond that by-construction guarantee:
   non-monotonic horizons);
 * ``results()`` is terminal — further feeds and drains raise;
 * checkpoint/resume across push runs, including the migration shape
-  (``adopt_checkpoint_budget`` + explicit ``start()`` binding the restore
-  to the re-fed arrivals);
+  (explicit ``start()`` binding the restore to the re-fed arrivals);
 * ``session.push()`` is the engine's ``PushRun`` itself, and its
   ``ingest`` numbers increments after every index fed so far, ``feed``
   included.
@@ -89,7 +88,6 @@ def _checkpoint_fingerprint(checkpoint):
         checkpoint.duplicates_dropped,
         checkpoint.seen_increments,
         checkpoint.duplicates,
-        checkpoint.quarantined,
         checkpoint.recorder_state,
         checkpoint.estimator_state,
         state,
@@ -300,7 +298,7 @@ def test_push_checkpoint_resume_is_bit_identical(dataset):
         checkpoint = push.checkpoint()
 
     with _session(dataset) as session:
-        resumed = session.push(resume_from=checkpoint, adopt_checkpoint_budget=True)
+        resumed = session.push(resume_from=checkpoint)
         resumed.feed_plan(session.plan_for("I-PES"))
         resumed.drain(BUDGET)
         assert _comparable(resumed.results()) == expected
@@ -331,7 +329,7 @@ def test_start_binds_restore_before_further_feeds(dataset):
         checkpoint = push.checkpoint()
 
     with _session(dataset) as session:
-        resumed = session.push(resume_from=checkpoint, adopt_checkpoint_budget=True)
+        resumed = session.push(resume_from=checkpoint)
         for at, increment in fed:
             resumed.feed(increment, at=at)
         # Materialize the restore against exactly the re-fed arrivals —

@@ -8,8 +8,8 @@ corrupted profiles.  Pinned here:
 * chaos runs complete on every strategy and both engines, and replay;
 * through ``PushRun.feed`` — the surface a caller numbering its own
   increments uses — every surviving mechanism fires on the PIER strategies
-  (redeliveries dropped, cost-ceiling quarantines, shed increments,
-  checkpoints), and a crash resumed from a checkpoint equals the
+  (redeliveries dropped, shed increments, checkpoints), and a crash
+  (``tests/reference/crash.py``) resumed from a checkpoint equals the
   uninterrupted run.
 """
 
@@ -18,19 +18,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from dataclasses import replace
-
 from repro.api import EngineOptions, ERSession
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
 from repro.pier.ipbs import IPBS
 from repro.pier.ipcs import IPCS
 from repro.pier.ipes import IPES
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import build_matcher, make_profile
+from tests.reference.crash import SimulatedCrash, crash_at
 from tests.reference.stream_faults import FaultSpec, apply_faults
 
 ALL_STRATEGIES = [lambda: PierSystem(IPES()), lambda: PierSystem(IPCS()),
@@ -43,7 +42,6 @@ def _plan(dataset, n=8, rate=5.0, seed=0):
 
 class TestResilienceConfig:
     @pytest.mark.parametrize("fields", [
-        {"cost_ceiling": float("nan")},
         {"checkpoint_every": float("nan")},
         {"shed_watermark": 2.5},
         {"shed_watermark": True},
@@ -55,7 +53,7 @@ class TestResilienceConfig:
             ResilienceConfig(**fields)
 
     def test_accepts_the_boundaries(self):
-        config = ResilienceConfig(cost_ceiling=1e-9, shed_watermark=0, checkpoint_every=1e-9)
+        config = ResilienceConfig(shed_watermark=0, checkpoint_every=1e-9)
         assert config.shed_watermark == 0
 
 
@@ -149,11 +147,7 @@ class TestChaosRuns:
     """A seeded chaos run must complete on every strategy, with the
     resilience counters populated and the whole run replayable."""
 
-    RESILIENCE = ResilienceConfig(
-        cost_ceiling=1.0,
-        shed_watermark=16,
-        checkpoint_every=2.0,
-    )
+    RESILIENCE = ResilienceConfig(shed_watermark=16, checkpoint_every=2.0)
 
     def _chaos_run(self, factory, dataset, engine_cls=StreamingEngine, seed=7):
         plan = _plan(dataset, n=10, rate=5.0)
@@ -200,7 +194,6 @@ class TestChaosRuns:
         assert baseline.duplicates == configured.duplicates
         counters = baseline.details["metrics"]["counters"]
         assert counters["engine.duplicate_increments_dropped"] == 0
-        assert counters["engine.quarantined_pairs"] == 0
         assert counters["engine.shed_increments"] == 0
 
 
@@ -208,12 +201,11 @@ class TestPerturbedStreamThroughPush:
     """The three PIER strategies on both engines, ED, a perturbed stream fed
     increment by increment through ``PushRun.feed``.  The settings make
     every surviving mechanism fire: the stream redelivers increments, a
-    6 ms ceiling binds on this data (as in ``test_engine_parity``), a
     watermark of one due increment sheds under ED's load, and checkpoints
     come every half virtual second."""
 
     BUDGET = 10.0
-    RESILIENCE = ResilienceConfig(cost_ceiling=0.006, shed_watermark=1, checkpoint_every=0.5)
+    RESILIENCE = ResilienceConfig(shed_watermark=1, checkpoint_every=0.5)
     CRASH_AT = 0.8
 
     @staticmethod
@@ -242,20 +234,15 @@ class TestPerturbedStreamThroughPush:
         counters = uninterrupted.details["metrics"]["counters"]
         for counter in (
             "engine.duplicate_increments_dropped",
-            "engine.quarantined_pairs",
             "engine.shed_increments",
             "engine.checkpoints_taken",
         ):
             assert counters[counter] > 0, counter
         resilience = uninterrupted.details["resilience"]
-        assert len(resilience["quarantined_pairs"]) == counters["engine.quarantined_pairs"]
         assert resilience["shed_increments"] == counters["engine.shed_increments"]
 
-        with pytest.raises(SimulatedCrash) as crash:
-            self._run(
-                small_dblp_acm, name, pipelined,
-                resilience=replace(self.RESILIENCE, crash_at=self.CRASH_AT),
-            )
+        with crash_at(self.CRASH_AT), pytest.raises(SimulatedCrash) as crash:
+            self._run(small_dblp_acm, name, pipelined)
         checkpoint = crash.value.checkpoint
         assert checkpoint is not None and checkpoint.clock < self.CRASH_AT
         resumed = self._run(small_dblp_acm, name, pipelined, resume_from=checkpoint)

@@ -780,14 +780,12 @@ def test_snapshots_of_every_system_round_trip_within_the_allow_list():
                 push.feed(increment, at=at)
                 push.drain(at + 0.05)
             blob = TenantSnapshot(
-                TenantConfig(tenant_id="t", system=name), push.checkpoint(),
+                TenantConfig(tenant_id="t", system=name, budget=BUDGET), push.checkpoint(),
                 tuple(push.plan), push.horizon, push.increments_fed,
             ).to_bytes()
             _RecordingUnpickler(blob[len(SNAPSHOT_MAGIC) + 2 :], seen).load()
             restored = TenantSnapshot.from_bytes(blob)
-            resumed = session.push(
-                name, resume_from=restored.checkpoint, adopt_checkpoint_budget=True
-            )
+            resumed = session.push(name, resume_from=restored.checkpoint)
             resumed.feed_plan(restored.arrivals)
             resumed.start()  # binds the checkpoint to the arrivals it was cut at
             for run in (push, resumed):
@@ -822,11 +820,12 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_an_old_envelope_is_refused_naming_its_version(version):
     """Version 1 checkpoints carried the progress recorder's own executed
     set, version 2 a blocker object per incremental system, version 3 the
-    collection's interned block ids and a cost table per batch system; an
+    collection's interned block ids and a cost table per batch system,
+    version 4 a quarantine and the last drain horizon as the budget; an
     envelope that says any of them is refused, and the refusal names it."""
     payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
     blob = SNAPSHOT_MAGIC + version.to_bytes(2, "big") + payload
@@ -865,6 +864,29 @@ def test_a_snapshot_with_an_invalid_blocking_config_is_refused():
     object.__setattr__(snapshot.checkpoint.system_state["blocking"], "substrate", "nonsense")
     blob = snapshot.to_bytes()
     with pytest.raises(ValueError, match="substrate must be one of"):
+        TenantSnapshot.from_bytes(blob)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.restore("t", blob)
+            assert exc.value.code == "bad-request"
+            assert client.ping()["tenants"] == 0
+            client.shutdown()
+
+
+def test_a_snapshot_with_a_forged_budget_is_refused():
+    """A checkpoint records the tenant's budget, whatever the drain
+    horizon, so one that differs from the config's was written by hand: it
+    is refused on decode, and over a live connection, as one
+    ``bad-request`` rather than an internal restore failure."""
+    snapshot = _tenant_snapshot()
+    assert snapshot.checkpoint.budget == snapshot.config.budget == BUDGET
+    assert snapshot.horizon < BUDGET
+    forged = dataclasses.replace(
+        snapshot, checkpoint=dataclasses.replace(snapshot.checkpoint, budget=snapshot.horizon)
+    )
+    blob = forged.to_bytes()
+    with pytest.raises(ValueError, match="does not match the tenant budget"):
         TenantSnapshot.from_bytes(blob)
     with _ServerThread() as server:
         with ServiceClient("127.0.0.1", server.port) as client:

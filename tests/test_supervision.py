@@ -30,11 +30,12 @@ from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import _build_matcher, _build_system
 from repro.parallel import WorkerPoolError, strip_parallel_telemetry
-from repro.resilience import ResilienceConfig, SimulatedCrash
+from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import ShortReplies, pool_or_skip
+from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
 BUDGET = 8.0
@@ -394,7 +395,7 @@ def test_hand_off_does_not_outlive_a_crashed_drain(dataset, plan, monkeypatch):
     try:
         engine = StreamingEngine(
             _build_matcher("ED"), budget=BUDGET, workers=pool.size, pool=pool,
-            resilience=ResilienceConfig(checkpoint_every=3.0, crash_at=4.0),
+            resilience=ResilienceConfig(checkpoint_every=3.0),
         )
         in_flight_at_join = []
         join = StreamingEngine._join
@@ -404,7 +405,7 @@ def test_hand_off_does_not_outlive_a_crashed_drain(dataset, plan, monkeypatch):
             join(engine, state)
 
         monkeypatch.setattr(StreamingEngine, "_join", spy)
-        with pytest.raises(SimulatedCrash) as crash:
+        with crash_at(4.0), pytest.raises(SimulatedCrash) as crash:
             engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
         monkeypatch.setattr(StreamingEngine, "_join", join)
         # [the cadence checkpoint's join, the crashing drain's]: the crash
@@ -437,9 +438,9 @@ def test_crash_resume_across_fault_schedule(dataset, plan, small_hand_offs):
         _fault_in_flight(pool, "kill")
         engine = StreamingEngine(
             _build_matcher("ED"), budget=BUDGET, workers=pool.size, pool=pool,
-            resilience=ResilienceConfig(checkpoint_every=1.0, crash_at=4.0),
+            resilience=ResilienceConfig(checkpoint_every=1.0),
         )
-        with pytest.raises(SimulatedCrash) as crash:
+        with crash_at(4.0), pytest.raises(SimulatedCrash) as crash:
             engine.run(_build_system("I-PES", dataset), plan, dataset.ground_truth)
         checkpoint = crash.value.checkpoint
         assert checkpoint is not None
