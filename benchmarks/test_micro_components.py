@@ -145,22 +145,28 @@ def test_bench_levenshtein_bounded(benchmark):
 
 def test_bench_matcher_js(benchmark, census):
     matcher = JaccardMatcher(0.35)
-    profiles = list(census)[:400]
-    pairs = list(zip(profiles[0::2], profiles[1::2]))
+    lookup = {profile.pid: profile for profile in list(census)[:400]}
+    pids = list(lookup)
+    pairs = list(zip(pids[0::2], pids[1::2]))
 
     def run_matcher():
-        return sum(matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs)))
+        return sum(
+            matcher.evaluate_batch(pairs, lookup, matcher.estimate_cost_batch(pairs, lookup))
+        )
 
     benchmark(run_matcher)
 
 
 def test_bench_matcher_ed(benchmark, census):
     matcher = EditDistanceMatcher(0.7)
-    profiles = list(census)[:200]
-    pairs = list(zip(profiles[0::2], profiles[1::2]))
+    lookup = {profile.pid: profile for profile in list(census)[:200]}
+    pids = list(lookup)
+    pairs = list(zip(pids[0::2], pids[1::2]))
 
     def run_matcher():
-        return sum(matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs)))
+        return sum(
+            matcher.evaluate_batch(pairs, lookup, matcher.estimate_cost_batch(pairs, lookup))
+        )
 
     benchmark(run_matcher)
 

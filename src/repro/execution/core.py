@@ -22,13 +22,13 @@ loop top whose clock has reached it, and the next drain resumes there.
 
 Comparison execution has one path, the **batched kernel**.  A matcher is
 pure — scoring never fails and a pair costs exactly its estimate — so each
-emission round is handled in one pass: its pairs' profiles are looked up
-through the system's read-only ``profiles`` mapping, their costs are
-computed once (``matcher.estimate_cost_batch``), the deadline cut is
-planned over the round's costs in C, and the surviving prefix is scored and
-accounted by a single ``matcher.evaluate_batch(pairs, costs)`` call, which
-returns match flags — the acceleration lever of SPER-style batched
-similarity evaluation.  Its oracle, a pair-at-a-time loop, lives in
+emission round is handled in one pass over its ``(pid, pid)`` tuples, which
+the matcher reads through the system's read-only ``profiles`` mapping: their
+costs are computed once (``matcher.estimate_cost_batch``), the deadline cut
+is planned over the round's costs in C, and the surviving prefix is scored
+and accounted by a single ``matcher.evaluate_batch(pairs, profiles, costs)``
+call, which returns match flags — the acceleration lever of SPER-style
+batched similarity evaluation.  Its oracle, a pair-at-a-time loop, lives in
 ``tests/reference/scalar_execution.py`` (``tests/test_engine_parity.py``
 runs every strategy through both).  With a worker pool — supplied by its
 owner, :class:`~repro.api.ERSession` or the service; the core never starts
@@ -163,10 +163,10 @@ class RunState:
         "duplicates_dropped", "duplicates", "seen_increments",
         "last_checkpoint_clock",
         # Tier A's result-side backlog (see ``_execute_batch_kernel``):
-        # pairs charged but not yet sent anywhere, and the one hand-off the
-        # fleet is scoring, as ``(ticket, pairs)``.  Both are empty at
-        # every join point, so neither is ever part of a checkpoint.
-        "unscored", "in_flight",
+        # pid pairs charged but not yet sent anywhere, the one hand-off the
+        # fleet is scoring, as ``(ticket, pairs)``, and the profiles of both,
+        # looked up when charged.  All are empty at every join point.
+        "unscored", "in_flight", "unscored_profiles",
         # Tier A telemetry, kept OUT of the metrics registry until finalize
         # so mid-run checkpoints (and their fingerprints) stay bit-identical
         # across worker counts.
@@ -403,6 +403,7 @@ class ExecutionCore:
         state.duplicates_dropped = 0
         state.unscored = []
         state.in_flight = None
+        state.unscored_profiles = {}
         state.parallel_rounds = 0
         state.parallel_pairs = 0
         # A fleet was asked for and none was supplied (it could not start).
@@ -581,6 +582,10 @@ class ExecutionCore:
         """Batched execution: plan the deadline cut from estimates, charge
         the surviving prefix, score it in one batch.
 
+        The batch stays the emitted ``(pid, pid)`` tuples up to the recorded
+        duplicates: the matcher reads them through the system's ``profiles``
+        lookup, each pid's profile once per run, and the fleet gets them too.
+
         Bit-identical to the pair-at-a-time oracle in
         ``tests/reference/scalar_execution.py``: a pair costs exactly its
         estimate and scoring never fails, so the clock accumulates the same
@@ -594,7 +599,7 @@ class ExecutionCore:
         are non-negative, so the sums never decrease).  That pair is cut if
         it would overshoot; one finishing exactly at the deadline still
         runs and ends the round.  A round that loses nothing passes its
-        batch, profiles and costs on as they are.
+        batch and costs on as they are.
 
         The accounting of a round has two sides.  The **cost side** needs
         only the estimates and everything later in the run depends on it
@@ -602,19 +607,18 @@ class ExecutionCore:
         curve, which is read off the ground truth): it happens here, in
         the round.  The **result side** — which pairs scored as matches —
         is read by nothing inside a run, so with a worker fleet the scores
-        may arrive later: the round's pairs join ``state.unscored`` and are
-        settled at the next join point (:meth:`_join`).  Without a fleet
-        both sides run back to back, right here, in one
-        ``matcher.evaluate_batch`` call.
+        may arrive later: the round's pairs join ``state.unscored``, their
+        profiles ``state.unscored_profiles`` (PPS-LOCAL drops its store at
+        the next ingest), and are settled at the next join point.  Without
+        a fleet both sides run back to back, in one ``evaluate_batch`` call.
         """
         matcher = state.matcher
         metrics = state.metrics
         budget = self.budget
         clock = state.clock
         emitted = len(batch)
-        profile = state.system.profiles.__getitem__
-        profiles = [(profile(pid_x), profile(pid_y)) for pid_x, pid_y in batch]
-        costs = matcher.estimate_cost_batch(profiles)
+        profiles = state.system.profiles
+        costs = matcher.estimate_cost_batch(batch, profiles)
         # clocks[i + 1] is the clock after the i-th pair.
         clocks = list(accumulate(costs, initial=clock))
         executed = emitted
@@ -627,7 +631,6 @@ class ExecutionCore:
                 metrics.count("engine.comparisons_cut_by_deadline", emitted - executed)
         if executed < emitted:
             batch = batch[:executed]
-            profiles = profiles[:executed]
             costs = costs[:executed]
         match_timer.virtual = reduce(add, costs, match_timer.virtual)
         clock = clocks[executed]
@@ -644,20 +647,20 @@ class ExecutionCore:
             if matches:
                 metrics.count("engine.matches_recorded", matches)
             if self._pool is None:
-                self._record_matches(state, profiles, matcher.evaluate_batch(profiles, costs))
+                self._record_matches(state, batch, matcher.evaluate_batch(batch, profiles, costs))
             else:
                 matcher.account_costs(costs)
-                state.unscored.extend(profiles)
+                state.unscored.extend(batch)
+                state.unscored_profiles.update({pid: profiles[pid] for pair in batch for pid in pair})
                 if len(state.unscored) >= HAND_OFF_PAIRS:
                     self._hand_off(state)
         return clock
 
     @staticmethod
-    def _record_matches(state: RunState, pairs: list, flags: Iterable[bool]) -> None:
+    def _record_matches(state: RunState, pairs: Iterable, flags: Iterable[bool]) -> None:
         """Result side of the engine's accounting: the run's duplicates."""
         duplicates = state.duplicates
-        for profile_x, profile_y in compress(pairs, flags):
-            pid_x, pid_y = profile_x.pid, profile_y.pid
+        for pid_x, pid_y in compress(pairs, flags):
             duplicates.add((min(pid_x, pid_y), max(pid_x, pid_y)))
 
     # ------------------------------------------------------------------
@@ -686,15 +689,15 @@ class ExecutionCore:
                     # a new cache epoch before scoring.  Every drain ends
                     # joined, so the other engine has nothing in the pipes.
                     pool.begin_run(owner=self)
-                state.in_flight = (pool.scatter(pairs), pairs)
+                state.in_flight = (pool.scatter(pairs, state.unscored_profiles), pairs)
                 return
             state.parallel_fallbacks += 1
         self._score_in_process(state, pairs)
 
-    def _score_in_process(self, state: RunState, pairs: list) -> None:
+    def _score_in_process(self, state: RunState, pairs: list[tuple[int, int]]) -> None:
         """Result side of pairs the fleet does not score: same kernel, same
         outcome counts, straight into the master matcher."""
-        similarities = state.matcher._batch_scores(pairs)
+        similarities = state.matcher._batch_scores(pairs, state.unscored_profiles)
         self._record_matches(state, pairs, state.matcher.account_scores(similarities))
 
     def _gather(self, state: RunState) -> None:
@@ -740,6 +743,7 @@ class ExecutionCore:
         if state.unscored:
             self._hand_off(state)
         self._gather(state)
+        state.unscored_profiles = {}
 
     # ------------------------------------------------------------------
     # Shared probes and reporting

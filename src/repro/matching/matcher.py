@@ -16,11 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.profile import EntityProfile
 from repro.matching.similarity import (
-    jaccard_batch,
     levenshtein_myers,
     myers_table,
     normalized_edit_similarity,
@@ -46,6 +45,12 @@ KERNEL_COUNTERS = (
 )
 
 
+#: A batch of comparisons as the engine emits them, and the read-only
+#: pid → profile lookup (``ERSystem.profiles``) they are read through.
+PidPairs = Sequence[tuple[int, int]]
+Profiles = Mapping[int, EntityProfile]
+
+
 @dataclass(frozen=True, slots=True)
 class CostModel:
     """Virtual cost of evaluating one comparison.
@@ -62,12 +67,31 @@ class CostModel:
         return self.base + self.per_unit * units
 
 
+class _PidRecords(dict):
+    """pid → ``derive(profile)``, built by the first lookup that misses (a
+    hit is one dict lookup, no membership test) from the profile read
+    through :attr:`profiles`, which the matcher sets before each batch."""
+
+    __slots__ = ("derive", "profiles")
+
+    def __init__(self, derive: Callable[[EntityProfile], object]) -> None:
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, pid: int) -> object:
+        record = self[pid] = self.derive(self.profiles[pid])
+        return record
+
+
 class Matcher:
     """Base class: thresholded similarity classification with cost accounting.
 
     A matcher is pure: scoring a pair never fails, and a pair costs exactly
     its estimate.  That is what lets the engines plan an emission round's
     deadline cut from estimates and score the surviving prefix as one batch.
+    A batch is the emitted ``(pid, pid)`` tuples plus the system's pid →
+    profile lookup; what a matcher derives from a profile it keeps in a
+    pid-keyed :class:`_PidRecords` named in :attr:`_DERIVED_STATE`.
     Subclasses implement :meth:`estimate_cost_batch` (the virtual cost of
     each pair) and :meth:`_batch_scores` (their similarities).
     """
@@ -93,33 +117,28 @@ class Matcher:
         #: Matchers without a staged kernel leave this empty.
         self.kernel_counts: dict[str, int] = {}
         self._metrics: MetricsRegistry | None = None
+        self._init_derived_state()
 
     # -- hooks ----------------------------------------------------------
     def _init_derived_state(self) -> None:
-        """(Re)build the attributes named in :attr:`_DERIVED_STATE`."""
+        """(Re)build the attributes named in :attr:`_DERIVED_STATE`, empty."""
 
-    def estimate_cost_batch(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
-        """The virtual cost of each pair, never negative; scoring a pair
-        charges exactly this."""
+    def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        """The virtual cost of each ``(pid, pid)`` pair, never negative;
+        scoring a pair charges exactly this."""
         raise NotImplementedError
 
-    def _batch_scores(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
-        """The similarities of a batch of pairs, in order.  Costs are not
-        its business: they come from :meth:`estimate_cost_batch`, once per
-        pair."""
+    def _batch_scores(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        """The similarities of a batch of ``(pid, pid)`` pairs, in order,
+        read off the pids' records.  Costs are not its business: they come
+        from :meth:`estimate_cost_batch`, once per pair."""
         raise NotImplementedError
 
     # -- API ------------------------------------------------------------
     def evaluate_batch(
-        self,
-        pairs: Sequence[tuple[EntityProfile, EntityProfile]],
-        costs: Sequence[float],
+        self, pairs: PidPairs, profiles: Profiles, costs: Sequence[float]
     ) -> list[bool]:
-        """Classify many pairs at once; returns their match flags.
+        """Classify many ``(pid, pid)`` pairs at once; returns their match flags.
 
         ``costs`` are the pairs' :meth:`estimate_cost_batch` values, which
         the caller already holds (it planned the round from them).  The
@@ -130,7 +149,7 @@ class Matcher:
         :meth:`account_scores` when its similarities arrive.
         """
         self.account_costs(costs)
-        return self.account_scores(self._batch_scores(pairs))
+        return self.account_scores(self._batch_scores(pairs, profiles))
 
     def account_costs(self, costs: Sequence[float]) -> None:
         """Cost side of a batch: evaluation count and virtual cost.
@@ -167,11 +186,14 @@ class Matcher:
         self._metrics = registry
 
     def reset_stats(self) -> None:
+        """Zero the counters and empty the pid-keyed records, whose pids
+        are unique only within the dataset of the run that built them."""
         self.comparisons_executed = 0
         self.matches_found = 0
         self.total_cost = 0.0
         for key in self.kernel_counts:
             self.kernel_counts[key] = 0
+        self._init_derived_state()
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
@@ -213,6 +235,7 @@ class JaccardMatcher(Matcher):
     """
 
     name = "JS"
+    _DERIVED_STATE = ("_token_sets",)
 
     def __init__(
         self,
@@ -221,23 +244,29 @@ class JaccardMatcher(Matcher):
     ) -> None:
         super().__init__(threshold, cost_model or CostModel(base=2e-5, per_unit=1e-6))
 
-    def estimate_cost_batch(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
+    def _init_derived_state(self) -> None:
+        self._token_sets: _PidRecords = _PidRecords(EntityProfile.tokens)
+
+    def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        tokens = self._token_sets
+        tokens.profiles = profiles
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
         # ``cost_model.charge`` of the pair's token count, inlined.
-        return [
-            base + per_unit * (len(profile_x.tokens()) + len(profile_y.tokens()))
-            for profile_x, profile_y in pairs
-        ]
+        return [base + per_unit * (len(tokens[x]) + len(tokens[y])) for x, y in pairs]
 
-    def _batch_scores(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
-        return jaccard_batch(
-            [(profile_x.tokens(), profile_y.tokens()) for profile_x, profile_y in pairs]
-        )
+    def _batch_scores(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        """:func:`~repro.matching.similarity.jaccard` of each pair, inlined
+        over the batch: the C-level set intersection counts what the scalar
+        generator sum counts, and the division has the same operands."""
+        tokens = self._token_sets
+        tokens.profiles = profiles
+        return [
+            (common := len(tokens_x & tokens_y)) / (len(tokens_x) + len(tokens_y) - common)
+            if (tokens_x := tokens[x]) and (tokens_y := tokens[y])
+            else 0.0
+            for x, y in pairs
+        ]
 
 
 class _Signature(NamedTuple):
@@ -295,49 +324,44 @@ class EditDistanceMatcher(Matcher):
         self.max_text_length = max_text_length
         self.prefilter_floor = prefilter_floor
         self.kernel_counts = dict.fromkeys(KERNEL_COUNTERS, 0)
-        self._init_derived_state()
 
     def _init_derived_state(self) -> None:
-        self._text_cache: dict[int, _Signature] = {}
+        self._text_cache: _PidRecords = _PidRecords(self._signature)
         # Bit position of each element, assigned as elements are first seen.
         self._gram_bit: dict[str, int] = {}
         self._repeat_bit: dict[tuple[str, int], int] = {}
         self._char_bit: dict[tuple[str, int], int] = {}
 
-    def _prepared(self, profile: EntityProfile) -> _Signature:
-        cached = self._text_cache.get(profile.pid)
-        if cached is None:
-            text = profile.text()[: self.max_text_length]
-            gram_bit, repeat_bit, char_bit = self._gram_bit, self._repeat_bit, self._char_bit
-            grams = Counter(map(str.__add__, text, text[1:]))
-            gram_bits = repeat_bits = char_bits = 0
-            for gram, occurrences in grams.items():
-                gram_bits |= 1 << gram_bit.setdefault(gram, len(gram_bit))
-                for k in range(1, occurrences):
-                    repeat_bits |= 1 << repeat_bit.setdefault((gram, k), len(repeat_bit))
-            for char, occurrences in Counter(text).items():
-                for k in range(occurrences):
-                    char_bits |= 1 << char_bit.setdefault((char, k), len(char_bit))
-            cached = self._text_cache[profile.pid] = _Signature(
-                text, len(grams), gram_bits, repeat_bits, char_bits, myers_table(text)
-            )
-        return cached
+    def _signature(self, profile: EntityProfile) -> _Signature:
+        text = profile.text()[: self.max_text_length]
+        gram_bit, repeat_bit, char_bit = self._gram_bit, self._repeat_bit, self._char_bit
+        grams = Counter(map(str.__add__, text, text[1:]))
+        gram_bits = repeat_bits = char_bits = 0
+        for gram, occurrences in grams.items():
+            gram_bits |= 1 << gram_bit.setdefault(gram, len(gram_bit))
+            for k in range(1, occurrences):
+                repeat_bits |= 1 << repeat_bit.setdefault((gram, k), len(repeat_bit))
+        for char, occurrences in Counter(text).items():
+            for k in range(occurrences):
+                char_bits |= 1 << char_bit.setdefault((char, k), len(char_bit))
+        return _Signature(text, len(grams), gram_bits, repeat_bits, char_bits, myers_table(text))
 
-    def estimate_cost_batch(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
+    def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        """The character product of the full texts, read through
+        ``profiles``: pricing a pair builds no :class:`_Signature`, so a
+        fleet master pays for none of the signatures its workers score."""
+        profile = profiles.__getitem__
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
         return [
-            base + per_unit * (float(profile_x.text_length()) * float(profile_y.text_length()))
-            for profile_x, profile_y in pairs
+            base + per_unit * (float(profile(x).text_length()) * float(profile(y).text_length()))
+            for x, y in pairs
         ]
 
-    def _batch_scores(
-        self, pairs: Sequence[tuple[EntityProfile, EntityProfile]]
-    ) -> list[float]:
-        """The staged funnel, run over the batch in one loop; a pair scores
-        (and counts) the same in any batch, a batch of one included.
+    def _batch_scores(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
+        """The staged funnel, run over the batch in one loop on the pids'
+        :class:`_Signature` records (``_text_cache``); a pair scores (and
+        counts) the same in any batch, a batch of one included.
         Stages run cheapest-first; the first that decides a pair counts it:
 
         1. *short texts* — a text shorter than one bigram has no bigrams,
@@ -357,20 +381,16 @@ class EditDistanceMatcher(Matcher):
            cached table, so the final cell's diagonal starts at the length
            difference and a full scan is the shorter length.
         """
-        cached = self._text_cache.get
-        prepared = self._prepared
+        signatures = self._text_cache
+        signatures.profiles = profiles
         threshold = self.threshold
         slack = 1.0 - threshold
         floor = self.prefilter_floor
         short_texts = prefilter_rejects = length_cuts = qgram_cuts = bag_cuts = dp_calls = 0
         similarities = []
-        for profile_x, profile_y in pairs:
-            text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = (
-                cached(profile_x.pid) or prepared(profile_x)
-            )
-            text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = (
-                cached(profile_y.pid) or prepared(profile_y)
-            )
+        for x, y in pairs:
+            text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = signatures[x]
+            text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = signatures[y]
             if not grams_x or not grams_y:
                 short_texts += 1
                 similarities.append(

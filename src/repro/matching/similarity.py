@@ -12,11 +12,8 @@ textbook dynamic-programming table in ``tests/reference/levenshtein.py``.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 __all__ = [
     "jaccard",
-    "jaccard_batch",
     "dice",
     "levenshtein",
     "myers_table",
@@ -38,26 +35,6 @@ def jaccard(tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[
     intersection = sum(1 for token in tokens_x if token in tokens_y)
     union = len(tokens_x) + len(tokens_y) - intersection
     return intersection / union
-
-
-def jaccard_batch(
-    token_pairs: Iterable[tuple[frozenset[str] | set[str], frozenset[str] | set[str]]],
-) -> list[float]:
-    """Jaccard similarity for a whole batch of token-set pairs.
-
-    Bit-identical to mapping :func:`jaccard` over the pairs: the C-level
-    set intersection produces the same integer count as the scalar
-    generator sum, and the final division uses identical operands — only
-    the per-pair Python interpretation overhead is amortized, which is
-    what makes batched emission rounds fast.
-    """
-    return [
-        (intersection := len(tokens_x & tokens_y))
-        / (len(tokens_x) + len(tokens_y) - intersection)
-        if tokens_x and tokens_y
-        else 0.0
-        for tokens_x, tokens_y in token_pairs
-    ]
 
 
 def dice(tokens_x: frozenset[str] | set[str], tokens_y: frozenset[str] | set[str]) -> float:

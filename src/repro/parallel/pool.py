@@ -10,14 +10,15 @@ never travel, the master charged them from its own estimates when the
 round ran.
 
 A chunk is ``(epoch, profiles this worker has not received this epoch, pid
-pairs)``; a worker that sees a new epoch first drops its profile cache and
-the matcher's pid-keyed derived state, so :meth:`WorkerPool.begin_run` is
-an epoch bump on the master.  Any failure — a dead pipe, a reply of the
-wrong shape, silence past :data:`REPLY_TIMEOUT_S`, an interrupted gather —
-kills every worker and leaves the pool ``broken`` for good: the failing
-hand-off is re-scored in-process on a replica of the same template, later
-ones are the caller's to score.  Nothing respawns; the service replaces a
-broken pool.
+pairs)``, the hand-off's slice shipped as it is and scored against the
+worker's pid → profile dict; a worker that sees a new epoch first drops
+that dict and the matcher's pid-keyed derived state, so
+:meth:`WorkerPool.begin_run` is an epoch bump on the master.  Any failure —
+a dead pipe, a reply of the wrong shape, silence past
+:data:`REPLY_TIMEOUT_S`, an interrupted gather — kills every worker and
+leaves the pool ``broken`` for good: the failing hand-off is re-scored
+in-process on a replica of the same template, later ones are the caller's
+to score.  Nothing respawns; the service replaces a broken pool.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import copy
 import multiprocessing
 import pickle
 import time
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.matcher import Matcher
+    from repro.matching.matcher import Matcher, PidPairs, Profiles
 
 __all__ = ["HANDSHAKE_TIMEOUT_S", "MIN_SHARD", "REPLY_TIMEOUT_S", "WorkerPool", "WorkerPoolError"]
 
@@ -122,16 +124,17 @@ class WorkerPool:
         if self._rescue is not None:
             self._rescue._init_derived_state()
 
-    def batch_scores(self, pairs: Sequence) -> list[float]:
+    def batch_scores(self, pairs: "PidPairs", profiles: "Profiles") -> list[float]:
         """:meth:`scatter` and :meth:`gather` back to back."""
-        return self.gather(self.scatter(pairs))
+        return self.gather(self.scatter(pairs, profiles))
 
-    def scatter(self, pairs: Sequence) -> tuple:
-        """Send one contiguous chunk of ``pairs`` to each worker (the first
-        chunks take the remainder); return the ticket :meth:`gather`
-        redeems.  One hand-off is outstanding at a time, so a pipe never
-        carries traffic both ways.  A failed send breaks the pool (gather
-        then scores in-process); a broken or closed pool raises
+    def scatter(self, pairs: "PidPairs", profiles: "Profiles") -> tuple:
+        """Send one contiguous chunk of the ``(pid, pid)`` ``pairs`` to each
+        worker (the first chunks take the remainder), with only the
+        ``profiles`` it lacks; return the ticket :meth:`gather` redeems.
+        One hand-off is outstanding at a time, so a pipe never carries
+        traffic both ways.  A failed send breaks the pool (gather then
+        scores in-process); a broken or closed pool raises
         :class:`WorkerPoolError`."""
         if self._outstanding is not None:
             raise RuntimeError("the previous hand-off has not been gathered")
@@ -147,22 +150,20 @@ class WorkerPool:
         ]
         try:
             for slot, chunk in chunks:
-                self._connections[slot].send(self._message(slot, chunk))
+                self._connections[slot].send(self._message(slot, chunk, profiles))
         except OSError:
             self._break()
-        self._outstanding = (chunks, time.monotonic() + REPLY_TIMEOUT_S)
+        self._outstanding = (chunks, time.monotonic() + REPLY_TIMEOUT_S, profiles)
         self.scatter_wall_s += time.perf_counter() - started
         return self._outstanding
 
-    def _message(self, slot: int, chunk: Sequence) -> tuple:
+    def _message(self, slot: int, chunk: "PidPairs", profiles: "Profiles") -> tuple:
         """``(epoch, profiles the worker has not received this epoch, pid
         pairs)``."""
         sent = self._sent[slot]
-        fresh = {
-            profile.pid: profile for pair in chunk for profile in pair if profile.pid not in sent
-        }
-        sent.update(fresh)
-        return self._epoch, list(fresh.values()), [(x.pid, y.pid) for x, y in chunk]
+        fresh = set(chain.from_iterable(chunk)).difference(sent)
+        sent |= fresh
+        return self._epoch, [profiles[pid] for pid in fresh], chunk
 
     def gather(self, hand_off: tuple) -> list[float]:
         """The hand-off's similarities in chunk order; from the first
@@ -171,7 +172,7 @@ class WorkerPool:
             raise RuntimeError("not the outstanding hand-off of this pool")
         self._outstanding = None
         started = time.perf_counter()
-        chunks, deadline = hand_off
+        chunks, deadline, profiles = hand_off
         similarities: list[float] = []
         kernel_counts: dict[str, int] = {}
         try:
@@ -180,7 +181,7 @@ class WorkerPool:
                 if not self.broken:
                     reply = self._receive(slot, len(chunk), deadline)
                 if reply is None:
-                    reply = self._score_in_process(chunk)
+                    reply = self._score_in_process(chunk, profiles)
                 similarities.extend(reply[0])
                 for name, value in reply[1].items():
                     kernel_counts[name] = kernel_counts.get(name, 0) + value
@@ -210,11 +211,11 @@ class WorkerPool:
         self._break()
         return None
 
-    def _score_in_process(self, chunk: Sequence) -> tuple:
+    def _score_in_process(self, chunk: "PidPairs", profiles: "Profiles") -> tuple:
         """A chunk scored on a replica of the workers' own template."""
         if self._rescue is None:
             self._rescue = _replica(self._template)
-        return _score(self._rescue, list(chunk))
+        return _score(self._rescue, chunk, profiles)
 
     def _break(self) -> None:
         """Kill every worker; the pool stays ``broken`` for good."""
@@ -265,12 +266,12 @@ def _replica(template: tuple) -> "Matcher":
     return matcher
 
 
-def _score(matcher: "Matcher", pairs: list) -> tuple:
-    """``(similarities, kernel_counts)`` of one chunk."""
+def _score(matcher: "Matcher", pairs: "PidPairs", profiles: "Profiles") -> tuple:
+    """``(similarities, kernel_counts)`` of one chunk of pid pairs."""
     counts = matcher.kernel_counts
     for key in counts:
         counts[key] = 0
-    similarities = matcher._batch_scores(pairs)
+    similarities = matcher._batch_scores(pairs, profiles)
     return similarities, dict(counts)
 
 
@@ -292,8 +293,7 @@ def _worker_main(connection, template: tuple) -> None:  # pragma: no cover - chi
                 matcher._init_derived_state()
             for profile in fresh:
                 profiles[profile.pid] = profile
-            pairs = [(profiles[pid_x], profiles[pid_y]) for pid_x, pid_y in pid_pairs]
-            connection.send(("ok", _score(matcher, pairs)))
+            connection.send(("ok", _score(matcher, pid_pairs, profiles)))
     except (EOFError, OSError):
         pass  # the master closed the pipe
     connection.close()

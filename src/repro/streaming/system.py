@@ -126,9 +126,8 @@ class ERSystem:
     def profiles(self) -> Mapping[int, EntityProfile]:
         """Read-only pid → profile mapping for the classification step.
 
-        The engines read it once per emission round and look every pair's
-        profiles up through it, so it is a live view of the store, not a
-        copy.
+        The engines hand it to the matcher with each round's pid pairs, so
+        it is a live view of the store, not a copy.
         """
         return MappingProxyType(self._profiles)
 

@@ -9,7 +9,7 @@ from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
 
-from tests.reference.scalar_execution import PairOutcome
+from tests.reference.scalar_execution import PairOutcome, by_pid
 
 
 def make_profile(pid: int, text: str, source: int = 0, attr: str = "value") -> EntityProfile:
@@ -35,22 +35,24 @@ def build_system(name: str, dataset: Dataset):
 
 
 def batched_results(matcher, pairs) -> list[PairOutcome]:
-    """One ``matcher.evaluate_batch`` call over ``pairs``, given the costs
-    the engine passes (``estimate_cost_batch``), read back as the oracle's
-    per-pair records (``tests/reference/scalar_execution.py``): flags from
+    """One ``matcher.evaluate_batch`` call over ``pairs`` (profile pairs,
+    handed over by pid), given the costs the engine passes
+    (``estimate_cost_batch``), read back as the oracle's per-pair records
+    (``tests/reference/scalar_execution.py``): flags from
     ``evaluate_batch``, similarities from the one ``_batch_scores`` call it
     makes, costs as passed in."""
-    costs = matcher.estimate_cost_batch(pairs)
+    pid_pairs, profiles = by_pid(pairs)
+    costs = matcher.estimate_cost_batch(pid_pairs, profiles)
     kernel = matcher._batch_scores
     scored: list[float] = []
 
-    def spy(batch):
-        scored.extend(kernel(batch))
+    def spy(batch, lookup):
+        scored.extend(kernel(batch, lookup))
         return scored
 
     matcher._batch_scores = spy
     try:
-        flags = matcher.evaluate_batch(pairs, costs)
+        flags = matcher.evaluate_batch(pid_pairs, profiles, costs)
     finally:
         del matcher._batch_scores
     assert len(scored) == len(flags) == len(costs)

@@ -9,7 +9,7 @@ neither.  It walks the round's pairs in emission order and, for each pair:
 2. cuts the round if the pair cannot finish by the deadline: the time
    left is charged, nothing is credited;
 3. charges it and scores it, ``account_costs([cost])`` then
-   ``account_scores(_batch_scores([pair]))``;
+   ``account_scores(_batch_scores([(pid_x, pid_y)], lookup))``;
 4. records it, and ends the round if it finished exactly at the deadline.
 
 :class:`ScalarStreamingEngine` and :class:`ScalarPipelinedEngine` run every
@@ -29,6 +29,7 @@ __all__ = [
     "PairOutcome",
     "ScalarPipelinedEngine",
     "ScalarStreamingEngine",
+    "by_pid",
     "estimate_pair",
     "evaluate_pair",
     "execute_pairwise",
@@ -43,17 +44,23 @@ class PairOutcome(NamedTuple):
     cost: float
 
 
+def by_pid(pairs) -> tuple[list[tuple[int, int]], dict]:
+    """``(profile, profile)`` pairs as a matcher reads them: the ``(pid,
+    pid)`` tuples and a pid → profile lookup."""
+    lookup = {profile.pid: profile for pair in pairs for profile in pair}
+    return [(profile_x.pid, profile_y.pid) for profile_x, profile_y in pairs], lookup
+
+
 def estimate_pair(matcher, profile_x, profile_y) -> float:
     """The virtual cost of one pair, without executing it."""
-    return matcher.estimate_cost_batch([(profile_x, profile_y)])[0]
+    return matcher.estimate_cost_batch(*by_pid([(profile_x, profile_y)]))[0]
 
 
 def evaluate_pair(matcher, profile_x, profile_y) -> PairOutcome:
     """One pair, charged and scored on its own (steps 1 and 3)."""
-    pair = [(profile_x, profile_y)]
     cost = estimate_pair(matcher, profile_x, profile_y)
     matcher.account_costs([cost])
-    [similarity] = matcher._batch_scores(pair)
+    [similarity] = matcher._batch_scores(*by_pid([(profile_x, profile_y)]))
     [is_match] = matcher.account_scores([similarity])
     return PairOutcome(is_match, similarity, cost)
 

@@ -17,13 +17,13 @@ import random
 import pytest
 
 from repro.core.increments import make_stream_plan, split_into_increments
-from repro.matching.matcher import EditDistanceMatcher
-from repro.matching.similarity import dice, jaccard, jaccard_batch
+from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
+from repro.matching.similarity import dice, jaccard
 from repro.observability.metrics import MetricsRegistry
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import batched_results, build_matcher, build_system, make_profile
+from tests.conftest import batched_results, build_matcher, build_system, by_pid, make_profile
 from tests.reference.scalar_execution import estimate_pair, evaluate_pair
 
 
@@ -51,7 +51,8 @@ def _run_batched(matcher, pairs):
 
 
 def _evaluate_batch(matcher, pairs):
-    return matcher.evaluate_batch(pairs, matcher.estimate_cost_batch(pairs))
+    pid_pairs, lookup = by_pid(pairs)
+    return matcher.evaluate_batch(pid_pairs, lookup, matcher.estimate_cost_batch(pid_pairs, lookup))
 
 
 def _assert_identical(matcher_name, pairs):
@@ -88,7 +89,7 @@ def test_batch_accounting_folds_from_the_previous_totals(small_dblp_acm):
     batched_matcher = build_matcher("JS")
     registry = MetricsRegistry()
     batched_matcher.bind_metrics(registry)
-    assert batched_matcher.evaluate_batch([], []) == []
+    assert batched_matcher.evaluate_batch([], {}, []) == []
     assert registry.snapshot(include_wall=False)["counters"] == {}
     for start in range(0, len(pairs), 30):
         _evaluate_batch(batched_matcher, pairs[start : start + 30])
@@ -116,20 +117,28 @@ def test_estimate_cost_batch_matches_scalar(small_dblp_acm):
     pairs = _sample_pairs(small_dblp_acm, n=100)
     for name, units in WORK_UNITS.items():
         matcher = build_matcher(name)
-        batched = matcher.estimate_cost_batch(pairs)
+        batched = matcher.estimate_cost_batch(*by_pid(pairs))
         assert batched == [matcher.cost_model.charge(units(x, y)) for x, y in pairs]
         assert batched == [estimate_pair(matcher, x, y) for x, y in pairs]
 
 
 def test_similarity_kernels_match_scalar_definitions():
-    sets = [
-        (set(), set()),
-        ({"a"}, set()),
-        ({"a", "b"}, {"b", "c"}),
-        ({"a", "b", "c"}, {"a", "b", "c"}),
-        (set("abcdef"), set("defghi")),
+    # Texts whose token sets are empty, disjoint, overlapping and equal.
+    texts = [
+        ("", ""),
+        ("abc", ""),
+        ("abc bcd", "bcd cde"),
+        ("abc bcd cde", "cde bcd abc"),
+        ("aaa bbb ccc ddd eee fff", "ddd eee fff ggg hhh iii"),
     ]
-    assert jaccard_batch(sets) == [jaccard(x, y) for x, y in sets]
+    token_pairs = [
+        (make_profile(2 * pid, text_x), make_profile(2 * pid + 1, text_y))
+        for pid, (text_x, text_y) in enumerate(texts)
+    ]
+    assert [len(x.tokens() | y.tokens()) for x, y in token_pairs] == [0, 1, 3, 3, 9]
+    assert JaccardMatcher()._batch_scores(*by_pid(token_pairs)) == [
+        jaccard(x.tokens(), y.tokens()) for x, y in token_pairs
+    ]
     # The ED prefilter reads its Dice off bit signatures.  With the floor
     # above 1 it "rejects" every pair, with that Dice as the score.
     texts = ["ab", "abab", "alpha beta", "alpha betas", "aaaa bbbb", "xxxx yyyy", "𝄞😀𝄞😀 é"]
@@ -139,7 +148,7 @@ def test_similarity_kernels_match_scalar_definitions():
         bigrams_x = {text_x[i : i + 2] for i in range(len(text_x) - 1)}
         for profile_y, text_y in zip(profiles, texts):
             bigrams_y = {text_y[i : i + 2] for i in range(len(text_y) - 1)}
-            [score] = matcher._batch_scores([(profile_x, profile_y)])
+            [score] = matcher._batch_scores(*by_pid([(profile_x, profile_y)]))
             assert score == dice(bigrams_x, bigrams_y)
 
 
@@ -157,8 +166,8 @@ def test_evaluate_batch_once_per_round_that_executed(
     matcher = build_matcher(matcher_name)
 
     class Spy(type(matcher)):
-        def evaluate_batch(self, pairs, costs):
-            flags = super().evaluate_batch(pairs, costs)
+        def evaluate_batch(self, pairs, profiles, costs):
+            flags = super().evaluate_batch(pairs, profiles, costs)
             calls.append(len(flags))
             return flags
 

@@ -32,10 +32,10 @@ class UnitCostMatcher(Matcher):
     def __init__(self) -> None:
         super().__init__(threshold=0.5, cost_model=CostModel(base=1.0, per_unit=0.0))
 
-    def estimate_cost_batch(self, pairs) -> list[float]:
+    def estimate_cost_batch(self, pairs, profiles) -> list[float]:
         return [self.cost_model.charge(0.0)] * len(pairs)
 
-    def _batch_scores(self, pairs) -> list[float]:
+    def _batch_scores(self, pairs, profiles) -> list[float]:
         return [1.0] * len(pairs)
 
 

@@ -227,9 +227,9 @@ def test_interleaved_tenants_never_share_a_hand_off(
         events = []
         scatter, gather = pool.scatter, pool.gather
 
-        def recording_scatter(pairs):
+        def recording_scatter(pairs, profiles):
             events.append(("scatter", pool.owner))
-            return scatter(pairs)
+            return scatter(pairs, profiles)
 
         def recording_gather(ticket):
             events.append(("gather", pool.owner))

@@ -134,12 +134,15 @@ def test_bit_assignment_is_unobservable(alphabet, data, threshold, seed):
     first prepared in; the floats must not."""
     texts = data.draw(st.lists(_text(alphabet), min_size=2, max_size=6))
     profiles = [make_profile(pid, text) for pid, text in enumerate(texts)]
-    pairs = [(x, y) for x in profiles for y in profiles if x.pid < y.pid]
+    lookup = {profile.pid: profile for profile in profiles}
+    pairs = [(x, y) for x in lookup for y in lookup if x < y]
     in_order = EditDistanceMatcher(threshold, max_text_length=40)
     shuffled = EditDistanceMatcher(threshold, max_text_length=40)
+    signatures = shuffled._text_cache
+    signatures.profiles = lookup
     for profile in random.Random(seed).sample(profiles, len(profiles)):
-        shuffled._prepared(profile)
-    assert shuffled._batch_scores(pairs) == in_order._batch_scores(pairs)
+        signatures[profile.pid]  # built on this first lookup
+    assert shuffled._batch_scores(pairs, lookup) == in_order._batch_scores(pairs, lookup)
     assert shuffled.kernel_counts == in_order.kernel_counts
 
 

@@ -14,7 +14,7 @@ from repro.matching.matcher import (
     JaccardMatcher,
 )
 
-from tests.conftest import batched_results, make_profile
+from tests.conftest import batched_results, by_pid, make_profile
 from tests.reference.scalar_execution import estimate_pair, evaluate_pair
 from tests.reference.levenshtein import levenshtein
 
@@ -102,9 +102,11 @@ class TestEditDistanceMatcher:
         ]
         from repro.matching.similarity import normalized_edit_similarity
 
-        for left, right in pairs:
+        for pid, (left, right) in enumerate(pairs):
             exact = normalized_edit_similarity(left, right)
-            [got] = matcher._batch_scores([(make_profile(0, left), make_profile(1, right))])
+            [got] = matcher._batch_scores(
+                *by_pid([(make_profile(2 * pid, left), make_profile(2 * pid + 1, right))])
+            )
             assert (got >= 0.7) == (exact >= 0.7)
 
     def test_quadratic_cost(self):
@@ -195,7 +197,7 @@ class TestEditDistanceKernelTelemetry:
             (make_profile(8, forty), make_profile(9, "".join(scattered))),
             (make_profile(10, forty), make_profile(11, forty[:28] + "#" * 12)),
         ]
-        results = matcher._batch_scores(pairs)
+        results = matcher._batch_scores(*by_pid(pairs))
         assert results[4] == results[5] == 1.0 - 9 / 40
         counts = dict(matcher.kernel_counts)
         assert tuple(counts) == KERNEL_COUNTERS
@@ -258,14 +260,14 @@ class TestFunnelLoop:
         evaluate_pair(warm, known_x, known_y)
         assert set(warm._text_cache) == {0, 1}
         cold = EditDistanceMatcher(0.8)
-        assert warm._batch_scores(pairs) == cold._batch_scores(pairs)
+        assert warm._batch_scores(*by_pid(pairs)) == cold._batch_scores(*by_pid(pairs))
         assert set(warm._text_cache) == {0, 1, 2}
 
     def test_similarity_counts_as_a_batch_of_one(self):
         for pair in self._profiles(self.TEXT_PAIRS[:1] + [("x", "x"), ("aaaa bbbb", "xxxx yyyy")]):
             scalar, batched = EditDistanceMatcher(0.8), EditDistanceMatcher(0.8)
             similarity = evaluate_pair(scalar, *pair).similarity
-            assert batched._batch_scores([pair]) == [similarity]
+            assert batched._batch_scores(*by_pid([pair])) == [similarity]
             assert scalar.kernel_counts == batched.kernel_counts
             assert sum(scalar.kernel_counts.values()) == 1
 

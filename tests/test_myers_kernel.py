@@ -217,6 +217,7 @@ def test_dp_survivors_are_cut_off_early_through_the_matcher(small_dblp_acm, monk
     matcher = _build_matcher("ED")
     left = [profile for profile in small_dblp_acm.profiles if profile.source == 0]
     right = [profile for profile in small_dblp_acm.profiles if profile.source == 1]
-    matcher._batch_scores([(x, y) for x in left for y in right])
+    lookup = {profile.pid: profile for profile in small_dblp_acm.profiles}
+    matcher._batch_scores([(x.pid, y.pid) for x in left for y in right], lookup)
     assert matcher.kernel_counts["dp_calls"] > 1000
     assert consumed <= 0.52 * scanned

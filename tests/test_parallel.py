@@ -35,7 +35,7 @@ from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import ShortReplies, make_profile, pool_or_skip
+from tests.conftest import ShortReplies, by_pid, make_profile, pool_or_skip
 from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
@@ -130,17 +130,17 @@ def _run(engine_cls, dataset, plan, strategy, *, workers=1, pool=None, **kwargs)
 def test_pool_batch_scores_bit_identical(dataset, matcher_name):
     rng = random.Random(3)
     profiles = dataset.profiles
-    pairs = [
+    pairs, lookup = by_pid([
         (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
         for _ in range(150)
-    ]
-    reference = _build_matcher(matcher_name)._batch_scores(pairs)
+    ])
+    reference = _build_matcher(matcher_name)._batch_scores(pairs, lookup)
     pool = pool_or_skip(matcher_name)
     try:
         pool.begin_run()
-        assert pool.batch_scores(pairs) == reference
+        assert pool.batch_scores(pairs, lookup) == reference
         # A second round reuses the workers' profile caches; still identical.
-        assert pool.batch_scores(pairs[::-1]) == reference[::-1]
+        assert pool.batch_scores(pairs[::-1], lookup) == reference[::-1]
     finally:
         pool.close()
 
@@ -165,20 +165,20 @@ def test_pool_ships_each_profile_once_per_run(dataset, ed_pool):
     epoch; a new run (``begin_run``) re-ships them under the next epoch."""
     rng = random.Random(11)
     profiles = dataset.profiles
-    pairs = [
+    pairs, lookup = by_pid([
         (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
         for _ in range(120)
-    ]
-    reference = _build_matcher("ED")._batch_scores(pairs)
+    ])
+    reference = _build_matcher("ED")._batch_scores(pairs, lookup)
     ed_pool.begin_run()
     recorders = ed_pool._connections[:] = [
         _RecordingConnection(connection) for connection in ed_pool._connections
     ]
     try:
-        assert ed_pool.batch_scores(pairs) == reference
-        assert ed_pool.batch_scores(pairs[::-1]) == reference[::-1]
+        assert ed_pool.batch_scores(pairs, lookup) == reference
+        assert ed_pool.batch_scores(pairs[::-1], lookup) == reference[::-1]
         ed_pool.begin_run()
-        assert ed_pool.batch_scores(pairs) == reference
+        assert ed_pool.batch_scores(pairs, lookup) == reference
     finally:
         ed_pool._connections[:] = [recorder.connection for recorder in recorders]
     for slot, recorder in enumerate(recorders):
@@ -198,34 +198,35 @@ def test_pool_pickle_fallback_bit_identical(dataset):
     replica: both score bit-identically to one in-process call."""
     rng = random.Random(13)
     profiles = dataset.profiles
-    pairs = [
+    pairs, lookup = by_pid([
         (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
         for _ in range(80)
-    ]
-    reference = _build_matcher("ED")._batch_scores(pairs)
+    ])
+    reference = _build_matcher("ED")._batch_scores(pairs, lookup)
     pool = pool_or_skip("ED")
     try:
         pool.begin_run()
-        assert pool.batch_scores(pairs) == reference
+        assert pool.batch_scores(pairs, lookup) == reference
         pool._connections[0] = ShortReplies(pool._connections[0])
-        assert pool.batch_scores(pairs[::-1]) == reference[::-1]
+        assert pool.batch_scores(pairs[::-1], lookup) == reference[::-1]
         assert pool.broken
-        similarities, _counts = pool._score_in_process(pairs)
+        similarities, _counts = pool._score_in_process(pairs, lookup)
         assert similarities == reference
     finally:
         pool.close()
 
 
 def _colliding_rounds():
-    """Two 8-profile datasets under the same pids 0–7, each as a pair list
-    whose halves (= the two workers' chunks) both touch every pid."""
+    """Two 8-profile datasets under the same pids 0–7, each as a pid pair
+    list whose halves (= the two workers' chunks) both touch every pid, and
+    its lookup."""
     texts_a = [f"alice smith springfield illinois {i}" for i in range(8)]
     texts_b = [f"alice smith springfeld ilinois {i * i}" for i in range(8)]
     rounds = []
     for texts in (texts_a, texts_b):
         profiles = [make_profile(pid, text) for pid, text in enumerate(texts)]
         half = list(itertools.combinations(profiles, 2))
-        rounds.append(half + half[::-1])
+        rounds.append(by_pid(half + half[::-1]))
     return rounds
 
 
@@ -239,21 +240,21 @@ def test_second_run_with_colliding_pids_is_not_scored_from_the_first(path):
     run's second chunk to the rescue replica (and breaks the pool); the
     replica, reset by ``begin_run``, then scores the second run."""
     first, second = _colliding_rounds()
-    reference = _build_matcher("ED")._batch_scores(first)
-    assert _build_matcher("ED")._batch_scores(second) != reference
+    reference = _build_matcher("ED")._batch_scores(*first)
+    assert _build_matcher("ED")._batch_scores(*second) != reference
     pool = pool_or_skip("ED")
     try:
         if path == "rescue":
             pool._connections[1] = ShortReplies(pool._connections[1])
         pool.begin_run()
-        assert pool.batch_scores(first) == reference
+        assert pool.batch_scores(*first) == reference
         pool.begin_run()
         if path == "workers":
-            assert pool.batch_scores(second) == _build_matcher("ED")._batch_scores(second)
+            assert pool.batch_scores(*second) == _build_matcher("ED")._batch_scores(*second)
         else:
             assert pool.broken
-            similarities, _counts = pool._score_in_process(second)
-            assert similarities == _build_matcher("ED")._batch_scores(second)
+            similarities, _counts = pool._score_in_process(*second)
+            assert similarities == _build_matcher("ED")._batch_scores(*second)
     finally:
         pool.close()
 
@@ -310,6 +311,37 @@ def test_worker_count_invariance_pipelined_engine(dataset, plan, ed_pool):
     )
     assert _comparable(sharded) == _comparable(serial)
     assert sharded.details["metrics"]["counters"]["parallel.rounds_sharded"] > 0
+
+
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+@pytest.mark.parametrize("matcher_name", ["JS", "ED"])
+@pytest.mark.parametrize("path", ["workers", "in-process"])
+def test_pps_local_worker_count_invariance(dataset, plan, engine_name, matcher_name, path):
+    """Regression: PPS-LOCAL empties its profile store at every increment,
+    while a pool run scores its charged pid pairs only at a hand-off or a
+    join, several ingests later.  The pool (``workers``) and the master's
+    own tail scoring (``in-process``, every hand-off under ``min_shard``)
+    once looked those pids up in the live store, which had dropped them;
+    the engine now resolves a pair's profiles when it charges the pair."""
+    engine_cls = ENGINES[engine_name]
+    pool = pool_or_skip(matcher_name)
+    if path == "in-process":
+        pool.min_shard = len(dataset) ** 2
+
+    def run(**kwargs):
+        engine = engine_cls(_build_matcher(matcher_name), budget=BUDGET, **kwargs)
+        system = _build_system("PPS-LOCAL", dataset)
+        return engine.run(system, plan, dataset.ground_truth), system
+
+    try:
+        serial, _ = run()
+        sharded, system = run(workers=pool.size, pool=pool)
+    finally:
+        pool.close()
+    assert _comparable(sharded) == _comparable(serial)
+    assert system.initializations > 1 and serial.duplicates
+    sharded_rounds = sharded.details["metrics"]["counters"]["parallel.rounds_sharded"]
+    assert (sharded_rounds > 0) == (path == "workers")
 
 
 def test_sharded_run_merges_matcher_kernel_counters(dataset, plan, ed_pool):

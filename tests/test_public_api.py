@@ -97,6 +97,8 @@ RETIRED_NAMES = (
     # checkpoint's budget while drain horizons were written into it.
     "cost_" + "ceiling", "crash_" + "at", "Simulated" + "Crash",
     "adopt_checkpoint_" + "budget",
+    # The token-set pair-list kernel: the JS score reads pid-keyed records.
+    "jaccard_" + "batch",
 )
 
 

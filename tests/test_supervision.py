@@ -34,7 +34,7 @@ from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import ShortReplies, pool_or_skip
+from tests.conftest import ShortReplies, by_pid, pool_or_skip
 from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
@@ -56,10 +56,10 @@ def plan(small_dblp_acm):
 def sample_pairs(dataset):
     rng = random.Random(5)
     profiles = dataset.profiles
-    return [
+    return by_pid([
         (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
         for _ in range(90)
-    ]
+    ])
 
 
 @pytest.fixture
@@ -120,8 +120,8 @@ def _run(engine_cls, dataset, plan, strategy, *, pool=None, **kwargs):
     return result, engine.last_checkpoint
 
 
-def _reference_scores(pairs):
-    return _build_matcher("ED")._batch_scores(pairs)
+def _reference_scores(pairs, lookup):
+    return _build_matcher("ED")._batch_scores(pairs, lookup)
 
 
 def _kill(pool, slot=0):
@@ -139,16 +139,16 @@ def _fault_in_flight(pool, kind, *, at=2, slot=0):
     pid = pool._processes[slot].pid
     scattered = 0
 
-    def faulty_scatter(pairs):
+    def faulty_scatter(pairs, profiles):
         nonlocal scattered
         scattered += 1
         if scattered != at:
-            return scatter(pairs)
+            return scatter(pairs, profiles)
         if kind == "corrupt":
             pool._connections[slot] = ShortReplies(pool._connections[slot])
-            return scatter(pairs)
+            return scatter(pairs, profiles)
         os.kill(pid, signal.SIGSTOP)
-        ticket = scatter(pairs)
+        ticket = scatter(pairs, profiles)
         if kind == "kill":
             os.kill(pid, signal.SIGKILL)
         return ticket
@@ -177,17 +177,17 @@ def test_sigkill_mid_round_is_absorbed(sample_pairs):
     scatter refuses (the caller scores in-process)."""
     pool = pool_or_skip("ED")
     try:
-        reference = _reference_scores(sample_pairs)
+        reference = _reference_scores(*sample_pairs)
         pool.begin_run()
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         _kill(pool)
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         assert pool.broken
         with pytest.raises(WorkerPoolError):
-            pool.scatter(sample_pairs)
+            pool.scatter(*sample_pairs)
         pool.begin_run()  # a new run may still claim it; it scores nothing
         with pytest.raises(WorkerPoolError):
-            pool.batch_scores(sample_pairs)
+            pool.batch_scores(*sample_pairs)
         _assert_broken(pool)
     finally:
         pool.close()
@@ -200,18 +200,18 @@ def test_respawn_budget_exhaustion_breaks_the_pool(sample_pairs):
     every later hand-off is refused for good."""
     pool = pool_or_skip("ED")
     try:
-        reference = _reference_scores(sample_pairs)
+        reference = _reference_scores(*sample_pairs)
         pool.begin_run()
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         survivor = pool._processes[0]
         _kill(pool, 1)
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         assert not survivor.is_alive()
         assert pool._processes == []
         _assert_broken(pool)
         for _ in range(2):
             with pytest.raises(WorkerPoolError):
-                pool.batch_scores(sample_pairs)
+                pool.batch_scores(*sample_pairs)
     finally:
         pool.close()
     _assert_no_child_alive()
@@ -222,12 +222,12 @@ def test_hung_worker_hits_reply_deadline(sample_pairs, short_deadline):
     master never waits for it — and its chunk is rescued."""
     pool = pool_or_skip("ED")
     try:
-        reference = _reference_scores(sample_pairs)
+        reference = _reference_scores(*sample_pairs)
         pool.begin_run()
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         os.kill(pool._processes[1].pid, signal.SIGSTOP)
         started = time.monotonic()
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         assert 0.3 <= time.monotonic() - started < 10.0
         _assert_broken(pool)
     finally:
@@ -240,10 +240,10 @@ def test_corrupt_reply_is_rejected_and_rescued(sample_pairs):
     later pair): the reply is rejected and the chunk re-scored in-process."""
     pool = pool_or_skip("ED")
     try:
-        reference = _reference_scores(sample_pairs)
+        reference = _reference_scores(*sample_pairs)
         pool.begin_run()
         pool._connections[0] = ShortReplies(pool._connections[0])
-        assert pool.batch_scores(sample_pairs) == reference
+        assert pool.batch_scores(*sample_pairs) == reference
         _assert_broken(pool)
     finally:
         pool.close()
@@ -254,12 +254,12 @@ def test_begin_run_is_refused_while_a_hand_off_is_outstanding(sample_pairs):
     pool = pool_or_skip("ED")
     try:
         pool.begin_run()
-        ticket = pool.scatter(sample_pairs)
+        ticket = pool.scatter(*sample_pairs)
         with pytest.raises(RuntimeError, match="hand-off"):
             pool.begin_run()
         with pytest.raises(RuntimeError, match="hand-off"):
-            pool.scatter(sample_pairs)
-        assert pool.gather(ticket) == _reference_scores(sample_pairs)
+            pool.scatter(*sample_pairs)
+        assert pool.gather(ticket) == _reference_scores(*sample_pairs)
         pool.begin_run()
         assert pool.healthy and pool.evictions == 0
     finally:
@@ -273,10 +273,10 @@ def test_reply_already_in_the_pipe_is_not_a_timeout(sample_pairs, monkeypatch):
     pool = pool_or_skip("ED")
     try:
         pool.begin_run()
-        pool.batch_scores(sample_pairs)  # warm: the next reply takes milliseconds
-        ticket = pool.scatter(sample_pairs)
+        pool.batch_scores(*sample_pairs)  # warm: the next reply takes milliseconds
+        ticket = pool.scatter(*sample_pairs)
         time.sleep(0.6)
-        assert pool.gather(ticket) == _reference_scores(sample_pairs)
+        assert pool.gather(ticket) == _reference_scores(*sample_pairs)
         assert pool.healthy and pool.evictions == 0
     finally:
         pool.close()
