@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.api import EngineOptions, ERSession
+from repro.api import ERSession
 
 BENCH_SCHEMA_VERSION = 1
 DEFAULT_BASELINE = Path(__file__).parent / "BENCH_smoke.json"
@@ -39,10 +39,6 @@ CONFIG = {
     "budget": 10.0,
     "seed": 0,
     "systems": ["I-PCS", "I-PBS", "I-PES"],
-    # The candidate-generation substrate (token / lsh).
-    # The smoke baseline pins the paper's token blocking; the LSH tier is
-    # gated in tests/test_lsh.py.
-    "blocking": "token",
 }
 
 
@@ -52,7 +48,6 @@ def build_snapshot() -> dict:
         CONFIG["dataset"],
         systems=tuple(CONFIG["systems"]),
         matcher=CONFIG["matcher"],
-        engine=EngineOptions(blocking=CONFIG["blocking"]),
         scale=CONFIG["scale"],
         n_increments=CONFIG["n_increments"],
         rate=CONFIG["rate"],

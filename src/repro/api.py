@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.blocking.substrate import BlockingConfig
 from repro.core.dataset import Dataset, GroundTruth
 from repro.core.increments import StreamPlan, make_stream_plan, split_into_increments
 from repro.datasets.registry import load_dataset
@@ -51,49 +50,17 @@ __all__ = ["EngineOptions", "ERSession", "run_cell"]
 
 @dataclass(frozen=True, slots=True)
 class EngineOptions:
-    """How the engine executes — and, for one knob group, what it computes.
-
-    The execution fields (``--pipelined``, ``--workers``) travel as one
-    first-class, picklable value that :class:`ExperimentConfig` can carry;
-    ``workers`` never changes results.
-
-    The **blocking substrate** group (``blocking`` / ``lsh_bands`` /
-    ``lsh_rows`` / ``lsh_seed``; the CLI's ``--blocking`` / ``--lsh-*``) is
-    the deliberate exception: choosing ``lsh`` changes which candidate
-    comparisons are generated — it trades recall for candidate volume,
-    which is the point.  The default ``token`` substrate is bit-identical
-    to every run that predates the knob.
+    """How the engine executes: one first-class, picklable value that
+    :class:`ExperimentConfig` can carry (the CLI's ``--pipelined`` and
+    ``--workers``).  Neither field changes results.
     """
 
     pipelined: bool = False
     workers: int = 1
-    #: Blocking substrate: ``"token"`` (the paper's configuration, default)
-    #: or ``"lsh"`` (MinHash-LSH buckets as blocks).  See
-    #: :mod:`repro.blocking.substrate`.
-    blocking: str = "token"
-    #: MinHash-LSH shape: ``lsh_bands`` × ``lsh_rows`` permutations; the
-    #: candidate threshold is ≈ ``(1/bands) ** (1/rows)``.  Ignored on the
-    #: token substrate.
-    lsh_bands: int = 16
-    lsh_rows: int = 2
-    #: Seed of the MinHash permutation family (deterministic across hosts
-    #: and hash seeds for any fixed value).
-    lsh_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # Delegates substrate/band/row validation (raises on bad values).
-        self.blocking_config()
-
-    def blocking_config(self) -> BlockingConfig:
-        """These options as a blocking-substrate configuration."""
-        return BlockingConfig(
-            substrate=self.blocking,
-            lsh_bands=self.lsh_bands,
-            lsh_rows=self.lsh_rows,
-            lsh_seed=self.lsh_seed,
-        )
 
 
 class ERSession:
@@ -210,9 +177,7 @@ class ERSession:
         return _build_matcher(self.matcher_name)
 
     def build_system(self, system_name: str):
-        return _build_system(
-            system_name, self.dataset, blocking=self.engine_options.blocking_config()
-        )
+        return _build_system(system_name, self.dataset)
 
     def build_engine(self, matcher: Matcher) -> StreamingEngine:
         options = self.engine_options

@@ -1,19 +1,5 @@
-"""Blocking substrates (token, MinHash-LSH)."""
+"""Token blocking: the incrementally maintained block collection."""
 
 from repro.blocking.blocks import Block, BlockCollection
-from repro.blocking.lsh import LSHBlockCollection, MinHasher
-from repro.blocking.substrate import (
-    BLOCKING_SUBSTRATES,
-    BlockingConfig,
-    make_collection,
-)
 
-__all__ = [
-    "BLOCKING_SUBSTRATES",
-    "Block",
-    "BlockCollection",
-    "BlockingConfig",
-    "LSHBlockCollection",
-    "MinHasher",
-    "make_collection",
-]
+__all__ = ["Block", "BlockCollection"]

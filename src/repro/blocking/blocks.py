@@ -7,12 +7,6 @@ only ever *added*, as increments arrive) and maintains both the token →
 profiles mapping and its inverse (profile → blocks), which the weighting
 schemes and the single-sweep weighting kernel
 (:mod:`repro.metablocking.sweep`) read on every comparison.
-
-:class:`BlockCollection` is the one blocking substrate: the MinHash-LSH
-tier (:mod:`repro.blocking.lsh`) subclasses it and overrides
-:meth:`BlockCollection.profile_keys` — the single hook that decides which
-blocking keys a profile lands in — inheriting the purge, growth-feed,
-cache-invalidation and snapshot semantics unchanged.
 """
 
 from __future__ import annotations
@@ -111,8 +105,8 @@ class BlockCollection:
     * **Deterministic block order** — :meth:`iter_partner_blocks` returns a
       profile's live blocks sorted by key, so weights and candidates are
       bit-identical across hosts, hash seeds and checkpoint restores.
-    * **Deep-copy snapshots** — all mutable state (undrained telemetry
-      included) lives on the object, so ``copy.deepcopy`` is a complete
+    * **Deep-copy snapshots** — all mutable state (the undrained growth
+      feed included) lives on the object, so ``copy.deepcopy`` is a complete
       snapshot.
 
     Parameters
@@ -168,11 +162,11 @@ class BlockCollection:
             raise ValueError(f"profile {profile.pid} already indexed")
         keys: set[str] = set()
         grown = self._grown
-        # Sorted: the keys usually come from a frozenset, whose iteration
+        # Sorted: the tokens come from a frozenset, whose iteration
         # order follows the interpreter's hash seed, and this order decides
         # block creation order — hence ``iter(collection)``, which the batch
         # baselines build their schedules from.
-        for token in sorted(self.profile_keys(profile)):
+        for token in sorted(profile.tokens()):
             if token in self._purged_keys:
                 continue
             grown.add(token)
@@ -193,16 +187,6 @@ class BlockCollection:
         self._blocks_of[profile.pid] = keys
         self._profile_blocks.pop(profile.pid, None)
         return keys
-
-    def profile_keys(self, profile: EntityProfile) -> Iterable[str]:
-        """The blocking keys ``profile`` belongs in — the substrate hook.
-
-        Token blocking keys a profile by its tokens; subclasses derive keys
-        differently (MinHash bucket keys in :mod:`repro.blocking.lsh`).
-        The result may be unordered: :meth:`add_profile` indexes the keys in
-        sorted order, which fixes block creation order.
-        """
-        return profile.tokens()
 
     def _purge_block(self, key: str) -> None:
         block = self._blocks.pop(key)
@@ -294,9 +278,9 @@ class BlockCollection:
         scan the collection for such blocks.  A key whose block was purged
         by that very addition is reported once too, so the consumer can
         forget it.  The feed has **one consumer per collection** — what one
-        drain hands out, no later drain repeats — and, like the telemetry
-        below, lives on the collection so it rides through checkpoints with
-        the rest of the index.  Undrained (I-PBS and the baselines have no
+        drain hands out, no later drain repeats — and lives on the
+        collection so it rides through checkpoints with the rest of the
+        index.  Undrained (I-PBS and the baselines have no
         use for it) it holds at most one entry per key ever indexed.  The
         set is unordered: consumers whose results depend on the order must
         sort it.
@@ -304,17 +288,6 @@ class BlockCollection:
         grown = self._grown
         self._grown = set()
         return grown
-
-    def drain_metrics(self) -> dict[str, float]:
-        """Counter deltas accumulated since the last drain (then reset).
-
-        Substrates with their own telemetry (``blocking.lsh.*``) buffer it
-        on the collection — which rides through checkpoints via deepcopy —
-        and the owning system flushes the deltas into the run's metrics
-        registry after each ingest, the only place they accrue.  The token
-        substrate has nothing to report.
-        """
-        return {}
 
     def common_blocks(self, pid_x: int, pid_y: int) -> int:
         """|B(p_x) ∩ B(p_y)| — the raw ingredient of the CBS weight."""

@@ -20,7 +20,6 @@ import sys
 from typing import Sequence
 
 from repro.api import EngineOptions, ERSession
-from repro.blocking.substrate import BLOCKING_SUBSTRATES
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.experiments import SYSTEM_NAMES
 from repro.evaluation.io import run_result_to_json, write_curve_csv
@@ -61,28 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--pipelined", action="store_true",
             help="use the two-stage pipelined engine instead of the serial one",
-        )
-        sub.add_argument(
-            "--blocking", default="token", choices=list(BLOCKING_SUBSTRATES),
-            help="candidate-generation substrate: 'token' (the paper's "
-                 "token blocking, default) or 'lsh' (incremental MinHash-LSH "
-                 "— signature buckets become the blocks); unlike the other "
-                 "engine flags, 'lsh' changes which comparisons are generated",
-        )
-        sub.add_argument(
-            "--lsh-bands", dest="lsh_bands", type=int, default=16, metavar="B",
-            help="MinHash-LSH bands (with --blocking lsh); "
-                 "candidate threshold is ~(1/B)**(1/R)",
-        )
-        sub.add_argument(
-            "--lsh-rows", dest="lsh_rows", type=int, default=2, metavar="R",
-            help="MinHash-LSH rows per band (signature length is B*R)",
-        )
-        sub.add_argument(
-            "--lsh-seed", dest="lsh_seed", type=int, default=0, metavar="SEED",
-            help="seed of the MinHash permutation family (results are "
-                 "deterministic per seed, independent of host or "
-                 "PYTHONHASHSEED)",
         )
         sub.add_argument(
             "--checkpoint-every", type=float, default=None, metavar="SECONDS",
@@ -126,14 +103,7 @@ def _session(args, systems) -> ERSession:
         args.dataset,
         systems=systems,
         matcher=args.matcher,
-        engine=EngineOptions(
-            pipelined=args.pipelined,
-            workers=args.workers,
-            blocking=args.blocking,
-            lsh_bands=args.lsh_bands,
-            lsh_rows=args.lsh_rows,
-            lsh_seed=args.lsh_seed,
-        ),
+        engine=EngineOptions(pipelined=args.pipelined, workers=args.workers),
         scale=args.scale,
         n_increments=args.n_increments,
         rate=args.rate,

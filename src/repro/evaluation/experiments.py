@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import EngineOptions
 
-from repro.blocking.substrate import BlockingConfig
 from repro.core.dataset import Dataset, ERKind
 from repro.datasets.registry import load_dataset
 from repro.incremental.ibase import IBaseSystem
@@ -62,63 +61,40 @@ def _build_matcher(name: str) -> Matcher:
     raise ValueError(f"unknown matcher {name!r}; use 'JS' or 'ED'")
 
 
-def _build_system(
-    name: str,
-    dataset: Dataset,
-    *,
-    blocking: "BlockingConfig | None" = None,
-    **overrides,
-) -> ERSystem:
-    """Instantiate an ER system by its paper name for a given dataset.
-
-    ``blocking`` selects the candidate-generation substrate
-    (token / lsh) for every system; ``None`` keeps the
-    paper's token blocking.  For the PIER strategies it lands on the host
-    :class:`PierSystem` (the strategy objects never see the substrate —
-    they read it through the protocol).
-    """
+def _build_system(name: str, dataset: Dataset, **overrides) -> ERSystem:
+    """Instantiate an ER system by its paper name for a given dataset."""
     clean_clean = dataset.kind is ERKind.CLEAN_CLEAN
     key = name.upper()
     if key == "I-PES":
-        return PierSystem(IPES(**overrides), clean_clean=clean_clean, blocking=blocking)
+        return PierSystem(IPES(**overrides), clean_clean=clean_clean)
     if key == "I-PCS":
-        return PierSystem(IPCS(**overrides), clean_clean=clean_clean, blocking=blocking)
+        return PierSystem(IPCS(**overrides), clean_clean=clean_clean)
     if key == "I-PBS":
-        return PierSystem(IPBS(**overrides), clean_clean=clean_clean, blocking=blocking)
+        return PierSystem(IPBS(**overrides), clean_clean=clean_clean)
     if key == "I-AUTO":
         # The future-work heuristic: inspect a data sample, pick a strategy.
         sample = dataset.profiles[: min(len(dataset.profiles), 256)]
-        system = PierSystem(
-            make_chosen_strategy(sample, **overrides),
-            clean_clean=clean_clean,
-            blocking=blocking,
-        )
+        system = PierSystem(make_chosen_strategy(sample, **overrides), clean_clean=clean_clean)
         system.name = f"I-AUTO[{system.strategy.name}]"
         return system
     if key == "I-BASE":
-        return IBaseSystem(clean_clean=clean_clean, blocking=blocking, **overrides)
+        return IBaseSystem(clean_clean=clean_clean, **overrides)
     if key in ("PPS", "PPS-GLOBAL"):
-        system = PPSSystem(
-            clean_clean=clean_clean, scope="all", blocking=blocking, **overrides
-        )
+        system = PPSSystem(clean_clean=clean_clean, scope="all", **overrides)
         system.name = key
         return system
     if key == "PPS-LOCAL":
-        return PPSSystem(
-            clean_clean=clean_clean, scope="last", blocking=blocking, **overrides
-        )
+        return PPSSystem(clean_clean=clean_clean, scope="last", **overrides)
     if key in ("PBS", "PBS-GLOBAL"):
-        system = PBSSystem(
-            clean_clean=clean_clean, scope="all", blocking=blocking, **overrides
-        )
+        system = PBSSystem(clean_clean=clean_clean, scope="all", **overrides)
         system.name = key
         return system
     if key == "LS-PSN":
-        return LSPSNSystem(clean_clean=clean_clean, blocking=blocking, **overrides)
+        return LSPSNSystem(clean_clean=clean_clean, **overrides)
     if key == "GS-PSN":
-        return GSPSNSystem(clean_clean=clean_clean, blocking=blocking, **overrides)
+        return GSPSNSystem(clean_clean=clean_clean, **overrides)
     if key == "BATCH":
-        return BatchERSystem(clean_clean=clean_clean, blocking=blocking, **overrides)
+        return BatchERSystem(clean_clean=clean_clean, **overrides)
     raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
 
 
@@ -141,12 +117,9 @@ class ExperimentConfig:
     budget: float = 300.0
     seed: int = 0
     dataset: Dataset | None = field(default=None, compare=False)
-    #: Engine knobs — see :class:`repro.api.EngineOptions` for the full
-    #: set: the engine choice (``pipelined``), the fleet (``workers``), and
-    #: the blocking-substrate choice (``blocking``, ``lsh_bands``,
-    #: ``lsh_rows``, ``lsh_seed`` — the one group that changes *what* is
-    #: computed).  ``None`` means all
-    #: defaults: serial engine, one worker, token blocking.
+    #: Engine knobs — see :class:`repro.api.EngineOptions`: the engine
+    #: choice (``pipelined``) and the fleet (``workers``).  ``None`` means
+    #: all defaults: serial engine, one worker.
     engine: "EngineOptions | None" = None
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

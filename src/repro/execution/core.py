@@ -78,8 +78,6 @@ __all__ = ["PRESEEDED_COUNTERS", "PRESEEDED_PHASES", "RunResult", "RunState", "E
 #: is deliberately absent: its presence signals that checkpointing was
 #: enabled.
 PRESEEDED_COUNTERS = (
-    "blocking.lsh.buckets",
-    "blocking.lsh.signatures",
     "engine.comparisons_cut_by_deadline",
     "engine.comparisons_executed",
     "engine.duplicate_increments_dropped",
@@ -163,10 +161,10 @@ class RunState:
         "duplicates_dropped", "duplicates", "seen_increments",
         "last_checkpoint_clock",
         # Tier A's result-side backlog (see ``_execute_batch_kernel``):
-        # pid pairs charged but not yet sent anywhere, the one hand-off the
-        # fleet is scoring, as ``(ticket, pairs)``, and the profiles of both,
-        # looked up when charged.  All are empty at every join point.
-        "unscored", "in_flight", "unscored_profiles",
+        # pid pairs charged but not yet sent anywhere, and the one hand-off
+        # the fleet is scoring, as ``(ticket, pairs)``.  Both are empty at
+        # every join point.
+        "unscored", "in_flight",
         # Tier A telemetry, kept OUT of the metrics registry until finalize
         # so mid-run checkpoints (and their fingerprints) stay bit-identical
         # across worker counts.
@@ -403,7 +401,6 @@ class ExecutionCore:
         state.duplicates_dropped = 0
         state.unscored = []
         state.in_flight = None
-        state.unscored_profiles = {}
         state.parallel_rounds = 0
         state.parallel_pairs = 0
         # A fleet was asked for and none was supplied (it could not start).
@@ -607,9 +604,9 @@ class ExecutionCore:
         curve, which is read off the ground truth): it happens here, in
         the round.  The **result side** — which pairs scored as matches —
         is read by nothing inside a run, so with a worker fleet the scores
-        may arrive later: the round's pairs join ``state.unscored``, their
-        profiles ``state.unscored_profiles`` (PPS-LOCAL drops its store at
-        the next ingest), and are settled at the next join point.  Without
+        may arrive later: the round's pairs join ``state.unscored`` and are
+        settled at the next join point, read through the same ``profiles``
+        lookup (no system drops a profile from its store).  Without
         a fleet both sides run back to back, in one ``evaluate_batch`` call.
         """
         matcher = state.matcher
@@ -651,7 +648,6 @@ class ExecutionCore:
             else:
                 matcher.account_costs(costs)
                 state.unscored.extend(batch)
-                state.unscored_profiles.update({pid: profiles[pid] for pair in batch for pid in pair})
                 if len(state.unscored) >= HAND_OFF_PAIRS:
                     self._hand_off(state)
         return clock
@@ -689,7 +685,7 @@ class ExecutionCore:
                     # a new cache epoch before scoring.  Every drain ends
                     # joined, so the other engine has nothing in the pipes.
                     pool.begin_run(owner=self)
-                state.in_flight = (pool.scatter(pairs, state.unscored_profiles), pairs)
+                state.in_flight = (pool.scatter(pairs, state.system.profiles), pairs)
                 return
             state.parallel_fallbacks += 1
         self._score_in_process(state, pairs)
@@ -697,7 +693,7 @@ class ExecutionCore:
     def _score_in_process(self, state: RunState, pairs: list[tuple[int, int]]) -> None:
         """Result side of pairs the fleet does not score: same kernel, same
         outcome counts, straight into the master matcher."""
-        similarities = state.matcher._batch_scores(pairs, state.unscored_profiles)
+        similarities = state.matcher._batch_scores(pairs, state.system.profiles)
         self._record_matches(state, pairs, state.matcher.account_scores(similarities))
 
     def _gather(self, state: RunState) -> None:
@@ -743,7 +739,6 @@ class ExecutionCore:
         if state.unscored:
             self._hand_off(state)
         self._gather(state)
-        state.unscored_profiles = {}
 
     # ------------------------------------------------------------------
     # Shared probes and reporting

@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from repro.blocking.substrate import BlockingConfig
 from repro.core.increments import Increment
 from repro.metablocking.weights import WeightingScheme
 from repro.pier.base import ComparisonGenerator
@@ -43,9 +42,6 @@ class IBaseSystem(ERSystem):
     high_watermark:
         Back-pressure bound on the comparison backlog: ingestion of further
         increments stalls while the backlog is above this value.
-    blocking:
-        Blocking-substrate choice (token / lsh); ``None`` keeps the paper's
-        token blocking.
     """
 
     name = "I-BASE"
@@ -58,9 +54,8 @@ class IBaseSystem(ERSystem):
         scheme: WeightingScheme | None = None,
         chunk_size: int = 64,
         high_watermark: int = 2000,
-        blocking: BlockingConfig | None = None,
     ) -> None:
-        super().__init__(clean_clean, max_block_size, blocking)
+        super().__init__(clean_clean, max_block_size)
         self.generator = ComparisonGenerator(beta=beta, scheme=scheme)
         self.chunk_size = chunk_size
         self.high_watermark = high_watermark

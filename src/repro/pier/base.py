@@ -25,7 +25,6 @@ import heapq
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from repro.blocking.blocks import Block, BlockCollection
-from repro.blocking.substrate import BlockingConfig
 from repro.core.comparison import WeightedComparison
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -391,9 +390,6 @@ class PierSystem(ERSystem):
         Incremental block-purging threshold.
     adaptive_k:
         The ``findK`` controller; a fresh default one if omitted.
-    blocking:
-        Blocking-substrate choice (token / lsh); ``None`` keeps the paper's
-        token blocking.
     """
 
     def __init__(
@@ -402,9 +398,8 @@ class PierSystem(ERSystem):
         clean_clean: bool = False,
         max_block_size: int | None = 200,
         adaptive_k: AdaptiveK | None = None,
-        blocking: BlockingConfig | None = None,
     ) -> None:
-        super().__init__(clean_clean, max_block_size, blocking)
+        super().__init__(clean_clean, max_block_size)
         self.strategy = strategy
         self.adaptive_k = adaptive_k or AdaptiveK()
         self.name = f"PIER[{strategy.name}]"

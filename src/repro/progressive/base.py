@@ -27,7 +27,7 @@ time bounded in the collapse regimes of Figures 2 and 7.
 
 from __future__ import annotations
 
-from repro.blocking.substrate import BlockingConfig, make_collection
+from repro.blocking.blocks import BlockCollection
 from repro.core.increments import Increment
 from repro.streaming.system import EmitResult, ERSystem, PipelineStats
 
@@ -49,14 +49,12 @@ class BatchProgressiveSystem(ERSystem):
         max_block_size: int | None = 200,
         scope: str = "all",
         chunk_size: int = 64,
-        blocking: BlockingConfig | None = None,
     ) -> None:
         if scope not in ("all", "last"):
             raise ValueError("scope must be 'all' or 'last'")
-        super().__init__(clean_clean, max_block_size, blocking)
+        super().__init__(clean_clean, max_block_size)
         self.scope = scope
         self.chunk_size = chunk_size
-        self.blocking = blocking  # the LOCAL scope rebuilds its collection from it
         self._dirty = False
         # The whole emission order has been read (at first, the empty one):
         # nothing left to emit until the next increment.
@@ -71,12 +69,11 @@ class BatchProgressiveSystem(ERSystem):
         if increment.is_empty:
             return self.costs.per_round
         if self.scope == "last":
-            self.collection = make_collection(
-                self.blocking,
-                clean_clean=self.collection.clean_clean,
-                max_block_size=self.collection.max_block_size,
-            )
-            self._profiles.clear()
+            # The collection starts over; the profile store keeps every
+            # profile (pids are unique within a dataset), so pairs charged
+            # before this increment still resolve when they are scored.
+            collection = self.collection
+            self.collection = BlockCollection(collection.clean_clean, collection.max_block_size)
         cost = self._index(increment)
         self._dirty = True
         self._drained = False
@@ -152,13 +149,13 @@ class BatchProgressiveSystem(ERSystem):
     def gauges(self) -> dict[str, float]:
         return {
             "initializations": self.initializations,
-            "profiles_indexed": len(self._profiles),
+            "profiles_indexed": self.collection.profiles_indexed(),
         }
 
     def describe(self) -> dict[str, object]:
         return {
             "name": self.name,
             "scope": self.scope,
-            "profiles": len(self._profiles),
+            "profiles": self.collection.profiles_indexed(),
             "initializations": self.initializations,
         }

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.api import ERSession, EngineOptions
-from repro.blocking.substrate import BlockingConfig
 from repro.core.dataset import Dataset, ERKind, GroundTruth
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
@@ -58,19 +57,17 @@ SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: collection interns no block ids and systems pickle no cost table; 5: a
 #: checkpoint's ``budget`` is the tenant's budget, not the last drain
 #: horizon, it records whether the run ran dry, and no checkpoint or
-#: comparison store carries a quarantine).
-SNAPSHOT_VERSION = 5
+#: comparison store carries a quarantine; 6: PPS-LOCAL checkpoints no
+#: blocking configuration and keeps every profile in its store).
+SNAPSHOT_VERSION = 6
 
-#: Every class a tenant snapshot holds, of every system on both blocking
-#: substrates (``tests/test_service.py`` fails when a snapshot meets a class
+#: Every class a tenant snapshot holds, of every system
+#: (``tests/test_service.py`` fails when a snapshot meets a class
 #: outside this set, or no longer meets one in it).  Decoding a blob can
 #: build these and nothing else: no other global is importable from it.
 SNAPSHOT_CLASSES = frozenset({
     ("repro.blocking.blocks", "Block"),
     ("repro.blocking.blocks", "BlockCollection"),
-    ("repro.blocking.lsh", "LSHBlockCollection"),
-    ("repro.blocking.lsh", "MinHasher"),
-    ("repro.blocking.substrate", "BlockingConfig"),
     ("repro.core.increments", "Increment"),
     ("repro.core.profile", "Attribute"),
     ("repro.core.profile", "EntityProfile"),
@@ -173,13 +170,8 @@ class TenantSnapshot:
             raise ValueError("malformed TenantSnapshot")
         try:
             # Unpickling a frozen dataclass skips ``__post_init__``:
-            # rebuilding a config runs its validation.  The batch systems
-            # checkpoint the BlockingConfig their LOCAL scope rebuilds from.
+            # rebuilding a config runs its validation.
             replace(snapshot.config)
-            state = {} if snapshot.checkpoint is None else dict(snapshot.checkpoint.system_state)
-            for value in state.values():
-                if isinstance(value, BlockingConfig):
-                    replace(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid snapshot config: {exc}") from exc
         checkpoint, budget = snapshot.checkpoint, snapshot.config.budget

@@ -17,7 +17,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro.blocking.blocks import BlockCollection
-from repro.blocking.substrate import BlockingConfig, make_collection
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.execution.store import ComparisonStore
@@ -83,15 +82,8 @@ class ERSystem:
     costs = PipelineCosts()
     _metrics: MetricsRegistry | None = None
 
-    def __init__(
-        self,
-        clean_clean: bool = False,
-        max_block_size: int | None = 200,
-        blocking: BlockingConfig | None = None,
-    ) -> None:
-        self.collection: BlockCollection = make_collection(
-            blocking, clean_clean=clean_clean, max_block_size=max_block_size
-        )
+    def __init__(self, clean_clean: bool = False, max_block_size: int | None = 200) -> None:
+        self.collection = BlockCollection(clean_clean, max_block_size)
         self._profiles: dict[int, EntityProfile] = {}
         #: The system's comparison registry (its executed set).  It
         #: shares the system's lifetime, and ``snapshot``/``restore`` carry
@@ -102,11 +94,7 @@ class ERSystem:
         """Index and store every profile of ``increment``; return the cost.
 
         One profile costs ``per_profile + per_token·|tokens|``, summed in
-        profile order.  Substrate telemetry (``blocking.lsh.*``) accrues on
-        the collection object — which is what engine checkpoints copy —
-        while it indexes profiles, and is flushed into the metrics here, so
-        a restored run replays both the metrics registry and the undrained
-        buffer from one consistent snapshot.
+        profile order.
         """
         collection = self.collection
         costs = self.costs
@@ -115,11 +103,6 @@ class ERSystem:
             collection.add_profile(profile)
             self._profiles[profile.pid] = profile
             cost += costs.per_profile + costs.per_token * len(profile.tokens())
-        pending = collection.drain_metrics()
-        if pending:
-            metrics = self.metrics
-            for name, value in pending.items():
-                metrics.count(name, value)
         return cost
 
     @property

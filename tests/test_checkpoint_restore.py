@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.blocking.substrate import BlockingConfig
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
@@ -34,15 +33,14 @@ STRATEGY_FACTORIES = {
     "I-PCS": lambda: PierSystem(IPCS()),
     "I-PBS": lambda: PierSystem(IPBS()),
     "I-PES": lambda: PierSystem(IPES()),
-    "I-PES-lsh": lambda: PierSystem(IPES(), blocking=BlockingConfig(substrate="lsh")),
     "I-BASE": IBaseSystem,
     # The batch baselines checkpoint through the default ``__dict__`` walk.
     "PBS-GLOBAL": lambda: PBSSystem(scope="all"),
     "PPS-LOCAL": lambda: PPSSystem(scope="last"),
 }
-#: These two run out of work on the rate-5 stream before ``CRASH_AT``, so
-#: they get a slower one that is still arriving when the crash comes.
-SLOW_STREAM = {"I-PES-lsh": 1.0, "PPS-LOCAL": 1.0}
+#: PPS-LOCAL runs out of work on the rate-5 stream before ``CRASH_AT``, so
+#: it gets a slower one that is still arriving when the crash comes.
+SLOW_STREAM = {"PPS-LOCAL": 1.0}
 
 
 
@@ -99,13 +97,15 @@ def _with_emission_counts(checkpoint):
     return replace(checkpoint, system_state=system_state)
 
 
-#: Preseeded at zero by every run while the LSH pre-filter substrate existed.
-RETIRED_COUNTER = "blocking.lsh.candidates_pruned"
+#: Preseeded at zero by every run while the MinHash-LSH substrates existed.
+RETIRED_COUNTERS = (
+    "blocking.lsh.candidates_pruned", "blocking.lsh.buckets", "blocking.lsh.signatures",
+)
 #: Preseeded at zero by every run while the engines retried matcher faults.
 RETRY_COUNTERS = ("engine.matcher_faults", "engine.retries", "engine.retry_backoff_s")
 
 
-def _with_retired_counter(checkpoint, names=(RETIRED_COUNTER,)):
+def _with_retired_counter(checkpoint, names=RETIRED_COUNTERS):
     """A checkpoint as written while its metrics still carried ``names``."""
     counters = checkpoint.metrics_state["counters"]
     assert not set(names) & set(counters)
@@ -197,11 +197,11 @@ class TestCrashResumeDeterminism:
         _assert_runs_identical(uninterrupted, resumed)
 
     def test_checkpoint_holding_a_retired_counter(self, small_dblp_acm):
-        """A token run restored from a checkpoint whose metrics still hold
-        the retired counter finishes equal to the uninterrupted run.  The
-        counter rides along at zero — a restore keeps every counter it is
+        """A run restored from a checkpoint whose metrics still hold the
+        retired LSH counters finishes equal to the uninterrupted run.  They
+        ride along at zero — a restore keeps every counter it is
         handed, since runs legitimately create zero counters of their own —
-        and is the only difference in the export."""
+        and are the only difference in the export."""
         factory = STRATEGY_FACTORIES["I-PCS"]
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
@@ -210,7 +210,8 @@ class TestCrashResumeDeterminism:
         resumed, _ = _crash_and_resume(
             factory, plan, small_dblp_acm.ground_truth, as_written=_with_retired_counter
         )
-        assert resumed.details["metrics"]["counters"].pop(RETIRED_COUNTER) == 0
+        counters = resumed.details["metrics"]["counters"]
+        assert [counters.pop(name) for name in RETIRED_COUNTERS] == [0, 0, 0]
         _assert_runs_identical(uninterrupted, resumed)
 
     @pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])

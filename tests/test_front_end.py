@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import EngineOptions, ERSession
-from repro.blocking.lsh import LSHBlockCollection
-from repro.blocking.substrate import BLOCKING_SUBSTRATES
+from repro.api import ERSession
+from repro.blocking.blocks import BlockCollection
 from repro.core.increments import Increment
 from repro.evaluation.experiments import SYSTEM_NAMES
+from repro.progressive.base import BatchProgressiveSystem
 from repro.streaming.system import PipelineCosts
 
 from tests.conftest import make_profile
@@ -25,18 +25,15 @@ SECOND = Increment(1, (
 ))
 
 
-@pytest.fixture(params=BLOCKING_SUBSTRATES)
-def substrate(request) -> str:
-    return request.param
+#: Token blocking is the one blocking substrate.  Case ids keep the ``token``
+#: part they carried while the substrate was a parameter, so that a case
+#: keeps its name across the history of the suite.
+@pytest.fixture(params=SYSTEM_NAMES, ids=lambda name: f"{name}-token")
+def system(request, toy_clean_clean_dataset):
+    return ERSession(toy_clean_clean_dataset).build_system(request.param)
 
 
-@pytest.fixture(params=SYSTEM_NAMES)
-def system(request, toy_clean_clean_dataset, substrate):
-    session = ERSession(toy_clean_clean_dataset, engine=EngineOptions(blocking=substrate))
-    return session.build_system(request.param)
-
-
-def test_index_charges_every_profile_in_order(system, substrate):
+def test_index_charges_every_profile_in_order(system):
     costs = PipelineCosts()
     expected = 0.0
     for profile in FIRST:
@@ -45,7 +42,7 @@ def test_index_charges_every_profile_in_order(system, substrate):
     assert system._index(Increment(2, ())) == 0.0
     assert system.collection.profiles_indexed() == len(FIRST)
     assert system.collection.clean_clean
-    assert isinstance(system.collection, LSHBlockCollection) == (substrate == "lsh")
+    assert type(system.collection) is BlockCollection
 
 
 def test_profiles_is_a_live_read_only_view(system):
@@ -65,10 +62,14 @@ def test_reindexing_a_pid_raises(system):
         system._index(Increment(1, (make_profile(0, "matrix again", source=0),)))
 
 
-def test_ingest_keeps_every_profile_except_under_local_scope(system):
+def test_ingest_keeps_every_profile_and_local_scope_indexes_only_the_newest(system):
+    """PPS-LOCAL starts its collection over at every increment but keeps its
+    profile store: pairs charged before the increment still resolve."""
     system.ingest(FIRST)
     system.ingest(SECOND)
     newest_only = getattr(system, "scope", "all") == "last"
-    kept = SECOND.profiles if newest_only else FIRST.profiles + SECOND.profiles
-    assert dict(system.profiles) == {profile.pid: profile for profile in kept}
-    assert system.collection.profiles_indexed() == len(kept)
+    indexed = SECOND.profiles if newest_only else FIRST.profiles + SECOND.profiles
+    assert dict(system.profiles) == {p.pid: p for p in FIRST.profiles + SECOND.profiles}
+    assert system.collection.profiles_indexed() == len(indexed)
+    if isinstance(system, BatchProgressiveSystem):
+        assert system.gauges()["profiles_indexed"] == system.describe()["profiles"] == len(indexed)

@@ -99,6 +99,11 @@ RETIRED_NAMES = (
     "adopt_checkpoint_" + "budget",
     # The token-set pair-list kernel: the JS score reads pid-keyed records.
     "jaccard_" + "batch",
+    # The MinHash-LSH substrate, its knobs and the config that chose it:
+    # token blocking is the one substrate.
+    "LSHBlock" + "Collection", "Min" + "Hasher", "Blocking" + "Config",
+    "BLOCKING_" + "SUBSTRATES", "lsh_" + "bands", "lsh_" + "rows", "lsh_" + "seed",
+    "blocking_" + "config",
 )
 
 
@@ -221,7 +226,7 @@ class TestRetiredNames:
 
     def test_engine_options_has_exactly_these_fields(self):
         assert [field.name for field in dataclasses.fields(EngineOptions)] == [
-            "pipelined", "workers", "blocking", "lsh_bands", "lsh_rows", "lsh_seed",
+            "pipelined", "workers",
         ]
 
     def test_session_and_core_take_exactly_these_parameters(self):

@@ -1,7 +1,7 @@
 """The refill's delta drain against the full-rescan oracle.
 
 ``GetComparisons`` enumerates only the pairs of a grown block that involve a
-member past its cursor, and finds that block through the substrate's growth
+member past its cursor, and finds that block through the collection's growth
 feed.  These tests hold it to what it replaced
 (``tests/reference/full_rescan_refill.py``, which scans the collection for
 eligible blocks and every block for pairs): same blocks in the same order,
@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.blocks import BlockCollection
-from repro.blocking.substrate import BLOCKING_SUBSTRATES, BlockingConfig, make_collection
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.matching.matcher import JaccardMatcher
 from repro.metablocking.weights import make_scheme
@@ -41,6 +40,11 @@ _profile = st.tuples(
     st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=2, unique=True),
     st.integers(0, 1),
 )
+#: Token blocking is the one blocking substrate.  Case ids keep the ``token``
+#: part they carried while the substrate was a parameter, so that a case
+#: keeps its name across the history of the suite.
+TOKEN_CASE_IDS = ["token-clean-clean", "token-dirty"]
+
 #: One round: arrivals, then that many drains, then every ``step``-th pending
 #: pair is executed, then (maybe) the refill goes through a checkpoint.
 _round = st.tuples(
@@ -71,14 +75,13 @@ def _add(collection, profile) -> int:
     return len(keys) + len(collection.purged_keys()) - purged_before
 
 
-@pytest.mark.parametrize("clean_clean", [True, False], ids=["clean-clean", "dirty"])
-@pytest.mark.parametrize("substrate", BLOCKING_SUBSTRATES)
+@pytest.mark.parametrize("clean_clean", [True, False], ids=TOKEN_CASE_IDS)
 @given(
     rounds=st.lists(_round, min_size=1, max_size=12),
     scheme_name=st.sampled_from(["cbs", "js", "arcs"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_name):
+def test_delta_drain_matches_full_rescan(clean_clean, rounds, scheme_name):
     """Interleaved arrivals, drains, executions, purges and checkpoints.
 
     A block purges once it outgrows ``max_block_size=5``.  Pairs left
@@ -86,11 +89,7 @@ def test_delta_drain_matches_full_rescan(substrate, clean_clean, rounds, scheme_
     the rescan offers them again when their block grows, the delta drain
     does not (``offered`` takes them out of the oracle's answer).
     """
-    collection = make_collection(
-        BlockingConfig(substrate=substrate, lsh_bands=4, lsh_rows=1, lsh_seed=3),
-        clean_clean=clean_clean,
-        max_block_size=5,
-    )
+    collection = BlockCollection(clean_clean=clean_clean, max_block_size=5)
     scheme = make_scheme(scheme_name)
     refill = GetComparisons(scheme)
     oracle = FullRescanRefill(scheme)
@@ -226,7 +225,7 @@ def test_no_block_pair_is_enumerated_twice(strategy_cls, small_dblp_acm):
 
 
 _HASHSEED_SCRIPT = """
-from repro.api import EngineOptions, ERSession
+from repro.api import ERSession
 from repro.datasets.registry import load_dataset
 from repro.resilience import ResilienceConfig
 from repro.service.protocol import result_fingerprint
@@ -250,22 +249,20 @@ def plain(value):
 
 dataset = load_dataset("dblp_acm", scale=0.1)
 for system in ("I-PCS", "I-PES"):
-    for blocking in ("token", "lsh"):
-        # Arrivals faster than the idle refills drain what grew, so the
-        # checkpoint cuts fall where the refill heap still holds blocks.
-        # Idle fills run to K, so they empty the heap sooner: on 20 larger
-        # increments I-PCS's last cut still finds one (I-PES's does not).
-        with ERSession(
-            dataset, systems=(system,), matcher="JS", n_increments=20, rate=200.0,
-            budget=1e9, resilience=ResilienceConfig(checkpoint_every=0.01),
-            engine=EngineOptions(blocking=blocking),
-        ) as session:
-            result = session.run()
-        strategy = session.last_checkpoint.system_state["strategy"]
-        print(system, blocking, result_fingerprint(result))
-        print("heap-entries", len(strategy["refill"]["heap"]))
-        print(result.details["metrics"]["rounds"])
-        print(plain(strategy))
+    # Arrivals faster than the idle refills drain what grew, so the
+    # checkpoint cuts fall where the refill heap still holds blocks.
+    # Idle fills run to K, so they empty the heap sooner: on 20 larger
+    # increments I-PCS's last cut still finds one (I-PES's does not).
+    with ERSession(
+        dataset, systems=(system,), matcher="JS", n_increments=20, rate=200.0,
+        budget=1e9, resilience=ResilienceConfig(checkpoint_every=0.01),
+    ) as session:
+        result = session.run()
+    strategy = session.last_checkpoint.system_state["strategy"]
+    print(system, result_fingerprint(result))
+    print("heap-entries", len(strategy["refill"]["heap"]))
+    print(result.details["metrics"]["rounds"])
+    print(plain(strategy))
 """
 
 
@@ -296,4 +293,4 @@ class TestHashSeedStability:
         heaps = [
             int(line.split()[1]) for line in out_a.splitlines() if line.startswith("heap-entries")
         ]
-        assert len(heaps) == 4 and max(heaps) > 1  # a layout was there to compare
+        assert len(heaps) == 2 and max(heaps) > 1  # a layout was there to compare

@@ -40,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineOptions, ERSession
+from repro.api import ERSession
 from repro.core.dataset import GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
@@ -761,39 +761,32 @@ def test_a_reduce_probe_runs_nothing(tmp_path):
 
 
 def test_snapshots_of_every_system_round_trip_within_the_allow_list():
-    """Every system's snapshot, mid-stream, on both blocking substrates,
-    decodes through the allow-list, and the run resumed from the decoded
+    """Every system's snapshot, mid-stream, decodes through the allow-list, and the run resumed from the decoded
     snapshot ends equal to the run that was never cut.  Together the
     snapshots meet exactly the listed classes, so a layout change can
     neither widen the list unnoticed nor leave a stale entry in it."""
     dataset = load_dataset("dblp_acm", scale=0.1)
     seen: set = set()
-    for substrate in ("token", "lsh"):
-        for name in SYSTEM_NAMES:
-            session = ERSession(
-                dataset, systems=(name,), n_increments=4, rate=5.0, budget=BUDGET,
-                engine=EngineOptions(blocking=substrate),
-            )
-            arrivals = list(session.plan_for(name))
-            push = session.push(name)
-            for at, increment in arrivals[:3]:
-                push.feed(increment, at=at)
-                push.drain(at + 0.05)
-            blob = TenantSnapshot(
-                TenantConfig(tenant_id="t", system=name, budget=BUDGET), push.checkpoint(),
-                tuple(push.plan), push.horizon, push.increments_fed,
-            ).to_bytes()
-            _RecordingUnpickler(blob[len(SNAPSHOT_MAGIC) + 2 :], seen).load()
-            restored = TenantSnapshot.from_bytes(blob)
-            resumed = session.push(name, resume_from=restored.checkpoint)
-            resumed.feed_plan(restored.arrivals)
-            resumed.start()  # binds the checkpoint to the arrivals it was cut at
-            for run in (push, resumed):
-                run.feed_plan(arrivals[3:])
-                run.drain(BUDGET)
-            assert _comparable(resumed.results()) == _comparable(push.results()), (
-                substrate, name,
-            )
+    for name in SYSTEM_NAMES:
+        session = ERSession(dataset, systems=(name,), n_increments=4, rate=5.0, budget=BUDGET)
+        arrivals = list(session.plan_for(name))
+        push = session.push(name)
+        for at, increment in arrivals[:3]:
+            push.feed(increment, at=at)
+            push.drain(at + 0.05)
+        blob = TenantSnapshot(
+            TenantConfig(tenant_id="t", system=name, budget=BUDGET), push.checkpoint(),
+            tuple(push.plan), push.horizon, push.increments_fed,
+        ).to_bytes()
+        _RecordingUnpickler(blob[len(SNAPSHOT_MAGIC) + 2 :], seen).load()
+        restored = TenantSnapshot.from_bytes(blob)
+        resumed = session.push(name, resume_from=restored.checkpoint)
+        resumed.feed_plan(restored.arrivals)
+        resumed.start()  # binds the checkpoint to the arrivals it was cut at
+        for run in (push, resumed):
+            run.feed_plan(arrivals[3:])
+            run.drain(BUDGET)
+        assert _comparable(resumed.results()) == _comparable(push.results()), name
     assert seen == SNAPSHOT_CLASSES
 
 
@@ -820,13 +813,14 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_an_old_envelope_is_refused_naming_its_version(version):
     """Version 1 checkpoints carried the progress recorder's own executed
     set, version 2 a blocker object per incremental system, version 3 the
     collection's interned block ids and a cost table per batch system,
-    version 4 a quarantine and the last drain horizon as the budget; an
-    envelope that says any of them is refused, and the refusal names it."""
+    version 4 a quarantine and the last drain horizon as the budget,
+    version 5 PPS-LOCAL's blocking configuration; an envelope that says any
+    of them is refused, and the refusal names it."""
     payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
     blob = SNAPSHOT_MAGIC + version.to_bytes(2, "big") + payload
     with pytest.raises(ValueError, match=f"snapshot version {version} cannot be restored"):
@@ -841,29 +835,6 @@ def test_a_snapshot_with_an_invalid_config_is_refused():
     object.__setattr__(snapshot.config, "kind", "nonsense")
     blob = snapshot.to_bytes()
     with pytest.raises(ValueError, match="kind must be"):
-        TenantSnapshot.from_bytes(blob)
-    with _ServerThread() as server:
-        with ServiceClient("127.0.0.1", server.port) as client:
-            with pytest.raises(ServiceError) as exc:
-                client.restore("t", blob)
-            assert exc.value.code == "bad-request"
-            assert client.ping()["tenants"] == 0
-            client.shutdown()
-
-
-def test_a_snapshot_with_an_invalid_blocking_config_is_refused():
-    """PPS-LOCAL checkpoints the ``BlockingConfig`` its resets rebuild the
-    collection from: one altered past its validation is refused on decode,
-    and over a live connection, as one ``bad-request``, instead of
-    resuming into a substrate nobody configured."""
-    session = TenantSession(TenantConfig(tenant_id="t", system="PPS-LOCAL", budget=BUDGET))
-    for i, batch in enumerate(_batches()[:2]):
-        session.ingest(batch, at=float(i))
-    snapshot = session.snapshot()
-    session.close()
-    object.__setattr__(snapshot.checkpoint.system_state["blocking"], "substrate", "nonsense")
-    blob = snapshot.to_bytes()
-    with pytest.raises(ValueError, match="substrate must be one of"):
         TenantSnapshot.from_bytes(blob)
     with _ServerThread() as server:
         with ServiceClient("127.0.0.1", server.port) as client:
