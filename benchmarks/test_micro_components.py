@@ -104,8 +104,8 @@ def test_bench_bounded_pq_enqueue_dequeue(benchmark):
 
 
 def test_bench_bounded_pq_batch(benchmark):
-    """I-PBS's cycle: a block's pairs offered in one batch under
-    ``(-block_size, weight)`` keys, then taken by one emission round."""
+    """The refill cycle of I-PCS: a drained block's pairs offered in one
+    batch under their weights, then taken by one emission round."""
     rng = random.Random(2)
     blocks = []
     first = 0
@@ -114,7 +114,7 @@ def test_bench_bounded_pq_batch(benchmark):
         pairs = [
             (first + i, first + j) for i in range(size) for j in range(i + 1, size)
         ]
-        keys = [(-size, rng.choice((0.25, 0.5, 1.0, 2.0))) for _ in pairs]
+        keys = [rng.choice((0.25, 0.5, 1.0, 2.0)) for _ in pairs]
         blocks.append((pairs, keys))
         first += size
 

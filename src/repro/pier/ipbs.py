@@ -5,67 +5,53 @@ blocks are most likely to contain duplicates).  Two global indexes track the
 pending work per block:
 
 * ``CI`` (cardinality index): block key → number of unexecuted comparisons
-  its pending profiles can generate (the paper initializes entries to +∞ to
-  mean "nothing pending"; we model that state by *absence* from the dict,
-  which is equivalent and avoids ∞ arithmetic);
-* ``PI`` (profile index): block key → pending (unexecuted) profiles.  Blocks
-  only append, so these are the members past a per-source *cursor* set when
-  the block is processed (as in :class:`~repro.pier.base.GetComparisons`).
+  its pending profiles can generate (the paper's +∞, "nothing pending", is
+  *absence* from the dict);
+* ``PI`` (profile index): block key → pending profiles.  Blocks only
+  append, so these are the members past a per-source *cursor* set when the
+  block is processed (as in :class:`~repro.pier.base.GetComparisons`).
 
-Comparisons enter the global queue with the composite priority
-``(-block_size, cbs_weight)``: comparisons from smaller generating blocks
-come first, CBS breaks ties within a block.  Each new pair of a block is
-generated once, and a pair already generated from an earlier block is
-dropped.  The paper answers "already generated?" with a scalable Bloom
-filter because it cannot afford the exact set; this implementation keeps
-that set anyway — every generated pair is either still *queued* here or in
-the store's *executed* set, which exactly-once execution needs regardless —
-so the test is exact: two set probes, no false positive, no lost comparison.
-
-The queue is refilled from the current smallest pending block ``b_min``
-lazily: only when the queue is empty, or when ``b_min`` is *smaller* than
-the block that generated the current queue head (so newly discovered small
-blocks jump the line, while larger blocks wait until the queue drains —
-this keeps the queue from growing without bound while preferring
-comparisons from smaller blocks, the stated goals of the paper).
+The ``CmpIndex`` is a deque of *runs*, one per processed block: its new
+pairs by descending weight, handed out from the front.  Alg. 3's lazy
+refill processes ``b_min``, the smallest pending block, when nothing is
+queued and, at ingestion, when it is smaller than the front run's block,
+whose run it then precedes; idle rounds append further ``b_min`` runs until
+they hold ``K`` pairs (docs/ALGORITHMS.md).  A pair already generated from
+an earlier block is dropped exactly, where the paper uses a Bloom filter:
+every generated pair is still *queued* in a run or in the store's
+*executed* set.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
+from collections import deque
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.profile import EntityProfile
 from repro.metablocking.sweep import pair_weights
 from repro.metablocking.weights import CommonBlocksScheme, WeightingScheme
 from repro.pier.base import IncrPrioritization, PierSystem, _member_counts
-from repro.priority.bounded_pq import BoundedPriorityQueue
 
 __all__ = ["IPBS"]
 
 
 class IPBS(IncrPrioritization):
-    """Block-centric prioritization over smallest-pending-block refills."""
+    """Block-centric prioritization over smallest-pending-block runs."""
 
     name = "I-PBS"
 
-    def __init__(
-        self,
-        scheme: WeightingScheme | None = None,
-        capacity: int | None = 500_000,
-    ) -> None:
+    def __init__(self, scheme: WeightingScheme | None = None) -> None:
         self.scheme = scheme or CommonBlocksScheme()
-        self.index: BoundedPriorityQueue[tuple[int, int]] = BoundedPriorityQueue(capacity)
+        # Pending runs, front first: (size of the block when it was
+        # processed, its pairs not handed out yet, in emission order).
+        self.runs: deque[tuple[int, tuple[tuple[int, int], ...]]] = deque()
+        # The pairs of the runs; with ``store.executed``, every pair so far.
+        self.queued: set[tuple[int, int]] = set()
         self.cardinality_index: dict[str, int] = {}
         # Block key -> members per source when the block was last processed.
         self._cursor: dict[str, tuple[int, ...]] = {}
-        # Pairs enqueued and not yet handed out.  The host claims every
-        # dequeued pair into ``store.executed`` before the next refill, so
-        # ``queued ∪ executed`` is every pair generated so far.  A pair the
-        # bounded index evicts or refuses stays here: it is never generated
-        # again, the loss the bound accepts.
-        self.queued: set[tuple[int, int]] = set()
         # Lazy min-heap over (pending_count, key); entries whose count is
         # stale are discarded on pop, keeping b_min selection O(log n).
         self._pending_heap: list[tuple[int, str]] = []
@@ -89,31 +75,31 @@ class IPBS(IncrPrioritization):
                 if count > 0:
                     heapq.heappush(self._pending_heap, (count, key))
                 cost += costs.per_enqueue
-        cost += self._consider_refill(system)
-        return cost
+        return cost + self._consider_refill(system)
 
     def on_empty_increment(
         self, system: PierSystem, target: int = 1, until: float | None = None
     ) -> float:
-        # Alg. 3's lazy refill at any round size (docs/ALGORITHMS.md).
-        return system.costs.per_round + self._consider_refill(system)
+        """Alg. 3's lazy refill, then ``b_min`` runs at the back while the
+        runs hold under ``target`` pairs and the cost is below ``until``."""
+        cost = system.costs.per_round + self._consider_refill(system)
+        while len(self.queued) < target and (until is None or cost < until):
+            key, block = self._smallest_pending_block(system)
+            if key is None:
+                break
+            cost += self._process_block(system, key, block, front=False)
+        return cost
 
     # ------------------------------------------------------------------
     def _consider_refill(self, system: PierSystem) -> float:
         """Process ``b_min`` when the lazy-refill condition holds (Alg. 3)."""
         cost = 0.0
         while True:
-            b_min_key, b_min_block = self._smallest_pending_block(system)
-            if b_min_key is None:
+            key, block = self._smallest_pending_block(system)
+            if key is None or (self.queued and len(block) >= self.runs[0][0]):
                 return cost
-            if len(self.index):
-                top_block_size = -self.index.peek_key()[0]
-                if len(b_min_block) >= top_block_size:
-                    return cost
-            cost += self._process_block(system, b_min_key, b_min_block)
-            # After processing one block, loop: an even smaller block may now
-            # satisfy the condition (or the queue may still be empty).
-            if len(self.index):
+            cost += self._process_block(system, key, block, front=True)
+            if self.queued:  # else the block had no new pair: try the next
                 return cost
 
     def _smallest_pending_block(self, system: PierSystem):
@@ -140,12 +126,11 @@ class IPBS(IncrPrioritization):
             return key, block
         return None, None
 
-    def _process_block(self, system: PierSystem, key: str, block) -> float:
-        """Generate the pending comparisons of a block into the queue."""
+    def _process_block(self, system: PierSystem, key: str, block, front: bool) -> float:
+        """Generate the pending comparisons of a block as a run in front or at the back."""
         costs = system.costs
         collection = system.collection
         metrics = system.metrics
-        block_size = len(block)
         cost = costs.per_block_open
         metrics.count("strategy.blocks_processed")
         queued = self.queued
@@ -176,15 +161,19 @@ class IPBS(IncrPrioritization):
         metrics.count("strategy.refill_pairs_scanned", len(scan))
         if len(scan) > len(survivors):
             metrics.count("strategy.redundant_pairs", len(scan) - len(survivors))
+        self._reset_block(key, block)
+        if not survivors:
+            return cost
         queued.update(survivors)
-        weights = pair_weights(collection, survivors, self.scheme)
         per_pair = costs.per_weight + costs.per_enqueue
         for _ in survivors:  # one float addition per pair, as charged per pair
             cost += per_pair
-        self.index.enqueue_batch(survivors, [(-block_size, weight) for weight in weights])
-        if survivors:
-            metrics.count("strategy.comparisons_enqueued", len(survivors))
-        self._reset_block(key, block)
+        weights = pair_weights(collection, survivors, self.scheme)
+        # Stable, so equal weights leave in scan order.
+        ranked = sorted(zip(survivors, weights), key=itemgetter(1), reverse=True)
+        run = (len(block), tuple(map(itemgetter(0), ranked)))
+        (self.runs.appendleft if front else self.runs.append)(run)
+        metrics.count("strategy.comparisons_enqueued", len(survivors))
         return cost
 
     def _reset_block(self, key: str, block) -> None:
@@ -199,31 +188,42 @@ class IPBS(IncrPrioritization):
     def dequeue_batch(
         self, count: int, executed: set[tuple[int, int]]
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        batch, stale = self.index.pop_batch(count, executed)
-        self.queued.difference_update(batch)
-        if stale:
-            self.queued.difference_update(stale)
+        batch: list[tuple[int, int]] = []
+        stale: list[tuple[int, int]] = []
+        runs = self.runs
+        while runs and len(batch) < count:
+            size, pairs = runs.popleft()
+            need = count - len(batch)
+            if need < len(pairs):  # the rest of the run stays in front
+                runs.appendleft((size, pairs[need:]))
+                pairs = pairs[:need]
+            fresh = [pair for pair in pairs if pair not in executed]
+            if len(fresh) < len(pairs):
+                stale += [pair for pair in pairs if pair in executed]
+            executed.update(fresh)
+            batch += fresh
+        self.queued.difference_update(batch, stale)
         return batch, stale
 
     def gauges(self) -> dict[str, float]:
         return {"pending_blocks": len(self.cardinality_index)}
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.queued)
 
     # -- checkpoint support ---------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
+        # Runs are tuples, shared with the snapshot; ``queued`` is their pairs.
         return {
-            "index": copy.deepcopy(self.index),
-            "queued": set(self.queued),
+            "runs": list(self.runs),
             "cardinality_index": dict(self.cardinality_index),
             "cursor": dict(self._cursor),
             "pending_heap": list(self._pending_heap),
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
-        self.index = copy.deepcopy(state["index"])
-        self.queued = set(state["queued"])
+        self.runs = deque(state["runs"])
+        self.queued = {pair for _, pairs in self.runs for pair in pairs}
         self.cardinality_index = dict(state["cardinality_index"])
         self._cursor = dict(state["cursor"])
         self._pending_heap = list(state["pending_heap"])

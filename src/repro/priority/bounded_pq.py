@@ -4,9 +4,8 @@ The global comparison index ``CmpIndex`` of the PIER framework is "a bounded
 priority queue returning as first element the comparison with highest
 weight".  This implementation supports:
 
-* ``enqueue(item, key)`` — insert with a numeric priority key (floats for
-  I-PCS/I-PES) or an equal-length tuple of numbers (``(-block_size, cbs)``
-  for I-PBS);
+* ``enqueue(item, key)`` — insert with a numeric priority key (the
+  comparison weight for I-PCS and I-PES's overflow queue);
 * ``dequeue()`` — remove and return the highest-priority item, FIFO among
   equal keys;
 * bounded capacity — when full, a new item only enters by evicting the
@@ -36,7 +35,6 @@ order of entries inside the heap list may differ, which no pop can see.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import neg
 from typing import Any, Generic, Sequence, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
@@ -97,9 +95,7 @@ class BoundedPriorityQueue(Generic[T]):
             self.evictions += 1
         seq = self._seq
         self._seq = seq + 1
-        # The key with its order reversed: ``-key``, component-wise for tuples.
-        negated = tuple(map(neg, key)) if type(key) is tuple else -key
-        heappush(self._heap, (negated, seq, key, item))
+        heappush(self._heap, (-key, seq, key, item))
         if self._min_heap is not None:
             heappush(self._min_heap, (key, -seq))
         self._size += 1
@@ -110,9 +106,8 @@ class BoundedPriorityQueue(Generic[T]):
 
         While nothing can be evicted (no min view yet, and the batch fits
         under the capacity) the entries are built in one pass, with
-        consecutive ``seq`` numbers; the keys of one batch are all floats
-        or all 2-tuples.  An empty queue takes them by one sort, a
-        non-empty one by a push each.  Every other batch goes through
+        consecutive ``seq`` numbers.  An empty queue takes them by one sort,
+        a non-empty one by a push each.  Every other batch goes through
         :meth:`enqueue`, the one place that evicts and refuses.
         """
         count = len(items)
@@ -126,10 +121,7 @@ class BoundedPriorityQueue(Generic[T]):
             for item, key in zip(items, keys):
                 enqueue(item, key)
             return
-        if type(keys[0]) is tuple:
-            negated = [(-major, -minor) for major, minor in keys]
-        else:
-            negated = [-key for key in keys]
+        negated = [-key for key in keys]
         seq = self._seq
         self._seq = seq + count
         self._size += count

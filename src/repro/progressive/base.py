@@ -121,6 +121,14 @@ class BatchProgressiveSystem(ERSystem):
             fresh = [pair for pair in pairs if mark_executed(pair)]
         return EmitResult(batch=tuple(fresh), cost=cost)
 
+    def snapshot(self) -> dict[str, object]:
+        state = super().snapshot()
+        if self.scope == "last":
+            # A checkpoint follows a join: no pair in flight needs an older profile.
+            profiles, indexed = state["_profiles"], self.collection.is_indexed
+            state["_profiles"] = {pid: profiles[pid] for pid in profiles if indexed(pid)}
+        return state
+
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------

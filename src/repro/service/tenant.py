@@ -57,9 +57,9 @@ SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: collection interns no block ids and systems pickle no cost table; 5: a
 #: checkpoint's ``budget`` is the tenant's budget, not the last drain
 #: horizon, it records whether the run ran dry, and no checkpoint or
-#: comparison store carries a quarantine; 6: PPS-LOCAL checkpoints no
-#: blocking configuration and keeps every profile in its store).
-SNAPSHOT_VERSION = 6
+#: comparison store carries a quarantine; 6: PPS-LOCAL checkpoints no blocking
+#: configuration and keeps every profile in its store; 7: I-PBS block runs).
+SNAPSHOT_VERSION = 7
 
 #: Every class a tenant snapshot holds, of every system
 #: (``tests/test_service.py`` fails when a snapshot meets a class

@@ -46,11 +46,13 @@ def ipcs_dequeue(strategy) -> tuple[int, int] | None:
 
 
 def ipbs_dequeue(strategy) -> tuple[int, int] | None:
-    """I-PBS: the top of the queue, no longer counted as queued."""
-    try:
-        pair = strategy.index.dequeue()
-    except IndexError:  # empty
+    """I-PBS: the next pair of the front run, no longer counted as queued."""
+    if not strategy.runs:
         return None
+    size, pairs = strategy.runs.popleft()
+    if len(pairs) > 1:
+        strategy.runs.appendleft((size, pairs[1:]))
+    pair = pairs[0]
     strategy.queued.discard(pair)
     return pair
 

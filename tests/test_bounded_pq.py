@@ -67,14 +67,6 @@ class TestBasics:
         queue.enqueue("a", 4.2)
         assert _dequeue_with_key(queue) == ("a", 4.2)
 
-    def test_tuple_keys(self):
-        queue = BoundedPriorityQueue()
-        queue.enqueue("small-block", (-2, 1.0))
-        queue.enqueue("large-block", (-10, 9.0))
-        queue.enqueue("small-block-heavy", (-2, 5.0))
-        # (-2, 5.0) > (-2, 1.0) > (-10, 9.0)
-        assert _drain(queue) == ["small-block-heavy", "small-block", "large-block"]
-
     def test_clear(self):
         queue = BoundedPriorityQueue()
         queue.enqueue("a", 1.0)
@@ -190,7 +182,6 @@ class TestHypothesisModel:
 
 #: Few distinct values, so ties (FIFO out, newest evicted first) are common.
 _float_keys = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0])
-_tuple_keys = st.tuples(st.integers(-3, -1), st.sampled_from([1.0, 2.0]))
 _enqueue = st.tuples(st.just("enqueue"), st.integers(0, 2))  # index into the key pool
 _steps = st.one_of(
     _enqueue,
@@ -218,8 +209,7 @@ class TestSortedListModel:
     """
 
     @given(
-        st.one_of(st.lists(_float_keys, min_size=3, max_size=3),
-                  st.lists(_tuple_keys, min_size=3, max_size=3)),
+        st.lists(_float_keys, min_size=3, max_size=3),
         st.one_of(st.none(), st.integers(1, 4)),
         st.lists(_steps, max_size=80),
     )
@@ -296,8 +286,7 @@ class TestBatchOperations:
     """
 
     @given(
-        st.one_of(st.lists(_float_keys, min_size=3, max_size=3),
-                  st.lists(_tuple_keys, min_size=3, max_size=3)),
+        st.lists(_float_keys, min_size=3, max_size=3),
         st.sampled_from([None, 1, 3, 8]),
         st.lists(_batch_steps, max_size=40),
     )

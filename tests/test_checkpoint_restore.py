@@ -8,10 +8,12 @@ recovery point, no comparison double-counted, converged counters.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
 
+from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.incremental.ibase import IBaseSystem
 from repro.pier.base import PierSystem
@@ -22,6 +24,7 @@ from repro.priority.rates import AdaptiveK
 from repro.progressive.pbs import PBSSystem
 from repro.progressive.pps import PPSSystem
 from repro.resilience import ResilienceConfig
+from repro.execution.core import ExecutionCore
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
@@ -44,10 +47,10 @@ SLOW_STREAM = {"PPS-LOCAL": 1.0}
 
 
 
-def _ipbs_small_rounds(capacity=500_000) -> PierSystem:
+def _ipbs_small_rounds() -> PierSystem:
     """I-PBS emitting one pair a round, so that checkpoints find pairs
     waiting in its index (at the default K every round drains it)."""
-    return PierSystem(IPBS(capacity=capacity), adaptive_k=AdaptiveK(initial=1, minimum=1, maximum=1))
+    return PierSystem(IPBS(), adaptive_k=AdaptiveK(initial=1, minimum=1, maximum=1))
 
 
 BUDGET = 10.0
@@ -155,32 +158,51 @@ class TestCrashResumeDeterminism:
         assert checkpoint.ingest_clock is not None
         _assert_runs_identical(uninterrupted, resumed)
 
-    def test_ipbs_index_small_enough_to_evict(self, small_dblp_acm):
-        """Pairs the bounded index evicted or refused live on in ``queued``
-        only; the checkpoint must carry them or the resumed run would
-        generate them again from a later block."""
-        systems = []
-
-        def factory():
-            systems.append(_ipbs_small_rounds(capacity=4))
-            return systems[-1]
-
+    def test_ipbs_pending_runs_survive_a_crash(self, small_dblp_acm):
+        """At one pair a round, checkpoints find I-PBS mid-run, its front
+        run partly taken.  The checkpoint carries only what is left of the
+        runs, and a resumed run rebuilds ``queued`` from it — or would
+        generate those pairs again from a later block."""
         plan = _plan(small_dblp_acm)
         uninterrupted = StreamingEngine(
             build_matcher("ED"), budget=BUDGET, resilience=CADENCE
-        ).run(factory(), plan, small_dblp_acm.ground_truth)
+        ).run(_ipbs_small_rounds(), plan, small_dblp_acm.ground_truth)
         resumed, checkpoint = _crash_and_resume(
-            factory, plan, small_dblp_acm.ground_truth
+            _ipbs_small_rounds, plan, small_dblp_acm.ground_truth
         )
         _assert_runs_identical(uninterrupted, resumed)
-        lost = checkpoint.system_state["strategy"]
-        assert len(lost["queued"]) > len(lost["index"])
-        for system in (systems[0], systems[-1]):
-            index = system.strategy.index
-            assert index.evictions > 0 and index.rejections > 0
-            assert len(system.strategy.queued) == (
-                len(index) + index.evictions + index.rejections
-            )
+        runs = checkpoint.system_state["strategy"]["runs"]
+        pending = [pair for _, pairs in runs for pair in pairs]
+        assert len(pending) == len(set(pending)) > 0
+        assert not set(pending) & checkpoint.system_state["store"]["executed"]
+
+    def test_pps_local_checkpoints_only_the_indexed_profiles(self, monkeypatch):
+        """PPS-LOCAL scores only pairs of its newest increment and keeps
+        every profile fed, but a checkpoint follows a join, so it carries
+        only the profiles its collection indexes; resuming from every one
+        of the run's checkpoints still ends as the uninterrupted run."""
+        session = ERSession(
+            "dblp_acm", scale=0.3, systems=("PPS-LOCAL",), n_increments=20, rate=5.0,
+            resilience=ResilienceConfig(checkpoint_every=1.0),
+        )
+        checkpoints = []
+        loop_top = ExecutionCore._loop_top
+
+        def collecting(engine, state):
+            loop_top(engine, state)
+            latest = engine.last_checkpoint
+            if latest is not None and (not checkpoints or checkpoints[-1] is not latest):
+                checkpoints.append(latest)
+
+        monkeypatch.setattr(ExecutionCore, "_loop_top", collecting)
+        uninterrupted = session.run()
+        monkeypatch.undo()
+        assert checkpoints[-1] is session.last_checkpoint and len(checkpoints) == 3
+        assert len(pickle.dumps(session.last_checkpoint)) <= 30_000
+        for checkpoint in checkpoints:
+            state = checkpoint.system_state
+            assert set(state["_profiles"]) == set(state["collection"]._blocks_of)
+            _assert_runs_identical(uninterrupted, session.run(resume_from=checkpoint))
 
     @pytest.mark.parametrize("name", ["I-PES", "I-BASE"])
     def test_checkpoint_holding_emission_counts(self, name, small_dblp_acm):

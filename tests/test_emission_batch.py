@@ -29,11 +29,11 @@ from tests.reference.emit_loop import ipbs_dequeue, ipcs_dequeue, ipes_dequeue, 
 VOCABULARY = ("ash", "birch", "cedar", "dogwood", "elm")
 STATS = PipelineStats(now=0.0, input_rate=None, mean_match_cost=1e-4, backlog=0)
 
-#: Strategy with an index of ``capacity`` (I-PES: its overflow ``PQ``), and
-#: the per-comparison ``dequeue`` it had.
+#: Strategy with an index of ``capacity`` (I-PES: its overflow ``PQ``; I-PBS's
+#: runs have no bound), and the per-comparison ``dequeue`` it had.
 STRATEGIES = {
     "I-PCS": (lambda capacity: IPCS(beta=0.01, capacity=capacity), ipcs_dequeue),
-    "I-PBS": (lambda capacity: IPBS(capacity=capacity), ipbs_dequeue),
+    "I-PBS": (lambda capacity: IPBS(), ipbs_dequeue),
     "I-PES": (lambda capacity: IPES(beta=0.01, overflow_capacity=capacity), ipes_dequeue),
 }
 
