@@ -7,17 +7,20 @@ of the data structures a production deployment would care about.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
 from repro.blocking.blocks import BlockCollection
+from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
 from repro.matching.similarity import levenshtein
 from repro.metablocking.weights import CommonBlocksScheme
 from repro.metablocking.wnp import sweep_wnp
+from repro.pier.base import PierSystem
 from repro.pier.ipes import IPES
 from repro.priority.bounded_pq import BoundedPriorityQueue
 
@@ -72,6 +75,32 @@ def test_bench_cbs_weighting(benchmark, census, indexed_census):
         )
 
     benchmark(weigh_all)
+
+
+def test_bench_common_block_counts(benchmark, census, indexed_census):
+    """The CBS counts of a drained block's pairs: one AND + popcount of two
+    block masks per pair."""
+    rng = random.Random(0)
+    pids = [profile.pid for profile in census]
+    pairs = [(rng.choice(pids), rng.choice(pids)) for _ in range(20_000)]
+
+    assert sum(benchmark(indexed_census.common_block_counts, pairs)) > 0
+
+
+def test_bench_idle_fill(benchmark, census):
+    """One idle fill of I-PES over blocks no increment offered yet: drain
+    them smallest first, weigh the pairs, offer them all in one call."""
+    system = PierSystem(IPES(), max_block_size=200)
+    system._index(Increment(0, tuple(census)[:600]))  # blocks only: the index is empty
+
+    def fresh():
+        return (copy.deepcopy(system),), {}
+
+    def fill(system):
+        system.strategy.on_empty_increment(system, target=10**9)
+        return len(system.strategy)
+
+    assert benchmark.pedantic(fill, setup=fresh, rounds=5) > 0
 
 
 def test_bench_iwnp(benchmark, census, indexed_census):

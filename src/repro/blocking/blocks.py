@@ -4,13 +4,15 @@ Token blocking places each profile in one block per token appearing in its
 attribute values.  The :class:`BlockCollection` is the shared substrate of
 every algorithm in this library: it is built incrementally (profiles are
 only ever *added*, as increments arrive) and maintains both the token →
-profiles mapping and its inverse (profile → blocks), which the weighting
-schemes and the single-sweep weighting kernel
+profiles mapping and its inverse (profile → blocks, one bit mask per
+profile), which the weighting schemes and the single-sweep weighting kernel
 (:mod:`repro.metablocking.sweep`) read on every comparison.
 """
 
 from __future__ import annotations
 
+import copy
+import heapq
 from typing import Iterable, Iterator
 
 from repro.core.profile import EntityProfile
@@ -91,6 +93,14 @@ class Block:
         return f"Block(key={self.key!r}, size={self._size})"
 
 
+def _bit_indexes(mask: int) -> Iterator[int]:
+    """The indexes of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BlockCollection:
     """Incrementally maintained token → block index with its inverse.
 
@@ -105,9 +115,15 @@ class BlockCollection:
     * **Deterministic block order** — :meth:`iter_partner_blocks` returns a
       profile's live blocks sorted by key, so weights and candidates are
       bit-identical across hosts, hash seeds and checkpoint restores.
-    * **Deep-copy snapshots** — all mutable state (the undrained growth
-      feed included) lives on the object, so ``copy.deepcopy`` is a complete
-      snapshot.
+    * **Membership is a bit mask** — a block gets a bit index when it is
+      created, and a profile's int has its live blocks' bits set, so
+      :meth:`common_blocks` is ``AND`` + popcount.  A purge clears the bit
+      in every mask and frees it for the next new block, so masks are as
+      wide as the most blocks live at once, not as all keys ever seen.
+    * **Snapshots** — all mutable state (the undrained growth feed
+      included) lives on the object, so ``copy.deepcopy`` is a complete
+      snapshot; a pickle stores each mask as its bit indexes, and
+      unpickling refuses an index that names no live block.
 
     Parameters
     ----------
@@ -126,10 +142,12 @@ class BlockCollection:
         "clean_clean",
         "max_block_size",
         "_blocks",
-        "_blocks_of",
+        "_mask_of",
+        "_keys",
+        "_bit_of",
+        "_free_bits",
         "_purged_keys",
         "_total_comparisons",
-        "_profile_blocks",
         "_grown",
     )
 
@@ -139,28 +157,31 @@ class BlockCollection:
         self.clean_clean = clean_clean
         self.max_block_size = max_block_size
         self._blocks: dict[str, Block] = {}
-        self._blocks_of: dict[int, set[str]] = {}
+        # pid -> bit mask of its live blocks; bit i stands for _keys[i].
+        self._mask_of: dict[int, int] = {}
+        # Bit i's live key, or None once its block is purged.
+        self._keys: list[str | None] = []
+        # live key -> bit index (never ``1 << i``, which costs O(i) bytes).
+        self._bit_of: dict[str, int] = {}
+        # Heap of the None slots of _keys: the lowest is reused first.
+        self._free_bits: list[int] = []
         self._purged_keys: set[str] = set()
         self._total_comparisons = 0
-        # Per-profile cache of the sorted live-block tuple behind
-        # iter_partner_blocks; invalidated when the profile's key set
-        # changes (its own add, or a purge touching it).
-        self._profile_blocks: dict[int, tuple[Block, ...]] = {}
         # Keys whose block gained a member since drain_grown() last ran.
         self._grown: set[str] = set()
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def add_profile(self, profile: EntityProfile) -> set[str]:
-        """Index a newly arrived profile; return the keys of its live blocks.
+    def add_profile(self, profile: EntityProfile) -> None:
+        """Index a newly arrived profile.
 
         Idempotent per profile: re-adding a pid that is already indexed is an
         error, because re-indexing would double-count comparisons.
         """
-        if profile.pid in self._blocks_of:
+        if profile.pid in self._mask_of:
             raise ValueError(f"profile {profile.pid} already indexed")
-        keys: set[str] = set()
+        mask = 0
         grown = self._grown
         # Sorted: the tokens come from a frozenset, whose iteration
         # order follows the interpreter's hash seed, and this order decides
@@ -174,6 +195,13 @@ class BlockCollection:
             if block is None:
                 block = Block(token)
                 self._blocks[token] = block
+                if self._free_bits:
+                    bit = heapq.heappop(self._free_bits)
+                    self._keys[bit] = token
+                else:
+                    bit = len(self._keys)
+                    self._keys.append(token)
+                self._bit_of[token] = bit
             if self.clean_clean:
                 gained = len(block.members_by_source.get(1 - profile.source, ()))
             else:
@@ -183,20 +211,21 @@ class BlockCollection:
             if self.max_block_size is not None and len(block) > self.max_block_size:
                 self._purge_block(token)
             else:
-                keys.add(token)
-        self._blocks_of[profile.pid] = keys
-        self._profile_blocks.pop(profile.pid, None)
-        return keys
+                mask |= 1 << self._bit_of[token]
+        self._mask_of[profile.pid] = mask
 
     def _purge_block(self, key: str) -> None:
         block = self._blocks.pop(key)
         self._purged_keys.add(key)
         self._total_comparisons -= block.comparison_count(self.clean_clean)
+        bit = self._bit_of.pop(key)
+        self._keys[bit] = None
+        heapq.heappush(self._free_bits, bit)
+        keep = ~(1 << bit)
         for pid in block:
-            member_keys = self._blocks_of.get(pid)
-            if member_keys is not None:
-                member_keys.discard(key)
-            self._profile_blocks.pop(pid, None)
+            # The profile whose addition purges the block has no mask yet.
+            if pid in self._mask_of:
+                self._mask_of[pid] &= keep
 
     # ------------------------------------------------------------------
     # Lookup
@@ -214,46 +243,30 @@ class BlockCollection:
         return self._blocks.get(key)
 
     def blocks_of(self, pid: int) -> frozenset[str]:
-        """Keys of the live blocks containing ``pid`` (B(p) in the paper).
-
-        An immutable view: the internal key set is live, shared state
-        (purges mutate it in place), so handing it out would let callers
-        alias-mutate the index.
-        """
-        keys = self._blocks_of.get(pid)
-        return frozenset(keys) if keys else frozenset()
+        """Keys of the live blocks containing ``pid`` (B(p) in the paper)."""
+        keys = self._keys
+        return frozenset(keys[bit] for bit in _bit_indexes(self._mask_of.get(pid, 0)))
 
     def block_count_of(self, pid: int) -> int:
-        """|B(p)| — number of live blocks containing ``pid`` (O(1))."""
-        keys = self._blocks_of.get(pid)
-        return len(keys) if keys else 0
+        """|B(p)| — number of live blocks containing ``pid`` (one popcount)."""
+        return self._mask_of.get(pid, 0).bit_count()
 
     def iter_partner_blocks(self, pid: int) -> tuple[Block, ...]:
-        """The live blocks containing ``pid``, sorted by key — cached.
+        """The live blocks containing ``pid``, sorted by key.
 
         This is the substrate of the single-sweep weighting kernel: one
         call hands back every block whose members are ``pid``'s candidate
         partners, purged blocks already skipped, in a deterministic
-        (hash-seed independent) order.  The tuple is cached per profile and
-        invalidated only when the profile's key set changes, so repeated
-        sweeps over the same profile do not re-sort.
+        (hash-seed independent) order.
         """
-        cached = self._profile_blocks.get(pid)
-        if cached is None:
-            blocks = self._blocks
-            cached = tuple(
-                block
-                for block in (blocks.get(key) for key in sorted(self._blocks_of.get(pid, ())))
-                if block is not None
-            )
-            self._profile_blocks[pid] = cached
-        return cached
+        blocks = self._blocks
+        return tuple(blocks[key] for key in sorted(self.blocks_of(pid)))
 
     def profiles_indexed(self) -> int:
-        return len(self._blocks_of)
+        return len(self._mask_of)
 
     def is_indexed(self, pid: int) -> bool:
-        return pid in self._blocks_of
+        return pid in self._mask_of
 
     def total_comparisons(self) -> int:
         """Aggregate ||b|| over all live blocks (with multiplicity).
@@ -291,20 +304,51 @@ class BlockCollection:
 
     def common_blocks(self, pid_x: int, pid_y: int) -> int:
         """|B(p_x) ∩ B(p_y)| — the raw ingredient of the CBS weight."""
-        keys_x = self._blocks_of.get(pid_x)
-        keys_y = self._blocks_of.get(pid_y)
-        if not keys_x or not keys_y:
-            return 0
-        return len(keys_x & keys_y)
+        mask_of = self._mask_of
+        return (mask_of.get(pid_x, 0) & mask_of.get(pid_y, 0)).bit_count()
 
     def common_block_counts(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """:meth:`common_blocks` of every pair, in order, in one pass."""
-        keys_of = self._blocks_of.get
-        none: frozenset[str] = frozenset()
-        return [len(keys_of(x, none) & keys_of(y, none)) for x, y in pairs]
+        mask_of = self._mask_of.get
+        return [(mask_of(x, 0) & mask_of(y, 0)).bit_count() for x, y in pairs]
+
+    # -- snapshots ------------------------------------------------------
+    def __getstate__(self) -> dict[str, object]:
+        state = {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("_bit_of", "_free_bits")
+        }
+        # A raw mask pickles at the width of its highest bit.
+        state["_mask_of"] = {
+            pid: tuple(_bit_indexes(mask)) for pid, mask in self._mask_of.items()
+        }
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        keys = self._keys
+        self._bit_of = {key: bit for bit, key in enumerate(keys) if key is not None}
+        self._free_bits = [bit for bit, key in enumerate(keys) if key is None]
+        live = set(self._bit_of.values())
+        masks = {}
+        for pid, bits in state["_mask_of"].items():
+            # Checked before shifting: a stray ``1 << 2**33`` is a 1 GiB int.
+            if not live.issuperset(bits):
+                raise ValueError(f"profile {pid}'s mask names a bit of no live block")
+            masks[pid] = sum(1 << bit for bit in set(bits))
+        self._mask_of = masks
+
+    def __deepcopy__(self, memo: dict) -> "BlockCollection":
+        clone = BlockCollection.__new__(BlockCollection)
+        memo[id(self)] = clone
+        for name in self.__slots__:
+            setattr(clone, name, copy.deepcopy(getattr(self, name), memo))
+        return clone
 
     def __repr__(self) -> str:
         return (
             f"BlockCollection(blocks={len(self._blocks)}, "
-            f"profiles={len(self._blocks_of)}, purged={len(self._purged_keys)})"
+            f"profiles={len(self._mask_of)}, purged={len(self._purged_keys)})"
         )

@@ -232,10 +232,13 @@ class JaccardMatcher(Matcher):
 
     Default virtual costs make one JS comparison ~50 µs — fast enough that
     the matcher is rarely the bottleneck, so the adaptive ``K`` stays large.
+    A profile's record is ``(token count, token mask)``: each token gets a
+    bit index the first time the matcher sees it, and a pair's common
+    tokens are one ``AND`` + popcount of the two masks.
     """
 
     name = "JS"
-    _DERIVED_STATE = ("_token_sets",)
+    _DERIVED_STATE = ("_token_masks", "_token_bit")
 
     def __init__(
         self,
@@ -245,27 +248,35 @@ class JaccardMatcher(Matcher):
         super().__init__(threshold, cost_model or CostModel(base=2e-5, per_unit=1e-6))
 
     def _init_derived_state(self) -> None:
-        self._token_sets: _PidRecords = _PidRecords(EntityProfile.tokens)
+        self._token_masks: _PidRecords = _PidRecords(self._token_record)
+        # Bit index of each token, assigned as tokens are first seen.
+        self._token_bit: dict[str, int] = {}
+
+    def _token_record(self, profile: EntityProfile) -> tuple[int, int]:
+        tokens, bit_of = profile.tokens(), self._token_bit
+        # Distinct tokens have distinct bits: their sum is the union.
+        return len(tokens), sum(1 << bit_of.setdefault(token, len(bit_of)) for token in tokens)
 
     def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
-        tokens = self._token_sets
-        tokens.profiles = profiles
+        records = self._token_masks
+        records.profiles = profiles
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
         # ``cost_model.charge`` of the pair's token count, inlined.
-        return [base + per_unit * (len(tokens[x]) + len(tokens[y])) for x, y in pairs]
+        return [base + per_unit * (records[x][0] + records[y][0]) for x, y in pairs]
 
     def _batch_scores(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
         """:func:`~repro.matching.similarity.jaccard` of each pair, inlined
-        over the batch: the C-level set intersection counts what the scalar
-        generator sum counts, and the division has the same operands."""
-        tokens = self._token_sets
-        tokens.profiles = profiles
+        over the batch: the popcount of the masks' ``AND`` counts what the
+        scalar generator sum counts, and the division has the same operands."""
+        records = self._token_masks
+        records.profiles = profiles
         return [
-            (common := len(tokens_x & tokens_y)) / (len(tokens_x) + len(tokens_y) - common)
-            if (tokens_x := tokens[x]) and (tokens_y := tokens[y])
+            (common := (mask_x & mask_y).bit_count()) / (count_x + count_y - common)
+            if count_x and count_y
             else 0.0
             for x, y in pairs
+            for (count_x, mask_x), (count_y, mask_y) in ((records[x], records[y]),)
         ]
 
 

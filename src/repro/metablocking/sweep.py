@@ -23,7 +23,7 @@ already know their pairs and need only the weights.  For them a sweep would
 touch every member of every block of each left profile, however few pairs
 were asked for; :func:`pair_weights` instead takes the CBS count of every
 pair — the plain ``|B(x) ∩ B(y)|`` of the definition — from one
-comprehension of key-set intersections on the substrate.
+comprehension of ``AND`` + popcount over the substrate's block masks.
 
 The sweep must agree float for float with the definition — ghost, gather,
 de-duplicate, one ``scheme.weight()`` per candidate — which lives on as the

@@ -154,8 +154,10 @@ class GetComparisons:
 
     A drain hands back two parallel lists, the pairs not executed yet and
     their weights from :func:`~repro.metablocking.sweep.pair_weights` (one
-    key-set intersection per pair), for the strategy to enqueue in one
-    loop; no per-pair record is built in between.
+    ``AND`` + popcount of the two profiles' block masks per pair).  It is
+    the one per-block step of a fill:
+    :meth:`IncrPrioritization.on_empty_increment` concatenates the lists of
+    the blocks it drains and offers them in one call.
     """
 
     __slots__ = ("scheme", "last_scanned", "last_examined", "_cursor", "_heap")
@@ -261,9 +263,9 @@ class IncrPrioritization:
     (:attr:`refill`).  Both drop pairs already executed, charge the shared
     :class:`PipelineCosts`, count ``strategy.*`` metrics and hand what is
     left to :meth:`offer`.  A strategy built on them supplies only its
-    ``CmpIndex`` — :meth:`offer`, :meth:`dequeue_batch`, ``__len__``,
-    :meth:`gauges`, and ``snapshot_state``/``restore_state`` for
-    checkpoints.  I-PBS draws its candidates from Algorithm 3's cardinality
+    ``CmpIndex`` — :meth:`offer`, :meth:`room`, :meth:`dequeue_batch`,
+    ``__len__``, :meth:`gauges`, and ``snapshot_state``/``restore_state``
+    for checkpoints.  I-PBS draws its candidates from Algorithm 3's cardinality
     index instead and overrides both hooks.  Methods that do work return
     their virtual cost.
     """
@@ -315,24 +317,48 @@ class IncrPrioritization:
 
         Drains blocks while the index holds under ``target`` pairs (1 for an
         empty increment, ``K`` in idle time) and, once it holds work, until
-        the charged cost reaches ``until``; each pair is offered once.
+        the charged cost reaches ``until``; each pair is offered once.  The
+        drained blocks go to :meth:`offer` in one call (offering blocks one
+        after another is offering their concatenation), and the refill's
+        ``strategy.*`` metrics are counted once per fill.  While the pending
+        pairs fit in :meth:`room` nothing is evicted, so the index would
+        hold ``len(self)`` plus them; once they do not, the fill offers them
+        and reads ``len(self)`` back.
         """
         metrics = system.metrics
         costs = system.costs
         per_enqueue = costs.per_enqueue
+        refill = self.refill
         cost = costs.per_round
         offered: set[tuple[int, int]] = set()
-        while len(self) < target and (until is None or cost < until or not len(self)):
-            result = self.refill.next_batch(system.collection, system.store.executed, offered)
+        pairs: list[tuple[int, int]] = []
+        weights: list[float] = []
+        held, room = len(self), self.room()
+        batches = scanned = weighted = 0
+        while (size := held + len(pairs)) < target and (
+            until is None or cost < until or not size
+        ):
+            result = refill.next_batch(system.collection, system.store.executed, offered)
             if result is None:
                 break
-            pairs, weights = result
-            metrics.count("strategy.refill_batches")
-            metrics.count("strategy.refill_pairs_scanned", self.refill.last_scanned)
-            metrics.count("strategy.weighting_ops", len(pairs))
-            cost += len(pairs) * costs.per_weight
-            for _ in pairs:  # one float addition per enqueue, as charged per pair
+            block_pairs, block_weights = result
+            batches += 1
+            scanned += refill.last_scanned
+            weighted += len(block_pairs)
+            cost += len(block_pairs) * costs.per_weight
+            for _ in block_pairs:  # one float addition per enqueue, as charged per pair
                 cost += per_enqueue
+            pairs += block_pairs
+            weights += block_weights
+            if len(pairs) > room:
+                self._count_offered(metrics, self.offer(pairs, weights))
+                pairs, weights = [], []
+                held, room = len(self), self.room()
+        if batches:
+            metrics.count("strategy.refill_batches", batches)
+            metrics.count("strategy.refill_pairs_scanned", scanned)
+            metrics.count("strategy.weighting_ops", weighted)
+        if pairs:
             self._count_offered(metrics, self.offer(pairs, weights))
         return cost
 
@@ -351,6 +377,11 @@ class IncrPrioritization:
         Returns the index's own counts (``strategy.`` is prefixed when they
         are recorded).
         """
+        raise NotImplementedError
+
+    def room(self) -> float:
+        """How many more pairs :meth:`offer` takes before it can evict
+        (``inf`` for an unbounded index)."""
         raise NotImplementedError
 
     def dequeue_batch(

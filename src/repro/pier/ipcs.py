@@ -50,6 +50,9 @@ class IPCS(IncrPrioritization):
         self.index.enqueue_batch(pairs, weights)
         return {"comparisons_enqueued": len(pairs)}
 
+    def room(self) -> float:
+        return self.index.room()
+
     def dequeue_batch(
         self, count: int, executed: set[tuple[int, int]]
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

@@ -164,6 +164,10 @@ class IPES(IncrPrioritization):
             "inserted_overflow": overflow,
         }
 
+    def room(self) -> float:
+        # Only ``PQ`` is bounded: the entity structures take any pair.
+        return self.overflow.room()
+
     # ------------------------------------------------------------------
     # Emission (CmpIndex.dequeue of §6)
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ order of entries inside the heap list may differ, which no pop can see.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Generic, Sequence, TypeVar
 
 __all__ = ["BoundedPriorityQueue"]
@@ -76,6 +77,10 @@ class BoundedPriorityQueue(Generic[T]):
 
     def __bool__(self) -> bool:
         return self._size > 0
+
+    def room(self) -> float:
+        """How many more items fit before an enqueue can evict or refuse."""
+        return inf if self.capacity is None else self.capacity - self._size
 
     def enqueue(self, item: T, key: Any) -> bool:
         """Insert ``item`` with priority ``key``.

@@ -58,8 +58,9 @@ SNAPSHOT_MAGIC = b"repro-tenant-snapshot\n"
 #: checkpoint's ``budget`` is the tenant's budget, not the last drain
 #: horizon, it records whether the run ran dry, and no checkpoint or
 #: comparison store carries a quarantine; 6: PPS-LOCAL checkpoints no blocking
-#: configuration and keeps every profile in its store; 7: I-PBS block runs).
-SNAPSHOT_VERSION = 7
+#: configuration and keeps every profile in its store; 7: I-PBS block runs;
+#: 8: the block collection's per-profile bit masks instead of key sets).
+SNAPSHOT_VERSION = 8
 
 #: Every class a tenant snapshot holds, of every system
 #: (``tests/test_service.py`` fails when a snapshot meets a class

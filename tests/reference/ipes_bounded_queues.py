@@ -70,6 +70,10 @@ class BoundedQueuesIPES(IncrPrioritization):
             for pair, weight in zip(pairs, weights)
         )
 
+    def room(self) -> float:
+        # 0: the fill offers after every block, which is exact for any index.
+        return 0
+
     def _insert_weighted(self, weighted: WeightedComparison) -> str:
         """Lines 1-14 of Algorithm 4 for a single weighted comparison.
 

@@ -201,7 +201,9 @@ class TestCrashResumeDeterminism:
         assert len(pickle.dumps(session.last_checkpoint)) <= 30_000
         for checkpoint in checkpoints:
             state = checkpoint.system_state
-            assert set(state["_profiles"]) == set(state["collection"]._blocks_of)
+            collection = state["collection"]
+            assert len(state["_profiles"]) == collection.profiles_indexed()
+            assert all(map(collection.is_indexed, state["_profiles"]))
             _assert_runs_identical(uninterrupted, session.run(resume_from=checkpoint))
 
     @pytest.mark.parametrize("name", ["I-PES", "I-BASE"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from repro.blocking.blocks import BlockCollection
@@ -70,6 +72,9 @@ class _OfferLog(IncrPrioritization):
     def offer(self, pairs, weights):
         self.offered += zip(pairs, weights)
         return {}
+
+    def room(self) -> float:
+        return inf
 
     def __len__(self) -> int:
         return len(self.offered)

@@ -71,8 +71,9 @@ class _NoScan:
 def _add(collection, profile) -> int:
     """Index ``profile``; how many blocks gained it (one purged by it included)."""
     purged_before = len(collection.purged_keys())
-    keys = collection.add_profile(profile)
-    return len(keys) + len(collection.purged_keys()) - purged_before
+    collection.add_profile(profile)
+    live = collection.block_count_of(profile.pid)
+    return live + len(collection.purged_keys()) - purged_before
 
 
 @pytest.mark.parametrize("clean_clean", [True, False], ids=TOKEN_CASE_IDS)

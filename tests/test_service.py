@@ -41,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ERSession
+from repro.blocking.blocks import BlockCollection
 from repro.core.dataset import GroundTruth
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
@@ -813,18 +814,50 @@ def test_an_unenveloped_blob_is_refused_naming_the_version():
             client.shutdown()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_an_old_envelope_is_refused_naming_its_version(version):
     """Version 1 checkpoints carried the progress recorder's own executed
     set, version 2 a blocker object per incremental system, version 3 the
     collection's interned block ids and a cost table per batch system,
     version 4 a quarantine and the last drain horizon as the budget,
-    version 5 PPS-LOCAL's blocking configuration; an envelope that says any
-    of them is refused, and the refusal names it."""
+    version 5 PPS-LOCAL's blocking configuration, version 6 I-PBS's pair
+    queue, version 7 the block collection's per-profile key sets; an
+    envelope that says any of them is refused, and the refusal names it."""
     payload = pickle.dumps(_tenant_snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
     blob = SNAPSHOT_MAGIC + version.to_bytes(2, "big") + payload
     with pytest.raises(ValueError, match=f"snapshot version {version} cannot be restored"):
         TenantSnapshot.from_bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "bad_bit", [lambda keys: 2**33, lambda keys: len(keys)], ids=["huge", "past-the-keys"]
+)
+def test_a_block_mask_naming_no_live_block_is_refused(monkeypatch, bad_bit):
+    """The block collection pickles each profile's mask as bit indexes.  An
+    index that names no live block — one as large as ``2**33``, whose mask
+    alone would be a 1 GiB int, or one just past the key list — is refused
+    on decode before any mask is built, and over a live connection as one
+    ``bad-request``."""
+    genuine = BlockCollection.__getstate__
+
+    def hostile(collection):
+        state = genuine(collection)
+        pid = next(iter(state["_mask_of"]))
+        state["_mask_of"] = {**state["_mask_of"], pid: (bad_bit(state["_keys"]),)}
+        return state
+
+    monkeypatch.setattr(BlockCollection, "__getstate__", hostile)
+    blob = _tenant_snapshot().to_bytes()
+    monkeypatch.setattr(BlockCollection, "__getstate__", genuine)
+    with pytest.raises(ValueError, match="no live block"):
+        TenantSnapshot.from_bytes(blob)
+    with _ServerThread() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.restore("t", blob)
+            assert exc.value.code == "bad-request"
+            assert client.ping()["tenants"] == 0
+            client.shutdown()
 
 
 def test_a_snapshot_with_an_invalid_config_is_refused():
