@@ -16,8 +16,9 @@ from repro.blocking.blocks import BlockCollection
 from repro.core.increments import Increment
 from repro.core.profile import EntityProfile
 from repro.datasets.registry import load_dataset
+import repro.matching.matcher as matcher_module
 from repro.matching.matcher import EditDistanceMatcher, JaccardMatcher
-from repro.matching.similarity import levenshtein
+from repro.matching.similarity import lane_width, levenshtein_lanes
 from repro.metablocking.weights import CommonBlocksScheme
 from repro.metablocking.wnp import sweep_wnp
 from repro.pier.base import PierSystem
@@ -158,18 +159,36 @@ def test_bench_bounded_pq_batch(benchmark):
     assert benchmark(churn) == sum(len(pairs) for pairs, _ in blocks)
 
 
-def test_bench_levenshtein_bounded(benchmark):
-    rng = random.Random(3)
-    alphabet = "abcdefghij "
-    texts = ["".join(rng.choice(alphabet) for _ in range(120)) for _ in range(60)]
+@pytest.fixture(scope="module")
+def ed_survivors(census):
+    """The DP survivors of the ED matcher's funnel over every pair of 300
+    census profiles (198 of 44,850 pairs), as the kernel's lanes."""
+    lookup = {profile.pid: profile for profile in list(census)[:300]}
+    pids = list(lookup)
+    survivors = []
 
-    def measure():
-        total = 0
-        for i in range(0, len(texts) - 1, 2):
-            total += levenshtein(texts[i], texts[i + 1], max_distance=36)
-        return total
+    def collect(lanes, width):
+        survivors.extend(lanes)
+        return levenshtein_lanes(lanes, width)
 
-    assert benchmark(measure) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher_module, "levenshtein_lanes", collect)
+        EditDistanceMatcher(0.7)._batch_scores(
+            [(x, y) for i, x in enumerate(pids) for y in pids[i + 1 :]], lookup
+        )
+    return survivors
+
+
+@pytest.mark.parametrize("lanes", [1, 4, 32])
+def test_bench_ed_lanes(benchmark, ed_survivors, lanes):
+    """The same survivors scored ``lanes`` at a time: one group per call."""
+    width = lane_width(160)
+    groups = [ed_survivors[i : i + lanes] for i in range(0, len(ed_survivors), lanes)]
+
+    def score():
+        return sum(sum(levenshtein_lanes(group, width)) for group in groups)
+
+    assert benchmark(score) > 0
 
 
 def test_bench_matcher_js(benchmark, census):

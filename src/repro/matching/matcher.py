@@ -20,8 +20,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.profile import EntityProfile
 from repro.matching.similarity import (
-    levenshtein_myers,
-    myers_table,
+    lane_table,
+    lane_width,
+    levenshtein_lanes,
     normalized_edit_similarity,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -293,7 +294,7 @@ class _Signature(NamedTuple):
     gram_bits: int  # the distinct bigrams
     repeat_bits: int  # ``(bigram, k)`` for its occurrences ``k >= 1``
     char_bits: int  # ``(char, k)`` for its occurrences ``k >= 0``
-    table: dict[str, int]  # :func:`myers_table` of ``text``
+    table: dict[str, bytes]  # :func:`lane_table` of ``text``
 
 
 class EditDistanceMatcher(Matcher):
@@ -355,7 +356,8 @@ class EditDistanceMatcher(Matcher):
         for char, occurrences in Counter(text).items():
             for k in range(occurrences):
                 char_bits |= 1 << char_bit.setdefault((char, k), len(char_bit))
-        return _Signature(text, len(grams), gram_bits, repeat_bits, char_bits, myers_table(text))
+        table = lane_table(text, lane_width(self.max_text_length))
+        return _Signature(text, len(grams), gram_bits, repeat_bits, char_bits, table)
 
     def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
         """The character product of the full texts, read through
@@ -390,7 +392,9 @@ class EditDistanceMatcher(Matcher):
            which the bounded DP returns ``bound + 1``.
         6. *DP* — Myers scans the shorter text against the longer text's
            cached table, so the final cell's diagonal starts at the length
-           difference and a full scan is the shorter length.
+           difference and a full scan is the shorter length.  The batch's
+           survivors are collected with their output slots and scored
+           together, one lane each, by :func:`levenshtein_lanes`.
         """
         signatures = self._text_cache
         signatures.profiles = profiles
@@ -399,6 +403,8 @@ class EditDistanceMatcher(Matcher):
         floor = self.prefilter_floor
         short_texts = prefilter_rejects = length_cuts = qgram_cuts = bag_cuts = dp_calls = 0
         similarities = []
+        lanes = []  # the DP survivors, ``(table, longest, text, bound)``
+        slots = []  # and where their similarities go
         for x, y in pairs:
             text_x, grams_x, gram_bits_x, repeat_bits_x, char_bits_x, table_x = signatures[x]
             text_y, grams_y, gram_bits_y, repeat_bits_y, char_bits_y, table_y = signatures[y]
@@ -420,7 +426,6 @@ class EditDistanceMatcher(Matcher):
                 shortest, longest = longest, shortest
                 text_x, text_y, table_y = text_y, text_x, table_x
             bound = int(slack * longest) + 1
-            distance = bound + 1
             if longest - shortest > bound:
                 length_cuts += 1
             elif common + (repeat_bits_x & repeat_bits_y).bit_count() < longest - 1 - 2 * bound:
@@ -429,8 +434,13 @@ class EditDistanceMatcher(Matcher):
                 bag_cuts += 1
             else:
                 dp_calls += 1
-                distance = levenshtein_myers(table_y, longest, text_x, bound)
+                slots.append(len(similarities))
+                lanes.append((table_y, longest, text_x, bound))
+            distance = bound + 1  # a DP survivor's is overwritten below
             similarities.append(1.0 - (distance if distance < longest else longest) / longest)
+        distances = levenshtein_lanes(lanes, lane_width(self.max_text_length))
+        for slot, (_, longest, _, _), distance in zip(slots, lanes, distances):
+            similarities[slot] = 1.0 - (distance if distance < longest else longest) / longest
         counts = self.kernel_counts
         for name, count in zip(
             KERNEL_COUNTERS,

@@ -4,20 +4,30 @@ The paper evaluates two pipeline configurations: a *cheap* matcher based on
 Jaccard similarity (JS) over token sets and an *expensive* matcher based on
 edit distance (ED) over the concatenated profile text.  Both are implemented
 here from scratch.  The edit distance is the Myers bit-parallel algorithm
-(one arbitrary-precision bit-vector, so patterns of any length ride
-CPython's big-int limb arithmetic; with a bound it stops at the first column
-whose cell on the final cell's diagonal is beyond it).  Its oracle is the
-textbook dynamic-programming table in ``tests/reference/levenshtein.py``.
+run over *lanes*: many pairs share one scan, each pair a fixed-width field
+of the same arbitrary-precision bit-vectors, so a column step costs the same
+~19 big-int operations for a group of pairs as for one, and CPython's
+big-int limb arithmetic carries every lane at once.  With a bound a lane
+stops at the first checked column whose cell on its final cell's diagonal
+is beyond it.  :func:`levenshtein` is a group of one lane.  The oracle is
+the textbook dynamic-programming table in ``tests/reference/levenshtein.py``.
 """
 
 from __future__ import annotations
+
+from itertools import islice, repeat, zip_longest
+from typing import Sequence
+
+#: One pair for :func:`levenshtein_lanes`: ``(table, m, text, bound)``.
+Lane = tuple[dict[str, bytes], int, str, int | None]
 
 __all__ = [
     "jaccard",
     "dice",
     "levenshtein",
-    "myers_table",
-    "levenshtein_myers",
+    "lane_table",
+    "lane_width",
+    "levenshtein_lanes",
     "normalized_edit_similarity",
 ]
 
@@ -71,107 +81,194 @@ def levenshtein(text_x: str, text_y: str, max_distance: int | None = None) -> in
         text_x, text_y = text_y, text_x
     if max_distance is not None and len(text_y) - len(text_x) > max_distance:
         return max_distance + 1
-    return levenshtein_myers(myers_table(text_y), len(text_y), text_x, max_distance)
+    width = lane_width(len(text_y))
+    lane = (lane_table(text_y, width), len(text_y), text_x, max_distance)
+    return levenshtein_lanes([lane], width)[0]
 
 
-def myers_table(pattern: str) -> dict[str, int]:
-    """The Myers match table of ``pattern``: character → bitmask of the
-    positions it occupies.  It depends on the pattern alone, so a caller
-    that compares one text many times builds it once — and, holding the
-    tables of both texts of a pair, passes the *longer* text's to
-    :func:`levenshtein_myers`."""
-    peq: dict[str, int] = {}
+def lane_width(length: int) -> int:
+    """Bits of one lane of :func:`levenshtein_lanes` for patterns of up to
+    ``length`` characters: whole bytes, two guard bits at least."""
+    return (length + 9) // 8 * 8
+
+
+def lane_table(pattern: str, width: int) -> dict[str, bytes]:
+    """The Myers match table of ``pattern`` as lane bytes: character → the
+    bitmask of the positions it occupies, ``width // 8`` little-endian bytes.
+    It depends on the pattern alone, so a caller that compares one text many
+    times builds it once — and, holding the tables of both texts of a pair,
+    passes the *longer* text's to :func:`levenshtein_lanes`."""
+    masks: dict[str, int] = {}
     bit = 1
     for char in pattern:
-        peq[char] = peq.get(char, 0) | bit
+        masks[char] = masks.get(char, 0) | bit
         bit <<= 1
-    return peq
+    size = width // 8
+    return {char: mask.to_bytes(size, "little") for char, mask in masks.items()}
 
 
-#: Columns between two looks at the final cell's diagonal (and two trims of
-#: the bit-vectors) in :func:`levenshtein_myers`.  A measured constant, not
-#: an option: the check is one shift, four ANDs and two popcounts, so it
-#: only has to be rare against the ~17 big-int operations of a column, and
-#: a late look scans at most ``cadence - 1`` columns too many.  Replay of the
-#: 9,513 DP calls ``stream_ed`` makes (dblp_acm x0.6, dataset seed 3, 2-core
-#: build host, CPU seconds, min of 25 interleaved passes):
+#: Lanes side by side in one scan of :func:`levenshtein_lanes`.  A measured
+#: constant, not an option: a column costs ~19 big-int operations whatever
+#: the number of lanes, plus one C-level byte join, so a lane costs little
+#: until the integers grow long.  Replay of the 9,513 DP calls ``stream_ed``
+#: makes (dblp_acm x0.6, dataset seed 3, 2-core build host, CPU seconds, min
+#: of 7 interleaved passes, cadence 16; a one-pair kernel, each survivor
+#: scanned alone, read 0.170 s on the same replay):
 #:
-#:   cadence                1        2        4        8       16       32
-#:   columns scanned  386,822  391,403  400,601  419,140  456,705  554,113
-#:   replay s           0.354    0.299    0.274    0.275    0.286    0.324
+#:   lanes          1       2       4       6      12      32      64
+#:   replay s   0.290   0.202   0.131   0.108   0.083   0.071   0.070
 #:
-#: of 1,004,400 columns in the scanned texts.  Flat from 4 to 16 (passes of
-#: one cadence spread by ~0.01 s); 8 is the middle of the plateau.
-#: A power of two, so the test is one AND of the column number.
-_CHECK_EVERY = 8
+#: Flat from 32 on.  A batch's survivors are cut into near-equal groups of
+#: at most this many, so 33 survivors scan as 16 + 17, never 32 + 1.
+_LANES = 32
+
+#: Columns between two looks at the lanes' diagonals.  A measured constant,
+#: not an option: a look is two ANDs and two byte dumps for the pack and
+#: two popcounts per live lane, and a late look scans at most ``cadence -
+#: 1`` columns too many in every lane it would have stopped.  The same
+#: replay at 32 lanes (lane-columns: columns the lanes advanced, done lanes
+#: that still hold a slot included, of 1,004,400 in the scanned texts):
+#:
+#:   cadence              4        8       16       32
+#:   lane-columns   423,011  438,872  477,761  588,678
+#:   replay s         0.097    0.079    0.071    0.072
+_CHECK_EVERY = 16
 
 
-def levenshtein_myers(peq: dict[str, int], length: int, text: str, bound: int | None) -> int:
-    """Myers (1999) bit-parallel edit distance between a non-empty pattern,
-    given as its :func:`myers_table` ``peq`` and its ``length`` ``m``, and
-    ``text`` (``n`` characters, only ever iterated): the exact distance up
-    to ``bound``, ``bound + 1`` beyond it, always exact without a bound.
-    Either text may be the pattern; the longer one makes the shorter scan.
+def levenshtein_lanes(lanes: Sequence[Lane], width: int) -> list[int]:
+    """Myers (1999) bit-parallel edit distances of many pairs at once: the
+    exact distance of each lane up to its bound, ``bound + 1`` beyond it,
+    always exact without a bound.  A lane is ``(table, m, text, bound)``:
+    a pattern of ``m`` characters given as its :func:`lane_table` of this
+    ``width`` (``m + 2 <= width``), and a ``text`` no longer than the
+    pattern, only ever measured (``len``) and iterated.
 
-    One DP column's vertical deltas ``D[i][j] - D[i-1][j]`` live in two
-    bitmasks (``vp``: +1, ``vn``: -1, bit ``i - 1`` for row ``i``) and a
-    whole column advances per text character in ~17 big-int operations,
-    written in Hyyrö's (2001) form.  Python integers are arbitrary-precision,
-    so CPython's C-level limb arithmetic *is* the blocked variant for
-    patterns beyond one machine word, carries included (measured ~2× faster
-    than an explicit Python-level block loop at 160 chars).
-
-    *Sign-free, lazily trimmed.*  Complements are taken as ``^ mask``, never
-    ``~``: every intermediate stays non-negative (CPython's ``&``/``|`` copy
-    a negative operand into two's complement first).  ``^ mask`` leaves bits
-    at and above ``m`` as they were, and nothing clears them per column —
-    information in the recurrence only ever moves *upward* (the carry of the
-    one addition, the two left shifts; everything else is bitwise), so bits
-    ``>= m`` cannot reach bits ``< m`` and the low ``m`` bits are those of
-    the textbook masked step.  A column widens the vectors by at most two
-    bits; they are trimmed every :data:`_CHECK_EVERY` columns, so they never
-    exceed ``m + 2 * _CHECK_EVERY`` bits.
-
-    *Diagonal cut-off.*  Edit-distance tables are non-decreasing along
-    diagonals (``D[i+1][j+1] - D[i][j]`` is 0 or 1, Ukkonen 1985), so every
-    cell on the diagonal ``row - column = m - n`` of the final cell
-    ``D[m][n]`` is a lower bound on the distance.  After column ``j`` that
-    cell is ``D[j+m-n][j] = j + popcount(vp & low) - popcount(vn & low)``
-    with ``low = (1 << (j+m-n)) - 1`` — row 0 holds ``j``, the deltas below
-    the diagonal row add up to the rest — and once it exceeds the bound the
-    answer is ``bound + 1``.  The bottom-row test ``D[m][j] - (n - j) >
-    bound`` can never fire first: the two cells are ``n - j`` rows apart in
-    one column and vertical deltas are at most 1, so ``D[m][j] - (n - j) <=
-    D[j+m-n][j]``.  No running score is kept: the distance is read once,
-    from the last column's popcounts.
+    The lanes are sorted by text length and cut into near-equal groups of
+    at most :data:`_LANES`, each scanned by :func:`_scan_lanes`; a lane's
+    result does not depend on the lanes beside it.
     """
-    mask = (1 << length) - 1
+    order = sorted(range(len(lanes)), key=lambda lane: len(lanes[lane][2]))
+    distances = [0] * len(lanes)
+    groups = -(-len(order) // _LANES)
+    start = 0
+    for left in range(groups, 0, -1):
+        stop = start + (len(order) - start) // left
+        ids = order[start:stop]
+        for lane, distance in zip(ids, _scan_lanes([lanes[lane] for lane in ids], width)):
+            distances[lane] = distance
+        start = stop
+    return distances
+
+
+def _low_bits(bits: int, size: int) -> bytes:
+    """The lane bytes of ``(1 << bits) - 1``."""
+    return ((1 << bits) - 1).to_bytes(size, "little")
+
+
+def _scan_lanes(group: list[Lane], width: int) -> list[int]:
+    """One Myers scan for a group of lanes sorted by text length.
+
+    *Lanes.*  Lane ``s`` of the pack is bits ``s * width`` to ``(s + 1) *
+    width - 1`` of every vector, its pattern's row ``i`` at bit ``i - 1``.
+    A column's match vector is the lanes' table bytes for their texts' next
+    characters, joined in pack order (zero bytes past a text's end), and
+    Hyyrö's (2001) step runs once for the pack: ``| lows`` (bit 0 of every
+    lane) stands for ``| 1`` and ``^ mask`` (the low ``m`` bits of every
+    lane) for the complement, so nothing is ever negative.
+
+    *Guard bits.*  Information in the step only moves upward (the carry of
+    its one addition, its two left shifts), so a lane's low ``m`` bits are
+    those of its own scan.  ``vp`` is masked every column: the carry then
+    stops at bit ``m``, no intermediate reaches bit ``m + 2 <= width``, and
+    ``vn`` holds at most the carry's bit ``m``, which every read masks.
+
+    *Per-lane diagonal.*  Edit-distance tables are non-decreasing along
+    diagonals (Ukkonen 1985), so every cell on the diagonal of a lane's
+    final cell ``D[m][n]`` bounds its distance from below.  ``diag`` holds
+    each lane's rows below that diagonal (``m - n`` at column 0, grown by
+    the cadence at every look, capped at ``m``): after column ``j`` the cell
+    is ``j + popcount(vp & diag) - popcount(vn & diag)`` in the lane, and
+    past its bound the lane answers ``bound + 1``.  At column ``n`` a lane
+    reads its distance, ``n + popcount(vp) - popcount(vn)`` in its bits.
+
+    *Re-pack.*  A done lane keeps its slot until half the pack is done; then
+    the live lanes' bytes are packed together.  The columns run in segments
+    between two events (a look, a text's end), so the loop that advances
+    them tests nothing.
+    """
+    size = width // 8
+    zero = bytes(size)
+    from_bytes = int.from_bytes
+    join = b"".join
+    count = len(group)
+    lengths = [m for _, m, _, _ in group]
+    ends = [len(text) for _, _, text, _ in group]
+    # No cell exceeds ``m``: a bound of ``m`` (or none) never cuts a lane.
+    bounds = [m if bound is None or bound > m else bound for _, m, _, bound in group]
+    sources = [map(table.get, text, repeat(zero)) for table, _, text, _ in group]
+    mask = from_bytes(join([_low_bits(m, size) for m in lengths]), "little")
+    diag = from_bytes(join([_low_bits(m - end, size) for m, end in zip(lengths, ends)]), "little")
     vp = mask
     vn = 0
-    peq_get = peq.get
-    columns = len(text)
-    offset = length - columns
-    between_checks = _CHECK_EVERY - 1
-    for column, char in enumerate(text, 1):
-        x = peq_get(char, 0) | vn
-        d0 = ((vp + (x & vp)) ^ vp) | x
-        hn = vp & d0
-        hp = vn | ((vp | d0) ^ mask)
-        x = (hp << 1) | 1
-        vn = x & d0
-        vp = (hn << 1) | ((x | d0) ^ mask)
-        if not column & between_checks:
-            vp &= mask
-            vn &= mask
-            row = column + offset
-            if bound is not None and row > 0:
-                low = (1 << row) - 1
-                if column + (vp & low).bit_count() - (vn & low).bit_count() > bound:
-                    return bound + 1
-    distance = columns + (vp & mask).bit_count() - (vn & mask).bit_count()
-    if bound is not None and distance > bound:
-        return bound + 1
-    return distance
+    distances: list[int | None] = [None] * count
+    pack = list(range(count))
+    live = count
+    column = 0
+    look = _CHECK_EVERY
+    finishing = 0  # lanes before it are done; its text ends next
+    while True:
+        lows = from_bytes(_low_bits(1, size) * len(pack), "little")
+        columns = zip_longest(*[sources[lane] for lane in pack], fillvalue=zero)
+        while 2 * live > len(pack):
+            end = ends[finishing]
+            stop = look if look < end else end
+            for eq in islice(columns, stop - column):
+                x = from_bytes(join(eq), "little") | vn
+                d0 = ((vp + (x & vp)) ^ vp) | x
+                hn = vp & d0
+                hp = vn | ((vp | d0) ^ mask)
+                x = (hp << 1) | lows
+                vn = x & d0
+                vp = ((hn << 1) | ((x | d0) ^ mask)) & mask
+            column = stop
+            if column == look:
+                look += _CHECK_EVERY
+                diag = ((diag << _CHECK_EVERY) | lows * ((1 << _CHECK_EVERY) - 1)) & mask
+                above = (vp & diag).to_bytes(len(pack) * size, "little")
+                below = (vn & diag).to_bytes(len(pack) * size, "little")
+                offset = 0
+                for lane in pack:
+                    if distances[lane] is None and (
+                        column
+                        + from_bytes(above[offset : offset + size], "little").bit_count()
+                        - from_bytes(below[offset : offset + size], "little").bit_count()
+                        > bounds[lane]
+                    ):
+                        distances[lane] = bounds[lane] + 1
+                        live -= 1
+                    offset += size
+            while finishing < count and ends[finishing] == column:
+                if distances[finishing] is None:
+                    shift = pack.index(finishing) * width
+                    distance = (
+                        column
+                        + ((vp >> shift) & ((1 << width) - 1)).bit_count()
+                        - ((vn >> shift) & ((1 << lengths[finishing]) - 1)).bit_count()
+                    )
+                    bound = bounds[finishing]
+                    distances[finishing] = distance if distance <= bound else bound + 1
+                    live -= 1
+                finishing += 1
+            if not live:
+                return distances
+            while distances[finishing] is not None:
+                finishing += 1
+        keep = [slot * size for slot, lane in enumerate(pack) if distances[lane] is None]
+        vp, vn, mask, diag = [
+            from_bytes(join([data[offset : offset + size] for offset in keep]), "little")
+            for data in [v.to_bytes(len(pack) * size, "little") for v in (vp, vn, mask, diag)]
+        ]
+        pack = [lane for lane in pack if distances[lane] is None]
 
 
 def normalized_edit_similarity(

@@ -11,7 +11,6 @@ weight".  This implementation supports:
 * bounded capacity — when full, a new item only enters by evicting the
   current *minimum* (the newest among equal keys), and only if it outranks
   that minimum;
-* ``peek_key()`` — the key of the current top, without removing it;
 * ``enqueue_batch(items, keys)`` / ``pop_batch(count, executed)`` — the
   same as ``enqueue`` per pair in order / ``count`` successive ``dequeue``
   calls, moved in bulk where nothing can be evicted: a batch offered to an
@@ -53,10 +52,7 @@ class BoundedPriorityQueue(Generic[T]):
     """
 
     # No per-instance ``__dict__``: strategies may hold many queues.
-    __slots__ = (
-        "capacity", "_heap", "_min_heap", "_dead", "_size", "_seq",
-        "evictions", "rejections",
-    )
+    __slots__ = ("capacity", "_heap", "_min_heap", "_dead", "_size", "_seq")
 
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
@@ -68,8 +64,6 @@ class BoundedPriorityQueue(Generic[T]):
         self._dead: set[int] | None = None
         self._size = 0
         self._seq = 0
-        self.evictions = 0
-        self.rejections = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -92,12 +86,10 @@ class BoundedPriorityQueue(Generic[T]):
         if self.capacity is not None and self._size >= self.capacity:
             min_key, negated_seq = self._live_min()
             if not key > min_key:
-                self.rejections += 1
                 return False
             heappop(self._min_heap)
             self._dead.add(-negated_seq)
             self._size -= 1
-            self.evictions += 1
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (-key, seq, key, item))
@@ -198,10 +190,6 @@ class BoundedPriorityQueue(Generic[T]):
         self._dead.add(entry[1])  # still in the min view
         self._size -= 1
         return entry[3]
-
-    def peek_key(self) -> Any:
-        """Priority key of the current top item."""
-        return self._live_top()[2]
 
     def clear(self) -> None:
         self._heap.clear()

@@ -23,7 +23,14 @@ from repro.priority.bounded_pq import BoundedPriorityQueue
 
 from tests.reference.emit_loop import per_pair_round
 
-__all__ = ["BoundedQueuesIPES"]
+__all__ = ["BoundedQueuesIPES", "top_key"]
+
+
+def top_key(queue: BoundedPriorityQueue) -> float:
+    """The key of the item the queue's next ``dequeue`` pops, read off its
+    heap: the production queue offers no peek, since nothing in ``src/``
+    asks for one."""
+    return queue._live_top()[2]
 
 
 class BoundedQueuesIPES(IncrPrioritization):
@@ -135,7 +142,7 @@ class BoundedQueuesIPES(IncrPrioritization):
         queue = self.entity_pq.get(pid)
         if not queue:
             return float("-inf")
-        return queue.peek_key()
+        return top_key(queue)
 
     # ------------------------------------------------------------------
     # Emission (CmpIndex.dequeue of §6)
@@ -168,7 +175,7 @@ class BoundedQueuesIPES(IncrPrioritization):
         """When EntityQueue drains, reseed it from all live entity queues."""
         for entity, queue in self.entity_pq.items():
             if queue:
-                self.entity_queue.enqueue(entity, queue.peek_key())
+                self.entity_queue.enqueue(entity, top_key(queue))
 
     # ------------------------------------------------------------------
     def gauges(self) -> dict[str, float]:

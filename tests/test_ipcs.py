@@ -9,6 +9,7 @@ from repro.streaming.system import PipelineStats
 
 from tests.conftest import dequeue_one, make_profile
 from tests.reference.exhaustion import strategy_exhausted
+from tests.reference.ipes_bounded_queues import top_key
 
 
 def _stats() -> PipelineStats:
@@ -99,5 +100,5 @@ class TestIPCS:
             Increment(0, (make_profile(0, "alpha beta"), make_profile(1, "alpha beta")))
         )
         index = system.strategy.index
-        assert index.peek_key() == 2.0
+        assert top_key(index) == 2.0
         assert index.dequeue() == (0, 1)

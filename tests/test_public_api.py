@@ -104,6 +104,9 @@ RETIRED_NAMES = (
     "LSHBlock" + "Collection", "Min" + "Hasher", "Blocking" + "Config",
     "BLOCKING_" + "SUBSTRATES", "lsh_" + "bands", "lsh_" + "rows", "lsh_" + "seed",
     "blocking_" + "config",
+    # The one-pair Myers kernel and its int table: the lane kernel scores
+    # every DP survivor, ``levenshtein()`` as a group of one lane.
+    "levenshtein_" + "myers", "myers_" + "table",
 )
 
 
@@ -173,10 +176,14 @@ class TestRetiredNames:
             (PushPlan, "total_profiles"),
             (PierSystem, "_executed"),
             (IPES, "_top_weight"),
-            # ``peek_key`` and ``dequeue`` stay; ``ComparisonStore`` is the
-            # one executed set.
+            # ``dequeue`` stays; ``ComparisonStore`` is the one executed set.
+            # No code in ``src/`` read the top key or counted evictions and
+            # refusals (``tests/reference/ipes_bounded_queues.top_key``).
             (BoundedPriorityQueue, "peek"),
             (BoundedPriorityQueue, "drain"),
+            (BoundedPriorityQueue, "peek_key"),
+            (BoundedPriorityQueue, "evictions"),
+            (BoundedPriorityQueue, "rejections"),
             (ProgressRecorder, "was_executed"),
             (ProgressRecorder, "found_pairs"),
             # Code only tests reached: a round of one, two executed-set
