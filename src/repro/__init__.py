@@ -23,78 +23,79 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.core import (
-    Attribute,
-    Dataset,
-    ERKind,
-    EntityProfile,
-    GroundTruth,
-    Increment,
-    StreamPlan,
-    make_stream_plan,
-    split_into_increments,
-)
-from repro.datasets import available_datasets, load_dataset
-from repro.evaluation import ExperimentConfig
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-# Imported after ``repro.evaluation``: resolving ``ExecutionCore`` pulls in
-# ``repro.execution.core``, which reaches back into the evaluation and
-# streaming packages — those must already be fully initialized.
-from repro.execution import ComparisonStore, ExecutionCore
-from repro.incremental import IBaseSystem
-from repro.matching import EditDistanceMatcher, JaccardMatcher, Matcher
-from repro.observability import MetricsRegistry
-from repro.pier import IPBS, IPCS, IPES, PierSystem
-from repro.progressive import BatchERSystem, PBSSystem, PPSSystem
-from repro.resilience import EngineCheckpoint, ResilienceConfig
-from repro.streaming import RunResult, StreamingEngine
-from repro.streaming.pipelined import PipelinedStreamingEngine
-
-# The session facade composes everything above, so it imports last.
-from repro.api import ERSession, EngineOptions
-from repro.parallel import WorkerPool, WorkerPoolError, strip_parallel_telemetry
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core import Dataset
+    from repro.streaming import RunResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Attribute",
-    "BatchERSystem",
-    "Dataset",
-    "ERKind",
-    "ERSession",
-    "EditDistanceMatcher",
-    "EngineCheckpoint",
-    "EngineOptions",
-    "EntityProfile",
-    "ExperimentConfig",
-    "GroundTruth",
-    "IBaseSystem",
-    "IPBS",
-    "IPCS",
-    "IPES",
-    "Increment",
-    "JaccardMatcher",
-    "Matcher",
-    "MetricsRegistry",
-    "PBSSystem",
-    "PPSSystem",
-    "PierSystem",
-    "ComparisonStore",
-    "ExecutionCore",
-    "PipelinedStreamingEngine",
-    "ResilienceConfig",
-    "RunResult",
-    "StreamPlan",
-    "StreamingEngine",
-    "WorkerPool",
-    "WorkerPoolError",
-    "strip_parallel_telemetry",
-    "available_datasets",
-    "load_dataset",
-    "make_stream_plan",
-    "resolve_stream",
-    "split_into_increments",
-]
+#: Every export but :func:`resolve_stream`, by the module it is read from.
+#: Nothing is imported until a name is first asked for (PEP 562), so a
+#: process that needs one module — a worker of the fleet — loads only that.
+_EXPORTS = {
+    "Attribute": "repro.core",
+    "BatchERSystem": "repro.progressive",
+    "Dataset": "repro.core",
+    "ERKind": "repro.core",
+    "ERSession": "repro.api",
+    "EditDistanceMatcher": "repro.matching",
+    "EngineCheckpoint": "repro.resilience",
+    "EngineOptions": "repro.api",
+    "EntityProfile": "repro.core",
+    "ExperimentConfig": "repro.evaluation",
+    "GroundTruth": "repro.core",
+    "IBaseSystem": "repro.incremental",
+    "IPBS": "repro.pier",
+    "IPCS": "repro.pier",
+    "IPES": "repro.pier",
+    "Increment": "repro.core",
+    "JaccardMatcher": "repro.matching",
+    "Matcher": "repro.matching",
+    "MetricsRegistry": "repro.observability",
+    "PBSSystem": "repro.progressive",
+    "PPSSystem": "repro.progressive",
+    "PierSystem": "repro.pier",
+    "ComparisonStore": "repro.execution",
+    "ExecutionCore": "repro.execution",
+    "PipelinedStreamingEngine": "repro.streaming.pipelined",
+    "ResilienceConfig": "repro.resilience",
+    "RunResult": "repro.streaming",
+    "StreamPlan": "repro.core",
+    "StreamingEngine": "repro.streaming",
+    "WorkerPool": "repro.parallel",
+    "WorkerPoolError": "repro.parallel",
+    "strip_parallel_telemetry": "repro.parallel",
+    "available_datasets": "repro.datasets",
+    "load_dataset": "repro.datasets",
+    "make_stream_plan": "repro.core",
+    "split_into_increments": "repro.core",
+}
+
+__all__ = [*_EXPORTS, "resolve_stream"]
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """``__getattr__`` and ``__dir__`` for the package whose globals are
+    ``namespace``: ``exports`` maps each name to the module it is read from,
+    and a name, once read, stays in the package."""
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 def resolve_stream(
@@ -120,6 +121,8 @@ def resolve_stream(
     (PPS/PBS/BATCH/…-PSN) in the static setting therefore receive the full
     dataset as one increment, as the paper runs them.
     """
+    from repro.api import ERSession
+
     with ERSession(
         dataset,
         systems=(algorithm,),

@@ -67,7 +67,7 @@ class ERSession:
     """One resolution session: dataset × stream shape × systems × engine.
 
     The constructor only records configuration; datasets load and pools
-    spawn lazily on first use.  A session owns at most one Tier A
+    launch lazily on first use.  A session owns at most one Tier A
     :class:`~repro.parallel.pool.WorkerPool`, shared across every run it
     executes — use the session as a context manager (or call
     :meth:`close`) to shut the fleet down deterministically.  A pool that
@@ -192,7 +192,7 @@ class ERSession:
 
     def _shared_pool(self, matcher: Matcher):
         """The Tier A pool runs score through: the borrowed one, else the
-        session's own (spawned once, reused per run, ``None`` if it could
+        session's own (launched once, reused per run, ``None`` if it could
         not start).  A broken pool is still handed out — the engine then
         scores in-process and counts ``parallel.fallbacks``."""
         if self.engine_options.workers <= 1:

@@ -64,6 +64,7 @@ from repro.core.increments import StreamPlan
 from repro.evaluation.recorder import ProgressCurve, ProgressRecorder
 from repro.matching.matcher import KERNEL_COUNTERS, Matcher
 from repro.observability.metrics import MetricsRegistry, PhaseTimer
+from repro.parallel.pool import WorkerPoolError
 from repro.priority.rates import RateEstimator
 from repro.resilience.checkpoint import EngineCheckpoint, plan_token
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
@@ -668,7 +669,8 @@ class ExecutionCore:
         At most one hand-off is outstanding: the previous one is gathered
         first.  A buffer below the pool's ``min_shard`` is scored here,
         in-process, bit-identically; so is one the pool cannot take — it
-        is broken or closed — which also counts a ``parallel.fallbacks``.
+        is broken or closed, or its workers never answered the handshake
+        the first scatter reads — which also counts a ``parallel.fallbacks``.
 
         Telemetry accumulates on ``state`` and only reaches the metrics
         registry in :meth:`_finalize`: mid-run checkpoints must capture a
@@ -685,8 +687,11 @@ class ExecutionCore:
                     # a new cache epoch before scoring.  Every drain ends
                     # joined, so the other engine has nothing in the pipes.
                     pool.begin_run(owner=self)
-                state.in_flight = (pool.scatter(pairs, state.system.profiles), pairs)
-                return
+                try:
+                    state.in_flight = (pool.scatter(pairs, state.system.profiles), pairs)
+                    return
+                except WorkerPoolError:
+                    pass  # the fleet never answered its handshake: broken now
             state.parallel_fallbacks += 1
         self._score_in_process(state, pairs)
 

@@ -24,16 +24,22 @@ and the metrics snapshot minus the ``parallel.*`` counters/gauges and the
 
 from __future__ import annotations
 
-from repro.parallel.cells import run_cells
-from repro.parallel.pool import MIN_SHARD, WorkerPool, WorkerPoolError
+from repro import _lazy_exports
 
-__all__ = [
-    "MIN_SHARD",
-    "WorkerPool",
-    "WorkerPoolError",
-    "run_cells",
-    "strip_parallel_telemetry",
-]
+#: Every export but :func:`strip_parallel_telemetry`, by its module: loaded
+#: on first use (PEP 562), so a worker importing :mod:`repro.parallel.pool`
+#: never loads the cell fleet, nor a reader of the telemetry either tier.
+_EXPORTS = {
+    "MIN_SHARD": "repro.parallel.pool",
+    "WorkerPool": "repro.parallel.pool",
+    "WorkerPoolError": "repro.parallel.pool",
+    "run_cells": "repro.parallel.cells",
+}
+
+__all__ = [*_EXPORTS, "strip_parallel_telemetry"]
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 #: The phase timer that only accumulates when a pool is live.
 SCATTER_PHASE = "scatter"

@@ -1,8 +1,15 @@
 """Tier A of :mod:`repro.parallel`: worker processes that score hand-offs.
 
-The master keeps the virtual clock and all accounting.
+The master keeps the virtual clock and all accounting.  Each worker is
+``sys.executable`` running :data:`_WORKER_BOOT` with one end of a pipe: it
+takes the parent's ``sys.path``, imports this module and, through the
+matcher template (its first message), the matcher's module — never the
+caller's ``__main__``.  :meth:`WorkerPool.create` returns once the
+processes are launched; the first :meth:`WorkerPool.scatter` reads their
+ready replies, so the workers start while the master runs its first rounds.
+
 :meth:`WorkerPool.scatter` sends one contiguous chunk of a hand-off to each
-worker (a ``spawn`` process with one pipe) and returns at once;
+worker and returns at once;
 :meth:`WorkerPool.gather` concatenates the replies in order, bit-identical
 to one in-process ``_batch_scores`` call.  A worker replies with the
 chunk's similarities and its kernel outcome counts, nothing else: costs
@@ -24,10 +31,12 @@ to score.  Nothing respawns; the service replaces a broken pool.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import pickle
+import subprocess
+import sys
 import time
 from itertools import chain
+from multiprocessing.connection import Connection, Pipe
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,13 +50,22 @@ __all__ = ["HANDSHAKE_TIMEOUT_S", "MIN_SHARD", "REPLY_TIMEOUT_S", "WorkerPool", 
 #: ED in-process (measurements in docs/architecture.md).
 MIN_SHARD = 512
 
-#: Wall seconds the whole fleet gets to answer the startup handshake — one
-#: deadline, not one per worker: the workers spawn concurrently.
+#: Wall seconds from the launch until the whole fleet must have answered
+#: the handshake — one deadline, not one per worker: the workers start
+#: concurrently.  Read at the first scatter; a reply already in the pipe
+#: then is on time.
 HANDSHAKE_TIMEOUT_S = 30.0
 
 #: Wall seconds from a scatter until its replies are due.  Generous — a
 #: chunk scores in milliseconds — because a false alarm breaks the pool.
 REPLY_TIMEOUT_S = 60.0
+
+#: What a worker process runs: ``argv[1]`` is its end of the pipe, the rest
+#: the parent's ``sys.path``.
+_WORKER_BOOT = (
+    "import sys; sys.path[:] = sys.argv[2:]; "
+    "from repro.parallel.pool import _worker_main; _worker_main(int(sys.argv[1]))"
+)
 
 
 class WorkerPoolError(RuntimeError):
@@ -76,22 +94,14 @@ class WorkerPool:
         self._sent: list[set[int]] = [set() for _ in range(workers)]  # pids, this epoch
         self._outstanding: tuple | None = None  # (chunks, reply deadline)
         self._processes, self._connections = [], []  # one of each per worker
-        context = multiprocessing.get_context("spawn")
+        #: The handshake deadline, until the first scatter has read it.
+        self._ready_by: float | None = time.monotonic() + HANDSHAKE_TIMEOUT_S
         try:
             for _ in range(workers):
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_worker_main, args=(child_end, self._template), daemon=True
-                )
-                process.start()
-                child_end.close()
+                process, connection = _launch()
                 self._processes.append(process)
-                self._connections.append(parent_end)
-            deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-            for connection in self._connections:
-                remaining = max(0.0, deadline - time.monotonic())
-                if not connection.poll(remaining) or connection.recv() != ("ok", "ready"):
-                    raise WorkerPoolError("a worker did not answer the handshake in time")
+                self._connections.append(connection)
+                connection.send(self._template)  # the worker's first message
         except BaseException:
             self.close()
             raise
@@ -99,7 +109,8 @@ class WorkerPool:
     @classmethod
     def create(cls, workers: int, matcher: "Matcher") -> "WorkerPool | None":
         """A pool, or ``None`` ("score in-process") for ``workers <= 1`` or
-        a host that cannot start one."""
+        a host that cannot launch one.  Returns once the workers are
+        launched: whether they answer is for the first scatter to find."""
         if workers <= 1:
             return None
         try:
@@ -134,13 +145,16 @@ class WorkerPool:
         ``profiles`` it lacks; return the ticket :meth:`gather` redeems.
         One hand-off is outstanding at a time, so a pipe never carries
         traffic both ways.  A failed send breaks the pool (gather then
-        scores in-process); a broken or closed pool raises
+        scores in-process); a broken or closed pool, or a first scatter
+        whose fleet has not answered the handshake, raises
         :class:`WorkerPoolError`."""
         if self._outstanding is not None:
             raise RuntimeError("the previous hand-off has not been gathered")
         if not self.healthy:
             raise WorkerPoolError("worker pool is not available")
         started = time.perf_counter()
+        if self._ready_by is not None:
+            self._await_handshake()
         step, extra = divmod(len(pairs), self.size)
         cuts = [slot * step + min(slot, extra) for slot in range(self.size + 1)]
         chunks = [
@@ -156,6 +170,20 @@ class WorkerPool:
         self._outstanding = (chunks, time.monotonic() + REPLY_TIMEOUT_S, profiles)
         self.scatter_wall_s += time.perf_counter() - started
         return self._outstanding
+
+    def _await_handshake(self) -> None:
+        """Read every worker's ``("ok", "ready")`` by the launch deadline,
+        or break the pool and raise :class:`WorkerPoolError`."""
+        deadline, self._ready_by = self._ready_by, None
+        for connection in self._connections:
+            try:
+                if connection.poll(max(0.0, deadline - time.monotonic())):
+                    if connection.recv() == ("ok", "ready"):
+                        continue
+            except (EOFError, OSError, pickle.UnpicklingError):
+                pass
+            self._break()
+            raise WorkerPoolError("a worker did not answer the handshake in time")
 
     def _message(self, slot: int, chunk: "PidPairs", profiles: "Profiles") -> tuple:
         """``(epoch, profiles the worker has not received this epoch, pid
@@ -225,10 +253,11 @@ class WorkerPool:
         self._stop(kill=True)
 
     def close(self) -> None:
-        """Stop and join every worker (idempotent)."""
+        """Stop and reap every worker (idempotent); one that never answered
+        the handshake is killed."""
         self._closed = True
         self._outstanding = None
-        self._stop(kill=False)
+        self._stop(kill=self._ready_by is not None)
 
     def _stop(self, *, kill: bool) -> None:
         processes, self._processes = self._processes, []
@@ -239,10 +268,32 @@ class WorkerPool:
         for connection in connections:  # a worker exits when its pipe closes
             connection.close()
         for process in processes:
-            process.join(timeout=2.0)
-            if process.is_alive():  # stopped or stuck: no pipe reaches it
+            try:
+                process.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:  # stopped or stuck: no pipe reaches it
                 process.kill()
-                process.join()
+                process.wait()
+
+
+def _launch() -> tuple[subprocess.Popen, Connection]:
+    """One worker process and the master's end of its pipe.  The worker
+    gets the parent's interpreter flags (``-O``, ``-W``, ``-X dev``,
+    ``-I``/``-E``/``-s``, ...), as a ``multiprocessing`` spawn child does."""
+    connection, child_end = Pipe()
+    try:
+        fd = child_end.fileno()
+        flags = subprocess._args_from_interpreter_flags()
+        process = subprocess.Popen(
+            [sys.executable, *flags, "-c", _WORKER_BOOT, str(fd), *sys.path],
+            stdin=subprocess.DEVNULL,
+            pass_fds=(fd,),
+        )
+    except BaseException:
+        connection.close()
+        raise
+    finally:
+        child_end.close()
+    return process, connection
 
 
 def _template_state(matcher: "Matcher") -> dict:
@@ -275,14 +326,16 @@ def _score(matcher: "Matcher", pairs: "PidPairs", profiles: "Profiles") -> tuple
     return similarities, dict(counts)
 
 
-def _worker_main(connection, template: tuple) -> None:  # pragma: no cover - child
-    """Answer the handshake, then reply to each chunk with ``("ok",
-    (similarities, kernel_counts))`` until the pipe closes.  Any
-    other error ends the process, which the master sees as EOF."""
-    matcher = _replica(template)
+def _worker_main(fd: int) -> None:  # pragma: no cover - child
+    """Take the matcher template, answer the handshake, then reply to each
+    chunk with ``("ok", (similarities, kernel_counts))`` until the pipe
+    closes.  Any other error ends the process, which the master sees as
+    EOF."""
+    connection = Connection(fd)
     profiles: dict = {}
     epoch = None
     try:
+        matcher = _replica(connection.recv())
         connection.send(("ok", "ready"))
         while True:
             chunk_epoch, fresh, pid_pairs = connection.recv()

@@ -372,7 +372,7 @@ class ERServer:
         self.metrics.gauge("service.tenants_active", float(len(self._tenants)))
 
     def _pool_for(self, config: TenantConfig) -> object | None:
-        """The shared Tier A fleet for this matcher config (lazily spawned).
+        """The shared Tier A fleet for this matcher config (lazily launched).
 
         A pool that broke is replaced here, at the next ``open`` or
         ``restore``: it has already killed its workers, and the tenants

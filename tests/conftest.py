@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.api import ERSession
@@ -83,21 +85,42 @@ def rounds_within_work(result, slack: int = 2) -> bool:
 
 
 def pool_or_skip(matcher: str = "ED", workers: int = 2):
-    """A worker pool for ``matcher`` whose every hand-off shards.
+    """A ready worker pool for ``matcher`` whose every hand-off shards.
 
-    ``min_shard`` drops to 1 so even the small per-round batches of the
-    test datasets reach the workers — the production threshold only
-    changes *when* the pool is consulted, never the results.  The caller
-    closes the pool.
+    One empty ``batch_scores`` reads the workers' handshake, which the pool
+    otherwise leaves to its first hand-off: a test that kills a worker or
+    wraps its connection then meets a fleet that was up.  ``min_shard``
+    drops to 1 so even the small per-round batches of the test datasets
+    reach the workers — the production threshold only changes *when* the
+    pool is consulted, never the results.  The caller closes the pool.
     """
     from repro.evaluation.experiments import _build_matcher
-    from repro.parallel import WorkerPool
+    from repro.parallel import WorkerPool, WorkerPoolError
 
     pool = WorkerPool.create(workers, _build_matcher(matcher))
     if pool is None:
         pytest.skip("process pool unavailable on this host")
+    try:
+        pool.batch_scores([], {})
+    except WorkerPoolError:
+        pool.close()
+        pytest.skip("process pool unavailable on this host")
     pool.min_shard = 1
     return pool
+
+
+def worker_pids(pool) -> list[int]:
+    """The pids of ``pool``'s worker processes; read them before the pool
+    stops its workers, which forgets them."""
+    return [process.pid for process in pool._processes]
+
+
+def assert_reaped(pids) -> None:
+    """Every one of ``pids`` has exited and been reaped: a zombie still
+    answers ``kill(pid, 0)``."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class ShortReplies:

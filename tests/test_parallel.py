@@ -10,8 +10,9 @@ executor choice, never a semantics choice.  Whatever the worker count,
   (:func:`strip_parallel_telemetry` removes exactly that surface);
 * mid-run checkpoints carry byte-identical ``metrics_state`` — parallel
   telemetry flushes at finalize, after the last possible checkpoint;
-* a pool that cannot start or breaks degrades to in-process scoring with
-  the same results, counted in ``parallel.fallbacks``;
+* a pool whose workers never answer the handshake, or that breaks,
+  degrades to in-process scoring with the same results, counted in
+  ``parallel.fallbacks``;
 * a profile crosses to a worker once per run (the chunks of a hand-off
   carry what their worker has not received this epoch).
 
@@ -21,11 +22,17 @@ Worker failures (kill, stop, garbled reply) are in ``test_supervision.py``.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import ERSession
 from repro.core.increments import make_stream_plan, split_into_increments
 from repro.evaluation.experiments import ExperimentConfig, _build_matcher, _build_system
@@ -35,7 +42,9 @@ from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import ShortReplies, by_pid, make_profile, pool_or_skip
+from tests.conftest import (
+    ShortReplies, assert_reaped, by_pid, make_profile, pool_or_skip, worker_pids,
+)
 from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
@@ -265,11 +274,45 @@ def test_pool_create_refuses_single_worker():
 
 def test_pool_close_is_idempotent():
     pool = pool_or_skip("JS")
-    workers = set(pool._processes)
+    pids = worker_pids(pool)
     pool.close()
     pool.close()
     assert not pool.healthy
-    assert workers.isdisjoint(multiprocessing.active_children())
+    assert_reaped(pids)
+
+
+def test_pool_closed_before_its_handshake_reaps_its_workers():
+    """``create`` returns once the workers are launched; a pool closed
+    before any hand-off read their handshake kills and reaps them."""
+    pool = WorkerPool.create(2, _build_matcher("ED"))
+    if pool is None:
+        pytest.skip("process pool unavailable on this host")
+    pids = worker_pids(pool)
+    assert len(pids) == 2
+    pool.close()
+    assert_reaped(pids)
+
+
+def test_workers_run_with_the_parents_interpreter_flags():
+    """A parent run under ``-O -W error`` gets workers under the same flags,
+    and they still answer the handshake."""
+    script = (
+        "from repro.evaluation.experiments import _build_matcher\n"
+        "from repro.parallel import WorkerPool\n"
+        "pool = WorkerPool.create(2, _build_matcher('ED'))\n"
+        "pool.batch_scores([], {})\n"
+        "print(pool.healthy, *pool._processes[0].args[1:pool._processes[0].args.index('-c')])\n"
+        "pool.close()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-W", "error", "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    healthy, *flags = done.stdout.split()
+    assert healthy == "True"
+    assert "-O" in flags and "-Werror" in flags
 
 
 # ----------------------------------------------------------------------
@@ -387,20 +430,96 @@ def _session_run(dataset, workers):
 
 
 def test_pool_startup_failure_degrades_in_process(dataset, monkeypatch):
-    """No worker answers the handshake in time: ``create`` returns
-    ``None`` with no child left behind, and the run scores in-process."""
+    """No worker answers the handshake by its deadline: ``create`` still
+    returns the launched pool, the first hand-off finds the fleet silent
+    and breaks it, and every hand-off of the run is scored in-process and
+    counted as a fallback.  The workers are stopped right after launch —
+    a start that hangs — so none can answer before the run looks."""
     serial = _session_run(dataset, 1)
+    healthy = _session_run(dataset, 2)
+    hand_offs = healthy.details["metrics"]["counters"]["parallel.rounds_sharded"]
+    assert hand_offs >= 1
     monkeypatch.setattr("repro.parallel.pool.HANDSHAKE_TIMEOUT_S", 0.0)
-    children = set(multiprocessing.active_children())
-    assert WorkerPool.create(2, _build_matcher("ED")) is None
-    assert set(multiprocessing.active_children()) == children
-    degraded = _session_run(dataset, 4)
+    with ERSession(
+        dataset, systems=("I-PES",), matcher="ED", n_increments=8, rate=5.0,
+        budget=BUDGET, workers=2,
+    ) as session:
+        session.push()  # launches the session's fleet
+        pool = session._pool
+        if pool is None:
+            pytest.skip("process pool unavailable on this host")
+        pids = worker_pids(pool)
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        degraded = session.run()
+        assert pool.broken
+        assert_reaped(pids)
     assert _comparable(degraded) == _comparable(serial)
     counters = degraded.details["metrics"]["counters"]
-    assert counters["parallel.fallbacks"] == 1
     assert counters["parallel.rounds_sharded"] == 0
+    assert counters["parallel.fallbacks"] == hand_offs
     assert degraded.details["metrics"]["gauges"]["parallel.workers"] == 1.0
-    assert set(multiprocessing.active_children()) == children
+
+
+#: A caller's script with no ``__main__`` guard: a worker that imported the
+#: caller's ``__main__`` would run this whole body again before answering.
+UNGUARDED_SCRIPT = """\
+import json
+from repro.api import ERSession
+
+print("body", flush=True)
+with ERSession(
+    "dblp_acm", scale=0.2, matcher="ED", n_increments=8, rate=5.0, budget=8.0, workers=2,
+) as session:
+    counters = session.run().details["metrics"]["counters"]
+print(json.dumps({name: counters[name] for name in ("parallel.pairs_sharded", "parallel.fallbacks")}))
+"""
+
+
+def test_a_callers_script_runs_once_however_many_workers(tmp_path):
+    """Regression: every ``spawn`` worker re-imported the caller's
+    ``__main__``, so a script without a ``__main__`` guard ran once per
+    process (each worker a whole in-process session of its own, since its
+    nested fleet could not start).  Workers now never import it."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = str(Path(repro.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines.count("body") == 1, done.stdout
+    counters = json.loads(lines[-1])
+    assert counters["parallel.pairs_sharded"] > 0
+    assert counters["parallel.fallbacks"] == 0
+
+
+def test_a_worker_imports_only_the_pool_and_the_matcher():
+    """A worker loads the pool, the matcher's module and what those import:
+    no session, engine, harness or server, and nothing of its caller."""
+    from multiprocessing.connection import Pipe
+
+    from repro.parallel import pool as pool_module
+
+    master, child = Pipe()
+    fd = child.fileno()
+    process = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-c", pool_module._WORKER_BOOT, str(fd), *sys.path],
+        pass_fds=(fd,), stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    child.close()
+    matcher = _build_matcher("ED")
+    master.send((type(matcher), pool_module._template_state(matcher)))
+    assert master.recv() == ("ok", "ready")
+    master.close()
+    _, log = process.communicate(timeout=60)
+    modules = {line.rsplit("|", 1)[1].strip() for line in log.splitlines() if "|" in line}
+    assert {"repro.parallel.pool", "repro.matching.matcher"} <= modules
+    heavy = ("repro.api", "repro.execution", "repro.evaluation", "repro.service",
+             "repro.streaming", "repro.parallel.cells", "benchmarks", "tests", "pytest", "_pytest")
+    assert not {m for m in modules for h in heavy if m == h or m.startswith(h + ".")}
 
 
 def test_closed_pool_is_bypassed(dataset, plan):

@@ -115,6 +115,16 @@ class TestExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_parallel_names_resolve(self):
+        import repro.parallel
+
+        for name in repro.parallel.__all__:
+            assert hasattr(repro.parallel, name), name
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError):
+            repro.no_such_name  # noqa: B018
+
     def test_version(self):
         assert repro.__version__
 

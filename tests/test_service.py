@@ -665,8 +665,8 @@ def test_server_sheds_ingests_under_pipelined_burst():
 
 
 def test_server_replaces_a_broken_pool(monkeypatch):
-    """A worker of the server's fleet is killed under tenant ``a``: its
-    first hand-off breaks the pool and is rescued in-process.  Tenant
+    """A worker of the server's ready fleet is killed under tenant ``a``:
+    its first hand-off breaks the pool and is rescued in-process.  Tenant
     ``b``, opened afterwards, gets a fresh fleet and shards again; ``a``
     scores in-process from then on and still equals its standalone replay."""
     monkeypatch.setattr("repro.parallel.pool.MIN_SHARD", 1)
@@ -684,6 +684,9 @@ def test_server_replaces_a_broken_pool(monkeypatch):
                 first_pool = thread.server._pools.get("ED")
                 if first_pool is None:
                     pytest.skip("process pool unavailable on this host")
+                # Read the handshake first, so the kill meets a ready fleet
+                # mid-run rather than one still starting up.
+                first_pool.batch_scores([], {})
                 os.kill(first_pool._processes[0].pid, signal.SIGKILL)
                 fingerprint = drive(client, "a")
                 assert first_pool.broken
@@ -698,6 +701,9 @@ def test_server_replaces_a_broken_pool(monkeypatch):
             finally:
                 client.shutdown()
     assert counters["a"]["parallel.supervision.evictions"] == 2
+    # The first hand-off was scattered and rescued (a fleet that failed its
+    # handshake would read 0 here), every later one fell back.
+    assert counters["a"]["parallel.rounds_sharded"] == 1
     assert counters["a"]["parallel.fallbacks"] > 0
     assert counters["b"]["parallel.rounds_sharded"] > 0
     assert counters["b"]["parallel.fallbacks"] == 0

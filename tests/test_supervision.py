@@ -10,7 +10,7 @@ a substituted slot connection.  In every case
 * the pool is ``broken`` for good — every worker killed, none respawned —
   and every later hand-off is scored in-process and counted in
   ``parallel.fallbacks``;
-* no child process is left alive after ``close()``.
+* no worker of the pool is left after ``close()``, not even unreaped.
 
 A pool that cannot start is in ``test_parallel.py``; the server's
 replacement of a broken pool is in ``test_service.py``.
@@ -18,7 +18,6 @@ replacement of a broken pool is in ``test_service.py``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import signal
@@ -34,7 +33,7 @@ from repro.resilience import ResilienceConfig
 from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
-from tests.conftest import ShortReplies, by_pid, pool_or_skip
+from tests.conftest import ShortReplies, assert_reaped, by_pid, pool_or_skip, worker_pids
 from tests.reference.crash import SimulatedCrash, crash_at
 
 STRATEGIES = ["I-PCS", "I-PBS", "I-PES", "I-BASE"]
@@ -164,10 +163,6 @@ def _assert_broken(pool, counters=None):
         assert counters["parallel.supervision.evictions"] == pool.size
 
 
-def _assert_no_child_alive():
-    assert multiprocessing.active_children() == []
-
-
 # ----------------------------------------------------------------------
 # Pool level: one failure of each kind
 # ----------------------------------------------------------------------
@@ -176,6 +171,7 @@ def test_sigkill_mid_round_is_absorbed(sample_pairs):
     merges bit-identically, the pool is broken for good, and a later
     scatter refuses (the caller scores in-process)."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         reference = _reference_scores(*sample_pairs)
         pool.begin_run()
@@ -191,7 +187,7 @@ def test_sigkill_mid_round_is_absorbed(sample_pairs):
         _assert_broken(pool)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_respawn_budget_exhaustion_breaks_the_pool(sample_pairs):
@@ -199,14 +195,15 @@ def test_respawn_budget_exhaustion_breaks_the_pool(sample_pairs):
     surviving worker is killed with it rather than left scoring alone, and
     every later hand-off is refused for good."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         reference = _reference_scores(*sample_pairs)
         pool.begin_run()
         assert pool.batch_scores(*sample_pairs) == reference
-        survivor = pool._processes[0]
+        survivor = pids[0]
         _kill(pool, 1)
         assert pool.batch_scores(*sample_pairs) == reference
-        assert not survivor.is_alive()
+        assert_reaped([survivor])
         assert pool._processes == []
         _assert_broken(pool)
         for _ in range(2):
@@ -214,13 +211,14 @@ def test_respawn_budget_exhaustion_breaks_the_pool(sample_pairs):
                 pool.batch_scores(*sample_pairs)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_hung_worker_hits_reply_deadline(sample_pairs, short_deadline):
     """A SIGSTOPped worker is given up on at the reply deadline — the
     master never waits for it — and its chunk is rescued."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         reference = _reference_scores(*sample_pairs)
         pool.begin_run()
@@ -232,13 +230,14 @@ def test_hung_worker_hits_reply_deadline(sample_pairs, short_deadline):
         _assert_broken(pool)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_corrupt_reply_is_rejected_and_rescued(sample_pairs):
     """A short similarity list must never merge (it would misalign every
     later pair): the reply is rejected and the chunk re-scored in-process."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         reference = _reference_scores(*sample_pairs)
         pool.begin_run()
@@ -247,7 +246,7 @@ def test_corrupt_reply_is_rejected_and_rescued(sample_pairs):
         _assert_broken(pool)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_begin_run_is_refused_while_a_hand_off_is_outstanding(sample_pairs):
@@ -294,6 +293,7 @@ def test_chaos_invariance_serial_engine(dataset, plan, strategy, small_hand_offs
         resilience=ResilienceConfig(checkpoint_every=2.0),
     )
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         _fault_in_flight(pool, "kill")
         chaotic, chaotic_ckpt = _run(
@@ -307,13 +307,14 @@ def test_chaos_invariance_serial_engine(dataset, plan, strategy, small_hand_offs
         _assert_broken(pool, counters)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_chaos_invariance_pipelined_engine(dataset, plan, strategy, small_hand_offs):
     serial, _ = _run(PipelinedStreamingEngine, dataset, plan, strategy)
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         _fault_in_flight(pool, "kill")
         chaotic, _ = _run(PipelinedStreamingEngine, dataset, plan, strategy, pool=pool)
@@ -323,7 +324,7 @@ def test_chaos_invariance_pipelined_engine(dataset, plan, strategy, small_hand_o
         _assert_broken(pool, counters)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 @pytest.mark.parametrize("engine_cls", [StreamingEngine, PipelinedStreamingEngine])
@@ -337,6 +338,7 @@ def test_fault_on_a_hand_off_in_flight_while_the_master_emits(
     Every hand-off after it is scored in-process, as a fallback."""
     serial, _ = _run(engine_cls, dataset, plan, "I-PES")
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     broken_at_join = []
     join = engine_cls._join
 
@@ -356,7 +358,7 @@ def test_fault_on_a_hand_off_in_flight_while_the_master_emits(
         _assert_broken(pool, counters)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_supervision_telemetry_counts_the_schedule(dataset, plan, small_hand_offs):
@@ -364,6 +366,7 @@ def test_supervision_telemetry_counts_the_schedule(dataset, plan, small_hand_off
     a worker lost at the second, two are gathered (the second rescued),
     N - 2 fall back, and every worker of the fleet counts as lost."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         healthy, _ = _run(StreamingEngine, dataset, plan, "I-PES", pool=pool)
         hand_offs = healthy.details["metrics"]["counters"]["parallel.rounds_sharded"]
@@ -378,7 +381,7 @@ def test_supervision_telemetry_counts_the_schedule(dataset, plan, small_hand_off
         _assert_broken(pool, counters)
     finally:
         pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids)
 
 
 def test_hand_off_does_not_outlive_a_crashed_drain(dataset, plan, monkeypatch):
@@ -434,6 +437,7 @@ def test_crash_resume_across_fault_schedule(dataset, plan, small_hand_offs):
     checkpoint on a fresh fleet that loses a worker too, and still ends
     bit-identical to the uninterrupted serial run."""
     pool = pool_or_skip("ED")
+    pids = worker_pids(pool)
     try:
         _fault_in_flight(pool, "kill")
         engine = StreamingEngine(
@@ -449,6 +453,7 @@ def test_crash_resume_across_fault_schedule(dataset, plan, small_hand_offs):
         pool.close()
 
     resume_pool = pool_or_skip("ED")
+    resume_pids = worker_pids(resume_pool)
     try:
         _kill(resume_pool, 1)
         resumed = StreamingEngine(
@@ -460,7 +465,7 @@ def test_crash_resume_across_fault_schedule(dataset, plan, small_hand_offs):
         _assert_broken(resume_pool)
     finally:
         resume_pool.close()
-    _assert_no_child_alive()
+    assert_reaped(pids + resume_pids)
     uninterrupted, _ = _run(StreamingEngine, dataset, plan, "I-PES")
     assert resumed.duplicates == uninterrupted.duplicates
     assert resumed.clock_end == uninterrupted.clock_end
@@ -485,6 +490,8 @@ def test_session_chaos_run_matches_clean_run(dataset):
         if pool is None:
             pytest.skip("process pool unavailable on this host")
         pool.min_shard = 1
+        pool.batch_scores([], {})  # the fleet is up: its handshake is read
+        pids = worker_pids(pool)
         _kill(pool)
         push.feed_plan(chaotic_session.plan_for("I-PES"))
         push.drain(BUDGET)
@@ -492,7 +499,7 @@ def test_session_chaos_run_matches_clean_run(dataset):
         # only hand-off, and the one that meets the dead worker.
         chaotic = push.results()
         after = chaotic_session.run()
-    _assert_no_child_alive()
+    assert_reaped(pids)
     assert _comparable(chaotic) == _comparable(serial)
     assert _comparable(after) == _comparable(serial)
     counters = chaotic.details["metrics"]["counters"]
