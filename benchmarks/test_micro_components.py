@@ -159,6 +159,20 @@ def test_bench_bounded_pq_batch(benchmark):
     assert benchmark(churn) == sum(len(pairs) for pairs, _ in blocks)
 
 
+def test_bench_ed_signatures(benchmark):
+    """What a worker derives at ingest: the ED signatures of dblp_acm x0.6's
+    696 profiles, from their wire texts, on a cold matcher (its memoized
+    masks and runs empty, as at the start of a run)."""
+    profiles = load_dataset("dblp_acm", scale=0.6, seed=1).profiles
+    texts = [EditDistanceMatcher().wire(profile) for profile in profiles]
+
+    def derive_all():
+        matcher = EditDistanceMatcher()
+        return len([matcher._derive(text) for text in texts])
+
+    assert benchmark(derive_all) == len(profiles) == 696
+
+
 @pytest.fixture(scope="module")
 def ed_survivors(census):
     """The DP survivors of the ED matcher's funnel over every pair of 300

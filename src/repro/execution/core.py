@@ -193,7 +193,9 @@ class ExecutionCore:
         The :class:`~repro.parallel.pool.WorkerPool` (Tier A of
         :mod:`repro.parallel`) that scores the batched kernel's rounds, in
         hand-offs of :data:`HAND_OFF_PAIRS` pairs that overlap with the
-        master's own work.  Owned by the caller (:class:`repro.api.ERSession`
+        master's own work; each ingested increment's profiles are shipped
+        to it at once, so the workers derive their records while the master
+        emits.  Owned by the caller (:class:`repro.api.ERSession`
         or the service): the engine starts a cache epoch on it at the start
         of every run and never closes it.  A hand-off the pool cannot take
         — it is broken or closed — is scored in-process and counted in
@@ -522,6 +524,9 @@ class ExecutionCore:
         state.seen_increments.add(increment.index)
         state.estimator.record(arrival)
         cost = state.system.ingest(increment)
+        if self._pool is not None:
+            # The fleet derives the new profiles' records while we emit.
+            self._pool.ship(self, increment.profiles)
         now = self._advance_ingest(state, arrival, cost)
         timer.virtual += cost
         state.metrics.count("engine.increments_ingested")

@@ -71,7 +71,8 @@ class CostModel:
 class _PidRecords(dict):
     """pid → ``derive(profile)``, built by the first lookup that misses (a
     hit is one dict lookup, no membership test) from the profile read
-    through :attr:`profiles`, which the matcher sets before each batch."""
+    through :attr:`profiles`, which the matcher sets before each batch.  A
+    worker stores records it derived itself and never misses."""
 
     __slots__ = ("derive", "profiles")
 
@@ -84,6 +85,40 @@ class _PidRecords(dict):
         return record
 
 
+class _BitMasks(dict):
+    """element → its one-bit mask; each new element takes the next bit.
+    Distinct elements have distinct bits, so a set's mask is the ``sum`` of
+    its elements' masks."""
+
+    __slots__ = ()
+
+    def __missing__(self, element: object) -> int:
+        mask = self[element] = 1 << len(self)
+        return mask
+
+
+class _BitRuns(dict):
+    """``(element, n)`` → the masks of the element's occurrences ``first``
+    … ``n - 1`` summed, each ``(element, k)`` an element of
+    :attr:`occurrences`.  Keyed by ``Counter`` items, it turns a multiset
+    into a set of ``(element, k)``: the popcount of the ``AND`` of two
+    multisets' summed runs is the size of their intersection, less
+    ``first`` for each element they share."""
+
+    __slots__ = ("first", "occurrences")
+
+    def __init__(self, first: int) -> None:
+        super().__init__()
+        self.first = first
+        self.occurrences = _BitMasks()
+
+    def __missing__(self, key: tuple[object, int]) -> int:
+        element, n = key
+        bit = self.occurrences.__getitem__
+        run = self[key] = sum(bit((element, k)) for k in range(self.first, n))
+        return run
+
+
 class Matcher:
     """Base class: thresholded similarity classification with cost accounting.
 
@@ -91,10 +126,12 @@ class Matcher:
     its estimate.  That is what lets the engines plan an emission round's
     deadline cut from estimates and score the surviving prefix as one batch.
     A batch is the emitted ``(pid, pid)`` tuples plus the system's pid →
-    profile lookup; what a matcher derives from a profile it keeps in a
-    pid-keyed :class:`_PidRecords` named in :attr:`_DERIVED_STATE`.
-    Subclasses implement :meth:`estimate_cost_batch` (the virtual cost of
-    each pair) and :meth:`_batch_scores` (their similarities).
+    profile lookup; what a matcher derives from a profile it keeps in the
+    pid-keyed :class:`_PidRecords` ``_records``.  A record is derived from
+    one input, :meth:`wire` of the profile, by :meth:`_derive`: that input
+    is all a worker receives of a profile.  Subclasses implement those two,
+    :meth:`estimate_cost_batch` (the virtual cost of each pair) and
+    :meth:`_batch_scores` (their similarities).
     """
 
     name = "matcher"
@@ -104,7 +141,7 @@ class Matcher:
     #: they are rebuilt deterministically by :meth:`_init_derived_state` —
     #: which keeps checkpoint payloads bounded no matter how many profiles
     #: a long stream has touched.
-    _DERIVED_STATE: tuple[str, ...] = ()
+    _DERIVED_STATE: tuple[str, ...] = ("_records",)
 
     def __init__(self, threshold: float, cost_model: CostModel) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -123,6 +160,19 @@ class Matcher:
     # -- hooks ----------------------------------------------------------
     def _init_derived_state(self) -> None:
         """(Re)build the attributes named in :attr:`_DERIVED_STATE`, empty."""
+        self._records = _PidRecords(self._record)
+
+    def wire(self, profile: EntityProfile) -> object:
+        """The one input this matcher's record of ``profile`` is derived
+        from: what the profile travels to a worker as."""
+        raise NotImplementedError
+
+    def _derive(self, wire: object) -> object:
+        """The record of a profile whose :meth:`wire` input is ``wire``."""
+        raise NotImplementedError
+
+    def _record(self, profile: EntityProfile) -> object:
+        return self._derive(self.wire(profile))
 
     def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
         """The virtual cost of each ``(pid, pid)`` pair, never negative;
@@ -233,13 +283,13 @@ class JaccardMatcher(Matcher):
 
     Default virtual costs make one JS comparison ~50 µs — fast enough that
     the matcher is rarely the bottleneck, so the adaptive ``K`` stays large.
-    A profile's record is ``(token count, token mask)``: each token gets a
-    bit index the first time the matcher sees it, and a pair's common
-    tokens are one ``AND`` + popcount of the two masks.
+    A profile's record is ``(token count, token mask)``, derived from its
+    token set: each token gets a bit the first time the matcher sees it,
+    and a pair's common tokens are one ``AND`` + popcount of the two masks.
     """
 
     name = "JS"
-    _DERIVED_STATE = ("_token_masks", "_token_bit")
+    _DERIVED_STATE = (*Matcher._DERIVED_STATE, "_token_masks")
 
     def __init__(
         self,
@@ -249,17 +299,17 @@ class JaccardMatcher(Matcher):
         super().__init__(threshold, cost_model or CostModel(base=2e-5, per_unit=1e-6))
 
     def _init_derived_state(self) -> None:
-        self._token_masks: _PidRecords = _PidRecords(self._token_record)
-        # Bit index of each token, assigned as tokens are first seen.
-        self._token_bit: dict[str, int] = {}
+        super()._init_derived_state()
+        self._token_masks = _BitMasks()
 
-    def _token_record(self, profile: EntityProfile) -> tuple[int, int]:
-        tokens, bit_of = profile.tokens(), self._token_bit
-        # Distinct tokens have distinct bits: their sum is the union.
-        return len(tokens), sum(1 << bit_of.setdefault(token, len(bit_of)) for token in tokens)
+    def wire(self, profile: EntityProfile) -> frozenset[str]:
+        return profile.tokens()
+
+    def _derive(self, tokens: frozenset[str]) -> tuple[int, int]:
+        return len(tokens), sum(map(self._token_masks.__getitem__, tokens))
 
     def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
-        records = self._token_masks
+        records = self._records
         records.profiles = profiles
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
@@ -270,7 +320,7 @@ class JaccardMatcher(Matcher):
         """:func:`~repro.matching.similarity.jaccard` of each pair, inlined
         over the batch: the popcount of the masks' ``AND`` counts what the
         scalar generator sum counts, and the division has the same operands."""
-        records = self._token_masks
+        records = self._records
         records.profiles = profiles
         return [
             (common := (mask_x & mask_y).bit_count()) / (count_x + count_y - common)
@@ -281,10 +331,15 @@ class JaccardMatcher(Matcher):
         ]
 
 
+def _float_text_length(profile: EntityProfile) -> float:
+    return float(profile.text_length())
+
+
 class _Signature(NamedTuple):
     """What :class:`EditDistanceMatcher` derives once per profile.
 
-    The three ``*_bits`` integers are sets stored as bit masks; which bit
+    The three ``*_bits`` integers are sets stored as bit masks, sums of the
+    matcher's memoized :class:`_BitMasks` / :class:`_BitRuns`; which bit
     stands for which element is private to the matcher that built them, and
     only popcounts of ANDs of two signatures of one matcher are ever read.
     """
@@ -321,7 +376,9 @@ class EditDistanceMatcher(Matcher):
     """
 
     name = "ED"
-    _DERIVED_STATE = ("_text_cache", "_gram_bit", "_repeat_bit", "_char_bit")
+    _DERIVED_STATE = (
+        *Matcher._DERIVED_STATE, "_lengths", "_gram_masks", "_repeat_runs", "_char_runs",
+    )
 
     def __init__(
         self,
@@ -338,42 +395,41 @@ class EditDistanceMatcher(Matcher):
         self.kernel_counts = dict.fromkeys(KERNEL_COUNTERS, 0)
 
     def _init_derived_state(self) -> None:
-        self._text_cache: _PidRecords = _PidRecords(self._signature)
-        # Bit position of each element, assigned as elements are first seen.
-        self._gram_bit: dict[str, int] = {}
-        self._repeat_bit: dict[tuple[str, int], int] = {}
-        self._char_bit: dict[tuple[str, int], int] = {}
+        super()._init_derived_state()
+        # pid → the full text's length as a float: the pricing input.
+        self._lengths: _PidRecords = _PidRecords(_float_text_length)
+        self._gram_masks = _BitMasks()
+        self._repeat_runs = _BitRuns(first=1)
+        self._char_runs = _BitRuns(first=0)
 
-    def _signature(self, profile: EntityProfile) -> _Signature:
-        text = profile.text()[: self.max_text_length]
-        gram_bit, repeat_bit, char_bit = self._gram_bit, self._repeat_bit, self._char_bit
+    def wire(self, profile: EntityProfile) -> str:
+        """The text, truncated to ``max_text_length``."""
+        return profile.text()[: self.max_text_length]
+
+    def _derive(self, text: str) -> _Signature:
         grams = Counter(map(str.__add__, text, text[1:]))
-        gram_bits = repeat_bits = char_bits = 0
-        for gram, occurrences in grams.items():
-            gram_bits |= 1 << gram_bit.setdefault(gram, len(gram_bit))
-            for k in range(1, occurrences):
-                repeat_bits |= 1 << repeat_bit.setdefault((gram, k), len(repeat_bit))
-        for char, occurrences in Counter(text).items():
-            for k in range(occurrences):
-                char_bits |= 1 << char_bit.setdefault((char, k), len(char_bit))
-        table = lane_table(text, lane_width(self.max_text_length))
-        return _Signature(text, len(grams), gram_bits, repeat_bits, char_bits, table)
+        return _Signature(
+            text,
+            len(grams),
+            sum(map(self._gram_masks.__getitem__, grams)),
+            sum(map(self._repeat_runs.__getitem__, grams.items())),
+            sum(map(self._char_runs.__getitem__, Counter(text).items())),
+            lane_table(text, lane_width(self.max_text_length)),
+        )
 
     def estimate_cost_batch(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
-        """The character product of the full texts, read through
-        ``profiles``: pricing a pair builds no :class:`_Signature`, so a
+        """The character product of the full texts, read off the pids'
+        float lengths: pricing a pair builds no :class:`_Signature`, so a
         fleet master pays for none of the signatures its workers score."""
-        profile = profiles.__getitem__
+        lengths = self._lengths
+        lengths.profiles = profiles
         base = self.cost_model.base
         per_unit = self.cost_model.per_unit
-        return [
-            base + per_unit * (float(profile(x).text_length()) * float(profile(y).text_length()))
-            for x, y in pairs
-        ]
+        return [base + per_unit * (lengths[x] * lengths[y]) for x, y in pairs]
 
     def _batch_scores(self, pairs: PidPairs, profiles: Profiles) -> list[float]:
         """The staged funnel, run over the batch in one loop on the pids'
-        :class:`_Signature` records (``_text_cache``); a pair scores (and
+        :class:`_Signature` records (``_records``); a pair scores (and
         counts) the same in any batch, a batch of one included.
         Stages run cheapest-first; the first that decides a pair counts it:
 
@@ -396,7 +452,7 @@ class EditDistanceMatcher(Matcher):
            survivors are collected with their output slots and scored
            together, one lane each, by :func:`levenshtein_lanes`.
         """
-        signatures = self._text_cache
+        signatures = self._records
         signatures.profiles = profiles
         threshold = self.threshold
         slack = 1.0 - threshold

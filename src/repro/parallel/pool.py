@@ -16,30 +16,43 @@ chunk's similarities and its kernel outcome counts, nothing else: costs
 never travel, the master charged them from its own estimates when the
 round ran.
 
-A chunk is ``(epoch, profiles this worker has not received this epoch, pid
-pairs)``, the hand-off's slice shipped as it is and scored against the
-worker's pid → profile dict; a worker that sees a new epoch first drops
-that dict and the matcher's pid-keyed derived state, so
-:meth:`WorkerPool.begin_run` is an epoch bump on the master.  Any failure —
+A profile travels to a worker as its matcher's wire record
+(``(pid, matcher.wire(profile))``: ED's truncated text, JS's token set),
+once per epoch, and the worker derives and keeps its record — pid →
+record, no profile store.  :meth:`WorkerPool.ship` sends the profiles of
+an ingest as ``(epoch, records, None)``, unanswered, so the workers derive
+while the master emits; a chunk is ``(epoch, records this worker has not
+received this epoch, pid pairs)``, the hand-off's slice shipped as it is
+and scored off the worker's records.  The master frames every message as
+``Connection.send`` does and writes it non-blocking: a ship leaves what a
+full pipe cannot take for the next write, a chunk must be written by the
+reply deadline.  A worker that sees a new epoch first drops the matcher's
+pid-keyed derived state, so :meth:`WorkerPool.begin_run` is an epoch bump
+on the master.  Any failure —
 a dead pipe, a reply of the wrong shape, silence past
 :data:`REPLY_TIMEOUT_S`, an interrupted gather — kills every worker and
 leaves the pool ``broken`` for good: the failing hand-off is re-scored
-in-process on a replica of the same template, later ones are the caller's
+in-process on a replica of the same template, from the master's live
+profiles, and later ones are the caller's
 to score.  Nothing respawns; the service replaces a broken pool.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import select
+import struct
 import subprocess
 import sys
 import time
 from itertools import chain
 from multiprocessing.connection import Connection, Pipe
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.profile import EntityProfile
     from repro.matching.matcher import Matcher, PidPairs, Profiles
 
 __all__ = ["HANDSHAKE_TIMEOUT_S", "MIN_SHARD", "REPLY_TIMEOUT_S", "WorkerPool", "WorkerPoolError"]
@@ -88,14 +101,19 @@ class WorkerPool:
         #: The engine whose :meth:`begin_run` started the current epoch.
         self.owner: object | None = None
         self._template = (type(matcher), _template_state(matcher))
-        self._rescue: "Matcher | None" = None
+        #: A replica of the template: its ``wire`` makes what the workers
+        #: receive, and it scores the chunks they fail.
+        self._rescue = _replica(self._template)
         self._closed = False
         self._epoch = 0
         self._sent: list[set[int]] = [set() for _ in range(workers)]  # pids, this epoch
+        #: Framed messages not yet written, per worker.
+        self._unsent = [bytearray() for _ in range(workers)]
         self._outstanding: tuple | None = None  # (chunks, reply deadline)
         self._processes, self._connections = [], []  # one of each per worker
-        #: The handshake deadline, until the first scatter has read it.
+        #: The handshake deadline, until the whole fleet has answered.
         self._ready_by: float | None = time.monotonic() + HANDSHAKE_TIMEOUT_S
+        self._answered = 0  # workers, in slot order, whose ready reply was read
         try:
             for _ in range(workers):
                 process, connection = _launch()
@@ -132,21 +150,51 @@ class WorkerPool:
         self._epoch += 1
         for sent in self._sent:
             sent.clear()
-        if self._rescue is not None:
-            self._rescue._init_derived_state()
+        self._rescue._init_derived_state()
 
     def batch_scores(self, pairs: "PidPairs", profiles: "Profiles") -> list[float]:
         """:meth:`scatter` and :meth:`gather` back to back."""
         return self.gather(self.scatter(pairs, profiles))
 
+    def ship(self, owner: object, profiles: "Iterable[EntityProfile]") -> None:
+        """Send every worker the wire records of the ``profiles`` it has not
+        received this epoch, as ``(epoch, records, None)``: the worker
+        derives their records on arrival and does not reply.  Called at
+        ingest, so the workers derive while the master emits.
+
+        Skipped — the profiles then travel with the next chunk — while a
+        hand-off is outstanding (a pipe never carries traffic both ways),
+        when ``owner`` does not own the epoch, and before the whole fleet
+        has answered the handshake (read here without waiting).  Never
+        blocks, raises or breaks the pool: what a pipe cannot take now is
+        written ahead of the next chunk, and whatever a ship meets — a
+        dead pipe, a wrong handshake reply — the next :meth:`scatter` or
+        :meth:`gather` finds and reports as it would have."""
+        if (
+            self._outstanding is not None
+            or owner is not self.owner
+            or not self.healthy
+            or (self._ready_by is not None and not self._read_handshake(wait=False))
+        ):
+            return
+        wire = self._rescue.wire
+        records = [(profile.pid, wire(profile)) for profile in profiles]
+        for slot, sent in enumerate(self._sent):
+            fresh = [record for record in records if record[0] not in sent]
+            if fresh:
+                sent.update(pid for pid, _ in fresh)
+                self._post(slot, (self._epoch, fresh, None))
+                self._flush(slot, None)
+
     def scatter(self, pairs: "PidPairs", profiles: "Profiles") -> tuple:
         """Send one contiguous chunk of the ``(pid, pid)`` ``pairs`` to each
-        worker (the first chunks take the remainder), with only the
-        ``profiles`` it lacks; return the ticket :meth:`gather` redeems.
-        One hand-off is outstanding at a time, so a pipe never carries
-        traffic both ways.  A failed send breaks the pool (gather then
-        scores in-process); a broken or closed pool, or a first scatter
-        whose fleet has not answered the handshake, raises
+        worker (the first chunks take the remainder), with the wire records
+        of the ``profiles`` it lacks; return the ticket :meth:`gather`
+        redeems.  One hand-off is outstanding at a time, so a pipe never
+        carries traffic both ways.  A send that fails, or cannot finish by
+        the reply deadline, breaks the pool (gather then scores
+        in-process); a broken or closed pool, or a first scatter whose
+        fleet has not answered the handshake, raises
         :class:`WorkerPoolError`."""
         if self._outstanding is not None:
             raise RuntimeError("the previous hand-off has not been gathered")
@@ -154,7 +202,7 @@ class WorkerPool:
             raise WorkerPoolError("worker pool is not available")
         started = time.perf_counter()
         if self._ready_by is not None:
-            self._await_handshake()
+            self._read_handshake(wait=True)
         step, extra = divmod(len(pairs), self.size)
         cuts = [slot * step + min(slot, extra) for slot in range(self.size + 1)]
         chunks = [
@@ -162,36 +210,87 @@ class WorkerPool:
             for slot in range(self.size)
             if cuts[slot] < cuts[slot + 1]
         ]
-        try:
-            for slot, chunk in chunks:
-                self._connections[slot].send(self._message(slot, chunk, profiles))
-        except OSError:
-            self._break()
-        self._outstanding = (chunks, time.monotonic() + REPLY_TIMEOUT_S, profiles)
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        for slot, chunk in chunks:
+            self._post(slot, self._message(slot, chunk, profiles))
+            if not self._flush(slot, deadline):
+                self._break()
+                break
+        self._outstanding = (chunks, deadline, profiles)
         self.scatter_wall_s += time.perf_counter() - started
         return self._outstanding
 
-    def _await_handshake(self) -> None:
-        """Read every worker's ``("ok", "ready")`` by the launch deadline,
-        or break the pool and raise :class:`WorkerPoolError`."""
-        deadline, self._ready_by = self._ready_by, None
-        for connection in self._connections:
+    def _read_handshake(self, *, wait: bool) -> bool:
+        """Read the ``("ok", "ready")`` replies not read yet; ``True`` once
+        the whole fleet has answered.  Waiting, read them by the launch
+        deadline or break the pool and raise :class:`WorkerPoolError`.  Not
+        waiting, read only what is already in the pipes, and leave a
+        failure for the next wait to report."""
+        while self._answered < self.size:
+            connection = self._connections[self._answered]
+            timeout = max(0.0, self._ready_by - time.monotonic()) if wait else 0.0
             try:
-                if connection.poll(max(0.0, deadline - time.monotonic())):
+                if connection.poll(timeout):
                     if connection.recv() == ("ok", "ready"):
+                        self._answered += 1
                         continue
+                elif not wait:
+                    return False  # not answered yet
             except (EOFError, OSError, pickle.UnpicklingError):
                 pass
+            if not wait:
+                # Now past due: the next wait finds this worker with no
+                # ready reply left and breaks the pool without waiting.
+                self._ready_by = 0.0
+                return False
+            self._ready_by = None
             self._break()
             raise WorkerPoolError("a worker did not answer the handshake in time")
+        self._ready_by = None
+        return True
 
     def _message(self, slot: int, chunk: "PidPairs", profiles: "Profiles") -> tuple:
-        """``(epoch, profiles the worker has not received this epoch, pid
-        pairs)``."""
+        """``(epoch, wire records the worker has not received this epoch,
+        pid pairs)``."""
         sent = self._sent[slot]
         fresh = set(chain.from_iterable(chunk)).difference(sent)
         sent |= fresh
-        return self._epoch, [profiles[pid] for pid in fresh], chunk
+        wire = self._rescue.wire
+        return self._epoch, [(pid, wire(profiles[pid])) for pid in fresh], chunk
+
+    def _post(self, slot: int, message: tuple) -> None:
+        """Queue ``message`` for ``slot``'s worker, framed as
+        ``Connection.send`` frames it."""
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        size = len(payload)
+        unsent = self._unsent[slot]
+        unsent += struct.pack("!i", size) if size <= 0x7FFFFFFF else struct.pack("!iQ", -1, size)
+        unsent += payload
+
+    def _flush(self, slot: int, deadline: float | None) -> bool:
+        """Write what is queued for ``slot``'s worker: what its pipe takes
+        now (``deadline`` ``None``), or all of it by ``deadline``.
+        ``False`` when the pipe is dead or the deadline passes first."""
+        unsent = self._unsent[slot]
+        try:
+            fd = self._connections[slot].fileno()
+            os.set_blocking(fd, False)
+            try:
+                while unsent:
+                    try:
+                        del unsent[: os.write(fd, unsent)]
+                    except BlockingIOError:
+                        if deadline is None:
+                            break
+                        writable = select.poll()
+                        writable.register(fd, select.POLLOUT)
+                        if not writable.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+                            return False
+            finally:
+                os.set_blocking(fd, True)
+        except OSError:
+            return False
+        return True
 
     def gather(self, hand_off: tuple) -> list[float]:
         """The hand-off's similarities in chunk order; from the first
@@ -240,9 +339,8 @@ class WorkerPool:
         return None
 
     def _score_in_process(self, chunk: "PidPairs", profiles: "Profiles") -> tuple:
-        """A chunk scored on a replica of the workers' own template."""
-        if self._rescue is None:
-            self._rescue = _replica(self._template)
+        """A chunk scored on a replica of the workers' own template, from
+        the master's live profiles."""
         return _score(self._rescue, chunk, profiles)
 
     def _break(self) -> None:
@@ -262,6 +360,8 @@ class WorkerPool:
     def _stop(self, *, kill: bool) -> None:
         processes, self._processes = self._processes, []
         connections, self._connections = self._connections, []
+        for unsent in self._unsent:
+            unsent.clear()
         if kill:
             for process in processes:
                 process.kill()
@@ -327,26 +427,29 @@ def _score(matcher: "Matcher", pairs: "PidPairs", profiles: "Profiles") -> tuple
 
 
 def _worker_main(fd: int) -> None:  # pragma: no cover - child
-    """Take the matcher template, answer the handshake, then reply to each
-    chunk with ``("ok", (similarities, kernel_counts))`` until the pipe
-    closes.  Any other error ends the process, which the master sees as
-    EOF."""
+    """Take the matcher template, answer the handshake, then take messages
+    ``(epoch, wire records, pid pairs)`` until the pipe closes: derive and
+    keep each record, and reply to a chunk (pairs not ``None``) with
+    ``("ok", (similarities, kernel_counts))``.  A worker keeps pid →
+    record, no profiles.  Any other error ends the process, which the
+    master sees as EOF."""
     connection = Connection(fd)
-    profiles: dict = {}
     epoch = None
     try:
         matcher = _replica(connection.recv())
+        derive = matcher._derive
         connection.send(("ok", "ready"))
         while True:
-            chunk_epoch, fresh, pid_pairs = connection.recv()
-            if chunk_epoch != epoch:
+            message_epoch, fresh, pid_pairs = connection.recv()
+            if message_epoch != epoch:
                 # A new run: the same pid may now name another profile.
-                epoch = chunk_epoch
-                profiles.clear()
+                epoch = message_epoch
                 matcher._init_derived_state()
-            for profile in fresh:
-                profiles[profile.pid] = profile
-            connection.send(("ok", _score(matcher, pid_pairs, profiles)))
+            records = matcher._records
+            for pid, wire in fresh:
+                records[pid] = derive(wire)
+            if pid_pairs is not None:
+                connection.send(("ok", _score(matcher, pid_pairs, {})))
     except (EOFError, OSError):
         pass  # the master closed the pipe
     connection.close()

@@ -123,6 +123,20 @@ def assert_reaped(pids) -> None:
             os.kill(pid, 0)
 
 
+def record_posts(pool) -> list[list[tuple]]:
+    """Keep every message ``pool`` queues for a worker (its ``_post``), per
+    slot; ``del pool._post`` stops recording."""
+    posted = [[] for _ in range(pool.size)]
+    post = pool._post
+
+    def recording_post(slot, message):
+        posted[slot].append(message)
+        post(slot, message)
+
+    pool._post = recording_post
+    return posted
+
+
 class ShortReplies:
     """Stands in for one slot connection of a pool: every reply the worker
     sends arrives one similarity short (a garbled reply)."""

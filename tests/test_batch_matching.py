@@ -122,6 +122,22 @@ def test_estimate_cost_batch_matches_scalar(small_dblp_acm):
         assert batched == [estimate_pair(matcher, x, y) for x, y in pairs]
 
 
+def test_ed_pricing_from_length_records_equals_the_profile_expression(small_dblp_acm):
+    """ED prices a pair off pid → ``float(text_length)`` records: on every
+    pair of a whole dataset, cold and warm, the costs are float-equal to
+    the expression read straight off the two profiles."""
+    profiles = small_dblp_acm.profiles
+    pairs, lookup = by_pid([(x, y) for i, x in enumerate(profiles) for y in profiles[i:]])
+    matcher = EditDistanceMatcher()
+    base, per_unit = matcher.cost_model.base, matcher.cost_model.per_unit
+    expected = [
+        base + per_unit * (float(lookup[x].text_length()) * float(lookup[y].text_length()))
+        for x, y in pairs
+    ]
+    assert matcher.estimate_cost_batch(pairs, lookup) == expected
+    assert matcher.estimate_cost_batch(pairs[::-1], lookup) == expected[::-1]
+
+
 def test_similarity_kernels_match_scalar_definitions():
     # Texts whose token sets are empty, disjoint, overlapping and equal.
     texts = [

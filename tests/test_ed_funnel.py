@@ -26,6 +26,7 @@ from repro.streaming.engine import StreamingEngine
 
 from tests.conftest import batched_results, make_profile, pool_or_skip
 from tests.reference.levenshtein import levenshtein
+from tests.reference.multisets import bigrams, common_bigrams, common_chars, common_repeats
 from tests.reference.scalar_execution import evaluate_pair
 
 EXACT_CUTS = ("length_cuts", "qgram_cuts", "bag_cuts")
@@ -122,6 +123,31 @@ def test_funnel_against_textbook_levenshtein(text_pairs, threshold, max_text_len
     assert batched.kernel_counts == matcher.kernel_counts
 
 
+@given(pair=_text_pair(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_signature_masks_count_the_multiset_intersections(pair, data):
+    """The popcounts of the gram, repeat and char ``AND`` of two
+    signatures are the ``Counter`` intersections of
+    ``tests/reference/multisets.py``, whatever texts the matcher's memoized
+    masks and runs were built on first."""
+    text_x, text_y = pair
+    matcher = EditDistanceMatcher(0.8)
+    assert max(len(text_x), len(text_y)) <= matcher.max_text_length  # wire texts
+    for text in data.draw(st.lists(st.sampled_from([text_x, text_y, text_x[::-1], text_y[::-1]]))):
+        matcher._derive(text)
+    signature_x, signature_y = matcher._derive(text_x), matcher._derive(text_y)
+    assert signature_x.grams == len(bigrams(text_x))
+    assert (signature_x.gram_bits & signature_y.gram_bits).bit_count() == common_bigrams(
+        text_x, text_y
+    )
+    assert (signature_x.repeat_bits & signature_y.repeat_bits).bit_count() == common_repeats(
+        text_x, text_y
+    )
+    assert (signature_x.char_bits & signature_y.char_bits).bit_count() == common_chars(
+        text_x, text_y
+    )
+
+
 @given(
     alphabet=_alphabets,
     data=st.data(),
@@ -138,7 +164,7 @@ def test_bit_assignment_is_unobservable(alphabet, data, threshold, seed):
     pairs = [(x, y) for x in lookup for y in lookup if x < y]
     in_order = EditDistanceMatcher(threshold, max_text_length=40)
     shuffled = EditDistanceMatcher(threshold, max_text_length=40)
-    signatures = shuffled._text_cache
+    signatures = shuffled._records
     signatures.profiles = lookup
     for profile in random.Random(seed).sample(profiles, len(profiles)):
         signatures[profile.pid]  # built on this first lookup

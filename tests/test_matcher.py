@@ -130,9 +130,9 @@ class TestEditDistanceMatcher:
         matcher = EditDistanceMatcher(0.8)
         a, b = make_profile(0, "alpha beta"), make_profile(1, "alpha beta")
         evaluate_pair(matcher, a, b)
-        cached = matcher._text_cache[a.pid]
+        cached = matcher._records[a.pid]
         evaluate_pair(matcher, a, b)
-        assert matcher._text_cache[a.pid] is cached
+        assert matcher._records[a.pid] is cached
 
 
 class TestShortTextRegression:
@@ -258,10 +258,10 @@ class TestFunnelLoop:
         pairs = [(known_x, known_y), (known_x, fresh), (fresh, known_y)]
         warm = EditDistanceMatcher(0.8)
         evaluate_pair(warm, known_x, known_y)
-        assert set(warm._text_cache) == {0, 1}
+        assert set(warm._records) == {0, 1}
         cold = EditDistanceMatcher(0.8)
         assert warm._batch_scores(*by_pid(pairs)) == cold._batch_scores(*by_pid(pairs))
-        assert set(warm._text_cache) == {0, 1, 2}
+        assert set(warm._records) == {0, 1, 2}
 
     def test_similarity_counts_as_a_batch_of_one(self):
         for pair in self._profiles(self.TEXT_PAIRS[:1] + [("x", "x"), ("aaaa bbbb", "xxxx yyyy")]):
@@ -281,9 +281,9 @@ class TestSnapshotExcludesDerivedCaches:
                 make_profile(2 * pid, f"profile number {pid} alpha beta gamma"),
                 make_profile(2 * pid + 1, f"profile number {pid} alpha beta gamma!"),
             )
-        assert len(matcher._text_cache) == 100
+        assert len(matcher._records) == 100
         state = matcher.snapshot_state()
-        assert "_text_cache" not in state
+        assert "_records" not in state
         assert "_metrics" not in state
 
     def test_snapshot_payload_stays_bounded(self):
@@ -315,7 +315,7 @@ class TestSnapshotExcludesDerivedCaches:
         restored = EditDistanceMatcher(0.99)
         restored.restore_state(snapshot)
         assert restored.threshold == matcher.threshold
-        assert restored._text_cache == {}
+        assert restored._records == {}
         assert restored.kernel_counts == matcher.kernel_counts
         fresh = EditDistanceMatcher(0.8)
         fresh.restore_state(snapshot)

@@ -43,7 +43,7 @@ from repro.streaming.engine import StreamingEngine
 from repro.streaming.pipelined import PipelinedStreamingEngine
 
 from tests.conftest import (
-    ShortReplies, assert_reaped, by_pid, make_profile, pool_or_skip, worker_pids,
+    ShortReplies, assert_reaped, by_pid, make_profile, pool_or_skip, record_posts, worker_pids,
 )
 from tests.reference.crash import SimulatedCrash, crash_at
 
@@ -154,51 +154,35 @@ def test_pool_batch_scores_bit_identical(dataset, matcher_name):
         pool.close()
 
 
-class _RecordingConnection:
-    """A slot connection that keeps every message the master sends."""
-
-    def __init__(self, connection):
-        self.connection = connection
-        self.messages = []
-
-    def send(self, message):
-        self.messages.append(message)
-        self.connection.send(message)
-
-    def __getattr__(self, name):
-        return getattr(self.connection, name)
-
-
 def test_pool_ships_each_profile_once_per_run(dataset, ed_pool):
-    """A chunk carries only the profiles its worker has not received this
-    epoch; a new run (``begin_run``) re-ships them under the next epoch."""
+    """A chunk carries the wire records of only the profiles its worker has
+    not received this epoch — ``(pid, matcher.wire(profile))``, never the
+    profile; a new run (``begin_run``) re-ships them under the next epoch."""
     rng = random.Random(11)
     profiles = dataset.profiles
     pairs, lookup = by_pid([
         (profiles[rng.randrange(len(profiles))], profiles[rng.randrange(len(profiles))])
         for _ in range(120)
     ])
-    reference = _build_matcher("ED")._batch_scores(pairs, lookup)
+    matcher = _build_matcher("ED")
+    reference = matcher._batch_scores(pairs, lookup)
     ed_pool.begin_run()
-    recorders = ed_pool._connections[:] = [
-        _RecordingConnection(connection) for connection in ed_pool._connections
-    ]
+    posted = record_posts(ed_pool)
     try:
         assert ed_pool.batch_scores(pairs, lookup) == reference
         assert ed_pool.batch_scores(pairs[::-1], lookup) == reference[::-1]
         ed_pool.begin_run()
         assert ed_pool.batch_scores(pairs, lookup) == reference
     finally:
-        ed_pool._connections[:] = [recorder.connection for recorder in recorders]
-    for slot, recorder in enumerate(recorders):
-        (epoch, first, pid_pairs), (same_epoch, again, _), (next_epoch, fresh, _) = (
-            recorder.messages
-        )
+        del ed_pool._post
+    for slot, messages in enumerate(posted):
+        (epoch, first, pid_pairs), (same_epoch, again, _), (next_epoch, fresh, _) = messages
         chunk_pids = {pid for pair in pid_pairs for pid in pair}
-        assert sorted(profile.pid for profile in first) == sorted(chunk_pids), slot
+        assert sorted(pid for pid, _ in first) == sorted(chunk_pids), slot
+        assert all(wire == matcher.wire(lookup[pid]) for pid, wire in first + fresh)
         assert same_epoch == epoch and next_epoch == epoch + 1
-        assert {profile.pid for profile in again}.isdisjoint(chunk_pids)
-        assert {profile.pid for profile in fresh} == chunk_pids
+        assert {pid for pid, _ in again}.isdisjoint(chunk_pids)
+        assert {pid for pid, _ in fresh} == chunk_pids
 
 
 def test_pool_pickle_fallback_bit_identical(dataset):

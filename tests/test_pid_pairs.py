@@ -68,11 +68,11 @@ def test_empty_token_sets():
 def test_pid_first_seen_mid_batch():
     matcher = JaccardMatcher()
     _read(matcher, [(2, 3)], LOOKUP)
-    assert set(matcher._token_masks) == {2, 3}
+    assert set(matcher._records) == {2, 3}
     batch = [(2, 3), (2, 4), (4, 3), (3, 2), (5, 0)]
     costs, scores = _reference(matcher, batch, LOOKUP)
     assert _read(matcher, batch, LOOKUP) == (costs, scores)
-    assert set(matcher._token_masks) == {0, 2, 3, 4, 5}
+    assert set(matcher._records) == {0, 2, 3, 4, 5}
     # The estimate is what the accounting charges, float for float.
     matcher.evaluate_batch(batch, LOOKUP, matcher.estimate_cost_batch(batch, LOOKUP))
     assert matcher.total_cost == reduce(add, costs, 0.0)
@@ -90,7 +90,7 @@ def test_batch_after_restore_state():
     restored = JaccardMatcher()
     _read(restored, PAIRS, OTHER)  # records of the same pids, other profiles
     restored.restore_state(source.snapshot_state())
-    assert restored.threshold == 0.3 and restored._token_masks == {}
+    assert restored.threshold == 0.3 and restored._records == {}
     assert _read(restored, PAIRS, LOOKUP) == _reference(restored, PAIRS, LOOKUP)
 
 
@@ -111,7 +111,7 @@ def test_snapshot_and_template_carry_no_per_pid_records(small_dblp_acm):
     StreamingEngine(matcher, budget=300.0).run(
         build_system("I-PES", small_dblp_acm), plan, small_dblp_acm.ground_truth
     )
-    assert len(matcher._token_masks) > 100
+    assert len(matcher._records) > 100
     fresh = build_matcher("JS")
     snapshot = matcher.snapshot_state()
     assert set(snapshot) == set(fresh.snapshot_state())
